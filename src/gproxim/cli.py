@@ -94,9 +94,29 @@ def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
     return kind, target, params
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise CheckSpecError(f"{what}: {text!r} is not a number") from None
+
+
+def _param(params: dict[str, str], key: str, default: Optional[float] = None) -> float:
+    """A numeric check parameter; a missing key without a default is an error."""
+    if key not in params:
+        if default is None:
+            raise CheckSpecError(f"missing parameter {key}=<value>")
+        return default
+    return _number(params[key], key)
+
+
 def _point_from_text(text: str, dimension: int) -> Point:
     body = text.strip().strip("()")
-    coords = tuple(float(part) for part in body.split(",") if part.strip())
+    coords = tuple(
+        _number(part, f"point {text!r}")
+        for part in body.split(",")
+        if part.strip()
+    )
     if len(coords) != dimension:
         raise CheckSpecError(
             f"point {text!r} has {len(coords)} coordinates, expected {dimension}"
@@ -130,7 +150,7 @@ def run_check(inst: Instance, spec_text: str, seed: int = 0):
         if "alpha" not in params:
             raise CheckSpecError("banach check needs alpha=<value in (0,1)>")
         return check_banach_contraction(
-            gauge, t, float(params["alpha"]), tol, seed=seed
+            gauge, t, _param(params, "alpha"), tol, seed=seed
         )
     if kind in ("proximal-weak", "berinde"):
         gauge = inst.gauge(target or "g")
@@ -142,8 +162,8 @@ def run_check(inst: Instance, spec_text: str, seed: int = 0):
         else:
             if "beta" not in params:
                 raise CheckSpecError("proximal-weak check needs beta=<value>")
-            beta = float(params["beta"])
-        n_cap = float(params.get("N", 0.0))
+            beta = _param(params, "beta")
+        n_cap = _param(params, "N", 0.0)
         core = proximal_core(gauge, a, b, tol)
         return check_proximal_inequality(
             gauge, f, a, b, beta, n_cap, core, tol, seed=seed
@@ -228,17 +248,32 @@ def _report_entry(spec_text: str, report) -> dict:
 def _witness_points(entry: dict) -> dict:
     out = {}
     for key, value in (entry.get("witness") or {}).items():
-        out[key] = Point(tuple(value)) if isinstance(value, list) else float(value)
+        try:
+            out[key] = (
+                Point(tuple(value)) if isinstance(value, list) else float(value)
+            )
+        except (TypeError, ValueError):
+            raise CheckSpecError(f"bad witness value {key}={value!r} in report") from None
     return out
 
 
-def replay_entry(inst: Instance, entry: dict) -> tuple[Optional[float], Optional[float]]:
-    """Recompute the two sides of a reported witness from the same config."""
+def replay_entry(inst: Instance, entry: dict) -> Optional[bool]:
+    """Whether a reported witness reproduces from the same config: the two
+    sides recomputed bit for bit, or for starshaped the same escaping image.
+    None when the entry carries no witness."""
     kind, target, params = parse_check_spec(entry["spec"])
     wit = _witness_points(entry)
     if not wit:
-        return None, None
-    gauge = inst.gauge(target or "g")
+        return None
+    if kind == "starshaped":  # its target names a set, not a gauge
+        cv = _need_convex(inst)
+        centre = cv.r if params.get("center", "r") == "r" else cv.s
+        return cv.h.apply(centre, wit["x"], wit["lam"]) == wit["image"]
+    lhs, rhs = _replay_sides(inst, kind, inst.gauge(target or "g"), params, wit)
+    return lhs == entry["lhs"] and rhs == entry["rhs"]
+
+
+def _replay_sides(inst: Instance, kind: str, gauge, params: dict, wit: dict):
     tol = inst.tol
     if kind == "identity":
         return abs(eval_g(gauge, wit["x"], wit["y"])), tol.eps_zero
@@ -257,11 +292,11 @@ def replay_entry(inst: Instance, entry: dict) -> tuple[Optional[float], Optional
     if kind == "banach":
         t = inst.map_(params.get("map"))
         lhs = abs(eval_g(gauge, t.apply(wit["x"]), t.apply(wit["y"])))
-        rhs = float(params["alpha"]) * abs(eval_g(gauge, wit["x"], wit["y"]))
+        rhs = _param(params, "alpha") * abs(eval_g(gauge, wit["x"], wit["y"]))
         return lhs, rhs
     if kind in ("proximal-weak", "berinde"):
-        beta = 1.0 if kind == "berinde" else float(params["beta"])
-        return proximal_sides(gauge, wit, beta, float(params.get("N", 0.0)))
+        beta = 1.0 if kind == "berinde" else _param(params, "beta")
+        return proximal_sides(gauge, wit, beta, _param(params, "N", 0.0))
     if kind == "convex":
         return convex_condition_sides(_need_convex(inst).h, gauge, wit)
     if kind == "side-condition":
@@ -279,11 +314,6 @@ def replay_entry(inst: Instance, entry: dict) -> tuple[Optional[float], Optional
         b = inst.set_(params.get("B", "B"))
         core = proximal_core(gauge, a, b, tol)
         return abs(eval_g(gauge, wit["a"], wit["b2"])), core.d_g
-    if kind == "starshaped":
-        cv = _need_convex(inst)
-        centre = cv.r if params.get("center", "r") == "r" else cv.s
-        image = cv.h.apply(centre, wit["x"], wit["lam"])
-        return (0.0, 0.0) if image == wit["image"] else (1.0, 0.0)
     raise CheckSpecError(f"cannot replay check kind {kind!r}")
 
 
@@ -329,13 +359,15 @@ def cmd_verify(args) -> int:
     _emit(doc, args)
     if args.replay:
         with open(args.replay) as fh:
-            previous = json.load(fh)
+            try:
+                previous = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CheckSpecError(f"replay report {args.replay}: {exc}") from None
         ok = True
         for entry in previous["checks"]:
-            lhs, rhs = replay_entry(inst, entry)
-            if lhs is None:
+            same = replay_entry(inst, entry)
+            if same is None:
                 continue
-            same = (lhs == entry["lhs"]) and (rhs == entry["rhs"])
             ok = ok and same
             if not args.json:
                 state = "reproduced" if same else "MISMATCH"
@@ -501,7 +533,7 @@ def cmd_search(args) -> int:
         f = inst.map_(params.get("map"))
         a = inst.set_(params.get("A", "A"))
         b = inst.set_(params.get("B", "B"))
-        n_cap = float(params.get("N", 0.0))
+        n_cap = _param(params, "N", 0.0)
         core = proximal_core(gauge, a, b, tol)
         estimate = estimate_proximal_coefficient(
             gauge, f, a, b, n_cap, core, tol, seed=args.seed

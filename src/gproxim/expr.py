@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "Expr",
@@ -41,6 +41,8 @@ __all__ = [
     "evaluate",
     "format_expr",
     "compile_expr",
+    "compile_row_kernels",
+    "RowKernels",
     "variables",
 ]
 
@@ -364,3 +366,68 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     args = ", ".join(names) if names else "*_ignored"
     src = f"lambda {args}: {_gen(e)}"
     return eval(src, dict(_COMPILE_GLOBALS))  # noqa: S307 (closed namespace)
+
+
+class RowKernels(NamedTuple):
+    """Loops of abs(e) over rows of coordinate tuples, one tuple per argument.
+
+    values(P, Q) is the list of abs(e) over zip(P, Q).  first_violation(P, Q,
+    R, eps) is the first index i at which not abs(e) <= R[i] + eps, or -1; a
+    NaN or infinite value stops it as a violation does.
+
+    Scans use them through abs_row and resume_at, which give up on a row
+    with an error or a non-finite value.  The caller then repeats that row
+    through its scalar loop, which raises the typed error at the first
+    offending tuple in scan order, or finds an earlier violation first.
+    """
+
+    values: Callable[..., list[float]]
+    first_violation: Callable[..., int]
+
+    def abs_row(self, P: Iterable, Q: Iterable) -> Optional[list[float]]:
+        """values(P, Q), or None when some value raises or is not finite."""
+        try:
+            row = self.values(P, Q)
+        except Exception:
+            return None
+        return row if math.isfinite(sum(row)) else None
+
+    def resume_at(self, P: Iterable, Q: Iterable, R: list[float], eps: float) -> int:
+        """Where the scalar loop must take over a row: -1 when every tuple
+        holds with finite sides, else the first violating index, or 0 when
+        the kernel raises or R is not finite."""
+        try:
+            if math.isfinite(sum(R)):
+                return self.first_violation(P, Q, R, eps)
+        except Exception:
+            pass
+        return 0
+
+
+def compile_row_kernels(
+    e: Expr, left: tuple[str, ...], right: tuple[str, ...]
+) -> RowKernels:
+    """Compile abs(e) into row loops; left and right name the coordinates
+    unpacked from each P and each Q tuple.
+
+    The loop body is the same generated text as compile_expr's, so every
+    value is bit for bit the one the scalar callable returns.
+    """
+    free = variables(e)
+    missing = sorted(free - set(left) - set(right))
+    if missing:
+        raise EvalError("unbound-variable", ", ".join(missing))
+    body = _gen(e)
+    target = f"({', '.join(left)},), ({', '.join(right)},)"
+    src = (
+        "def values(_P, _Q):\n"
+        f"    return [abs({body}) for {target} in zip(_P, _Q)]\n"
+        "def first_violation(_P, _Q, _R, _eps):\n"
+        f"    for _i, ({target}, _r) in enumerate(zip(_P, _Q, _R)):\n"
+        f"        if not abs({body}) <= _r + _eps:\n"
+        "            return _i\n"
+        "    return -1\n"
+    )
+    namespace = dict(_COMPILE_GLOBALS, zip=zip, enumerate=enumerate)
+    exec(src, namespace)  # noqa: S102 (closed namespace)
+    return RowKernels(namespace["values"], namespace["first_violation"])

@@ -19,9 +19,19 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .expr import EvalError, Expr, compile_expr, parse, variables
+from .expr import (
+    EvalError,
+    Expr,
+    RowKernels,
+    compile_expr,
+    compile_row_kernels,
+    parse,
+    variables,
+)
 
 __all__ = [
     "Point",
@@ -145,6 +155,17 @@ class GFunction:
     def _var_names(d: int) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(1, d + 1)) + tuple(
             f"u{i}" for i in range(1, d + 1)
+        )
+
+    @cached_property
+    def kernels(self) -> RowKernels:
+        """Row kernels over coordinate tuples, compiled on the first scan.
+
+        Two first scans racing on one gauge at most compile it twice.
+        """
+        names = self._var_names(self.dimension)
+        return compile_row_kernels(
+            self.expr, names[: self.dimension], names[self.dimension:]
         )
 
     def __call__(self, x: Point, y: Point) -> float:
@@ -426,11 +447,16 @@ def falsify_axiom(
         if len(pts) ** arity > max_tuples:
             per_axis = max(2, int(max_tuples ** (1.0 / arity)))
             pts = _subsampled(pts, per_axis, seed)
+    coords = [p.coords for p in pts]
     if kind == "identity":
-        for x in pts:
-            for y in pts:
-                if x.coords == y.coords:
-                    continue
+        for i, x in enumerate(pts):
+            row = g.kernels.abs_row(repeat(x.coords), coords[:i] + coords[i + 1:])
+            start = 0 if row is None else next(
+                (k for k, v in enumerate(row) if v <= tol.eps_zero), -1
+            )
+            if start < 0:
+                continue
+            for y in (pts[:i] + pts[i + 1:])[start:]:  # sample points are distinct
                 v = abs(eval_g(g, x, y))
                 if v <= tol.eps_zero:
                     return CheckReport(
@@ -441,7 +467,18 @@ def falsify_axiom(
         return CheckReport("identity-axiom", _HOLDS)
     if kind == "symmetry":
         for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
+            forward = g.kernels.abs_row(repeat(x.coords), coords[i + 1:])
+            backward = g.kernels.abs_row(coords[i + 1:], repeat(x.coords))
+            start = 0
+            if forward is not None and backward is not None:
+                start = next(
+                    (k for k, (a, b) in enumerate(zip(forward, backward))
+                     if abs(a - b) > tol.eps_ineq),
+                    -1,
+                )
+            if start < 0:
+                continue
+            for y in pts[i + 1 + start:]:
                 lhs = abs(abs(eval_g(g, x, y)) - abs(eval_g(g, y, x)))
                 if lhs > tol.eps_ineq:
                     return CheckReport(
@@ -450,12 +487,33 @@ def falsify_axiom(
                     )
         return CheckReport("symmetry-axiom", _HOLDS)
     if kind == "triangle":
-        for x in pts:
-            for y in pts:
+        # One abs(g) matrix over the scanned points, with a 0.0 diagonal that
+        # g never sees: a triple that repeats a point can then never violate.
+        # If any entry raises or is not finite, the scalar scan reports it.
+        matrix = []
+        for i, c in enumerate(coords):
+            row = g.kernels.abs_row(repeat(c), coords[:i] + coords[i + 1:])
+            if row is None:
+                matrix = None
+                break
+            row.insert(i, 0.0)
+            matrix.append(row)
+        for i, x in enumerate(pts):
+            for k, y in enumerate(pts):
                 if y.coords == x.coords:
                     continue
+                start = 0
+                if matrix is not None:
+                    gxy, eps = matrix[i][k], tol.eps_ineq
+                    start = next(
+                        (m for m, (a, b) in enumerate(zip(matrix[i], matrix[k]))
+                         if a > gxy + b + eps),
+                        -1,
+                    )
+                    if start < 0:
+                        continue
                 gxy = abs(eval_g(g, x, y))
-                for z in pts:
+                for z in pts[start:]:
                     if z.coords == x.coords or z.coords == y.coords:
                         continue
                     lhs = abs(eval_g(g, x, z))
@@ -529,23 +587,33 @@ def proximal_core(
     Membership in a_g and b_g uses the eps_prox band around d_g; witnesses
     pair each a_g member with its first banded partner in list order.
     """
-    values = [
-        [abs(eval_g(g, x, y)) for y in b.points] for x in a.points
-    ]
-    d_g = min(min(row) for row in values)
+    b_coords = [y.coords for y in b.points]
     eps = tol.eps_prox
+    d_g = math.inf
+    # Per point of A, the partners within eps of its own row minimum: a
+    # superset of its band around d_g, which is at most that minimum.  A row
+    # with many such partners is kept whole, so this never holds more than
+    # the full matrix of values.
+    near = []
+    for x in a.points:
+        row = g.kernels.abs_row(repeat(x.coords), b_coords) or [
+            abs(eval_g(g, x, y)) for y in b.points
+        ]
+        low = min(row)
+        d_g = min(d_g, low)
+        keep = [j for j, v in enumerate(row) if v - low <= eps]
+        if 4 * len(keep) > len(row):
+            keep = range(len(row))
+        near.append((keep, [row[j] for j in keep]))
     a_pts, wits = [], []
     b_hit = [False] * len(b.points)
-    for i, x in enumerate(a.points):
-        mate = None
-        for j, y in enumerate(b.points):
-            if abs(values[i][j] - d_g) <= eps:
-                b_hit[j] = True
-                if mate is None:
-                    mate = y
-        if mate is not None:
+    for x, (keep, values) in zip(a.points, near):
+        hits = [j for j, v in zip(keep, values) if abs(v - d_g) <= eps]
+        for j in hits:
+            b_hit[j] = True
+        if hits:
             a_pts.append(x)
-            wits.append((x, mate))
+            wits.append((x, b.points[hits[0]]))
     b_pts = [y for j, y in enumerate(b.points) if b_hit[j]]
     return ProximalCore(
         d_g=d_g,
@@ -670,30 +738,62 @@ def check_convex_structure(
     lam_sub = sorted(
         set(lams[i] for i in _stride_indices(len(lams), m[3], seed)) | {0.0, 1.0}
     )
-    h_cache: dict[tuple[tuple[float, ...], tuple[float, ...], float], Point] = {}
+    eps = tol.eps_ineq
+    # H is applied once per (x, y, lam); only its coordinates are kept, and
+    # the scalar path wraps them in a Point again.
+    h_cache: dict[tuple, tuple[float, ...]] = {}
 
-    def h_at(x: Point, y: Point, lam: float) -> Point:
+    def h_coords(x: Point, y: Point, lam: float) -> tuple[float, ...]:
         key = (x.coords, y.coords, lam)
         got = h_cache.get(key)
         if got is None:
-            got = h.apply(x, y, lam)
-            h_cache[key] = got
+            got = h_cache[key] = h.apply(x, y, lam).coords
         return got
 
+    def h_at(x: Point, y: Point, lam: float) -> Point:
+        return Point(h_coords(x, y, lam))
+
+    def h_row(pairs: Iterable[tuple[Point, Point]], lams: Sequence[float]):
+        """Interpolant coordinates in scan order, or None if H raises."""
+        try:
+            return [h_coords(x, y, lam) for x, y in pairs for lam in lams]
+        except Exception:
+            return None
+
+    # Kernel rows run over (y, lam) for condition one and (y0, lam) for
+    # condition two; interpolant rows are built once and reused.
+    lm = [(lam, 1.0 - lam) for lam in lam_sub]
+    width = len(lam_sub)
+    h_rows: dict[int, Optional[list]] = {}
     for x0 in xs0:
-        gx = {x.coords: abs(eval_g(g, x0, x)) for x in xs}
-        gy = {y.coords: abs(eval_g(g, x0, y)) for y in ys}
-        for x in xs:
-            for y in ys:
-                for lam in lam_sub:
-                    lhs = abs(eval_g(g, x0, h_at(x, y, lam)))
-                    rhs = lam * gx[x.coords] + (1.0 - lam) * gy[y.coords]
-                    if lhs > rhs + tol.eps_ineq:
-                        return CheckReport(
-                            "convex-structure", _FALSIFIED,
-                            {"x0": x0, "x": x, "y": y, "lam": lam},
-                            lhs=lhs, rhs=rhs, note="condition one",
-                        )
+        c0 = x0.coords
+        gx = g.kernels.abs_row(repeat(c0), [x.coords for x in xs]) or [
+            abs(eval_g(g, x0, x)) for x in xs
+        ]
+        gy = g.kernels.abs_row(repeat(c0), [y.coords for y in ys]) or [
+            abs(eval_g(g, x0, y)) for y in ys
+        ]
+        for i, x in enumerate(xs):
+            if i not in h_rows:
+                h_rows[i] = h_row(((x, y) for y in ys), lam_sub)
+            start = 0
+            if h_rows[i] is not None:
+                a = gx[i]
+                rhs_row = [lam * a + mix * b for b in gy for lam, mix in lm]
+                start = g.kernels.resume_at(repeat(c0), h_rows[i], rhs_row, eps)
+            if start < 0:
+                continue
+            for k in range(start, len(ys) * width):
+                y, lam = ys[k // width], lam_sub[k % width]
+                lhs = abs(eval_g(g, x0, h_at(x, y, lam)))
+                rhs = lam * gx[i] + (1.0 - lam) * gy[k // width]
+                if lhs > rhs + eps:
+                    return CheckReport(
+                        "convex-structure", _FALSIFIED,
+                        {"x0": x0, "x": x, "y": y, "lam": lam},
+                        lhs=lhs, rhs=rhs, note="condition one",
+                    )
+    h_rows.clear()  # free before condition two adds to h_cache: a lower peak
     # condition two: tuples (x, y, x0, y0, lam)
     m2 = _axis_budget([n, n, n, n, len(lams)], max_tuples)
     xs = _subsampled(pts, m2[0], seed)
@@ -703,23 +803,43 @@ def check_convex_structure(
     lam_sub = sorted(
         set(lams[i] for i in _stride_indices(len(lams), m2[4], seed)) | {0.0, 1.0}
     )
+    lm = [(lam, 1.0 - lam) for lam in lam_sub]
+    width = len(lam_sub)
+    xs0_coords = [x0.coords for x0 in xs0]
+    ys0_coords = [y0.coords for y0 in ys0]
+    q_rows: dict[int, Optional[list]] = {}
+    gyy0_rows: dict[int, Optional[list[float]]] = {}
     for x in xs:
-        for y in ys:
-            for x0 in xs0:
-                gxx0 = abs(eval_g(g, x, x0))
-                for y0 in ys0:
-                    gyy0 = abs(eval_g(g, y, y0))
-                    for lam in lam_sub:
-                        lhs = abs(
-                            eval_g(g, h_at(x, y, lam), h_at(x0, y0, lam))
+        gxx0 = g.kernels.abs_row(repeat(x.coords), xs0_coords)
+        for iy, y in enumerate(ys):
+            if iy not in gyy0_rows:
+                gyy0_rows[iy] = g.kernels.abs_row(repeat(y.coords), ys0_coords)
+            gyy0 = gyy0_rows[iy]
+            p_row = h_row([(x, y)], lam_sub)
+            if p_row is not None:
+                p_row *= len(ys0)
+            for j, x0 in enumerate(xs0):
+                if j not in q_rows:
+                    q_rows[j] = h_row(((x0, y0) for y0 in ys0), lam_sub)
+                start = 0
+                if None not in (gxx0, gyy0, p_row, q_rows[j]):
+                    a = gxx0[j]
+                    rhs_row = [lam * a + mix * b for b in gyy0 for lam, mix in lm]
+                    start = g.kernels.resume_at(p_row, q_rows[j], rhs_row, eps)
+                if start < 0:
+                    continue
+                g_x_x0 = abs(eval_g(g, x, x0))
+                for k in range(start, len(ys0) * width):
+                    y0, lam = ys0[k // width], lam_sub[k % width]
+                    g_y_y0 = abs(eval_g(g, y, y0))
+                    lhs = abs(eval_g(g, h_at(x, y, lam), h_at(x0, y0, lam)))
+                    rhs = lam * g_x_x0 + (1.0 - lam) * g_y_y0
+                    if lhs > rhs + eps:
+                        return CheckReport(
+                            "convex-structure", _FALSIFIED,
+                            {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam},
+                            lhs=lhs, rhs=rhs, note="condition two",
                         )
-                        rhs = lam * gxx0 + (1.0 - lam) * gyy0
-                        if lhs > rhs + tol.eps_ineq:
-                            return CheckReport(
-                                "convex-structure", _FALSIFIED,
-                                {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam},
-                                lhs=lhs, rhs=rhs, note="condition two",
-                            )
     return CheckReport("convex-structure", _HOLDS)
 
 

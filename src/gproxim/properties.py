@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union
 
 from .expr import Expr, compile_expr, parse, variables
@@ -149,13 +150,22 @@ def check_banach_contraction(
     if not 0.0 < alpha < 1.0:
         raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
     pts = _pair_axes(t.domain, max_pairs, seed)
-    images = {p.coords: t.apply(p) for p in pts}
-    for x in pts:
-        tx = images[x.coords]
-        for y in pts:
-            lhs = abs(eval_g(g, tx, images[y.coords]))
+    images = [t.apply(p) for p in pts]
+    coords = [p.coords for p in pts]
+    image_coords = [p.coords for p in images]
+    eps = tol.eps_ineq
+    for x, tx in zip(pts, images):
+        start = 0
+        row = g.kernels.abs_row(repeat(x.coords), coords)
+        if row is not None:
+            rhs_row = [alpha * v for v in row]
+            start = g.kernels.resume_at(repeat(tx.coords), image_coords, rhs_row, eps)
+        if start < 0:
+            continue
+        for y, ty in zip(pts[start:], images[start:]):
+            lhs = abs(eval_g(g, tx, ty))
             rhs = alpha * abs(eval_g(g, x, y))
-            if lhs > rhs + tol.eps_ineq:
+            if lhs > rhs + eps:
                 return PropertyReport(
                     "banach-contraction", _FALSIFIED, {"x": x, "y": y},
                     lhs=lhs, rhs=rhs, beta=alpha, n_cap=0.0,
@@ -179,16 +189,27 @@ def estimate_coefficient(
     the estimate infinite.  Returns 0.0 when no pair constrains the ratio.
     """
     pts = _pair_axes(t.domain, max_pairs, seed)
-    images = {p.coords: t.apply(p) for p in pts}
+    images = [t.apply(p) for p in pts]
+    coords = [p.coords for p in pts]
+    image_coords = [p.coords for p in images]
+    zero = tol.eps_zero
     best = 0.0
-    for x in pts:
-        tx = images[x.coords]
-        for y in pts:
-            num = abs(eval_g(g, tx, images[y.coords]))
+    for x, tx in zip(pts, images):
+        nums = g.kernels.abs_row(repeat(tx.coords), image_coords)
+        dens = g.kernels.abs_row(repeat(x.coords), coords)
+        if nums is not None and dens is not None:
+            at_zero = [num for num, den in zip(nums, dens) if not den > zero]
+            if at_zero and max(at_zero) > zero:
+                return math.inf
+            ratios = [num / den for num, den in zip(nums, dens) if den > zero]
+            best = max(best, max(ratios, default=0.0))
+            continue
+        for ty, y in zip(images, pts):
+            num = abs(eval_g(g, tx, ty))
             den = abs(eval_g(g, x, y))
-            if den > tol.eps_zero:
+            if den > zero:
                 best = max(best, num / den)
-            elif num > tol.eps_zero:
+            elif num > zero:
                 return math.inf
     return best
 
@@ -208,11 +229,14 @@ def qualifying_pairs(
     if a.mode == "box" and len(pts) > max_points:
         pts = [pts[i] for i in _stride_indices(len(pts), max_points, seed)]
     images = [(x, f.apply(x)) for x in pts]
+    coords = [u.coords for u in pts]
+    level, band = core.d_g, tol.eps_prox
     out = []
     for x, fx in images:
-        for u in pts:
-            if abs(abs(eval_g(g, u, fx)) - core.d_g) <= tol.eps_prox:
-                out.append((x, u))
+        row = g.kernels.abs_row(coords, repeat(fx.coords)) or [
+            abs(eval_g(g, u, fx)) for u in pts
+        ]
+        out += [(x, u) for u, v in zip(pts, row) if abs(v - level) <= band]
     return out
 
 

@@ -116,6 +116,56 @@ class TestVerify:
         assert code == 1  # the rerun still falsifies
         assert "reproduced" in out and "MISMATCH" not in out
 
+    def test_replay_reproduces_a_starshaped_witness(self, tmp_path, capsys):
+        # H(r, x, l) is pushed below [0, 1] for x above 1/2, so the first
+        # escaping interpolant is at x = 5/8, lam = 1/4; the spec's target
+        # names a set, and the report carries an image but no lhs or rhs
+        doc = {
+            "dimension": 1,
+            "g": "abs(x1-u1)",
+            "sets": {"A": {"box": [[0, 1]], "resolution": [9]}},
+            "convex": {
+                "exprs": ["l*x1 + (1-l)*u1 - l*(1-l)*1024*max(u1 - 0.5, 0)"],
+                "r": [0], "s": [0], "lambda_grid": [0, 0.25, 0.5, 0.75, 1],
+            },
+        }
+        cfg = tmp_path / "star.json"
+        cfg.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        argv = ["verify", "--config", str(cfg), "--checks", "starshaped:A"]
+        assert main(argv + ["--out", str(report)]) == 1
+        entry = json.loads(report.read_text())["checks"][0]
+        assert entry["witness"]["x"] == [0.625] and entry["lhs"] is None
+        capsys.readouterr()
+        assert main(argv + ["--replay", str(report)]) == 1  # still falsified
+        out = capsys.readouterr().out
+        assert "replay starshaped:A" in out and "reproduced" in out
+        # a different image in the report is a mismatch, not a crash
+        doc_report = json.loads(report.read_text())
+        doc_report["checks"][0]["witness"]["image"] = [0.0]
+        report.write_text(json.dumps(doc_report))
+        assert main(argv + ["--replay", str(report)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_malformed_replay_report_exits_two(self, halving, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--config", halving, "--checks", "identity:g"]
+        report.write_text("not json")
+        assert main(argv + ["--replay", str(report)]) == 2
+        entry = {"spec": "identity:g", "witness": {"x": ["a"], "y": [0.0]},
+                 "lhs": 0.0, "rhs": 1e-9}
+        report.write_text(json.dumps({"checks": [entry]}))
+        assert main(argv + ["--replay", str(report)]) == 2
+        assert "bad witness value x=['a']" in capsys.readouterr().err
+
+    def test_non_numeric_check_parameter_exits_two(self, halving, capsys):
+        code = main(
+            ["verify", "--config", halving, "--checks", "banach:g:alpha=x"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha") and len(err.splitlines()) == 1
+
     def test_tolerance_override_changes_verdict(self, halving, capsys):
         # the square-difference gauge separates points of [0, 1], so the
         # identity axiom holds; loosening the zero level collapses nearby
@@ -224,6 +274,15 @@ class TestSolve:
              "--from", "(1,2)", "--alpha", "0.25"]
         )
         assert code == 2
+
+    def test_non_numeric_start_point_exits_two(self, halving, capsys):
+        code = main(
+            ["solve", "--config", halving, "--scheme", "picard",
+             "--from", "abc", "--alpha", "0.25"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point 'abc'") and len(err.splitlines()) == 1
 
 
 class TestFixturesCommand:

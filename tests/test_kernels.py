@@ -1,0 +1,422 @@
+"""Differential tests: the scans that run on row kernels against a small
+scalar reference kept here, which walks every tuple through eval_g in the
+documented scan order.
+
+Both sides must agree bit for bit: the same verdict, witness and lhs/rhs, or
+the same typed error (class, kind and message).  Gauges come from the seeded
+random-expression generator, plus planted cases: a violation early, in the
+middle and late in a row, and a gauge that raises part way through a scan
+with a violation planted before or after the raising tuple.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from conftest import random_expr
+from gproxim.config import load_instance
+from gproxim.expr import (
+    Binary,
+    EvalError,
+    Num,
+    Unary,
+    Var,
+    compile_expr,
+    compile_row_kernels,
+    parse,
+)
+from gproxim.fixtures import fixture_config_path
+from gproxim.gspace import (
+    ConvexStructure,
+    GFunction,
+    GSpaceError,
+    Point,
+    SampleSet,
+    ToleranceSet,
+    check_convex_structure,
+    eval_g,
+    falsify_axiom,
+    proximal_core,
+)
+from gproxim.properties import (
+    MapSpec,
+    check_banach_contraction,
+    estimate_coefficient,
+    qualifying_pairs,
+)
+import gproxim.gspace as gspace_module
+import gproxim.properties as properties_module
+
+TOL = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=1e-9)
+NO_SUBSAMPLING = 10 ** 12
+HOLDS, FALSIFIED = "holds-on-sample", "falsified"
+
+
+# --------------------------------------------------------------------------
+# scalar reference scans
+
+
+def ref_axiom(kind, g, pts, tol):
+    if kind == "identity":
+        for x in pts:
+            for y in pts:
+                if x.coords == y.coords:
+                    continue
+                v = abs(eval_g(g, x, y))
+                if v <= tol.eps_zero:
+                    return FALSIFIED, {"x": x, "y": y}, v, tol.eps_zero
+    elif kind == "symmetry":
+        for i, x in enumerate(pts):
+            for y in pts[i + 1:]:
+                lhs = abs(abs(eval_g(g, x, y)) - abs(eval_g(g, y, x)))
+                if lhs > tol.eps_ineq:
+                    return FALSIFIED, {"x": x, "y": y}, lhs, tol.eps_ineq
+    else:
+        for x in pts:
+            for y in pts:
+                if y.coords == x.coords:
+                    continue
+                gxy = abs(eval_g(g, x, y))
+                for z in pts:
+                    if z.coords in (x.coords, y.coords):
+                        continue
+                    lhs = abs(eval_g(g, x, z))
+                    rhs = gxy + abs(eval_g(g, y, z))
+                    if lhs > rhs + tol.eps_ineq:
+                        return FALSIFIED, {"x": x, "y": y, "z": z}, lhs, rhs
+    return HOLDS, None, None, None
+
+
+def ref_banach(g, t, alpha, tol):
+    pts = list(t.domain.points)
+    images = [t.apply(p) for p in pts]
+    for x, tx in zip(pts, images):
+        for y, ty in zip(pts, images):
+            lhs = abs(eval_g(g, tx, ty))
+            rhs = alpha * abs(eval_g(g, x, y))
+            if lhs > rhs + tol.eps_ineq:
+                return FALSIFIED, {"x": x, "y": y}, lhs, rhs
+    return HOLDS, None, None, None
+
+
+def ref_estimate(g, t, tol):
+    pts = list(t.domain.points)
+    images = [t.apply(p) for p in pts]
+    best = 0.0
+    for tx, x in zip(images, pts):
+        for ty, y in zip(images, pts):
+            num = abs(eval_g(g, tx, ty))
+            den = abs(eval_g(g, x, y))
+            if den > tol.eps_zero:
+                best = max(best, num / den)
+            elif num > tol.eps_zero:
+                return math.inf
+    return best
+
+
+def ref_core(g, a, b, tol):
+    values = [[abs(eval_g(g, x, y)) for y in b.points] for x in a.points]
+    d_g = min(min(row) for row in values)
+    a_pts, b_hit, wits = [], set(), []
+    for x, row in zip(a.points, values):
+        mates = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
+        b_hit.update(mates)
+        if mates:
+            a_pts.append(x)
+            wits.append((x, b.points[mates[0]]))
+    b_pts = [y for j, y in enumerate(b.points) if j in b_hit]
+    return d_g, a_pts, b_pts, wits
+
+
+def ref_pairs(g, f, a, level, tol):
+    images = [(x, f.apply(x)) for x in a.points]
+    return [
+        (x, u)
+        for x, fx in images
+        for u in a.points
+        if abs(abs(eval_g(g, u, fx)) - level) <= tol.eps_prox
+    ]
+
+
+def ref_convex(h, g, pts, lams, tol):
+    eps = tol.eps_ineq
+    for x0 in pts:
+        gx = [abs(eval_g(g, x0, x)) for x in pts]
+        gy = [abs(eval_g(g, x0, y)) for y in pts]
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                for lam in lams:
+                    lhs = abs(eval_g(g, x0, h.apply(x, y, lam)))
+                    rhs = lam * gx[i] + (1.0 - lam) * gy[j]
+                    if lhs > rhs + eps:
+                        wit = {"x0": x0, "x": x, "y": y, "lam": lam}
+                        return FALSIFIED, wit, lhs, rhs
+    for x in pts:
+        for y in pts:
+            for x0 in pts:
+                gxx0 = abs(eval_g(g, x, x0))
+                for y0 in pts:
+                    gyy0 = abs(eval_g(g, y, y0))
+                    for lam in lams:
+                        lhs = abs(eval_g(g, h.apply(x, y, lam), h.apply(x0, y0, lam)))
+                        rhs = lam * gxx0 + (1.0 - lam) * gyy0
+                        if lhs > rhs + eps:
+                            wit = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
+                            return FALSIFIED, wit, lhs, rhs
+    return HOLDS, None, None, None
+
+
+# --------------------------------------------------------------------------
+# comparison helpers
+
+
+def exact(value):
+    """A comparable form in which floats compare bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Point):
+        return tuple(c.hex() for c in value.coords)
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return tuple(exact(v) for v in value)
+    return value
+
+
+def outcome(fn):
+    try:
+        result = fn()
+    except EvalError as exc:
+        return "error", type(exc).__name__, exc.kind, str(exc)
+    except GSpaceError as exc:
+        return "error", type(exc).__name__, str(exc)
+    if hasattr(result, "verdict"):
+        result = (result.verdict, result.witness, result.lhs, result.rhs)
+    elif hasattr(result, "d_g"):
+        result = (result.d_g, result.a_g.points, result.b_g.points, result.witnesses)
+    return "ok", exact(result)
+
+
+def assert_same(kernel, reference):
+    got, want = outcome(kernel), outcome(reference)
+    assert got == want
+    return want
+
+
+def exact_set(coords, name):
+    return SampleSet.from_points(coords, name=name)
+
+
+# --------------------------------------------------------------------------
+# the kernels themselves
+
+
+def test_kernels_compile_lazily():
+    g = GFunction("abs(x1-u1)", 1)
+    assert "kernels" not in vars(g)
+    inst = load_instance(fixture_config_path("halving-on-unit"))
+    assert all("kernels" not in vars(gauge) for gauge in inst.gauges.values())
+    falsify_axiom("identity", g, exact_set([0.0, 1.0], "S"), TOL)
+    assert "kernels" in vars(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_kernels_match_the_scalar_callable(seed):
+    rng = random.Random(seed)
+    e = random_expr(rng, 4)
+    names = ("x1", "x2", "u1", "u2", "l")
+    fn = compile_expr(e, names)
+    kernels = compile_row_kernels(e, names[:2], names[2:])
+    grid = [-2.5, -1.0, 0.0, 0.5, 2.0]
+    rows = [((a, b), (c, d, lam)) for a in grid for b in grid[:2]
+            for c in grid[1:3] for d in grid[3:] for lam in (0.0, 0.25)]
+    for p, q in rows:
+        try:
+            want = abs(fn(*p, *q))
+        except EvalError as exc:
+            with pytest.raises(EvalError) as info:
+                kernels.values([p], [q])
+            assert (info.value.kind, str(info.value)) == (exc.kind, str(exc))
+            continue
+        got = kernels.values([p], [q])[0]
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+        bound = 1.0
+        hit = kernels.first_violation([p], [q], [bound], 0.0)
+        assert hit == (-1 if want <= bound else 0)
+
+
+def test_first_violation_stops_at_nan_and_inf():
+    kernels = compile_row_kernels(parse("x1*u1"), ("x1",), ("u1",))
+    P, R = [(1.0,)] * 3, [1.0] * 3
+    assert kernels.first_violation(P, [(0.5,), (math.nan,), (0.5,)], R, 0.0) == 1
+    assert kernels.first_violation(P, [(0.5,), (0.5,), (math.inf,)], R, 0.0) == 2
+    assert kernels.first_violation(P, [(0.5,)] * 3, R, 0.0) == -1
+
+
+def test_holding_scans_do_not_go_through_eval_g(monkeypatch):
+    calls = []
+
+    def counting(g, x, y):
+        calls.append(1)
+        return eval_g(g, x, y)
+
+    monkeypatch.setattr(gspace_module, "eval_g", counting)
+    monkeypatch.setattr(properties_module, "eval_g", counting)
+    g = GFunction("abs(x1-u1)", 1)
+    s = SampleSet.grid([(0.0, 1.0)], 33)
+    t = MapSpec(["x1/2"], s, s)
+    assert check_banach_contraction(g, t, 0.5, TOL).holds
+    for kind in ("identity", "symmetry", "triangle"):
+        assert falsify_axiom(kind, g, s, TOL).holds
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    assert check_convex_structure(h, g, s, LAMS, TOL, max_tuples=10 ** 5).holds
+    proximal_core(g, s, s, TOL)
+    assert calls == []
+
+
+# --------------------------------------------------------------------------
+# seeded random gauges
+
+
+def _without_l(e):
+    """Replace the interpolation variable l, which gauges cannot use."""
+    if isinstance(e, Var):
+        return Num(0.5) if e.name == "l" else e
+    if isinstance(e, Unary):
+        return Unary(e.op, _without_l(e.operand))
+    if isinstance(e, Binary):
+        return Binary(e.op, _without_l(e.left), _without_l(e.right))
+    return e
+
+
+PLANE = [(-1.0, 0.5), (0.0, 0.0), (0.5, -1.0), (1.0, 1.0), (2.0, 0.5), (-0.5, -0.5)]
+A_SET = exact_set(PLANE[:4], "A")
+B_SET = exact_set([(c + 1.0, d) for c, d in PLANE[:5]], "B")
+MAP = MapSpec(["x2/2", "0.25 - x1/2"], A_SET, A_SET)
+CONVEX_SET = exact_set(PLANE[:4], "C")
+LAMS = [0.0, 0.5, 1.0]
+
+
+def _random_case(seed):
+    rng = random.Random(seed)
+    g = GFunction(_without_l(random_expr(rng, 3)), 2)
+    if seed % 3:
+        h = ConvexStructure(("l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"))
+    else:
+        h = ConvexStructure((random_expr(rng, 2), "l*x2 + (1-l)*u2"))
+    return g, h
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_gauges_match_the_reference(seed):
+    g, h = _random_case(seed)
+    pts = list(A_SET.points)
+    for kind in ("identity", "symmetry", "triangle"):
+        assert_same(lambda: falsify_axiom(kind, g, A_SET, TOL),
+                    lambda: ref_axiom(kind, g, pts, TOL))
+    assert_same(lambda: check_banach_contraction(g, MAP, 0.5, TOL),
+                lambda: ref_banach(g, MAP, 0.5, TOL))
+    assert_same(lambda: estimate_coefficient(g, MAP, TOL),
+                lambda: ref_estimate(g, MAP, TOL))
+    core = assert_same(lambda: proximal_core(g, A_SET, B_SET, TOL),
+                       lambda: ref_core(g, A_SET, B_SET, TOL))
+    if core[0] == "ok":
+        level = proximal_core(g, A_SET, B_SET, TOL)
+        assert_same(lambda: qualifying_pairs(g, MAP, A_SET, level, TOL),
+                    lambda: ref_pairs(g, MAP, A_SET, level.d_g, TOL))
+    assert_same(
+        lambda: check_convex_structure(h, g, CONVEX_SET, LAMS, TOL, NO_SUBSAMPLING),
+        lambda: ref_convex(h, g, list(CONVEX_SET.points), LAMS, TOL),
+    )
+
+
+# --------------------------------------------------------------------------
+# planted violations and errors on the grid t_i = i/16, i = 0..16
+
+GRID = [i / 16 for i in range(17)]
+LINE = exact_set(GRID, "L")
+GRID_POINTS = list(LINE.points)
+HALF = MapSpec(["x1/2"], LINE, LINE)
+
+
+def _hat(var, at):
+    # 1 at the grid point `at`, 0 at every other grid point
+    return f"max(0, 1 - 128*abs({var} - {at!r}))"
+
+
+def _planted(p, q, raise_at=None):
+    """abs(x1-u1), 4 higher at the single ordered pair (p, q); with raise_at,
+    division by zero wherever the second argument sits at that grid point.
+
+    Under T(x) = x/2 and alpha = 1/2 the only banach violation is then
+    (x, y) = (2p, 2q); the first triangle violation has x = p and z = q.
+    """
+    text = f"abs(x1-u1) + 4*{_hat('x1', p)}*{_hat('u1', q)}"
+    if raise_at is not None:
+        text += f" + 0/(u1 - {raise_at!r})"
+    return GFunction(text, 1)
+
+
+def _all_scans(g):
+    """Every kernel scan on the planted instance, checked against the
+    reference; returns the outcomes by scan."""
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    small = exact_set(GRID[::2], "S")
+    out = {}
+    for kind in ("identity", "symmetry", "triangle"):
+        out[kind] = assert_same(lambda: falsify_axiom(kind, g, LINE, TOL),
+                                lambda: ref_axiom(kind, g, GRID_POINTS, TOL))
+    out["banach"] = assert_same(lambda: check_banach_contraction(g, HALF, 0.5, TOL),
+                                lambda: ref_banach(g, HALF, 0.5, TOL))
+    out["estimate"] = assert_same(lambda: estimate_coefficient(g, HALF, TOL),
+                                  lambda: ref_estimate(g, HALF, TOL))
+    out["core"] = assert_same(lambda: proximal_core(g, LINE, small, TOL),
+                              lambda: ref_core(g, LINE, small, TOL))
+    if out["core"][0] == "ok":
+        level = proximal_core(g, LINE, small, TOL)
+        out["pairs"] = assert_same(
+            lambda: qualifying_pairs(g, HALF, LINE, level, TOL),
+            lambda: ref_pairs(g, HALF, LINE, level.d_g, TOL),
+        )
+    out["convex"] = assert_same(
+        lambda: check_convex_structure(h, g, small, LAMS, TOL, NO_SUBSAMPLING),
+        lambda: ref_convex(h, g, list(small.points), LAMS, TOL),
+    )
+    return out
+
+
+def _point_at(*values):
+    return {k: exact(Point((v,))) for k, v in zip(("x", "y"), values)}
+
+
+@pytest.mark.parametrize(
+    "q", [GRID[1], GRID[4], GRID[7]], ids=["early", "middle", "late"]
+)
+def test_planted_violation_positions(q):
+    # banach row x = 1/4 breaks at y = 2q: index 2, 8 or 14 of 17
+    out = _all_scans(_planted(GRID[2], q))
+    assert out["banach"][1][:2] == (FALSIFIED, _point_at(GRID[4], 2 * q))
+    assert out["symmetry"][1][0] == FALSIFIED
+    assert out["triangle"][1][1]["z"] == exact(Point((q,)))
+    assert out["identity"][1][0] == HOLDS
+
+
+@pytest.mark.parametrize(
+    "q, first",
+    [(GRID[1], "violation"), (GRID[7], "error")],
+    ids=["violation-before-error", "violation-after-error"],
+)
+def test_planted_error_against_violation(q, first):
+    # row x = 0 of the banach scan breaks at y = 2q, and g(0, 3/8) on its
+    # right-hand side divides by zero at y = 3/8 (index 6); the symmetry
+    # row x = 0 breaks at y = q and raises at y = 3/8
+    out = _all_scans(_planted(0.0, q, raise_at=GRID[6]))
+    for scan in ("banach", "symmetry"):
+        if first == "violation":
+            assert out[scan][0] == "ok" and out[scan][1][0] == FALSIFIED
+        else:
+            assert out[scan][:3] == ("error", "EvalError", "division-by-zero")
+    assert out["core"][:3] == ("error", "EvalError", "division-by-zero")
