@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -178,6 +179,114 @@ class TestVerify:
             ["verify", "--config", halving, "--checks", "identity:g",
              "--tol-zero", "0.001"]
         ) == 1
+
+
+_LAMBDAS = [0, 0.25, 0.5, 0.75, 1]
+_UNIT = {"A": {"box": [[0, 1]], "resolution": [9]}}
+
+
+def _planted_doc(g, sets=_UNIT, dimension=1, **extra):
+    """A config with gauge g and a symmetric gauge "ok" whose checks hold."""
+    doc = {"dimension": dimension, "g": g, "functions": {"ok": "abs(x1-u1)"},
+           "sets": sets}
+    doc.update(extra)
+    return doc
+
+
+def _linear_h(*extra_terms, dimension=1, r=(0,), s=(0,)):
+    exprs = [f"l*x{i} + (1-l)*u{i}" for i in range(1, dimension + 1)]
+    exprs = [e + t for e, t in zip(exprs, extra_terms)] + exprs[len(extra_terms):]
+    return {"exprs": exprs, "r": list(r), "s": list(s), "lambda_grid": _LAMBDAS}
+
+
+def _planted_quarter():
+    doc = json.loads(fixture_config_path("quarter-proximal").read_text())
+    doc["functions"]["ok"] = "abs(x1-u1)"
+    return doc
+
+
+# One config per check kind with a violation planted in it, and the spec
+# that finds it.
+PLANTED = {
+    # every point at or above 1/2 collapses to one
+    "identity": (lambda: _planted_doc("abs(min(x1, 0.5) - min(u1, 0.5))"), "identity:g"),
+    # asymmetric once both points lie above 0.4
+    "symmetry": (
+        lambda: _planted_doc("abs(x1-u1) + max(min(x1,u1) - 0.4, 0)*(x1-u1)"),
+        "symmetry:g",
+    ),
+    # the squared distance: (0, 1/8, 1/4) gives 1/16 > 1/64 + 1/64
+    "triangle": (lambda: _planted_doc("(x1-u1)^2"), "triangle:g"),
+    "banach": (
+        lambda: _planted_doc("abs(x1-u1)", maps={
+            "T": {"exprs": ["0.75*x1"], "domain": "A", "codomain": "A"}}),
+        "banach:g:alpha=0.5",
+    ),
+    "proximal-weak": (_planted_quarter, "proximal-weak:h:beta=0.9:N=1"),
+    "berinde": (_planted_quarter, "berinde:h"),
+    # g(x0, .) is |x0 - .| plus, for x0 above 0.45, a strictly concave bump
+    "convex-condition-one": (
+        lambda: _planted_doc("abs(x1-u1) + max(x1 - 0.45, 0)*u1*(1 - u1)",
+                             convex=_linear_h()),
+        "convex:g",
+    ),
+    # g reads only its first point, so condition one holds with equality;
+    # H overshoots the chord by l(1-l), which breaks condition two
+    "convex-condition-two": (
+        lambda: _planted_doc("x1", convex=_linear_h(" + l*(1-l)")), "convex:g",
+    ),
+    "semi-sharp": (
+        lambda: _planted_doc("x1^2 - u1^2", sets={
+            "A": {"points": [[1]]}, "B": {"points": [[-1], [1]]}}),
+        "semi-sharp:g",
+    ),
+    # abs(g(r, x)) + abs(g(y, s)) = 2 + max(x2 - 0.45, 0) against the level 2
+    "side-condition": (
+        lambda: _planted_doc(
+            "abs(x1-u1) + max(u2 - 0.45, 0)*max(-x1, 0)", dimension=2,
+            sets={"A": {"box": [[0, 0], [0, 1]], "resolution": [1, 9]},
+                  "B": {"box": [[1, 1], [0, 1]], "resolution": [1, 9]}},
+            convex=_linear_h(dimension=2, r=(-1, 0), s=(0, 0))),
+        "side-condition:g",
+    ),
+    # H(r, x, l) is pushed below [0, 1] for x above 1/2
+    "starshaped": (
+        lambda: _planted_doc("abs(x1-u1)", convex=_linear_h(
+            " - l*(1-l)*1024*max(u1 - 0.5, 0)")),
+        "starshaped:A",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_replay_reproduces_every_check_kind(name, tmp_path, capsys):
+    make, spec = PLANTED[name]
+    cfg = tmp_path / "planted.json"
+    cfg.write_text(json.dumps(make()))
+    report = tmp_path / "r.json"
+    argv = ["verify", "--config", str(cfg), "--checks", spec]
+    assert main(argv + ["--out", str(report)]) == 1
+    doc = json.loads(report.read_text())
+    entry = doc["checks"][0]
+    assert entry["verdict"] == "falsified"
+    if name.startswith("convex-"):
+        assert entry["note"] == name[len("convex-"):].replace("-", " ")
+    capsys.readouterr()
+    assert main(argv + ["--replay", str(report)]) == 1  # still falsified
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("replay ")]
+    assert lines == [f"replay {spec:<40} reproduced"]
+    # with checks that hold, the replay alone sets the exit code
+    holding = ["verify", "--config", str(cfg), "--checks", "symmetry:ok",
+               "--replay", str(report)]
+    assert main(holding) == 0
+    if entry["lhs"] is None:  # starshaped replays its image, not two sides
+        return
+    entry["lhs"] = math.nextafter(entry["lhs"], math.inf)
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(holding) == 1
+    assert f"replay {spec:<40} MISMATCH" in capsys.readouterr().out
 
 
 class TestSolve:
