@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import Optional
+from functools import cached_property, reduce
+from typing import Callable, NamedTuple, Optional
 
 from .config import ConfigError, Instance, load_instance
 from .expr import EvalError, ParseError
@@ -25,18 +26,23 @@ from .gspace import (
     GSpaceError,
     NoProximalMate,
     Point,
+    SampleSet,
+    axiom_sides,
     check_convex_structure,
     check_semi_sharp,
     check_side_condition,
     check_starshaped,
     convex_condition_sides,
-    eval_g,
     falsify_axiom,
     proximal_core,
+    semi_sharp_sides,
+    side_condition_sides,
+    side_condition_target,
 )
 from .fixtures import run_fixtures
 from .properties import (
     PropertyReport,
+    banach_sides,
     check_banach_contraction,
     check_proximal_inequality,
     estimate_coefficient,
@@ -57,16 +63,6 @@ EXIT_FALSIFIED = 1
 EXIT_ERROR = 2
 
 _AXIOM_KINDS = ("identity", "symmetry", "triangle")
-_CHECK_KINDS = _AXIOM_KINDS + (
-    "axioms",
-    "banach",
-    "proximal-weak",
-    "berinde",
-    "convex",
-    "starshaped",
-    "semi-sharp",
-    "side-condition",
-)
 
 
 class CheckSpecError(ValueError):
@@ -77,9 +73,9 @@ def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
     """Parse "kind[:gauge][:key=value]..." into its parts."""
     parts = text.split(":")
     kind = parts[0]
-    if kind not in _CHECK_KINDS:
+    if kind not in _CHECKS:
         raise CheckSpecError(
-            f"unknown check kind {kind!r}; expected one of {', '.join(_CHECK_KINDS)}"
+            f"unknown check kind {kind!r}; expected one of {', '.join(_CHECKS)}"
         )
     target: Optional[str] = None
     params: dict[str, str] = {}
@@ -124,86 +120,165 @@ def _point_from_text(text: str, dimension: int) -> Point:
     return Point(coords)
 
 
-def _default_scan_set(inst: Instance):
-    return next(iter(inst.sets.values()))
-
-
-def _union_of_sets(inst: Instance):
-    sets = list(inst.sets.values())
-    out = sets[0]
-    for s in sets[1:]:
-        out = out.union(s)
-    return out
-
-
-def run_check(inst: Instance, spec_text: str, seed: int = 0):
-    """Run one named check; returns a CheckReport or PropertyReport."""
-    kind, target, params = parse_check_spec(spec_text)
-    tol = inst.tol
-    if kind in _AXIOM_KINDS:
-        gauge = inst.gauge(target or "g")
-        scan = inst.set_(params["set"]) if "set" in params else _default_scan_set(inst)
-        return falsify_axiom(kind, gauge, scan, tol)
-    if kind == "banach":
-        gauge = inst.gauge(target or "g")
-        t = inst.map_(params.get("map"))
-        if "alpha" not in params:
-            raise CheckSpecError("banach check needs alpha=<value in (0,1)>")
-        return check_banach_contraction(
-            gauge, t, _param(params, "alpha"), tol, seed=seed
-        )
-    if kind in ("proximal-weak", "berinde"):
-        gauge = inst.gauge(target or "g")
-        f = inst.map_(params.get("map"))
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        if kind == "berinde":
-            beta = 1.0
-        else:
-            if "beta" not in params:
-                raise CheckSpecError("proximal-weak check needs beta=<value>")
-            beta = _param(params, "beta")
-        n_cap = _param(params, "N", 0.0)
-        core = proximal_core(gauge, a, b, tol)
-        return check_proximal_inequality(
-            gauge, f, a, b, beta, n_cap, core, tol, seed=seed
-        )
-    if kind == "convex":
-        gauge = inst.gauge(target or "g")
-        cv = _need_convex(inst)
-        scan = inst.set_(params["set"]) if "set" in params else _union_of_sets(inst)
-        return check_convex_structure(
-            cv.h, gauge, scan, cv.lambda_grid, tol, seed=seed
-        )
-    if kind == "starshaped":
-        cv = _need_convex(inst)
-        if target is None and "set" not in params:
-            raise CheckSpecError("starshaped check needs a set name")
-        scan = inst.set_(params.get("set", target))
-        centre = cv.r if params.get("center", "r") == "r" else cv.s
-        return check_starshaped(cv.h, scan, centre, cv.lambda_grid, tol)
-    if kind == "semi-sharp":
-        gauge = inst.gauge(target or "g")
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        core = proximal_core(gauge, a, b, tol)
-        return check_semi_sharp(gauge, a, b, core, tol)
-    if kind == "side-condition":
-        gauge = inst.gauge(target or "g")
-        cv = _need_convex(inst)
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        core = proximal_core(gauge, a, b, tol)
-        return check_side_condition(gauge, core, cv.r, cv.s, tol)
-    if kind == "axioms":
-        raise AssertionError("expanded by the caller")
-    raise CheckSpecError(f"unhandled check kind {kind!r}")
-
-
 def _need_convex(inst: Instance):
     if inst.convex is None:
         raise CheckSpecError("this check needs a 'convex' block in the config")
     return inst.convex
+
+
+class _Spec:
+    """A check spec against an instance, its parts looked up on first use, so
+    a check or a replay asks only for what it needs.  value, when set, stands
+    in for the coefficient that search sweeps."""
+
+    def __init__(self, inst: Instance, text: str):
+        self.kind, self.target, self.params = parse_check_spec(text)
+        self.inst, self.tol = inst, inst.tol
+        self.value: Optional[float] = None
+
+    @cached_property
+    def gauge(self):
+        return self.inst.gauge(self.target or "g")
+
+    @cached_property
+    def map(self):
+        return self.inst.map_(self.params.get("map"))
+
+    @cached_property
+    def pair(self):  # the sets A and B
+        return tuple(self.inst.set_(self.params.get(k, k)) for k in ("A", "B"))
+
+    @cached_property
+    def core(self):
+        return proximal_core(self.gauge, *self.pair, self.tol)
+
+    @cached_property
+    def convex(self):
+        return _need_convex(self.inst)
+
+    @property
+    def centre(self):
+        return self.convex.r if self.params.get("center", "r") == "r" else self.convex.s
+
+    def scan(self, union: bool = False):
+        """The set named by set=, else the union of all sets or the first."""
+        if "set" in self.params:
+            return self.inst.set_(self.params["set"])
+        sets = list(self.inst.sets.values())
+        return reduce(SampleSet.union, sets) if union else sets[0]
+
+    @property
+    def coef_name(self) -> str:
+        return "alpha" if self.kind == "banach" else "beta"
+
+    @property
+    def coef(self) -> float:
+        if self.value is not None:
+            return self.value
+        if self.kind == "berinde":
+            return 1.0
+        key = self.coef_name
+        if key not in self.params:
+            hint = "value in (0,1)" if key == "alpha" else "value"
+            raise CheckSpecError(f"{self.kind} check needs {key}=<{hint}>")
+        return _param(self.params, key)
+
+    @property
+    def n_cap(self) -> float:
+        return _param(self.params, "N", 0.0)
+
+
+class _Check(NamedTuple):
+    run: Callable[[_Spec, int], object]
+    reproduces: Callable[[_Spec, dict, dict], bool]
+    estimate: Optional[Callable[[_Spec, int], float]] = None
+
+
+def _same_sides(sides: Callable[[_Spec, dict], tuple]):
+    """An inequality witness replays when both sides come out bit for bit."""
+    return lambda c, wit, entry: sides(c, wit) == (entry["lhs"], entry["rhs"])
+
+
+def _axiom(kind: str) -> _Check:
+    return _Check(
+        lambda c, seed: falsify_axiom(kind, c.gauge, c.scan(), c.tol),
+        _same_sides(lambda c, wit: axiom_sides(kind, c.gauge, c.tol, wit)),
+    )
+
+
+def _starshaped_set(c: _Spec):
+    # the target names a set, not a gauge
+    if c.target is None and "set" not in c.params:
+        raise CheckSpecError("starshaped check needs a set name")
+    return c.inst.set_(c.params.get("set", c.target))
+
+
+def _group(c: _Spec, *_):
+    raise CheckSpecError("axioms names three checks: identity, symmetry, triangle")
+
+
+_PROXIMAL = _Check(
+    lambda c, seed: check_proximal_inequality(
+        c.gauge, c.map, c.pair[0], c.coef, c.n_cap, c.core, c.tol, seed=seed
+    ),
+    _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
+    lambda c, seed: estimate_proximal_coefficient(
+        c.gauge, c.map, c.pair[0], c.n_cap, c.core, c.tol, seed=seed
+    ),
+)
+
+# Every check kind, in the order the usage message lists them: run gives the
+# report, reproduces tells whether a reported witness replays, and estimate
+# is the sample estimate of the coefficient that search sweeps.
+_CHECKS = {
+    **{kind: _axiom(kind) for kind in _AXIOM_KINDS},
+    "axioms": _Check(_group, _group),
+    "banach": _Check(
+        lambda c, seed: check_banach_contraction(
+            c.gauge, c.map, c.coef, c.tol, seed=seed
+        ),
+        _same_sides(lambda c, wit: banach_sides(c.gauge, c.map, c.coef, wit)),
+        lambda c, seed: estimate_coefficient(c.gauge, c.map, c.tol, seed=seed),
+    ),
+    "proximal-weak": _PROXIMAL,
+    "berinde": _PROXIMAL,
+    # keyword arguments keep the lookup order: the gauge, then the convex block
+    "convex": _Check(
+        lambda c, seed: check_convex_structure(
+            g=c.gauge, h=c.convex.h, s=c.scan(union=True),
+            lambda_grid=c.convex.lambda_grid, tol=c.tol, seed=seed,
+        ),
+        _same_sides(lambda c, wit: convex_condition_sides(
+            g=c.gauge, h=c.convex.h, witness=wit
+        )),
+    ),
+    "starshaped": _Check(
+        lambda c, seed: check_starshaped(
+            c.convex.h, _starshaped_set(c), c.centre, c.convex.lambda_grid, c.tol
+        ),
+        lambda c, wit, entry: c.convex.h.apply(c.centre, wit["x"], wit["lam"])
+        == wit["image"],
+    ),
+    "semi-sharp": _Check(
+        lambda c, seed: check_semi_sharp(c.gauge, c.core),
+        _same_sides(lambda c, wit: semi_sharp_sides(c.gauge, c.core, wit)),
+    ),
+    "side-condition": _Check(
+        lambda c, seed: check_side_condition(
+            c.gauge, r=c.convex.r, s=c.convex.s, core=c.core, tol=c.tol
+        ),
+        _same_sides(lambda c, wit: side_condition_sides(
+            c.gauge, c.convex.r, c.convex.s,
+            side_condition_target(c.gauge, c.core, c.tol), wit,
+        )),
+    ),
+}
+
+
+def run_check(inst: Instance, spec_text: str, seed: int = 0):
+    """Run one named check; returns a CheckReport or PropertyReport."""
+    c = _Spec(inst, spec_text)
+    return _CHECKS[c.kind].run(c, seed)
 
 
 def _expand_specs(specs: list[str]) -> list[str]:
@@ -261,60 +336,11 @@ def replay_entry(inst: Instance, entry: dict) -> Optional[bool]:
     """Whether a reported witness reproduces from the same config: the two
     sides recomputed bit for bit, or for starshaped the same escaping image.
     None when the entry carries no witness."""
-    kind, target, params = parse_check_spec(entry["spec"])
+    c = _Spec(inst, entry["spec"])
     wit = _witness_points(entry)
     if not wit:
         return None
-    if kind == "starshaped":  # its target names a set, not a gauge
-        cv = _need_convex(inst)
-        centre = cv.r if params.get("center", "r") == "r" else cv.s
-        return cv.h.apply(centre, wit["x"], wit["lam"]) == wit["image"]
-    lhs, rhs = _replay_sides(inst, kind, inst.gauge(target or "g"), params, wit)
-    return lhs == entry["lhs"] and rhs == entry["rhs"]
-
-
-def _replay_sides(inst: Instance, kind: str, gauge, params: dict, wit: dict):
-    tol = inst.tol
-    if kind == "identity":
-        return abs(eval_g(gauge, wit["x"], wit["y"])), tol.eps_zero
-    if kind == "symmetry":
-        return (
-            abs(abs(eval_g(gauge, wit["x"], wit["y"]))
-                - abs(eval_g(gauge, wit["y"], wit["x"]))),
-            tol.eps_ineq,
-        )
-    if kind == "triangle":
-        lhs = abs(eval_g(gauge, wit["x"], wit["z"]))
-        rhs = abs(eval_g(gauge, wit["x"], wit["y"])) + abs(
-            eval_g(gauge, wit["y"], wit["z"])
-        )
-        return lhs, rhs
-    if kind == "banach":
-        t = inst.map_(params.get("map"))
-        lhs = abs(eval_g(gauge, t.apply(wit["x"]), t.apply(wit["y"])))
-        rhs = _param(params, "alpha") * abs(eval_g(gauge, wit["x"], wit["y"]))
-        return lhs, rhs
-    if kind in ("proximal-weak", "berinde"):
-        beta = 1.0 if kind == "berinde" else _param(params, "beta")
-        return proximal_sides(gauge, wit, beta, _param(params, "N", 0.0))
-    if kind == "convex":
-        return convex_condition_sides(_need_convex(inst).h, gauge, wit)
-    if kind == "side-condition":
-        cv = _need_convex(inst)
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        core = proximal_core(gauge, a, b, tol)
-        inner = proximal_core(gauge, core.a_g, core.b_g, tol)
-        lhs = abs(eval_g(gauge, cv.r, wit["x"])) + abs(
-            eval_g(gauge, wit["y"], cv.s)
-        )
-        return lhs, 2.0 * inner.d_g
-    if kind == "semi-sharp":
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        core = proximal_core(gauge, a, b, tol)
-        return abs(eval_g(gauge, wit["a"], wit["b2"])), core.d_g
-    raise CheckSpecError(f"cannot replay check kind {kind!r}")
+    return _CHECKS[c.kind].reproduces(c, wit, entry)
 
 
 def _apply_tol_overrides(inst: Instance, args) -> Instance:
@@ -517,35 +543,16 @@ def cmd_fixtures(args) -> int:
 
 def cmd_search(args) -> int:
     inst = _apply_tol_overrides(load_instance(args.config), args)
-    kind, target, params = parse_check_spec(args.check)
-    gauge = inst.gauge(target or "g")
-    tol = inst.tol
-    rows = []
-    if kind == "banach":
-        t = inst.map_(params.get("map"))
-        estimate = estimate_coefficient(gauge, t, tol, seed=args.seed)
-        values = _sweep_values(args)
-        for value in values:
-            rep = check_banach_contraction(gauge, t, value, tol, seed=args.seed)
-            rows.append((value, rep))
-        label = "alpha"
-    elif kind in ("proximal-weak", "berinde"):
-        f = inst.map_(params.get("map"))
-        a = inst.set_(params.get("A", "A"))
-        b = inst.set_(params.get("B", "B"))
-        n_cap = _param(params, "N", 0.0)
-        core = proximal_core(gauge, a, b, tol)
-        estimate = estimate_proximal_coefficient(
-            gauge, f, a, b, n_cap, core, tol, seed=args.seed
-        )
-        for value in _sweep_values(args):
-            rep = check_proximal_inequality(
-                gauge, f, a, b, value, n_cap, core, tol, seed=args.seed
-            )
-            rows.append((value, rep))
-        label = "beta"
-    else:
+    c = _Spec(inst, args.check)
+    check = _CHECKS[c.kind]
+    if check.estimate is None:
         raise CheckSpecError("search sweeps banach, proximal-weak or berinde checks")
+    estimate = check.estimate(c, args.seed)
+    rows = []
+    for value in _sweep_values(args):
+        c.value = value
+        rows.append((value, check.run(c, args.seed)))
+    label = c.coef_name
     doc = {
         "check": args.check,
         "estimate": estimate if math.isfinite(estimate) else "infinite",

@@ -342,6 +342,8 @@ def _gen(e: Expr) -> str:
 
 
 _COMPILE_GLOBALS = {
+    # repr() writes a literal that overflows a double, such as 1e999, as inf
+    "inf": math.inf,
     "_div": _div,
     "_sqrt": _sqrt,
     "_pow": _pow,

@@ -27,6 +27,7 @@ from .gspace import (
     proximal_core,
 )
 from .properties import (
+    banach_sides,
     check_banach_contraction,
     check_proximal_inequality,
     estimate_coefficient,
@@ -139,9 +140,7 @@ def _fx_min_contraction(inst: Instance, rec: _Recorder) -> None:
     rec.expect("contraction at alpha=1/2 under g", "reference", rep.holds)
     rep = check_banach_contraction(h, t, 0.9, tol)
     rec.expect("falsified under h at any alpha", "reference", rep.falsified)
-    x, y = Point((0.5, 0.0)), Point((1.0, 0.0))
-    lhs = abs(eval_g(h, t.apply(x), t.apply(y)))
-    rhs = 0.9 * abs(eval_g(h, x, y))
+    lhs, rhs = banach_sides(h, t, 0.9, {"x": Point((0.5, 0.0)), "y": Point((1.0, 0.0))})
     rec.expect(
         "replayed pair ((1/2,0),(1,0)): image gauge 2 vs alpha/2", "reference",
         lhs == 2.0 and rhs == 0.45,
@@ -239,18 +238,18 @@ def _fx_quarter_proximal(inst: Instance, rec: _Recorder) -> None:
     tol = inst.tol
     core = proximal_core(g, a, b, tol)
     rec.expect("proximity level under g is 0", "reference", core.d_g == 0.0)
-    est = estimate_proximal_coefficient(g, t, a, b, 0.0, core, tol)
+    est = estimate_proximal_coefficient(g, t, a, 0.0, core, tol)
     rec.expect(
         "tightest proximal coefficient is 1/16 (within 1e-9)", "reference",
         _close(est, 0.0625, 1e-9), f"estimate {est!r}",
     )
-    rep = check_proximal_inequality(g, t, a, b, 0.0625, 0.0, core, tol)
+    rep = check_proximal_inequality(g, t, a, 0.0625, 0.0, core, tol)
     rec.expect(
         "proximal weak contraction holds at beta=1/16, N=0", "reference",
         rep.holds and not rep.vacuous,
     )
     core_h = proximal_core(h, a, b, tol)
-    rep_h = check_proximal_inequality(h, t, a, b, 0.9, 1.0, core_h, tol)
+    rep_h = check_proximal_inequality(h, t, a, 0.9, 1.0, core_h, tol)
     rec.expect("falsified under h for any beta, N", "reference", rep_h.falsified)
     if rep_h.falsified:
         lhs, rhs = proximal_sides(h, rep_h.witness, 0.9, 1.0)
@@ -299,7 +298,7 @@ def _fx_finite_sets(inst: Instance, rec: _Recorder) -> None:
         and list(core.b_g.points) == b_or
         == [Point((-1.0,)), Point((-2.0,)), Point((-3.0,))],
     )
-    rep = check_proximal_inequality(g, f, a, b, 0.5, 1.0, core, tol)
+    rep = check_proximal_inequality(g, f, a, 0.5, 1.0, core, tol)
     rec.expect(
         "proximal weak contraction holds under g at beta=1/2, N=1", "reference",
         rep.holds and not rep.vacuous,
@@ -313,8 +312,8 @@ def _fx_finite_sets(inst: Instance, rec: _Recorder) -> None:
             for u1 in a.points:
                 for u2 in a.points:
                     if qualifies(u1, x1) and qualifies(u2, x2):
-                        lhs = abs(eval_g(g, u1, u2))
-                        rhs = 0.5 * abs(eval_g(g, x1, x2)) + abs(eval_g(g, x2, u1))
+                        wit = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+                        lhs, rhs = proximal_sides(g, wit, 0.5, 1.0)
                         if lhs > rhs + tol.eps_ineq:
                             violated = True
     rec.expect(
@@ -327,7 +326,7 @@ def _fx_finite_sets(inst: Instance, rec: _Recorder) -> None:
         "proximity level under the usual metric is 1", "reference",
         core_d.d_g == 1.0,
     )
-    rep_d = check_proximal_inequality(metric, f, a, b, 0.5, 1.0, core_d, tol)
+    rep_d = check_proximal_inequality(metric, f, a, 0.5, 1.0, core_d, tol)
     rec.expect(
         "falsified under the metric with violation margin 1/2", "reference",
         rep_d.falsified and rep_d.margin == 0.5,

@@ -409,15 +409,20 @@ class ProximalCore:
     """Proximity level of a sampled pair (A, B) and the sets realising it.
 
     d_g is the exact minimum of abs(g) over the sampled product A x B; a_g
-    and b_g collect the points whose best partner lands within eps of d_g,
-    and witnesses pairs each member of a_g with its first such partner.
+    and b_g collect the points whose best partner lands within eps of d_g.
+    partners holds, for each member of a_g in order, its partners within eps
+    of d_g in B order; witnesses pairs each member with the first of them.
     """
 
     d_g: float
     a_g: SampleSet
     b_g: SampleSet
-    witnesses: tuple[tuple[Point, Point], ...]
+    partners: tuple[tuple[Point, ...], ...]
     eps: float
+
+    @property
+    def witnesses(self) -> tuple[tuple[Point, Point], ...]:
+        return tuple((x, ys[0]) for x, ys in zip(self.a_g.points, self.partners))
 
 
 _HOLDS = "holds-on-sample"
@@ -457,11 +462,11 @@ def falsify_axiom(
             if start < 0:
                 continue
             for y in (pts[:i] + pts[i + 1:])[start:]:  # sample points are distinct
-                v = abs(eval_g(g, x, y))
-                if v <= tol.eps_zero:
+                witness = {"x": x, "y": y}
+                lhs, rhs = axiom_sides(kind, g, tol, witness)
+                if lhs <= rhs:
                     return CheckReport(
-                        "identity-axiom", _FALSIFIED, {"x": x, "y": y},
-                        lhs=v, rhs=tol.eps_zero,
+                        "identity-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs,
                         note="distinct points at zero gauge level",
                     )
         return CheckReport("identity-axiom", _HOLDS)
@@ -479,11 +484,11 @@ def falsify_axiom(
             if start < 0:
                 continue
             for y in pts[i + 1 + start:]:
-                lhs = abs(abs(eval_g(g, x, y)) - abs(eval_g(g, y, x)))
-                if lhs > tol.eps_ineq:
+                witness = {"x": x, "y": y}
+                lhs, rhs = axiom_sides(kind, g, tol, witness)
+                if lhs > rhs:
                     return CheckReport(
-                        "symmetry-axiom", _FALSIFIED, {"x": x, "y": y},
-                        lhs=lhs, rhs=tol.eps_ineq,
+                        "symmetry-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs
                     )
         return CheckReport("symmetry-axiom", _HOLDS)
     if kind == "triangle":
@@ -516,15 +521,34 @@ def falsify_axiom(
                 for z in pts[start:]:
                     if z.coords == x.coords or z.coords == y.coords:
                         continue
-                    lhs = abs(eval_g(g, x, z))
-                    rhs = gxy + abs(eval_g(g, y, z))
+                    witness = {"x": x, "y": y, "z": z}
+                    lhs, rhs = axiom_sides(kind, g, tol, witness, gxy)
                     if lhs > rhs + tol.eps_ineq:
                         return CheckReport(
-                            "triangle-axiom", _FALSIFIED,
-                            {"x": x, "y": y, "z": z}, lhs=lhs, rhs=rhs,
+                            "triangle-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs
                         )
         return CheckReport("triangle-axiom", _HOLDS)
     raise GSpaceError(f"unknown axiom kind {kind!r}")
+
+
+def axiom_sides(
+    kind: str,
+    g: GFunction,
+    tol: ToleranceSet,
+    witness: Mapping[str, Point],
+    gxy: Optional[float] = None,
+) -> tuple[float, float]:
+    """The two sides falsify_axiom compares at a witness; a triangle scan
+    passes its hoisted abs(g(x, y)) as gxy."""
+    x, y = witness["x"], witness["y"]
+    if kind == "identity":
+        return abs(eval_g(g, x, y)), tol.eps_zero
+    if kind == "symmetry":
+        return abs(abs(eval_g(g, x, y)) - abs(eval_g(g, y, x))), tol.eps_ineq
+    if gxy is None:
+        gxy = abs(eval_g(g, x, y))
+    z = witness["z"]
+    return abs(eval_g(g, x, z)), gxy + abs(eval_g(g, y, z))
 
 
 def classify_sequence(
@@ -584,8 +608,8 @@ def proximal_core(
 ) -> ProximalCore:
     """Exact minimum of abs(g) over the sampled product, with realising sets.
 
-    Membership in a_g and b_g uses the eps_prox band around d_g; witnesses
-    pair each a_g member with its first banded partner in list order.
+    Membership in a_g and b_g uses the eps_prox band around d_g; partners
+    lists each a_g member's banded partners in list order.
     """
     b_coords = [y.coords for y in b.points]
     eps = tol.eps_prox
@@ -605,7 +629,7 @@ def proximal_core(
         if 4 * len(keep) > len(row):
             keep = range(len(row))
         near.append((keep, [row[j] for j in keep]))
-    a_pts, wits = [], []
+    a_pts, partners = [], []
     b_hit = [False] * len(b.points)
     for x, (keep, values) in zip(a.points, near):
         hits = [j for j, v in zip(keep, values) if abs(v - d_g) <= eps]
@@ -613,13 +637,13 @@ def proximal_core(
             b_hit[j] = True
         if hits:
             a_pts.append(x)
-            wits.append((x, b.points[hits[0]]))
+            partners.append(tuple(map(b.points.__getitem__, hits)))
     b_pts = [y for j, y in enumerate(b.points) if b_hit[j]]
     return ProximalCore(
         d_g=d_g,
         a_g=SampleSet(points=tuple(a_pts), name=f"{a.name or 'A'}_g"),
         b_g=SampleSet(points=tuple(b_pts), name=f"{b.name or 'B'}_g"),
-        witnesses=tuple(wits),
+        partners=tuple(partners),
         eps=eps,
     )
 
@@ -653,28 +677,25 @@ def proximal_select(
     return best[2]
 
 
-def check_semi_sharp(
-    g: GFunction,
-    a: SampleSet,
-    b: SampleSet,
-    core: ProximalCore,
-    tol: ToleranceSet,
-) -> CheckReport:
-    """Falsified when some a has two distinct partners at the proximity level."""
-    for x in a.points:
-        first = None
-        for y in b.points:
-            if abs(abs(eval_g(g, x, y)) - core.d_g) <= tol.eps_prox:
-                if first is None:
-                    first = y
-                elif y.coords != first.coords:
-                    return CheckReport(
-                        "semi-sharp", _FALSIFIED,
-                        {"a": x, "b1": first, "b2": y},
-                        lhs=abs(eval_g(g, x, y)), rhs=core.d_g,
-                        note="two distinct partners at the proximity level",
-                    )
+def check_semi_sharp(g: GFunction, core: ProximalCore) -> CheckReport:
+    """Falsified when some a has two distinct partners at the proximity level;
+    the witness is the first member of a_g with two, and its first two."""
+    for x, ys in zip(core.a_g.points, core.partners):
+        if len(ys) > 1:
+            witness = {"a": x, "b1": ys[0], "b2": ys[1]}
+            lhs, rhs = semi_sharp_sides(g, core, witness)
+            return CheckReport(
+                "semi-sharp", _FALSIFIED, witness, lhs=lhs, rhs=rhs,
+                note="two distinct partners at the proximity level",
+            )
     return CheckReport("semi-sharp", _HOLDS)
+
+
+def semi_sharp_sides(
+    g: GFunction, core: ProximalCore, witness: Mapping[str, Point]
+) -> tuple[float, float]:
+    """abs(g(a, b2)) at a witness, against the proximity level."""
+    return abs(eval_g(g, witness["a"], witness["b2"])), core.d_g
 
 
 def _stride_indices(n: int, m: int, seed: int = 0) -> list[int]:
@@ -785,12 +806,11 @@ def check_convex_structure(
                 continue
             for k in range(start, len(ys) * width):
                 y, lam = ys[k // width], lam_sub[k % width]
-                lhs = abs(eval_g(g, x0, h_at(x, y, lam)))
-                rhs = lam * gx[i] + (1.0 - lam) * gy[k // width]
+                witness = {"x0": x0, "x": x, "y": y, "lam": lam}
+                lhs, rhs = convex_condition_sides(h, g, witness, h_at)
                 if lhs > rhs + eps:
                     return CheckReport(
-                        "convex-structure", _FALSIFIED,
-                        {"x0": x0, "x": x, "y": y, "lam": lam},
+                        "convex-structure", _FALSIFIED, witness,
                         lhs=lhs, rhs=rhs, note="condition one",
                     )
     h_rows.clear()  # free before condition two adds to h_cache: a lower peak
@@ -828,16 +848,13 @@ def check_convex_structure(
                     start = g.kernels.resume_at(p_row, q_rows[j], rhs_row, eps)
                 if start < 0:
                     continue
-                g_x_x0 = abs(eval_g(g, x, x0))
                 for k in range(start, len(ys0) * width):
                     y0, lam = ys0[k // width], lam_sub[k % width]
-                    g_y_y0 = abs(eval_g(g, y, y0))
-                    lhs = abs(eval_g(g, h_at(x, y, lam), h_at(x0, y0, lam)))
-                    rhs = lam * g_x_x0 + (1.0 - lam) * g_y_y0
+                    witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
+                    lhs, rhs = convex_condition_sides(h, g, witness, h_at)
                     if lhs > rhs + eps:
                         return CheckReport(
-                            "convex-structure", _FALSIFIED,
-                            {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam},
+                            "convex-structure", _FALSIFIED, witness,
                             lhs=lhs, rhs=rhs, note="condition two",
                         )
     return CheckReport("convex-structure", _HOLDS)
@@ -847,19 +864,20 @@ def convex_condition_sides(
     h: ConvexStructure,
     g: GFunction,
     witness: Mapping[str, Union[Point, float]],
+    at: Optional[Callable[[Point, Point, float], Point]] = None,
 ) -> tuple[float, float]:
-    """Recompute the two sides of a convex-structure condition at a witness."""
+    """The two sides of a convex-structure condition at a witness; a scan
+    passes its cached interpolant as at (default H itself)."""
+    at = at or h.apply
     lam = float(witness["lam"])  # type: ignore[arg-type]
-    if "x0" in witness and "y0" in witness:
-        x, y = witness["x"], witness["y"]
-        x0, y0 = witness["x0"], witness["y0"]
-        lhs = abs(eval_g(g, h.apply(x, y, lam), h.apply(x0, y0, lam)))
-        rhs = lam * abs(eval_g(g, x, x0)) + (1 - lam) * abs(eval_g(g, y, y0))
+    x, y, x0 = witness["x"], witness["y"], witness["x0"]
+    if "y0" not in witness:  # condition one
+        lhs = abs(eval_g(g, x0, at(x, y, lam)))
+        rhs = lam * abs(eval_g(g, x0, x)) + (1 - lam) * abs(eval_g(g, x0, y))
         return lhs, rhs
-    x0, x, y = witness["x0"], witness["x"], witness["y"]
-    lhs = abs(eval_g(g, x0, h.apply(x, y, lam)))
-    rhs = lam * abs(eval_g(g, x0, x)) + (1 - lam) * abs(eval_g(g, x0, y))
-    return lhs, rhs
+    y0 = witness["y0"]
+    g_x, g_y = abs(eval_g(g, x, x0)), abs(eval_g(g, y, y0))
+    return abs(eval_g(g, at(x, y, lam), at(x0, y0, lam))), lam * g_x + (1 - lam) * g_y
 
 
 def check_starshaped(
@@ -894,15 +912,34 @@ def check_side_condition(
 ) -> CheckReport:
     """Check that abs(g(r,x)) + abs(g(y,s)) sits at twice the inner proximity
     level for every sampled x in b_g, y in a_g."""
-    inner = proximal_core(g, core.a_g, core.b_g, tol)
-    target = 2.0 * inner.d_g
+    target = side_condition_target(g, core, tol)
     for x in core.b_g.points:
         grx = abs(eval_g(g, r, x))
         for y in core.a_g.points:
-            lhs = grx + abs(eval_g(g, y, s))
-            if abs(lhs - target) > tol.eps_ineq:
+            witness = {"x": x, "y": y}
+            lhs, rhs = side_condition_sides(g, r, s, target, witness, grx)
+            if abs(lhs - rhs) > tol.eps_ineq:
                 return CheckReport(
-                    "side-condition", _FALSIFIED,
-                    {"x": x, "y": y}, lhs=lhs, rhs=target,
+                    "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
                 )
     return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
+
+
+def side_condition_target(g: GFunction, core: ProximalCore, tol: ToleranceSet) -> float:
+    """Twice the proximity level of the realising pair (a_g, b_g)."""
+    return 2.0 * proximal_core(g, core.a_g, core.b_g, tol).d_g
+
+
+def side_condition_sides(
+    g: GFunction,
+    r: Point,
+    s: Point,
+    target: float,
+    witness: Mapping[str, Point],
+    grx: Optional[float] = None,
+) -> tuple[float, float]:
+    """abs(g(r, x)) + abs(g(y, s)) at a witness, against the target level;
+    a scan passes its hoisted abs(g(r, x)) as grx."""
+    if grx is None:
+        grx = abs(eval_g(g, r, witness["x"]))
+    return grx + abs(eval_g(g, witness["y"], s)), target

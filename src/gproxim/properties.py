@@ -35,6 +35,7 @@ __all__ = [
     "check_proximal_inequality",
     "estimate_proximal_coefficient",
     "qualifying_pairs",
+    "banach_sides",
     "proximal_sides",
 ]
 
@@ -129,12 +130,31 @@ class PropertyReport:
         return self.lhs - self.rhs
 
 
-def _pair_axes(domain: SampleSet, max_pairs: int, seed: int) -> list[Point]:
-    n = len(domain.points)
-    if domain.mode == "exact" or n * n <= max_pairs:
-        return list(domain.points)
-    m = max(2, int(math.isqrt(max_pairs)))
-    return [domain.points[i] for i in _stride_indices(n, m, seed)]
+def _pairs(t: MapSpec, max_pairs: int, seed: int):
+    """The scanned domain points (grids subsampled to at most max_pairs
+    pairs), their images, and both as coordinate tuples."""
+    pts = list(t.domain.points)
+    if t.domain.mode == "box" and len(pts) ** 2 > max_pairs:
+        m = max(2, int(math.isqrt(max_pairs)))
+        pts = [pts[i] for i in _stride_indices(len(pts), m, seed)]
+    images = [t.apply(p) for p in pts]
+    return pts, images, [p.coords for p in pts], [p.coords for p in images]
+
+
+def banach_sides(
+    g: GFunction,
+    t: MapSpec,
+    alpha: float,
+    witness: Mapping[str, Point],
+    tx: Optional[Point] = None,
+    ty: Optional[Point] = None,
+) -> tuple[float, float]:
+    """abs(g(Tx, Ty)) against alpha * abs(g(x, y)) at a witness pair; a scan
+    passes the images it holds as tx and ty."""
+    x, y = witness["x"], witness["y"]
+    if tx is None:
+        tx, ty = t.apply(x), t.apply(y)
+    return abs(eval_g(g, tx, ty)), alpha * abs(eval_g(g, x, y))
 
 
 def check_banach_contraction(
@@ -149,10 +169,7 @@ def check_banach_contraction(
     alpha * abs(g(x, y)) by more than eps_ineq."""
     if not 0.0 < alpha < 1.0:
         raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
-    pts = _pair_axes(t.domain, max_pairs, seed)
-    images = [t.apply(p) for p in pts]
-    coords = [p.coords for p in pts]
-    image_coords = [p.coords for p in images]
+    pts, images, coords, image_coords = _pairs(t, max_pairs, seed)
     eps = tol.eps_ineq
     for x, tx in zip(pts, images):
         start = 0
@@ -163,11 +180,11 @@ def check_banach_contraction(
         if start < 0:
             continue
         for y, ty in zip(pts[start:], images[start:]):
-            lhs = abs(eval_g(g, tx, ty))
-            rhs = alpha * abs(eval_g(g, x, y))
+            witness = {"x": x, "y": y}
+            lhs, rhs = banach_sides(g, t, alpha, witness, tx, ty)
             if lhs > rhs + eps:
                 return PropertyReport(
-                    "banach-contraction", _FALSIFIED, {"x": x, "y": y},
+                    "banach-contraction", _FALSIFIED, witness,
                     lhs=lhs, rhs=rhs, beta=alpha, n_cap=0.0,
                 )
     return PropertyReport(
@@ -188,10 +205,7 @@ def estimate_coefficient(
     above zero level.  A pair at zero level with a non-zero image gauge makes
     the estimate infinite.  Returns 0.0 when no pair constrains the ratio.
     """
-    pts = _pair_axes(t.domain, max_pairs, seed)
-    images = [t.apply(p) for p in pts]
-    coords = [p.coords for p in pts]
-    image_coords = [p.coords for p in images]
+    pts, images, coords, image_coords = _pairs(t, max_pairs, seed)
     zero = tol.eps_zero
     best = 0.0
     for x, tx in zip(pts, images):
@@ -205,8 +219,8 @@ def estimate_coefficient(
             best = max(best, max(ratios, default=0.0))
             continue
         for ty, y in zip(images, pts):
-            num = abs(eval_g(g, tx, ty))
-            den = abs(eval_g(g, x, y))
+            # the two sides at alpha = 1 are the ratio's terms
+            num, den = banach_sides(g, t, 1.0, {"x": x, "y": y}, tx, ty)
             if den > zero:
                 best = max(best, num / den)
             elif num > zero:
@@ -240,37 +254,54 @@ def qualifying_pairs(
     return out
 
 
+def _proximal_terms(
+    g: GFunction, witness: Mapping[str, Point]
+) -> tuple[float, float, float]:
+    """abs(g(u1, u2)), abs(g(x1, x2)) and abs(g(x2, u1)) at a quadruple,
+    evaluated in that order."""
+    x1, x2, u1 = witness["x1"], witness["x2"], witness["u1"]
+    return (
+        abs(eval_g(g, u1, witness["u2"])),
+        abs(eval_g(g, x1, x2)),
+        abs(eval_g(g, x2, u1)),
+    )
+
+
 def proximal_sides(
     g: GFunction,
     witness: Mapping[str, Point],
     beta: float,
     n_cap: float,
 ) -> tuple[float, float]:
-    """Recompute both sides of the proximal inequality at a witness."""
-    x1, x2 = witness["x1"], witness["x2"]
-    u1, u2 = witness["u1"], witness["u2"]
-    lhs = abs(eval_g(g, u1, u2))
-    rhs = beta * abs(eval_g(g, x1, x2)) + n_cap * abs(eval_g(g, x2, u1))
-    return lhs, rhs
+    """Both sides of the proximal inequality at a witness quadruple."""
+    g_uu, g_xx, g_xu = _proximal_terms(g, witness)
+    return g_uu, beta * g_xx + n_cap * g_xu
 
 
 def _quadruples(
-    pairs: list[tuple[Point, Point]], max_quadruples: int, exhaustive: bool, seed: int
+    g: GFunction,
+    f: MapSpec,
+    a: SampleSet,
+    core: ProximalCore,
+    tol: ToleranceSet,
+    max_quadruples: int,
+    seed: int,
 ):
-    axis = pairs
-    if not exhaustive and len(pairs) ** 2 > max_quadruples:
+    """Witness quadruples (x1, x2, u1, u2) over the qualifying pairs, in scan
+    order; exact sets are enumerated whole, grids under the quadruple cap."""
+    pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
+    if a.mode == "box" and len(pairs) ** 2 > max_quadruples:
         m = max(2, int(math.isqrt(max_quadruples)))
-        axis = [pairs[i] for i in _stride_indices(len(pairs), m, seed)]
-    for x1, u1 in axis:
-        for x2, u2 in axis:
-            yield x1, x2, u1, u2
+        pairs = [pairs[i] for i in _stride_indices(len(pairs), m, seed)]
+    for x1, u1 in pairs:
+        for x2, u2 in pairs:
+            yield {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
 
 
 def check_proximal_inequality(
     g: GFunction,
     f: MapSpec,
     a: SampleSet,
-    b: SampleSet,
     beta: float,
     n_cap: float,
     core: ProximalCore,
@@ -292,15 +323,9 @@ def check_proximal_inequality(
     if n_cap < 0.0:
         raise GSpaceError(f"N must be non-negative, got {n_cap!r}")
     check_name = "proximal-berinde" if beta == 1.0 else "proximal-weak"
-    pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
-    if not pairs:
-        return PropertyReport(
-            check_name, _HOLDS, None, None, None,
-            beta=beta, n_cap=n_cap, vacuous=True,
-        )
-    exhaustive = a.mode == "exact"
-    for x1, x2, u1, u2 in _quadruples(pairs, max_quadruples, exhaustive, seed):
-        witness = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+    vacuous = True
+    for witness in _quadruples(g, f, a, core, tol, max_quadruples, seed):
+        vacuous = False
         lhs, rhs = proximal_sides(g, witness, beta, n_cap)
         if lhs > rhs + tol.eps_ineq:
             return PropertyReport(
@@ -308,7 +333,8 @@ def check_proximal_inequality(
                 lhs=lhs, rhs=rhs, beta=beta, n_cap=n_cap,
             )
     return PropertyReport(
-        check_name, _HOLDS, None, None, None, beta=beta, n_cap=n_cap
+        check_name, _HOLDS, None, None, None,
+        beta=beta, n_cap=n_cap, vacuous=vacuous,
     )
 
 
@@ -316,7 +342,6 @@ def estimate_proximal_coefficient(
     g: GFunction,
     f: MapSpec,
     a: SampleSet,
-    b: SampleSet,
     n_cap: float,
     core: ProximalCore,
     tol: ToleranceSet,
@@ -330,12 +355,10 @@ def estimate_proximal_coefficient(
     zero-level denominator meets a positive numerator.  Returns 0.0 when no
     quadruple constrains the ratio (including the vacuous case).
     """
-    pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
-    exhaustive = a.mode == "exact"
     best = 0.0
-    for x1, x2, u1, u2 in _quadruples(pairs, max_quadruples, exhaustive, seed):
-        num = abs(eval_g(g, u1, u2)) - n_cap * abs(eval_g(g, x2, u1))
-        den = abs(eval_g(g, x1, x2))
+    for witness in _quadruples(g, f, a, core, tol, max_quadruples, seed):
+        g_uu, den, g_xu = _proximal_terms(g, witness)
+        num = g_uu - n_cap * g_xu
         if den > tol.eps_zero:
             best = max(best, num / den)
         elif num > tol.eps_zero:

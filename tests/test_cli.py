@@ -167,6 +167,33 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: alpha") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("spec,message", [
+        ("positivity:g", "unknown check kind 'positivity'; expected one of identity, "
+         "symmetry, triangle, axioms, banach, proximal-weak, berinde, convex, "
+         "starshaped, semi-sharp, side-condition"),
+        ("banach:g", "banach check needs alpha=<value in (0,1)>"),
+        ("proximal-weak:g:N=1", "proximal-weak check needs beta=<value>"),
+        ("convex:g", "this check needs a 'convex' block in the config"),
+        ("starshaped:A", "this check needs a 'convex' block in the config"),
+        ("side-condition:g", "this check needs a 'convex' block in the config"),
+    ])
+    def test_bad_check_spec_exits_two_with_one_line(self, quarter, spec, message, capsys):
+        assert main(["verify", "--config", quarter, "--checks", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_literal_beyond_a_double_is_evaluated_not_a_crash(self, tmp_path, capsys):
+        # 1/1e999 is 1/inf = 0, a finite gauge; 0*1e999 is NaN, bad input
+        cfg = tmp_path / "inf.json"
+        argv = ["verify", "--config", str(cfg), "--checks", "identity:g"]
+        doc = {"dimension": 1, "sets": {"A": {"box": [[0, 1]], "resolution": [5]}}}
+        cfg.write_text(json.dumps(dict(doc, g="abs(x1-u1) + 1/1e999")))
+        assert main(argv) == 0
+        capsys.readouterr()
+        cfg.write_text(json.dumps(dict(doc, g="abs(x1-u1) + 0*1e999")))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+
     def test_tolerance_override_changes_verdict(self, halving, capsys):
         # the square-difference gauge separates points of [0, 1], so the
         # identity axiom holds; loosening the zero level collapses nearby
@@ -318,6 +345,18 @@ class TestSolve:
              "--from", "1", "--alpha", "0.25", "--max-iter", "3"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("alpha", ["0.01", "0.1"])
+    def test_picard_understated_alpha_is_not_converged(self, halving, alpha, capsys):
+        # the fixed point is 0; at alpha 0.01 the tail bound falls below zero
+        # level at x = 0.03125, where the certificate residual is 7.3e-4
+        code = main(
+            ["solve", "--config", halving, "--scheme", "picard",
+             "--from", "1", "--alpha", alpha, "--json"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate_residual"] > 1e-9
+        assert doc["verdict"] != "converged" and code == 1
 
     def test_proximal_parallel_segments(self, parallel, capsys):
         code = main(

@@ -12,6 +12,7 @@ from gproxim.expr import (
     Unary,
     Var,
     compile_expr,
+    compile_row_kernels,
     evaluate,
     format_expr,
     parse,
@@ -123,6 +124,22 @@ def test_compile_matches_evaluate():
     fn = compile_expr(e, ("x1", "u1"))
     for x, u in [(0.5, 4.0), (-1.0, 9.0), (2.0, 0.0)]:
         assert fn(x, u) == evaluate(e, {"x1": x, "u1": u})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["abs(x1-u1) + 1/1e999", "abs(x1-u1) + 0*1e999", "1e999", "x1 - 1e999",
+     "min(1e999, x1) * u1"],
+)
+def test_literals_beyond_a_double_compile_to_what_evaluate_returns(text):
+    # 1e999 overflows to inf; the generated code must name that value too
+    e = parse(text)
+    scalar = compile_expr(e, ("x1", "u1"))
+    kernels = compile_row_kernels(e, ("x1",), ("u1",))
+    for x, u in [(1.0, 0.0), (-2.0, 0.5)]:
+        want = evaluate(e, {"x1": x, "u1": u})
+        assert repr(scalar(x, u)) == repr(want)
+        assert repr(kernels.values([(x,)], [(u,)])[0]) == repr(abs(want))
 
 
 def test_compile_rejects_unbound():

@@ -288,24 +288,33 @@ class TestSemiSharp:
         b = SampleSet.grid([(0, 0), (0, 1)], [1, 201])
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
-        assert check_semi_sharp(g, a, b, core, tol).holds
+        assert check_semi_sharp(g, core).holds
 
     def test_two_partners_falsify(self):
         g = GFunction("x1^2 - u1^2", 1)
         a = SampleSet.from_points([1.0])
         b = SampleSet.from_points([-1.0, 1.0])
         core = proximal_core(g, a, b, TOL)
-        rep = check_semi_sharp(g, a, b, core, TOL)
+        rep = check_semi_sharp(g, core)
         assert rep.falsified
         assert rep.witness["a"] == P(1)
         assert rep.witness["b1"] == P(-1) and rep.witness["b2"] == P(1)
+
+    def test_witness_is_the_first_two_partners_in_list_order(self):
+        g = GFunction("x2 - u2", 2)
+        a = SampleSet.from_points([(0, 0), (0, 1)])
+        b = SampleSet.from_points([(1, 0), (2, 0), (3, 0)])
+        rep = check_semi_sharp(g, proximal_core(g, a, b, TOL))
+        assert rep.falsified and rep.witness["a"] == P(0, 0)
+        assert rep.witness["b1"] == P(1, 0) and rep.witness["b2"] == P(2, 0)
+        assert (rep.lhs, rep.rhs) == (0.0, 0.0)
 
     def test_singleton_partner_set_holds(self):
         g = GFunction("x1 - u1", 1)
         a = SampleSet.from_points([0.0, 1.0])
         b = SampleSet.from_points([0.5])
         core = proximal_core(g, a, b, TOL)
-        assert check_semi_sharp(g, a, b, core, TOL).holds
+        assert check_semi_sharp(g, core).holds
 
 
 LINEAR_H = ConvexStructure(("l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"))

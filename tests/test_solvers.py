@@ -118,6 +118,48 @@ class TestPicard:
         assert trace.verdict == "max_iter"
         assert trace.steps == 3
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.2])
+    def test_understated_alpha_never_certifies_a_point_that_is_not_fixed(
+        self, halving, alpha
+    ):
+        # the tail bound at a too small alpha falls below zero level long
+        # before the iterates reach the fixed point 0; the steps contradict
+        # the rate, so the bound must not end the run as converged
+        g, t = halving
+        trace = picard(g, t, P(1), alpha, TOL)
+        assert not trace.contraction_verified
+        assert trace.verdict == "post_check_failed"
+        assert trace.certificate_residual > TOL.eps_zero
+
+    def test_bound_needs_the_rate_even_where_the_certificate_vanishes(self):
+        # the second step lands on the fixed point 0 but is as long as the
+        # first, which contradicts alpha: the bound backs no verdict then
+        g = GFunction("x1 - u1", 1)
+        x = SampleSet.grid([(0, 1)], 3, name="X")
+        t = MapSpec(["max(x1 - 0.5, 0)"], x, x, name="T")
+        trace = picard(g, t, P(1), 1e-5, TOL)
+        assert trace.steps == 2 and trace.final == P(0)
+        assert trace.certificate_residual == 0.0
+        assert not trace.contraction_verified
+        assert trace.verdict == "post_check_failed"
+
+    def test_bound_needs_the_certificate_even_where_the_rate_held(self):
+        # three steps shrink at the rate 1e-3, so the tail bound falls below
+        # zero level, but the map then jumps away: the last point is not fixed
+        pts = [1.0, 0.5, 0.4995, 0.4995 - 4e-7, 0.0]
+        images = dict(zip(pts, pts[1:] + [0.0]))
+
+        class Jump:
+            domain = SampleSet.from_points(pts, name="X")
+
+            def apply(self, p):
+                return P(images[p.coords[0]])
+
+        trace = picard(GFunction("x1 - u1", 1), Jump(), P(1), 1e-3, TOL)
+        assert trace.steps == 3 and trace.contraction_verified
+        assert trace.certificate_residual > TOL.eps_zero
+        assert trace.verdict == "post_check_failed"
+
     def test_alpha_must_be_in_unit_interval(self, halving):
         g, t = halving
         with pytest.raises(GSpaceError):
@@ -256,7 +298,7 @@ class TestProximalIterate:
         f = MapSpec(["x1 + 1", "x2/4"], a, b, name="f")
         tol = ToleranceSet(eps_prox=5e-9)
         core = proximal_core(g, a, b, tol)
-        rep = check_proximal_inequality(g, f, a, b, 0.25, 0.0, core, tol)
+        rep = check_proximal_inequality(g, f, a, 0.25, 0.0, core, tol)
         assert rep.holds and not rep.vacuous
         assert 1.0 - 0.25 - 0.0 > 0.0
         finals = [
