@@ -129,12 +129,15 @@ def _need_convex(inst: Instance):
 class _Spec:
     """A check spec against an instance, its parts looked up on first use, so
     a check or a replay asks only for what it needs.  value, when set, stands
-    in for the coefficient that search sweeps."""
+    in for the coefficient that search sweeps.  cores holds the proximity
+    cores computed so far, keyed by gauge and sets; the specs of one command
+    share it, so each core is computed once per command."""
 
-    def __init__(self, inst: Instance, text: str):
+    def __init__(self, inst: Instance, text: str, cores: Optional[dict] = None):
         self.kind, self.target, self.params = parse_check_spec(text)
         self.inst, self.tol = inst, inst.tol
         self.value: Optional[float] = None
+        self.cores = {} if cores is None else cores
 
     @cached_property
     def gauge(self):
@@ -150,7 +153,11 @@ class _Spec:
 
     @cached_property
     def core(self):
-        return proximal_core(self.gauge, *self.pair, self.tol)
+        key = (self.gauge, *self.pair)
+        core = self.cores.get(key)
+        if core is None:
+            core = self.cores[key] = proximal_core(*key, self.tol)
+        return core
 
     @cached_property
     def convex(self):
@@ -268,16 +275,18 @@ _CHECKS = {
             c.gauge, r=c.convex.r, s=c.convex.s, core=c.core, tol=c.tol
         ),
         _same_sides(lambda c, wit: side_condition_sides(
-            c.gauge, c.convex.r, c.convex.s,
-            side_condition_target(c.gauge, c.core, c.tol), wit,
+            c.gauge, c.convex.r, c.convex.s, side_condition_target(c.core), wit
         )),
     ),
 }
 
 
-def run_check(inst: Instance, spec_text: str, seed: int = 0):
-    """Run one named check; returns a CheckReport or PropertyReport."""
-    c = _Spec(inst, spec_text)
+def run_check(
+    inst: Instance, spec_text: str, seed: int = 0, cores: Optional[dict] = None
+):
+    """Run one named check; returns a CheckReport or PropertyReport.  cores,
+    when given, memoises proximity cores across the checks of one command."""
+    c = _Spec(inst, spec_text, cores)
     return _CHECKS[c.kind].run(c, seed)
 
 
@@ -332,11 +341,13 @@ def _witness_points(entry: dict) -> dict:
     return out
 
 
-def replay_entry(inst: Instance, entry: dict) -> Optional[bool]:
+def replay_entry(
+    inst: Instance, entry: dict, cores: Optional[dict] = None
+) -> Optional[bool]:
     """Whether a reported witness reproduces from the same config: the two
     sides recomputed bit for bit, or for starshaped the same escaping image.
-    None when the entry carries no witness."""
-    c = _Spec(inst, entry["spec"])
+    None when the entry carries no witness.  cores as for run_check."""
+    c = _Spec(inst, entry["spec"], cores)
     wit = _witness_points(entry)
     if not wit:
         return None
@@ -367,8 +378,9 @@ def cmd_verify(args) -> int:
     specs = _expand_specs(args.checks)
     entries = []
     any_falsified = False
+    cores: dict = {}
     for spec_text in specs:
-        report = run_check(inst, spec_text, seed=args.seed)
+        report = run_check(inst, spec_text, seed=args.seed, cores=cores)
         entries.append(_report_entry(spec_text, report))
         falsified = report.verdict == "falsified"
         any_falsified = any_falsified or falsified
@@ -391,7 +403,7 @@ def cmd_verify(args) -> int:
                 raise CheckSpecError(f"replay report {args.replay}: {exc}") from None
         ok = True
         for entry in previous["checks"]:
-            same = replay_entry(inst, entry)
+            same = replay_entry(inst, entry, cores)
             if same is None:
                 continue
             ok = ok and same

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
@@ -318,24 +319,35 @@ def evaluate(e: Expr, env: VarEnv) -> float:
     return _pow(left, right)
 
 
-def _gen(e: Expr) -> str:
+def _gen(e: Expr, fast: bool = False) -> str:
+    """Python text of e over its variable names.
+
+    The checked text calls _sqrt, _div and _pow.  The fast text writes sqrt,
+    / and ^ by a finite integral literal as the bare operations, which give
+    the same double and raise a bare ValueError, ZeroDivisionError or
+    OverflowError on exactly the inputs where the helper raises its EvalError.
+    Any other ^ keeps _pow: a negative base with a fractional exponent would
+    give a complex number instead of raising.
+    """
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
-        inner = _gen(e.operand)
+        inner = _gen(e.operand, fast)
         if e.op == "neg":
             return f"(-{inner})"
         if e.op == "abs":
             return f"abs({inner})"
-        return f"_sqrt({inner})"
-    left, right = _gen(e.left), _gen(e.right)
+        return f"sqrt({inner})" if fast else f"_sqrt({inner})"
+    left, right = _gen(e.left, fast), _gen(e.right, fast)
     if e.op in ("min", "max"):
         return f"{e.op}({left},{right})"
     if e.op == "div":
-        return f"_div({left},{right})"
+        return f"({left}/{right})" if fast else f"_div({left},{right})"
     if e.op == "pow":
+        if fast and isinstance(e.right, Num) and float(e.right.value).is_integer():
+            return f"({left}**{right})"
         return f"_pow({left},{right})"
     sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
     return f"({left}{sym}{right})"
@@ -377,6 +389,13 @@ class RowKernels(NamedTuple):
     R, eps) is the first index i at which not abs(e) <= R[i] + eps, or -1; a
     NaN or infinite value stops it as a violation does.
 
+    Both loops run the fast text of e (see _gen).  values runs a row that
+    raises ArithmeticError or ValueError again with the checked text, so it
+    raises the scalar callable's typed EvalError at the same tuple; a one-shot
+    iterator argument other than itertools.repeat is read into a list first,
+    so that second pass sees the whole row.  first_violation may raise the
+    bare error instead.
+
     Scans use them through abs_row and resume_at, which give up on a row
     with an error or a non-finite value.  The caller then repeats that row
     through its scalar loop, which raises the typed error at the first
@@ -406,30 +425,45 @@ class RowKernels(NamedTuple):
         return 0
 
 
+def _rereadable(rows: Iterable) -> Iterable:
+    """rows, or a list of them when a second pass could not read them again."""
+    if iter(rows) is rows and not isinstance(rows, repeat):
+        return list(rows)
+    return rows
+
+
 def compile_row_kernels(
     e: Expr, left: tuple[str, ...], right: tuple[str, ...]
 ) -> RowKernels:
     """Compile abs(e) into row loops; left and right name the coordinates
     unpacked from each P and each Q tuple.
 
-    The loop body is the same generated text as compile_expr's, so every
-    value is bit for bit the one the scalar callable returns.
+    The loop bodies are compile_expr's text and its fast twin, so every value
+    is bit for bit the one the scalar callable returns.
     """
     free = variables(e)
     missing = sorted(free - set(left) - set(right))
     if missing:
         raise EvalError("unbound-variable", ", ".join(missing))
-    body = _gen(e)
+    fast, checked = _gen(e, fast=True), _gen(e)
     target = f"({', '.join(left)},), ({', '.join(right)},)"
     src = (
         "def values(_P, _Q):\n"
-        f"    return [abs({body}) for {target} in zip(_P, _Q)]\n"
+        "    _P, _Q = _rereadable(_P), _rereadable(_Q)\n"
+        "    try:\n"
+        f"        return [abs({fast}) for {target} in zip(_P, _Q)]\n"
+        "    except (ArithmeticError, ValueError):\n"
+        f"        return [abs({checked}) for {target} in zip(_P, _Q)]\n"
         "def first_violation(_P, _Q, _R, _eps):\n"
         f"    for _i, ({target}, _r) in enumerate(zip(_P, _Q, _R)):\n"
-        f"        if not abs({body}) <= _r + _eps:\n"
+        f"        if not abs({fast}) <= _r + _eps:\n"
         "            return _i\n"
         "    return -1\n"
     )
-    namespace = dict(_COMPILE_GLOBALS, zip=zip, enumerate=enumerate)
+    namespace = dict(
+        _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, sqrt=math.sqrt,
+        _rereadable=_rereadable, ArithmeticError=ArithmeticError,
+        ValueError=ValueError,
+    )
     exec(src, namespace)  # noqa: S102 (closed namespace)
     return RowKernels(namespace["values"], namespace["first_violation"])

@@ -234,6 +234,11 @@ class SampleSet:
     def __iter__(self):
         return iter(self.points)
 
+    @cached_property
+    def coords(self) -> list[tuple[float, ...]]:
+        """The points' coordinate tuples in scan order, a row for the kernels."""
+        return [p.coords for p in self.points]
+
     @classmethod
     def from_points(
         cls, pts: Iterable[Union[Point, Sequence[float], float]], name: str = ""
@@ -411,7 +416,8 @@ class ProximalCore:
     d_g is the exact minimum of abs(g) over the sampled product A x B; a_g
     and b_g collect the points whose best partner lands within eps of d_g.
     partners holds, for each member of a_g in order, its partners within eps
-    of d_g in B order; witnesses pairs each member with the first of them.
+    of d_g in B order (B's own points tuple when every point of B is one);
+    witnesses pairs each member with the first of them.
     """
 
     d_g: float
@@ -611,7 +617,6 @@ def proximal_core(
     Membership in a_g and b_g uses the eps_prox band around d_g; partners
     lists each a_g member's banded partners in list order.
     """
-    b_coords = [y.coords for y in b.points]
     eps = tol.eps_prox
     d_g = math.inf
     # Per point of A, the partners within eps of its own row minimum: a
@@ -620,24 +625,30 @@ def proximal_core(
     # the full matrix of values.
     near = []
     for x in a.points:
-        row = g.kernels.abs_row(repeat(x.coords), b_coords) or [
+        row = g.kernels.abs_row(repeat(x.coords), b.coords) or [
             abs(eval_g(g, x, y)) for y in b.points
         ]
         low = min(row)
         d_g = min(d_g, low)
         keep = [j for j, v in enumerate(row) if v - low <= eps]
         if 4 * len(keep) > len(row):
-            keep = range(len(row))
-        near.append((keep, [row[j] for j in keep]))
+            near.append((range(len(row)), row))
+        else:
+            near.append((keep, [row[j] for j in keep]))
     a_pts, partners = [], []
     b_hit = [False] * len(b.points)
-    for x, (keep, values) in zip(a.points, near):
+    for i, x in enumerate(a.points):
+        keep, values = near[i]
+        near[i] = None  # free each row once read: the partners replace it
         hits = [j for j, v in zip(keep, values) if abs(v - d_g) <= eps]
         for j in hits:
             b_hit[j] = True
         if hits:
             a_pts.append(x)
-            partners.append(tuple(map(b.points.__getitem__, hits)))
+            partners.append(
+                b.points if len(hits) == len(b.points)
+                else tuple(map(b.points.__getitem__, hits))
+            )
     b_pts = [y for j, y in enumerate(b.points) if b_hit[j]]
     return ProximalCore(
         d_g=d_g,
@@ -662,19 +673,21 @@ def proximal_select(
     deterministic.  Raises NoProximalMate when the band is empty, which
     signals either an image escaping the realising set or a grid too coarse.
     """
-    best: Optional[tuple[float, tuple[float, ...], Point]] = None
-    for x in a.points:
-        residual = abs(abs(eval_g(g, x, b)) - core.d_g)
-        if residual <= tol.eps_prox:
-            key = (residual, x.coords)
-            if best is None or key < (best[0], best[1]):
-                best = (residual, x.coords, x)
-    if best is None:
+    row = g.kernels.abs_row(a.coords, repeat(b.coords)) or [
+        abs(eval_g(g, x, b)) for x in a.points
+    ]
+    d_g = core.d_g
+    residuals = [abs(v - d_g) for v in row]
+    low = min(residuals)
+    if not low <= tol.eps_prox:
         raise NoProximalMate(
             f"no point of {a.name or 'A'} realises the proximity level "
             f"{core.d_g!r} against {b} within {tol.eps_prox!r}"
         )
-    return best[2]
+    return min(
+        (x for x, r in zip(a.points, residuals) if r == low),
+        key=lambda x: x.coords,
+    )
 
 
 def check_semi_sharp(g: GFunction, core: ProximalCore) -> CheckReport:
@@ -912,10 +925,26 @@ def check_side_condition(
 ) -> CheckReport:
     """Check that abs(g(r,x)) + abs(g(y,s)) sits at twice the inner proximity
     level for every sampled x in b_g, y in a_g."""
-    target = side_condition_target(g, core, tol)
-    for x in core.b_g.points:
+    target = side_condition_target(core)
+    b_pts, a_pts = core.b_g.points, core.a_g.points
+    grx_row = g.kernels.abs_row(repeat(r.coords), core.b_g.coords)
+    gys_row = g.kernels.abs_row(core.a_g.coords, repeat(s.coords))
+    if grx_row is not None and gys_row is not None:
+        eps = tol.eps_ineq
+        for i, grx in enumerate(grx_row):
+            j = next(
+                (j for j, v in enumerate(gys_row) if abs(grx + v - target) > eps), -1
+            )
+            if j >= 0:
+                witness = {"x": b_pts[i], "y": a_pts[j]}
+                lhs, rhs = side_condition_sides(g, r, s, target, witness)
+                return CheckReport(
+                    "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
+                )
+        return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
+    for x in b_pts:
         grx = abs(eval_g(g, r, x))
-        for y in core.a_g.points:
+        for y in a_pts:
             witness = {"x": x, "y": y}
             lhs, rhs = side_condition_sides(g, r, s, target, witness, grx)
             if abs(lhs - rhs) > tol.eps_ineq:
@@ -925,9 +954,13 @@ def check_side_condition(
     return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
 
 
-def side_condition_target(g: GFunction, core: ProximalCore, tol: ToleranceSet) -> float:
-    """Twice the proximity level of the realising pair (a_g, b_g)."""
-    return 2.0 * proximal_core(g, core.a_g, core.b_g, tol).d_g
+def side_condition_target(core: ProximalCore) -> float:
+    """Twice the proximity level of the realising pair (a_g, b_g).
+
+    That level is d_g itself, bit for bit: a pair at exactly d_g lies in
+    a_g x b_g, and no pair of A x B is lower.
+    """
+    return 2.0 * core.d_g
 
 
 def side_condition_sides(

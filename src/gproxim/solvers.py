@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .gspace import (
@@ -316,7 +317,10 @@ def proximal_iterate(
     requirement that f maps the realising set into its partner.  A selection
     failing mid-run ends the trace with verdict "no_proximal_mate".
     """
-    best0 = min(abs(abs(eval_g(g, p0, y)) - core.d_g) for y in b.points)
+    row = g.kernels.abs_row(repeat(p0.coords), b.coords) or [
+        abs(eval_g(g, p0, y)) for y in b.points
+    ]
+    best0 = min(abs(v - core.d_g) for v in row)
     if best0 > tol.eps_prox:
         raise GSpaceError(
             f"start point {p0} does not realise the proximity level "

@@ -316,6 +316,33 @@ def test_replay_reproduces_every_check_kind(name, tmp_path, capsys):
     assert f"replay {spec:<40} MISMATCH" in capsys.readouterr().out
 
 
+def test_one_proximity_core_per_command(tmp_path, monkeypatch, capsys):
+    # semi-sharp, side-condition and their replays share the core of (A, B)
+    import gproxim.cli as cli_module
+    import gproxim.gspace as gspace_module
+
+    calls = []
+    real = gspace_module.proximal_core
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "proximal_core", counting)
+    monkeypatch.setattr(gspace_module, "proximal_core", counting)
+    cfg = tmp_path / "planted.json"
+    cfg.write_text(json.dumps(PLANTED["side-condition"][0]()))
+    report = tmp_path / "r.json"
+    argv = ["verify", "--config", str(cfg), "--checks", "semi-sharp:g",
+            "side-condition:g"]
+    assert main(argv + ["--out", str(report)]) == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert main(argv + ["--replay", str(report)]) == 1
+    assert capsys.readouterr().out.count("reproduced") == 2
+    assert len(calls) == 1
+
+
 class TestSolve:
     def test_picard_halving(self, halving, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

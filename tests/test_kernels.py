@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 
 import pytest
 
@@ -33,13 +34,16 @@ from gproxim.gspace import (
     ConvexStructure,
     GFunction,
     GSpaceError,
+    NoProximalMate,
     Point,
     SampleSet,
     ToleranceSet,
     check_convex_structure,
+    check_side_condition,
     eval_g,
     falsify_axiom,
     proximal_core,
+    proximal_select,
 )
 from gproxim.properties import (
     MapSpec,
@@ -166,6 +170,32 @@ def ref_convex(h, g, pts, lams, tol):
                         if lhs > rhs + eps:
                             wit = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
                             return FALSIFIED, wit, lhs, rhs
+    return HOLDS, None, None, None
+
+
+def ref_select(g, a, b, d_g, tol):
+    best = None
+    for x in a.points:
+        residual = abs(abs(eval_g(g, x, b)) - d_g)
+        if residual <= tol.eps_prox:
+            if best is None or (residual, x.coords) < best[:2]:
+                best = (residual, x.coords, x)
+    if best is None:
+        raise NoProximalMate(
+            f"no point of {a.name or 'A'} realises the proximity level "
+            f"{d_g!r} against {b} within {tol.eps_prox!r}"
+        )
+    return best[2]
+
+
+def ref_side_condition(g, core, r, s, tol):
+    target = 2.0 * ref_core(g, core.a_g, core.b_g, tol)[0]
+    for x in core.b_g.points:
+        grx = abs(eval_g(g, r, x))
+        for y in core.a_g.points:
+            lhs = grx + abs(eval_g(g, y, s))
+            if abs(lhs - target) > tol.eps_ineq:
+                return FALSIFIED, {"x": x, "y": y}, lhs, target
     return HOLDS, None, None, None
 
 
@@ -420,3 +450,167 @@ def test_planted_error_against_violation(q, first):
         else:
             assert out[scan][:3] == ("error", "EvalError", "division-by-zero")
     assert out["core"][:3] == ("error", "EvalError", "division-by-zero")
+
+
+# --------------------------------------------------------------------------
+# proximal selection and the side condition
+
+
+def _select_cases(g, a, b):
+    """proximal_select against every point of B and two points off it."""
+    core = proximal_core(g, a, b, TOL)
+    targets = list(b.points) + [Point((9.0,) * a.dimension), Point((0.25,) * a.dimension)]
+    for target in targets:
+        assert_same(lambda: proximal_select(g, a, target, core, TOL),
+                    lambda: ref_select(g, a, target, core.d_g, TOL))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_gauges_select_and_side_condition_match_the_reference(seed):
+    g, _ = _random_case(seed)
+    try:
+        core = proximal_core(g, A_SET, B_SET, TOL)
+    except (EvalError, GSpaceError):
+        return  # the core raises: compared in test_random_gauges_match_the_reference
+    _select_cases(g, A_SET, B_SET)
+    r, s = Point((0.5, 0.0)), Point((1.0, -0.5))
+    assert_same(lambda: check_side_condition(g, core, r, s, TOL),
+                lambda: ref_side_condition(g, core, r, s, TOL))
+
+
+def test_select_breaks_exact_ties_by_coordinates():
+    # 1 and -1 both realise the level 1 against 0; -1 comes second in A
+    g = GFunction("abs(x1-u1)", 1)
+    a, b = exact_set([1.0, -1.0, 5.0], "A"), exact_set([0.0, 6.0], "B")
+    core = proximal_core(g, a, b, TOL)
+    assert proximal_select(g, a, Point((0.0,)), core, TOL) == Point((-1.0,))
+    _select_cases(g, a, b)
+
+
+def test_select_with_an_empty_band_keeps_its_message():
+    g = GFunction("abs(x1-u1)", 1)
+    core = proximal_core(g, LINE, LINE, TOL)
+    want = assert_same(lambda: proximal_select(g, LINE, Point((3.0,)), core, TOL),
+                       lambda: ref_select(g, LINE, Point((3.0,)), core.d_g, TOL))
+    assert want[:2] == ("error", "NoProximalMate")
+    # a residual of exactly eps_prox is in the band
+    wide = ToleranceSet(eps_prox=0.5)
+    a = exact_set([0.0, 0.5], "A")
+    core = proximal_core(g, a, exact_set([0.0], "B"), wide)
+    assert proximal_select(g, a, Point((1.0,)), core, wide) == Point((0.5,))
+
+
+@pytest.mark.parametrize("text, kind", [
+    # 0/(x1 - 1/2) divides by zero at the middle of A, after the mate 0
+    ("abs(x1-u1) + 0/(x1 - 0.5)", "division-by-zero"),
+    # non-finite from x1 = 3/4 on
+    ("abs(x1-u1) + 1e308*max(x1 - 0.7, 0)*1e10", "non-finite"),
+])
+def test_select_raises_where_the_scalar_loop_does(text, kind):
+    g = GFunction(text, 1)
+    b = exact_set([0.0], "B")
+    core = proximal_core(GFunction("abs(x1-u1)", 1), LINE, b, TOL)
+    want = assert_same(lambda: proximal_select(g, LINE, Point((0.0,)), core, TOL),
+                       lambda: ref_select(g, LINE, Point((0.0,)), core.d_g, TOL))
+    assert want[:3] == ("error", "EvalError", kind)
+    wrong = Point((0.0, 0.0))
+    want = assert_same(lambda: proximal_select(g, LINE, wrong, core, TOL),
+                       lambda: ref_select(g, LINE, wrong, core.d_g, TOL))
+    assert want[:2] == ("error", "DimensionMismatch")
+
+
+def _side_condition_case(raise_at):
+    """The two-centre side condition on two columns of 9 points: every sum is
+    2 except that abs(g(r, x)) grows for x2 above 0.45, and g(r, x) divides
+    by zero at x2 = raise_at, which no core or abs(g(y, s)) reaches."""
+    g = GFunction(
+        "abs(x1-u1) + max(u2 - 0.45, 0)*max(-x1, 0) + 0/(x1 + 1.5 + u2 - "
+        f"{0.5 + raise_at!r})",
+        2,
+    )
+    a = SampleSet.grid([(0.0, 0.0), (0.0, 1.0)], [1, 9], name="A")
+    b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
+    core = proximal_core(g, a, b, TOL)
+    r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
+    return assert_same(lambda: check_side_condition(g, core, r, s, TOL),
+                       lambda: ref_side_condition(g, core, r, s, TOL))
+
+
+def test_side_condition_violation_before_and_after_an_error():
+    # the first violation is at x2 = 1/2, the fifth point of b_g
+    got = _side_condition_case(raise_at=0.75)
+    assert got[1][0] == FALSIFIED
+    assert got[1][1]["x"] == exact(Point((1.0, 0.5)))
+    got = _side_condition_case(raise_at=0.25)
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+
+
+def test_side_condition_off_by_exactly_eps_holds():
+    # abs(g(r, x)) = 2 + max(x2 - 1/2, 0): off the level 2 by exactly 1/8 at
+    # x2 = 5/8, which holds, and by 1/4 at x2 = 3/4, the first violation
+    tol = ToleranceSet(eps_ineq=0.125)
+    g = GFunction("abs(x1-u1) + max(u2 - 0.5, 0)*max(-x1, 0)", 2)
+    a = SampleSet.grid([(0.0, 0.0), (0.0, 1.0)], [1, 9], name="A")
+    b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
+    core = proximal_core(g, a, b, tol)
+    r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
+    got = assert_same(lambda: check_side_condition(g, core, r, s, tol),
+                      lambda: ref_side_condition(g, core, r, s, tol))
+    assert got[1][1]["x"] == exact(Point((1.0, 0.75)))
+
+
+def test_a_row_wholly_in_band_shares_the_points_of_b():
+    # g ignores its second point: only x = 1 realises the level, with all of B
+    g = GFunction("abs(x1 - 2)", 1)
+    b = exact_set([0.0, 1.0], "B")
+    core = proximal_core(g, LINE, b, TOL)
+    assert core.partners == (b.points,) and core.partners[0] is b.points
+
+
+# --------------------------------------------------------------------------
+# the fast text: bare operations, and the checked rerun of values
+
+
+@pytest.mark.parametrize("text, row, kind, bare", [
+    ("sqrt(x1 - u1)", [1.0, 0.5, -0.5, 2.0], "sqrt-of-negative", ValueError),
+    ("1/(x1 - u1)", [1.0, 0.5, 0.0, 2.0], "division-by-zero", ZeroDivisionError),
+    ("x1^2 + u1", [1.0, 1e100, 1e200, 2.0], "non-finite", OverflowError),
+])
+def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
+    e = parse(text)
+    fn = compile_expr(e, ("x1", "u1"))
+    kernels = compile_row_kernels(e, ("x1",), ("u1",))
+    P, Q = [(v,) for v in row], [(0.0,)] * len(row)
+    with pytest.raises(EvalError) as scalar:
+        for p, q in zip(P, Q):
+            fn(*p, *q)
+    with pytest.raises(EvalError) as info:
+        kernels.values(P, Q)
+    assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
+    assert kernels.abs_row(P, Q) is None
+    # first_violation runs the fast text alone; resume_at rescans from 0
+    assert kernels.first_violation(P[:2], Q[:2], [1e300] * 2, 0.0) == -1
+    with pytest.raises(bare):
+        kernels.first_violation(P, Q, [1e300] * len(P), 0.0)
+    assert kernels.resume_at(P, Q, [1e300] * len(P), 0.0) == 0
+
+
+def test_a_non_integral_literal_exponent_keeps_the_checked_power():
+    # (-1) ** 0.5 is a complex number in Python, whose abs is 1.0
+    kernels = compile_row_kernels(parse("x1^0.5"), ("x1",), ("u1",))
+    with pytest.raises(EvalError) as info:
+        kernels.first_violation([(-1.0,)], [(0.0,)], [10.0], 0.0)
+    assert info.value.kind == "fractional-power-of-negative"
+    assert kernels.values([(4.0,)], [(0.0,)]) == [2.0]
+
+
+def test_values_reads_a_one_shot_row_into_a_list_before_its_first_pass():
+    # the fast pass raises at the third tuple; the checked pass must see the
+    # whole row again, not the one tuple left in a generator
+    kernels = compile_row_kernels(parse("sqrt(x1) + sqrt(u1)"), ("x1",), ("u1",))
+    P = [(1.0,), (4.0,), (-1.0,), (9.0,)]
+    for args in (((p for p in P), repeat((0.0,))), (repeat((0.0,)), (p for p in P))):
+        with pytest.raises(EvalError) as info:
+            kernels.values(*args)
+        assert info.value.kind == "sqrt-of-negative"
+    assert kernels.values(iter(P[:2]), repeat((0.0,))) == [1.0, 2.0]
