@@ -128,15 +128,13 @@ def _need_convex(inst: Instance):
 
 class _Spec:
     """A check spec against an instance, its parts looked up on first use, so
-    a check or a replay asks only for what it needs.  value, when set, stands
-    in for the coefficient that search sweeps.  cores holds the proximity
-    cores computed so far, keyed by gauge and sets; the specs of one command
-    share it, so each core is computed once per command."""
+    a check or a replay asks only for what it needs.  cores holds the
+    proximity cores computed so far, keyed by gauge and sets; the specs of
+    one command share it, so each core is computed once per command."""
 
     def __init__(self, inst: Instance, text: str, cores: Optional[dict] = None):
         self.kind, self.target, self.params = parse_check_spec(text)
         self.inst, self.tol = inst, inst.tol
-        self.value: Optional[float] = None
         self.cores = {} if cores is None else cores
 
     @cached_property
@@ -180,8 +178,6 @@ class _Spec:
 
     @property
     def coef(self) -> float:
-        if self.value is not None:
-            return self.value
         if self.kind == "berinde":
             return 1.0
         key = self.coef_name
@@ -198,7 +194,7 @@ class _Spec:
 class _Check(NamedTuple):
     run: Callable[[_Spec, int], object]
     reproduces: Callable[[_Spec, dict, dict], bool]
-    estimate: Optional[Callable[[_Spec, int], float]] = None
+    sweep: Optional[Callable[[_Spec, int, list], tuple]] = None
 
 
 def _same_sides(sides: Callable[[_Spec, dict], tuple]):
@@ -208,7 +204,7 @@ def _same_sides(sides: Callable[[_Spec, dict], tuple]):
 
 def _axiom(kind: str) -> _Check:
     return _Check(
-        lambda c, seed: falsify_axiom(kind, c.gauge, c.scan(), c.tol),
+        lambda c, seed: falsify_axiom(kind, c.gauge, c.scan(), c.tol, seed=seed),
         _same_sides(lambda c, wit: axiom_sides(kind, c.gauge, c.tol, wit)),
     )
 
@@ -229,14 +225,16 @@ _PROXIMAL = _Check(
         c.gauge, c.map, c.pair[0], c.coef, c.n_cap, c.core, c.tol, seed=seed
     ),
     _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
-    lambda c, seed: estimate_proximal_coefficient(
-        c.gauge, c.map, c.pair[0], c.n_cap, c.core, c.tol, seed=seed
+    lambda c, seed, values: estimate_proximal_coefficient(
+        c.gauge, c.map, c.pair[0], c.n_cap, c.core, c.tol, seed=seed,
+        sweep=values,
     ),
 )
 
 # Every check kind, in the order the usage message lists them: run gives the
-# report, reproduces tells whether a reported witness replays, and estimate
-# is the sample estimate of the coefficient that search sweeps.
+# report, reproduces tells whether a reported witness replays, and sweep
+# gives the sample estimate of the coefficient that search sweeps with the
+# report at each swept value, in one pass.
 _CHECKS = {
     **{kind: _axiom(kind) for kind in _AXIOM_KINDS},
     "axioms": _Check(_group, _group),
@@ -245,7 +243,9 @@ _CHECKS = {
             c.gauge, c.map, c.coef, c.tol, seed=seed
         ),
         _same_sides(lambda c, wit: banach_sides(c.gauge, c.map, c.coef, wit)),
-        lambda c, seed: estimate_coefficient(c.gauge, c.map, c.tol, seed=seed),
+        lambda c, seed, values: estimate_coefficient(
+            c.gauge, c.map, c.tol, seed=seed, sweep=values
+        ),
     ),
     "proximal-weak": _PROXIMAL,
     "berinde": _PROXIMAL,
@@ -467,7 +467,7 @@ def cmd_solve(args) -> int:
         f = inst.map_(args.map)
         cv = _need_convex(inst)
         sched = inst.schedule or Schedule.harmonic(10)
-        if args.stages:
+        if args.stages is not None:
             sched = Schedule.harmonic(args.stages)
         result = berinde_scheme(
             g, f, f.domain, f.codomain, cv.h, cv.r, cv.s, sched, tol,
@@ -557,13 +557,11 @@ def cmd_search(args) -> int:
     inst = _apply_tol_overrides(load_instance(args.config), args)
     c = _Spec(inst, args.check)
     check = _CHECKS[c.kind]
-    if check.estimate is None:
+    if check.sweep is None:
         raise CheckSpecError("search sweeps banach, proximal-weak or berinde checks")
-    estimate = check.estimate(c, args.seed)
-    rows = []
-    for value in _sweep_values(args):
-        c.value = value
-        rows.append((value, check.run(c, args.seed)))
+    values = _sweep_values(args)
+    estimate, reports = check.sweep(c, args.seed, values)
+    rows = list(zip(values, reports))
     label = c.coef_name
     doc = {
         "check": args.check,

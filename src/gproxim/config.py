@@ -139,6 +139,25 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _text(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected an expression string, got {value!r}")
+    return value
+
+
+def _texts(values: Any, path: str) -> list[str]:
+    if not isinstance(values, list):
+        raise ConfigError(path, "expected a list of expression strings")
+    return [_text(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
+def _floats(values: Any, path: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(c) for c in values)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected a list of numbers, got {values!r}") from None
+
+
 def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
     path = f"sets.{name}"
     if not isinstance(spec, dict):
@@ -153,7 +172,7 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
                 raise ConfigError(
                     f"{path}.points[{i}]", f"expected {dimension} coordinates"
                 )
-            rows.append(tuple(float(c) for c in row))
+            rows.append(_floats(row, f"{path}.points[{i}]"))
         try:
             return SampleSet.from_points(rows, name=name)
         except GSpaceError as exc:
@@ -163,7 +182,10 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
         if not isinstance(box, list) or len(box) != dimension:
             raise ConfigError(f"{path}.box", f"expected {dimension} intervals")
         for i, iv in enumerate(box):
-            if not isinstance(iv, list) or len(iv) != 2 or iv[0] > iv[1]:
+            if not isinstance(iv, list) or len(iv) != 2:
+                raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
+            lo, hi = _floats(iv, f"{path}.box[{i}]")
+            if lo > hi:
                 raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
         resolution = spec.get("resolution", 101)
         try:
@@ -186,12 +208,14 @@ def instance_from_dict(doc: dict) -> Instance:
     gauges: dict[str, GFunction] = {}
     g_text = _require(doc, "g", "$")
     try:
-        gauges["g"] = GFunction(g_text, dimension, name="g")
+        gauges["g"] = GFunction(_text(g_text, "g"), dimension, name="g")
     except (ParseError, GSpaceError) as exc:
         raise ConfigError("g", str(exc)) from None
     for name, text in (doc.get("functions") or {}).items():
         try:
-            gauges[name] = GFunction(text, dimension, name=name)
+            gauges[name] = GFunction(
+                _text(text, f"functions.{name}"), dimension, name=name
+            )
         except (ParseError, GSpaceError) as exc:
             raise ConfigError(f"functions.{name}", str(exc)) from None
 
@@ -205,7 +229,7 @@ def instance_from_dict(doc: dict) -> Instance:
     maps: dict[str, MapSpec] = {}
     for name, spec in (doc.get("maps") or {}).items():
         path = f"maps.{name}"
-        exprs = _require(spec, "exprs", path)
+        exprs = _texts(_require(spec, "exprs", path), f"{path}.exprs")
         dom_name = _require(spec, "domain", path)
         cod_name = _require(spec, "codomain", path)
         for sname in (dom_name, cod_name):
@@ -222,20 +246,22 @@ def instance_from_dict(doc: dict) -> Instance:
     if doc.get("convex"):
         spec = doc["convex"]
         try:
-            h = ConvexStructure(tuple(_require(spec, "exprs", "convex")))
+            h = ConvexStructure(
+                tuple(_texts(_require(spec, "exprs", "convex"), "convex.exprs"))
+            )
         except (ParseError, GSpaceError) as exc:
             raise ConfigError("convex.exprs", str(exc)) from None
         if h.dimension != dimension:
             raise ConfigError("convex.exprs", "one expression per coordinate")
-        r = Point(tuple(float(c) for c in _require(spec, "r", "convex")))
-        s = Point(tuple(float(c) for c in _require(spec, "s", "convex")))
+        r = Point(_floats(_require(spec, "r", "convex"), "convex.r"))
+        s = Point(_floats(_require(spec, "s", "convex"), "convex.s"))
         lams = spec.get("lambda_grid", 11)
         if isinstance(lams, int):
             if lams < 2:
                 raise ConfigError("convex.lambda_grid", "need at least 2 values")
             grid = tuple(i / (lams - 1) for i in range(lams))
         else:
-            grid = tuple(float(v) for v in lams)
+            grid = _floats(lams, "convex.lambda_grid")
         if 0.0 not in grid or 1.0 not in grid:
             raise ConfigError("convex.lambda_grid", "grid must include 0 and 1")
         convex = ConvexBlock(h, r, s, grid)
@@ -253,7 +279,7 @@ def instance_from_dict(doc: dict) -> Instance:
             eps_ineq=float(tol_spec.get("eps_ineq", 1e-9)),
             tail_len=int(tol_spec.get("tail_len", 10)),
         )
-    except GSpaceError as exc:
+    except (GSpaceError, TypeError, ValueError) as exc:
         raise ConfigError("tolerances", str(exc)) from None
 
     schedule: Optional[Schedule] = None

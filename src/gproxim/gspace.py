@@ -125,11 +125,6 @@ class ToleranceSet:
         if self.tail_len < 1:
             raise GSpaceError("tail_len must be at least 1")
 
-    @classmethod
-    def for_grid_step(cls, step: float, **overrides) -> "ToleranceSet":
-        """Default proximity band for discretised regions: half the grid step."""
-        return cls(eps_prox=step / 2.0, **overrides)
-
 
 class GFunction:
     """A bivariate gauge: an expression over x1..xd (first point), u1..ud (second)."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Mapping, Optional, Sequence, Union
+from itertools import compress, count, repeat, zip_longest
+from operator import gt, sub
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import Expr, compile_expr, parse, variables
 from .gspace import (
@@ -157,6 +158,162 @@ def banach_sides(
     return abs(eval_g(g, tx, ty)), alpha * abs(eval_g(g, x, y))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _falsified(check, witness, lhs, rhs, beta, n_cap) -> PropertyReport:
+    return PropertyReport(
+        check, _FALSIFIED, witness, lhs=lhs, rhs=rhs, beta=beta, n_cap=n_cap
+    )
+
+
+def _held(check, beta, n_cap, vacuous=False) -> PropertyReport:
+    return PropertyReport(
+        check, _HOLDS, None, None, None, beta=beta, n_cap=n_cap, vacuous=vacuous
+    )
+
+
+def _fold_ratios(best: float, terms: Iterable, zero: float) -> Optional[float]:
+    """best folded with num / den over the (num, den) terms in scan order,
+    for dens above zero level; None at the first den at zero level whose num
+    is above it, which makes the estimate infinite.  terms may evaluate
+    lazily, so a scan stops where the scalar loop stops."""
+    for num, den in terms:
+        if den > zero:
+            best = max(best, num / den)
+        elif num > zero:
+            return None
+    return best
+
+
+def _fold_row(best: float, nums: list, dens: list, zero: float) -> Optional[float]:
+    """_fold_ratios over a whole kernel row: max over [best, *ratios] folds
+    them in the same order, so a NaN ratio is skipped as it is there."""
+    if any(num > zero for num, den in zip(nums, dens) if not den > zero):
+        return None
+    return max([best, *(num / den for num, den in zip(nums, dens) if den > zero)])
+
+
+def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
+    """The one pass behind each contraction check, its estimate and the
+    sweep of search, over the rows of a _BanachRows or a _ProximalRows.
+
+    Returns (best, hits).  hits[k] is the (row, index) of the first tuple in
+    scan order with lhs > rhs + eps_ineq, rhs taken under the coefficient
+    values[k], or None when no tuple has.  With estimate, best is the
+    supremum of the tuples' num / den (see _fold_ratios), None when it is
+    infinite; without, best is None.  A kernel row is folded and compared
+    whole.  A row that needs the scalar loop is evaluated tuple by tuple,
+    the fold first, so the first EvalError and the early inf are the scalar
+    loop's.  The pass stops once no later row can change either result.
+    """
+    zero, eps = tol.eps_zero, tol.eps_ineq
+    hits: list = [None] * len(values)
+    # a larger coefficient never lowers a right side, whose terms are
+    # non-negative: once one value holds on a whole row, every larger does
+    order = sorted(range(len(values)), key=values.__getitem__)
+    best: Optional[float] = 0.0 if estimate else None
+    for r in range(rows.count):
+        if best is None and None not in hits:
+            break
+        row = rows.kernel(r)
+        if row is not None:
+            lhs, a, b = row
+        if best is not None:
+            if row is None:
+                best = _fold_ratios(best, rows.terms(r), zero)
+            else:
+                nums = lhs if b is None else list(map(sub, lhs, b))
+                best = _fold_row(best, nums, a, zero)
+        for k in order:
+            if hits[k] is not None:
+                continue
+            v = values[k]
+            if row is None:
+                over = (left > right + eps for left, right in rows.sides(r, v))
+            elif b is None:
+                over = map(gt, lhs, [v * p + eps for p in a])
+            else:
+                over = map(gt, lhs, [v * p + q + eps for p, q in zip(a, b)])
+            i = next(compress(count(), over), -1)
+            if i < 0:
+                break
+            hits[k] = (r, i)
+    return best, hits
+
+
+def _check(rows, value: float, tol: ToleranceSet) -> PropertyReport:
+    """The check at one coefficient: the pass with that value alone."""
+    _, (hit,) = _scan(rows, [value], tol, estimate=False)
+    return rows.report(value, hit)
+
+
+def _estimate(rows, tol: ToleranceSet, sweep: Optional[Sequence[float]]):
+    """The estimate; with sweep, (estimate, reports), reports holding the
+    check's report at each swept value.
+
+    The pass sweeps the values before the first that rows.validate rejects,
+    and building that value's report raises its error.  So errors come in
+    the order of the estimate followed by one check per value.
+    """
+    values: list[float] = []
+    for v in sweep or ():
+        try:
+            rows.validate(v)
+        except GSpaceError:
+            break
+        values.append(v)
+    best, hits = _scan(rows, values, tol, estimate=True)
+    estimate = math.inf if best is None else best
+    if sweep is None:
+        return estimate
+    return estimate, [rows.report(v, hit) for v, hit in zip_longest(sweep, hits)]
+
+
+class _BanachRows:
+    """The contraction scan: one row per sampled x, its tuples (x, y) over
+    the sampled y.  lhs abs(g(Tx, Ty)) and rhs alpha * abs(g(x, y)); the
+    estimate's terms are the two sides at alpha = 1."""
+
+    def __init__(self, g: GFunction, t: MapSpec, max_pairs: int, seed: int):
+        self.g, self.t = g, t
+        self.pts, self.images, self.coords, self.image_coords = _pairs(
+            t, max_pairs, seed
+        )
+        self.count = len(self.pts)
+
+    validate = staticmethod(_check_alpha)
+
+    def kernel(self, r: int) -> Optional[tuple]:
+        """(lhs, a, None), rhs being alpha * a, or None."""
+        lhs = self.g.kernels.abs_row(repeat(self.images[r].coords), self.image_coords)
+        a = self.g.kernels.abs_row(repeat(self.pts[r].coords), self.coords)
+        return None if lhs is None or a is None else (lhs, a, None)
+
+    def sides(self, r: int, alpha: float):
+        x, tx = self.pts[r], self.images[r]
+        return (
+            banach_sides(self.g, self.t, alpha, {"x": x, "y": y}, tx, ty)
+            for y, ty in zip(self.pts, self.images)
+        )
+
+    def terms(self, r: int):
+        return self.sides(r, 1.0)
+
+    def report(self, alpha: float, hit) -> PropertyReport:
+        _check_alpha(alpha)
+        if hit is None:
+            return _held("banach-contraction", alpha, 0.0)
+        r, i = hit
+        witness = {"x": self.pts[r], "y": self.pts[i]}
+        lhs, rhs = banach_sides(
+            self.g, self.t, alpha, witness, self.images[r], self.images[i]
+        )
+        return _falsified("banach-contraction", witness, lhs, rhs, alpha, 0.0)
+
+
 def check_banach_contraction(
     g: GFunction,
     t: MapSpec,
@@ -167,29 +324,8 @@ def check_banach_contraction(
 ) -> PropertyReport:
     """Falsified when some sampled pair has abs(g(Tx, Ty)) above
     alpha * abs(g(x, y)) by more than eps_ineq."""
-    if not 0.0 < alpha < 1.0:
-        raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
-    pts, images, coords, image_coords = _pairs(t, max_pairs, seed)
-    eps = tol.eps_ineq
-    for x, tx in zip(pts, images):
-        start = 0
-        row = g.kernels.abs_row(repeat(x.coords), coords)
-        if row is not None:
-            rhs_row = [alpha * v for v in row]
-            start = g.kernels.resume_at(repeat(tx.coords), image_coords, rhs_row, eps)
-        if start < 0:
-            continue
-        for y, ty in zip(pts[start:], images[start:]):
-            witness = {"x": x, "y": y}
-            lhs, rhs = banach_sides(g, t, alpha, witness, tx, ty)
-            if lhs > rhs + eps:
-                return PropertyReport(
-                    "banach-contraction", _FALSIFIED, witness,
-                    lhs=lhs, rhs=rhs, beta=alpha, n_cap=0.0,
-                )
-    return PropertyReport(
-        "banach-contraction", _HOLDS, None, None, None, beta=alpha, n_cap=0.0
-    )
+    _check_alpha(alpha)
+    return _check(_BanachRows(g, t, max_pairs, seed), alpha, tol)
 
 
 def estimate_coefficient(
@@ -198,34 +334,19 @@ def estimate_coefficient(
     tol: ToleranceSet,
     max_pairs: int = 1_000_000,
     seed: int = 0,
-) -> float:
+    sweep: Optional[Sequence[float]] = None,
+):
     """Tightest contraction coefficient supported by the sample.
 
     The supremum of abs(g(Tx, Ty)) / abs(g(x, y)) over pairs whose gauge is
     above zero level.  A pair at zero level with a non-zero image gauge makes
     the estimate infinite.  Returns 0.0 when no pair constrains the ratio.
+
+    With sweep, a list of alphas, the same pass checks each of them and the
+    result is (estimate, reports), reports holding check_banach_contraction's
+    report for each alpha.
     """
-    pts, images, coords, image_coords = _pairs(t, max_pairs, seed)
-    zero = tol.eps_zero
-    best = 0.0
-    for x, tx in zip(pts, images):
-        nums = g.kernels.abs_row(repeat(tx.coords), image_coords)
-        dens = g.kernels.abs_row(repeat(x.coords), coords)
-        if nums is not None and dens is not None:
-            at_zero = [num for num, den in zip(nums, dens) if not den > zero]
-            if at_zero and max(at_zero) > zero:
-                return math.inf
-            ratios = [num / den for num, den in zip(nums, dens) if den > zero]
-            best = max(best, max(ratios, default=0.0))
-            continue
-        for ty, y in zip(images, pts):
-            # the two sides at alpha = 1 are the ratio's terms
-            num, den = banach_sides(g, t, 1.0, {"x": x, "y": y}, tx, ty)
-            if den > zero:
-                best = max(best, num / den)
-            elif num > zero:
-                return math.inf
-    return best
+    return _estimate(_BanachRows(g, t, max_pairs, seed), tol, sweep)
 
 
 def qualifying_pairs(
@@ -286,16 +407,78 @@ def _quadruples(
     tol: ToleranceSet,
     max_quadruples: int,
     seed: int,
-):
-    """Witness quadruples (x1, x2, u1, u2) over the qualifying pairs, in scan
-    order; exact sets are enumerated whole, grids under the quadruple cap."""
+) -> list[tuple[Point, Point]]:
+    """The qualifying pairs whose products are the witness quadruples: the
+    quadruple (x1, x2, u1, u2) takes (x1, u1) and (x2, u2) from this list,
+    in that nesting order.  Exact sets are enumerated whole, grids under the
+    quadruple cap."""
     pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
     if a.mode == "box" and len(pairs) ** 2 > max_quadruples:
         m = max(2, int(math.isqrt(max_quadruples)))
         pairs = [pairs[i] for i in _stride_indices(len(pairs), m, seed)]
-    for x1, u1 in pairs:
-        for x2, u2 in pairs:
-            yield {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+    return pairs
+
+
+def _proximal_name(beta: float, n_cap: float) -> str:
+    """The check's name, once beta and N are known to be admissible."""
+    if not 0.0 < beta <= 1.0:
+        raise GSpaceError(f"beta must lie in (0, 1], got {beta!r}")
+    if n_cap < 0.0:
+        raise GSpaceError(f"N must be non-negative, got {n_cap!r}")
+    return "proximal-berinde" if beta == 1.0 else "proximal-weak"
+
+
+def _quadruple(x1, u1, x2, u2) -> dict[str, Point]:
+    return {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+
+
+class _ProximalRows:
+    """The quadruple scan: one row per qualifying pair (x1, u1), its tuples
+    the qualifying pairs (x2, u2).  lhs abs(g(u1, u2)) and rhs beta *
+    abs(g(x1, x2)) + N * abs(g(x2, u1)); the estimate's terms are lhs - N *
+    abs(g(x2, u1)) over abs(g(x1, x2))."""
+
+    def __init__(self, g, f, a, n_cap, core, tol, max_quadruples, seed):
+        self.g, self.n_cap = g, n_cap
+        self.pairs = _quadruples(g, f, a, core, tol, max_quadruples, seed)
+        self.count = len(self.pairs)
+        self.xs = [x.coords for x, _ in self.pairs]
+        self.us = [u.coords for _, u in self.pairs]
+
+    def validate(self, beta: float) -> None:
+        _proximal_name(beta, self.n_cap)
+
+    def kernel(self, r: int) -> Optional[tuple]:
+        """(abs(g(u1, u2)), abs(g(x1, x2)), N * abs(g(x2, u1))) over the
+        row, the right side being beta * the second plus the third, or None."""
+        x1, u1 = self.pairs[r]
+        k = self.g.kernels
+        g_uu = k.abs_row(repeat(u1.coords), self.us)
+        g_xx = k.abs_row(repeat(x1.coords), self.xs)
+        g_xu = k.abs_row(self.xs, repeat(u1.coords))
+        if g_uu is None or g_xx is None or g_xu is None:
+            return None
+        return g_uu, g_xx, [self.n_cap * q for q in g_xu]
+
+    def _row(self, r: int):
+        x1, u1 = self.pairs[r]
+        return (_quadruple(x1, u1, x2, u2) for x2, u2 in self.pairs)
+
+    def sides(self, r: int, beta: float):
+        return (proximal_sides(self.g, w, beta, self.n_cap) for w in self._row(r))
+
+    def terms(self, r: int):
+        terms = (_proximal_terms(self.g, w) for w in self._row(r))
+        return ((uu - self.n_cap * xu, xx) for uu, xx, xu in terms)
+
+    def report(self, beta: float, hit) -> PropertyReport:
+        check_name = _proximal_name(beta, self.n_cap)
+        if hit is None:
+            return _held(check_name, beta, self.n_cap, vacuous=not self.pairs)
+        (x1, u1), (x2, u2) = self.pairs[hit[0]], self.pairs[hit[1]]
+        witness = _quadruple(x1, u1, x2, u2)
+        lhs, rhs = proximal_sides(self.g, witness, beta, self.n_cap)
+        return _falsified(check_name, witness, lhs, rhs, beta, self.n_cap)
 
 
 def check_proximal_inequality(
@@ -318,24 +501,9 @@ def check_proximal_inequality(
     in that coefficient, so they share this code path.  Finding no qualifying
     quadruple at all is reported as a vacuous hold, never silently.
     """
-    if not 0.0 < beta <= 1.0:
-        raise GSpaceError(f"beta must lie in (0, 1], got {beta!r}")
-    if n_cap < 0.0:
-        raise GSpaceError(f"N must be non-negative, got {n_cap!r}")
-    check_name = "proximal-berinde" if beta == 1.0 else "proximal-weak"
-    vacuous = True
-    for witness in _quadruples(g, f, a, core, tol, max_quadruples, seed):
-        vacuous = False
-        lhs, rhs = proximal_sides(g, witness, beta, n_cap)
-        if lhs > rhs + tol.eps_ineq:
-            return PropertyReport(
-                check_name, _FALSIFIED, witness,
-                lhs=lhs, rhs=rhs, beta=beta, n_cap=n_cap,
-            )
-    return PropertyReport(
-        check_name, _HOLDS, None, None, None,
-        beta=beta, n_cap=n_cap, vacuous=vacuous,
-    )
+    _proximal_name(beta, n_cap)
+    rows = _ProximalRows(g, f, a, n_cap, core, tol, max_quadruples, seed)
+    return _check(rows, beta, tol)
 
 
 def estimate_proximal_coefficient(
@@ -347,20 +515,18 @@ def estimate_proximal_coefficient(
     tol: ToleranceSet,
     max_quadruples: int = 1_000_000,
     seed: int = 0,
-) -> float:
+    sweep: Optional[Sequence[float]] = None,
+):
     """Tightest beta supported by the qualifying quadruples, given N.
 
     The supremum of (abs(g(u1, u2)) - N * abs(g(x2, u1))) / abs(g(x1, x2))
     over quadruples whose denominator is above zero level; infinite when a
     zero-level denominator meets a positive numerator.  Returns 0.0 when no
     quadruple constrains the ratio (including the vacuous case).
+
+    With sweep, a list of betas, the same pass checks each of them and the
+    result is (estimate, reports), reports holding check_proximal_inequality's
+    report for each beta.
     """
-    best = 0.0
-    for witness in _quadruples(g, f, a, core, tol, max_quadruples, seed):
-        g_uu, den, g_xu = _proximal_terms(g, witness)
-        num = g_uu - n_cap * g_xu
-        if den > tol.eps_zero:
-            best = max(best, num / den)
-        elif num > tol.eps_zero:
-            return math.inf
-    return best
+    rows = _ProximalRows(g, f, a, n_cap, core, tol, max_quadruples, seed)
+    return _estimate(rows, tol, sweep)

@@ -511,3 +511,118 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert "all passed" in proc.stdout
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g", 5, "error: g: expected an expression string, got 5"),
+    ("points", [[0], ["a"]],
+     "error: sets.A.points[1]: expected a list of numbers, got ['a']"),
+])
+def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_path, capsys):
+    doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
+    if field == "g":
+        doc["g"] = value
+    else:
+        doc["sets"]["A"]["points"] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_seed_reaches_the_axiom_checks(halving, monkeypatch):
+    import gproxim.cli as cli_module
+
+    seeds = []
+    real = cli_module.falsify_axiom
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs.get("seed", 0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "falsify_axiom", spy)
+    argv = ["verify", "--config", halving, "--checks", "symmetry:g", "--json"]
+    assert main(argv + ["--seed", "7"]) == 0
+    assert main(argv) == 0
+    assert seeds == [7, 0]
+
+
+def test_zero_stages_exits_two_with_one_line(small_convex_config, capsys):
+    argv = ["solve", "--config", small_convex_config, "--scheme", "berinde"]
+    assert main(argv + ["--stages", "0"]) == 2
+    assert capsys.readouterr().err == "error: schedule needs at least one stage\n"
+
+
+HELD, FALSE = "holds-on-sample", "falsified"
+SEARCHES = [
+    # (fixture, check, the spec run_check gets per value, lo, hi, steps,
+    # the verdicts seen)
+    ("halving-on-unit", "banach:g", "banach:g:alpha={!r}", 0.0625, 0.875, 6,
+     {HELD, FALSE}),
+    ("quarter-proximal", "proximal-weak:g:N=0", "proximal-weak:g:beta={!r}:N=0",
+     0.03125, 1.0, 5, {HELD, FALSE}),
+    ("quarter-proximal", "berinde:h:N=1", "proximal-weak:h:beta={!r}:N=1",
+     0.25, 1.0, 4, {FALSE}),
+]
+
+
+@pytest.mark.parametrize("name, check, spec, lo, hi, steps, verdicts", SEARCHES)
+def test_search_matches_one_check_per_value(
+    name, check, spec, lo, hi, steps, verdicts, capsys
+):
+    from gproxim.cli import run_check
+    from gproxim.config import load_instance
+
+    cfg = str(fixture_config_path(name))
+    argv = ["search", "--config", cfg, "--check", check, "--lo", repr(lo),
+            "--hi", repr(hi), "--steps", str(steps), "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inst = load_instance(cfg)
+    want = []
+    for row in doc["sweep"]:
+        value = row["alpha" if check.startswith("banach") else "beta"]
+        rep = run_check(inst, spec.format(value))
+        want.append((rep.verdict, rep.margin))
+    got = [(row["verdict"], row["margin"]) for row in doc["sweep"]]
+    assert json.dumps(got) == json.dumps(want)
+    assert {v for v, _ in got} == verdicts
+
+
+@pytest.mark.parametrize("name, check, hi, message", [
+    ("halving-on-unit", "banach:g", "1", "alpha must lie in (0, 1), got 1.0"),
+    ("quarter-proximal", "proximal-weak:g:N=0", "1.5", "beta must lie in (0, 1], got 1.5"),
+])
+def test_search_with_a_bad_swept_value_exits_two(name, check, hi, message, capsys):
+    argv = ["search", "--config", str(fixture_config_path(name)), "--check", check,
+            "--lo", "0.5", "--hi", hi, "--steps", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("gauge", ["x2^2 - u2^2", "(x2^2 - u2^2)*1e308"],
+                         ids=["kernel-rows", "scalar-rows"])
+def test_search_computes_the_qualifying_pairs_once(gauge, tmp_path, monkeypatch, capsys):
+    # with the scaled gauge every row's sum overflows, so the kernels give
+    # each row up and the same pass runs it through the scalar loop
+    import gproxim.properties as properties_module
+
+    calls = []
+    real = properties_module.qualifying_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties_module, "qualifying_pairs", counting)
+    doc = json.loads(fixture_config_path("quarter-proximal").read_text())
+    doc["g"] = gauge
+    cfg = tmp_path / "quarter.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["search", "--config", str(cfg), "--check", "proximal-weak:g:N=0",
+            "--lo", "0.03125", "--hi", "0.5", "--steps", "5", "--json"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    sweep = json.loads(capsys.readouterr().out)["sweep"]
+    assert [row["verdict"] for row in sweep] == ["falsified"] + ["holds-on-sample"] * 4

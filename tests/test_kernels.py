@@ -48,7 +48,9 @@ from gproxim.gspace import (
 from gproxim.properties import (
     MapSpec,
     check_banach_contraction,
+    check_proximal_inequality,
     estimate_coefficient,
+    estimate_proximal_coefficient,
     qualifying_pairs,
 )
 import gproxim.gspace as gspace_module
@@ -614,3 +616,298 @@ def test_values_reads_a_one_shot_row_into_a_list_before_its_first_pass():
             kernels.values(*args)
         assert info.value.kind == "sqrt-of-negative"
     assert kernels.values(iter(P[:2]), repeat((0.0,))) == [1.0, 2.0]
+
+
+# --------------------------------------------------------------------------
+# the proximal quadruple scans, and the search sweep
+
+
+def ref_proximal(g, pairs, beta, n_cap, tol):
+    for x1, u1 in pairs:
+        for x2, u2 in pairs:
+            lhs = abs(eval_g(g, u1, u2))
+            rhs = beta * abs(eval_g(g, x1, x2)) + n_cap * abs(eval_g(g, x2, u1))
+            if lhs > rhs + tol.eps_ineq:
+                return FALSIFIED, {"x1": x1, "x2": x2, "u1": u1, "u2": u2}, lhs, rhs
+    return HOLDS, None, None, None
+
+
+def ref_proximal_estimate(g, pairs, n_cap, tol):
+    best = 0.0
+    for x1, u1 in pairs:
+        for x2, u2 in pairs:
+            num = abs(eval_g(g, u1, u2))
+            den = abs(eval_g(g, x1, x2))
+            num -= n_cap * abs(eval_g(g, x2, u1))
+            if den > tol.eps_zero:
+                best = max(best, num / den)
+            elif num > tol.eps_zero:
+                return math.inf
+    return best
+
+
+def _report(rep):
+    return rep.verdict, rep.witness, rep.lhs, rep.rhs
+
+
+def _searched(sweep, values):
+    """What search reports: the estimate and each value's report, from the
+    one-pass sweep."""
+    estimate, reports = sweep(values)
+    return estimate, [_report(rep) for rep in reports]
+
+
+def _ref_searched(estimate, check, values):
+    return estimate(), [check(v) for v in values]
+
+
+BETAS = [0.25, 0.5, 0.75, 1.0]
+ALPHAS = [0.25, 0.5, 0.75]
+
+
+def _proximal_scans(g, f, a, core, n_cap, tol=TOL, betas=BETAS):
+    """The proximal check at each beta, the estimate and the sweep, each
+    against the reference; returns the outcomes by scan."""
+    pairs = lambda: ref_pairs(g, f, a, core.d_g, tol)
+    out = {}
+    for beta in betas:
+        out[beta] = assert_same(
+            lambda: check_proximal_inequality(g, f, a, beta, n_cap, core, tol),
+            lambda: ref_proximal(g, pairs(), beta, n_cap, tol),
+        )
+    out["estimate"] = assert_same(
+        lambda: estimate_proximal_coefficient(g, f, a, n_cap, core, tol),
+        lambda: ref_proximal_estimate(g, pairs(), n_cap, tol),
+    )
+    out["search"] = assert_same(
+        lambda: _searched(
+            lambda vs: estimate_proximal_coefficient(g, f, a, n_cap, core, tol, sweep=vs),
+            betas,
+        ),
+        lambda: _ref_searched(
+            lambda: ref_proximal_estimate(g, pairs(), n_cap, tol),
+            lambda v: ref_proximal(g, pairs(), v, n_cap, tol),
+            betas,
+        ),
+    )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_gauges_proximal_scans_match_the_reference(seed):
+    g, _ = _random_case(seed)
+    try:
+        core = proximal_core(g, A_SET, B_SET, TOL)
+    except (EvalError, GSpaceError):
+        return  # the core raises: compared in test_random_gauges_match_the_reference
+    for n_cap in (0.0, 1.0):
+        _proximal_scans(g, MAP, A_SET, core, n_cap)
+    assert_same(
+        lambda: _searched(
+            lambda vs: estimate_coefficient(g, MAP, TOL, sweep=vs),
+            ALPHAS,
+        ),
+        lambda: _ref_searched(
+            lambda: ref_estimate(g, MAP, TOL),
+            lambda v: ref_banach(g, MAP, v, TOL),
+            ALPHAS,
+        ),
+    )
+
+
+# On LINE under T(x) = x/2 at level 0 the qualifying pairs are (t_2j, t_j),
+# j = 0..8, and abs(g(u1, u2)) is exactly half of abs(g(x1, x2)): every beta
+# from 1/2 up holds.  Quadruple rows are indexed by j of (x1, u1).
+LEVEL_CORE = proximal_core(GFunction("abs(x1-u1)", 1), LINE, LINE, TOL)
+
+
+def _quad(j1, j2):
+    return {"x1": exact(GRID_POINTS[2 * j1]), "x2": exact(GRID_POINTS[2 * j2]),
+            "u1": exact(GRID_POINTS[j1]), "u2": exact(GRID_POINTS[j2])}
+
+
+def _proximal_planted(text):
+    g = GFunction(text, 1)
+    return _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0)
+
+
+def test_proximal_scans_hold_on_the_halving_instance():
+    out = _proximal_planted("abs(x1-u1)")
+    assert out["estimate"] == ("ok", exact(0.5))
+    assert [out[b][1][0] for b in BETAS] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
+    g = GFunction("abs(x1-u1)", 1)
+    rep = check_proximal_inequality(g, HALF, LINE, 0.5, 0.0, LEVEL_CORE, TOL)
+    assert rep.holds and not rep.vacuous
+    # rows that all come from the kernels answer the sweep in one pass
+    _, reports = estimate_proximal_coefficient(
+        g, HALF, LINE, 0.0, LEVEL_CORE, TOL, sweep=BETAS
+    )
+    assert [r.verdict for r in reports] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
+
+
+@pytest.mark.parametrize(
+    "j1, j2", [(1, 0), (4, 5), (8, 7)], ids=["early", "middle", "late"]
+)
+def test_planted_proximal_violation_positions(j1, j2):
+    # abs(g(u1, u2)) is 4 higher at the one pair (t_j1, t_j2): quadruple row
+    # j1 breaks at column j2 for every beta from 1/2 up (1/4 breaks at once)
+    out = _proximal_planted(
+        f"abs(x1-u1) + 4*{_hat('x1', GRID[j1])}*{_hat('u1', GRID[j2])}"
+    )
+    want = [(FALSIFIED, _quad(0, 1))] + [(FALSIFIED, _quad(j1, j2))] * 3
+    assert [out[beta][1][:2] for beta in BETAS] == want
+    assert [rep[:2] for rep in out["search"][1][1]] == want
+
+
+@pytest.mark.parametrize(
+    "j1, first",
+    [(1, "violation"), (7, "error")],
+    ids=["violation-before-error", "violation-after-error"],
+)
+def test_planted_proximal_error_against_violation(j1, first):
+    # abs(g(x1, x2)) divides by zero at (t_10, t_12): row 5, column 6, a pair
+    # the qualifying scan never evaluates; the violation sits in row j1
+    text = (f"abs(x1-u1) + 4*{_hat('x1', GRID[j1])}*{_hat('u1', GRID[j1 - 1])}"
+            f" + 0/(abs(x1 - {GRID[10]!r}) + abs(u1 - {GRID[12]!r}))")
+    out = _proximal_planted(text)
+    for beta in BETAS[1:]:
+        if first == "violation":
+            assert out[beta][1][:2] == (FALSIFIED, _quad(j1, j1 - 1))
+        else:
+            assert out[beta][:3] == ("error", "EvalError", "division-by-zero")
+    assert out["estimate"][:3] == ("error", "EvalError", "division-by-zero")
+    assert out["search"][:3] == ("error", "EvalError", "division-by-zero")
+
+
+def test_non_finite_proximal_term_raises_where_the_scalar_loop_does():
+    # abs(g(x1, x2)) overflows at (t_10, t_14) only
+    text = (f"abs(x1-u1) + 1e308*{_hat('x1', GRID[10])}*{_hat('u1', GRID[14])}*1e10")
+    out = _proximal_planted(text)
+    assert out[0.5][:3] == ("error", "EvalError", "non-finite")
+    assert out["search"][:3] == ("error", "EvalError", "non-finite")
+
+
+def test_infinite_proximal_estimate_and_the_sweep_past_it():
+    # abs(g(t_10, t_12)) is 0: row 5 has a zero denominator under a positive
+    # numerator, so the estimate is infinite, and every beta breaks there;
+    # a division by zero in row 7, after it, is never reached
+    text = (f"abs(x1-u1) - abs(x1-u1)*{_hat('x1', GRID[10])}*{_hat('u1', GRID[12])}"
+            f" + 0/(abs(x1 - {GRID[14]!r}) + abs(u1 - {GRID[16]!r}))")
+    out = _proximal_planted(text)
+    assert out["estimate"] == ("ok", exact(math.inf))
+    assert out["search"][1][0] == exact(math.inf)
+    for beta in BETAS[1:]:
+        assert out[beta][1][:2] == (FALSIFIED, _quad(5, 6))
+    # with the estimate infinite and every beta falsified, the pass stops
+    # before row 7
+    g = GFunction(text, 1)
+    _, reports = estimate_proximal_coefficient(
+        g, HALF, LINE, 0.0, LEVEL_CORE, TOL, sweep=BETAS
+    )
+    assert not any(rep.holds for rep in reports)
+
+
+def test_sweep_runs_rows_whose_sum_overflows_through_the_scalar_loop():
+    # every value is finite, but each row's sum is not: the kernels give
+    # every row up, and the same pass evaluates them tuple by tuple
+    g = GFunction("abs(x1-u1)*1e308", 1)
+    out = _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0)
+    assert out["estimate"] == ("ok", exact(0.5))
+    assert [rep[0] for rep in out["search"][1][1]] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
+    out = assert_same(
+        lambda: _searched(lambda vs: estimate_coefficient(g, HALF, TOL, sweep=vs), ALPHAS),
+        lambda: _ref_searched(
+            lambda: ref_estimate(g, HALF, TOL),
+            lambda v: ref_banach(g, HALF, v, TOL),
+            ALPHAS,
+        ),
+    )
+    assert [rep[0] for rep in out[1][1]] == [FALSIFIED, HOLDS, HOLDS]
+
+
+def test_vacuous_proximal_scans():
+    # no point of LINE realises the level 4 against an image in [0, 1/2]
+    far = proximal_core(GFunction("abs(x1-u1)", 1), LINE, exact_set([5.0], "B"), TOL)
+    g = GFunction("abs(x1-u1)", 1)
+    out = _proximal_scans(g, HALF, LINE, far, 1.0)
+    assert out["estimate"] == ("ok", exact(0.0))
+    rep = check_proximal_inequality(g, HALF, LINE, 0.5, 1.0, far, TOL)
+    assert rep.holds and rep.vacuous
+    _, reports = estimate_proximal_coefficient(g, HALF, LINE, 1.0, far, TOL, sweep=BETAS)
+    assert all(rep.holds and rep.vacuous for rep in reports)
+
+
+def test_sweep_checks_each_value_where_the_check_does():
+    # the sweep keeps the check's value rules and their order
+    g = GFunction("abs(x1-u1)", 1)
+    with pytest.raises(GSpaceError, match=r"beta must lie in \(0, 1\], got 1.5"):
+        estimate_proximal_coefficient(g, HALF, LINE, 0.0, LEVEL_CORE, TOL,
+                                      sweep=[0.5, 1.5, -1.0])
+    with pytest.raises(GSpaceError, match="N must be non-negative"):
+        estimate_proximal_coefficient(g, HALF, LINE, -1.0, LEVEL_CORE, TOL, sweep=[0.5])
+    with pytest.raises(GSpaceError, match=r"alpha must lie in \(0, 1\), got 1.0"):
+        estimate_coefficient(g, HALF, TOL, sweep=[0.5, 1.0])
+
+
+def test_sweep_raises_in_the_order_of_one_check_per_value():
+    # g(x, y) is 0 at (t_2, t_3), where g(Tx, Ty) is 1/32, within eps_ineq:
+    # the estimate is infinite there and no alpha breaks.  Alpha 1/4 breaks
+    # in row 0; 1/2 runs on to row 10, where g(x, y) divides by zero at
+    # (t_10, t_12); 1 is not an admissible alpha.  So the sweep must not
+    # scan with 1, or it would raise that error in place of the check's
+    text = (f"abs(x1-u1)*(1 - {_hat('x1', GRID[2])}*{_hat('u1', GRID[3])})"
+            f" + 0/(abs(x1 - {GRID[10]!r}) + abs(u1 - {GRID[12]!r}))")
+    g, tol = GFunction(text, 1), ToleranceSet(eps_zero=1e-9, eps_ineq=0.125)
+    assert estimate_coefficient(g, HALF, tol) == math.inf
+    assert check_banach_contraction(g, HALF, 0.25, tol).falsified
+    with pytest.raises(EvalError, match="division"):
+        check_banach_contraction(g, HALF, 0.5, tol)
+    estimate, (rep,) = estimate_coefficient(g, HALF, tol, sweep=[0.25])
+    assert estimate == math.inf and rep == check_banach_contraction(g, HALF, 0.25, tol)
+    with pytest.raises(GSpaceError, match=r"got 1.0"):
+        estimate_coefficient(g, HALF, tol, sweep=[0.25, 1.0])
+    with pytest.raises(EvalError, match="division"):
+        estimate_coefficient(g, HALF, tol, sweep=[0.25, 0.5, 1.0])
+
+
+def test_sweep_keeps_the_eps_slack():
+    # one pair is above its right side by 1/16, within eps_ineq = 1/8: it
+    # holds, and breaks once the slack is gone
+    bump = "(1/16)*" + _hat("x1", GRID[1]) + "*" + _hat("u1", GRID[3])
+    g = GFunction("abs(x1-u1) + " + bump, 1)
+    for tol, verdict in ((ToleranceSet(eps_ineq=0.125), HOLDS), (TOL, FALSIFIED)):
+        out = assert_same(
+            lambda: _searched(
+                lambda vs: estimate_coefficient(g, HALF, tol, sweep=vs),
+                [0.5],
+            ),
+            lambda: _ref_searched(
+                lambda: ref_estimate(g, HALF, tol),
+                lambda v: ref_banach(g, HALF, v, tol),
+                [0.5],
+            ),
+        )
+        assert out[1][1][0][0] == verdict
+        # abs(g(u1, u2)) at (t_1, t_3), in quadruple row 1, column 3
+        out = _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0, tol, betas=[0.5])
+        assert out[0.5][1][0] == verdict == out["search"][1][1][0][0]
+
+
+def test_holding_proximal_scans_do_not_go_through_eval_g(monkeypatch):
+    # abs(g(u1, u2)) is 1/32 higher at (t_1, t_0), above beta * abs(g(x1,
+    # x2)) = 1/16 but not above the right side with N * abs(g(x2, u1)) = 1/16
+    calls = []
+
+    def counting(g, x, y):
+        calls.append(1)
+        return eval_g(g, x, y)
+
+    g = GFunction(f"abs(x1-u1) + (1/32)*{_hat('x1', GRID[1])}*{_hat('u1', GRID[0])}", 1)
+    monkeypatch.setattr(gspace_module, "eval_g", counting)
+    monkeypatch.setattr(properties_module, "eval_g", counting)
+    assert check_proximal_inequality(g, HALF, LINE, 0.5, 1.0, LEVEL_CORE, TOL).holds
+    estimate, reports = estimate_proximal_coefficient(
+        g, HALF, LINE, 1.0, LEVEL_CORE, TOL, sweep=[0.5, 0.75]
+    )
+    assert all(rep.holds for rep in reports)
+    assert calls == []
