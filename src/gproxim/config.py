@@ -133,8 +133,14 @@ class Instance:
         return isinstance(other, Instance) and self.to_dict() == other.to_dict()
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    return value
+
+
+def _require(doc: Any, key: str, path: str):
+    if key not in _object(doc, path):
         raise ConfigError(path, f"missing required key {key!r}")
     return doc[key]
 
@@ -158,11 +164,16 @@ def _floats(values: Any, path: str) -> tuple[float, ...]:
         raise ConfigError(path, f"expected a list of numbers, got {values!r}") from None
 
 
+def _ints(values: Any, path: str) -> tuple[int, ...]:
+    numbers = _floats(values, path)
+    if not all(v.is_integer() for v in numbers):
+        raise ConfigError(path, f"expected a list of whole numbers, got {values!r}")
+    return tuple(map(int, numbers))
+
+
 def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
     path = f"sets.{name}"
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
-    if "points" in spec:
+    if "points" in _object(spec, path):
         pts = spec["points"]
         if not isinstance(pts, list) or not pts:
             raise ConfigError(path, "points must be a non-empty list")
@@ -188,6 +199,8 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
             if lo > hi:
                 raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
         resolution = spec.get("resolution", 101)
+        if not isinstance(resolution, int):
+            resolution = _ints(resolution, f"{path}.resolution")
         try:
             return SampleSet.grid(
                 [tuple(iv) for iv in box], resolution, name=name
@@ -211,7 +224,7 @@ def instance_from_dict(doc: dict) -> Instance:
         gauges["g"] = GFunction(_text(g_text, "g"), dimension, name="g")
     except (ParseError, GSpaceError) as exc:
         raise ConfigError("g", str(exc)) from None
-    for name, text in (doc.get("functions") or {}).items():
+    for name, text in _object(doc.get("functions") or {}, "functions").items():
         try:
             gauges[name] = GFunction(
                 _text(text, f"functions.{name}"), dimension, name=name
@@ -221,13 +234,13 @@ def instance_from_dict(doc: dict) -> Instance:
 
     sets = {
         name: _load_set(name, spec, dimension)
-        for name, spec in (_require(doc, "sets", "$") or {}).items()
+        for name, spec in _object(_require(doc, "sets", "$") or {}, "sets").items()
     }
     if not sets:
         raise ConfigError("sets", "at least one sample set is required")
 
     maps: dict[str, MapSpec] = {}
-    for name, spec in (doc.get("maps") or {}).items():
+    for name, spec in _object(doc.get("maps") or {}, "maps").items():
         path = f"maps.{name}"
         exprs = _texts(_require(spec, "exprs", path), f"{path}.exprs")
         dom_name = _require(spec, "domain", path)
@@ -266,7 +279,7 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ConfigError("convex.lambda_grid", "grid must include 0 and 1")
         convex = ConvexBlock(h, r, s, grid)
 
-    tol_spec = dict(doc.get("tolerances") or {})
+    tol_spec = dict(_object(doc.get("tolerances") or {}, "tolerances"))
     if "eps_prox" not in tol_spec:
         steps = [
             s.grid_step() for s in sets.values() if s.grid_step() is not None
@@ -284,10 +297,10 @@ def instance_from_dict(doc: dict) -> Instance:
 
     schedule: Optional[Schedule] = None
     if doc.get("schedule"):
-        spec = doc["schedule"]
+        spec = _object(doc["schedule"], "schedule")
         try:
             if "values" in spec:
-                schedule = Schedule(tuple(float(v) for v in spec["values"]))
+                schedule = Schedule(_floats(spec["values"], "schedule.values"))
             else:
                 rule = spec.get("rule", "harmonic")
                 if rule != "harmonic":

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
     "Expr",
@@ -396,33 +396,29 @@ class RowKernels(NamedTuple):
     so that second pass sees the whole row.  first_violation may raise the
     bare error instead.
 
-    Scans use them through abs_row and resume_at, which give up on a row
-    with an error or a non-finite value.  The caller then repeats that row
-    through its scalar loop, which raises the typed error at the first
-    offending tuple in scan order, or finds an earlier violation first.
+    Scans read rows through marked, which marks a tuple where values raises.
     """
 
     values: Callable[..., list[float]]
     first_violation: Callable[..., int]
 
-    def abs_row(self, P: Iterable, Q: Iterable) -> Optional[list[float]]:
-        """values(P, Q), or None when some value raises or is not finite."""
+    def marked(self, P: Iterable, Q: Iterable) -> list[float]:
+        """values(P, Q), with a NaN mark at each tuple where the scalar
+        callable raises or is not finite.  Every other value is an abs, so
+        a mark makes every comparison <= false."""
+        P, Q = _rereadable(P), _rereadable(Q)
         try:
             row = self.values(P, Q)
-        except Exception:
-            return None
-        return row if math.isfinite(sum(row)) else None
-
-    def resume_at(self, P: Iterable, Q: Iterable, R: list[float], eps: float) -> int:
-        """Where the scalar loop must take over a row: -1 when every tuple
-        holds with finite sides, else the first violating index, or 0 when
-        the kernel raises or R is not finite."""
-        try:
-            if math.isfinite(sum(R)):
-                return self.first_violation(P, Q, R, eps)
-        except Exception:
-            pass
-        return 0
+        except (ArithmeticError, ValueError):
+            row = []
+            for p, q in zip(P, Q):
+                try:
+                    row += self.values((p,), (q,))
+                except (ArithmeticError, ValueError):
+                    row.append(math.nan)
+        if math.isfinite(sum(row)):
+            return row
+        return [v if v < math.inf else math.nan for v in row]
 
 
 def _rereadable(rows: Iterable) -> Iterable:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -181,6 +181,27 @@ def eval_g(g: GFunction, x: Point, y: Point) -> float:
     if not math.isfinite(value):
         raise EvalError("non-finite", f"{g.name}({x}, {y}) = {value!r}")
     return value
+
+
+def _gauge_row(
+    g: GFunction, xs: Union[Point, Iterable[Point]], ys: Union[Point, Iterable[Point]]
+) -> list[float]:
+    """abs(g) over a kernel row that pairs one Point, xs or ys, with each
+    point of the other side, a SampleSet or a list of Points, in order.
+    Raises eval_g's error at the first tuple the row marks."""
+
+    def side(s):
+        if isinstance(s, Point):
+            return repeat(s.coords), repeat(s)
+        return s.coords if isinstance(s, SampleSet) else [p.coords for p in s], s
+
+    (P, x_pts), (Q, y_pts) = side(xs), side(ys)
+    row = g.kernels.marked(P, Q)
+    if math.isnan(sum(row)):
+        for v, x, y in zip(row, x_pts, y_pts):
+            if v != v:
+                eval_g(g, x, y)
+    return row
 
 
 @dataclass(frozen=True)
@@ -454,100 +475,71 @@ def falsify_axiom(
             per_axis = max(2, int(max_tuples ** (1.0 / arity)))
             pts = _subsampled(pts, per_axis, seed)
     coords = [p.coords for p in pts]
+
+    def falsified(witness: Mapping[str, Point], note: str = "") -> CheckReport:
+        lhs, rhs = axiom_sides(kind, g, tol, witness)
+        return CheckReport(
+            f"{kind}-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs, note=note
+        )
+
     if kind == "identity":
         for i, x in enumerate(pts):
-            row = g.kernels.abs_row(repeat(x.coords), coords[:i] + coords[i + 1:])
-            start = 0 if row is None else next(
-                (k for k, v in enumerate(row) if v <= tol.eps_zero), -1
-            )
-            if start < 0:
-                continue
-            for y in (pts[:i] + pts[i + 1:])[start:]:  # sample points are distinct
-                witness = {"x": x, "y": y}
-                lhs, rhs = axiom_sides(kind, g, tol, witness)
-                if lhs <= rhs:
-                    return CheckReport(
-                        "identity-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs,
-                        note="distinct points at zero gauge level",
-                    )
-        return CheckReport("identity-axiom", _HOLDS)
-    if kind == "symmetry":
-        for i, x in enumerate(pts):
-            forward = g.kernels.abs_row(repeat(x.coords), coords[i + 1:])
-            backward = g.kernels.abs_row(coords[i + 1:], repeat(x.coords))
-            start = 0
-            if forward is not None and backward is not None:
-                start = next(
-                    (k for k, (a, b) in enumerate(zip(forward, backward))
-                     if abs(a - b) > tol.eps_ineq),
-                    -1,
+            row = g.kernels.marked(repeat(x.coords), coords[:i] + coords[i + 1:])
+            k = next((k for k, v in enumerate(row) if not v > tol.eps_zero), -1)
+            if k >= 0:  # the row skips x, as sample points are distinct
+                return falsified(
+                    {"x": x, "y": pts[k + (k >= i)]},
+                    "distinct points at zero gauge level",
                 )
-            if start < 0:
-                continue
-            for y in pts[i + 1 + start:]:
-                witness = {"x": x, "y": y}
-                lhs, rhs = axiom_sides(kind, g, tol, witness)
-                if lhs > rhs:
-                    return CheckReport(
-                        "symmetry-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs
-                    )
-        return CheckReport("symmetry-axiom", _HOLDS)
-    if kind == "triangle":
+    elif kind == "symmetry":
+        for i, x in enumerate(pts):
+            forward = g.kernels.marked(repeat(x.coords), coords[i + 1:])
+            backward = g.kernels.marked(coords[i + 1:], repeat(x.coords))
+            k = next(
+                (k for k, (a, b) in enumerate(zip(forward, backward))
+                 if not abs(a - b) <= tol.eps_ineq),
+                -1,
+            )
+            if k >= 0:
+                return falsified({"x": x, "y": pts[i + 1 + k]})
+    elif kind == "triangle":
         # One abs(g) matrix over the scanned points, with a 0.0 diagonal that
-        # g never sees: a triple that repeats a point can then never violate.
-        # If any entry raises or is not finite, the scalar scan reports it.
+        # g never sees.  For a pair (x, y), z = y then fails only when
+        # abs(g(x, y)) is marked, and z = x is skipped: its entry abs(g(y, x))
+        # is not the pair's to evaluate.
         matrix = []
         for i, c in enumerate(coords):
-            row = g.kernels.abs_row(repeat(c), coords[:i] + coords[i + 1:])
-            if row is None:
-                matrix = None
-                break
+            row = g.kernels.marked(repeat(c), coords[:i] + coords[i + 1:])
             row.insert(i, 0.0)
             matrix.append(row)
+        eps = tol.eps_ineq
         for i, x in enumerate(pts):
             for k, y in enumerate(pts):
                 if y.coords == x.coords:
                     continue
-                start = 0
-                if matrix is not None:
-                    gxy, eps = matrix[i][k], tol.eps_ineq
-                    start = next(
-                        (m for m, (a, b) in enumerate(zip(matrix[i], matrix[k]))
-                         if a > gxy + b + eps),
-                        -1,
-                    )
-                    if start < 0:
-                        continue
-                gxy = abs(eval_g(g, x, y))
-                for z in pts[start:]:
-                    if z.coords == x.coords or z.coords == y.coords:
-                        continue
-                    witness = {"x": x, "y": y, "z": z}
-                    lhs, rhs = axiom_sides(kind, g, tol, witness, gxy)
-                    if lhs > rhs + tol.eps_ineq:
-                        return CheckReport(
-                            "triangle-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs
-                        )
-        return CheckReport("triangle-axiom", _HOLDS)
-    raise GSpaceError(f"unknown axiom kind {kind!r}")
+                gxy = matrix[i][k]
+                m = next(
+                    (m for m, (a, b) in enumerate(zip(matrix[i], matrix[k]))
+                     if not a <= gxy + b + eps and m != i),
+                    -1,
+                )
+                if m >= 0:
+                    return falsified({"x": x, "y": y, "z": pts[m]})
+    else:
+        raise GSpaceError(f"unknown axiom kind {kind!r}")
+    return CheckReport(f"{kind}-axiom", _HOLDS)
 
 
 def axiom_sides(
-    kind: str,
-    g: GFunction,
-    tol: ToleranceSet,
-    witness: Mapping[str, Point],
-    gxy: Optional[float] = None,
+    kind: str, g: GFunction, tol: ToleranceSet, witness: Mapping[str, Point]
 ) -> tuple[float, float]:
-    """The two sides falsify_axiom compares at a witness; a triangle scan
-    passes its hoisted abs(g(x, y)) as gxy."""
+    """The two sides falsify_axiom compares at a witness."""
     x, y = witness["x"], witness["y"]
     if kind == "identity":
         return abs(eval_g(g, x, y)), tol.eps_zero
     if kind == "symmetry":
         return abs(abs(eval_g(g, x, y)) - abs(eval_g(g, y, x))), tol.eps_ineq
-    if gxy is None:
-        gxy = abs(eval_g(g, x, y))
+    gxy = abs(eval_g(g, x, y))
     z = witness["z"]
     return abs(eval_g(g, x, z)), gxy + abs(eval_g(g, y, z))
 
@@ -620,9 +612,7 @@ def proximal_core(
     # the full matrix of values.
     near = []
     for x in a.points:
-        row = g.kernels.abs_row(repeat(x.coords), b.coords) or [
-            abs(eval_g(g, x, y)) for y in b.points
-        ]
+        row = _gauge_row(g, x, b)
         low = min(row)
         d_g = min(d_g, low)
         keep = [j for j, v in enumerate(row) if v - low <= eps]
@@ -668,11 +658,8 @@ def proximal_select(
     deterministic.  Raises NoProximalMate when the band is empty, which
     signals either an image escaping the realising set or a grid too coarse.
     """
-    row = g.kernels.abs_row(a.coords, repeat(b.coords)) or [
-        abs(eval_g(g, x, b)) for x in a.points
-    ]
     d_g = core.d_g
-    residuals = [abs(v - d_g) for v in row]
+    residuals = [abs(v - d_g) for v in _gauge_row(g, a, b)]
     low = min(residuals)
     if not low <= tol.eps_prox:
         raise NoProximalMate(
@@ -769,7 +756,7 @@ def check_convex_structure(
     )
     eps = tol.eps_ineq
     # H is applied once per (x, y, lam); only its coordinates are kept, and
-    # the scalar path wraps them in a Point again.
+    # a report wraps them in a Point again.
     h_cache: dict[tuple, tuple[float, ...]] = {}
 
     def h_coords(x: Point, y: Point, lam: float) -> tuple[float, ...]:
@@ -783,44 +770,57 @@ def check_convex_structure(
         return Point(h_coords(x, y, lam))
 
     def h_row(pairs: Iterable[tuple[Point, Point]], lams: Sequence[float]):
-        """Interpolant coordinates in scan order, or None if H raises."""
-        try:
-            return [h_coords(x, y, lam) for x, y in pairs for lam in lams]
-        except Exception:
-            return None
+        """Interpolant coordinates in scan order, and the indices at which H
+        raises.  Each of those holds its pair's first point: the gauge may
+        see it, but the right side there is a mark, so no comparison holds."""
+        row, failed = [], []
+        for x, y in pairs:
+            for lam in lams:
+                try:
+                    row.append(h_coords(x, y, lam))
+                except EvalError:
+                    failed.append(len(row))
+                    row.append(x.coords)
+        return row, failed
+
+    def first_over(P: Iterable, Q: Iterable, a: float, bs: list, failed: list) -> int:
+        """The first index of a row over (b, lam), b in bs, at which not
+        abs(g) <= lam * a + (1 - lam) * b + eps, or -1; a marked tuple or an
+        index in failed stops it.  The fused loop runs while the right sides
+        are finite, and the marked row takes over a row on which it raises."""
+        R = [lam * a + mix * b for b in bs for lam, mix in lm]
+        for k in failed:
+            R[k] = math.nan
+        if math.isfinite(sum(R)):
+            try:
+                return g.kernels.first_violation(P, Q, R, eps)
+            except (ArithmeticError, ValueError):
+                pass
+        over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))
+        return next(compress(count(), over), -1)
+
+    def falsified(witness: Mapping[str, Union[Point, float]], note: str) -> CheckReport:
+        lhs, rhs = convex_condition_sides(h, g, witness, h_at)
+        return CheckReport(
+            "convex-structure", _FALSIFIED, witness, lhs=lhs, rhs=rhs, note=note
+        )
 
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two; interpolant rows are built once and reused.
+    # condition two, each with its own lm and width; interpolant rows are
+    # built once and reused.
     lm = [(lam, 1.0 - lam) for lam in lam_sub]
     width = len(lam_sub)
-    h_rows: dict[int, Optional[list]] = {}
+    h_rows: dict[int, tuple[list, list[int]]] = {}
     for x0 in xs0:
-        c0 = x0.coords
-        gx = g.kernels.abs_row(repeat(c0), [x.coords for x in xs]) or [
-            abs(eval_g(g, x0, x)) for x in xs
-        ]
-        gy = g.kernels.abs_row(repeat(c0), [y.coords for y in ys]) or [
-            abs(eval_g(g, x0, y)) for y in ys
-        ]
+        gx, gy = _gauge_row(g, x0, xs), _gauge_row(g, x0, ys)
         for i, x in enumerate(xs):
             if i not in h_rows:
                 h_rows[i] = h_row(((x, y) for y in ys), lam_sub)
-            start = 0
-            if h_rows[i] is not None:
-                a = gx[i]
-                rhs_row = [lam * a + mix * b for b in gy for lam, mix in lm]
-                start = g.kernels.resume_at(repeat(c0), h_rows[i], rhs_row, eps)
-            if start < 0:
-                continue
-            for k in range(start, len(ys) * width):
+            row, failed = h_rows[i]
+            k = first_over(repeat(x0.coords), row, gx[i], gy, failed)
+            if k >= 0:
                 y, lam = ys[k // width], lam_sub[k % width]
-                witness = {"x0": x0, "x": x, "y": y, "lam": lam}
-                lhs, rhs = convex_condition_sides(h, g, witness, h_at)
-                if lhs > rhs + eps:
-                    return CheckReport(
-                        "convex-structure", _FALSIFIED, witness,
-                        lhs=lhs, rhs=rhs, note="condition one",
-                    )
+                return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
     h_rows.clear()  # free before condition two adds to h_cache: a lower peak
     # condition two: tuples (x, y, x0, y0, lam)
     m2 = _axis_budget([n, n, n, n, len(lams)], max_tuples)
@@ -835,36 +835,23 @@ def check_convex_structure(
     width = len(lam_sub)
     xs0_coords = [x0.coords for x0 in xs0]
     ys0_coords = [y0.coords for y0 in ys0]
-    q_rows: dict[int, Optional[list]] = {}
-    gyy0_rows: dict[int, Optional[list[float]]] = {}
+    q_rows: dict[int, tuple[list, list[int]]] = {}
+    gyy0_rows = [g.kernels.marked(repeat(y.coords), ys0_coords) for y in ys]
     for x in xs:
-        gxx0 = g.kernels.abs_row(repeat(x.coords), xs0_coords)
-        for iy, y in enumerate(ys):
-            if iy not in gyy0_rows:
-                gyy0_rows[iy] = g.kernels.abs_row(repeat(y.coords), ys0_coords)
-            gyy0 = gyy0_rows[iy]
-            p_row = h_row([(x, y)], lam_sub)
-            if p_row is not None:
-                p_row *= len(ys0)
+        gxx0 = g.kernels.marked(repeat(x.coords), xs0_coords)
+        for y, gyy0 in zip(ys, gyy0_rows):
+            p_row, p_failed = h_row([(x, y)], lam_sub)
+            p_row *= len(ys0)
+            p_failed = [k + width * j for j in range(len(ys0)) for k in p_failed]
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
                     q_rows[j] = h_row(((x0, y0) for y0 in ys0), lam_sub)
-                start = 0
-                if None not in (gxx0, gyy0, p_row, q_rows[j]):
-                    a = gxx0[j]
-                    rhs_row = [lam * a + mix * b for b in gyy0 for lam, mix in lm]
-                    start = g.kernels.resume_at(p_row, q_rows[j], rhs_row, eps)
-                if start < 0:
-                    continue
-                for k in range(start, len(ys0) * width):
+                q_row, q_failed = q_rows[j]
+                k = first_over(p_row, q_row, gxx0[j], gyy0, p_failed + q_failed)
+                if k >= 0:
                     y0, lam = ys0[k // width], lam_sub[k % width]
                     witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
-                    lhs, rhs = convex_condition_sides(h, g, witness, h_at)
-                    if lhs > rhs + eps:
-                        return CheckReport(
-                            "convex-structure", _FALSIFIED, witness,
-                            lhs=lhs, rhs=rhs, note="condition two",
-                        )
+                    return falsified(witness, "condition two")
     return CheckReport("convex-structure", _HOLDS)
 
 
@@ -922,30 +909,19 @@ def check_side_condition(
     level for every sampled x in b_g, y in a_g."""
     target = side_condition_target(core)
     b_pts, a_pts = core.b_g.points, core.a_g.points
-    grx_row = g.kernels.abs_row(repeat(r.coords), core.b_g.coords)
-    gys_row = g.kernels.abs_row(core.a_g.coords, repeat(s.coords))
-    if grx_row is not None and gys_row is not None:
-        eps = tol.eps_ineq
-        for i, grx in enumerate(grx_row):
-            j = next(
-                (j for j, v in enumerate(gys_row) if abs(grx + v - target) > eps), -1
+    grx_row = g.kernels.marked(repeat(r.coords), core.b_g.coords)
+    gys_row = g.kernels.marked(core.a_g.coords, repeat(s.coords))
+    eps = tol.eps_ineq
+    for i, grx in enumerate(grx_row):
+        j = next(
+            (j for j, v in enumerate(gys_row) if not abs(grx + v - target) <= eps), -1
+        )
+        if j >= 0:
+            witness = {"x": b_pts[i], "y": a_pts[j]}
+            lhs, rhs = side_condition_sides(g, r, s, target, witness)
+            return CheckReport(
+                "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
             )
-            if j >= 0:
-                witness = {"x": b_pts[i], "y": a_pts[j]}
-                lhs, rhs = side_condition_sides(g, r, s, target, witness)
-                return CheckReport(
-                    "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
-                )
-        return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
-    for x in b_pts:
-        grx = abs(eval_g(g, r, x))
-        for y in a_pts:
-            witness = {"x": x, "y": y}
-            lhs, rhs = side_condition_sides(g, r, s, target, witness, grx)
-            if abs(lhs - rhs) > tol.eps_ineq:
-                return CheckReport(
-                    "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
-                )
     return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
 
 
@@ -964,10 +940,6 @@ def side_condition_sides(
     s: Point,
     target: float,
     witness: Mapping[str, Point],
-    grx: Optional[float] = None,
 ) -> tuple[float, float]:
-    """abs(g(r, x)) + abs(g(y, s)) at a witness, against the target level;
-    a scan passes its hoisted abs(g(r, x)) as grx."""
-    if grx is None:
-        grx = abs(eval_g(g, r, witness["x"]))
-    return grx + abs(eval_g(g, witness["y"], s)), target
+    """abs(g(r, x)) + abs(g(y, s)) at a witness, against the target level."""
+    return abs(eval_g(g, r, witness["x"])) + abs(eval_g(g, witness["y"], s)), target

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, count, repeat, zip_longest
-from operator import gt, sub
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import add, le, not_, sub
+from typing import Mapping, Optional, Sequence, Union
 
 from .expr import Expr, compile_expr, parse, variables
 from .gspace import (
@@ -24,7 +24,9 @@ from .gspace import (
     ProximalCore,
     SampleSet,
     ToleranceSet,
+    _gauge_row,
     _stride_indices,
+    _subsampled,
     eval_g,
 )
 
@@ -85,13 +87,6 @@ class MapSpec:
         if not all(math.isfinite(c) for c in coords):
             raise GSpaceError(f"map {self.name!r} produced non-finite image at {p}")
         return Point(coords)
-
-    def validate_into_codomain(self, tol: float = 1e-9) -> Optional[Point]:
-        """First sampled domain point whose image escapes the codomain, if any."""
-        for p in self.domain.points:
-            if not self.codomain.contains(self.apply(p), tol):
-                return p
-        return None
 
     def __repr__(self) -> str:
         body = ", ".join(str(e) for e in self.exprs)
@@ -175,39 +170,33 @@ def _held(check, beta, n_cap, vacuous=False) -> PropertyReport:
     )
 
 
-def _fold_ratios(best: float, terms: Iterable, zero: float) -> Optional[float]:
-    """best folded with num / den over the (num, den) terms in scan order,
-    for dens above zero level; None at the first den at zero level whose num
-    is above it, which makes the estimate infinite.  terms may evaluate
-    lazily, so a scan stops where the scalar loop stops."""
-    for num, den in terms:
-        if den > zero:
-            best = max(best, num / den)
-        elif num > zero:
-            return None
-    return best
-
-
-def _fold_row(best: float, nums: list, dens: list, zero: float) -> Optional[float]:
-    """_fold_ratios over a whole kernel row: max over [best, *ratios] folds
-    them in the same order, so a NaN ratio is skipped as it is there."""
+def _fold_row(best: float, nums: list, dens: list, zero: float, raise_at):
+    """best folded with num / den over a kernel row in scan order, for dens
+    above zero level; None at the first den at zero level whose num is above
+    it, which makes the estimate infinite.  At a marked tuple before that,
+    raise_at(index) raises the scalar loop's error."""
+    n = mark = len(nums)
+    if math.isnan(sum(nums) + sum(dens)):
+        mark = next((i for i, v in enumerate(map(add, nums, dens)) if v != v), n)
+        nums, dens = nums[:mark], dens[:mark]
     if any(num > zero for num, den in zip(nums, dens) if not den > zero):
         return None
+    if mark < n:
+        raise_at(mark)
     return max([best, *(num / den for num, den in zip(nums, dens) if den > zero)])
 
 
 def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     """The one pass behind each contraction check, its estimate and the
-    sweep of search, over the rows of a _BanachRows or a _ProximalRows.
+    sweep of search, over the kernel rows of a _BanachRows or a _ProximalRows.
 
     Returns (best, hits).  hits[k] is the (row, index) of the first tuple in
-    scan order with lhs > rhs + eps_ineq, rhs taken under the coefficient
-    values[k], or None when no tuple has.  With estimate, best is the
-    supremum of the tuples' num / den (see _fold_ratios), None when it is
-    infinite; without, best is None.  A kernel row is folded and compared
-    whole.  A row that needs the scalar loop is evaluated tuple by tuple,
-    the fold first, so the first EvalError and the early inf are the scalar
-    loop's.  The pass stops once no later row can change either result.
+    scan order that does not have lhs <= rhs + eps_ineq, rhs taken under the
+    coefficient values[k], or None when every tuple has.  A marked tuple
+    (see RowKernels.marked) never has it, so it is a hit whose report raises
+    the scalar loop's error.  With estimate, best is the supremum of the
+    tuples' num / den (see _fold_row), None when it is infinite; without,
+    best is None.  The pass stops once no later row can change either result.
     """
     zero, eps = tol.eps_zero, tol.eps_ineq
     hits: list = [None] * len(values)
@@ -218,26 +207,21 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     for r in range(rows.count):
         if best is None and None not in hits:
             break
-        row = rows.kernel(r)
-        if row is not None:
-            lhs, a, b = row
+        lhs, a, b = rows.kernel(r)
         if best is not None:
-            if row is None:
-                best = _fold_ratios(best, rows.terms(r), zero)
-            else:
-                nums = lhs if b is None else list(map(sub, lhs, b))
-                best = _fold_row(best, nums, a, zero)
+            nums = lhs if b is None else list(map(sub, lhs, b))
+            best = _fold_row(
+                best, nums, a, zero, lambda i: rows.evaluate(1.0, (r, i))
+            )
         for k in order:
             if hits[k] is not None:
                 continue
             v = values[k]
-            if row is None:
-                over = (left > right + eps for left, right in rows.sides(r, v))
-            elif b is None:
-                over = map(gt, lhs, [v * p + eps for p in a])
+            if b is None:
+                rhs = [v * p + eps for p in a]
             else:
-                over = map(gt, lhs, [v * p + q + eps for p, q in zip(a, b)])
-            i = next(compress(count(), over), -1)
+                rhs = [v * p + q + eps for p, q in zip(a, b)]
+            i = next(compress(count(), map(not_, map(le, lhs, rhs))), -1)
             if i < 0:
                 break
             hits[k] = (r, i)
@@ -286,32 +270,25 @@ class _BanachRows:
 
     validate = staticmethod(_check_alpha)
 
-    def kernel(self, r: int) -> Optional[tuple]:
-        """(lhs, a, None), rhs being alpha * a, or None."""
-        lhs = self.g.kernels.abs_row(repeat(self.images[r].coords), self.image_coords)
-        a = self.g.kernels.abs_row(repeat(self.pts[r].coords), self.coords)
-        return None if lhs is None or a is None else (lhs, a, None)
+    def kernel(self, r: int) -> tuple:
+        """Marked rows (lhs, a, None), rhs being alpha * a."""
+        k = self.g.kernels
+        lhs = k.marked(repeat(self.images[r].coords), self.image_coords)
+        return lhs, k.marked(repeat(self.pts[r].coords), self.coords), None
 
-    def sides(self, r: int, alpha: float):
-        x, tx = self.pts[r], self.images[r]
-        return (
-            banach_sides(self.g, self.t, alpha, {"x": x, "y": y}, tx, ty)
-            for y, ty in zip(self.pts, self.images)
+    def evaluate(self, alpha: float, hit) -> tuple:
+        """(witness, lhs, rhs) at the tuple hit = (row, index)."""
+        r, i = hit
+        witness = {"x": self.pts[r], "y": self.pts[i]}
+        return witness, *banach_sides(
+            self.g, self.t, alpha, witness, self.images[r], self.images[i]
         )
-
-    def terms(self, r: int):
-        return self.sides(r, 1.0)
 
     def report(self, alpha: float, hit) -> PropertyReport:
         _check_alpha(alpha)
         if hit is None:
             return _held("banach-contraction", alpha, 0.0)
-        r, i = hit
-        witness = {"x": self.pts[r], "y": self.pts[i]}
-        lhs, rhs = banach_sides(
-            self.g, self.t, alpha, witness, self.images[r], self.images[i]
-        )
-        return _falsified("banach-contraction", witness, lhs, rhs, alpha, 0.0)
+        return _falsified("banach-contraction", *self.evaluate(alpha, hit), alpha, 0.0)
 
 
 def check_banach_contraction(
@@ -360,32 +337,15 @@ def qualifying_pairs(
 ) -> list[tuple[Point, Point]]:
     """Pairs (x, u) of sampled A points with abs(g(u, f(x))) at the proximity
     level; these are the building blocks of the quadruple scans."""
-    pts = list(a.points)
-    if a.mode == "box" and len(pts) > max_points:
-        pts = [pts[i] for i in _stride_indices(len(pts), max_points, seed)]
-    images = [(x, f.apply(x)) for x in pts]
-    coords = [u.coords for u in pts]
+    if a.mode == "box" and len(a) > max_points:
+        a = SampleSet(tuple(_subsampled(a.points, max_points, seed)), name=a.name)
+    images = [(x, f.apply(x)) for x in a.points]
     level, band = core.d_g, tol.eps_prox
     out = []
     for x, fx in images:
-        row = g.kernels.abs_row(coords, repeat(fx.coords)) or [
-            abs(eval_g(g, u, fx)) for u in pts
-        ]
-        out += [(x, u) for u, v in zip(pts, row) if abs(v - level) <= band]
+        row = _gauge_row(g, a, fx)
+        out += [(x, u) for u, v in zip(a.points, row) if abs(v - level) <= band]
     return out
-
-
-def _proximal_terms(
-    g: GFunction, witness: Mapping[str, Point]
-) -> tuple[float, float, float]:
-    """abs(g(u1, u2)), abs(g(x1, x2)) and abs(g(x2, u1)) at a quadruple,
-    evaluated in that order."""
-    x1, x2, u1 = witness["x1"], witness["x2"], witness["u1"]
-    return (
-        abs(eval_g(g, u1, witness["u2"])),
-        abs(eval_g(g, x1, x2)),
-        abs(eval_g(g, x2, u1)),
-    )
 
 
 def proximal_sides(
@@ -394,9 +354,12 @@ def proximal_sides(
     beta: float,
     n_cap: float,
 ) -> tuple[float, float]:
-    """Both sides of the proximal inequality at a witness quadruple."""
-    g_uu, g_xx, g_xu = _proximal_terms(g, witness)
-    return g_uu, beta * g_xx + n_cap * g_xu
+    """Both sides of the proximal inequality at a witness quadruple, from
+    abs(g(u1, u2)), abs(g(x1, x2)) and abs(g(x2, u1)), evaluated in that
+    order."""
+    x1, x2, u1 = witness["x1"], witness["x2"], witness["u1"]
+    g_uu, g_xx = abs(eval_g(g, u1, witness["u2"])), abs(eval_g(g, x1, x2))
+    return g_uu, beta * g_xx + n_cap * abs(eval_g(g, x2, u1))
 
 
 def _quadruples(
@@ -428,10 +391,6 @@ def _proximal_name(beta: float, n_cap: float) -> str:
     return "proximal-berinde" if beta == 1.0 else "proximal-weak"
 
 
-def _quadruple(x1, u1, x2, u2) -> dict[str, Point]:
-    return {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
-
-
 class _ProximalRows:
     """The quadruple scan: one row per qualifying pair (x1, u1), its tuples
     the qualifying pairs (x2, u2).  lhs abs(g(u1, u2)) and rhs beta *
@@ -448,37 +407,27 @@ class _ProximalRows:
     def validate(self, beta: float) -> None:
         _proximal_name(beta, self.n_cap)
 
-    def kernel(self, r: int) -> Optional[tuple]:
-        """(abs(g(u1, u2)), abs(g(x1, x2)), N * abs(g(x2, u1))) over the
-        row, the right side being beta * the second plus the third, or None."""
+    def kernel(self, r: int) -> tuple:
+        """Marked rows of abs(g(u1, u2)), abs(g(x1, x2)) and N * abs(g(x2,
+        u1)), the right side being beta * the second plus the third."""
         x1, u1 = self.pairs[r]
         k = self.g.kernels
-        g_uu = k.abs_row(repeat(u1.coords), self.us)
-        g_xx = k.abs_row(repeat(x1.coords), self.xs)
-        g_xu = k.abs_row(self.xs, repeat(u1.coords))
-        if g_uu is None or g_xx is None or g_xu is None:
-            return None
+        g_uu = k.marked(repeat(u1.coords), self.us)
+        g_xx = k.marked(repeat(x1.coords), self.xs)
+        g_xu = k.marked(self.xs, repeat(u1.coords))
         return g_uu, g_xx, [self.n_cap * q for q in g_xu]
 
-    def _row(self, r: int):
-        x1, u1 = self.pairs[r]
-        return (_quadruple(x1, u1, x2, u2) for x2, u2 in self.pairs)
-
-    def sides(self, r: int, beta: float):
-        return (proximal_sides(self.g, w, beta, self.n_cap) for w in self._row(r))
-
-    def terms(self, r: int):
-        terms = (_proximal_terms(self.g, w) for w in self._row(r))
-        return ((uu - self.n_cap * xu, xx) for uu, xx, xu in terms)
+    def evaluate(self, beta: float, hit) -> tuple:
+        """(witness, lhs, rhs) at the tuple hit = (row, index)."""
+        (x1, u1), (x2, u2) = self.pairs[hit[0]], self.pairs[hit[1]]
+        witness = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+        return witness, *proximal_sides(self.g, witness, beta, self.n_cap)
 
     def report(self, beta: float, hit) -> PropertyReport:
         check_name = _proximal_name(beta, self.n_cap)
         if hit is None:
             return _held(check_name, beta, self.n_cap, vacuous=not self.pairs)
-        (x1, u1), (x2, u2) = self.pairs[hit[0]], self.pairs[hit[1]]
-        witness = _quadruple(x1, u1, x2, u2)
-        lhs, rhs = proximal_sides(self.g, witness, beta, self.n_cap)
-        return _falsified(check_name, witness, lhs, rhs, beta, self.n_cap)
+        return _falsified(check_name, *self.evaluate(beta, hit), beta, self.n_cap)
 
 
 def check_proximal_inequality(

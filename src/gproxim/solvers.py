@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .gspace import (
@@ -26,6 +25,7 @@ from .gspace import (
     ProximalCore,
     SampleSet,
     ToleranceSet,
+    _gauge_row,
     check_convex_structure,
     check_semi_sharp,
     check_side_condition,
@@ -317,10 +317,7 @@ def proximal_iterate(
     requirement that f maps the realising set into its partner.  A selection
     failing mid-run ends the trace with verdict "no_proximal_mate".
     """
-    row = g.kernels.abs_row(repeat(p0.coords), b.coords) or [
-        abs(eval_g(g, p0, y)) for y in b.points
-    ]
-    best0 = min(abs(v - core.d_g) for v in row)
+    best0 = min(abs(v - core.d_g) for v in _gauge_row(g, p0, b))
     if best0 > tol.eps_prox:
         raise GSpaceError(
             f"start point {p0} does not realise the proximity level "

@@ -530,6 +530,22 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("patch, path", [
+    ({"maps": {"T": 5}}, "maps.T"),
+    ({"functions": [1]}, "functions"),
+    ({"schedule": {"values": ["a"]}}, "schedule.values"),
+    ({"sets": {"A": {"box": [[0, 1]], "resolution": "a"}}}, "sets.A.resolution"),
+], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
+        "non-numeric-resolution"])
+def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path, capsys):
+    doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**doc, **patch}))
+    assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
 def test_seed_reaches_the_axiom_checks(halving, monkeypatch):
     import gproxim.cli as cli_module
 

@@ -589,12 +589,12 @@ def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
     with pytest.raises(EvalError) as info:
         kernels.values(P, Q)
     assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
-    assert kernels.abs_row(P, Q) is None
-    # first_violation runs the fast text alone; resume_at rescans from 0
+    assert [math.isnan(v) for v in kernels.marked(P, Q)] == [False, False, True, False]
+    # first_violation runs the fast text alone; marked marks the raising tuple
     assert kernels.first_violation(P[:2], Q[:2], [1e300] * 2, 0.0) == -1
     with pytest.raises(bare):
         kernels.first_violation(P, Q, [1e300] * len(P), 0.0)
-    assert kernels.resume_at(P, Q, [1e300] * len(P), 0.0) == 0
+    assert math.isnan(kernels.marked(P, Q)[2])
 
 
 def test_a_non_integral_literal_exponent_keeps_the_checked_power():

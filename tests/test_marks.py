@@ -1,0 +1,261 @@
+"""The one offending-tuple rule of the kernel scans.
+
+Every scan reads kernel rows in which RowKernels.marked puts a NaN at each
+tuple where the gauge raises or is not finite.  A scan stops at the first
+tuple whose comparison fails or that is marked, and evaluates only that
+tuple through eval_g, which raises the scalar loop's error or gives the
+witness.  Rows read whole raise through eval_g at their first marked tuple.
+
+The marks themselves are checked against expr.evaluate, the tree
+interpreter, which shares no code with the generated kernels.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_expr
+from gproxim.expr import compile_row_kernels, evaluate
+from gproxim.gspace import (
+    ConvexStructure,
+    GFunction,
+    Point,
+    SampleSet,
+    check_convex_structure,
+    check_side_condition,
+    eval_g,
+    falsify_axiom,
+    proximal_core,
+    proximal_select,
+)
+from gproxim.properties import (
+    check_banach_contraction,
+    check_proximal_inequality,
+    estimate_coefficient,
+    estimate_proximal_coefficient,
+    qualifying_pairs,
+)
+from gproxim.solvers import proximal_iterate
+from test_kernels import (
+    FALSIFIED,
+    GRID,
+    GRID_POINTS,
+    HALF,
+    LAMS,
+    LEVEL_CORE,
+    LINE,
+    NO_SUBSAMPLING,
+    TOL,
+    _hat,
+    assert_same,
+    exact,
+    exact_set,
+    outcome,
+    ref_axiom,
+    ref_banach,
+    ref_convex,
+    ref_core,
+    ref_estimate,
+    ref_pairs,
+    ref_proximal,
+    ref_proximal_estimate,
+    ref_select,
+    ref_side_condition,
+)
+import gproxim.gspace as gspace_module
+import gproxim.properties as properties_module
+import gproxim.solvers as solvers_module
+
+SMALL = exact_set(GRID[::2], "S")
+METRIC = GFunction("abs(x1-u1)", 1)
+AVERAGE = ConvexStructure(("l*x1 + (1-l)*u1",))
+
+
+def _raising(a, b, base="abs(x1-u1)"):
+    """base, dividing by zero where x1 = a and u1 = b and nowhere else."""
+    return GFunction(f"{base} + 0/(abs(x1 - {a!r}) + abs(u1 - {b!r}))", 1)
+
+
+def _side_condition():
+    # the side condition holds everywhere (every sum is 2), and g(y, s)
+    # divides by zero at the last point y = (0, 1) of a_g
+    g = GFunction("abs(x1-u1) + 0/(abs(x1) + abs(x2 - 1) + abs(u1) + abs(u2))", 2)
+    a = SampleSet.grid([(0.0, 0.0), (0.0, 1.0)], [1, 9], name="A")
+    b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
+    core = proximal_core(g, a, b, TOL)
+    r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
+    return (lambda: check_side_condition(g, core, r, s, TOL),
+            lambda: ref_side_condition(g, core, r, s, TOL))
+
+
+def _axiom(kind):
+    g = _raising(0.0, 1.0)
+    return (lambda: falsify_axiom(kind, g, LINE, TOL),
+            lambda: ref_axiom(kind, g, GRID_POINTS, TOL))
+
+
+def _convex_two():
+    # g is 0 except at (2, 3), where it divides by zero, so condition one
+    # holds; H(x, y, l) = 2 + x + l*y first reaches (2, 3) at the last tuple
+    # (y0, l) = (1, 1) of condition two's first row x = y = x0 = 0
+    g = GFunction("0/(abs(x1 - 2) + abs(u1 - 3))", 1)
+    h = ConvexStructure(("2 + x1 + l*u1",))
+    return (lambda: check_convex_structure(h, g, SMALL, LAMS, TOL, NO_SUBSAMPLING),
+            lambda: ref_convex(h, g, list(SMALL.points), LAMS, TOL))
+
+
+def _pairs(g):
+    return ref_pairs(g, HALF, LINE, LEVEL_CORE.d_g, TOL)
+
+
+# Each scan as (scan, reference), with a gauge that divides by zero only at
+# the last tuple of the first row the scan reads.  On LINE under T(x) = x/2
+# at level 0 the first quadruple row is (x1, u1) = (0, 0), and its last
+# tuple (x2, u2) = (1, 1/2) has g(x1, x2) = g(0, 1).
+SCANS = {
+    "identity": lambda: _axiom("identity"),
+    "symmetry": lambda: _axiom("symmetry"),
+    "triangle": lambda: _axiom("triangle"),
+    "banach": lambda: (
+        lambda: check_banach_contraction(_raising(0.0, 1.0), HALF, 0.5, TOL),
+        lambda: ref_banach(_raising(0.0, 1.0), HALF, 0.5, TOL),
+    ),
+    "banach-estimate": lambda: (
+        lambda: estimate_coefficient(_raising(0.0, 1.0), HALF, TOL),
+        lambda: ref_estimate(_raising(0.0, 1.0), HALF, TOL),
+    ),
+    "proximal": lambda: (
+        lambda: check_proximal_inequality(
+            _raising(0.0, 1.0), HALF, LINE, 0.5, 0.0, LEVEL_CORE, TOL
+        ),
+        lambda: ref_proximal(
+            _raising(0.0, 1.0), _pairs(_raising(0.0, 1.0)), 0.5, 0.0, TOL
+        ),
+    ),
+    "proximal-estimate": lambda: (
+        lambda: estimate_proximal_coefficient(
+            _raising(0.0, 1.0), HALF, LINE, 0.0, LEVEL_CORE, TOL
+        ),
+        lambda: ref_proximal_estimate(
+            _raising(0.0, 1.0), _pairs(_raising(0.0, 1.0)), 0.0, TOL
+        ),
+    ),
+    # condition one reads abs(g(x0, x)) over x whole first: x0 = 0, x = 1
+    "convex-one": lambda: (
+        lambda: check_convex_structure(
+            AVERAGE, _raising(0.0, 1.0), SMALL, LAMS, TOL, NO_SUBSAMPLING
+        ),
+        lambda: ref_convex(AVERAGE, _raising(0.0, 1.0), list(SMALL.points), LAMS, TOL),
+    ),
+    "convex-two": _convex_two,
+    "side-condition": _side_condition,
+    "core": lambda: (
+        lambda: proximal_core(_raising(0.0, 1.0), LINE, SMALL, TOL),
+        lambda: ref_core(_raising(0.0, 1.0), LINE, SMALL, TOL),
+    ),
+    "select": lambda: (
+        lambda: proximal_select(
+            _raising(1.0, 0.0), LINE, Point((0.0,)),
+            proximal_core(METRIC, LINE, exact_set([0.0], "B"), TOL), TOL,
+        ),
+        lambda: ref_select(_raising(1.0, 0.0), LINE, Point((0.0,)), 0.0, TOL),
+    ),
+    "pairs": lambda: (
+        lambda: qualifying_pairs(_raising(1.0, 0.0), HALF, LINE, LEVEL_CORE, TOL),
+        lambda: _pairs(_raising(1.0, 0.0)),
+    ),
+    "start-point": lambda: (
+        lambda: proximal_iterate(
+            _raising(0.0, 1.0), HALF, LINE, LINE, LEVEL_CORE, Point((0.0,)), TOL
+        ),
+        lambda: [abs(eval_g(_raising(0.0, 1.0), Point((0.0,)), y)) for y in LINE],
+    ),
+}
+
+
+SIDES = {
+    gspace_module: ("axiom_sides", "convex_condition_sides", "side_condition_sides"),
+    properties_module: ("banach_sides", "proximal_sides"),
+}
+
+
+@pytest.mark.parametrize("name", SCANS)
+def test_a_raising_tuple_is_evaluated_alone(name, monkeypatch):
+    scan, reference = SCANS[name]()
+    calls, sides = [], []
+
+    def counting(g, x, y):
+        calls.append((x, y))
+        return eval_g(g, x, y)
+
+    def spy(real):
+        def counted(*args, **kwargs):
+            sides.append(real.__name__)
+            return real(*args, **kwargs)
+        return counted
+
+    for module in (gspace_module, properties_module, solvers_module):
+        monkeypatch.setattr(module, "eval_g", counting)
+    for module, names in SIDES.items():
+        for side in names:
+            monkeypatch.setattr(module, side, spy(getattr(module, side)))
+    got = outcome(scan)
+    monkeypatch.undo()
+    assert got == outcome(reference)
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    # at most one sides function call, which evaluates at most three gauge
+    # values; a row read whole makes one eval_g call and no sides call
+    assert len(sides) <= 1 and len(calls) <= 3, (sides, calls)
+
+
+@pytest.mark.parametrize("q, first", [(1 / 16, "violation"), (7 / 16, "error")],
+                         ids=["violation-before-error", "violation-after-error"])
+def test_an_interpolant_raising_mid_row(q, first):
+    # condition one's first row is x0 = x = 0 over (y, l), index 3j + l for
+    # y = j/8: H(0, y, l) = (1 - l)*y, which is q at l = 1/2 and y = 2q, where
+    # g(0, q) is 4 higher; H divides by zero at y = 1/2, l = 1/2 (index 13)
+    g = GFunction(f"abs(x1-u1) + 4*{_hat('x1', 0.0)}*{_hat('u1', q)}", 1)
+    h = ConvexStructure(("l*x1 + (1-l)*u1 + 0/(abs(x1) + abs(u1 - 0.5) + abs(l - 0.5))",))
+    got = assert_same(
+        lambda: check_convex_structure(h, g, SMALL, LAMS, TOL, NO_SUBSAMPLING),
+        lambda: ref_convex(h, g, list(SMALL.points), LAMS, TOL),
+    )
+    if first == "violation":
+        assert got[1][:2] == (FALSIFIED, {
+            "x0": exact(Point((0.0,))), "x": exact(Point((0.0,))),
+            "y": exact(Point((2 * q,))), "lam": exact(0.5),
+        })
+    else:
+        assert got[:3] == ("error", "EvalError", "division-by-zero")
+
+
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.5, 1e200, -1e200, 3e199, -7e199]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    rows=st.lists(st.tuples(COORDS, COORDS, COORDS, COORDS, COORDS), min_size=1,
+                  max_size=6),
+)
+def test_marks_are_where_the_tree_interpreter_fails(seed, rows):
+    e = random_expr(random.Random(seed), 4)
+    kernels = compile_row_kernels(e, ("x1", "x2"), ("u1", "u2", "l"))
+    P = [row[:2] for row in rows]
+    Q = [row[2:] for row in rows]
+    for row, got in zip(rows, kernels.marked(P, Q)):
+        try:
+            want = abs(evaluate(e, dict(zip(("x1", "x2", "u1", "u2", "l"), row))))
+        except (ArithmeticError, ValueError):  # EvalError, or a bare error of _pow
+            want = math.nan
+        if math.isfinite(want):
+            assert got.hex() == want.hex()
+        else:
+            assert math.isnan(got)

@@ -43,16 +43,6 @@ class TestMapSpec:
         _, _, t = min_gauge_instance
         assert t.apply(P(0.5, 1.0)) == P(1.0, 0.5)
 
-    def test_validate_into_codomain(self, min_gauge_instance):
-        _, _, t = min_gauge_instance
-        assert t.validate_into_codomain() is None
-
-    def test_codomain_escape_detected(self):
-        a = SampleSet.grid([(0, 1)], 5, name="A")
-        b = SampleSet.grid([(0, 1)], 5, name="B")
-        t = MapSpec(["x1 + 10"], a, b, name="T")
-        assert t.validate_into_codomain() == P(0)
-
     def test_wrong_arity_rejected(self):
         a = SampleSet.grid([(0, 1), (0, 1)], [3, 3])
         with pytest.raises(GSpaceError):
