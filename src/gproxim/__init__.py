@@ -33,7 +33,6 @@ from .gspace import (
 )
 from .properties import (
     MapSpec,
-    PropertyReport,
     check_banach_contraction,
     check_proximal_inequality,
     estimate_coefficient,
@@ -86,7 +85,6 @@ __all__ = [
     "proximal_core",
     "proximal_select",
     "MapSpec",
-    "PropertyReport",
     "check_banach_contraction",
     "check_proximal_inequality",
     "estimate_coefficient",

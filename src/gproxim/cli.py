@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple, Optional
 from .config import ConfigError, Instance, load_instance
 from .expr import EvalError, ParseError
 from .gspace import (
-    CheckReport,
     GSpaceError,
     NoProximalMate,
     Point,
@@ -41,7 +40,6 @@ from .gspace import (
 )
 from .fixtures import run_fixtures
 from .properties import (
-    PropertyReport,
     banach_sides,
     check_banach_contraction,
     check_proximal_inequality,
@@ -284,8 +282,8 @@ _CHECKS = {
 def run_check(
     inst: Instance, spec_text: str, seed: int = 0, cores: Optional[dict] = None
 ):
-    """Run one named check; returns a CheckReport or PropertyReport.  cores,
-    when given, memoises proximity cores across the checks of one command."""
+    """Run one named check; returns its CheckReport.  cores, when given,
+    memoises proximity cores across the checks of one command."""
     c = _Spec(inst, spec_text, cores)
     return _CHECKS[c.kind].run(c, seed)
 
@@ -320,11 +318,11 @@ def _report_entry(spec_text: str, report) -> dict:
         "lhs": report.lhs,
         "rhs": report.rhs,
     }
-    if isinstance(report, PropertyReport):
+    if report.beta is not None:  # the contraction-class checks
         entry["beta"] = report.beta
         entry["n_cap"] = report.n_cap
         entry["vacuous"] = report.vacuous
-    if isinstance(report, CheckReport) and report.note:
+    if report.note:
         entry["note"] = report.note
     return entry
 
@@ -387,7 +385,7 @@ def cmd_verify(args) -> int:
         if not args.json:
             mark = "FALSIFIED" if falsified else "holds-on-sample"
             extra = ""
-            if getattr(report, "vacuous", False):
+            if report.vacuous:
                 extra = "  [vacuous: no qualifying quadruples]"
             print(f"{spec_text:<48} {mark}{extra}")
             if falsified:

@@ -57,7 +57,6 @@ class Instance:
     convex: Optional[ConvexBlock]
     tol: ToleranceSet
     schedule: Optional[Schedule]
-    raw: dict
 
     @property
     def g(self) -> GFunction:
@@ -164,11 +163,18 @@ def _floats(values: Any, path: str) -> tuple[float, ...]:
         raise ConfigError(path, f"expected a list of numbers, got {values!r}") from None
 
 
+def _whole(value: Any, path: str) -> int:
+    """An int, or a float without a fraction part; a boolean is refused,
+    although float(True) is 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(path, f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _ints(values: Any, path: str) -> tuple[int, ...]:
-    numbers = _floats(values, path)
-    if not all(v.is_integer() for v in numbers):
+    if not isinstance(values, list):
         raise ConfigError(path, f"expected a list of whole numbers, got {values!r}")
-    return tuple(map(int, numbers))
+    return tuple(_whole(v, path) for v in values)
 
 
 def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
@@ -199,8 +205,10 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
             if lo > hi:
                 raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
         resolution = spec.get("resolution", 101)
-        if not isinstance(resolution, int):
+        if isinstance(resolution, list):
             resolution = _ints(resolution, f"{path}.resolution")
+        else:
+            resolution = _whole(resolution, f"{path}.resolution")
         try:
             return SampleSet.grid(
                 [tuple(iv) for iv in box], resolution, name=name
@@ -214,8 +222,8 @@ def instance_from_dict(doc: dict) -> Instance:
     """Materialise a config document, resolving tolerance defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "config root must be an object")
-    dimension = _require(doc, "dimension", "$")
-    if not isinstance(dimension, int) or dimension < 1:
+    dimension = _whole(_require(doc, "dimension", "$"), "dimension")
+    if dimension < 1:
         raise ConfigError("dimension", "must be a positive integer")
 
     gauges: dict[str, GFunction] = {}
@@ -280,6 +288,7 @@ def instance_from_dict(doc: dict) -> Instance:
         convex = ConvexBlock(h, r, s, grid)
 
     tol_spec = dict(_object(doc.get("tolerances") or {}, "tolerances"))
+    tail_len = _whole(tol_spec.get("tail_len", 10), "tolerances.tail_len")
     if "eps_prox" not in tol_spec:
         steps = [
             s.grid_step() for s in sets.values() if s.grid_step() is not None
@@ -290,7 +299,7 @@ def instance_from_dict(doc: dict) -> Instance:
             eps_prox=float(tol_spec.get("eps_prox")),
             eps_zero=float(tol_spec.get("eps_zero", 1e-9)),
             eps_ineq=float(tol_spec.get("eps_ineq", 1e-9)),
-            tail_len=int(tol_spec.get("tail_len", 10)),
+            tail_len=tail_len,
         )
     except (GSpaceError, TypeError, ValueError) as exc:
         raise ConfigError("tolerances", str(exc)) from None
@@ -305,7 +314,9 @@ def instance_from_dict(doc: dict) -> Instance:
                 rule = spec.get("rule", "harmonic")
                 if rule != "harmonic":
                     raise ConfigError("schedule.rule", f"unknown rule {rule!r}")
-                schedule = Schedule.harmonic(int(spec.get("stages", 10)))
+                schedule = Schedule.harmonic(
+                    _whole(spec.get("stages", 10), "schedule.stages")
+                )
         except GSpaceError as exc:
             raise ConfigError("schedule", str(exc)) from None
 
@@ -317,7 +328,6 @@ def instance_from_dict(doc: dict) -> Instance:
         convex=convex,
         tol=tol,
         schedule=schedule,
-        raw=doc,
     )
 
 

@@ -274,7 +274,7 @@ def _sqrt(a: float) -> float:
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise EvalError("division-by-zero", f"0 ^ {b!r}")
-    if a < 0.0 and b != int(b):
+    if a < 0.0 and not float(b).is_integer():  # inf and nan are not integers
         raise EvalError("fractional-power-of-negative", f"{a!r} ^ {b!r}")
     try:
         return a ** b

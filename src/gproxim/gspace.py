@@ -395,6 +395,10 @@ class CheckReport:
 
     A falsified verdict always carries the first witness in deterministic
     scan order together with the two sides of the violated inequality.
+    The contraction-class checks also record the coefficients the
+    inequality was checked with, beta and n_cap (alpha is stored in beta for
+    the plain contraction check); vacuous marks a proximal check that found
+    no qualifying quadruples at all.
     """
 
     check: str
@@ -403,6 +407,9 @@ class CheckReport:
     lhs: Optional[float] = None
     rhs: Optional[float] = None
     note: str = ""
+    beta: Optional[float] = None
+    n_cap: Optional[float] = None
+    vacuous: bool = False
 
     @property
     def falsified(self) -> bool:
@@ -411,6 +418,12 @@ class CheckReport:
     @property
     def holds(self) -> bool:
         return self.verdict == "holds-on-sample"
+
+    @property
+    def margin(self) -> Optional[float]:
+        if self.lhs is None or self.rhs is None:
+            return None
+        return self.lhs - self.rhs
 
 
 @dataclass(frozen=True)
@@ -456,7 +469,6 @@ def falsify_axiom(
     g: GFunction,
     s: SampleSet,
     tol: ToleranceSet,
-    max_tuples: int = 1_000_000,
     seed: int = 0,
 ) -> CheckReport:
     """Search the sample for a violation of one metric-like gauge axiom.
@@ -466,14 +478,9 @@ def falsify_axiom(
     than eps_ineq.  kind "triangle": a pairwise-distinct triple (x, y, z)
     with abs(g(x,z)) > abs(g(x,y)) + abs(g(y,z)) + eps_ineq.  Exact finite
     sets are scanned exhaustively; discretised sets are subsampled under the
-    tuple cap.
+    tuple cap (see _capped).
     """
-    pts: Sequence[Point] = s.points
-    if s.mode == "box":
-        arity = 3 if kind == "triangle" else 2
-        if len(pts) ** arity > max_tuples:
-            per_axis = max(2, int(max_tuples ** (1.0 / arity)))
-            pts = _subsampled(pts, per_axis, seed)
+    pts = _capped(s.points, s.mode == "box", 3 if kind == "triangle" else 2, seed)
     coords = [p.coords for p in pts]
 
     def falsified(witness: Mapping[str, Point], note: str = "") -> CheckReport:
@@ -721,8 +728,20 @@ def _axis_budget(sizes: Sequence[int], cap: int) -> list[int]:
     return budget
 
 
-def _subsampled(points: Sequence[Point], m: int, seed: int) -> list[Point]:
+def _subsampled(points: Sequence, m: int, seed: int) -> list:
     return [points[i] for i in _stride_indices(len(points), m, seed)]
+
+
+def _capped(
+    items: Sequence, box: bool, arity: int, seed: int, cap: int = 1_000_000
+) -> Sequence:
+    """The items a scan of arity-tuples over them reads: all of them, unless
+    they come from a box sample and make more than cap tuples; then
+    max(2, floor(cap ** (1 / arity))) of them, picked by _stride_indices.
+    An exact set is never cut."""
+    if not box or len(items) ** arity <= cap:
+        return items
+    return _subsampled(items, max(2, int(cap ** (1 / arity))), seed)
 
 
 def check_convex_structure(
@@ -744,19 +763,24 @@ def check_convex_structure(
     lams = list(lambda_grid)
     if not lams or min(lams) > 0.0 or max(lams) < 1.0 or 0.0 not in lams or 1.0 not in lams:
         raise GSpaceError("lambda grid must include 0 and 1")
-    pts = list(s.points)
-    n = len(pts)
+    pts = s.points
+
+    def axes(k: int):
+        """k point axes and the lambda axis, subsampled to at most max_tuples
+        tuples (the lambda axis keeps 0 and 1), then the (lam, 1 - lam) of
+        the lambda axis and its length."""
+        m = _axis_budget([len(pts)] * k + [len(lams)], max_tuples)
+        lam_sub = sorted(
+            set(lams[i] for i in _stride_indices(len(lams), m[k], seed)) | {0.0, 1.0}
+        )
+        point_axes = [_subsampled(pts, size, seed) for size in m[:k]]
+        lm = [(lam, 1.0 - lam) for lam in lam_sub]
+        return point_axes, lam_sub, lm, len(lm)
+
     # condition one: tuples (x0, x, y, lam)
-    m = _axis_budget([n, n, n, len(lams)], max_tuples)
-    xs0 = _subsampled(pts, m[0], seed)
-    xs = _subsampled(pts, m[1], seed)
-    ys = _subsampled(pts, m[2], seed)
-    lam_sub = sorted(
-        set(lams[i] for i in _stride_indices(len(lams), m[3], seed)) | {0.0, 1.0}
-    )
+    (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
-    # H is applied once per (x, y, lam); only its coordinates are kept, and
-    # a report wraps them in a Point again.
+    # H is applied once per (x, y, lam); only its coordinates are kept.
     h_cache: dict[tuple, tuple[float, ...]] = {}
 
     def h_coords(x: Point, y: Point, lam: float) -> tuple[float, ...]:
@@ -765,9 +789,6 @@ def check_convex_structure(
         if got is None:
             got = h_cache[key] = h.apply(x, y, lam).coords
         return got
-
-    def h_at(x: Point, y: Point, lam: float) -> Point:
-        return Point(h_coords(x, y, lam))
 
     def h_row(pairs: Iterable[tuple[Point, Point]], lams: Sequence[float]):
         """Interpolant coordinates in scan order, and the indices at which H
@@ -800,16 +821,13 @@ def check_convex_structure(
         return next(compress(count(), over), -1)
 
     def falsified(witness: Mapping[str, Union[Point, float]], note: str) -> CheckReport:
-        lhs, rhs = convex_condition_sides(h, g, witness, h_at)
+        lhs, rhs = convex_condition_sides(h, g, witness)
         return CheckReport(
             "convex-structure", _FALSIFIED, witness, lhs=lhs, rhs=rhs, note=note
         )
 
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two, each with its own lm and width; interpolant rows are
-    # built once and reused.
-    lm = [(lam, 1.0 - lam) for lam in lam_sub]
-    width = len(lam_sub)
+    # condition two; interpolant rows are built once and reused.
     h_rows: dict[int, tuple[list, list[int]]] = {}
     for x0 in xs0:
         gx, gy = _gauge_row(g, x0, xs), _gauge_row(g, x0, ys)
@@ -823,16 +841,7 @@ def check_convex_structure(
                 return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
     h_rows.clear()  # free before condition two adds to h_cache: a lower peak
     # condition two: tuples (x, y, x0, y0, lam)
-    m2 = _axis_budget([n, n, n, n, len(lams)], max_tuples)
-    xs = _subsampled(pts, m2[0], seed)
-    ys = _subsampled(pts, m2[1], seed)
-    xs0 = _subsampled(pts, m2[2], seed)
-    ys0 = _subsampled(pts, m2[3], seed)
-    lam_sub = sorted(
-        set(lams[i] for i in _stride_indices(len(lams), m2[4], seed)) | {0.0, 1.0}
-    )
-    lm = [(lam, 1.0 - lam) for lam in lam_sub]
-    width = len(lam_sub)
+    (xs, ys, xs0, ys0), lam_sub, lm, width = axes(4)
     xs0_coords = [x0.coords for x0 in xs0]
     ys0_coords = [y0.coords for y0 in ys0]
     q_rows: dict[int, tuple[list, list[int]]] = {}
@@ -859,20 +868,18 @@ def convex_condition_sides(
     h: ConvexStructure,
     g: GFunction,
     witness: Mapping[str, Union[Point, float]],
-    at: Optional[Callable[[Point, Point, float], Point]] = None,
 ) -> tuple[float, float]:
-    """The two sides of a convex-structure condition at a witness; a scan
-    passes its cached interpolant as at (default H itself)."""
-    at = at or h.apply
+    """The two sides of a convex-structure condition at a witness."""
     lam = float(witness["lam"])  # type: ignore[arg-type]
     x, y, x0 = witness["x"], witness["y"], witness["x0"]
     if "y0" not in witness:  # condition one
-        lhs = abs(eval_g(g, x0, at(x, y, lam)))
+        lhs = abs(eval_g(g, x0, h.apply(x, y, lam)))
         rhs = lam * abs(eval_g(g, x0, x)) + (1 - lam) * abs(eval_g(g, x0, y))
         return lhs, rhs
     y0 = witness["y0"]
     g_x, g_y = abs(eval_g(g, x, x0)), abs(eval_g(g, y, y0))
-    return abs(eval_g(g, at(x, y, lam), at(x0, y0, lam))), lam * g_x + (1 - lam) * g_y
+    lhs = abs(eval_g(g, h.apply(x, y, lam), h.apply(x0, y0, lam)))
+    return lhs, lam * g_x + (1 - lam) * g_y
 
 
 def check_starshaped(

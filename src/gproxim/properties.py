@@ -11,28 +11,26 @@ subsampled under a tuple cap, exact finite sets are enumerated exhaustively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, count, repeat, zip_longest
 from operator import add, le, not_, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from .expr import Expr, compile_expr, parse, variables
 from .gspace import (
+    CheckReport,
     GFunction,
     GSpaceError,
     Point,
     ProximalCore,
     SampleSet,
     ToleranceSet,
+    _capped,
     _gauge_row,
-    _stride_indices,
-    _subsampled,
     eval_g,
 )
 
 __all__ = [
     "MapSpec",
-    "PropertyReport",
     "check_banach_contraction",
     "estimate_coefficient",
     "check_proximal_inequality",
@@ -93,50 +91,6 @@ class MapSpec:
         return f"MapSpec({self.name}=[{body}])"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Verdict of a contraction-class check with a replayable witness.
-
-    beta and n_cap record the coefficients the inequality was checked with
-    (alpha is stored in beta for the plain contraction check).  vacuous marks
-    a proximal check that found no qualifying quadruples at all.
-    """
-
-    check: str
-    verdict: str
-    witness: Optional[Mapping[str, Point]]
-    lhs: Optional[float]
-    rhs: Optional[float]
-    beta: float
-    n_cap: float
-    vacuous: bool = False
-
-    @property
-    def falsified(self) -> bool:
-        return self.verdict == _FALSIFIED
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == _HOLDS
-
-    @property
-    def margin(self) -> Optional[float]:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.lhs - self.rhs
-
-
-def _pairs(t: MapSpec, max_pairs: int, seed: int):
-    """The scanned domain points (grids subsampled to at most max_pairs
-    pairs), their images, and both as coordinate tuples."""
-    pts = list(t.domain.points)
-    if t.domain.mode == "box" and len(pts) ** 2 > max_pairs:
-        m = max(2, int(math.isqrt(max_pairs)))
-        pts = [pts[i] for i in _stride_indices(len(pts), m, seed)]
-    images = [t.apply(p) for p in pts]
-    return pts, images, [p.coords for p in pts], [p.coords for p in images]
-
-
 def banach_sides(
     g: GFunction,
     t: MapSpec,
@@ -158,15 +112,15 @@ def _check_alpha(alpha: float) -> None:
         raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _falsified(check, witness, lhs, rhs, beta, n_cap) -> PropertyReport:
-    return PropertyReport(
-        check, _FALSIFIED, witness, lhs=lhs, rhs=rhs, beta=beta, n_cap=n_cap
-    )
-
-
-def _held(check, beta, n_cap, vacuous=False) -> PropertyReport:
-    return PropertyReport(
-        check, _HOLDS, None, None, None, beta=beta, n_cap=n_cap, vacuous=vacuous
+def _report(
+    rows, check: str, beta: float, n_cap: float, hit, vacuous: bool = False
+) -> CheckReport:
+    """The report of a check at one coefficient, hit being the first
+    offending tuple of the scan over rows (see _scan), None when none is."""
+    if hit is None:
+        return CheckReport(check, _HOLDS, beta=beta, n_cap=n_cap, vacuous=vacuous)
+    return CheckReport(
+        check, _FALSIFIED, *rows.evaluate(beta, hit), beta=beta, n_cap=n_cap
     )
 
 
@@ -228,7 +182,7 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     return best, hits
 
 
-def _check(rows, value: float, tol: ToleranceSet) -> PropertyReport:
+def _check(rows, value: float, tol: ToleranceSet) -> CheckReport:
     """The check at one coefficient: the pass with that value alone."""
     _, (hit,) = _scan(rows, [value], tol, estimate=False)
     return rows.report(value, hit)
@@ -261,11 +215,12 @@ class _BanachRows:
     the sampled y.  lhs abs(g(Tx, Ty)) and rhs alpha * abs(g(x, y)); the
     estimate's terms are the two sides at alpha = 1."""
 
-    def __init__(self, g: GFunction, t: MapSpec, max_pairs: int, seed: int):
+    def __init__(self, g: GFunction, t: MapSpec, seed: int):
         self.g, self.t = g, t
-        self.pts, self.images, self.coords, self.image_coords = _pairs(
-            t, max_pairs, seed
-        )
+        self.pts = _capped(t.domain.points, t.domain.mode == "box", 2, seed)
+        self.images = [t.apply(p) for p in self.pts]
+        self.coords = [p.coords for p in self.pts]
+        self.image_coords = [p.coords for p in self.images]
         self.count = len(self.pts)
 
     validate = staticmethod(_check_alpha)
@@ -284,11 +239,9 @@ class _BanachRows:
             self.g, self.t, alpha, witness, self.images[r], self.images[i]
         )
 
-    def report(self, alpha: float, hit) -> PropertyReport:
+    def report(self, alpha: float, hit) -> CheckReport:
         _check_alpha(alpha)
-        if hit is None:
-            return _held("banach-contraction", alpha, 0.0)
-        return _falsified("banach-contraction", *self.evaluate(alpha, hit), alpha, 0.0)
+        return _report(self, "banach-contraction", alpha, 0.0, hit)
 
 
 def check_banach_contraction(
@@ -296,20 +249,18 @@ def check_banach_contraction(
     t: MapSpec,
     alpha: float,
     tol: ToleranceSet,
-    max_pairs: int = 1_000_000,
     seed: int = 0,
-) -> PropertyReport:
+) -> CheckReport:
     """Falsified when some sampled pair has abs(g(Tx, Ty)) above
     alpha * abs(g(x, y)) by more than eps_ineq."""
     _check_alpha(alpha)
-    return _check(_BanachRows(g, t, max_pairs, seed), alpha, tol)
+    return _check(_BanachRows(g, t, seed), alpha, tol)
 
 
 def estimate_coefficient(
     g: GFunction,
     t: MapSpec,
     tol: ToleranceSet,
-    max_pairs: int = 1_000_000,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
 ):
@@ -323,7 +274,7 @@ def estimate_coefficient(
     result is (estimate, reports), reports holding check_banach_contraction's
     report for each alpha.
     """
-    return _estimate(_BanachRows(g, t, max_pairs, seed), tol, sweep)
+    return _estimate(_BanachRows(g, t, seed), tol, sweep)
 
 
 def qualifying_pairs(
@@ -332,13 +283,14 @@ def qualifying_pairs(
     a: SampleSet,
     core: ProximalCore,
     tol: ToleranceSet,
-    max_points: int = 2000,
     seed: int = 0,
 ) -> list[tuple[Point, Point]]:
     """Pairs (x, u) of sampled A points with abs(g(u, f(x))) at the proximity
-    level; these are the building blocks of the quadruple scans."""
-    if a.mode == "box" and len(a) > max_points:
-        a = SampleSet(tuple(_subsampled(a.points, max_points, seed)), name=a.name)
+    level; these are the building blocks of the quadruple scans.  A box
+    sample contributes at most 2000 points."""
+    pts = _capped(a.points, a.mode == "box", 1, seed, cap=2000)
+    if len(pts) < len(a):  # a SampleSet reads its coordinate row once
+        a = SampleSet(tuple(pts), name=a.name)
     images = [(x, f.apply(x)) for x in a.points]
     level, band = core.d_g, tol.eps_prox
     out = []
@@ -362,26 +314,6 @@ def proximal_sides(
     return g_uu, beta * g_xx + n_cap * abs(eval_g(g, x2, u1))
 
 
-def _quadruples(
-    g: GFunction,
-    f: MapSpec,
-    a: SampleSet,
-    core: ProximalCore,
-    tol: ToleranceSet,
-    max_quadruples: int,
-    seed: int,
-) -> list[tuple[Point, Point]]:
-    """The qualifying pairs whose products are the witness quadruples: the
-    quadruple (x1, x2, u1, u2) takes (x1, u1) and (x2, u2) from this list,
-    in that nesting order.  Exact sets are enumerated whole, grids under the
-    quadruple cap."""
-    pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
-    if a.mode == "box" and len(pairs) ** 2 > max_quadruples:
-        m = max(2, int(math.isqrt(max_quadruples)))
-        pairs = [pairs[i] for i in _stride_indices(len(pairs), m, seed)]
-    return pairs
-
-
 def _proximal_name(beta: float, n_cap: float) -> str:
     """The check's name, once beta and N are known to be admissible."""
     if not 0.0 < beta <= 1.0:
@@ -395,11 +327,13 @@ class _ProximalRows:
     """The quadruple scan: one row per qualifying pair (x1, u1), its tuples
     the qualifying pairs (x2, u2).  lhs abs(g(u1, u2)) and rhs beta *
     abs(g(x1, x2)) + N * abs(g(x2, u1)); the estimate's terms are lhs - N *
-    abs(g(x2, u1)) over abs(g(x1, x2))."""
+    abs(g(x2, u1)) over abs(g(x1, x2)).  Exact sets give every qualifying
+    pair, grids the pairs under the quadruple cap."""
 
-    def __init__(self, g, f, a, n_cap, core, tol, max_quadruples, seed):
+    def __init__(self, g, f, a, n_cap, core, tol, seed):
         self.g, self.n_cap = g, n_cap
-        self.pairs = _quadruples(g, f, a, core, tol, max_quadruples, seed)
+        pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
+        self.pairs = _capped(pairs, a.mode == "box", 2, seed)
         self.count = len(self.pairs)
         self.xs = [x.coords for x, _ in self.pairs]
         self.us = [u.coords for _, u in self.pairs]
@@ -423,11 +357,9 @@ class _ProximalRows:
         witness = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
         return witness, *proximal_sides(self.g, witness, beta, self.n_cap)
 
-    def report(self, beta: float, hit) -> PropertyReport:
+    def report(self, beta: float, hit) -> CheckReport:
         check_name = _proximal_name(beta, self.n_cap)
-        if hit is None:
-            return _held(check_name, beta, self.n_cap, vacuous=not self.pairs)
-        return _falsified(check_name, *self.evaluate(beta, hit), beta, self.n_cap)
+        return _report(self, check_name, beta, self.n_cap, hit, not self.pairs)
 
 
 def check_proximal_inequality(
@@ -438,9 +370,8 @@ def check_proximal_inequality(
     n_cap: float,
     core: ProximalCore,
     tol: ToleranceSet,
-    max_quadruples: int = 1_000_000,
     seed: int = 0,
-) -> PropertyReport:
+) -> CheckReport:
     """Check the proximal contraction inequality over qualifying quadruples.
 
     Quadruples (x1, x2, u1, u2) from A with both abs(g(u_i, f(x_i))) at the
@@ -451,7 +382,7 @@ def check_proximal_inequality(
     quadruple at all is reported as a vacuous hold, never silently.
     """
     _proximal_name(beta, n_cap)
-    rows = _ProximalRows(g, f, a, n_cap, core, tol, max_quadruples, seed)
+    rows = _ProximalRows(g, f, a, n_cap, core, tol, seed)
     return _check(rows, beta, tol)
 
 
@@ -462,7 +393,6 @@ def estimate_proximal_coefficient(
     n_cap: float,
     core: ProximalCore,
     tol: ToleranceSet,
-    max_quadruples: int = 1_000_000,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
 ):
@@ -477,5 +407,5 @@ def estimate_proximal_coefficient(
     result is (estimate, reports), reports holding check_proximal_inequality's
     report for each beta.
     """
-    rows = _ProximalRows(g, f, a, n_cap, core, tol, max_quadruples, seed)
+    rows = _ProximalRows(g, f, a, n_cap, core, tol, seed)
     return _estimate(rows, tol, sweep)

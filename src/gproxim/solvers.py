@@ -34,7 +34,7 @@ from .gspace import (
     proximal_core,
     proximal_select,
 )
-from .properties import MapSpec, PropertyReport, check_proximal_inequality
+from .properties import MapSpec, check_proximal_inequality
 
 __all__ = [
     "Trace",
@@ -370,7 +370,7 @@ class BatteryItem:
     passed: bool
     vacuous: bool = False
     note: str = ""
-    report: Optional[object] = None
+    report: Optional[CheckReport] = None
 
 
 @dataclass
@@ -378,7 +378,7 @@ class StageReport:
     stage: int
     a_n: float
     beta_n: float
-    check: PropertyReport
+    check: CheckReport
     trace: Trace
     output: Point
     residual: float  # proximity residual of the stage output under the base map

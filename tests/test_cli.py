@@ -535,8 +535,13 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     ({"functions": [1]}, "functions"),
     ({"schedule": {"values": ["a"]}}, "schedule.values"),
     ({"sets": {"A": {"box": [[0, 1]], "resolution": "a"}}}, "sets.A.resolution"),
+    ({"schedule": {"stages": "a"}}, "schedule.stages"),
+    ({"schedule": {"stages": 2.5}}, "schedule.stages"),
+    ({"tolerances": {"tail_len": 2.5}}, "tolerances.tail_len"),
+    ({"dimension": True}, "dimension"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
-        "non-numeric-resolution"])
+        "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
+        "fractional-tail-len", "boolean-dimension"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path, capsys):
     doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
     cfg = tmp_path / "bad.json"
@@ -545,6 +550,18 @@ def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
+
+def test_a_non_finite_power_of_a_negative_base_exits_two_with_one_line(
+    tmp_path, capsys
+):
+    doc = {"dimension": 1, "g": "abs(x1-u1) + 0*(0-2)^(x1*1e308*10)",
+           "sets": {"A": {"points": [[0], [1]]}}}
+    cfg = tmp_path / "pow.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
+    assert capsys.readouterr().err == (
+        "error: fractional-power-of-negative: -2.0 ^ inf\n"
+    )
 
 def test_seed_reaches_the_axiom_checks(halving, monkeypatch):
     import gproxim.cli as cli_module
@@ -642,3 +659,49 @@ def test_search_computes_the_qualifying_pairs_once(gauge, tmp_path, monkeypatch,
     assert len(calls) == 1
     sweep = json.loads(capsys.readouterr().out)["sweep"]
     assert [row["verdict"] for row in sweep] == ["falsified"] + ["holds-on-sample"] * 4
+
+
+_COEF = {"beta", "n_cap", "vacuous"}
+_NOTE = {"note"}
+# Per planted config, the specs one verify --json runs on it: the verdict of
+# each, and the keys its entry has beyond spec, check, verdict, witness, lhs
+# and rhs.  The coefficient keys belong to the three contraction kinds, and
+# note to the reports that carry one.
+REPORT_KEYS = {
+    "identity": [("identity:g", FALSE, _NOTE), ("identity:ok", HELD, set())],
+    "symmetry": [("symmetry:g", FALSE, set()), ("symmetry:ok", HELD, set())],
+    "triangle": [("triangle:g", FALSE, set()), ("triangle:ok", HELD, set())],
+    "banach": [
+        ("banach:g:alpha=0.5", FALSE, _COEF), ("banach:ok:alpha=0.9", HELD, _COEF)
+    ],
+    "proximal-weak": [
+        ("proximal-weak:h:beta=0.9:N=1", FALSE, _COEF),
+        ("proximal-weak:g:beta=0.0625:N=0", HELD, _COEF),
+        ("berinde:h", FALSE, _COEF),
+        ("berinde:g", HELD, _COEF),
+    ],
+    "convex-condition-one": [
+        ("convex:g", FALSE, _NOTE),
+        ("convex:ok", HELD, set()),
+        ("starshaped:A", HELD, set()),
+    ],
+    "starshaped": [("starshaped:A", FALSE, _NOTE)],
+    "semi-sharp": [("semi-sharp:g", FALSE, _NOTE), ("semi-sharp:ok", HELD, set())],
+    "side-condition": [
+        ("side-condition:g", FALSE, set()), ("side-condition:ok", HELD, _NOTE)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_entries_have_the_keys_of_their_kind(name, tmp_path, capsys):
+    cfg = tmp_path / "planted.json"
+    cfg.write_text(json.dumps(PLANTED[name][0]()))
+    specs = [spec for spec, _, _ in REPORT_KEYS[name]]
+    assert main(["verify", "--config", str(cfg), "--json", "--checks", *specs]) == 1
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    common = {"spec", "check", "verdict", "witness", "lhs", "rhs"}
+    assert [(e["spec"], e["verdict"], set(e) - common) for e in entries] == (
+        REPORT_KEYS[name]
+    )
+    assert all(set(e) >= common for e in entries)

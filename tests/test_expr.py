@@ -142,6 +142,26 @@ def test_literals_beyond_a_double_compile_to_what_evaluate_returns(text):
         assert repr(kernels.values([(x,)], [(u,)])[0]) == repr(abs(want))
 
 
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_a_negative_base_to_a_non_finite_power_is_one_error_everywhere(exponent):
+    # a non-finite exponent is not an integer, so every evaluator raises the
+    # fractional-power error, and a kernel row marks the tuple
+    e = parse("(0-2) ^ x1")
+    scalar = compile_expr(e, ("x1", "u1"))
+    kernels = compile_row_kernels(e, ("x1",), ("u1",))
+    errors = []
+    for run in (
+        lambda: evaluate(e, {"x1": exponent, "u1": 0.0}),
+        lambda: scalar(exponent, 0.0),
+        lambda: kernels.values([(exponent,)], [(0.0,)]),
+    ):
+        with pytest.raises(EvalError) as err:
+            run()
+        errors.append((err.value.kind, str(err.value)))
+    message = f"fractional-power-of-negative: -2.0 ^ {exponent!r}"
+    assert errors == [("fractional-power-of-negative", message)] * 3
+    assert math.isnan(kernels.marked([(exponent,)], [(0.0,)])[0])
+
 def test_compile_rejects_unbound():
     with pytest.raises(EvalError):
         compile_expr(parse("x1 + u1"), ("x1",))
