@@ -156,11 +156,22 @@ def _texts(values: Any, path: str) -> list[str]:
     return [_text(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
+def _is_number(value: Any) -> bool:
+    """An int or a float; float() would also take a boolean or a numeric
+    string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value: Any, path: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _floats(values: Any, path: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(c) for c in values)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a list of numbers, got {values!r}") from None
+    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+        raise ConfigError(path, f"expected a list of numbers, got {values!r}")
+    return tuple(map(float, values))
 
 
 def _whole(value: Any, path: str) -> int:
@@ -294,14 +305,13 @@ def instance_from_dict(doc: dict) -> Instance:
             s.grid_step() for s in sets.values() if s.grid_step() is not None
         ]
         tol_spec["eps_prox"] = min(steps) / 2.0 if steps else 1e-9
+    eps = {
+        key: _number(tol_spec.get(key, 1e-9), f"tolerances.{key}")
+        for key in ("eps_prox", "eps_zero", "eps_ineq")
+    }
     try:
-        tol = ToleranceSet(
-            eps_prox=float(tol_spec.get("eps_prox")),
-            eps_zero=float(tol_spec.get("eps_zero", 1e-9)),
-            eps_ineq=float(tol_spec.get("eps_ineq", 1e-9)),
-            tail_len=tail_len,
-        )
-    except (GSpaceError, TypeError, ValueError) as exc:
+        tol = ToleranceSet(**eps, tail_len=tail_len)
+    except GSpaceError as exc:
         raise ConfigError("tolerances", str(exc)) from None
 
     schedule: Optional[Schedule] = None

@@ -27,8 +27,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Union
+from itertools import count, cycle, repeat
+from textwrap import indent
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 __all__ = [
     "Expr",
@@ -43,6 +46,7 @@ __all__ = [
     "format_expr",
     "compile_expr",
     "compile_row_kernels",
+    "compile_point_rows",
     "RowKernels",
     "variables",
 ]
@@ -319,34 +323,50 @@ def evaluate(e: Expr, env: VarEnv) -> float:
     return _pow(left, right)
 
 
-def _gen(e: Expr, fast: bool = False) -> str:
+def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
     """Python text of e over its variable names.
 
-    The checked text calls _sqrt, _div and _pow.  The fast text writes sqrt,
-    / and ^ by a finite integral literal as the bare operations, which give
-    the same double and raise a bare ValueError, ZeroDivisionError or
-    OverflowError on exactly the inputs where the helper raises its EvalError.
-    Any other ^ keeps _pow: a negative base with a fractional exponent would
-    give a complex number instead of raising.
+    The checked text, with no temps, calls _sqrt, _div and _pow.  The fast
+    text, given temps, writes sqrt, / and ^ by a finite integral literal as
+    the bare operations, which give the same double and raise a bare
+    ValueError, ZeroDivisionError or OverflowError on exactly the inputs
+    where the helper raises its EvalError.  Any other ^ keeps _pow: a
+    negative base with a fractional exponent would give a complex number
+    instead of raising.  It writes min(A, B) as (b if (a := A) > (b := B)
+    else a), and max with <, which is what the builtins return for floats,
+    NaN and signed zeros included: min replaces its first argument only when
+    B < A.  The temporaries a and b are named _t0, _t1, ... from temps, so
+    one text never binds a name twice; a side that is a variable or a
+    literal is read twice instead.
     """
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
-        inner = _gen(e.operand, fast)
+        inner = _gen(e.operand, temps)
         if e.op == "neg":
             return f"(-{inner})"
         if e.op == "abs":
             return f"abs({inner})"
-        return f"sqrt({inner})" if fast else f"_sqrt({inner})"
-    left, right = _gen(e.left, fast), _gen(e.right, fast)
+        return f"_sqrt({inner})" if temps is None else f"sqrt({inner})"
+    left, right = _gen(e.left, temps), _gen(e.right, temps)
     if e.op in ("min", "max"):
-        return f"{e.op}({left},{right})"
+        if temps is None:
+            return f"{e.op}({left},{right})"
+        a, b = (
+            text if isinstance(side, (Num, Var)) else f"_t{next(temps)}"
+            for side, text in ((e.left, left), (e.right, right))
+        )
+        test = ">" if e.op == "min" else "<"
+        bind_a = a if a == left else f"({a} := {left})"
+        bind_b = b if b == right else f"({b} := {right})"
+        return f"({b} if {bind_a} {test} {bind_b} else {a})"
     if e.op == "div":
-        return f"({left}/{right})" if fast else f"_div({left},{right})"
+        return f"_div({left},{right})" if temps is None else f"({left}/{right})"
     if e.op == "pow":
-        if fast and isinstance(e.right, Num) and float(e.right.value).is_integer():
+        if (temps is not None and isinstance(e.right, Num)
+                and float(e.right.value).is_integer()):
             return f"({left}**{right})"
         return f"_pow({left},{right})"
     sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
@@ -373,10 +393,7 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     sampled scans.  Raises EvalError("unbound-variable") if the expression
     references a name outside `names`.
     """
-    free = variables(e)
-    missing = sorted(free - set(names))
-    if missing:
-        raise EvalError("unbound-variable", ", ".join(missing))
+    _unbound((e,), names)
     args = ", ".join(names) if names else "*_ignored"
     src = f"lambda {args}: {_gen(e)}"
     return eval(src, dict(_COMPILE_GLOBALS))  # noqa: S307 (closed namespace)
@@ -386,15 +403,19 @@ class RowKernels(NamedTuple):
     """Loops of abs(e) over rows of coordinate tuples, one tuple per argument.
 
     values(P, Q) is the list of abs(e) over zip(P, Q).  first_violation(P, Q,
-    R, eps) is the first index i at which not abs(e) <= R[i] + eps, or -1; a
-    NaN or infinite value stops it as a violation does.
+    LA, MB, eps) scans a row over (b, lam), lam the inner index, whose right
+    side at index k is LA[k % len(LA)] + MB[k]: it is the first k at which
+    not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
+    value stops it as a violation does, so every right side must be finite.
 
-    Both loops run the fast text of e (see _gen).  values runs a row that
-    raises ArithmeticError or ValueError again with the checked text, so it
-    raises the scalar callable's typed EvalError at the same tuple; a one-shot
-    iterator argument other than itertools.repeat is read into a list first,
-    so that second pass sees the whole row.  first_violation may raise the
-    bare error instead.
+    Both loops run the fast text of e (see _gen).  A side that is an
+    itertools.repeat, which every scan passes without a count, has its
+    coordinates bound once before the loop, and the loop unpacks only the
+    other side.  values runs a row that raises ArithmeticError or ValueError
+    again with the checked text, so it raises the scalar callable's typed
+    EvalError at the same tuple; a one-shot iterator argument other than
+    itertools.repeat is read into a list first, so that second pass sees the
+    whole row.  first_violation may raise the bare error instead.
 
     Scans read rows through marked, which marks a tuple where values raises.
     """
@@ -428,6 +449,31 @@ def _rereadable(rows: Iterable) -> Iterable:
     return rows
 
 
+def _unbound(exprs: Iterable[Expr], names: Iterable[str]) -> None:
+    missing = sorted(set().union(*map(variables, exprs)) - set(names))
+    if missing:
+        raise EvalError("unbound-variable", ", ".join(missing))
+
+
+def _names(names: Sequence[str]) -> str:
+    """An unpacking target for a tuple of the named coordinates."""
+    return f"({', '.join(names)},)"
+
+
+_KERNEL_GLOBALS = dict(
+    _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, isinstance=isinstance,
+    next=next, repeat=repeat, cycle=cycle, sqrt=math.sqrt,
+    _rereadable=_rereadable, ArithmeticError=ArithmeticError,
+    ValueError=ValueError,
+)
+
+
+def _compile(src: str) -> dict:
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(src, namespace)  # noqa: S102 (closed namespace)
+    return namespace
+
+
 def compile_row_kernels(
     e: Expr, left: tuple[str, ...], right: tuple[str, ...]
 ) -> RowKernels:
@@ -437,29 +483,70 @@ def compile_row_kernels(
     The loop bodies are compile_expr's text and its fast twin, so every value
     is bit for bit the one the scalar callable returns.
     """
-    free = variables(e)
-    missing = sorted(free - set(left) - set(right))
-    if missing:
-        raise EvalError("unbound-variable", ", ".join(missing))
-    fast, checked = _gen(e, fast=True), _gen(e)
-    target = f"({', '.join(left)},), ({', '.join(right)},)"
-    src = (
+    _unbound((e,), left + right)
+    fast, checked = _gen(e, count()), _gen(e)
+    p, q = _names(left), _names(right)
+
+    def variants(loop: Callable[[list[str], list[str]], str]) -> str:
+        """loop(targets, rows) three times: with P's coordinates bound once,
+        with Q's, and with both unpacked from each pair of rows."""
+        return (
+            f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
+            + indent(loop([q], ["_Q"]), "    ")
+            + f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
+            + indent(loop([p], ["_P"]), "    ")
+            + loop([p, q], ["_P", "_Q"])
+        )
+
+    def values(targets: list[str], rows: list[str]) -> str:
+        each = (f"{targets[0]} in {rows[0]}" if len(rows) == 1
+                else f"({', '.join(targets)}) in zip({', '.join(rows)})")
+        return (
+            "    try:\n"
+            f"        return [abs({fast}) for {each}]\n"
+            "    except (ArithmeticError, ValueError):\n"
+            f"        return [abs({checked}) for {each}]\n"
+        )
+
+    def first_violation(targets: list[str], rows: list[str]) -> str:
+        each = ", ".join(targets + ["_la", "_mb"])
+        scan = ", ".join(rows + ["cycle(_LA)", "_MB"])
+        return (
+            f"    for _i, ({each}) in enumerate(zip({scan})):\n"
+            f"        if not abs({fast}) <= _la + _mb + _eps:\n"
+            "            return _i\n"
+            "    return -1\n"
+        )
+
+    namespace = _compile(
         "def values(_P, _Q):\n"
         "    _P, _Q = _rereadable(_P), _rereadable(_Q)\n"
-        "    try:\n"
-        f"        return [abs({fast}) for {target} in zip(_P, _Q)]\n"
-        "    except (ArithmeticError, ValueError):\n"
-        f"        return [abs({checked}) for {target} in zip(_P, _Q)]\n"
-        "def first_violation(_P, _Q, _R, _eps):\n"
-        f"    for _i, ({target}, _r) in enumerate(zip(_P, _Q, _R)):\n"
-        f"        if not abs({fast}) <= _r + _eps:\n"
-        "            return _i\n"
-        "    return -1\n"
+        + variants(values)
+        + "def first_violation(_P, _Q, _LA, _MB, _eps):\n"
+        + variants(first_violation)
     )
-    namespace = dict(
-        _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, sqrt=math.sqrt,
-        _rereadable=_rereadable, ArithmeticError=ArithmeticError,
-        ValueError=ValueError,
-    )
-    exec(src, namespace)  # noqa: S102 (closed namespace)
     return RowKernels(namespace["values"], namespace["first_violation"])
+
+
+def compile_point_rows(
+    exprs: Sequence[Expr], bound: tuple[str, ...], outer: tuple[str, ...], inner: str
+) -> Callable[[tuple, Iterable[tuple], Sequence[float]], list[tuple[float, ...]]]:
+    """Compile a map, one expression per coordinate, into one row loop.
+
+    rows(b, O, I) binds the names `bound` to the tuple b once, and lists the
+    coordinate tuple (e + 0.0 for e in exprs) for each tuple of O (named
+    `outer`) and then each value of I (named `inner`).  Those are the
+    scalar callables' doubles, with -0.0 made 0.0 as Point makes it.  The
+    loop runs the fast text (see _gen): where a scalar callable raises its
+    EvalError it raises that or a bare error, and a non-finite coordinate is
+    listed as it is.
+    """
+    _unbound(exprs, bound + outer + (inner,))
+    temps = count()
+    coords = "".join(f"{_gen(e, temps)} + 0.0, " for e in exprs)
+    namespace = _compile(
+        "def rows(_b, _O, _I):\n"
+        f"    {_names(bound)} = _b\n"
+        f"    return [({coords}) for {_names(outer)} in _O for {inner} in _I]\n"
+    )
+    return namespace["rows"]

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, cycle, repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -28,6 +28,7 @@ from .expr import (
     Expr,
     RowKernels,
     compile_expr,
+    compile_point_rows,
     compile_row_kernels,
     parse,
     variables,
@@ -379,6 +380,16 @@ class ConvexStructure:
             self, "_fns", tuple(compile_expr(e, allowed) for e in exprs)
         )
 
+    @cached_property
+    def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:
+        """A row loop of H compiled on the first check: interpolants(x.coords,
+        ys, lams) lists apply(x, y, lam).coords over y in ys, then lam in
+        lams, wherever apply returns.  Where apply raises, the loop raises
+        too, or lists a non-finite tuple."""
+        d = self.dimension
+        names = GFunction._var_names(d)
+        return compile_point_rows(self.exprs, names[:d], names[d:], "l")
+
     def apply(self, x: Point, y: Point, lam: float) -> Point:
         if x.dimension != self.dimension or y.dimension != self.dimension:
             raise DimensionMismatch("convex structure dimension mismatch")
@@ -569,14 +580,12 @@ def classify_sequence(
             f"{tol.tail_len + 1}"
         )
     tail = s.points[-tol.tail_len:]
-    max_cauchy = max(
-        abs(eval_g(g, x, y)) for x in tail for y in tail
-    )
+    max_cauchy = max(max(_gauge_row(g, x, tail)) for x in tail)
     cauchy = max_cauchy <= tol.eps_zero
     convergent: Optional[bool] = None
     max_conv: Optional[float] = None
     if target is not None:
-        max_conv = max(abs(eval_g(g, x, target)) for x in tail)
+        max_conv = max(_gauge_row(g, tail, target))
         convergent = max_conv <= tol.eps_zero
     if convergent:
         verdict = "g-convergent-to-target"
@@ -780,43 +789,55 @@ def check_convex_structure(
     # condition one: tuples (x0, x, y, lam)
     (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
-    # H is applied once per (x, y, lam); only its coordinates are kept.
-    h_cache: dict[tuple, tuple[float, ...]] = {}
 
-    def h_coords(x: Point, y: Point, lam: float) -> tuple[float, ...]:
-        key = (x.coords, y.coords, lam)
-        got = h_cache.get(key)
-        if got is None:
-            got = h_cache[key] = h.apply(x, y, lam).coords
-        return got
-
-    def h_row(pairs: Iterable[tuple[Point, Point]], lams: Sequence[float]):
-        """Interpolant coordinates in scan order, and the indices at which H
-        raises.  Each of those holds its pair's first point: the gauge may
-        see it, but the right side there is a mark, so no comparison holds."""
+    def h_row(x: Point, ys: Sequence[Point]) -> tuple[list, list[int]]:
+        """Interpolant coordinates over (y, lam) in scan order, and the
+        indices at which H raises.  Each of those holds x's coordinates: the
+        gauge may see them, but the right side there is a mark, so no
+        comparison holds.  A compiled row that raises or is not finite is
+        built again through apply, one tuple at a time."""
+        try:
+            row = h.interpolants(x.coords, [y.coords for y in ys], lam_sub)
+            if math.isfinite(sum(chain.from_iterable(row))):
+                return row, []
+        except (ArithmeticError, ValueError):
+            pass
         row, failed = [], []
-        for x, y in pairs:
-            for lam in lams:
+        for y in ys:
+            for lam in lam_sub:
                 try:
-                    row.append(h_coords(x, y, lam))
+                    row.append(h.apply(x, y, lam).coords)
                 except EvalError:
                     failed.append(len(row))
                     row.append(x.coords)
         return row, failed
 
-    def first_over(P: Iterable, Q: Iterable, a: float, bs: list, failed: list) -> int:
-        """The first index of a row over (b, lam), b in bs, at which not
-        abs(g) <= lam * a + (1 - lam) * b + eps, or -1; a marked tuple or an
-        index in failed stops it.  The fused loop runs while the right sides
-        are finite, and the marked row takes over a row on which it raises."""
-        R = [lam * a + mix * b for b in bs for lam, mix in lm]
-        for k in failed:
-            R[k] = math.nan
-        if math.isfinite(sum(R)):
+    # first_violation takes the right side lam * a + (1 - lam) * b of a row
+    # over (b, lam) as its terms: LA, lam * a per lam, and MB, (1 - lam) * b
+    # per (b, lam), each with the sum of its terms' magnitudes.
+    def lam_terms(a: float) -> tuple[list, float]:
+        LA = [lam * a for lam, _ in lm]
+        return LA, sum(map(abs, LA))
+
+    def mix_terms(bs: list) -> tuple[list, float]:
+        MB = [mix * b for b in bs for _, mix in lm]
+        return MB, sum(map(abs, MB))
+
+    def first_over(P: Iterable, Q: Iterable, LA: tuple, MB: tuple, failed: list) -> int:
+        """The first index of a row over (b, lam) at which not abs(g) <=
+        LA[lam] + MB[b, lam] + eps, or -1; a marked tuple or an index in
+        failed stops it.  The fused loop runs while every right side is
+        finite, which the two magnitude sums bound, and the marked row takes
+        over a row on which it raises."""
+        (la, la_size), (mb, mb_size) = LA, MB
+        if not failed and math.isfinite(la_size + mb_size + eps):
             try:
-                return g.kernels.first_violation(P, Q, R, eps)
+                return g.kernels.first_violation(P, Q, la, mb, eps)
             except (ArithmeticError, ValueError):
                 pass
+        R = [a + b for a, b in zip(cycle(la), mb)]
+        for k in failed:
+            R[k] = math.nan
         over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))
         return next(compress(count(), over), -1)
 
@@ -830,31 +851,31 @@ def check_convex_structure(
     # condition two; interpolant rows are built once and reused.
     h_rows: dict[int, tuple[list, list[int]]] = {}
     for x0 in xs0:
-        gx, gy = _gauge_row(g, x0, xs), _gauge_row(g, x0, ys)
+        gx, gy = _gauge_row(g, x0, xs), mix_terms(_gauge_row(g, x0, ys))
         for i, x in enumerate(xs):
             if i not in h_rows:
-                h_rows[i] = h_row(((x, y) for y in ys), lam_sub)
+                h_rows[i] = h_row(x, ys)
             row, failed = h_rows[i]
-            k = first_over(repeat(x0.coords), row, gx[i], gy, failed)
+            k = first_over(repeat(x0.coords), row, lam_terms(gx[i]), gy, failed)
             if k >= 0:
                 y, lam = ys[k // width], lam_sub[k % width]
                 return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
-    h_rows.clear()  # free before condition two adds to h_cache: a lower peak
+    h_rows.clear()  # free before condition two builds its rows: a lower peak
     # condition two: tuples (x, y, x0, y0, lam)
     (xs, ys, xs0, ys0), lam_sub, lm, width = axes(4)
     xs0_coords = [x0.coords for x0 in xs0]
     ys0_coords = [y0.coords for y0 in ys0]
     q_rows: dict[int, tuple[list, list[int]]] = {}
-    gyy0_rows = [g.kernels.marked(repeat(y.coords), ys0_coords) for y in ys]
+    gyy0_rows = [mix_terms(g.kernels.marked(repeat(y.coords), ys0_coords)) for y in ys]
     for x in xs:
-        gxx0 = g.kernels.marked(repeat(x.coords), xs0_coords)
+        gxx0 = [lam_terms(a) for a in g.kernels.marked(repeat(x.coords), xs0_coords)]
         for y, gyy0 in zip(ys, gyy0_rows):
-            p_row, p_failed = h_row([(x, y)], lam_sub)
+            p_row, p_failed = h_row(x, [y])
             p_row *= len(ys0)
             p_failed = [k + width * j for j in range(len(ys0)) for k in p_failed]
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
-                    q_rows[j] = h_row(((x0, y0) for y0 in ys0), lam_sub)
+                    q_rows[j] = h_row(x0, ys0)
                 q_row, q_failed = q_rows[j]
                 k = first_over(p_row, q_row, gxx0[j], gyy0, p_failed + q_failed)
                 if k >= 0:

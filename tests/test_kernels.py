@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+import re
+from itertools import count, repeat
 
 import pytest
 
@@ -25,6 +26,7 @@ from gproxim.expr import (
     Num,
     Unary,
     Var,
+    _gen,
     compile_expr,
     compile_row_kernels,
     parse,
@@ -147,7 +149,8 @@ def ref_pairs(g, f, a, level, tol):
     ]
 
 
-def ref_convex(h, g, pts, lams, tol):
+def ref_convex(h, g, pts, lams, tol, lams_two=None):
+    """Both conditions over pts; condition two over lams_two when given."""
     eps = tol.eps_ineq
     for x0 in pts:
         gx = [abs(eval_g(g, x0, x)) for x in pts]
@@ -166,7 +169,7 @@ def ref_convex(h, g, pts, lams, tol):
                 gxx0 = abs(eval_g(g, x, x0))
                 for y0 in pts:
                     gyy0 = abs(eval_g(g, y, y0))
-                    for lam in lams:
+                    for lam in lams if lams_two is None else lams_two:
                         lhs = abs(eval_g(g, h.apply(x, y, lam), h.apply(x0, y0, lam)))
                         rhs = lam * gxx0 + (1.0 - lam) * gyy0
                         if lhs > rhs + eps:
@@ -276,16 +279,16 @@ def test_row_kernels_match_the_scalar_callable(seed):
         got = kernels.values([p], [q])[0]
         assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
         bound = 1.0
-        hit = kernels.first_violation([p], [q], [bound], 0.0)
+        hit = kernels.first_violation([p], [q], [0.0], [bound], 0.0)
         assert hit == (-1 if want <= bound else 0)
 
 
 def test_first_violation_stops_at_nan_and_inf():
     kernels = compile_row_kernels(parse("x1*u1"), ("x1",), ("u1",))
-    P, R = [(1.0,)] * 3, [1.0] * 3
-    assert kernels.first_violation(P, [(0.5,), (math.nan,), (0.5,)], R, 0.0) == 1
-    assert kernels.first_violation(P, [(0.5,), (0.5,), (math.inf,)], R, 0.0) == 2
-    assert kernels.first_violation(P, [(0.5,)] * 3, R, 0.0) == -1
+    P, LA, R = [(1.0,)] * 3, [0.0], [1.0] * 3
+    assert kernels.first_violation(P, [(0.5,), (math.nan,), (0.5,)], LA, R, 0.0) == 1
+    assert kernels.first_violation(P, [(0.5,), (0.5,), (math.inf,)], LA, R, 0.0) == 2
+    assert kernels.first_violation(P, [(0.5,)] * 3, LA, R, 0.0) == -1
 
 
 def test_holding_scans_do_not_go_through_eval_g(monkeypatch):
@@ -591,9 +594,9 @@ def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
     assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
     assert [math.isnan(v) for v in kernels.marked(P, Q)] == [False, False, True, False]
     # first_violation runs the fast text alone; marked marks the raising tuple
-    assert kernels.first_violation(P[:2], Q[:2], [1e300] * 2, 0.0) == -1
+    assert kernels.first_violation(P[:2], Q[:2], [0.0], [1e300] * 2, 0.0) == -1
     with pytest.raises(bare):
-        kernels.first_violation(P, Q, [1e300] * len(P), 0.0)
+        kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0)
     assert math.isnan(kernels.marked(P, Q)[2])
 
 
@@ -601,7 +604,7 @@ def test_a_non_integral_literal_exponent_keeps_the_checked_power():
     # (-1) ** 0.5 is a complex number in Python, whose abs is 1.0
     kernels = compile_row_kernels(parse("x1^0.5"), ("x1",), ("u1",))
     with pytest.raises(EvalError) as info:
-        kernels.first_violation([(-1.0,)], [(0.0,)], [10.0], 0.0)
+        kernels.first_violation([(-1.0,)], [(0.0,)], [0.0], [10.0], 0.0)
     assert info.value.kind == "fractional-power-of-negative"
     assert kernels.values([(4.0,)], [(0.0,)]) == [2.0]
 
@@ -616,6 +619,82 @@ def test_values_reads_a_one_shot_row_into_a_list_before_its_first_pass():
             kernels.values(*args)
         assert info.value.kind == "sqrt-of-negative"
     assert kernels.values(iter(P[:2]), repeat((0.0,))) == [1.0, 2.0]
+
+
+def test_fast_text_inlines_min_and_max_with_one_binding_per_temporary():
+    for text in ("min(max(x1,u1),min(x2,u2))",
+                 "min(max(x1*2,u1+1),min(x2-1,max(u2,x1/u1)))"):
+        fast = _gen(parse(text), count())
+        assert "min(" not in fast and "max(" not in fast
+        bound = re.findall(r"\((_t\d+) :=", fast)
+        assert len(bound) == len(set(bound))
+        assert all(fast.count(f"{name} :=") == 1 for name in bound)
+    # a variable operand is read twice instead of bound
+    assert _gen(parse("min(x1,u1)"), count()) == "(u1 if x1 > u1 else x1)"
+
+
+# --------------------------------------------------------------------------
+# the convex check's fused loop, against the reference
+
+FUSED_SET = exact_set(GRID[::2], "S")
+AVERAGE_H = ConvexStructure(("l*x1 + (1-l)*u1",))
+
+
+def _fused(g, lams=LAMS):
+    return assert_same(
+        lambda: check_convex_structure(AVERAGE_H, g, FUSED_SET, lams, TOL, NO_SUBSAMPLING),
+        lambda: ref_convex(AVERAGE_H, g, list(FUSED_SET.points), lams, TOL),
+    )
+
+
+def test_fused_convex_condition_one_violation():
+    # H(0, 1/8, 1/2) = 1/16 sits 4 higher under g than any endpoint does
+    got = _fused(GFunction(f"abs(x1-u1) + 4*{_hat('u1', 1 / 16)}", 1))
+    assert got[1][:2] == (FALSIFIED, {
+        "x0": exact(Point((0.0,))), "x": exact(Point((0.0,))),
+        "y": exact(Point((0.125,))), "lam": exact(0.5),
+    })
+
+
+def test_fused_convex_condition_two_violation():
+    # no sample point is 1/16 or 3/16, so condition one holds; condition two
+    # breaks between the interpolants 1/16 = H(0, 1/8, 1/2) and 3/16
+    g = GFunction(f"abs(x1-u1) + 4*{_hat('x1', 1 / 16)}*{_hat('u1', 3 / 16)}", 1)
+    got = _fused(g)
+    assert got[1][0] == FALSIFIED and "y0" in got[1][1]
+
+
+def test_fused_convex_h_raising_in_a_q_row_of_condition_two():
+    # Under 48 tuples condition one reads the lambdas 0, .2, .4, .6, .8, 1
+    # and condition two 0, .5, 1, over both points of S.  H divides by zero
+    # at x = 1/8, y = 0, l = 1/2, which only condition two reads: in its q
+    # row for x0 = 1/8, while the p row for x = y = 0 is whole.
+    s = exact_set([0.0, 0.125], "S")
+    h = ConvexStructure(
+        ("l*x1 + (1-l)*u1 + 0/(abs(x1 - 0.125) + abs(u1) + abs(l - 0.5))",)
+    )
+    g = GFunction("0*(x1-u1)", 1)  # every comparison holds, unless marked
+    lams = [i / 10 for i in range(11)]
+    pts = list(s.points)
+    assert ref_convex(h, g, pts, lams[::2], TOL, [])[0] == HOLDS
+    got = assert_same(
+        lambda: check_convex_structure(h, g, s, lams, TOL, max_tuples=48),
+        lambda: ref_convex(h, g, pts, lams[::2], TOL, [0.0, 0.5, 1.0]),
+    )
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+
+
+@pytest.mark.parametrize("plant, verdict", [
+    ("", HOLDS),
+    (f" + 5e306*{_hat('u1', 1 / 16)}", FALSIFIED),
+    (f" + 1e308*{_hat('u1', -1 / 8)}", "non-finite"),
+], ids=["holds", "violated", "left-side-infinite"])
+def test_fused_convex_right_sides_overflowing(plant, verdict):
+    # lambda 2 makes 2 * |g| = 1.8e308 overflow to inf on every right side,
+    # while every left side stays at most 9.5e307, except where the last
+    # plant puts an infinite one: at H(0, 1/8, 2) = -1/8, under lambda 2
+    got = _fused(GFunction("9e307 + 0*x1" + plant, 1), lams=[0.0, 0.5, 1.0, 2.0])
+    assert (got[1][0] if got[0] == "ok" else got[2]) == verdict
 
 
 # --------------------------------------------------------------------------

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_expr
-from gproxim.expr import compile_row_kernels, evaluate
+from gproxim.expr import Binary, Num, Var, compile_row_kernels, evaluate
 from gproxim.gspace import (
     ConvexStructure,
     GFunction,
@@ -236,7 +237,41 @@ def test_an_interpolant_raising_mid_row(q, first):
 COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -2.5, 1e200, -1e200, 3e199, -7e199]),
     st.floats(-4.0, 4.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
 )
+NAMES = ("x1", "x2", "u1", "u2", "l")
+
+
+def _min_max_expr(rng, depth):
+    """A tree whose inner nodes are mostly min and max, over variables and
+    signed literals, so that signed zeros, overflows and NaNs reach them."""
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.7:
+            return Var(rng.choice(NAMES))
+        return Num(rng.choice([0.0, -0.0, 1.0, 1e200, math.inf]))
+    op = rng.choice(("min", "max", "min", "max", "add", "sub", "mul"))
+    return Binary(op, _min_max_expr(rng, depth - 1), _min_max_expr(rng, depth - 1))
+
+
+def _assert_marks(kernels, e, P, Q, bound=None):
+    """marked(P, Q) against the tree interpreter, tuple by tuple; with bound
+    "P" or "Q", that side is itertools.repeat of its first tuple."""
+    if bound == "P":
+        P = [P[0]] * len(Q)
+    elif bound == "Q":
+        Q = [Q[0]] * len(P)
+    got_row = kernels.marked(repeat(P[0]) if bound == "P" else P,
+                             repeat(Q[0]) if bound == "Q" else Q)
+    assert len(got_row) == len(P)
+    for p, q, got in zip(P, Q, got_row):
+        try:
+            want = abs(evaluate(e, dict(zip(NAMES, p + q))))
+        except (ArithmeticError, ValueError):  # EvalError, or a bare error of _pow
+            want = math.nan
+        if math.isfinite(want):
+            assert got.hex() == want.hex()
+        else:
+            assert math.isnan(got)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -246,16 +281,12 @@ COORDS = st.one_of(
                   max_size=6),
 )
 def test_marks_are_where_the_tree_interpreter_fails(seed, rows):
-    e = random_expr(random.Random(seed), 4)
-    kernels = compile_row_kernels(e, ("x1", "x2"), ("u1", "u2", "l"))
+    # each gauge runs with both sides read tuple by tuple, and with the
+    # left, then the right side a repeat whose coordinates are bound once
+    rng = random.Random(seed)
     P = [row[:2] for row in rows]
     Q = [row[2:] for row in rows]
-    for row, got in zip(rows, kernels.marked(P, Q)):
-        try:
-            want = abs(evaluate(e, dict(zip(("x1", "x2", "u1", "u2", "l"), row))))
-        except (ArithmeticError, ValueError):  # EvalError, or a bare error of _pow
-            want = math.nan
-        if math.isfinite(want):
-            assert got.hex() == want.hex()
-        else:
-            assert math.isnan(got)
+    for e in (random_expr(rng, 4), _min_max_expr(rng, 5)):
+        kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
+        for bound in (None, "P", "Q"):
+            _assert_marks(kernels, e, P, Q, bound)
