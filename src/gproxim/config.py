@@ -162,16 +162,24 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _double(value: Any, path: str) -> float:
+    """float(value), for an int too large for a double a ConfigError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "integer too large for a double") from None
+
+
 def _number(value: Any, path: str) -> float:
     if not _is_number(value):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    return _double(value, path)
 
 
 def _floats(values: Any, path: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
         raise ConfigError(path, f"expected a list of numbers, got {values!r}")
-    return tuple(map(float, values))
+    return tuple(_double(v, path) for v in values)
 
 
 def _whole(value: Any, path: str) -> int:

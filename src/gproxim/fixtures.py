@@ -162,9 +162,8 @@ def _fx_box_shift(inst: Instance, rec: _Recorder) -> None:
     rep = check_banach_contraction(g, f, 0.5, tol)
     rec.expect("shift map contracts at alpha=1/2", "reference", rep.holds)
     pts = f.domain.points[:: max(1, len(f.domain.points) // 60)]
-    worst = max(
-        abs(eval_g(g, f.apply(x), f.apply(y))) for x in pts for y in pts
-    )
+    images = [f.apply(x) for x in pts]
+    worst = max(abs(eval_g(g, fx, fy)) for fx in images for fy in images)
     rec.expect(
         "image gauge identically zero", "reference", worst == 0.0,
         f"max image gauge {worst}",

@@ -457,7 +457,8 @@ class ProximalCore:
     and b_g collect the points whose best partner lands within eps of d_g.
     partners holds, for each member of a_g in order, its partners within eps
     of d_g in B order (B's own points tuple when every point of B is one);
-    witnesses pairs each member with the first of them.
+    witnesses pairs each member with the first of them.  g, a and b are the
+    gauge and the samples the core was computed from.
     """
 
     d_g: float
@@ -465,10 +466,38 @@ class ProximalCore:
     b_g: SampleSet
     partners: tuple[tuple[Point, ...], ...]
     eps: float
+    g: Optional[GFunction] = field(default=None, compare=False, repr=False)
+    a: Optional[SampleSet] = field(default=None, compare=False, repr=False)
+    b: Optional[SampleSet] = field(default=None, compare=False, repr=False)
 
     @property
     def witnesses(self) -> tuple[tuple[Point, Point], ...]:
         return tuple((x, ys[0]) for x, ys in zip(self.a_g.points, self.partners))
+
+    def mates(
+        self, g: GFunction, a: SampleSet, y: Point, eps: float
+    ) -> Optional[tuple[Point, ...]]:
+        """The points u of A with abs(g(u, y)) within eps of d_g, in A order,
+        read from partners when y is a sample point of B and g, a and eps
+        are the core's own; None otherwise, and the caller scans A.
+
+        The core evaluated abs(g) on all of A x B with the same kernel
+        doubles and the same band test, so the answer is what a scan of A
+        against y would give.
+        """
+        if g is not self.g or a is not self.a or eps != self.eps:
+            return None
+        return self._mates.get(y.coords)
+
+    @cached_property
+    def _mates(self) -> dict[tuple[float, ...], tuple[Point, ...]]:
+        """The inverse of partners, keyed by the coordinates of each point
+        of B.  Two first queries racing on one core at most build it twice."""
+        inverse = {y: [] for y in self.b.coords}
+        for x, ys in zip(self.a_g.points, self.partners):
+            for y in ys:
+                inverse[y.coords].append(x)
+        return {y: tuple(xs) for y, xs in inverse.items()}
 
 
 _HOLDS = "holds-on-sample"
@@ -657,6 +686,9 @@ def proximal_core(
         b_g=SampleSet(points=tuple(b_pts), name=f"{b.name or 'B'}_g"),
         partners=tuple(partners),
         eps=eps,
+        g=g,
+        a=a,
+        b=b,
     )
 
 

@@ -247,7 +247,8 @@ def picard(
             break
     r0 = step_res[0] if step_res else 0.0
     bounds = [alpha ** k / (1.0 - alpha) * r0 for k in range(len(points))]
-    prox = [abs(eval_g(g, p, u.apply(p))) for p in points]
+    # U(p_k) is p_(k+1), so only the last point needs its certificate residual
+    prox = step_res + [abs(eval_g(g, points[-1], u.apply(points[-1])))]
     if on_bound:
         backed = verified and prox[-1] <= tol.eps_zero
         verdict = "converged" if backed else "post_check_failed"
@@ -325,13 +326,18 @@ def proximal_iterate(
         )
     if check_image:
         for x in core.a_g.points:
-            try:
-                proximal_select(g, a, f.apply(x), core, tol)
-            except NoProximalMate:
+            fx = f.apply(x)
+            mates = core.mates(g, a, fx, tol.eps_prox)
+            if mates is None:
+                row = _gauge_row(g, a, fx)
+                found = min(abs(v - core.d_g) for v in row) <= tol.eps_prox
+            else:
+                found = bool(mates)
+            if not found:
                 raise NoProximalMate(
                     f"image of realising point {x} has no proximity mate; "
                     f"the map does not send the realising set into its partner"
-                ) from None
+                )
     points = [p0]
     step_res: list[float] = []
     prox_res = [_prox_residual(g, f, p0, core.d_g)]

@@ -543,10 +543,13 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     ({"sets": {"A": {"points": [[0], ["0.5"]]}}}, "sets.A.points[1]"),
     ({"tolerances": {"eps_zero": True}}, "tolerances.eps_zero"),
     ({"tolerances": {"eps_ineq": "0.5"}}, "tolerances.eps_ineq"),
+    ({"sets": {"A": {"points": [[0], [10 ** 400]]}}}, "sets.A.points[1]"),
+    ({"tolerances": {"eps_zero": 10 ** 400}}, "tolerances.eps_zero"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
-        "string-coordinate", "boolean-tolerance", "string-tolerance"])
+        "string-coordinate", "boolean-tolerance", "string-tolerance",
+        "huge-integer-coordinate", "huge-integer-tolerance"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path, capsys):
     doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
     cfg = tmp_path / "bad.json"

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from gproxim.fixtures import (
@@ -27,11 +30,24 @@ def test_registry_is_complete():
     assert len(fixture_names()) == 11
 
 
+GOLDEN = {
+    entry["name"]: [
+        (e["label"], e["provenance"], e["passed"], e["detail"])
+        for e in entry["expectations"]
+    ]
+    for entry in json.loads(
+        (Path(__file__).parent / "data" / "fixtures_report.json").read_text()
+    )["fixtures"]
+}
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
 def test_fixture_passes_on_default_tolerances(name):
     report = run_fixture(name)
     failing = [o for o in report.outcomes if not o.passed]
     assert not failing, failing
+    got = [(o.label, o.provenance, o.passed, o.detail) for o in report.outcomes]
+    assert got == GOLDEN[name]
 
 
 def test_unknown_fixture_name():

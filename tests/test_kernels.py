@@ -38,6 +38,7 @@ from gproxim.gspace import (
     GSpaceError,
     NoProximalMate,
     Point,
+    ProximalCore,
     SampleSet,
     ToleranceSet,
     check_convex_structure,
@@ -55,8 +56,10 @@ from gproxim.properties import (
     estimate_proximal_coefficient,
     qualifying_pairs,
 )
+from gproxim.solvers import proximal_iterate
 import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
+import gproxim.solvers as solvers_module
 
 TOL = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=1e-9)
 NO_SUBSAMPLING = 10 ** 12
@@ -990,3 +993,153 @@ def test_holding_proximal_scans_do_not_go_through_eval_g(monkeypatch):
     )
     assert all(rep.holds for rep in reports)
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# proximity questions read from the core: an image that is a sample point of
+# B takes its mates from ProximalCore.mates, any other image scans A
+
+SEG_A = exact_set([(0.0, t) for t in GRID], "A")
+SEG_B = exact_set([(1.0, t) for t in GRID], "B")
+L1 = GFunction("abs(x1-u1) + abs(x2-u2)", 2)
+# a band of 1/32 holds one grid neighbour of each image t/2 + 1/64
+WIDE = ToleranceSet(eps_prox=1 / 32, eps_zero=1e-9, eps_ineq=1e-9)
+SEG_MAPS = {  # a map's coordinates, and how many of its 17 images lie in B
+    "all-in-b": (["1", "1 - x2"], 17),
+    "none-in-b": (["1", "x2/2 + 1/64"], 0),
+    "mixed": (["1", "x2/2"], 9),
+    "off-the-segment": (["2", "x2"], 0),
+}
+# A_SET + (1, 0) is B_SET without its last point; PART_B hits it twice
+INTO_B = MapSpec(["x1 + 1", "x2"], A_SET, B_SET)
+PART_B = MapSpec(["x1 + 1", "x1*x2"], A_SET, B_SET)
+
+
+def ref_prepass(g, f, a, core, tol):
+    """proximal_iterate's image test as a proximal_select per realising point."""
+    for x in core.a_g.points:
+        try:
+            ref_select(g, a, f.apply(x), core.d_g, tol)
+        except NoProximalMate:
+            raise NoProximalMate(
+                f"image of realising point {x} has no proximity mate; "
+                f"the map does not send the realising set into its partner"
+            ) from None
+
+
+def _prepass(g, f, a, b, core, tol=TOL):
+    """proximal_iterate's image pre-pass alone: a run of no steps."""
+    proximal_iterate(g, f, a, b, core, core.a_g.points[0], tol, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [TOL, WIDE], ids=["narrow", "wide"])
+@pytest.mark.parametrize("case", sorted(SEG_MAPS))
+def test_qualifying_pairs_with_images_in_and_off_b(case, tol):
+    exprs, in_b = SEG_MAPS[case]
+    f = MapSpec(exprs, SEG_A, SEG_B)
+    assert sum(f.apply(x).coords in SEG_B.coords for x in SEG_A) == in_b
+    core = proximal_core(L1, SEG_A, SEG_B, tol)
+    got = assert_same(lambda: qualifying_pairs(L1, f, SEG_A, core, tol),
+                      lambda: ref_pairs(L1, f, SEG_A, core.d_g, tol))
+    assert got[1] or case == "off-the-segment" or (case, tol) == ("none-in-b", TOL)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_gauges_qualifying_pairs_and_prepass_match_the_reference(seed):
+    g, _ = _random_case(seed)
+    try:
+        core = proximal_core(g, A_SET, B_SET, TOL)
+    except (EvalError, GSpaceError):
+        return  # the core raises: compared in test_random_gauges_match_the_reference
+    for f in (INTO_B, PART_B, MAP):
+        assert_same(lambda: qualifying_pairs(g, f, A_SET, core, TOL),
+                    lambda: ref_pairs(g, f, A_SET, core.d_g, TOL))
+        assert_same(lambda: _prepass(g, f, A_SET, B_SET, core),
+                    lambda: ref_prepass(g, f, A_SET, core, TOL))
+
+
+def test_a_core_of_another_gauge_set_or_band_falls_back_to_the_scan():
+    # LEVEL_CORE is abs(x1-u1) on LINE x LINE at eps 1e-9: read from it, every
+    # image t/2 on the grid would have the one mate t/2
+    metric = GFunction("abs(x1-u1)", 1)
+    own = ref_pairs(metric, HALF, LINE, LEVEL_CORE.d_g, TOL)
+    assert outcome(lambda: qualifying_pairs(metric, HALF, LINE, LEVEL_CORE, TOL)) == (
+        "ok", exact(own))
+    evens = exact_set(GRID[::2], "E")
+    cases = [  # (g, f, a, tol, whether the answer differs from the core's)
+        (GFunction("abs(2*x1 - u1)", 1), HALF, LINE, TOL, True),
+        (metric, MapSpec(["x1/2"], evens, evens), evens, TOL, True),
+        (metric, HALF, exact_set(GRID, "L"), TOL, False),  # a copy of LINE
+        (metric, HALF, LINE, ToleranceSet(eps_prox=0.07), True),
+    ]
+    for g, f, a, tol, differs in cases:
+        want = assert_same(lambda: qualifying_pairs(g, f, a, LEVEL_CORE, tol),
+                           lambda: ref_pairs(g, f, a, LEVEL_CORE.d_g, tol))
+        assert (want != ("ok", exact(own))) == differs
+
+
+def test_images_in_b_read_no_kernel_row(monkeypatch):
+    real, rows = properties_module._gauge_row, []
+
+    def spy(g, xs, ys):
+        rows.append(ys)
+        return real(g, xs, ys)
+
+    monkeypatch.setattr(properties_module, "_gauge_row", spy)
+    monkeypatch.setattr(solvers_module, "_gauge_row", spy)
+    f = MapSpec(SEG_MAPS["mixed"][0], SEG_A, SEG_B)
+    core = proximal_core(L1, SEG_A, SEG_B, WIDE)
+    qualifying_pairs(L1, f, SEG_A, core, WIDE)
+    _prepass(L1, f, SEG_A, SEG_B, core, WIDE)
+    images = [y for y in rows if isinstance(y, Point)]
+    assert len(images) == 2 * 8  # the odd grid points' images, off B, twice
+    assert not any(y.coords in SEG_B.coords for y in images)
+
+
+def test_mates_answers_for_points_of_b_under_the_cores_own_terms():
+    core = proximal_core(L1, SEG_A, SEG_B, TOL)
+    y = SEG_B.points[3]
+    assert core.mates(L1, SEG_A, y, TOL.eps_prox) == (SEG_A.points[3],)
+    assert core.mates(L1, SEG_A, Point((1.0, 1 / 32)), TOL.eps_prox) is None
+    assert core.mates(L1, SEG_A, Point((2.0, 0.0)), TOL.eps_prox) is None
+    assert core.mates(GFunction(str(L1.expr), 2), SEG_A, y, TOL.eps_prox) is None
+    assert core.mates(L1, exact_set(SEG_A.coords, "A"), y, TOL.eps_prox) is None
+    assert core.mates(L1, SEG_A, y, WIDE.eps_prox) is None
+    # the gauge and the samples stay out of equality and repr
+    bare = ProximalCore(core.d_g, core.a_g, core.b_g, core.partners, core.eps)
+    assert core == bare and repr(core) == repr(bare)
+    assert bare.mates(L1, SEG_A, y, TOL.eps_prox) is None
+
+
+def test_a_realising_image_in_b_outside_b_g_has_no_mate():
+    # abs(x1-u1) on LINE x {1/2, 2}: the level 0 is realised at 1/2 alone,
+    # and the image 2 of 1/2 is a point of B that no point of A realises
+    g = GFunction("abs(x1-u1)", 1)
+    b = exact_set([0.5, 2.0], "B")
+    core = proximal_core(g, LINE, b, TOL)
+    assert core.b_g.points == (Point((0.5,)),)
+    for text, in_b in (("2", True), ("3", False), ("x1", True)):
+        f = MapSpec([text], LINE, b)
+        assert (f.apply(core.a_g.points[0]).coords in b.coords) == in_b
+        got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+                          lambda: ref_prepass(g, f, LINE, core, TOL))
+        if text == "x1":
+            assert got == ("ok", None)
+        else:
+            assert got == ("error", "NoProximalMate",
+                           "image of realising point (0.5) has no proximity mate; "
+                           "the map does not send the realising set into its partner")
+
+
+def test_an_image_off_b_whose_row_divides_by_zero_raises_the_scan_error():
+    # the level 7/3 is realised at (1, 3) alone; the image 1/4 of 1 is off
+    # B, and g(u, 1/4) divides u by zero at u = 3/4
+    g = GFunction("abs(x1-u1) + x1/(x1 + u1 - 1)", 1)
+    b = exact_set([3.0, 4.0], "B")
+    core = proximal_core(g, LINE, b, TOL)
+    assert core.a_g.points == (Point((1.0,)),)
+    f = MapSpec(["0.25"], LINE, b)
+    got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+                      lambda: ref_prepass(g, f, LINE, core, TOL))
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    assert got[3] == "division-by-zero: 0.75 / 0"

@@ -49,6 +49,19 @@ class TestPicard:
         assert trace.steps <= 16
         assert abs(eval_g(g, trace.final, P(0))) <= 1e-9
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_proximity_residuals_are_abs_g_of_each_point_and_its_image(
+        self, halving, power
+    ):
+        g, t = halving
+        u = IteratedMap(t, power) if power > 1 else t
+        for max_iter in (0, 3, 100):
+            trace = picard(g, u, P(1), 0.25, TOL, max_iter)
+            want = [abs(eval_g(g, p, u.apply(p))) for p in trace.points]
+            assert [r.hex() for r in trace.proximity_residuals] == [
+                r.hex() for r in want
+            ]
+
     def test_geometric_decay(self, halving):
         g, t = halving
         trace = picard(g, t, P(1), 0.25, TOL)
