@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
@@ -124,6 +124,14 @@ def _need_convex(inst: Instance):
     return inst.convex
 
 
+def _core(cores: dict, g, a, b, tol):
+    """The proximity core of (g, a, b), computed once per cores dict."""
+    core = cores.get((g, a, b))
+    if core is None:
+        core = cores[g, a, b] = proximal_core(g, a, b, tol)
+    return core
+
+
 class _Spec:
     """A check spec against an instance, its parts looked up on first use, so
     a check or a replay asks only for what it needs.  cores holds the
@@ -149,11 +157,7 @@ class _Spec:
 
     @cached_property
     def core(self):
-        key = (self.gauge, *self.pair)
-        core = self.cores.get(key)
-        if core is None:
-            core = self.cores[key] = proximal_core(*key, self.tol)
-        return core
+        return _core(self.cores, self.gauge, *self.pair, self.tol)
 
     @cached_property
     def convex(self):
@@ -413,56 +417,39 @@ def cmd_verify(args) -> int:
     return EXIT_FALSIFIED if any_falsified else EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    inst = _apply_tol_overrides(load_instance(args.config), args)
+def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, object]:
+    """Run the scheme of parsed solve arguments: (summary, result), result
+    being the Trace, or the BerindeResult for berinde; cores as for run_check."""
     tol = inst.tol
     g = inst.gauge(args.gauge) if args.gauge else inst.g
+    f = inst.map_(args.map)
     scheme = args.scheme
     if scheme in ("picard", "power"):
-        u = inst.map_(args.map)
         if args.from_point is None:
             raise CheckSpecError("--from is required for this scheme")
         p0 = _point_from_text(args.from_point, inst.dimension)
         alpha = args.alpha
         if alpha is None:
-            est = estimate_coefficient(g, u, tol, seed=args.seed)
+            est = estimate_coefficient(g, f, tol, seed=args.seed)
             if not 0.0 < est < 1.0:
                 raise CheckSpecError(
                     f"no usable coefficient estimate ({est!r}); pass --alpha"
                 )
             alpha = min(est + 1e-9, 0.999999999)
         if scheme == "picard":
-            trace = picard(g, u, p0, alpha, tol, args.max_iter)
+            trace = picard(g, f, p0, alpha, tol, args.max_iter)
         else:
-            trace = power_fixed_point(g, u, args.n0, p0, alpha, tol, args.max_iter)
-        summary = {
-            "scheme": scheme,
-            "verdict": trace.verdict,
-            "steps": trace.steps,
-            "final": list(trace.final.coords),
-            "certificate_residual": trace.certificate_residual,
-            "alpha": alpha,
-        }
-    elif scheme == "proximal":
-        f = inst.map_(args.map)
+            trace = power_fixed_point(g, f, args.n0, p0, alpha, tol, args.max_iter)
+        return _trace_summary(scheme, trace, alpha=alpha), trace
+    if scheme == "proximal":
         a, b = f.domain, f.codomain
-        core = proximal_core(g, a, b, tol)
-        p0 = (
-            _point_from_text(args.from_point, inst.dimension)
-            if args.from_point
-            else core.a_g.points[0]
-        )
+        core = _core({} if cores is None else cores, g, a, b, tol)
+        p0 = core.a_g.points[0]
+        if args.from_point:
+            p0 = _point_from_text(args.from_point, inst.dimension)
         trace = proximal_iterate(g, f, a, b, core, p0, tol, args.max_iter)
-        summary = {
-            "scheme": scheme,
-            "verdict": trace.verdict,
-            "steps": trace.steps,
-            "final": list(trace.final.coords),
-            "certificate_residual": trace.certificate_residual,
-            "proximity_level": core.d_g,
-        }
-    elif scheme == "berinde":
-        f = inst.map_(args.map)
+        return _trace_summary(scheme, trace, proximity_level=core.d_g), trace
+    if scheme == "berinde":
         cv = _need_convex(inst)
         sched = inst.schedule or Schedule.harmonic(10)
         if args.stages is not None:
@@ -474,7 +461,6 @@ def cmd_solve(args) -> int:
             skip_side_condition=args.skip_side_condition,
             seed=args.seed,
         )
-        trace = result.trace
         summary = {
             "scheme": scheme,
             "verdict": result.verdict,
@@ -486,18 +472,32 @@ def cmd_solve(args) -> int:
                 for item in result.battery
             ],
         }
+        return summary, result
+    raise CheckSpecError(f"unknown scheme {scheme!r}")
+
+
+def _trace_summary(scheme: str, trace, **extra) -> dict:
+    return dict(scheme=scheme, verdict=trace.verdict, steps=trace.steps,
+                final=list(trace.final.coords),
+                certificate_residual=trace.certificate_residual, **extra)
+
+
+def cmd_solve(args) -> int:
+    inst = _apply_tol_overrides(load_instance(args.config), args)
+    summary, result = solve(inst, args)
+    trace = result
+    if args.scheme == "berinde":
+        trace = result.trace
         if not args.json:
             for item in result.battery:
                 state = "ok" if item.passed else "WARNING: failed on sample"
                 extra = " (vacuous)" if item.vacuous else ""
                 print(f"hypothesis {item.name:<24} {state}{extra}")
-    else:
-        raise CheckSpecError(f"unknown scheme {scheme!r}")
     if args.trace:
         write_trace_csv(trace, args.trace)
     if not args.json:
         print(
-            f"{scheme}: {summary['verdict']}, final {summary['final']}, "
+            f"{args.scheme}: {summary['verdict']}, final {summary['final']}, "
             f"certificate residual {summary['certificate_residual']!r}"
         )
     _emit(summary, args)
@@ -509,40 +509,21 @@ def cmd_fixtures(args) -> int:
     if not reports:
         print(f"no fixtures match pattern {args.pattern!r}")
         return EXIT_OK
-    all_ok = True
-    rows = []
-    for rep in reports:
-        for o in rep.outcomes:
-            rows.append((rep.name, o.label, o.provenance, o.passed, o.detail))
-            all_ok = all_ok and o.passed
+    all_ok = all(rep.passed for rep in reports)
     if args.json:
-        doc = {
-            "fixtures": [
-                {
-                    "name": rep.name,
-                    "passed": rep.passed,
-                    "expectations": [
-                        {
-                            "label": o.label,
-                            "provenance": o.provenance,
-                            "passed": o.passed,
-                            "detail": o.detail,
-                        }
-                        for o in rep.outcomes
-                    ],
-                }
-                for rep in reports
-            ],
-            "passed": all_ok,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit({"fixtures": [
+            {"name": rep.name, "passed": rep.passed,
+             "expectations": [asdict(o) for o in rep.outcomes]}
+            for rep in reports
+        ], "passed": all_ok}, args)
     else:
-        width = max(len(r[0]) for r in rows)
-        for name, label, provenance, passed, detail in rows:
-            mark = "PASS" if passed else "FAIL"
-            print(f"{mark}  {name:<{width}}  {label}  [{provenance}]")
-            if not passed and detail:
-                print(f"      {detail}")
+        width = max(len(rep.name) for rep in reports)
+        for rep in reports:
+            for o in rep.outcomes:
+                mark = "PASS" if o.passed else "FAIL"
+                print(f"{mark}  {rep.name:<{width}}  {o.label}  [{o.provenance}]")
+                if not o.passed and o.detail:
+                    print(f"      {o.detail}")
         total = sum(len(rep.outcomes) for rep in reports)
         print(
             f"{len(reports)} fixtures, {total} expectations, "
@@ -664,4 +645,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as __main__, this file is a second module beside gproxim.cli, which
+    # the fixture runner imports: use that one, so one CheckSpecError is caught
+    from gproxim.cli import main as package_main
+
+    sys.exit(package_main())

@@ -119,10 +119,11 @@ class ToleranceSet:
     tail_len: int = 10
 
     def __post_init__(self):
-        if self.eps_prox <= 0 or self.eps_zero <= 0:
-            raise GSpaceError("eps_prox and eps_zero must be positive")
-        if self.eps_ineq < 0:
-            raise GSpaceError("eps_ineq must be non-negative")
+        # each test is written so that a NaN fails it
+        if not (0 < self.eps_prox < math.inf and 0 < self.eps_zero < math.inf):
+            raise GSpaceError("eps_prox and eps_zero must be positive and finite")
+        if not 0 <= self.eps_ineq < math.inf:
+            raise GSpaceError("eps_ineq must be non-negative and finite")
         if self.tail_len < 1:
             raise GSpaceError("tail_len must be at least 1")
 

@@ -545,11 +545,20 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     ({"tolerances": {"eps_ineq": "0.5"}}, "tolerances.eps_ineq"),
     ({"sets": {"A": {"points": [[0], [10 ** 400]]}}}, "sets.A.points[1]"),
     ({"tolerances": {"eps_zero": 10 ** 400}}, "tolerances.eps_zero"),
+    ({"tolerances": {"eps_ineq": math.nan}}, "tolerances"),
+    ({"tolerances": {"eps_ineq": math.inf}}, "tolerances"),
+    ({"tolerances": {"eps_ineq": -math.inf}}, "tolerances"),
+    ({"tolerances": {"eps_zero": math.nan}}, "tolerances"),
+    ({"tolerances": {"eps_zero": math.inf}}, "tolerances"),
+    ({"tolerances": {"eps_prox": math.nan}}, "tolerances"),
+    ({"tolerances": {"eps_prox": math.inf}}, "tolerances"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
         "string-coordinate", "boolean-tolerance", "string-tolerance",
-        "huge-integer-coordinate", "huge-integer-tolerance"])
+        "huge-integer-coordinate", "huge-integer-tolerance",
+        "nan-eps-ineq", "infinite-eps-ineq", "minus-infinite-eps-ineq",
+        "nan-eps-zero", "infinite-eps-zero", "nan-eps-prox", "infinite-eps-prox"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path, capsys):
     doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
     cfg = tmp_path / "bad.json"
@@ -557,6 +566,16 @@ def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path
     assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--tol-zero", "--tol-prox"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_a_bad_tolerance_flag_exits_two_with_one_line(flag, value, capsys):
+    cfg = str(fixture_config_path("min-contraction"))
+    argv = ["verify", "--config", cfg, "--checks", "identity:g", f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_a_non_finite_power_of_a_negative_base_exits_two_with_one_line(

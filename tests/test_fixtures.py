@@ -72,3 +72,81 @@ def test_instances_load_independently():
     inst = load_fixture_instance("segment-bpp")
     assert inst.dimension == 2
     assert set(inst.sets) == {"A", "B"}
+
+
+def test_text_report_matches_the_golden_file(capsys):
+    from gproxim.cli import main
+
+    assert main(["fixtures", "*"]) == 0
+    golden = Path(__file__).parent / "data" / "fixtures_report.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name, label, want, detail, count", [
+    ("g-closed-halfline", "the limit 1/2 belongs to the half line", False,
+     "member is True", 4),
+    ("segment-bpp", "uniqueness precondition 1 - beta - N = 1/2 > 0 and one seed only",
+     {"a_g": lambda got: len(got) == 2}, "a_g is [(1.0, 0.0)]", 3),
+], ids=["value", "predicate"])
+def test_a_wrong_expectation_fails_the_fixtures_command(
+    name, label, want, detail, count, monkeypatch, capsys
+):
+    from gproxim import fixtures
+    from gproxim.cli import main
+
+    rows = list(fixtures._TABLE[name])
+    [i] = [k for k, row in enumerate(rows) if row[0] == label]
+    rows[i] = (*rows[i][:3], want)
+    monkeypatch.setitem(fixtures._TABLE, name, tuple(rows))
+    assert main(["fixtures", name]) == 1
+    out = capsys.readouterr().out.splitlines()
+    k = out.index(f"FAIL  {name}  {label}  [reference]")
+    assert out[k + 1] == f"      {detail}"
+    assert out[-1] == f"1 fixtures, {count} expectations, FAILURES PRESENT"
+    assert sum(line.startswith("FAIL") for line in out) == 1
+
+    assert main(["fixtures", name, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and doc["fixtures"][0]["passed"] is False
+    failed = [e for e in doc["fixtures"][0]["expectations"] if not e["passed"]]
+    assert [(e["label"], e["detail"]) for e in failed] == [(label, detail)]
+
+
+def test_a_missing_witness_fails_its_replay_and_keeps_the_row(monkeypatch):
+    from gproxim import cli
+    from gproxim.gspace import CheckReport
+
+    real = cli.check_proximal_inequality
+
+    def holds_under_h(g, *args, **kwargs):
+        if g.name == "h":
+            return CheckReport("proximal-weak", "holds-on-sample")
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_proximal_inequality", holds_under_h)
+    report = run_fixture("quarter-proximal")
+    assert len(report.outcomes) == 6
+    assert [(o.label, o.detail) for o in report.outcomes if not o.passed] == [
+        ("falsified under h for any beta, N", "verdict is 'holds-on-sample'"),
+        ("reported witness replays exactly",
+         "replay 'proximal-weak:h:beta=0.9:N=1' has nothing to evaluate"),
+    ]
+
+
+def test_a_missing_battery_item_fails_and_keeps_the_row(monkeypatch):
+    from gproxim import cli
+    from gproxim.gspace import Point
+    from gproxim.solvers import BatteryItem, BerindeResult
+
+    names = ["convex-structure", "starshaped-A", "starshaped-B",
+             "centres-realise-level", "berinde-nonexpansive", "side-condition"]
+    result = BerindeResult(
+        final=Point((0.0, 0.0)), residual=0.0, verdict="converged",
+        battery=[BatteryItem(name, True) for name in names], stages=[], trace=None,
+    )
+    monkeypatch.setattr(cli, "berinde_scheme", lambda *args, **kwargs: result)
+    report = run_fixture("berinde-reflection")
+    assert len(report.outcomes) == 9
+    assert [(o.label, o.detail) for o in report.outcomes if not o.passed] == [
+        ("hypothesis: semi-sharp", "hypothesis 'semi-sharp' has nothing to evaluate"),
+    ]
