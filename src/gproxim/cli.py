@@ -26,12 +26,14 @@ from .gspace import (
     NoProximalMate,
     Point,
     SampleSet,
+    ToleranceError,
     axiom_sides,
     check_convex_structure,
     check_semi_sharp,
     check_side_condition,
     check_starshaped,
     convex_condition_sides,
+    eval_g,
     falsify_axiom,
     proximal_core,
     semi_sharp_sides,
@@ -48,6 +50,7 @@ from .properties import (
     proximal_sides,
 )
 from .solvers import (
+    BatteryItem,
     Schedule,
     berinde_scheme,
     picard,
@@ -357,12 +360,15 @@ def replay_entry(
 
 
 def _apply_tol_overrides(inst: Instance, args) -> Instance:
-    tol = inst.tol
-    if getattr(args, "tol_prox", None) is not None:
-        tol = replace(tol, eps_prox=args.tol_prox)
-    if getattr(args, "tol_zero", None) is not None:
-        tol = replace(tol, eps_zero=args.tol_zero)
-    inst.tol = tol
+    for flag, field, value in (
+        ("--tol-prox", "eps_prox", getattr(args, "tol_prox", None)),
+        ("--tol-zero", "eps_zero", getattr(args, "tol_zero", None)),
+    ):
+        if value is not None:
+            try:
+                inst.tol = replace(inst.tol, **{field: value})
+            except ToleranceError as exc:
+                raise ConfigError(flag, exc.reason) from None
     return inst
 
 
@@ -419,7 +425,8 @@ def cmd_verify(args) -> int:
 
 def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, object]:
     """Run the scheme of parsed solve arguments: (summary, result), result
-    being the Trace, or the BerindeResult for berinde; cores as for run_check."""
+    being the Trace, or the BerindeResult for berinde, whose battery runs
+    first, after the proximity core; cores as for run_check."""
     tol = inst.tol
     g = inst.gauge(args.gauge) if args.gauge else inst.g
     f = inst.map_(args.map)
@@ -454,13 +461,14 @@ def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, obj
         sched = inst.schedule or Schedule.harmonic(10)
         if args.stages is not None:
             sched = Schedule.harmonic(args.stages)
+        cores = {} if cores is None else cores
+        core = _core(cores, g, f.domain, f.codomain, tol)
+        battery = _battery(inst, args, g, f, core, cores)
         result = berinde_scheme(
-            g, f, f.domain, f.codomain, cv.h, cv.r, cv.s, sched, tol,
-            max_iter=args.max_iter,
-            lambda_grid=cv.lambda_grid,
-            skip_side_condition=args.skip_side_condition,
-            seed=args.seed,
+            g, f, f.domain, f.codomain, core, cv.h, cv.s, sched, tol,
+            args.max_iter, args.seed,
         )
+        result.battery = battery
         summary = {
             "scheme": scheme,
             "verdict": result.verdict,
@@ -474,6 +482,39 @@ def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, obj
         }
         return summary, result
     raise CheckSpecError(f"unknown scheme {scheme!r}")
+
+
+# The staged scheme's hypotheses in battery order, each as the verify spec
+# that checks it over solve's gauge g, map f and the map's sets A and B.  The
+# centres' gap to the proximity level has no check kind, hence no spec.
+_BATTERY = (
+    ("convex-structure", "convex:{g}"),
+    ("starshaped-A", "starshaped:{A}:center=r"),
+    ("starshaped-B", "starshaped:{B}:center=s"),
+    ("centres-realise-level", None),
+    ("semi-sharp", "semi-sharp:{g}:A={A}:B={B}"),
+    ("berinde-nonexpansive", "berinde:{g}:map={f}:A={A}:B={B}"),
+    ("side-condition", "side-condition:{g}:A={A}:B={B}"),
+)
+
+
+def _battery(inst: Instance, args, g, f, core, cores: dict) -> list[BatteryItem]:
+    """The hypothesis battery of solve --scheme berinde: an item with a spec
+    carries run_check's report for it; a failed item warns, not aborts."""
+    names = {"g": g.name, "f": f.name, "A": f.domain.name, "B": f.codomain.name}
+    items = []
+    for name, spec in _BATTERY:
+        if spec is None:
+            cv = inst.convex
+            gap = abs(abs(eval_g(g, cv.r, cv.s)) - core.d_g)
+            items.append(BatteryItem(name, gap <= inst.tol.eps_prox, note=f"gap {gap!r}"))
+        elif name == "side-condition" and args.skip_side_condition:
+            items.append(BatteryItem(name, True, note="skipped on request"))
+        else:
+            rep = run_check(inst, spec.format(**names), args.seed, cores)
+            note = "no qualifying quadruples" if rep.vacuous else rep.note
+            items.append(BatteryItem(name, rep.holds, rep.vacuous, note, rep))
+    return items
 
 
 def _trace_summary(scheme: str, trace, **extra) -> dict:

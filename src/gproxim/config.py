@@ -22,6 +22,7 @@ from .gspace import (
     GSpaceError,
     Point,
     SampleSet,
+    ToleranceError,
     ToleranceSet,
 )
 from .properties import MapSpec
@@ -319,8 +320,8 @@ def instance_from_dict(doc: dict) -> Instance:
     }
     try:
         tol = ToleranceSet(**eps, tail_len=tail_len)
-    except GSpaceError as exc:
-        raise ConfigError("tolerances", str(exc)) from None
+    except ToleranceError as exc:
+        raise ConfigError(f"tolerances.{exc.field}", exc.reason) from None
 
     schedule: Optional[Schedule] = None
     if doc.get("schedule"):

@@ -45,6 +45,7 @@ __all__ = [
     "CheckReport",
     "SequenceReport",
     "GSpaceError",
+    "ToleranceError",
     "DimensionMismatch",
     "NoProximalMate",
     "eval_g",
@@ -70,6 +71,14 @@ class DimensionMismatch(GSpaceError):
 
 class NoProximalMate(GSpaceError):
     """No sample point realises the proximity level for the requested target."""
+
+
+class ToleranceError(GSpaceError):
+    """A tolerance out of its range: field names it, reason says why."""
+
+    def __init__(self, field: str, value: float, requirement: str):
+        self.field, self.reason = field, f"must be {requirement}, got {value!r}"
+        super().__init__(f"{field} {self.reason}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +129,14 @@ class ToleranceSet:
 
     def __post_init__(self):
         # each test is written so that a NaN fails it
-        if not (0 < self.eps_prox < math.inf and 0 < self.eps_zero < math.inf):
-            raise GSpaceError("eps_prox and eps_zero must be positive and finite")
+        if not 0 < self.eps_prox < math.inf:
+            raise ToleranceError("eps_prox", self.eps_prox, "positive and finite")
+        if not 0 < self.eps_zero < math.inf:
+            raise ToleranceError("eps_zero", self.eps_zero, "positive and finite")
         if not 0 <= self.eps_ineq < math.inf:
-            raise GSpaceError("eps_ineq must be non-negative and finite")
+            raise ToleranceError("eps_ineq", self.eps_ineq, "non-negative and finite")
         if self.tail_len < 1:
-            raise GSpaceError("tail_len must be at least 1")
+            raise ToleranceError("tail_len", self.tail_len, "at least 1")
 
 
 class GFunction:
@@ -774,13 +785,19 @@ def _subsampled(points: Sequence, m: int, seed: int) -> list:
     return [points[i] for i in _stride_indices(len(points), m, seed)]
 
 
+# The tuple cap of the subsampled scans: _capped's default, and the convex
+# check's budget.
+MAX_TUPLES = 1_000_000
+
+
 def _capped(
-    items: Sequence, box: bool, arity: int, seed: int, cap: int = 1_000_000
+    items: Sequence, box: bool, arity: int, seed: int, cap: Optional[int] = None
 ) -> Sequence:
     """The items a scan of arity-tuples over them reads: all of them, unless
-    they come from a box sample and make more than cap tuples; then
-    max(2, floor(cap ** (1 / arity))) of them, picked by _stride_indices.
-    An exact set is never cut."""
+    they come from a box sample and make more than cap (default MAX_TUPLES)
+    tuples; then max(2, floor(cap ** (1 / arity))) of them, picked by
+    _stride_indices.  An exact set is never cut."""
+    cap = MAX_TUPLES if cap is None else cap
     if not box or len(items) ** arity <= cap:
         return items
     return _subsampled(items, max(2, int(cap ** (1 / arity))), seed)
@@ -792,7 +809,6 @@ def check_convex_structure(
     s: SampleSet,
     lambda_grid: Sequence[float],
     tol: ToleranceSet,
-    max_tuples: int = 1_000_000,
     seed: int = 0,
 ) -> CheckReport:
     """Check both interpolation inequalities of a convex structure on a sample.
@@ -803,15 +819,15 @@ def check_convex_structure(
     by subsampling each axis deterministically.
     """
     lams = list(lambda_grid)
-    if not lams or min(lams) > 0.0 or max(lams) < 1.0 or 0.0 not in lams or 1.0 not in lams:
+    if 0.0 not in lams or 1.0 not in lams:
         raise GSpaceError("lambda grid must include 0 and 1")
     pts = s.points
 
     def axes(k: int):
-        """k point axes and the lambda axis, subsampled to at most max_tuples
+        """k point axes and the lambda axis, subsampled to at most MAX_TUPLES
         tuples (the lambda axis keeps 0 and 1), then the (lam, 1 - lam) of
         the lambda axis and its length."""
-        m = _axis_budget([len(pts)] * k + [len(lams)], max_tuples)
+        m = _axis_budget([len(pts)] * k + [len(lams)], MAX_TUPLES)
         lam_sub = sorted(
             set(lams[i] for i in _stride_indices(len(lams), m[k], seed)) | {0.0, 1.0}
         )
@@ -942,15 +958,16 @@ def check_starshaped(
     r: Point,
     lambda_grid: Sequence[float],
     tol: ToleranceSet,
-    membership_tol: float = 1e-9,
 ) -> CheckReport:
-    """Holds when H(r, x, lam) stays inside the set for all sampled x, lam."""
-    if not a.contains(r, max(membership_tol, tol.eps_prox)):
+    """Holds when H(r, x, lam) stays inside the set for all sampled x, lam,
+    membership tested with the band max(1e-9, eps_prox)."""
+    band = max(1e-9, tol.eps_prox)
+    if not a.contains(r, band):
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
     for x in a.points:
         for lam in lambda_grid:
             image = h.apply(r, x, lam)
-            if not a.contains(image, max(membership_tol, tol.eps_prox)):
+            if not a.contains(image, band):
                 return CheckReport(
                     "starshaped", _FALSIFIED,
                     {"x": x, "lam": lam, "image": image},

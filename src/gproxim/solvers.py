@@ -1,5 +1,7 @@
 """Constructive schemes: contraction iteration, its power variant, proximity
-iteration for non-self maps, and the staged interpolation scheme.
+iteration for non-self maps, and the staged interpolation scheme.  The
+staged scheme runs only its stages; its hypotheses are checked by the
+caller (the command line runs them as verify specs, see cli._BATTERY).
 
 Each run produces a Trace: the visited points, per-step gauge residuals, the
 geometric a-priori bounds used as a stopping certificate, and a final-point
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .gspace import (
     CheckReport,
@@ -26,12 +28,7 @@ from .gspace import (
     SampleSet,
     ToleranceSet,
     _gauge_row,
-    check_convex_structure,
-    check_semi_sharp,
-    check_side_condition,
-    check_starshaped,
     eval_g,
-    proximal_core,
     proximal_select,
 )
 from .properties import MapSpec, check_proximal_inequality
@@ -392,74 +389,18 @@ class StageReport:
 
 @dataclass
 class BerindeResult:
+    """The staged scheme's outcome; its caller fills battery."""
+
     final: Point
     residual: float
     verdict: str
-    battery: list[BatteryItem]
     stages: list[StageReport]
     trace: Trace
+    battery: list[BatteryItem] = field(default_factory=list)
 
     @property
     def hypotheses_ok(self) -> bool:
         return all(item.passed for item in self.battery)
-
-
-def _battery(
-    g: GFunction,
-    f: MapSpec,
-    a: SampleSet,
-    b: SampleSet,
-    h: ConvexStructure,
-    r: Point,
-    s: Point,
-    core: ProximalCore,
-    n_cap: float,
-    lambda_grid: Sequence[float],
-    tol: ToleranceSet,
-    skip_side_condition: bool,
-    seed: int,
-    max_tuples: int,
-) -> list[BatteryItem]:
-    items: list[BatteryItem] = []
-
-    def add(name: str, report: CheckReport) -> None:
-        items.append(BatteryItem(name, report.holds, note=report.note, report=report))
-
-    ambient = a.union(b, name="A|B")
-    add(
-        "convex-structure",
-        check_convex_structure(
-            h, g, ambient, lambda_grid, tol, max_tuples=max_tuples, seed=seed
-        ),
-    )
-    add("starshaped-A", check_starshaped(h, a, r, lambda_grid, tol))
-    add("starshaped-B", check_starshaped(h, b, s, lambda_grid, tol))
-    centre_gap = abs(abs(eval_g(g, r, s)) - core.d_g)
-    items.append(
-        BatteryItem(
-            "centres-realise-level",
-            centre_gap <= tol.eps_prox,
-            note=f"gap {centre_gap!r}",
-        )
-    )
-    add("semi-sharp", check_semi_sharp(g, core))
-    berinde = check_proximal_inequality(g, f, a, 1.0, n_cap, core, tol, seed=seed)
-    items.append(
-        BatteryItem(
-            "berinde-nonexpansive",
-            berinde.holds,
-            vacuous=berinde.vacuous,
-            note="no qualifying quadruples" if berinde.vacuous else "",
-            report=berinde,
-        )
-    )
-    if skip_side_condition:
-        items.append(
-            BatteryItem("side-condition", True, note="skipped on request")
-        )
-    else:
-        add("side-condition", check_side_condition(g, core, r, s, tol))
-    return items
 
 
 def berinde_scheme(
@@ -467,42 +408,31 @@ def berinde_scheme(
     f: MapSpec,
     a: SampleSet,
     b: SampleSet,
+    core: ProximalCore,
     h: ConvexStructure,
-    r: Point,
     s: Point,
     sched: Schedule,
     tol: ToleranceSet,
     max_iter: int = DEFAULT_MAX_ITER,
-    n_cap: float = 0.0,
-    lambda_grid: Optional[Sequence[float]] = None,
-    skip_side_condition: bool = False,
     seed: int = 0,
-    max_tuples: int = 1_000_000,
 ) -> BerindeResult:
     """Staged approximation for a non-expansive proximal map.
 
     Stage n builds the interpolated map x -> H(s, f(x), a_n), verifies it is
-    a proximal weak contraction at coefficient beta_n = 1 - a_n, and runs the
-    proximity iteration from the previous stage's output (stage one starts
-    at the first realising point).  Hypothesis checks are reported as a
-    battery; failures warn rather than abort, because the scheme remains
-    numerically runnable when a sampled check is inconclusive.  The final
-    answer is the stage output with the smallest proximity residual under
-    the original map.
+    a proximal weak contraction at coefficient beta_n = 1 - a_n with N = 0,
+    and runs the proximity iteration from the previous stage's output (stage
+    one starts at the first realising point of core, the proximity core of
+    (g, a, b)).  The final answer is the stage output with the smallest
+    proximity residual under the original map.  The scheme's hypotheses are
+    not checked here: the result's battery is left empty for the caller.
     """
-    lams = list(lambda_grid) if lambda_grid is not None else [i / 10 for i in range(11)]
-    core = proximal_core(g, a, b, tol)
-    battery = _battery(
-        g, f, a, b, h, r, s, core, n_cap, lams, tol, skip_side_condition, seed,
-        max_tuples,
-    )
     stages: list[StageReport] = []
     current = core.a_g.points[0]
     for n, a_n in enumerate(sched.values, start=1):
         stage_map = StageMap(h, s, f, a_n)
         beta_n = 1.0 - a_n
         check = check_proximal_inequality(
-            g, stage_map, a, beta_n, n_cap, core, tol, seed=seed
+            g, stage_map, a, beta_n, 0.0, core, tol, seed=seed
         )
         trace = proximal_iterate(
             g, stage_map, a, b, core, current, tol, max_iter, check_image=False
@@ -534,7 +464,6 @@ def berinde_scheme(
         final=best.output,
         residual=best.residual,
         verdict=summary.verdict,
-        battery=battery,
         stages=stages,
         trace=summary,
     )

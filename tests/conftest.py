@@ -1,12 +1,72 @@
-"""Shared test helpers: a seeded random expression generator and an
-independent tree-walking oracle used to cross-check evaluation."""
+"""Shared test helpers: a seeded random expression generator, an
+independent tree-walking oracle used to cross-check evaluation, and one run
+of the fixture suite shared by the tests that read it."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import random
+import time
+from types import SimpleNamespace
+
+import pytest
 
 from gproxim.expr import Binary, Expr, Num, Unary, Var
+
+
+@pytest.fixture(scope="session")
+def fixture_suite():
+    """One run of `gproxim fixtures "*"`: its exit code, stdout, wall time,
+    and the reports the command printed, by fixture name."""
+    from gproxim import cli
+
+    real, printed, out = cli.run_fixtures, [], io.StringIO()
+
+    def recording(pattern):
+        printed.extend(real(pattern))
+        return printed
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "run_fixtures", recording)
+        t0 = time.perf_counter()
+        code = cli.main(["fixtures", "*"])
+        elapsed = time.perf_counter() - t0
+    return SimpleNamespace(
+        code=code, out=out.getvalue(), elapsed=elapsed,
+        reports={rep.name: rep for rep in printed},
+    )
+
+
+def reflection_doc() -> dict:
+    """The berinde-reflection fixture's config with both sets at resolution
+    11 instead of 201."""
+    from gproxim.fixtures import fixture_config_path
+
+    doc = json.loads(fixture_config_path("berinde-reflection").read_text())
+    for spec in doc["sets"].values():
+        spec["resolution"] = [1, 11]
+    return doc
+
+
+def solve_berinde(config: str, *argv: str):
+    """The BerindeResult of `gproxim solve --config <config> --scheme
+    berinde <argv>`, run as the command runs it."""
+    from gproxim import cli
+    from gproxim.config import load_instance
+
+    args = cli.build_parser().parse_args(
+        ["solve", "--config", config, "--scheme", "berinde", *argv]
+    )
+    return cli.solve(load_instance(config), args)[1]
+
+
+def write_config(tmp_path, doc: dict) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 VAR_POOL = ("x1", "x2", "u1", "u2", "l")
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import reflection_doc, solve_berinde, write_config
 from gproxim.cli import main, parse_check_spec
 from gproxim.fixtures import fixture_config_path
 
@@ -530,42 +531,61 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     assert capsys.readouterr().err == message + "\n"
 
 
-@pytest.mark.parametrize("patch, path", [
-    ({"maps": {"T": 5}}, "maps.T"),
-    ({"functions": [1]}, "functions"),
-    ({"schedule": {"values": ["a"]}}, "schedule.values"),
-    ({"sets": {"A": {"box": [[0, 1]], "resolution": "a"}}}, "sets.A.resolution"),
-    ({"schedule": {"stages": "a"}}, "schedule.stages"),
-    ({"schedule": {"stages": 2.5}}, "schedule.stages"),
-    ({"tolerances": {"tail_len": 2.5}}, "tolerances.tail_len"),
-    ({"dimension": True}, "dimension"),
-    ({"sets": {"A": {"points": [[True], ["0.5"]]}}}, "sets.A.points[0]"),
-    ({"sets": {"A": {"points": [[0], ["0.5"]]}}}, "sets.A.points[1]"),
-    ({"tolerances": {"eps_zero": True}}, "tolerances.eps_zero"),
-    ({"tolerances": {"eps_ineq": "0.5"}}, "tolerances.eps_ineq"),
-    ({"sets": {"A": {"points": [[0], [10 ** 400]]}}}, "sets.A.points[1]"),
-    ({"tolerances": {"eps_zero": 10 ** 400}}, "tolerances.eps_zero"),
-    ({"tolerances": {"eps_ineq": math.nan}}, "tolerances"),
-    ({"tolerances": {"eps_ineq": math.inf}}, "tolerances"),
-    ({"tolerances": {"eps_ineq": -math.inf}}, "tolerances"),
-    ({"tolerances": {"eps_zero": math.nan}}, "tolerances"),
-    ({"tolerances": {"eps_zero": math.inf}}, "tolerances"),
-    ({"tolerances": {"eps_prox": math.nan}}, "tolerances"),
-    ({"tolerances": {"eps_prox": math.inf}}, "tolerances"),
+@pytest.mark.parametrize("patch, path, message", [
+    ({"maps": {"T": 5}}, "maps.T", None),
+    ({"functions": [1]}, "functions", None),
+    ({"schedule": {"values": ["a"]}}, "schedule.values", None),
+    ({"sets": {"A": {"box": [[0, 1]], "resolution": "a"}}}, "sets.A.resolution", None),
+    ({"schedule": {"stages": "a"}}, "schedule.stages", None),
+    ({"schedule": {"stages": 2.5}}, "schedule.stages", None),
+    ({"tolerances": {"tail_len": 2.5}}, "tolerances.tail_len", None),
+    ({"dimension": True}, "dimension", None),
+    ({"sets": {"A": {"points": [[True], ["0.5"]]}}}, "sets.A.points[0]", None),
+    ({"sets": {"A": {"points": [[0], ["0.5"]]}}}, "sets.A.points[1]", None),
+    ({"tolerances": {"eps_zero": True}}, "tolerances.eps_zero", None),
+    ({"tolerances": {"eps_ineq": "0.5"}}, "tolerances.eps_ineq", None),
+    ({"sets": {"A": {"points": [[0], [10 ** 400]]}}}, "sets.A.points[1]", None),
+    ({"tolerances": {"eps_zero": 10 ** 400}}, "tolerances.eps_zero", None),
+    ({"tolerances": {"eps_ineq": math.nan}}, "tolerances.eps_ineq",
+     "must be non-negative and finite, got nan"),
+    ({"tolerances": {"eps_ineq": math.inf}}, "tolerances.eps_ineq",
+     "must be non-negative and finite, got inf"),
+    ({"tolerances": {"eps_ineq": -math.inf}}, "tolerances.eps_ineq",
+     "must be non-negative and finite, got -inf"),
+    ({"tolerances": {"eps_zero": math.nan}}, "tolerances.eps_zero",
+     "must be positive and finite, got nan"),
+    ({"tolerances": {"eps_zero": math.inf}}, "tolerances.eps_zero",
+     "must be positive and finite, got inf"),
+    ({"tolerances": {"eps_prox": math.nan}}, "tolerances.eps_prox",
+     "must be positive and finite, got nan"),
+    ({"tolerances": {"eps_prox": math.inf}}, "tolerances.eps_prox",
+     "must be positive and finite, got inf"),
+    ({"tolerances": {"eps_zero": -1}}, "tolerances.eps_zero",
+     "must be positive and finite, got -1.0"),
+    ({"tolerances": {"eps_prox": 0}}, "tolerances.eps_prox",
+     "must be positive and finite, got 0.0"),
+    ({"tolerances": {"eps_ineq": -0.5}}, "tolerances.eps_ineq",
+     "must be non-negative and finite, got -0.5"),
+    ({"tolerances": {"tail_len": 0}}, "tolerances.tail_len", "must be at least 1, got 0"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
         "string-coordinate", "boolean-tolerance", "string-tolerance",
         "huge-integer-coordinate", "huge-integer-tolerance",
         "nan-eps-ineq", "infinite-eps-ineq", "minus-infinite-eps-ineq",
-        "nan-eps-zero", "infinite-eps-zero", "nan-eps-prox", "infinite-eps-prox"])
-def test_config_of_the_wrong_shape_exits_two_with_one_line(patch, path, tmp_path, capsys):
+        "nan-eps-zero", "infinite-eps-zero", "nan-eps-prox", "infinite-eps-prox",
+        "negative-eps-zero", "zero-eps-prox", "negative-eps-ineq", "zero-tail-len"])
+def test_config_of_the_wrong_shape_exits_two_with_one_line(
+    patch, path, message, tmp_path, capsys
+):
     doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}}
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**doc, **patch}))
     assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    if message is not None:
+        assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-prox"])
@@ -576,6 +596,7 @@ def test_a_bad_tolerance_flag_exits_two_with_one_line(flag, value, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == f"error: {flag}: must be positive and finite, got {float(value)!r}\n"
 
 
 def test_a_non_finite_power_of_a_negative_base_exits_two_with_one_line(
@@ -611,6 +632,115 @@ def test_zero_stages_exits_two_with_one_line(small_convex_config, capsys):
     argv = ["solve", "--config", small_convex_config, "--scheme", "berinde"]
     assert main(argv + ["--stages", "0"]) == 2
     assert capsys.readouterr().err == "error: schedule needs at least one stage\n"
+
+
+def _battery_specs(res) -> list:
+    """(item, spec) for each battery item of res that has a spec, over the
+    gauge g, map f and sets A, B of the reflection configs."""
+    from gproxim import cli
+
+    assert [item.name for item in res.battery] == [name for name, _ in cli._BATTERY]
+    return [(item, spec.format(g="g", f="f", A="A", B="B"))
+            for item, (_, spec) in zip(res.battery, cli._BATTERY) if spec is not None]
+
+
+def _off_level_centres(doc):
+    doc["convex"].update(r=[0, -1], s=[0, 1])
+
+
+def _vacuous_berinde(doc):
+    # f sends A to [1/2, 1], so no image has a mate in A at the level 0
+    doc["maps"]["f"]["exprs"] = ["x1", "0.5 - x2/2"]
+
+
+# at resolution 11 the convex check subsamples its condition two, by seed
+@pytest.mark.parametrize("edit, seed", [
+    (None, "5"), (_off_level_centres, "0"), (_vacuous_berinde, "0"),
+], ids=["berinde-reflection", "off-level-centres", "vacuous-berinde"])
+def test_each_battery_item_carries_run_checks_report(edit, seed, tmp_path):
+    from gproxim.cli import run_check
+    from gproxim.config import load_instance
+
+    doc = reflection_doc()
+    if edit is not None:
+        edit(doc)
+    config = write_config(tmp_path, doc)
+    res = solve_berinde(config, "--seed", seed, "--stages", "1")
+    inst = load_instance(config)
+    specs = _battery_specs(res)
+    assert len(specs) == 6
+    for item, spec in specs:
+        assert item.report == run_check(inst, spec, int(seed)), spec
+        assert (item.passed, item.vacuous) == (item.report.holds, item.report.vacuous)
+        assert item.note == ("no qualifying quadruples" if item.vacuous else item.report.note)
+    vacuous = [item.name for item in res.battery if item.vacuous]
+    assert vacuous == (["berinde-nonexpansive"] if edit is _vacuous_berinde else [])
+    gap = [item for item in res.battery if item.name == "centres-realise-level"]
+    assert gap[0].report is None and gap[0].passed == (edit is not _off_level_centres)
+
+
+def test_the_battery_passes_solves_seed_to_its_checks(tmp_path, monkeypatch):
+    import gproxim.cli as cli_module
+
+    seeds = []
+    for name in ("check_convex_structure", "check_proximal_inequality"):
+        real = getattr(cli_module, name)
+
+        def recording(*args, real=real, seed=0, **kwargs):
+            seeds.append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli_module, name, recording)
+    doc = reflection_doc()
+    doc["convex"]["lambda_grid"] = 3  # a cheap battery: only the seeds matter
+    solve_berinde(write_config(tmp_path, doc), "--seed", "7", "--stages", "1")
+    assert seeds == [7, 7]
+
+
+def test_the_battery_warns_where_verify_falsifies(tmp_path, capsys):
+    # the convex item reads the union of every set of the config, as verify
+    # does, and C breaks condition one
+    from gproxim.cli import _witness_to_json
+
+    doc = reflection_doc()
+    doc["g"] = "x2 - u2 + 0*x1 + sqrt(abs(x1-u1))"
+    doc["sets"]["C"] = {"points": [[1, 0], [3, 0]]}
+    config = write_config(tmp_path, doc)
+    res = solve_berinde(config)
+    for item, spec in _battery_specs(res):
+        argv = ["verify", "--config", config, "--checks", spec, "--json"]
+        assert main(argv) == (0 if item.passed else 1)
+        [entry] = json.loads(capsys.readouterr().out)["checks"]
+        assert entry["verdict"] == item.report.verdict
+        assert entry["witness"] == _witness_to_json(item.report.witness)
+    assert [item.name for item in res.battery if not item.passed] == ["convex-structure"]
+    assert _witness_to_json(res.battery[0].report.witness) == {
+        "x0": [0.0, -1.0], "x": [0.0, -1.0], "y": [1.0, 0.0], "lam": 0.1,
+    }
+
+
+def test_one_proximity_core_per_staged_solve(tmp_path, monkeypatch, capsys):
+    # the battery's semi-sharp, berinde and side-condition items and the
+    # stages share the core of (A, B)
+    import gproxim.cli as cli_module
+    import gproxim.gspace as gspace_module
+
+    calls = []
+    real = gspace_module.proximal_core
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_module, "proximal_core", counting)
+    monkeypatch.setattr(gspace_module, "proximal_core", counting)
+    doc = reflection_doc()
+    doc["convex"]["lambda_grid"] = 3  # a cheap battery: only the core count matters
+    argv = ["solve", "--config", write_config(tmp_path, doc), "--scheme", "berinde",
+            "--stages", "2"]
+    assert main(argv) == 0
+    assert "hypothesis semi-sharp" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 HELD, FALSE = "holds-on-sample", "falsified"

@@ -42,8 +42,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
-def test_fixture_passes_on_default_tolerances(name):
-    report = run_fixture(name)
+def test_fixture_passes_on_default_tolerances(name, fixture_suite):
+    report = fixture_suite.reports[name]
     failing = [o for o in report.outcomes if not o.passed]
     assert not failing, failing
     got = [(o.label, o.provenance, o.passed, o.detail) for o in report.outcomes]
@@ -74,12 +74,10 @@ def test_instances_load_independently():
     assert set(inst.sets) == {"A", "B"}
 
 
-def test_text_report_matches_the_golden_file(capsys):
-    from gproxim.cli import main
-
-    assert main(["fixtures", "*"]) == 0
+def test_text_report_matches_the_golden_file(fixture_suite):
+    assert fixture_suite.code == 0
     golden = Path(__file__).parent / "data" / "fixtures_report.txt"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    assert fixture_suite.out.encode() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("name, label, want, detail, count", [
@@ -135,16 +133,9 @@ def test_a_missing_witness_fails_its_replay_and_keeps_the_row(monkeypatch):
 
 def test_a_missing_battery_item_fails_and_keeps_the_row(monkeypatch):
     from gproxim import cli
-    from gproxim.gspace import Point
-    from gproxim.solvers import BatteryItem, BerindeResult
 
-    names = ["convex-structure", "starshaped-A", "starshaped-B",
-             "centres-realise-level", "berinde-nonexpansive", "side-condition"]
-    result = BerindeResult(
-        final=Point((0.0, 0.0)), residual=0.0, verdict="converged",
-        battery=[BatteryItem(name, True) for name in names], stages=[], trace=None,
-    )
-    monkeypatch.setattr(cli, "berinde_scheme", lambda *args, **kwargs: result)
+    table = tuple(item for item in cli._BATTERY if item[0] != "semi-sharp")
+    monkeypatch.setattr(cli, "_BATTERY", table)
     report = run_fixture("berinde-reflection")
     assert len(report.outcomes) == 9
     assert [(o.label, o.detail) for o in report.outcomes if not o.passed] == [

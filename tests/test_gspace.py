@@ -359,12 +359,13 @@ class TestStarshaped:
         assert LINEAR_H.apply(P(0, 0), P(0, -0.7), 1.0) == P(0, 0)
 
     def test_disjoint_intervals_falsified(self):
-        # two intervals sampled at spacing 0.1; membership tolerance of half
+        # two intervals sampled at spacing 0.1; a proximity band of half
         # the spacing makes the sample behave like the union of intervals
         h = ConvexStructure(("l*x1 + (1-l)*u1",))
         pts = [i / 10 for i in range(11)] + [2 + i / 10 for i in range(11)]
         a = SampleSet.from_points(pts)
-        rep = check_starshaped(h, a, P(0), (0.0, 0.5, 1.0), TOL, membership_tol=0.051)
+        band = ToleranceSet(eps_prox=0.051)
+        rep = check_starshaped(h, a, P(0), (0.0, 0.5, 1.0), band)
         assert rep.falsified
         assert 1.06 < rep.witness["image"].coords[0] < 1.94  # inside the gap
         midpoint = h.apply(P(0), P(3), 0.5)

@@ -310,7 +310,8 @@ def test_holding_scans_do_not_go_through_eval_g(monkeypatch):
     for kind in ("identity", "symmetry", "triangle"):
         assert falsify_axiom(kind, g, s, TOL).holds
     h = ConvexStructure(("l*x1 + (1-l)*u1",))
-    assert check_convex_structure(h, g, s, LAMS, TOL, max_tuples=10 ** 5).holds
+    monkeypatch.setattr(gspace_module, "MAX_TUPLES", 10 ** 5)
+    assert check_convex_structure(h, g, s, LAMS, TOL).holds
     proximal_core(g, s, s, TOL)
     assert calls == []
 
@@ -667,7 +668,7 @@ def test_fused_convex_condition_two_violation():
     assert got[1][0] == FALSIFIED and "y0" in got[1][1]
 
 
-def test_fused_convex_h_raising_in_a_q_row_of_condition_two():
+def test_fused_convex_h_raising_in_a_q_row_of_condition_two(monkeypatch):
     # Under 48 tuples condition one reads the lambdas 0, .2, .4, .6, .8, 1
     # and condition two 0, .5, 1, over both points of S.  H divides by zero
     # at x = 1/8, y = 0, l = 1/2, which only condition two reads: in its q
@@ -680,8 +681,9 @@ def test_fused_convex_h_raising_in_a_q_row_of_condition_two():
     lams = [i / 10 for i in range(11)]
     pts = list(s.points)
     assert ref_convex(h, g, pts, lams[::2], TOL, [])[0] == HOLDS
+    monkeypatch.setattr(gspace_module, "MAX_TUPLES", 48)
     got = assert_same(
-        lambda: check_convex_structure(h, g, s, lams, TOL, max_tuples=48),
+        lambda: check_convex_structure(h, g, s, lams, TOL),
         lambda: ref_convex(h, g, pts, lams[::2], TOL, [0.0, 0.5, 1.0]),
     )
     assert got[:3] == ("error", "EvalError", "division-by-zero")

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from conftest import reflection_doc, solve_berinde, write_config
 from gproxim.gspace import (
     ConvexStructure,
     GFunction,
@@ -349,19 +350,23 @@ def reflection():
 
 
 class TestBerindeScheme:
-    def test_reflection_converges_to_origin(self, reflection):
+    # The stages run here; the hypothesis battery is the command line's, so
+    # its assertions run solve on the reflection fixture at resolution 11.
+
+    def test_reflection_converges_to_origin(self, reflection, tmp_path):
         g, f, a, b, tol = reflection
+        core = proximal_core(g, a, b, tol)
         res = berinde_scheme(
-            g, f, a, b, LINEAR_H, P(0, 0), P(0, 0), Schedule.harmonic(10), tol,
-            max_tuples=20_000,
+            g, f, a, b, core, LINEAR_H, P(0, 0), Schedule.harmonic(10), tol
         )
         assert res.final == P(0, 0)
         assert res.residual <= 1e-9
         assert res.verdict == "converged"
-        assert res.hypotheses_ok
+        assert res.battery == []  # the caller runs the hypotheses
         for st in res.stages:
             assert st.beta_n == 1.0 - st.a_n
             assert st.check.holds and not st.check.vacuous
+        assert solve_berinde(write_config(tmp_path, reflection_doc())).hypotheses_ok
 
     def test_stage_map_composition(self, reflection):
         _, f, _, _, _ = reflection
@@ -376,8 +381,7 @@ class TestBerindeScheme:
         core = proximal_core(g, a, b, tol)
         plain = proximal_iterate(g, f, a, b, core, core.a_g.points[0], tol)
         res = berinde_scheme(
-            g, f, a, b, LINEAR_H, P(1, 0), P(1, 0), Schedule.harmonic(4), tol,
-            max_tuples=20_000,
+            g, f, a, b, core, LINEAR_H, P(1, 0), Schedule.harmonic(4), tol
         )
         assert res.stages[0].output == plain.final
         assert all(st.output == plain.final for st in res.stages)
@@ -386,29 +390,24 @@ class TestBerindeScheme:
     def test_single_stage_constant_map(self, reflection):
         g, _, a, b, tol = reflection
         const = MapSpec(["0", "0"], a, b, name="const")
+        core = proximal_core(g, a, b, tol)
         res = berinde_scheme(
-            g, const, a, b, LINEAR_H, P(0, 0), P(0, 0), Schedule((0.5,)), tol,
-            max_tuples=20_000,
+            g, const, a, b, core, LINEAR_H, P(0, 0), Schedule((0.5,)), tol
         )
         assert len(res.stages) == 1
         assert res.final == P(0, 0)  # the unique partner of the centre
 
-    def test_skip_side_condition_flag(self, reflection):
-        g, f, a, b, tol = reflection
-        res = berinde_scheme(
-            g, f, a, b, LINEAR_H, P(0, 0), P(0, 0), Schedule.harmonic(2), tol,
-            skip_side_condition=True, max_tuples=20_000,
-        )
+    def test_skip_side_condition_flag(self, tmp_path):
+        config = write_config(tmp_path, reflection_doc())
+        res = solve_berinde(config, "--stages", "2", "--skip-side-condition")
         side = [item for item in res.battery if item.name == "side-condition"]
         assert side[0].passed and side[0].note == "skipped on request"
 
-    def test_failed_hypothesis_warns_but_runs(self, reflection):
+    def test_failed_hypothesis_warns_but_runs(self, tmp_path):
         # an off-level centre breaks the battery yet the stages still run
-        g, f, a, b, tol = reflection
-        res = berinde_scheme(
-            g, f, a, b, LINEAR_H, P(0, -1), P(0, 1), Schedule.harmonic(2), tol,
-            max_tuples=20_000,
-        )
+        doc = reflection_doc()
+        doc["convex"].update(r=[0, -1], s=[0, 1])
+        res = solve_berinde(write_config(tmp_path, doc), "--stages", "2")
         assert not res.hypotheses_ok
         assert len(res.stages) == 2
 
