@@ -197,8 +197,17 @@ def _ints(values: Any, path: str) -> tuple[int, ...]:
     return tuple(_whole(v, path) for v in values)
 
 
+def _named(section: str, name: str) -> str:
+    """The path of a named entry, whose name a check spec
+    ("kind:name:key=value") must be able to hold."""
+    path = f"{section}.{name}"
+    if ":" in name or "=" in name:
+        raise ConfigError(path, "a name holding ':' or '=' cannot appear in a check spec")
+    return path
+
+
 def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
-    path = f"sets.{name}"
+    path = _named("sets", name)
     if "points" in _object(spec, path):
         pts = spec["points"]
         if not isinstance(pts, list) or not pts:
@@ -253,12 +262,11 @@ def instance_from_dict(doc: dict) -> Instance:
     except (ParseError, GSpaceError) as exc:
         raise ConfigError("g", str(exc)) from None
     for name, text in _object(doc.get("functions") or {}, "functions").items():
+        path = _named("functions", name)
         try:
-            gauges[name] = GFunction(
-                _text(text, f"functions.{name}"), dimension, name=name
-            )
+            gauges[name] = GFunction(_text(text, path), dimension, name=name)
         except (ParseError, GSpaceError) as exc:
-            raise ConfigError(f"functions.{name}", str(exc)) from None
+            raise ConfigError(path, str(exc)) from None
 
     sets = {
         name: _load_set(name, spec, dimension)
@@ -269,7 +277,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
     maps: dict[str, MapSpec] = {}
     for name, spec in _object(doc.get("maps") or {}, "maps").items():
-        path = f"maps.{name}"
+        path = _named("maps", name)
         exprs = _texts(_require(spec, "exprs", path), f"{path}.exprs")
         dom_name = _require(spec, "domain", path)
         cod_name = _require(spec, "codomain", path)

@@ -373,6 +373,29 @@ def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
     return f"({left}{sym}{right})"
 
 
+def _nonneg(e: Expr) -> bool:
+    """True when every double e evaluates to is >= +0.0 or NaN, never -0.0,
+    so that abs(e) is the same double as e.
+
+    Holds for abs, a literal with a clear sign bit, sqrt of a non-negative
+    operand, + * / min max of two non-negative operands, and ^ with a
+    non-negative base or an even integral literal exponent; never for a
+    variable, - or negation.
+    """
+    if isinstance(e, Num):
+        return math.copysign(1.0, e.value) > 0
+    if isinstance(e, Var):
+        return False
+    if isinstance(e, Unary):
+        return e.op == "abs" or (e.op == "sqrt" and _nonneg(e.operand))
+    if e.op == "pow":
+        r = e.right
+        return _nonneg(e.left) or (
+            isinstance(r, Num) and float(r.value).is_integer() and r.value % 2 == 0
+        )
+    return e.op != "sub" and _nonneg(e.left) and _nonneg(e.right)
+
+
 _COMPILE_GLOBALS = {
     # repr() writes a literal that overflows a double, such as 1e999, as inf
     "inf": math.inf,
@@ -481,10 +504,13 @@ def compile_row_kernels(
     unpacked from each P and each Q tuple.
 
     The loop bodies are compile_expr's text and its fast twin, so every value
-    is bit for bit the one the scalar callable returns.
+    is bit for bit the one the scalar callable returns.  Where _nonneg(e)
+    holds, they leave out the outer abs, which would return the same double.
     """
     _unbound((e,), left + right)
     fast, checked = _gen(e, count()), _gen(e)
+    if not _nonneg(e):
+        fast, checked = f"abs({fast})", f"abs({checked})"
     p, q = _names(left), _names(right)
 
     def variants(loop: Callable[[list[str], list[str]], str]) -> str:
@@ -503,9 +529,9 @@ def compile_row_kernels(
                 else f"({', '.join(targets)}) in zip({', '.join(rows)})")
         return (
             "    try:\n"
-            f"        return [abs({fast}) for {each}]\n"
+            f"        return [{fast} for {each}]\n"
             "    except (ArithmeticError, ValueError):\n"
-            f"        return [abs({checked}) for {each}]\n"
+            f"        return [{checked} for {each}]\n"
         )
 
     def first_violation(targets: list[str], rows: list[str]) -> str:
@@ -513,7 +539,7 @@ def compile_row_kernels(
         scan = ", ".join(rows + ["cycle(_LA)", "_MB"])
         return (
             f"    for _i, ({each}) in enumerate(zip({scan})):\n"
-            f"        if not abs({fast}) <= _la + _mb + _eps:\n"
+            f"        if not {fast} <= _la + _mb + _eps:\n"
             "            return _i\n"
             "    return -1\n"
         )

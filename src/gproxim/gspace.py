@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, cycle, repeat
@@ -81,7 +82,7 @@ class ToleranceError(GSpaceError):
         super().__init__(f"{field} {self.reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of the ambient space: a fixed-length tuple of finite reals."""
 
@@ -662,21 +663,20 @@ def proximal_core(
     lists each a_g member's banded partners in list order.
     """
     eps = tol.eps_prox
-    d_g = math.inf
-    # Per point of A, the partners within eps of its own row minimum: a
-    # superset of its band around d_g, which is at most that minimum.  A row
-    # with many such partners is kept whole, so this never holds more than
-    # the full matrix of values.
-    near = []
+    # Per point of A, its entries within eps of the level of the rows before
+    # it, or of its own minimum where that is lower: all within eps of that
+    # minimum (float subtraction is monotone), and a superset of its band.
+    d_g, near = math.inf, []
     for x in a.points:
         row = _gauge_row(g, x, b)
-        low = min(row)
-        d_g = min(d_g, low)
-        keep = [j for j, v in enumerate(row) if v - low <= eps]
-        if 4 * len(keep) > len(row):
-            near.append((range(len(row)), row))
-        else:
-            near.append((keep, [row[j] for j in keep]))
+        keep = [j for j, v in enumerate(row) if v - d_g <= eps]
+        values = [row[j] for j in keep]
+        low = min(values, default=d_g)
+        if low < d_g:
+            d_g = low
+            keep = [j for j, v in zip(keep, values) if v - low <= eps]
+            values = [row[j] for j in keep]
+        near.append((array("l", keep), array("d", values)))
     a_pts, partners = [], []
     b_hit = [False] * len(b.points)
     for i, x in enumerate(a.points):

@@ -531,6 +531,9 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     assert capsys.readouterr().err == message + "\n"
 
 
+SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
+
+
 @pytest.mark.parametrize("patch, path, message", [
     ({"maps": {"T": 5}}, "maps.T", None),
     ({"functions": [1]}, "functions", None),
@@ -567,6 +570,10 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
     ({"tolerances": {"eps_ineq": -0.5}}, "tolerances.eps_ineq",
      "must be non-negative and finite, got -0.5"),
     ({"tolerances": {"tail_len": 0}}, "tolerances.tail_len", "must be at least 1, got 0"),
+    ({"sets": {"A:1": {"points": [[0], [1]]}}}, "sets.A:1", SPEC_NAME),
+    ({"functions": {"h=1": "abs(x1-u1)"}}, "functions.h=1", SPEC_NAME),
+    ({"maps": {"T:x": {"exprs": ["x1"], "domain": "A", "codomain": "A"}}}, "maps.T:x",
+     SPEC_NAME),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
@@ -574,7 +581,8 @@ def test_bad_config_value_exits_two_with_one_line(field, value, message, tmp_pat
         "huge-integer-coordinate", "huge-integer-tolerance",
         "nan-eps-ineq", "infinite-eps-ineq", "minus-infinite-eps-ineq",
         "nan-eps-zero", "infinite-eps-zero", "nan-eps-prox", "infinite-eps-prox",
-        "negative-eps-zero", "zero-eps-prox", "negative-eps-ineq", "zero-tail-len"])
+        "negative-eps-zero", "zero-eps-prox", "negative-eps-ineq", "zero-tail-len",
+        "set-name-with-colon", "function-name-with-equals", "map-name-with-colon"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(
     patch, path, message, tmp_path, capsys
 ):

@@ -129,17 +129,18 @@ def ref_estimate(g, t, tol):
 
 
 def ref_core(g, a, b, tol):
+    """d_g, a_g, b_g and partners from the full matrix of abs(g)."""
     values = [[abs(eval_g(g, x, y)) for y in b.points] for x in a.points]
     d_g = min(min(row) for row in values)
-    a_pts, b_hit, wits = [], set(), []
+    a_pts, b_hit, partners = [], set(), []
     for x, row in zip(a.points, values):
         mates = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
         b_hit.update(mates)
         if mates:
             a_pts.append(x)
-            wits.append((x, b.points[mates[0]]))
+            partners.append(tuple(b.points[j] for j in mates))
     b_pts = [y for j, y in enumerate(b.points) if j in b_hit]
-    return d_g, a_pts, b_pts, wits
+    return d_g, a_pts, b_pts, partners
 
 
 def ref_pairs(g, f, a, level, tol):
@@ -234,7 +235,7 @@ def outcome(fn):
     if hasattr(result, "verdict"):
         result = (result.verdict, result.witness, result.lhs, result.rhs)
     elif hasattr(result, "d_g"):
-        result = (result.d_g, result.a_g.points, result.b_g.points, result.witnesses)
+        result = (result.d_g, result.a_g.points, result.b_g.points, result.partners)
     return "ok", exact(result)
 
 
@@ -1145,3 +1146,88 @@ def test_an_image_off_b_whose_row_divides_by_zero_raises_the_scan_error():
                       lambda: ref_prepass(g, f, LINE, core, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
     assert got[3] == "division-by-zero: 0.75 / 0"
+
+
+# --------------------------------------------------------------------------
+# the proximity core against the full matrix: each row is filtered against
+# the level of the rows before it, and its band is kept in arrays
+
+CORE_GAUGES = {
+    "ascending": "abs(x1-u1) + x1",  # the first row holds the level
+    "descending": "abs(x1-u1) + 1 - x1",  # every row lowers it
+    "late": "abs(x1-u1) + 1 - max(0, 16*x1 - 15)",  # only the last row does
+    "ties": "abs(abs(x1-u1) - 0.25)",  # two minima a row, level 0 in most rows
+    "near-min": "abs(x1-u1)/8 + x1/64",  # many entries near each row minimum
+    "whole-row": "1 + 0*u1 + 0*x1",  # every row entirely in band
+}
+CORE_TOLS = [TOL, WIDE, ToleranceSet(eps_prox=1 / 16)]
+
+
+def _core_cases():
+    for name, text in CORE_GAUGES.items():
+        yield name, GFunction(text, 1), LINE, exact_set(GRID[::2], "B")
+    for seed in range(10):
+        yield f"random-{seed}", _random_case(seed)[0], A_SET, B_SET
+
+
+def _kept_rows(monkeypatch):
+    """Per row proximal_core reads, the arrays it keeps, by type code: "l"
+    the indices into B, "d" the values."""
+    kept, real_row, real_array = [], gspace_module._gauge_row, gspace_module.array
+
+    def row(g, x, b):
+        kept.append({})
+        return real_row(g, x, b)
+
+    def array(code, items):
+        kept[-1][code] = made = real_array(code, items)
+        return made
+
+    monkeypatch.setattr(gspace_module, "_gauge_row", row)
+    monkeypatch.setattr(gspace_module, "array", array)
+    return kept
+
+
+@pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
+def test_the_core_matches_the_full_matrix_and_keeps_no_more_than_its_rows(
+    tol, monkeypatch
+):
+    kept = _kept_rows(monkeypatch)
+    for name, g, a, b in _core_cases():
+        kept.clear()
+        want = assert_same(lambda: proximal_core(g, a, b, tol),
+                           lambda: ref_core(g, a, b, tol))
+        if want[0] == "error":
+            continue
+        d_g = float.fromhex(want[1][0])
+        assert len(kept) == len(a.points)
+        for x, arrays in zip(a.points, kept):
+            keep, values = arrays["l"], arrays["d"]
+            row = [abs(eval_g(g, x, y)) for y in b.points]
+            own = [j for j, v in enumerate(row) if v - min(row) <= tol.eps_prox]
+            band = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
+            assert set(band) <= set(keep) <= set(own), (name, x)
+            assert list(keep) == sorted(keep)
+            assert [v.hex() for v in values] == [row[j].hex() for j in keep]
+
+
+@pytest.mark.parametrize("mate", ["early", "none"])
+def test_an_image_off_b_is_read_whole_before_its_first_mate(mate):
+    # the level 2 is realised at (1, 3) alone; the image -2 or -3 of 1 is off
+    # B.  Against -2 the first point 0 of A is a mate, and g(u, -2) divides by
+    # zero at u = 3/4; against -3 no point of A is a mate
+    g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.75) + abs(u1 + 2))", 1)
+    b = exact_set([3.0, 4.0], "B")
+    core = proximal_core(g, LINE, b, TOL)
+    assert core.a_g.points == (Point((1.0,)),) and core.d_g == 2.0
+    f = MapSpec(["-2" if mate == "early" else "-3"], LINE, b)
+    got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+                      lambda: ref_prepass(g, f, LINE, core, TOL))
+    if mate == "early":
+        assert abs(eval_g(g, LINE.points[0], f.apply(core.a_g.points[0]))) == 2.0
+        assert got == ("error", "EvalError", "division-by-zero",
+                       "division-by-zero: 0.0 / 0")
+    else:
+        assert got == ("error", "NoProximalMate",
+                       "image of realising point (1.0) has no proximity mate; "
+                       "the map does not send the realising set into its partner")

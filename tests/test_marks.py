@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import repeat
+from itertools import count, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_expr
-from gproxim.expr import Binary, Num, Var, compile_row_kernels, evaluate
+from gproxim.expr import (
+    Binary, Num, Unary, Var, _gen, _nonneg, compile_row_kernels, evaluate, parse,
+)
 from gproxim.gspace import (
     ConvexStructure,
     GFunction,
@@ -67,6 +69,7 @@ from test_kernels import (
     ref_select,
     ref_side_condition,
 )
+import gproxim.expr as expr_module
 import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
 import gproxim.solvers as solvers_module
@@ -290,3 +293,99 @@ def test_marks_are_where_the_tree_interpreter_fails(seed, rows):
         kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
         for bound in (None, "P", "Q"):
             _assert_marks(kernels, e, P, Q, bound)
+
+
+# --------------------------------------------------------------------------
+# the outer abs of a kernel, left out where _nonneg proves it changes nothing
+
+
+def _subtrees(e):
+    yield e
+    if isinstance(e, Unary):
+        yield from _subtrees(e.operand)
+    elif isinstance(e, Binary):
+        yield from _subtrees(e.left)
+        yield from _subtrees(e.right)
+
+
+def _abs_vars(e):
+    """e with every variable v read as abs(v), so that more subtrees are
+    non-negative."""
+    if isinstance(e, Var):
+        return Unary("abs", e)
+    if isinstance(e, Unary):
+        return Unary(e.op, _abs_vars(e.operand))
+    if isinstance(e, Binary):
+        return Binary(e.op, _abs_vars(e.left), _abs_vars(e.right))
+    return e
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    rows=st.lists(st.tuples(COORDS, COORDS, COORDS, COORDS, COORDS), min_size=1,
+                  max_size=4),
+)
+def test_a_non_negative_gauge_is_never_below_plus_zero(seed, rows):
+    # every subtree _nonneg admits evaluates to a double >= +0.0 or a NaN,
+    # never to -0.0, and its kernels without the outer abs mark and give
+    # abs(evaluate) bit for bit
+    rng = random.Random(seed)
+    P = [row[:2] for row in rows]
+    Q = [row[2:] for row in rows]
+    trees = [random_expr(rng, 4), _min_max_expr(rng, 5)]
+    admitted = sorted({sub for e in trees + [_abs_vars(t) for t in trees]
+                       for sub in _subtrees(e) if _nonneg(sub)}, key=repr)
+    for e in admitted:
+        for p, q in zip(P, Q):
+            try:
+                v = evaluate(e, dict(zip(NAMES, p + q)))
+            except (ArithmeticError, ValueError):
+                continue
+            assert v != v or (v >= 0 and math.copysign(1.0, v) > 0), (repr(e), v)
+    for e in sorted(admitted, key=lambda e: len(repr(e)))[-3:]:  # the largest
+        kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
+        for bound in (None, "P", "Q"):
+            _assert_marks(kernels, e, P, Q, bound)
+
+
+@pytest.mark.parametrize("e, holds", [
+    (Num(0.0), True), (Num(-0.0), False), (Num(2.5), True), (Var("x1"), False),
+    (Unary("neg", Num(0.0)), False), (Unary("sqrt", Num(-0.0)), False),
+    (Unary("sqrt", Unary("abs", Var("x1"))), True),
+    (Binary("sub", Num(1.0), Num(0.0)), False),
+    (Binary("min", Num(0.0), Unary("abs", Var("x1"))), True),
+    (Binary("max", Num(-0.0), Unary("abs", Var("x1"))), False),
+    (Binary("pow", Var("x1"), Num(2.0)), True),
+    (Binary("pow", Var("x1"), Num(-2.0)), True),
+    (Binary("pow", Var("x1"), Num(3.0)), False),
+    (Binary("pow", Var("x1"), Num(0.5)), False),
+    (Binary("pow", Unary("abs", Var("x1")), Var("u1")), True),
+    (Binary("div", Num(1.0), Unary("abs", Var("x1"))), True),
+], ids=str)
+def test_nonneg_holds_only_for_the_listed_forms(e, holds):
+    assert _nonneg(e) == holds
+
+
+@pytest.mark.parametrize("text, outer", [
+    ("x2 - u2", True),
+    ("x2 - u2 + 0*x1 + sqrt(abs(x1-u1))", True),
+    ("(x1-u1)^3", True),
+    ("abs(x1-u1) + abs(x2-u2)", False),
+    ("sqrt((x1-u1)^2 + (x2-u2)^2)", False),
+    ("max(abs(x1-u1), 1/abs(x2-u2))", False),
+])
+def test_the_kernel_text_keeps_its_outer_abs_unless_nonneg(text, outer, monkeypatch):
+    sources, real = [], expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile",
+                        lambda src: sources.append(src) or real(src))
+    e = parse(text)
+    compile_row_kernels(e, NAMES[:2], NAMES[2:])
+    fast, checked = _gen(e, count()), _gen(e)
+    if outer:
+        fast, checked = f"abs({fast})", f"abs({checked})"
+    (src,) = sources
+    # three variants of each loop: one side bound once, the other, neither
+    loops = [src.count(f"        return [{body} for ") for body in (fast, checked)]
+    assert loops == ([6, 6] if fast == checked else [3, 3])
+    assert src.count(f"if not {fast} <= _la + _mb + _eps:") == 3
