@@ -84,7 +84,9 @@ class Num:
 
     def __str__(self) -> str:
         v = self.value
-        if v == int(v) and abs(v) < 1e16:
+        if math.isinf(v):  # 1e999 parses back to the same double
+            return "1e999" if v > 0 else "-1e999"
+        if abs(v) < 1e16 and v == int(v):
             return str(int(v))
         return repr(v)
 

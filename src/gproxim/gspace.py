@@ -21,7 +21,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, cycle, repeat
+from itertools import chain, compress, count, cycle, product, repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -395,13 +395,34 @@ class ConvexStructure:
 
     @cached_property
     def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:
-        """A row loop of H compiled on the first check: interpolants(x.coords,
-        ys, lams) lists apply(x, y, lam).coords over y in ys, then lam in
-        lams, wherever apply returns.  Where apply raises, the loop raises
-        too, or lists a non-finite tuple."""
+        """The row loop of rows (expr.compile_point_rows), compiled on the
+        first call: it raises or lists a non-finite tuple where apply raises."""
         d = self.dimension
         names = GFunction._var_names(d)
         return compile_point_rows(self.exprs, names[:d], names[d:], "l")
+
+    def rows(
+        self, x: Point, ys: Sequence[Point], lams: Sequence[float]
+    ) -> tuple[list, list[int]]:
+        """The coordinates of apply(x, y, lam) over y in ys, then lam in
+        lams, and the indices at which apply raises; each of those holds x's
+        coordinates.  A compiled row that raises or is not finite is built
+        again through apply, one tuple at a time."""
+        try:
+            row = self.interpolants(x.coords, [y.coords for y in ys], lams)
+            if math.isfinite(sum(chain.from_iterable(row))):
+                return row, []
+        except (ArithmeticError, ValueError):
+            pass
+        row, failed = [], []
+        for y in ys:
+            for lam in lams:
+                try:
+                    row.append(self.apply(x, y, lam).coords)
+                except EvalError:
+                    failed.append(len(row))
+                    row.append(x.coords)
+        return row, failed
 
     def apply(self, x: Point, y: Point, lam: float) -> Point:
         if x.dimension != self.dimension or y.dimension != self.dimension:
@@ -487,20 +508,21 @@ class ProximalCore:
     def witnesses(self) -> tuple[tuple[Point, Point], ...]:
         return tuple((x, ys[0]) for x, ys in zip(self.a_g.points, self.partners))
 
-    def mates(
-        self, g: GFunction, a: SampleSet, y: Point, eps: float
-    ) -> Optional[tuple[Point, ...]]:
-        """The points u of A with abs(g(u, y)) within eps of d_g, in A order,
-        read from partners when y is a sample point of B and g, a and eps
-        are the core's own; None otherwise, and the caller scans A.
+    def mates(self, g: GFunction, a: SampleSet, y: Point, eps: float) -> Iterable[Point]:
+        """The points u of A with abs(g(u, y)) within eps of d_g, in A order.
 
-        The core evaluated abs(g) on all of A x B with the same kernel
-        doubles and the same band test, so the answer is what a scan of A
-        against y would give.
+        When y is a sample point of B and g, a and eps are the core's own,
+        they are read from partners: the core evaluated abs(g) on all of
+        A x B with the same kernel doubles and the same band test.  Any other
+        question reads the row of abs(g) over A against y whole here, so it
+        raises at its first offending tuple, then yields its mates lazily.
         """
-        if g is not self.g or a is not self.a or eps != self.eps:
-            return None
-        return self._mates.get(y.coords)
+        if g is self.g and a is self.a and eps == self.eps:
+            own = self._mates.get(y.coords)
+            if own is not None:
+                return own
+        row, d_g = _gauge_row(g, a, y), self.d_g
+        return (u for u, v in zip(a.points, row) if abs(v - d_g) <= eps)
 
     @cached_property
     def _mates(self) -> dict[tuple[float, ...], tuple[Point, ...]]:
@@ -713,23 +735,20 @@ def proximal_select(
 ) -> Point:
     """The sample point of A realising the proximity level against b.
 
-    Among points within the eps_prox band the one with the smallest residual
-    wins; exact ties break lexicographically by coordinates, so selection is
-    deterministic.  Raises NoProximalMate when the band is empty, which
-    signals either an image escaping the realising set or a grid too coarse.
+    Among the mates of b within the eps_prox band (ProximalCore.mates) the
+    one with the smallest residual wins; exact ties break lexicographically
+    by coordinates, so selection is deterministic.  Raises NoProximalMate
+    when the band is empty, which signals either an image escaping the
+    realising set or a grid too coarse.
     """
-    d_g = core.d_g
-    residuals = [abs(v - d_g) for v in _gauge_row(g, a, b)]
-    low = min(residuals)
-    if not low <= tol.eps_prox:
+    mates = tuple(core.mates(g, a, b, tol.eps_prox))
+    if not mates:
         raise NoProximalMate(
             f"no point of {a.name or 'A'} realises the proximity level "
             f"{core.d_g!r} against {b} within {tol.eps_prox!r}"
         )
-    return min(
-        (x for x, r in zip(a.points, residuals) if r == low),
-        key=lambda x: x.coords,
-    )
+    residuals = [abs(v - core.d_g) for v in _gauge_row(g, mates, b)]
+    return min(zip(residuals, mates), key=lambda rx: (rx[0], rx[1].coords))[1]
 
 
 def check_semi_sharp(g: GFunction, core: ProximalCore) -> CheckReport:
@@ -839,28 +858,6 @@ def check_convex_structure(
     (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
 
-    def h_row(x: Point, ys: Sequence[Point]) -> tuple[list, list[int]]:
-        """Interpolant coordinates over (y, lam) in scan order, and the
-        indices at which H raises.  Each of those holds x's coordinates: the
-        gauge may see them, but the right side there is a mark, so no
-        comparison holds.  A compiled row that raises or is not finite is
-        built again through apply, one tuple at a time."""
-        try:
-            row = h.interpolants(x.coords, [y.coords for y in ys], lam_sub)
-            if math.isfinite(sum(chain.from_iterable(row))):
-                return row, []
-        except (ArithmeticError, ValueError):
-            pass
-        row, failed = [], []
-        for y in ys:
-            for lam in lam_sub:
-                try:
-                    row.append(h.apply(x, y, lam).coords)
-                except EvalError:
-                    failed.append(len(row))
-                    row.append(x.coords)
-        return row, failed
-
     # first_violation takes the right side lam * a + (1 - lam) * b of a row
     # over (b, lam) as its terms: LA, lam * a per lam, and MB, (1 - lam) * b
     # per (b, lam), each with the sum of its terms' magnitudes.
@@ -897,13 +894,14 @@ def check_convex_structure(
         )
 
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two; interpolant rows are built once and reused.
+    # condition two; interpolant rows are built once and reused.  Where H
+    # raises, the right side is a mark, so no comparison holds.
     h_rows: dict[int, tuple[list, list[int]]] = {}
     for x0 in xs0:
         gx, gy = _gauge_row(g, x0, xs), mix_terms(_gauge_row(g, x0, ys))
         for i, x in enumerate(xs):
             if i not in h_rows:
-                h_rows[i] = h_row(x, ys)
+                h_rows[i] = h.rows(x, ys, lam_sub)
             row, failed = h_rows[i]
             k = first_over(repeat(x0.coords), row, lam_terms(gx[i]), gy, failed)
             if k >= 0:
@@ -919,12 +917,12 @@ def check_convex_structure(
     for x in xs:
         gxx0 = [lam_terms(a) for a in g.kernels.marked(repeat(x.coords), xs0_coords)]
         for y, gyy0 in zip(ys, gyy0_rows):
-            p_row, p_failed = h_row(x, [y])
+            p_row, p_failed = h.rows(x, [y], lam_sub)
             p_row *= len(ys0)
             p_failed = [k + width * j for j in range(len(ys0)) for k in p_failed]
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
-                    q_rows[j] = h_row(x0, ys0)
+                    q_rows[j] = h.rows(x0, ys0, lam_sub)
                 q_row, q_failed = q_rows[j]
                 k = first_over(p_row, q_row, gxx0[j], gyy0, p_failed + q_failed)
                 if k >= 0:
@@ -964,15 +962,16 @@ def check_starshaped(
     band = max(1e-9, tol.eps_prox)
     if not a.contains(r, band):
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
-    for x in a.points:
-        for lam in lambda_grid:
-            image = h.apply(r, x, lam)
-            if not a.contains(image, band):
-                return CheckReport(
-                    "starshaped", _FALSIFIED,
-                    {"x": x, "lam": lam, "image": image},
-                    note="interpolant escapes the set",
-                )
+    lams = list(lambda_grid)
+    row, failed = h.rows(r, a.points, lams)
+    failed = set(failed)  # apply raises again at the first of them
+    for k, ((x, lam), coords) in enumerate(zip(product(a.points, lams), row)):
+        image = h.apply(r, x, lam) if k in failed else Point(coords)
+        if not a.contains(image, band):
+            return CheckReport(
+                "starshaped", _FALSIFIED, {"x": x, "lam": lam, "image": image},
+                note="interpolant escapes the set",
+            )
     return CheckReport("starshaped", _HOLDS)
 
 

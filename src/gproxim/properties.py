@@ -25,7 +25,6 @@ from .gspace import (
     SampleSet,
     ToleranceSet,
     _capped,
-    _gauge_row,
     eval_g,
 )
 
@@ -287,22 +286,13 @@ def qualifying_pairs(
 ) -> list[tuple[Point, Point]]:
     """Pairs (x, u) of sampled A points with abs(g(u, f(x))) at the proximity
     level; these are the building blocks of the quadruple scans.  A box
-    sample contributes at most 2000 points.  An image that is a sample point
-    of B takes its points u from the core (ProximalCore.mates); any other
-    image scans A."""
+    sample contributes at most 2000 points.  The points u of each image are
+    the core's answer (ProximalCore.mates)."""
     pts = _capped(a.points, a.mode == "box", 1, seed, cap=2000)
     if len(pts) < len(a):  # a SampleSet reads its coordinate row once
         a = SampleSet(tuple(pts), name=a.name)
     images = [(x, f.apply(x)) for x in a.points]
-    level, band = core.d_g, tol.eps_prox
-    out = []
-    for x, fx in images:
-        mates = core.mates(g, a, fx, band)
-        if mates is None:
-            row = _gauge_row(g, a, fx)
-            mates = [u for u, v in zip(a.points, row) if abs(v - level) <= band]
-        out += [(x, u) for u in mates]
-    return out
+    return [(x, u) for x, fx in images for u in core.mates(g, a, fx, tol.eps_prox)]
 
 
 def proximal_sides(

@@ -322,19 +322,8 @@ def proximal_iterate(
             f"(residual {best0!r})"
         )
     if check_image:
-        d_g, eps = core.d_g, tol.eps_prox
         for x in core.a_g.points:
-            fx = f.apply(x)
-            mates = core.mates(g, a, fx, eps)
-            found = bool(mates)
-            if mates is None:
-                # the row is read whole, so it raises at its first offending
-                # tuple; the band test then stops at the first mate
-                for v in _gauge_row(g, a, fx):
-                    if abs(v - d_g) <= eps:
-                        found = True
-                        break
-            if not found:
+            if next(iter(core.mates(g, a, f.apply(x), tol.eps_prox)), None) is None:
                 raise NoProximalMate(
                     f"image of realising point {x} has no proximity mate; "
                     f"the map does not send the realising set into its partner"

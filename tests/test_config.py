@@ -117,3 +117,9 @@ class TestRoundTrip:
     def test_synthetic_round_trip(self):
         inst = instance_from_dict(minimal_doc())
         assert instance_from_dict(inst.to_dict()) == inst
+
+    def test_a_gauge_with_an_infinite_literal_round_trips(self):
+        doc = dict(minimal_doc(), g="abs(x1-u1) + 0*1e999")
+        inst = instance_from_dict(doc)
+        assert inst.to_dict()["g"] == "(abs((x1-u1))+(0*1e999))"
+        assert instance_from_dict(inst.to_dict()) == inst

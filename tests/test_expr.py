@@ -108,6 +108,15 @@ def test_format_canonical_examples():
     assert str(Num(3.0)) == "3"
 
 
+@pytest.mark.parametrize(
+    "text", ["x1^2 - u1^2", "min(x2,u2)", "-x1", "abs(x1-u1) + 0*1e999"]
+)
+def test_format_round_trips(text):
+    # a literal past the double range reads as inf and prints as 1e999
+    e = parse(text)
+    assert parse(format_expr(e)) == e
+
+
 def test_variables():
     assert variables(parse("min(x1, u2) + l")) == {"x1", "u2", "l"}
     assert variables(Num(1.0)) == frozenset()

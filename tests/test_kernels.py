@@ -43,6 +43,7 @@ from gproxim.gspace import (
     ToleranceSet,
     check_convex_structure,
     check_side_condition,
+    check_starshaped,
     eval_g,
     falsify_axiom,
     proximal_core,
@@ -59,7 +60,6 @@ from gproxim.properties import (
 from gproxim.solvers import proximal_iterate
 import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
-import gproxim.solvers as solvers_module
 
 TOL = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=1e-9)
 NO_SUBSAMPLING = 10 ** 12
@@ -180,6 +180,22 @@ def ref_convex(h, g, pts, lams, tol, lams_two=None):
                             wit = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
                             return FALSIFIED, wit, lhs, rhs
     return HOLDS, None, None, None
+
+
+def ref_starshaped(h, a, r, lams, tol):
+    band = max(1e-9, tol.eps_prox)
+    if not a.contains(r, band):
+        raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
+    for x in a.points:
+        for lam in lams:
+            image = h.apply(r, x, lam)
+            if not a.contains(image, band):
+                return FALSIFIED, {"x": x, "lam": lam, "image": image}, None, None
+    return HOLDS, None, None, None
+
+
+def ref_mates(g, a, y, d_g, tol):
+    return [u for u in a.points if abs(abs(eval_g(g, u, y)) - d_g) <= tol.eps_prox]
 
 
 def ref_select(g, a, b, d_g, tol):
@@ -704,6 +720,49 @@ def test_fused_convex_right_sides_overflowing(plant, verdict):
 
 
 # --------------------------------------------------------------------------
+# the starshaped check on the interpolant rows, against the reference
+
+# H(0, x, l) = (1 - l)(1 - 2l) x stays on the grid; each plant acts at one
+# grid point x: the image leaves [0, 1], H divides by zero, or H is infinite
+def _escape(at):
+    return f"2*{_hat('u1', at)}"
+
+
+def _raise(at):
+    return f"0/(u1 - {at!r})"
+
+
+def _infinite(at):
+    return f"1e308*(4*{_hat('u1', at)})"
+
+
+STAR_CASES = {  # plants, the outcome on both sets, and the x it stops at
+    "escape": ([_escape(3 / 4)], FALSIFIED, 3 / 4),
+    "escape-then-raise": ([_escape(1 / 16), _raise(3 / 4)], FALSIFIED, 1 / 16),
+    "raise-then-escape": ([_escape(3 / 4), _raise(1 / 16)], "division-by-zero", 1 / 16),
+    "non-finite": ([_infinite(1 / 2), _escape(3 / 4)], "non-finite", 1 / 2),
+    "holds": ([], HOLDS, None),
+}
+
+
+@pytest.mark.parametrize("box", [True, False], ids=["box", "exact"])
+@pytest.mark.parametrize("case", sorted(STAR_CASES))
+def test_starshaped_matches_the_reference(case, box):
+    plants, want, at = STAR_CASES[case]
+    h = ConvexStructure((" + ".join(["l*x1 + (1-l)*u1*(1 - 2*l)"] + plants),))
+    a = SampleSet.grid([(0.0, 1.0)], 17, name="L") if box else LINE
+    assert [p.coords for p in a.points] == [p.coords for p in LINE.points]
+    r = Point((0.0,))
+    got = assert_same(lambda: check_starshaped(h, a, r, LAMS, TOL),
+                      lambda: ref_starshaped(h, a, r, LAMS, TOL))
+    assert (got[1][0] if got[0] == "ok" else got[2]) == want
+    if want == FALSIFIED:
+        assert got[1][1]["x"] == exact(Point((at,)))
+    if want == "non-finite":
+        assert got[3] == f"non-finite: H((0.0), ({at!r}), 0.0)"
+
+
+# --------------------------------------------------------------------------
 # the proximal quadruple scans, and the search sweep
 
 
@@ -999,8 +1058,8 @@ def test_holding_proximal_scans_do_not_go_through_eval_g(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# proximity questions read from the core: an image that is a sample point of
-# B takes its mates from ProximalCore.mates, any other image scans A
+# proximity questions answered by ProximalCore.mates: an image that is a
+# sample point of B reads its mates from the core, any other image a row of A
 
 SEG_A = exact_set([(0.0, t) for t in GRID], "A")
 SEG_B = exact_set([(1.0, t) for t in GRID], "B")
@@ -1081,37 +1140,64 @@ def test_a_core_of_another_gauge_set_or_band_falls_back_to_the_scan():
         assert (want != ("ok", exact(own))) == differs
 
 
-def test_images_in_b_read_no_kernel_row(monkeypatch):
-    real, rows = properties_module._gauge_row, []
+def _rows_over(monkeypatch, a):
+    """The points y of the kernel rows of abs(g) over a against y, as they
+    are read; gspace._gauge_row is the one reader of such rows."""
+    real, rows = gspace_module._gauge_row, []
 
     def spy(g, xs, ys):
-        rows.append(ys)
+        if xs is a:
+            rows.append(ys)
         return real(g, xs, ys)
 
-    monkeypatch.setattr(properties_module, "_gauge_row", spy)
-    monkeypatch.setattr(solvers_module, "_gauge_row", spy)
+    monkeypatch.setattr(gspace_module, "_gauge_row", spy)
+    return rows
+
+
+def test_images_in_b_read_no_kernel_row(monkeypatch):
     f = MapSpec(SEG_MAPS["mixed"][0], SEG_A, SEG_B)
     core = proximal_core(L1, SEG_A, SEG_B, WIDE)
+    rows = _rows_over(monkeypatch, SEG_A)
     qualifying_pairs(L1, f, SEG_A, core, WIDE)
     _prepass(L1, f, SEG_A, SEG_B, core, WIDE)
-    images = [y for y in rows if isinstance(y, Point)]
-    assert len(images) == 2 * 8  # the odd grid points' images, off B, twice
-    assert not any(y.coords in SEG_B.coords for y in images)
+    assert len(rows) == 2 * 8  # the odd grid points' images, off B, twice
+    assert not any(y.coords in SEG_B.coords for y in rows)
+    # the steps from (0, 1) select against the images (1, t/2) for t = 1,
+    # 1/2, 1/4, 1/8, then (1, 1/32), off B, then (1, 0)
+    rows.clear()
+    trace = proximal_iterate(L1, f, SEG_A, SEG_B, core, SEG_A.points[-1], WIDE,
+                             check_image=False)
+    images = [f.apply(p).coords for p in trace.points[:-1]]
+    assert trace.verdict == "converged" and len(images) == 6
+    assert [y.coords for y in rows] == [(1.0, 1 / 32)]
+    assert [y for y in images if y not in SEG_B.coords] == [(1.0, 1 / 32)]
 
 
-def test_mates_answers_for_points_of_b_under_the_cores_own_terms():
+def test_mates_answers_for_points_of_b_under_the_cores_own_terms(monkeypatch):
     core = proximal_core(L1, SEG_A, SEG_B, TOL)
     y = SEG_B.points[3]
+    rows = _rows_over(monkeypatch, SEG_A)
     assert core.mates(L1, SEG_A, y, TOL.eps_prox) == (SEG_A.points[3],)
-    assert core.mates(L1, SEG_A, Point((1.0, 1 / 32)), TOL.eps_prox) is None
-    assert core.mates(L1, SEG_A, Point((2.0, 0.0)), TOL.eps_prox) is None
-    assert core.mates(GFunction(str(L1.expr), 2), SEG_A, y, TOL.eps_prox) is None
-    assert core.mates(L1, exact_set(SEG_A.coords, "A"), y, TOL.eps_prox) is None
-    assert core.mates(L1, SEG_A, y, WIDE.eps_prox) is None
+    assert rows == []  # read from the core
     # the gauge and the samples stay out of equality and repr
     bare = ProximalCore(core.d_g, core.a_g, core.b_g, core.partners, core.eps)
     assert core == bare and repr(core) == repr(bare)
-    assert bare.mates(L1, SEG_A, y, TOL.eps_prox) is None
+    questions = [  # any other question reads the row of A against y
+        (core, L1, SEG_A, Point((1.0, 1 / 32)), TOL),
+        (core, L1, SEG_A, Point((1.0, 1 / 32)), WIDE),
+        (core, L1, SEG_A, Point((2.0, 0.0)), TOL),
+        (core, GFunction(str(L1.expr), 2), SEG_A, y, TOL),
+        (core, L1, exact_set(SEG_A.coords, "A"), y, TOL),
+        (core, L1, SEG_A, y, WIDE),
+        (bare, L1, SEG_A, y, TOL),
+    ]
+    answers = []
+    for c, g, a, target, tol in questions:
+        want = assert_same(lambda: list(c.mates(g, a, target, tol.eps_prox)),
+                           lambda: ref_mates(g, a, target, c.d_g, tol))
+        answers.append(len(want[1]))
+    assert answers == [0, 2, 0, 1, 1, 1, 1]
+    assert len(rows) == len(questions) - 1  # one set is a copy of SEG_A
 
 
 def test_a_realising_image_in_b_outside_b_g_has_no_mate():
