@@ -524,6 +524,8 @@ def _trace_summary(scheme: str, trace, **extra) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.max_iter < 1:  # the library takes 0: a run of no steps
+        raise CheckSpecError(f"--max-iter must be at least 1, got {args.max_iter}")
     inst = _apply_tol_overrides(load_instance(args.config), args)
     summary, result = solve(inst, args)
     trace = result

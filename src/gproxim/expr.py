@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, cycle, repeat
 from textwrap import indent
 from typing import (
-    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
 
 __all__ = [
@@ -341,8 +342,8 @@ def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
     one text never binds a name twice; a side that is a variable or a
     literal is read twice instead.
     """
-    if isinstance(e, Num):
-        return repr(e.value)
+    if isinstance(e, Num):  # a minus sign in parentheses: -1.0**2.0 is -1.0
+        return repr(e.value) if math.copysign(1.0, e.value) > 0 else f"({e.value!r})"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
@@ -398,6 +399,80 @@ def _nonneg(e: Expr) -> bool:
     return e.op != "sub" and _nonneg(e.left) and _nonneg(e.right)
 
 
+_POW_ULPS = 4  # how far bound widens each end of a ^: libm pow need not round correctly
+
+
+def _outward(end: str, way: str) -> str:
+    """The text of the double _POW_ULPS steps from end towards way + "inf"."""
+    return "nextafter(" * _POW_ULPS + end + f", {way}inf)" * _POW_ULPS
+
+
+def _bound_gen(
+    e: Expr, temps: Iterator[int], lines: list[str]
+) -> Optional[tuple[str, str]]:
+    """The texts of e's lower and upper ends over a box, where a variable v
+    ranges over [_L_v, _H_v]; lines gets the statements binding the ends of
+    each inner node as temporaries _lK and _hK.  None when e holds a ^ other
+    than by a non-negative integral literal, or a non-finite literal.
+
+    The kernel's + - * / and sqrt round correctly, so they are monotone, and
+    each end computed from the operands' ends bounds the kernel's doubles
+    (for * and / the least and greatest of the four corners).  pow need not
+    round correctly, so the ends of a ^ are widened by _outward.  A statement
+    returns None where the kernel could raise: a divisor range holding 0, or
+    sqrt of a range reaching below 0.
+    """
+    if isinstance(e, Num):
+        return (f"({e.value!r})",) * 2 if math.isfinite(e.value) else None
+    if isinstance(e, Var):
+        return f"_L_{e.name}", f"_H_{e.name}"
+    if isinstance(e, Binary) and e.op == "pow":
+        n = e.right
+        if not (isinstance(n, Num) and n.value >= 0 and float(n.value).is_integer()):
+            return None
+    ends = [_bound_gen(side, temps, lines) for side in (
+        (e.operand,) if isinstance(e, Unary) else (e.left, e.right))]
+    if None in ends:
+        return None
+    k = next(temps)
+    lo, hi = f"_l{k}", f"_h{k}"
+    (a, b), *rest = ends
+    c, d = rest[0] if rest else (None, None)
+    op = e.op
+    if op == "neg":
+        rhs = f"-{b}, -{a}"
+    elif op == "abs":
+        rhs = (f"({a}, {b}) if {a} >= 0.0 else (-{b}, -{a}) if {b} <= 0.0 "
+               f"else (0.0, max(-{a}, {b}))")
+    elif op == "sqrt":
+        lines.append(f"if {a} < 0.0: return None")
+        rhs = f"sqrt({a}), sqrt({b})"
+    elif op == "add":
+        rhs = f"{a} + {c}, {b} + {d}"
+    elif op == "sub":
+        rhs = f"{a} - {d}, {b} - {c}"
+    elif op in ("min", "max"):
+        rhs = f"{op}({a}, {c}), {op}({b}, {d})"
+    elif op == "pow":
+        n = repr(e.right.value)
+        if e.right.value % 2:
+            lines.append(f"{lo}, {hi} = {a} ** {n}, {b} ** {n}")
+            rhs = f"{_outward(lo, '-')}, {_outward(hi, '')}"
+        else:  # pow gives an even power no double below +0.0
+            lines.append(f"{lo}, {hi} = ({a} ** {n}, {b} ** {n}) if {a} >= 0.0 else "
+                         f"({b} ** {n}, {a} ** {n}) if {b} <= 0.0 else "
+                         f"(0.0, max({a} ** {n}, {b} ** {n}))")
+            rhs = f"max({_outward(lo, '-')}, 0.0), {_outward(hi, '')}"
+    else:  # mul, div
+        if op == "div":
+            lines.append(f"if {c} <= 0.0 <= {d}: return None")
+        sym = "*" if op == "mul" else "/"
+        lines.append(f"_c = ({a}{sym}{c}, {a}{sym}{d}, {b}{sym}{c}, {b}{sym}{d})")
+        rhs = "min(_c), max(_c)"
+    lines.append(f"{lo}, {hi} = {rhs}")
+    return lo, hi
+
+
 _COMPILE_GLOBALS = {
     # repr() writes a literal that overflows a double, such as 1e999, as inf
     "inf": math.inf,
@@ -424,7 +499,8 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     return eval(src, dict(_COMPILE_GLOBALS))  # noqa: S307 (closed namespace)
 
 
-class RowKernels(NamedTuple):
+@dataclass(frozen=True)
+class RowKernels:
     """Loops of abs(e) over rows of coordinate tuples, one tuple per argument.
 
     values(P, Q) is the list of abs(e) over zip(P, Q).  first_violation(P, Q,
@@ -443,10 +519,28 @@ class RowKernels(NamedTuple):
     whole row.  first_violation may raise the bare error instead.
 
     Scans read rows through marked, which marks a tuple where values raises.
+
+    bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
+    ranging between the tuples PL and PH and the Q coordinates between QL
+    and QH (a point passes its coordinates as both): it returns (lo, hi)
+    with every value of values in the box within [lo, hi], or None when it
+    cannot prove the box clean, that is values raises nothing there and
+    every value is finite, so that marked marks no tuple.  bound is None for
+    an e it never proves (see _bound_gen).  tree holds e, left and right, the
+    arguments of compile_row_kernels.
     """
 
     values: Callable[..., list[float]]
     first_violation: Callable[..., int]
+    tree: tuple[Expr, tuple[str, ...], tuple[str, ...]]
+
+    @cached_property
+    def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
+        """Compiled on first use, from its own source: only the proximity
+        scans ask for it, and compile takes memory that grows with the
+        source, so one source with the loops would need both amounts at
+        once.  Two first uses racing at most compile it twice."""
+        return _compile_bound(*self.tree)
 
     def marked(self, P: Iterable, Q: Iterable) -> list[float]:
         """values(P, Q), with a NaN mark at each tuple where the scalar
@@ -487,9 +581,9 @@ def _names(names: Sequence[str]) -> str:
 
 _KERNEL_GLOBALS = dict(
     _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, isinstance=isinstance,
-    next=next, repeat=repeat, cycle=cycle, sqrt=math.sqrt,
-    _rereadable=_rereadable, ArithmeticError=ArithmeticError,
-    ValueError=ValueError,
+    next=next, repeat=repeat, cycle=cycle, sqrt=math.sqrt, isfinite=math.isfinite,
+    sum=sum, nextafter=math.nextafter, _rereadable=_rereadable,
+    ArithmeticError=ArithmeticError, ValueError=ValueError,
 )
 
 
@@ -553,7 +647,34 @@ def compile_row_kernels(
         + "def first_violation(_P, _Q, _LA, _MB, _eps):\n"
         + variants(first_violation)
     )
-    return RowKernels(namespace["values"], namespace["first_violation"])
+    return RowKernels(namespace["values"], namespace["first_violation"], (e, left, right))
+
+
+def _compile_bound(
+    e: Expr, left: tuple[str, ...], right: tuple[str, ...]
+) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
+    """RowKernels.bound for the kernels of e, or None where _bound_gen
+    cannot follow e."""
+    lines: list[str] = []
+    temps = count()
+    ends = _bound_gen(e if _nonneg(e) else Unary("abs", e), temps, lines)
+    if ends is None:
+        return None
+    total = "".join(f"_l{k}, _h{k}, " for k in range(next(temps)))
+    lines += [f"if not isfinite(sum(({total}))): return None",  # every end finite
+              f"return {ends[0]}, {ends[1]}"]
+    ends_of = "".join(
+        f"{_names([f'_{end}_{v}' for v in side])} = {arg}\n"
+        for side, args in ((left, ("PL", "PH")), (right, ("QL", "QH")))
+        for end, arg in zip("LH", args)
+    )
+    return _compile(
+        "def bound(PL, PH, QL, QH):\n"
+        "    try:\n"
+        + indent(ends_of + "\n".join(lines), "        ")
+        + "\n    except (ArithmeticError, ValueError):\n"
+        "        return None\n"
+    )["bound"]
 
 
 def compile_point_rows(

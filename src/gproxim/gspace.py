@@ -20,8 +20,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, compress, count, cycle, product, repeat
+from functools import cached_property, partial
+from itertools import chain, compress, count, cycle, repeat
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -198,16 +198,24 @@ def eval_g(g: GFunction, x: Point, y: Point) -> float:
 
 
 def _gauge_row(
-    g: GFunction, xs: Union[Point, Iterable[Point]], ys: Union[Point, Iterable[Point]]
+    g: GFunction,
+    xs: Union[Point, Iterable[Point]],
+    ys: Union[Point, Iterable[Point]],
+    span: Optional[slice] = None,
 ) -> list[float]:
     """abs(g) over a kernel row that pairs one Point, xs or ys, with each
-    point of the other side, a SampleSet or a list of Points, in order.
-    Raises eval_g's error at the first tuple the row marks."""
+    point of the other side, a SampleSet (only the points in span, if given)
+    or a list of Points, in order.  Raises eval_g's error at the first tuple
+    the row marks."""
 
     def side(s):
         if isinstance(s, Point):
             return repeat(s.coords), repeat(s)
-        return s.coords if isinstance(s, SampleSet) else [p.coords for p in s], s
+        if not isinstance(s, SampleSet):
+            return [p.coords for p in s], s
+        if span is None:
+            return s.coords, s.points
+        return s.coords[span], s.points[span]
 
     (P, x_pts), (Q, y_pts) = side(xs), side(ys)
     row = g.kernels.marked(P, Q)
@@ -216,6 +224,65 @@ def _gauge_row(
             if v != v:
                 eval_g(g, x, y)
     return row
+
+
+def _runs(
+    g: GFunction, xs: Union[Point, "SampleSet"], ys: Union[Point, "SampleSet"],
+    level: float, eps: float, mates: bool = False,
+) -> Iterable[tuple[int, list[float]]]:
+    """_gauge_row(g, xs, ys), one side a Point and the other a SampleSet s,
+    as (start, values) runs over s in order, leaving out whole blocks of s
+    (SampleSet.blocks) whose values all lie more than eps above level, as
+    g.kernels.bound proves; for mates, also those more than eps below it.
+
+    A left-out block is proven clean, so the runs raise at the row's first
+    marked tuple, and the values of the row within eps of level are all in
+    them, the same doubles.  A block is read whole once it is a leaf, or
+    once it lies wholly in band: within eps above level (for mates, within
+    eps of it).  mates reads lazily, so it leaves out blocks only when the
+    bound proves the whole row clean, and otherwise reads the row whole
+    here.  A gauge without a bound, or an infinite level, reads the row
+    whole.
+    """
+    bound = g.kernels.bound
+    if bound is None or not level < math.inf:
+        return ((0, _gauge_row(g, xs, ys)),)
+    if isinstance(xs, Point):
+        s, box = ys, partial(bound, xs.coords, xs.coords)
+    else:
+        s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
+    root = s.blocks
+    if mates and box(root[0], root[1]) is None:
+        return ((0, _gauge_row(g, xs, ys)),)
+
+    def runs():
+        stack, start, stop = [root], 0, 0
+        while stack:
+            lo, hi, i, j, halves = stack.pop()
+            ends = box(lo, hi)
+            if ends is not None:
+                if ends[0] - level > eps or (mates and level - ends[1] > eps):
+                    continue
+                if ends[1] - level <= eps and (not mates or level - ends[0] <= eps):
+                    halves = ()  # wholly in band
+            if halves:
+                stack += reversed(halves)
+            elif i == stop:
+                stop = j
+            else:
+                if start < stop:
+                    yield start, _gauge_row(g, xs, ys, slice(start, stop))
+                start, stop = i, j
+        if start < stop:
+            yield start, _gauge_row(g, xs, ys, slice(start, stop))
+
+    return runs()
+
+
+# Points per leaf of SampleSet.blocks: small enough that a leaf next to the
+# level reads few values out of band, large enough that a bound call costs
+# little beside the values it can save.
+_LEAF = 32
 
 
 @dataclass(frozen=True)
@@ -247,7 +314,7 @@ class SampleSet:
             if len(self.box) != d:
                 raise DimensionMismatch(f"box rank mismatch in {self.name!r}")
             for p in self.points:
-                if not self._in_box(p, 1e-12):
+                if not self._has(p.coords, 1e-12):
                     raise GSpaceError(f"grid point {p} outside box in {self.name!r}")
 
     @property
@@ -268,6 +335,26 @@ class SampleSet:
     def coords(self) -> list[tuple[float, ...]]:
         """The points' coordinate tuples in scan order, a row for the kernels."""
         return [p.coords for p in self.points]
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """A binary tree over the scan order.  Each node (lo, hi, start,
+        stop, halves) boxes points[start:stop], lo and hi the least and
+        greatest of each coordinate; halves is () at a leaf, of at most
+        _LEAF points, and otherwise the nodes of the two halves in order."""
+        coords = self.coords
+
+        def node(start: int, stop: int) -> tuple:
+            if stop - start <= _LEAF:
+                axes = list(zip(*coords[start:stop]))
+                return tuple(map(min, axes)), tuple(map(max, axes)), start, stop, ()
+            mid = (start + stop) // 2
+            halves = node(start, mid), node(mid, stop)
+            (lo1, hi1, *_), (lo2, hi2, *_) = halves
+            return (tuple(map(min, lo1, lo2)), tuple(map(max, hi1, hi2)),
+                    start, stop, halves)
+
+        return node(0, len(coords))
 
     @classmethod
     def from_points(
@@ -314,19 +401,14 @@ class SampleSet:
         return min(steps) if steps else None
 
     def contains(self, p: Point, tol: float = 1e-9) -> bool:
-        if p.dimension != self.dimension:
-            return False
-        if self.box is not None:
-            return self._in_box(p, tol)
-        return any(
-            all(abs(a - b) <= tol for a, b in zip(p.coords, q.coords))
-            for q in self.points
-        )
+        return p.dimension == self.dimension and self._has(p.coords, tol)
 
-    def _in_box(self, p: Point, tol: float) -> bool:
-        assert self.box is not None
-        return all(
-            lo - tol <= c <= hi + tol for c, (lo, hi) in zip(p.coords, self.box)
+    def _has(self, coords: tuple[float, ...], tol: float) -> bool:
+        """contains, for a coordinate tuple of the set's dimension."""
+        if self.box is not None:
+            return all(lo - tol <= c <= hi + tol for c, (lo, hi) in zip(coords, self.box))
+        return any(
+            all(abs(a - b) <= tol for a, b in zip(coords, q)) for q in self.coords
         )
 
     def union(self, other: "SampleSet", name: str = "") -> "SampleSet":
@@ -514,15 +596,21 @@ class ProximalCore:
         When y is a sample point of B and g, a and eps are the core's own,
         they are read from partners: the core evaluated abs(g) on all of
         A x B with the same kernel doubles and the same band test.  Any other
-        question reads the row of abs(g) over A against y whole here, so it
-        raises at its first offending tuple, then yields its mates lazily.
+        question reads the row of abs(g) over A against y through _runs:
+        when the bound proves the whole row clean it yields its mates lazily
+        from the blocks that can reach the band, and otherwise it reads the
+        row whole here, so it raises at its first offending tuple.
         """
         if g is self.g and a is self.a and eps == self.eps:
             own = self._mates.get(y.coords)
             if own is not None:
                 return own
-        row, d_g = _gauge_row(g, a, y), self.d_g
-        return (u for u, v in zip(a.points, row) if abs(v - d_g) <= eps)
+        d_g = self.d_g
+        return (
+            u for start, row in _runs(g, a, y, d_g, eps, mates=True)
+            for u, v in zip(a.points[start:start + len(row)], row)
+            if abs(v - d_g) <= eps
+        )
 
     @cached_property
     def _mates(self) -> dict[tuple[float, ...], tuple[Point, ...]]:
@@ -688,16 +776,20 @@ def proximal_core(
     # Per point of A, its entries within eps of the level of the rows before
     # it, or of its own minimum where that is lower: all within eps of that
     # minimum (float subtraction is monotone), and a superset of its band.
+    # The row's runs leave out only blocks none of whose entries it keeps.
     d_g, near = math.inf, []
     for x in a.points:
-        row = _gauge_row(g, x, b)
-        keep = [j for j, v in enumerate(row) if v - d_g <= eps]
-        values = [row[j] for j in keep]
+        keep, values = [], []
+        for start, row in _runs(g, x, b, d_g, eps):
+            near_level = [v - d_g <= eps for v in row]
+            keep += compress(count(start), near_level)
+            values += compress(row, near_level)
         low = min(values, default=d_g)
         if low < d_g:
             d_g = low
-            keep = [j for j, v in zip(keep, values) if v - low <= eps]
-            values = [row[j] for j in keep]
+            near_level = [v - low <= eps for v in values]
+            keep = list(compress(keep, near_level))
+            values = list(compress(values, near_level))
         near.append((array("l", keep), array("d", values)))
     a_pts, partners = [], []
     b_hit = [False] * len(b.points)
@@ -964,15 +1056,16 @@ def check_starshaped(
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
     lams = list(lambda_grid)
     row, failed = h.rows(r, a.points, lams)
-    failed = set(failed)  # apply raises again at the first of them
-    for k, ((x, lam), coords) in enumerate(zip(product(a.points, lams), row)):
-        image = h.apply(r, x, lam) if k in failed else Point(coords)
-        if not a.contains(image, band):
-            return CheckReport(
-                "starshaped", _FALSIFIED, {"x": x, "lam": lam, "image": image},
-                note="interpolant escapes the set",
-            )
-    return CheckReport("starshaped", _HOLDS)
+    stop = min(failed, default=len(row))  # apply raises again there
+    k = next((k for k in range(stop) if not a._has(row[k], band)), stop)
+    if k == len(row):
+        return CheckReport("starshaped", _HOLDS)
+    x, lam = a.points[k // len(lams)], lams[k % len(lams)]
+    image = h.apply(r, x, lam) if k == stop else Point(row[k])
+    return CheckReport(
+        "starshaped", _FALSIFIED, {"x": x, "lam": lam, "image": image},
+        note="interpolant escapes the set",
+    )
 
 
 def check_side_condition(

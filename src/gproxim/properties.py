@@ -313,8 +313,8 @@ def _proximal_name(beta: float, n_cap: float) -> str:
     """The check's name, once beta and N are known to be admissible."""
     if not 0.0 < beta <= 1.0:
         raise GSpaceError(f"beta must lie in (0, 1], got {beta!r}")
-    if n_cap < 0.0:
-        raise GSpaceError(f"N must be non-negative, got {n_cap!r}")
+    if not 0.0 <= n_cap < math.inf:  # written so that a NaN fails it
+        raise GSpaceError(f"N must be non-negative and finite, got {n_cap!r}")
     return "proximal-berinde" if beta == 1.0 else "proximal-weak"
 
 

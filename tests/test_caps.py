@@ -7,7 +7,8 @@ axis, max(2, floor(cap ** (1 / arity))) points at cap 10**6 for the pair
 scans, the triangle triples and the quadruple pairs, and 2000 points for the
 qualifying pairs, chosen by even strides at seed 0 and by a seeded random
 sample otherwise.  The spies read the first row a scan passes to the kernels
-and stop the scan there, so no test pays for a whole scan.
+(for the qualifying pairs, to the row reader) and stop the scan there, so no
+test pays for a whole scan.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import repeat
 
 import pytest
 
+import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
 from gproxim.expr import RowKernels
 from gproxim.gspace import (
@@ -103,11 +105,19 @@ def _banach(s, seed, monkeypatch):
 
 
 def _qualifying(s, seed, monkeypatch):
+    # a row of mates reads only the blocks of its set that can reach the
+    # level (gspace._runs), so the spy takes the set the first row is over
     f, core = MapSpec(["x1"], s, s), _core()
-    p, _ = first_row(
-        lambda: qualifying_pairs(G, f, s, core, TOL, seed=seed), monkeypatch
-    )
-    return p
+    seen = []
+
+    def spy(g, xs, ys, *args, **kwargs):
+        seen.append(list(xs.coords))
+        raise _Stop
+
+    monkeypatch.setattr(gspace_module, "_runs", spy)
+    with pytest.raises(_Stop):
+        qualifying_pairs(G, f, s, core, TOL, seed=seed)
+    return seen[0]
 
 
 def _quadruples(s, seed, monkeypatch):

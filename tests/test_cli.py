@@ -177,6 +177,10 @@ class TestVerify:
         ("convex:g", "this check needs a 'convex' block in the config"),
         ("starshaped:A", "this check needs a 'convex' block in the config"),
         ("side-condition:g", "this check needs a 'convex' block in the config"),
+        ("proximal-weak:g:beta=0.5:N=nan", "N must be non-negative and finite, got nan"),
+        ("proximal-weak:g:beta=0.5:N=inf", "N must be non-negative and finite, got inf"),
+        ("berinde:g:N=nan", "N must be non-negative and finite, got nan"),
+        ("berinde:g:N=-1", "N must be non-negative and finite, got -1.0"),
     ])
     def test_bad_check_spec_exits_two_with_one_line(self, quarter, spec, message, capsys):
         assert main(["verify", "--config", quarter, "--checks", spec]) == 2
@@ -373,6 +377,19 @@ class TestSolve:
              "--from", "1", "--alpha", "0.25", "--max-iter", "3"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("scheme", ["picard", "proximal"])
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one_exits_two_with_one_line(
+        self, halving, parallel, scheme, max_iter, capsys
+    ):
+        cfg = halving if scheme == "picard" else parallel
+        argv = ["solve", "--config", cfg, "--scheme", scheme, "--from", "1",
+                "--alpha", "0.25", "--max-iter", max_iter]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-iter must be at least 1, got {max_iter}\n"
 
     @pytest.mark.parametrize("alpha", ["0.01", "0.1"])
     def test_picard_understated_alpha_is_not_converged(self, halving, alpha, capsys):
@@ -790,6 +807,10 @@ def test_search_matches_one_check_per_value(
 @pytest.mark.parametrize("name, check, hi, message", [
     ("halving-on-unit", "banach:g", "1", "alpha must lie in (0, 1), got 1.0"),
     ("quarter-proximal", "proximal-weak:g:N=0", "1.5", "beta must lie in (0, 1], got 1.5"),
+    ("quarter-proximal", "proximal-weak:g:N=nan", "0.75",
+     "N must be non-negative and finite, got nan"),
+    ("quarter-proximal", "berinde:g:N=inf", "0.75",
+     "N must be non-negative and finite, got inf"),
 ])
 def test_search_with_a_bad_swept_value_exits_two(name, check, hi, message, capsys):
     argv = ["search", "--config", str(fixture_config_path(name)), "--check", check,

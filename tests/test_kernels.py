@@ -1142,15 +1142,15 @@ def test_a_core_of_another_gauge_set_or_band_falls_back_to_the_scan():
 
 def _rows_over(monkeypatch, a):
     """The points y of the kernel rows of abs(g) over a against y, as they
-    are read; gspace._gauge_row is the one reader of such rows."""
-    real, rows = gspace_module._gauge_row, []
+    are read; gspace._runs is the one reader of such rows."""
+    real, rows = gspace_module._runs, []
 
-    def spy(g, xs, ys):
+    def spy(g, xs, ys, *args, **kwargs):
         if xs is a:
             rows.append(ys)
-        return real(g, xs, ys)
+        return real(g, xs, ys, *args, **kwargs)
 
-    monkeypatch.setattr(gspace_module, "_gauge_row", spy)
+    monkeypatch.setattr(gspace_module, "_runs", spy)
     return rows
 
 
@@ -1257,19 +1257,19 @@ def _core_cases():
 
 
 def _kept_rows(monkeypatch):
-    """Per row proximal_core reads, the arrays it keeps, by type code: "l"
-    the indices into B, "d" the values."""
-    kept, real_row, real_array = [], gspace_module._gauge_row, gspace_module.array
+    """Per row proximal_core reads (gspace._runs is its one reader), the
+    arrays it keeps, by type code: "l" the indices into B, "d" the values."""
+    kept, real_row, real_array = [], gspace_module._runs, gspace_module.array
 
-    def row(g, x, b):
+    def row(g, x, b, *args, **kwargs):
         kept.append({})
-        return real_row(g, x, b)
+        return real_row(g, x, b, *args, **kwargs)
 
     def array(code, items):
         kept[-1][code] = made = real_array(code, items)
         return made
 
-    monkeypatch.setattr(gspace_module, "_gauge_row", row)
+    monkeypatch.setattr(gspace_module, "_runs", row)
     monkeypatch.setattr(gspace_module, "array", array)
     return kept
 
@@ -1317,3 +1317,153 @@ def test_an_image_off_b_is_read_whole_before_its_first_mate(mate):
         assert got == ("error", "NoProximalMate",
                        "image of realising point (1.0) has no proximity mate; "
                        "the map does not send the realising set into its partner")
+
+
+# --------------------------------------------------------------------------
+# blocks left out by the interval bound: sets of more than one leaf block of
+# gspace._LEAF points, where the core and the mates of images off B read
+# only the blocks of a row that can reach the level
+
+FINE_A = SampleSet.grid([(0.0, 1.0)], 65, name="A")  # t/64: three blocks
+FINE_B = SampleSet.grid([(0.0, 1.0)], 129, name="B")  # t/128: five blocks
+PLANE_A = SampleSet.grid([(-1.0, 1.0), (-1.0, 1.0)], 9, name="A")
+PLANE_B = SampleSet.grid([(0.0, 2.0), (-1.0, 1.0)], 9, name="B")
+
+
+def _reads(monkeypatch):
+    """The spans of the sample-set rows gspace._gauge_row reads, as (start,
+    stop) pairs over the set, (0, None) for a row read whole."""
+    real, spans = gspace_module._gauge_row, []
+
+    def spy(g, xs, ys, span=None):
+        spans.append((0, None) if span is None else (span.start, span.stop))
+        return real(g, xs, ys, span)
+
+    monkeypatch.setattr(gspace_module, "_gauge_row", spy)
+    return spans
+
+
+def _read(spans, n):
+    return sum(n if stop is None else stop - start for start, stop in spans)
+
+
+def _leaves(s, node):
+    """The (start, stop) of the leaves under a node of s.blocks, in order,
+    checking each node's box against its points."""
+    lo, hi, start, stop, halves = node
+    axes = list(zip(*s.coords[start:stop]))
+    assert lo == tuple(map(min, axes)) and hi == tuple(map(max, axes))
+    if not halves:
+        assert 0 < stop - start <= gspace_module._LEAF
+        return [(start, stop)]
+    return _leaves(s, halves[0]) + _leaves(s, halves[1])
+
+
+def test_the_blocks_of_a_set_cover_it_in_scan_order():
+    for s in (FINE_A, FINE_B, PLANE_A, LINE):
+        spans = _leaves(s, s.blocks)
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+        assert spans[-1][1] == len(s)
+    assert _leaves(FINE_B, FINE_B.blocks) == [
+        (0, 32), (32, 64), (64, 96), (96, 112), (112, 129)]
+    assert _leaves(LINE, LINE.blocks) == [(0, 17)]
+
+
+@pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
+def test_a_core_over_blocks_matches_the_full_matrix(tol, monkeypatch):
+    spans = _reads(monkeypatch)
+    cases = [(name, GFunction(text, 1), FINE_A, FINE_B)
+             for name, text in CORE_GAUGES.items()]
+    cases += [(f"random-{seed}", _random_case(seed)[0], PLANE_A, PLANE_B)
+              for seed in range(12)]
+    pruned = 0
+    for name, g, a, b in cases:
+        spans.clear()
+        assert_same(lambda: proximal_core(g, a, b, tol),
+                    lambda: ref_core(g, a, b, tol))
+        pruned += _read(spans, len(b)) < len(a) * len(b)
+    assert pruned >= 8  # most cases leave blocks out
+
+
+def test_a_mark_next_to_a_prunable_block_raises_where_the_matrix_does(monkeypatch):
+    # the level is 0, on the diagonal; g divides by zero at (1/2, u) alone.
+    # At u = 1/4, the first point of B's second block, the first block is
+    # out of band; at u = 15/16 the tuple lies far above the level, in a
+    # block the bound would leave out but for the mark
+    spans = _reads(monkeypatch)
+    for u in (0.25, 0.9375):
+        g = GFunction(f"abs(x1-u1) + 0/(abs(x1 - 0.5) + abs(u1 - {u!r}))", 1)
+        spans.clear()
+        got = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, TOL),
+                          lambda: ref_core(g, FINE_A, FINE_B, TOL))
+        assert got == ("error", "EvalError", "division-by-zero",
+                       "division-by-zero: 0.0 / 0")
+        assert _read(spans, len(FINE_B)) < 33 * len(FINE_B)  # rows 0..32 read, pruned
+
+
+def test_the_level_dropping_in_the_last_row_keeps_its_band(monkeypatch):
+    # every row before the last has its minimum 1 at the level of the rows
+    # before it; the last row's own minimum 0 lowers the level
+    kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
+    g = GFunction("abs(x1-u1) + 1 - max(0, 64*x1 - 63)", 1)
+    want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, WIDE),
+                       lambda: ref_core(g, FINE_A, FINE_B, WIDE))
+    assert float.fromhex(want[1][0]) == 0.0 and want[1][1] == (exact(Point((1.0,))),)
+    assert len(kept) == len(FINE_A)
+    for x, arrays in zip(FINE_A.points, kept):
+        row = [abs(eval_g(g, x, y)) for y in FINE_B.points]
+        own = [j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
+        assert list(arrays["l"]) == own
+        assert [v.hex() for v in arrays["d"]] == [row[j].hex() for j in own]
+    assert _read(spans, len(FINE_B)) < len(FINE_A) * len(FINE_B) / 2
+
+
+def test_a_gauge_without_a_bound_reads_every_row_whole(monkeypatch):
+    spans = _reads(monkeypatch)
+    g = GFunction("abs(x1-u1)^0.5 + x1", 1)
+    assert g.kernels.bound is None
+    assert_same(lambda: proximal_core(g, FINE_A, FINE_B, TOL),
+                lambda: ref_core(g, FINE_A, FINE_B, TOL))
+    assert spans == [(0, None)] * len(FINE_A)
+
+
+METRIC_TO_B = proximal_core(GFunction("abs(x1-u1)", 1), FINE_B, exact_set([2.0, 3.0], "B"),
+                            TOL)  # level 1, at (1, 2)
+
+
+@pytest.mark.parametrize("tol", [TOL, WIDE], ids=["narrow", "wide"])
+@pytest.mark.parametrize("y", [1.5, -0.5, 1.75, 2.5, 0.5])
+def test_the_mates_of_an_image_off_b_read_the_blocks_near_the_level(y, tol, monkeypatch):
+    # against y the band is |u - y| = 1; blocks whose values all lie more
+    # than eps above or below 1 are left out, and against 2.5 and 0.5 all
+    spans = _reads(monkeypatch)
+    g, target = METRIC_TO_B.g, Point((y,))
+    mates = assert_same(lambda: list(METRIC_TO_B.mates(g, FINE_B, target, tol.eps_prox)),
+                        lambda: ref_mates(g, FINE_B, target, METRIC_TO_B.d_g, tol))
+    read = _read(spans, len(FINE_B))
+    if y in (2.5, 0.5):
+        assert mates == ("ok", ()) and read == 0
+    else:
+        assert len(mates[1]) == (1 if tol is TOL else 9) and 0 < read <= 64
+
+
+def test_the_mates_of_an_image_off_b_are_read_lazily(monkeypatch):
+    # at level 3/8 the mates of 1/2 are 1/8, in the first block, and 7/8,
+    # in the last; the three blocks between lie below the band
+    g = GFunction("abs(x1-u1)", 1)
+    core = proximal_core(g, FINE_B, exact_set([1.375, 3.0], "B"), TOL)
+    spans = _reads(monkeypatch)
+    mates = iter(core.mates(g, FINE_B, Point((0.5,)), TOL.eps_prox))
+    assert spans == []
+    assert next(mates) == Point((0.125,)) and spans == [(0, 32)]
+    assert list(mates) == [Point((0.875,))] and spans == [(0, 32), (112, 129)]
+def test_a_mark_in_the_row_of_an_image_off_b_is_read_whole(monkeypatch):
+    # g divides by zero at (15/16, 3/2) alone, far from the band of 3/2
+    spans = _reads(monkeypatch)
+    g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.9375) + abs(u1 - 1.5))", 1)
+    core = proximal_core(g, FINE_B, exact_set([2.0, 3.0], "B"), TOL)
+    spans.clear()
+    got = assert_same(lambda: list(core.mates(g, FINE_B, Point((1.5,)), TOL.eps_prox)),
+                      lambda: ref_mates(g, FINE_B, Point((1.5,)), core.d_g, TOL))
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    assert spans == [(0, None)]

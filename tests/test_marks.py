@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import count, repeat
+from itertools import count, product, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,3 +389,102 @@ def test_the_kernel_text_keeps_its_outer_abs_unless_nonneg(text, outer, monkeypa
     loops = [src.count(f"        return [{body} for ") for body in (fast, checked)]
     assert loops == ([6, 6] if fast == checked else [3, 3])
     assert src.count(f"if not {fast} <= _la + _mb + _eps:") == 3
+
+
+# --------------------------------------------------------------------------
+# the interval bound of a kernel over a box of points (RowKernels.bound)
+
+
+def _axes(rng, k, scale):
+    """k grid axes of one to four points each, on multiples of scale / 8."""
+    axes = []
+    for _ in range(k):
+        lo, step = rng.randint(-24, 24) * scale / 8, rng.randint(1, 8) * scale / 8
+        axes.append([lo + i * step for i in range(rng.randint(1, 4))])
+    return axes
+
+
+def _proven(kernels, P_axes, Q_axes):
+    """bound over the boxes of the axes, and the marked row over every pair
+    of a point of the P grid and a point of the Q grid."""
+    P, Q = list(product(*P_axes)), list(product(*Q_axes))
+    ends = kernels.bound(*(tuple(f(a) for a in axes)
+                           for axes in (P_axes, Q_axes) for f in (min, max)))
+    row = kernels.marked([p for p in P for _ in Q], [q for _ in P for q in Q])
+    return ends, row
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 1e200, 1e-160]))
+def test_the_bound_holds_every_kernel_value_of_its_box(seed, scale):
+    # a proven box holds every value the kernels give in it, and its marked
+    # row holds no NaN: the scans leave such a box out only where no tuple
+    # of it could be kept or raise.  Scale 1e200 reaches overflow, 1e-160
+    # subnormal powers.
+    rng = random.Random(seed)
+    for e in (random_expr(rng, 4), _min_max_expr(rng, 4)):
+        kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
+        if kernels.bound is None:
+            continue
+        ends, row = _proven(kernels, _axes(rng, 2, scale), _axes(rng, 3, scale))
+        if ends is not None:
+            lo, hi = ends
+            assert all(lo <= v <= hi for v in row), (repr(e), ends, row)
+
+
+def test_the_bound_proves_most_random_boxes():
+    # the property above is not vacuous: most random trees get a bound, and
+    # most boxes of those a proof
+    compiled = proven = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        kernels = compile_row_kernels(random_expr(rng, 4), NAMES[:2], NAMES[2:])
+        if kernels.bound is not None:
+            compiled += 1
+            proven += _proven(kernels, _axes(rng, 2, 1.0), _axes(rng, 3, 1.0))[0] is not None
+    assert compiled >= 170 and proven >= 150, (compiled, proven)
+
+
+@pytest.mark.parametrize("text, box, ends", [
+    ("abs(x1-u1) + abs(x2-u2)", ((0.0, 0.25), (0.0, 0.25), (1.0, 0.5), (1.0, 0.75)),
+     (1.25, 1.5)),
+    ("abs(x1-u1) + abs(x2-u2)", ((0.0, 0.0), (0.0, 1.0), (1.0, 0.5), (1.0, 0.5)),
+     (1.0, 1.5)),
+    ("x2 - u2", ((0.0, -1.0), (0.0, 2.0), (0.0, 0.5), (0.0, 0.5)), (0.0, 1.5)),
+    ("x1*x2 - u1", ((-1.0, 2.0), (3.0, 4.0), (1.0, 0.0), (1.0, 0.0)), (0.0, 11.0)),
+    ("u1/x1", ((1.0, 0.0), (4.0, 0.0), (-2.0, 0.0), (2.0, 0.0)), (0.0, 2.0)),
+    ("u1/x1", ((-1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)), None),
+    ("sqrt(x1 - u1)", ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), (0.0, 1.0)),
+    ("sqrt(x1 - u1)", ((0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5, 0.0)), None),
+    ("x1*1e200*1e200", ((1.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), None),
+    ("min(x1, u1) + max(x2, u2)", ((0.0, 0.0), (1.0, 1.0), (0.5, 2.0), (0.5, 3.0)),
+     (2.0, 3.5)),
+])
+def test_the_bound_of_planted_boxes(text, box, ends):
+    got = compile_row_kernels(parse(text), NAMES[:2], NAMES[2:4]).bound(*box)
+    assert got == ends
+
+
+def test_an_even_power_is_bounded_at_plus_zero_and_widened_elsewhere():
+    bound = compile_row_kernels(parse("(x1-u1)^2"), NAMES[:1], NAMES[2:3]).bound
+    lo, hi = bound((0.0,), (3.0,), (1.0,), (1.0,))
+    assert lo == 0.0 and 4.0 < hi < 4.0 + 1e-14
+    lo, hi = bound((2.0,), (3.0,), (0.0,), (0.0,))
+    assert 4.0 - 1e-14 < lo < 4.0 and 9.0 < hi < 9.0 + 1e-14
+
+
+@pytest.mark.parametrize("base", [-1.0, -0.0, -2.5])
+def test_a_negative_literal_base_is_raised_to_its_power(base):
+    # the parser writes no negative literal, but a tree built by hand may
+    # hold one; the kernels and the bound read it as one operand
+    e = Binary("add", Binary("pow", Num(base), Num(2.0)), Var("x1"))
+    kernels = compile_row_kernels(e, NAMES[:1], NAMES[2:3])
+    (value,) = kernels.values([(0.5,)], [(0.0,)])
+    assert value.hex() == abs(evaluate(e, {"x1": 0.5})).hex()
+    lo, hi = kernels.bound((0.5,), (0.5,), (0.0,), (0.0,))
+    assert lo <= value <= hi
+
+
+@pytest.mark.parametrize("text", ["x1^0.5", "x1^u1", "x1^(-2)", "x1 + 1e999"])
+def test_a_gauge_the_bound_cannot_follow_has_none(text):
+    assert compile_row_kernels(parse(text), NAMES[:2], NAMES[2:]).bound is None
