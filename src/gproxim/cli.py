@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
 from .config import ConfigError, Instance, load_instance
@@ -409,9 +409,18 @@ def cmd_verify(args) -> int:
                 previous = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise CheckSpecError(f"replay report {args.replay}: {exc}") from None
+        checks = previous.get("checks") if isinstance(previous, dict) else None
+        if not (isinstance(checks, list) and all(isinstance(e, dict) for e in checks)):
+            raise CheckSpecError(f"replay report {args.replay}: expected an object "
+                                 "whose checks are a list of objects")
         ok = True
-        for entry in previous["checks"]:
-            same = replay_entry(inst, entry, cores)
+        for i, entry in enumerate(checks):
+            try:
+                same = replay_entry(inst, entry, cores)
+            except KeyError as exc:  # a field the entry's check reads
+                raise CheckSpecError(
+                    f"replay report {args.replay}: checks[{i}]: missing {exc}"
+                ) from None
             if same is None:
                 continue
             ok = ok and same
@@ -608,6 +617,7 @@ def _sweep_values(args) -> list[float]:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
+@cache  # one per process: main and the fixture runner parse with it many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gproxim",

@@ -329,18 +329,19 @@ def evaluate(e: Expr, env: VarEnv) -> float:
 def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
     """Python text of e over its variable names.
 
-    The checked text, with no temps, calls _sqrt, _div and _pow.  The fast
-    text, given temps, writes sqrt, / and ^ by a finite integral literal as
-    the bare operations, which give the same double and raise a bare
-    ValueError, ZeroDivisionError or OverflowError on exactly the inputs
-    where the helper raises its EvalError.  Any other ^ keeps _pow: a
-    negative base with a fractional exponent would give a complex number
-    instead of raising.  It writes min(A, B) as (b if (a := A) > (b := B)
-    else a), and max with <, which is what the builtins return for floats,
-    NaN and signed zeros included: min replaces its first argument only when
-    B < A.  The temporaries a and b are named _t0, _t1, ... from temps, so
-    one text never binds a name twice; a side that is a variable or a
-    literal is read twice instead.
+    The checked text, with no temps, is compile_expr's: it calls _sqrt, _div
+    and _pow, which raise the scalar evaluator's typed EvalError.  The fast
+    text, given temps, is the row kernels': it writes sqrt, / and ^ by a
+    finite integral literal as the bare operations, which give the same
+    double and raise a bare ValueError, ZeroDivisionError or OverflowError on
+    exactly the inputs where the helper raises its EvalError.  Any other ^
+    keeps _pow: a negative base with a fractional exponent would give a
+    complex number instead of raising.  It writes min(A, B) as (b if (a := A)
+    > (b := B) else a), and max with <, which is what the builtins return for
+    floats, NaN and signed zeros included: min replaces its first argument
+    only when B < A.  The temporaries a and b are named _t0, _t1, ... from
+    temps, so one text never binds a name twice; a side that is a variable
+    or a literal is read twice instead.
     """
     if isinstance(e, Num):  # a minus sign in parentheses: -1.0**2.0 is -1.0
         return repr(e.value) if math.copysign(1.0, e.value) > 0 else f"({e.value!r})"
@@ -509,16 +510,13 @@ class RowKernels:
     not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
     value stops it as a violation does, so every right side must be finite.
 
-    Both loops run the fast text of e (see _gen).  A side that is an
+    Both loops run the fast text of e (see _gen), so where the scalar
+    callable raises its typed EvalError they raise that or a bare
+    ValueError, ZeroDivisionError or OverflowError.  A side that is an
     itertools.repeat, which every scan passes without a count, has its
     coordinates bound once before the loop, and the loop unpacks only the
-    other side.  values runs a row that raises ArithmeticError or ValueError
-    again with the checked text, so it raises the scalar callable's typed
-    EvalError at the same tuple; a one-shot iterator argument other than
-    itertools.repeat is read into a list first, so that second pass sees the
-    whole row.  first_violation may raise the bare error instead.
-
-    Scans read rows through marked, which marks a tuple where values raises.
+    other side.  Scans read rows through marked, which marks a tuple where
+    values raises, and raise the typed error through eval_g.
 
     bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
     ranging between the tuples PL and PH and the Q coordinates between QL
@@ -531,8 +529,24 @@ class RowKernels:
     """
 
     values: Callable[..., list[float]]
-    first_violation: Callable[..., int]
     tree: tuple[Expr, tuple[str, ...], tuple[str, ...]]
+
+    @cached_property
+    def first_violation(self) -> Callable[..., int]:
+        """Compiled on first use: only the convex-structure check asks for
+        it.  Two first uses racing at most compile it twice."""
+
+        def loop(body: str, targets: list[str], rows: list[str]) -> str:
+            each = ", ".join(targets + ["_la", "_mb"])
+            scan = ", ".join(rows + ["cycle(_LA)", "_MB"])
+            return (
+                f"    for _i, ({each}) in enumerate(zip({scan})):\n"
+                f"        if not {body} <= _la + _mb + _eps:\n"
+                "            return _i\n"
+                "    return -1\n"
+            )
+
+        return _compile_rows("first_violation", ", _LA, _MB, _eps", loop, *self.tree)
 
     @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
@@ -545,7 +559,9 @@ class RowKernels:
     def marked(self, P: Iterable, Q: Iterable) -> list[float]:
         """values(P, Q), with a NaN mark at each tuple where the scalar
         callable raises or is not finite.  Every other value is an abs, so
-        a mark makes every comparison <= false."""
+        a mark makes every comparison <= false.  A one-shot iterator other
+        than itertools.repeat is read into a list first, so that the
+        per-tuple pass after a raising row sees the whole row."""
         P, Q = _rereadable(P), _rereadable(Q)
         try:
             row = self.values(P, Q)
@@ -582,7 +598,7 @@ def _names(names: Sequence[str]) -> str:
 _KERNEL_GLOBALS = dict(
     _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, isinstance=isinstance,
     next=next, repeat=repeat, cycle=cycle, sqrt=math.sqrt, isfinite=math.isfinite,
-    sum=sum, nextafter=math.nextafter, _rereadable=_rereadable,
+    sum=sum, nextafter=math.nextafter,
     ArithmeticError=ArithmeticError, ValueError=ValueError,
 )
 
@@ -593,61 +609,45 @@ def _compile(src: str) -> dict:
     return namespace
 
 
+def _compile_rows(
+    name: str, params: str, loop: Callable[[str, list[str], list[str]], str],
+    e: Expr, left: tuple[str, ...], right: tuple[str, ...],
+) -> Callable:
+    """The function name(_P, _Q<params>) over rows of the coordinates left
+    and right: loop(body, targets, rows) three times, with P's coordinates
+    bound once, with Q's, and with both unpacked from each pair of rows.
+    body is the fast text of abs(e), leaving out the outer abs where
+    _nonneg(e) holds, since it would return the same double."""
+    body = _gen(e, count())
+    if not _nonneg(e):
+        body = f"abs({body})"
+    p, q = _names(left), _names(right)
+    return _compile(
+        f"def {name}(_P, _Q{params}):\n"
+        f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
+        + indent(loop(body, [q], ["_Q"]), "    ")
+        + f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
+        + indent(loop(body, [p], ["_P"]), "    ")
+        + loop(body, [p, q], ["_P", "_Q"])
+    )[name]
+
+
 def compile_row_kernels(
     e: Expr, left: tuple[str, ...], right: tuple[str, ...]
 ) -> RowKernels:
-    """Compile abs(e) into row loops; left and right name the coordinates
-    unpacked from each P and each Q tuple.
-
-    The loop bodies are compile_expr's text and its fast twin, so every value
-    is bit for bit the one the scalar callable returns.  Where _nonneg(e)
-    holds, they leave out the outer abs, which would return the same double.
-    """
+    """Compile abs(e) into its values loop; left and right name the
+    coordinates unpacked from each P and each Q tuple.  The loop body is the
+    fast twin of compile_expr's text, so every value is bit for bit the one
+    the scalar callable returns.  first_violation and bound compile on first
+    use."""
     _unbound((e,), left + right)
-    fast, checked = _gen(e, count()), _gen(e)
-    if not _nonneg(e):
-        fast, checked = f"abs({fast})", f"abs({checked})"
-    p, q = _names(left), _names(right)
 
-    def variants(loop: Callable[[list[str], list[str]], str]) -> str:
-        """loop(targets, rows) three times: with P's coordinates bound once,
-        with Q's, and with both unpacked from each pair of rows."""
-        return (
-            f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
-            + indent(loop([q], ["_Q"]), "    ")
-            + f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
-            + indent(loop([p], ["_P"]), "    ")
-            + loop([p, q], ["_P", "_Q"])
-        )
-
-    def values(targets: list[str], rows: list[str]) -> str:
+    def loop(body: str, targets: list[str], rows: list[str]) -> str:
         each = (f"{targets[0]} in {rows[0]}" if len(rows) == 1
                 else f"({', '.join(targets)}) in zip({', '.join(rows)})")
-        return (
-            "    try:\n"
-            f"        return [{fast} for {each}]\n"
-            "    except (ArithmeticError, ValueError):\n"
-            f"        return [{checked} for {each}]\n"
-        )
+        return f"    return [{body} for {each}]\n"
 
-    def first_violation(targets: list[str], rows: list[str]) -> str:
-        each = ", ".join(targets + ["_la", "_mb"])
-        scan = ", ".join(rows + ["cycle(_LA)", "_MB"])
-        return (
-            f"    for _i, ({each}) in enumerate(zip({scan})):\n"
-            f"        if not {fast} <= _la + _mb + _eps:\n"
-            "            return _i\n"
-            "    return -1\n"
-        )
-
-    namespace = _compile(
-        "def values(_P, _Q):\n"
-        "    _P, _Q = _rereadable(_P), _rereadable(_Q)\n"
-        + variants(values)
-        + "def first_violation(_P, _Q, _LA, _MB, _eps):\n"
-        + variants(first_violation)
-    )
-    return RowKernels(namespace["values"], namespace["first_violation"], (e, left, right))
+    return RowKernels(_compile_rows("values", "", loop, e, left, right), (e, left, right))
 
 
 def _compile_bound(

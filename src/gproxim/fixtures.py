@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from types import SimpleNamespace
 from typing import Any, Union
@@ -64,11 +63,6 @@ class FixtureReport:
 _SEQUENCES = {"(1/n, 1)": lambda n: (1.0 / n, 1.0), "1/n": lambda n: 1.0 / n}
 
 
-@lru_cache(maxsize=1)
-def _parser(cli):
-    return cli.build_parser()
-
-
 class _Run:
     """One fixture's instance, one method per subject kind.  run(kind, *args)
     evaluates each subject once; the rows share one cores dict, as the
@@ -107,7 +101,7 @@ class _Run:
 
     def solve(self, argv: str):
         """The Trace, or for berinde the BerindeResult, of solve with argv."""
-        args = _parser(self.cli).parse_args(
+        args = self.cli.build_parser().parse_args(
             ["solve", "--config", self.path, *argv.split()]
         )
         return self.cli.solve(self.inst, args, self.cores)[1]

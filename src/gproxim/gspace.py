@@ -755,13 +755,12 @@ def enumerate_g_limits(
     tol: ToleranceSet,
 ) -> list[Point]:
     """All candidate points the prefix converges to; more than one witnesses
-    non-uniqueness of limits."""
-    limits = []
-    for c in candidates.points:
-        report = classify_sequence(g, s, c, tol)
-        if report.convergent:
-            limits.append(c)
-    return limits
+    non-uniqueness of limits.  Raises as classify_sequence does for each
+    candidate in turn, the tail's errors first."""
+    classify_sequence(g, s, None, tol)  # the length check and the tail's rows, once
+    tail = s.points[-tol.tail_len:]
+    return [c for c in candidates.points
+            if max(_gauge_row(g, tail, c)) <= tol.eps_zero]
 
 
 def proximal_core(

@@ -160,6 +160,33 @@ class TestVerify:
         assert main(argv + ["--replay", str(report)]) == 2
         assert "bad witness value x=['a']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: {}, "expected an object whose checks are a list of objects"),
+        (lambda entry: [], "expected an object whose checks are a list of objects"),
+        (lambda entry: {"checks": 5},
+         "expected an object whose checks are a list of objects"),
+        (lambda entry: {"checks": [{}]}, "checks[0]: missing 'spec'"),
+        (lambda entry: {"checks": [dict(entry, witness={"x": entry["witness"]["x"]})]},
+         "checks[0]: missing 'y'"),
+        (lambda entry: {"checks": [{k: v for k, v in entry.items()
+                                    if k not in ("lhs", "rhs")}]},
+         "checks[0]: missing 'lhs'"),
+    ], ids=["empty-object", "list", "checks-not-a-list", "entry-without-spec",
+            "witness-without-y", "entry-without-sides"])
+    def test_a_replay_report_of_the_wrong_shape_exits_two_with_one_line(
+        self, edit, message, tmp_path, capsys
+    ):
+        cfg = str(fixture_config_path("min-contraction"))
+        spec = "banach:h:map=T:alpha=0.9"
+        report = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--checks", spec, "--out", str(report)]) == 1
+        entry = json.loads(report.read_text())["checks"][0]
+        report.write_text(json.dumps(edit(entry)))
+        capsys.readouterr()
+        argv = ["verify", "--config", cfg, "--checks", "identity:g", "--replay", str(report)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: replay report {report}: {message}\n"
+
     def test_non_numeric_check_parameter_exits_two(self, halving, capsys):
         code = main(
             ["verify", "--config", halving, "--checks", "banach:g:alpha=x"]

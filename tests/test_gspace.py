@@ -216,6 +216,28 @@ class TestEnumerateLimits:
         tol = ToleranceSet(eps_zero=0.002)
         assert enumerate_g_limits(g, seq, cands, tol) == [P(0)]
 
+    @pytest.mark.parametrize("gauge, terms, tail_len", [
+        ("x1 - u1", 1000, 50),
+        ("1/(x1 - u1)", 1000, 50),  # raises in the tail
+        ("1/(u1 - 5) + x1 - u1", 1000, 50),  # raises at the candidate 5
+        ("x1 - u1", 5, 10),  # prefix too short
+    ])
+    def test_limits_and_errors_are_classify_sequences(self, gauge, terms, tail_len):
+        g = GFunction(gauge, 1)
+        seq = SequencePrefix.from_function(lambda n: 1.0 / n, terms)
+        cands = SampleSet.from_points([0.0, 0.001, 5.0, 0.5])
+        tol = ToleranceSet(eps_zero=0.002, tail_len=tail_len)
+
+        def outcome(limits):
+            try:
+                return limits()
+            except (EvalError, GSpaceError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: enumerate_g_limits(g, seq, cands, tol)) == outcome(
+            lambda: [c for c in cands.points
+                     if classify_sequence(g, seq, c, tol).convergent])
+
 
 class TestProximalCore:
     def test_finite_sets(self):

@@ -58,6 +58,7 @@ from gproxim.properties import (
     qualifying_pairs,
 )
 from gproxim.solvers import proximal_iterate
+import gproxim.expr as expr_module
 import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
 
@@ -241,6 +242,15 @@ def exact(value):
     return value
 
 
+# the bare error the fast text raises where the checked helper raises the kind
+BARE_KINDS = {ValueError: "sqrt-of-negative", ZeroDivisionError: "division-by-zero",
+              OverflowError: "non-finite"}
+
+
+def bare_kind(exc):
+    return exc.kind if isinstance(exc, EvalError) else BARE_KINDS[type(exc)]
+
+
 def outcome(fn):
     try:
         result = fn()
@@ -269,13 +279,24 @@ def exact_set(coords, name):
 # the kernels themselves
 
 
-def test_kernels_compile_lazily():
+def test_kernels_compile_lazily(monkeypatch):
+    compiled, real = [], expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile",
+                        lambda src: compiled.append(src.split("(")[0]) or real(src))
     g = GFunction("abs(x1-u1)", 1)
     assert "kernels" not in vars(g)
     inst = load_instance(fixture_config_path("halving-on-unit"))
     assert all("kernels" not in vars(gauge) for gauge in inst.gauges.values())
-    falsify_axiom("identity", g, exact_set([0.0, 1.0], "S"), TOL)
+    s = exact_set([0.0, 1.0], "S")
+    falsify_axiom("identity", g, s, TOL)
     assert "kernels" in vars(g)
+    # a first scan compiles the values loop alone; a convex check adds its
+    # fused loop, and a second check compiles nothing more
+    assert compiled == ["def values"]
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    for _ in range(2):
+        assert check_convex_structure(h, g, s, LAMS, TOL).holds
+    assert compiled == ["def values", "def rows", "def first_violation"]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -292,9 +313,14 @@ def test_row_kernels_match_the_scalar_callable(seed):
         try:
             want = abs(fn(*p, *q))
         except EvalError as exc:
-            with pytest.raises(EvalError) as info:
+            # values raises the bare error of the scalar callable's kind, and
+            # marked marks the tuple; eval_g raises the typed error itself
+            with pytest.raises((ArithmeticError, ValueError)) as info:
                 kernels.values([p], [q])
-            assert (info.value.kind, str(info.value)) == (exc.kind, str(exc))
+            assert bare_kind(info.value) == exc.kind
+            if isinstance(info.value, EvalError):
+                assert str(info.value) == str(exc)
+            assert math.isnan(kernels.marked([p], [q])[0])
             continue
         got = kernels.values([p], [q])[0]
         assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
@@ -594,7 +620,7 @@ def test_a_row_wholly_in_band_shares_the_points_of_b():
 
 
 # --------------------------------------------------------------------------
-# the fast text: bare operations, and the checked rerun of values
+# the fast text: bare operations, marked rows and the typed error of eval_g
 
 
 @pytest.mark.parametrize("text, row, kind, bare", [
@@ -610,11 +636,17 @@ def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
     with pytest.raises(EvalError) as scalar:
         for p, q in zip(P, Q):
             fn(*p, *q)
-    with pytest.raises(EvalError) as info:
+    assert scalar.value.kind == kind
+    # values raises the bare error; marked marks the raising tuple alone
+    with pytest.raises(bare):
         kernels.values(P, Q)
-    assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
     assert [math.isnan(v) for v in kernels.marked(P, Q)] == [False, False, True, False]
-    # first_violation runs the fast text alone; marked marks the raising tuple
+    # a scan's row raises the scalar callable's typed error through eval_g
+    g = GFunction(text, 1)
+    with pytest.raises(EvalError) as info:
+        gspace_module._gauge_row(g, [Point(p) for p in P], Point((0.0,)))
+    assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
+    # first_violation runs the fast text alone
     assert kernels.first_violation(P[:2], Q[:2], [0.0], [1e300] * 2, 0.0) == -1
     with pytest.raises(bare):
         kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0)
@@ -630,15 +662,16 @@ def test_a_non_integral_literal_exponent_keeps_the_checked_power():
     assert kernels.values([(4.0,)], [(0.0,)]) == [2.0]
 
 
-def test_values_reads_a_one_shot_row_into_a_list_before_its_first_pass():
-    # the fast pass raises at the third tuple; the checked pass must see the
-    # whole row again, not the one tuple left in a generator
+def test_marked_reads_a_one_shot_row_into_a_list_before_its_first_pass():
+    # values raises at the third tuple; the per-tuple pass of marked must see
+    # the whole row again, not the one tuple left in a generator
     kernels = compile_row_kernels(parse("sqrt(x1) + sqrt(u1)"), ("x1",), ("u1",))
     P = [(1.0,), (4.0,), (-1.0,), (9.0,)]
     for args in (((p for p in P), repeat((0.0,))), (repeat((0.0,)), (p for p in P))):
-        with pytest.raises(EvalError) as info:
+        with pytest.raises(ValueError):
             kernels.values(*args)
-        assert info.value.kind == "sqrt-of-negative"
+    for args in (((p for p in P), repeat((0.0,))), (repeat((0.0,)), (p for p in P))):
+        assert str(kernels.marked(*args)) == "[1.0, 2.0, nan, 3.0]"
     assert kernels.values(iter(P[:2]), repeat((0.0,))) == [1.0, 2.0]
 
 
