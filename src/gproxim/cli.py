@@ -335,14 +335,16 @@ def _report_entry(spec_text: str, report) -> dict:
 
 
 def _witness_points(entry: dict) -> dict:
+    """The witness of a report entry: lam is a number, every other key a point."""
+    witness = entry.get("witness") or {}
+    if not isinstance(witness, dict):
+        raise CheckSpecError("witness is not an object")
     out = {}
-    for key, value in (entry.get("witness") or {}).items():
+    for key, value in witness.items():
         try:
-            out[key] = (
-                Point(tuple(value)) if isinstance(value, list) else float(value)
-            )
-        except (TypeError, ValueError):
-            raise CheckSpecError(f"bad witness value {key}={value!r} in report") from None
+            out[key] = float(value) if key == "lam" else Point(tuple(value))
+        except (TypeError, ValueError, GSpaceError):
+            raise CheckSpecError(f"bad witness value {key}={value!r}") from None
     return out
 
 
@@ -352,6 +354,8 @@ def replay_entry(
     """Whether a reported witness reproduces from the same config: the two
     sides recomputed bit for bit, or for starshaped the same escaping image.
     None when the entry carries no witness.  cores as for run_check."""
+    if not isinstance(entry["spec"], str):
+        raise CheckSpecError("spec is not a string")
     c = _Spec(inst, entry["spec"], cores)
     wit = _witness_points(entry)
     if not wit:
@@ -417,9 +421,10 @@ def cmd_verify(args) -> int:
         for i, entry in enumerate(checks):
             try:
                 same = replay_entry(inst, entry, cores)
-            except KeyError as exc:  # a field the entry's check reads
+            except (KeyError, CheckSpecError) as exc:  # the entry's own fault
+                fault = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise CheckSpecError(
-                    f"replay report {args.replay}: checks[{i}]: missing {exc}"
+                    f"replay report {args.replay}: checks[{i}]: {fault}"
                 ) from None
             if same is None:
                 continue

@@ -14,7 +14,9 @@ Grammar (EBNF, also documented in the README):
 Precedence, tightest first: "^" (right associative), unary "-", "*" and "/",
 then "+" and "-".  Variables follow the coordinate convention of the rest of
 the library: x1..xd name the first point's coordinates, u1..ud the second
-point's, and l the interpolation parameter of a convex structure.
+point's, and l the interpolation parameter of a convex structure.  A tree is
+at most MAX_DEPTH levels deep, and parentheses, calls, "-" and "^" nest at
+most 2 * MAX_DEPTH levels.
 
 Expression trees are immutable and evaluation is pure, so parsed expressions
 are safe to share across threads.  Canonical trees keep numeric literals
@@ -137,6 +139,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# A generated text opens at most two parentheses per level of the tree, and
+# Python compiles at most 200 nested ones.
+MAX_DEPTH = 64
+_DEEP = f"an expression at most {MAX_DEPTH} levels deep"
+
 _CALLS_2 = ("min", "max")
 _CALLS_1 = ("abs", "sqrt")
 
@@ -168,6 +175,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -198,10 +206,20 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
+        # every nested construct comes through here, so this bounds the
+        # recursion; the canonical text of a tree within MAX_DEPTH nests at
+        # most two levels per node, a parenthesis and a "-" or "^"
+        tok = self.peek()
+        if self.level == 2 * MAX_DEPTH:
+            raise ParseError(tok.pos, _DEEP, repr(tok.text))
+        self.level += 1
+        if tok.kind == "-":
             self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
+            node: Expr = Unary("neg", self.unary())
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -247,7 +265,21 @@ def parse(text: str) -> Expr:
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(tail.pos, "end of input", repr(tail.text))
+    depth = _depth(node)
+    if depth > MAX_DEPTH:
+        raise ParseError(0, _DEEP, f"one {depth} levels deep")
     return node
+
+
+def _depth(e: Expr) -> int:
+    """The number of nodes on the longest path from e down to a leaf,
+    counted one level of the tree at a time, with no recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [kid for n in level if isinstance(n, (Unary, Binary))
+                 for kid in ((n.operand,) if isinstance(n, Unary) else (n.left, n.right))]
+    return depth
 
 
 def format_expr(e: Expr) -> str:
@@ -264,18 +296,6 @@ def variables(e: Expr) -> frozenset[str]:
     if isinstance(e, Unary):
         return variables(e.operand)
     return variables(e.left) | variables(e.right)
-
-
-def _div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise EvalError("division-by-zero", f"{a!r} / 0")
-    return a / b
-
-
-def _sqrt(a: float) -> float:
-    if a < 0.0:
-        raise EvalError("sqrt-of-negative", f"sqrt({a!r})")
-    return math.sqrt(a)
 
 
 def _pow(a: float, b: float) -> float:
@@ -308,7 +328,9 @@ def evaluate(e: Expr, env: VarEnv) -> float:
             return -v
         if e.op == "abs":
             return abs(v)
-        return _sqrt(v)
+        if v < 0.0:
+            raise EvalError("sqrt-of-negative", f"sqrt({v!r})")
+        return math.sqrt(v)
     left = evaluate(e.left, env)
     if e.op == "min":
         return min(left, evaluate(e.right, env))
@@ -322,26 +344,27 @@ def evaluate(e: Expr, env: VarEnv) -> float:
     if e.op == "mul":
         return left * right
     if e.op == "div":
-        return _div(left, right)
+        if right == 0.0:
+            raise EvalError("division-by-zero", f"{left!r} / 0")
+        return left / right
     return _pow(left, right)
 
 
-def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
-    """Python text of e over its variable names.
+def _gen(e: Expr, temps: Iterator[int]) -> str:
+    """Python text of e over its variable names: the one text that every
+    compiled form of e runs.
 
-    The checked text, with no temps, is compile_expr's: it calls _sqrt, _div
-    and _pow, which raise the scalar evaluator's typed EvalError.  The fast
-    text, given temps, is the row kernels': it writes sqrt, / and ^ by a
-    finite integral literal as the bare operations, which give the same
-    double and raise a bare ValueError, ZeroDivisionError or OverflowError on
-    exactly the inputs where the helper raises its EvalError.  Any other ^
-    keeps _pow: a negative base with a fractional exponent would give a
-    complex number instead of raising.  It writes min(A, B) as (b if (a := A)
-    > (b := B) else a), and max with <, which is what the builtins return for
-    floats, NaN and signed zeros included: min replaces its first argument
-    only when B < A.  The temporaries a and b are named _t0, _t1, ... from
-    temps, so one text never binds a name twice; a side that is a variable
-    or a literal is read twice instead.
+    It evaluates operands left to right, in evaluate's order.  It writes
+    sqrt, / and ^ by a finite integral literal as the bare operations, which
+    give evaluate's double and raise a bare ValueError, ZeroDivisionError or
+    OverflowError on exactly the inputs where evaluate raises its EvalError.
+    Any other ^ calls evaluate's _pow: a negative base with a fractional
+    exponent would give a complex number instead of raising.  It writes
+    min(A, B) as (b if (a := A) > (b := B) else a), and max with <, which
+    is what the builtins return for floats, NaN and signed zeros included:
+    min replaces its first argument only when B < A.  The temporaries a and
+    b are named _t0, _t1, ... from temps, so one text never binds a name
+    twice; a side that is a variable or a literal is read twice instead.
     """
     if isinstance(e, Num):  # a minus sign in parentheses: -1.0**2.0 is -1.0
         return repr(e.value) if math.copysign(1.0, e.value) > 0 else f"({e.value!r})"
@@ -351,13 +374,9 @@ def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
         inner = _gen(e.operand, temps)
         if e.op == "neg":
             return f"(-{inner})"
-        if e.op == "abs":
-            return f"abs({inner})"
-        return f"_sqrt({inner})" if temps is None else f"sqrt({inner})"
+        return f"{e.op}({inner})"  # abs or sqrt
     left, right = _gen(e.left, temps), _gen(e.right, temps)
     if e.op in ("min", "max"):
-        if temps is None:
-            return f"{e.op}({left},{right})"
         a, b = (
             text if isinstance(side, (Num, Var)) else f"_t{next(temps)}"
             for side, text in ((e.left, left), (e.right, right))
@@ -366,14 +385,10 @@ def _gen(e: Expr, temps: Optional[Iterator[int]] = None) -> str:
         bind_a = a if a == left else f"({a} := {left})"
         bind_b = b if b == right else f"({b} := {right})"
         return f"({b} if {bind_a} {test} {bind_b} else {a})"
-    if e.op == "div":
-        return f"_div({left},{right})" if temps is None else f"({left}/{right})"
-    if e.op == "pow":
-        if (temps is not None and isinstance(e.right, Num)
-                and float(e.right.value).is_integer()):
-            return f"({left}**{right})"
+    if e.op == "pow" and not (isinstance(e.right, Num)
+                              and float(e.right.value).is_integer()):
         return f"_pow({left},{right})"
-    sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
+    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}[e.op]
     return f"({left}{sym}{right})"
 
 
@@ -474,30 +489,25 @@ def _bound_gen(
     return lo, hi
 
 
-_COMPILE_GLOBALS = {
-    # repr() writes a literal that overflows a double, such as 1e999, as inf
-    "inf": math.inf,
-    "_div": _div,
-    "_sqrt": _sqrt,
-    "_pow": _pow,
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "__builtins__": {},
-}
-
-
 def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     """Compile to a positional-argument callable over the given variable names.
 
-    Semantics are identical to evaluate(); this is the fast path used by the
-    sampled scans.  Raises EvalError("unbound-variable") if the expression
-    references a name outside `names`.
+    Semantics are identical to evaluate(): the callable runs the text of e
+    (see _gen), and where that raises a bare error it evaluates its
+    arguments again through evaluate, which raises the typed EvalError at
+    the same operation on the same operands.  No other code turns a bare
+    error into an EvalError.  Raises EvalError("unbound-variable") if the
+    expression references a name outside `names`.
     """
     _unbound((e,), names)
-    args = ", ".join(names) if names else "*_ignored"
-    src = f"lambda {args}: {_gen(e)}"
-    return eval(src, dict(_COMPILE_GLOBALS))  # noqa: S307 (closed namespace)
+    namespace = _compile(
+        f"def scalar({', '.join(names) or '*_'}):\n"
+        f"    try:\n        return {_gen(e, count())}\n"
+        "    except (ArithmeticError, ValueError):\n"
+        "        return evaluate(_e, locals())\n"  # the arguments, by name
+    )
+    namespace["_e"] = e  # the function's globals
+    return namespace["scalar"]
 
 
 @dataclass(frozen=True)
@@ -510,8 +520,8 @@ class RowKernels:
     not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
     value stops it as a violation does, so every right side must be finite.
 
-    Both loops run the fast text of e (see _gen), so where the scalar
-    callable raises its typed EvalError they raise that or a bare
+    Both loops run the text of e (see _gen) with no typed fallback, so
+    where evaluate raises its EvalError they raise that or a bare
     ValueError, ZeroDivisionError or OverflowError.  A side that is an
     itertools.repeat, which every scan passes without a count, has its
     coordinates bound once before the loop, and the loop unpacks only the
@@ -596,10 +606,12 @@ def _names(names: Sequence[str]) -> str:
 
 
 _KERNEL_GLOBALS = dict(
-    _COMPILE_GLOBALS, zip=zip, enumerate=enumerate, isinstance=isinstance,
-    next=next, repeat=repeat, cycle=cycle, sqrt=math.sqrt, isfinite=math.isfinite,
-    sum=sum, nextafter=math.nextafter,
-    ArithmeticError=ArithmeticError, ValueError=ValueError,
+    inf=math.inf,  # repr() writes a literal that overflows a double, such as 1e999, as inf
+    abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals,
+    min=min, max=max, sum=sum, isfinite=math.isfinite, nextafter=math.nextafter,
+    zip=zip, enumerate=enumerate, isinstance=isinstance, next=next, repeat=repeat,
+    cycle=cycle, ArithmeticError=ArithmeticError, ValueError=ValueError,
+    __builtins__={},
 )
 
 
@@ -616,7 +628,7 @@ def _compile_rows(
     """The function name(_P, _Q<params>) over rows of the coordinates left
     and right: loop(body, targets, rows) three times, with P's coordinates
     bound once, with Q's, and with both unpacked from each pair of rows.
-    body is the fast text of abs(e), leaving out the outer abs where
+    body is the text of abs(e), leaving out the outer abs where
     _nonneg(e) holds, since it would return the same double."""
     body = _gen(e, count())
     if not _nonneg(e):
@@ -636,10 +648,10 @@ def compile_row_kernels(
     e: Expr, left: tuple[str, ...], right: tuple[str, ...]
 ) -> RowKernels:
     """Compile abs(e) into its values loop; left and right name the
-    coordinates unpacked from each P and each Q tuple.  The loop body is the
-    fast twin of compile_expr's text, so every value is bit for bit the one
-    the scalar callable returns.  first_violation and bound compile on first
-    use."""
+    coordinates unpacked from each P and each Q tuple.  The loop body is
+    compile_expr's text, so every value is bit for bit the one the scalar
+    callable and evaluate return.  first_violation and bound compile on
+    first use."""
     _unbound((e,), left + right)
 
     def loop(body: str, targets: list[str], rows: list[str]) -> str:
@@ -686,9 +698,9 @@ def compile_point_rows(
     coordinate tuple (e + 0.0 for e in exprs) for each tuple of O (named
     `outer`) and then each value of I (named `inner`).  Those are the
     scalar callables' doubles, with -0.0 made 0.0 as Point makes it.  The
-    loop runs the fast text (see _gen): where a scalar callable raises its
-    EvalError it raises that or a bare error, and a non-finite coordinate is
-    listed as it is.
+    loop runs the text of each e (see _gen) with no typed fallback: where a
+    scalar callable raises its EvalError it raises that or a bare error, and
+    a non-finite coordinate is listed as it is.
     """
     _unbound(exprs, bound + outer + (inner,))
     temps = count()

@@ -106,6 +106,14 @@ class Point:
         return f"({body})"
 
 
+def _check_names(exprs: Sequence[Expr], names: Sequence[str], what: str) -> None:
+    """Raise GSpaceError at the first of exprs that reads a name outside names."""
+    for i, e in enumerate(exprs):
+        unknown = sorted(variables(e) - set(names))
+        if unknown:
+            raise GSpaceError(f"{what} coordinate {i + 1} references {unknown}")
+
+
 def _as_point(value: Union[Point, Sequence[float], float]) -> Point:
     if isinstance(value, Point):
         return value
@@ -148,8 +156,7 @@ class GFunction:
             expr = parse(expr)
         if dimension < 1:
             raise GSpaceError("dimension must be at least 1")
-        allowed = self._var_names(dimension)
-        unknown = sorted(variables(expr) - set(allowed))
+        unknown = sorted(variables(expr) - set(self._var_names(dimension)))
         if unknown:
             raise GSpaceError(
                 f"gauge {name!r} references undeclared variables {unknown} "
@@ -158,7 +165,11 @@ class GFunction:
         self.expr = expr
         self.dimension = dimension
         self.name = name
-        self._fn = compile_expr(expr, allowed)
+
+    @cached_property
+    def _fn(self) -> Callable[..., float]:
+        """The scalar callable, compiled on the first eval_g."""
+        return compile_expr(self.expr, self._var_names(self.dimension))
 
     @staticmethod
     def _var_names(d: int) -> tuple[str, ...]:
@@ -462,18 +473,15 @@ class ConvexStructure:
         d = self.dimension or len(exprs)
         if len(exprs) != d:
             raise GSpaceError("one expression per coordinate is required")
-        allowed = GFunction._var_names(d) + ("l",)
-        for i, e in enumerate(exprs):
-            unknown = sorted(variables(e) - set(allowed))
-            if unknown:
-                raise GSpaceError(
-                    f"convex structure coordinate {i + 1} references {unknown}"
-                )
+        _check_names(exprs, GFunction._var_names(d) + ("l",), "convex structure")
         object.__setattr__(self, "exprs", exprs)
         object.__setattr__(self, "dimension", d)
-        object.__setattr__(
-            self, "_fns", tuple(compile_expr(e, allowed) for e in exprs)
-        )
+
+    @cached_property
+    def _fns(self) -> tuple[Callable[..., float], ...]:
+        """The scalar callables, compiled on the first apply."""
+        names = GFunction._var_names(self.dimension) + ("l",)
+        return tuple(compile_expr(e, names) for e in self.exprs)
 
     @cached_property
     def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:

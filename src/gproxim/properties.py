@@ -11,11 +11,12 @@ subsampled under a tuple cap, exact finite sets are enumerated exhaustively.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import compress, count, repeat, zip_longest
 from operator import add, le, not_, sub
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .expr import Expr, compile_expr, parse, variables
+from .expr import Expr, compile_expr, parse
 from .gspace import (
     CheckReport,
     GFunction,
@@ -25,6 +26,7 @@ from .gspace import (
     SampleSet,
     ToleranceSet,
     _capped,
+    _check_names,
     eval_g,
 )
 
@@ -60,18 +62,17 @@ class MapSpec:
             raise GSpaceError(
                 f"map {name!r} needs {d} coordinate expressions, got {len(parsed)}"
             )
-        allowed = tuple(f"x{i}" for i in range(1, d + 1))
-        for i, e in enumerate(parsed):
-            unknown = sorted(variables(e) - set(allowed))
-            if unknown:
-                raise GSpaceError(
-                    f"map {name!r} coordinate {i + 1} references {unknown}"
-                )
+        _check_names(parsed, GFunction._var_names(d)[:d], f"map {name!r}")
         self.exprs = parsed
         self.domain = domain
         self.codomain = codomain
         self.name = name
-        self._fns = tuple(compile_expr(e, allowed) for e in parsed)
+
+    @cached_property
+    def _fns(self) -> tuple[Callable[..., float], ...]:
+        """The scalar callables, compiled on the first apply."""
+        names = GFunction._var_names(self.dimension)[: self.dimension]
+        return tuple(compile_expr(e, names) for e in self.exprs)
 
     @property
     def dimension(self) -> int:

@@ -171,8 +171,16 @@ class TestVerify:
         (lambda entry: {"checks": [{k: v for k, v in entry.items()
                                     if k not in ("lhs", "rhs")}]},
          "checks[0]: missing 'lhs'"),
+        (lambda entry: {"checks": [dict(entry, witness=[1])]},
+         "checks[0]: witness is not an object"),
+        (lambda entry: {"checks": [dict(entry, witness=dict(entry["witness"], x=1.0))]},
+         "checks[0]: bad witness value x=1.0"),
+        (lambda entry: {"checks": [dict(entry, witness=dict(entry["witness"], x=[]))]},
+         "checks[0]: bad witness value x=[]"),
+        (lambda entry: {"checks": [dict(entry, spec=5)]}, "checks[0]: spec is not a string"),
     ], ids=["empty-object", "list", "checks-not-a-list", "entry-without-spec",
-            "witness-without-y", "entry-without-sides"])
+            "witness-without-y", "entry-without-sides", "witness-not-an-object",
+            "number-for-a-point", "empty-point", "spec-not-a-string"])
     def test_a_replay_report_of_the_wrong_shape_exits_two_with_one_line(
         self, edit, message, tmp_path, capsys
     ):
@@ -225,6 +233,22 @@ class TestVerify:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("terms", [250, 1200])
+    def test_a_gauge_too_deep_to_compile_exits_two_with_one_line(
+        self, terms, tmp_path, capsys
+    ):
+        # 250 terms once overflowed Python's nested parentheses, 1200 its
+        # recursion limit, each with a traceback and exit 1
+        cfg = tmp_path / "deep.json"
+        doc = {"dimension": 1, "g": "abs(x1-u1)" + "+1" * terms,
+               "sets": {"A": {"points": [[0], [1]]}}}
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg), "--checks", "identity:g"]) == 2
+        assert capsys.readouterr().err == (
+            "error: g: syntax error at offset 0: expected an expression at most "
+            f"64 levels deep, found one {terms + 3} levels deep\n"
+        )
 
     def test_tolerance_override_changes_verdict(self, halving, capsys):
         # the square-difference gauge separates points of [0, 1], so the

@@ -5,13 +5,16 @@ import pytest
 
 from conftest import OracleError, oracle_eval, random_env, random_expr, rel_close
 from gproxim.expr import (
+    MAX_DEPTH,
     Binary,
     EvalError,
     Num,
     ParseError,
     Unary,
     Var,
+    _depth,
     compile_expr,
+    compile_point_rows,
     compile_row_kernels,
     evaluate,
     format_expr,
@@ -76,6 +79,43 @@ def test_parse_error_offsets(text, offset):
 def test_parse_empty_is_an_error():
     with pytest.raises(ParseError):
         parse("   ")
+
+
+@pytest.mark.parametrize("text", [
+    "min(u1, " * 63 + "x1" + ")" * 63,  # two parentheses per level of the text
+    "x1" + "+1" * 63,
+    "-" * 63 + "x1",
+    "x1" + "^1" * 63,
+], ids=["min", "sum", "neg", "pow"])
+def test_the_deepest_expression_compiles_in_every_form(text):
+    e = parse(text)
+    assert _depth(e) == MAX_DEPTH
+    assert parse(format_expr(e)) == e
+    env = {"x1": 0.5, "u1": 2.0}
+    want = evaluate(e, env)
+    assert compile_expr(e, ("x1", "u1"))(0.5, 2.0) == want
+    kernels = compile_row_kernels(e, ("x1",), ("u1",))
+    assert kernels.values([(0.5,)], [(2.0,)]) == [abs(want)]
+    assert kernels.first_violation([(0.5,)], [(2.0,)], [0.0], [1e9], 0.0) == -1
+    kernels.bound
+    rows = compile_point_rows((e,), ("x1",), ("u1",), "l")
+    assert rows((0.5,), [(2.0,)], [0.0]) == [(want + 0.0,)]
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("min(u1, " * 64 + "x1" + ")" * 64, 0),
+    ("x1" + "+1" * 64, 0),
+    ("x1" + "+1" * 1200, 0),
+    ("-" * 64 + "x1", 0),
+    ("x1" + "^1" * 64, 0),
+    ("-" * 1000 + "x1", 2 * MAX_DEPTH),
+    ("(" * 1000 + "x1" + ")" * 1000, 2 * MAX_DEPTH),
+], ids=["min", "sum", "long-sum", "neg", "pow", "long-neg", "parentheses"])
+def test_an_expression_deeper_than_the_limit_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+    assert err.value.expected == f"an expression at most {MAX_DEPTH} levels deep"
 
 
 def test_eval_examples():

@@ -29,6 +29,7 @@ from gproxim.expr import (
     _gen,
     compile_expr,
     compile_row_kernels,
+    evaluate,
     parse,
 )
 from gproxim.fixtures import fixture_config_path
@@ -301,6 +302,7 @@ def test_kernels_compile_lazily(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_row_kernels_match_the_scalar_callable(seed):
+    # both against the tree interpreter, which shares no code with _gen
     rng = random.Random(seed)
     e = random_expr(rng, 4)
     names = ("x1", "x2", "u1", "u2", "l")
@@ -311,10 +313,13 @@ def test_row_kernels_match_the_scalar_callable(seed):
             for c in grid[1:3] for d in grid[3:] for lam in (0.0, 0.25)]
     for p, q in rows:
         try:
-            want = abs(fn(*p, *q))
+            want = evaluate(e, dict(zip(names, p + q)))
         except EvalError as exc:
-            # values raises the bare error of the scalar callable's kind, and
-            # marked marks the tuple; eval_g raises the typed error itself
+            # the scalar callable raises the typed error itself; values
+            # raises the bare error of its kind, and marked marks the tuple
+            with pytest.raises(EvalError) as scalar:
+                fn(*p, *q)
+            assert (scalar.value.kind, str(scalar.value)) == (exc.kind, str(exc))
             with pytest.raises((ArithmeticError, ValueError)) as info:
                 kernels.values([p], [q])
             assert bare_kind(info.value) == exc.kind
@@ -322,11 +327,12 @@ def test_row_kernels_match_the_scalar_callable(seed):
                 assert str(info.value) == str(exc)
             assert math.isnan(kernels.marked([p], [q])[0])
             continue
+        assert fn(*p, *q).hex() == want.hex()
         got = kernels.values([p], [q])[0]
-        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+        assert got.hex() == abs(want).hex()
         bound = 1.0
         hit = kernels.first_violation([p], [q], [0.0], [bound], 0.0)
-        assert hit == (-1 if want <= bound else 0)
+        assert hit == (-1 if abs(want) <= bound else 0)
 
 
 def test_first_violation_stops_at_nan_and_inf():
@@ -629,24 +635,33 @@ def test_a_row_wholly_in_band_shares_the_points_of_b():
     ("x1^2 + u1", [1.0, 1e100, 1e200, 2.0], "non-finite", OverflowError),
 ])
 def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
+    # the checked reference is the tree interpreter
     e = parse(text)
     fn = compile_expr(e, ("x1", "u1"))
     kernels = compile_row_kernels(e, ("x1",), ("u1",))
     P, Q = [(v,) for v in row], [(0.0,)] * len(row)
-    with pytest.raises(EvalError) as scalar:
-        for p, q in zip(P, Q):
-            fn(*p, *q)
-    assert scalar.value.kind == kind
+    typed = []
+    for p, q in zip(P, Q):
+        try:
+            want = evaluate(e, {"x1": p[0], "u1": q[0]})
+        except EvalError as exc:
+            typed.append((exc.kind, str(exc)))
+            with pytest.raises(EvalError) as scalar:
+                fn(*p, *q)
+            assert (scalar.value.kind, str(scalar.value)) == typed[-1]
+        else:
+            assert fn(*p, *q).hex() == want.hex()
+    assert [k for k, _ in typed] == [kind]
     # values raises the bare error; marked marks the raising tuple alone
     with pytest.raises(bare):
         kernels.values(P, Q)
     assert [math.isnan(v) for v in kernels.marked(P, Q)] == [False, False, True, False]
-    # a scan's row raises the scalar callable's typed error through eval_g
+    # a scan's row raises evaluate's typed error through eval_g
     g = GFunction(text, 1)
     with pytest.raises(EvalError) as info:
         gspace_module._gauge_row(g, [Point(p) for p in P], Point((0.0,)))
-    assert (info.value.kind, str(info.value)) == (kind, str(scalar.value))
-    # first_violation runs the fast text alone
+    assert (info.value.kind, str(info.value)) == typed[0]
+    # first_violation runs the text alone, with no typed fallback
     assert kernels.first_violation(P[:2], Q[:2], [0.0], [1e300] * 2, 0.0) == -1
     with pytest.raises(bare):
         kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import count, product, repeat
 
 import pytest
@@ -21,11 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_expr
 from gproxim.expr import (
-    Binary, Num, Unary, Var, _gen, _nonneg, compile_row_kernels, evaluate, parse,
+    Binary, EvalError, Num, Unary, Var, _gen, _nonneg, compile_row_kernels, evaluate,
+    parse,
 )
 from gproxim.gspace import (
     ConvexStructure,
     GFunction,
+    GSpaceError,
     Point,
     SampleSet,
     check_convex_structure,
@@ -36,6 +39,7 @@ from gproxim.gspace import (
     proximal_select,
 )
 from gproxim.properties import (
+    MapSpec,
     check_banach_contraction,
     check_proximal_inequality,
     estimate_coefficient,
@@ -256,6 +260,31 @@ def _min_max_expr(rng, depth):
     return Binary(op, _min_max_expr(rng, depth - 1), _min_max_expr(rng, depth - 1))
 
 
+SIGNED = [-2.0, -1.5, -0.0, 0.5, 3.0]
+
+
+def _pow_expr(rng, depth):
+    """A tree whose inner nodes are mostly ^ by a literal, integral or not,
+    with a base that is a signed literal, a negation or any tree, so that
+    the sign of a literal and a negation reach ^; min and max meet signed
+    zeros."""
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return Var(rng.choice(NAMES))
+        return Num(rng.choice(SIGNED))
+    op = rng.choice(("pow", "pow", "pow", "min", "max", "add", "mul"))
+    if op != "pow":
+        return Binary(op, _pow_expr(rng, depth - 1), _pow_expr(rng, depth - 1))
+    base = rng.randrange(3)
+    if base == 0:
+        base = Num(rng.choice(SIGNED))
+    elif base == 1:
+        base = Unary("neg", _pow_expr(rng, depth - 1))
+    else:
+        base = _pow_expr(rng, depth - 1)
+    return Binary("pow", base, Num(rng.choice([0.0, 2.0, 2.0, 3.0, 0.5])))
+
+
 def _assert_marks(kernels, e, P, Q, bound=None):
     """marked(P, Q) against the tree interpreter, tuple by tuple; with bound
     "P" or "Q", that side is itertools.repeat of its first tuple."""
@@ -285,14 +314,82 @@ def _assert_marks(kernels, e, P, Q, bound=None):
 )
 def test_marks_are_where_the_tree_interpreter_fails(seed, rows):
     # each gauge runs with both sides read tuple by tuple, and with the
-    # left, then the right side a repeat whose coordinates are bound once
+    # left, then the right side a repeat whose coordinates are bound once;
+    # eval_g and a map's apply run the same trees.  The examples repeat a
+    # few dozen seeds, so the third tree is drawn from the rows as well.
     rng = random.Random(seed)
     P = [row[:2] for row in rows]
     Q = [row[2:] for row in rows]
-    for e in (random_expr(rng, 4), _min_max_expr(rng, 5)):
-        kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
+    third = _pow_expr(random.Random(f"{seed} {rows}"), 4)
+    for e in (random_expr(rng, 4), _min_max_expr(rng, 5), third):
+        kernels, g, t = _compiled(e)
         for bound in (None, "P", "Q"):
             _assert_marks(kernels, e, P, Q, bound)
+        _assert_scalars(e, g, t, P, Q)
+
+
+_COMPILED: dict = {}
+
+
+def _compiled(e):
+    """The kernels of a tree, and a gauge and a map of it, compiled once per
+    tree: the examples repeat their seeds.  The key is the repr, which tells
+    a literal -0.0 from 0.0 where == does not."""
+    key = repr(e)
+    if key not in _COMPILED:
+        _COMPILED[key] = (
+            compile_row_kernels(e, NAMES[:2], NAMES[2:]),
+            GFunction(_renamed(e, {"l": "x1"}), 2),
+            MapSpec([_renamed(e, dict.fromkeys(NAMES, "x1"))], ORIGIN, ORIGIN),
+        )
+    return _COMPILED[key]
+
+
+def _leaves(e, f):
+    """e with every leaf v replaced by f(v)."""
+    if isinstance(e, Unary):
+        return Unary(e.op, _leaves(e.operand, f))
+    if isinstance(e, Binary):
+        return Binary(e.op, _leaves(e.left, f), _leaves(e.right, f))
+    return f(e)
+
+
+def _renamed(e, names):
+    return _leaves(e, lambda v: Var(names.get(v.name, v.name)) if isinstance(v, Var) else v)
+
+
+ORIGIN = SampleSet.from_points([0.0], name="O")
+
+
+def _assert_scalars(e, g, t, P, Q):
+    """eval_g and a map's apply against the tree interpreter, at each row
+    whose coordinates make points: the signed double bit for bit (apply
+    makes -0.0 0.0, as Point does), or the same typed error, kind and
+    message; a value that is not finite is eval_g's non-finite EvalError
+    and apply's GSpaceError.  The gauge g reads e's l as x1, and the map t,
+    of dimension 1, reads every name as x1.  A row of zeros joins the rows:
+    it meets min and max with equal operands of either sign most often."""
+    for p, q in [*zip(P, Q), ((0.0, 0.0), (0.0, 0.0, 0.0))]:
+        if not all(map(math.isfinite, p + q)):
+            continue
+        x, y = Point(p), Point(q[:2])
+        env = dict(zip(NAMES, x.coords + y.coords))
+        for run, tree, nonfinite, zero in (
+            (lambda: eval_g(g, x, y), g.expr, EvalError, -0.0),  # + -0.0 keeps a sign
+            (lambda: t.apply(Point(p[:1])).coords[0], t.exprs[0], GSpaceError, 0.0),
+        ):
+            try:
+                want = evaluate(tree, env) + zero
+            except EvalError as exc:
+                with pytest.raises(EvalError) as info:
+                    run()
+                assert (info.value.kind, str(info.value)) == (exc.kind, str(exc))
+                continue
+            if math.isfinite(want):
+                assert run().hex() == want.hex()
+            else:
+                with pytest.raises(nonfinite):
+                    run()
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +408,7 @@ def _subtrees(e):
 def _abs_vars(e):
     """e with every variable v read as abs(v), so that more subtrees are
     non-negative."""
-    if isinstance(e, Var):
-        return Unary("abs", e)
-    if isinstance(e, Unary):
-        return Unary(e.op, _abs_vars(e.operand))
-    if isinstance(e, Binary):
-        return Binary(e.op, _abs_vars(e.left), _abs_vars(e.right))
-    return e
+    return _leaves(e, lambda v: Unary("abs", v) if isinstance(v, Var) else v)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -382,16 +473,20 @@ def test_the_kernel_text_keeps_its_outer_abs_unless_nonneg(text, outer, monkeypa
     e = parse(text)
     kernels = compile_row_kernels(e, NAMES[:2], NAMES[2:])
     kernels.first_violation
-    fast, checked = _gen(e, count()), _gen(e)
+    fast = _gen(e, count())
     if outer:
-        fast, checked = f"abs({fast})", f"abs({checked})"
+        fast = f"abs({fast})"
     values, first_violation = sources
     # three variants of each loop: one side bound once, the other, neither;
-    # only compile_expr's lambda runs the checked text
+    # the text calls no helper of evaluate but _pow, and no min or max
     assert values.count(f"    return [{fast} for ") == 3
     assert first_violation.count(f"if not {fast} <= _la + _mb + _eps:") == 3
-    if fast != checked:
-        assert checked not in values + first_violation
+    assert not re.search(r"\b(_div|_sqrt|min|max)\(", values + first_violation)
+    # and it gives abs(evaluate) bit for bit, or marks where evaluate raises
+    P = [(-1.0, 0.5), (0.0, -0.5), (2.0, 3.0)]
+    Q = [(0.5, 2.0, 0.25), (-2.0, 0.0, 0.0), (0.0, 2.0, 1.0)]
+    for bound in (None, "P", "Q"):
+        _assert_marks(kernels, e, P, Q, bound)
 
 
 # --------------------------------------------------------------------------
