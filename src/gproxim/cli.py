@@ -35,10 +35,8 @@ from .gspace import (
     convex_condition_sides,
     eval_g,
     falsify_axiom,
-    proximal_core,
     semi_sharp_sides,
     side_condition_sides,
-    side_condition_target,
 )
 from .fixtures import run_fixtures
 from .properties import (
@@ -71,7 +69,8 @@ class CheckSpecError(ValueError):
 
 
 def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
-    """Parse "kind[:gauge][:key=value]..." into its parts."""
+    """Parse "kind[:gauge][:key=value]..." into its parts.  A key that the
+    kind does not read, or a center other than r or s, is an error."""
     parts = text.split(":")
     kind = parts[0]
     if kind not in _CHECKS:
@@ -80,14 +79,21 @@ def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
         )
     target: Optional[str] = None
     params: dict[str, str] = {}
+    keys = _CHECKS[kind].keys
     for part in parts[1:]:
         if "=" in part:
             key, _, value = part.partition("=")
+            if key not in keys:
+                raise CheckSpecError(
+                    f"{kind} check reads no key {key!r}; it reads {', '.join(keys)}"
+                )
             params[key] = value
         elif target is None:
             target = part
         else:
             raise CheckSpecError(f"unexpected token {part!r} in check {text!r}")
+    if params.get("center", "r") not in ("r", "s"):
+        raise CheckSpecError(f"center must be r or s, got {params['center']!r}")
     return kind, target, params
 
 
@@ -127,24 +133,14 @@ def _need_convex(inst: Instance):
     return inst.convex
 
 
-def _core(cores: dict, g, a, b, tol):
-    """The proximity core of (g, a, b), computed once per cores dict."""
-    core = cores.get((g, a, b))
-    if core is None:
-        core = cores[g, a, b] = proximal_core(g, a, b, tol)
-    return core
-
-
 class _Spec:
     """A check spec against an instance, its parts looked up on first use, so
-    a check or a replay asks only for what it needs.  cores holds the
-    proximity cores computed so far, keyed by gauge and sets; the specs of
-    one command share it, so each core is computed once per command."""
+    a check or a replay asks only for what it needs.  Its proximity core is
+    the instance's (Instance.core), so the specs of one command share it."""
 
-    def __init__(self, inst: Instance, text: str, cores: Optional[dict] = None):
+    def __init__(self, inst: Instance, text: str):
         self.kind, self.target, self.params = parse_check_spec(text)
         self.inst, self.tol = inst, inst.tol
-        self.cores = {} if cores is None else cores
 
     @cached_property
     def gauge(self):
@@ -154,13 +150,22 @@ class _Spec:
     def map(self):
         return self.inst.map_(self.params.get("map"))
 
+    @property
+    def map_before_sets(self):
+        """The map, looked up after the gauge and before the sets, the
+        order in which a proximal check looks up its parts."""
+        self.gauge
+        f = self.map
+        self.pair
+        return f
+
     @cached_property
     def pair(self):  # the sets A and B
         return tuple(self.inst.set_(self.params.get(k, k)) for k in ("A", "B"))
 
     @cached_property
     def core(self):
-        return _core(self.cores, self.gauge, *self.pair, self.tol)
+        return self.inst.core(self.gauge, *self.pair)
 
     @cached_property
     def convex(self):
@@ -169,6 +174,13 @@ class _Spec:
     @property
     def centre(self):
         return self.convex.r if self.params.get("center", "r") == "r" else self.convex.s
+
+    @property
+    def centres(self) -> dict:
+        """The convex block's r and s, looked up after the gauge: a check
+        on both looks up the gauge, then the convex block, then the sets."""
+        self.gauge
+        return {"r": self.convex.r, "s": self.convex.s}
 
     def scan(self, union: bool = False):
         """The set named by set=, else the union of all sets or the first."""
@@ -197,6 +209,7 @@ class _Spec:
 
 
 class _Check(NamedTuple):
+    keys: tuple[str, ...]
     run: Callable[[_Spec, int], object]
     reproduces: Callable[[_Spec, dict, dict], bool]
     sweep: Optional[Callable[[_Spec, int, list], tuple]] = None
@@ -209,6 +222,7 @@ def _same_sides(sides: Callable[[_Spec, dict], tuple]):
 
 def _axiom(kind: str) -> _Check:
     return _Check(
+        ("set",),
         lambda c, seed: falsify_axiom(kind, c.gauge, c.scan(), c.tol, seed=seed),
         _same_sides(lambda c, wit: axiom_sides(kind, c.gauge, c.tol, wit)),
     )
@@ -225,25 +239,29 @@ def _group(c: _Spec, *_):
     raise CheckSpecError("axioms names three checks: identity, symmetry, triangle")
 
 
-_PROXIMAL = _Check(
-    lambda c, seed: check_proximal_inequality(
-        c.gauge, c.map, c.pair[0], c.coef, c.n_cap, c.core, c.tol, seed=seed
-    ),
-    _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
-    lambda c, seed, values: estimate_proximal_coefficient(
-        c.gauge, c.map, c.pair[0], c.n_cap, c.core, c.tol, seed=seed,
-        sweep=values,
-    ),
-)
+def _proximal(keys: tuple[str, ...]) -> _Check:
+    return _Check(
+        keys,
+        lambda c, seed: check_proximal_inequality(
+            c.map_before_sets, c.coef, c.n_cap, c.core, c.tol, seed=seed
+        ),
+        _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
+        lambda c, seed, values: estimate_proximal_coefficient(
+            c.map_before_sets, c.n_cap, c.core, c.tol, seed=seed, sweep=values
+        ),
+    )
 
-# Every check kind, in the order the usage message lists them: run gives the
-# report, reproduces tells whether a reported witness replays, and sweep
-# gives the sample estimate of the coefficient that search sweeps with the
-# report at each swept value, in one pass.
+
+# Every check kind, in the order the usage message lists them: keys are the
+# key=value parameters it reads, run gives the report, reproduces tells
+# whether a reported witness replays, and sweep gives the sample estimate of
+# the coefficient that search sweeps with the report at each swept value, in
+# one pass.
 _CHECKS = {
     **{kind: _axiom(kind) for kind in _AXIOM_KINDS},
-    "axioms": _Check(_group, _group),
+    "axioms": _Check(("set",), _group, _group),
     "banach": _Check(
+        ("map", "alpha"),
         lambda c, seed: check_banach_contraction(
             c.gauge, c.map, c.coef, c.tol, seed=seed
         ),
@@ -252,10 +270,11 @@ _CHECKS = {
             c.gauge, c.map, c.tol, seed=seed, sweep=values
         ),
     ),
-    "proximal-weak": _PROXIMAL,
-    "berinde": _PROXIMAL,
+    "proximal-weak": _proximal(("map", "A", "B", "beta", "N")),
+    "berinde": _proximal(("map", "A", "B", "N")),
     # keyword arguments keep the lookup order: the gauge, then the convex block
     "convex": _Check(
+        ("set",),
         lambda c, seed: check_convex_structure(
             g=c.gauge, h=c.convex.h, s=c.scan(union=True),
             lambda_grid=c.convex.lambda_grid, tol=c.tol, seed=seed,
@@ -265,6 +284,7 @@ _CHECKS = {
         )),
     ),
     "starshaped": _Check(
+        ("set", "center"),
         lambda c, seed: check_starshaped(
             c.convex.h, _starshaped_set(c), c.centre, c.convex.lambda_grid, c.tol
         ),
@@ -272,26 +292,22 @@ _CHECKS = {
         == wit["image"],
     ),
     "semi-sharp": _Check(
-        lambda c, seed: check_semi_sharp(c.gauge, c.core),
-        _same_sides(lambda c, wit: semi_sharp_sides(c.gauge, c.core, wit)),
+        ("A", "B"),
+        lambda c, seed: check_semi_sharp(c.core),
+        _same_sides(lambda c, wit: semi_sharp_sides(c.core, wit)),
     ),
     "side-condition": _Check(
-        lambda c, seed: check_side_condition(
-            c.gauge, r=c.convex.r, s=c.convex.s, core=c.core, tol=c.tol
-        ),
-        _same_sides(lambda c, wit: side_condition_sides(
-            c.gauge, c.convex.r, c.convex.s, side_condition_target(c.core), wit
-        )),
+        ("A", "B"),
+        lambda c, seed: check_side_condition(**c.centres, core=c.core, tol=c.tol),
+        _same_sides(lambda c, wit: side_condition_sides(**c.centres, core=c.core,
+                                                        witness=wit)),
     ),
 }
 
 
-def run_check(
-    inst: Instance, spec_text: str, seed: int = 0, cores: Optional[dict] = None
-):
-    """Run one named check; returns its CheckReport.  cores, when given,
-    memoises proximity cores across the checks of one command."""
-    c = _Spec(inst, spec_text, cores)
+def run_check(inst: Instance, spec_text: str, seed: int = 0):
+    """Run one named check; returns its CheckReport."""
+    c = _Spec(inst, spec_text)
     return _CHECKS[c.kind].run(c, seed)
 
 
@@ -348,15 +364,13 @@ def _witness_points(entry: dict) -> dict:
     return out
 
 
-def replay_entry(
-    inst: Instance, entry: dict, cores: Optional[dict] = None
-) -> Optional[bool]:
+def replay_entry(inst: Instance, entry: dict) -> Optional[bool]:
     """Whether a reported witness reproduces from the same config: the two
     sides recomputed bit for bit, or for starshaped the same escaping image.
-    None when the entry carries no witness.  cores as for run_check."""
+    None when the entry carries no witness."""
     if not isinstance(entry["spec"], str):
         raise CheckSpecError("spec is not a string")
-    c = _Spec(inst, entry["spec"], cores)
+    c = _Spec(inst, entry["spec"])
     wit = _witness_points(entry)
     if not wit:
         return None
@@ -390,9 +404,8 @@ def cmd_verify(args) -> int:
     specs = _expand_specs(args.checks)
     entries = []
     any_falsified = False
-    cores: dict = {}
     for spec_text in specs:
-        report = run_check(inst, spec_text, seed=args.seed, cores=cores)
+        report = run_check(inst, spec_text, seed=args.seed)
         entries.append(_report_entry(spec_text, report))
         falsified = report.verdict == "falsified"
         any_falsified = any_falsified or falsified
@@ -420,7 +433,7 @@ def cmd_verify(args) -> int:
         ok = True
         for i, entry in enumerate(checks):
             try:
-                same = replay_entry(inst, entry, cores)
+                same = replay_entry(inst, entry)
             except (KeyError, CheckSpecError) as exc:  # the entry's own fault
                 fault = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise CheckSpecError(
@@ -437,10 +450,11 @@ def cmd_verify(args) -> int:
     return EXIT_FALSIFIED if any_falsified else EXIT_OK
 
 
-def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, object]:
+def solve(inst: Instance, args) -> tuple[dict, object]:
     """Run the scheme of parsed solve arguments: (summary, result), result
     being the Trace, or the BerindeResult for berinde, whose battery runs
-    first, after the proximity core; cores as for run_check."""
+    first, after the proximity core (Instance.core, shared with the
+    battery's checks)."""
     tol = inst.tol
     g = inst.gauge(args.gauge) if args.gauge else inst.g
     f = inst.map_(args.map)
@@ -463,25 +477,20 @@ def solve(inst: Instance, args, cores: Optional[dict] = None) -> tuple[dict, obj
             trace = power_fixed_point(g, f, args.n0, p0, alpha, tol, args.max_iter)
         return _trace_summary(scheme, trace, alpha=alpha), trace
     if scheme == "proximal":
-        a, b = f.domain, f.codomain
-        core = _core({} if cores is None else cores, g, a, b, tol)
+        core = inst.core(g, f.domain, f.codomain)
         p0 = core.a_g.points[0]
         if args.from_point:
             p0 = _point_from_text(args.from_point, inst.dimension)
-        trace = proximal_iterate(g, f, a, b, core, p0, tol, args.max_iter)
+        trace = proximal_iterate(f, core, p0, tol, args.max_iter)
         return _trace_summary(scheme, trace, proximity_level=core.d_g), trace
     if scheme == "berinde":
         cv = _need_convex(inst)
         sched = inst.schedule or Schedule.harmonic(10)
         if args.stages is not None:
             sched = Schedule.harmonic(args.stages)
-        cores = {} if cores is None else cores
-        core = _core(cores, g, f.domain, f.codomain, tol)
-        battery = _battery(inst, args, g, f, core, cores)
-        result = berinde_scheme(
-            g, f, f.domain, f.codomain, core, cv.h, cv.s, sched, tol,
-            args.max_iter, args.seed,
-        )
+        core = inst.core(g, f.domain, f.codomain)
+        battery = _battery(inst, args, f, core)
+        result = berinde_scheme(f, core, cv.h, cv.s, sched, tol, args.max_iter, args.seed)
         result.battery = battery
         summary = {
             "scheme": scheme,
@@ -512,20 +521,21 @@ _BATTERY = (
 )
 
 
-def _battery(inst: Instance, args, g, f, core, cores: dict) -> list[BatteryItem]:
-    """The hypothesis battery of solve --scheme berinde: an item with a spec
-    carries run_check's report for it; a failed item warns, not aborts."""
-    names = {"g": g.name, "f": f.name, "A": f.domain.name, "B": f.codomain.name}
+def _battery(inst: Instance, args, f, core) -> list[BatteryItem]:
+    """The hypothesis battery of solve --scheme berinde over the gauge and
+    the sets of core: an item with a spec carries run_check's report for
+    it; a failed item warns, not aborts."""
+    names = {"g": core.g.name, "f": f.name, "A": core.a.name, "B": core.b.name}
     items = []
     for name, spec in _BATTERY:
         if spec is None:
             cv = inst.convex
-            gap = abs(abs(eval_g(g, cv.r, cv.s)) - core.d_g)
-            items.append(BatteryItem(name, gap <= inst.tol.eps_prox, note=f"gap {gap!r}"))
+            gap = abs(abs(eval_g(core.g, cv.r, cv.s)) - core.d_g)
+            items.append(BatteryItem(name, gap <= core.eps, note=f"gap {gap!r}"))
         elif name == "side-condition" and args.skip_side_condition:
             items.append(BatteryItem(name, True, note="skipped on request"))
         else:
-            rep = run_check(inst, spec.format(**names), args.seed, cores)
+            rep = run_check(inst, spec.format(**names), args.seed)
             note = "no qualifying quadruples" if rep.vacuous else rep.note
             items.append(BatteryItem(name, rep.holds, rep.vacuous, note, rep))
     return items

@@ -12,7 +12,7 @@ back to an equivalent document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from .expr import ParseError
@@ -21,9 +21,11 @@ from .gspace import (
     GFunction,
     GSpaceError,
     Point,
+    ProximalCore,
     SampleSet,
     ToleranceError,
     ToleranceSet,
+    proximal_core,
 )
 from .properties import MapSpec
 from .solvers import Schedule
@@ -58,6 +60,7 @@ class Instance:
     convex: Optional[ConvexBlock]
     tol: ToleranceSet
     schedule: Optional[Schedule]
+    _cores: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def g(self) -> GFunction:
@@ -74,6 +77,16 @@ class Instance:
             return self.sets[name]
         except KeyError:
             raise ConfigError("sets", f"unknown set {name!r}") from None
+
+    def core(self, g: GFunction, a: SampleSet, b: SampleSet) -> ProximalCore:
+        """The proximity core of (g, a, b) under the instance's tolerances,
+        computed once per instance: every check and solve run on a loaded
+        instance, as in one command, shares it."""
+        key = (g, a, b, self.tol)
+        core = self._cores.get(key)
+        if core is None:
+            core = self._cores[key] = proximal_core(g, a, b, self.tol)
+        return core
 
     def map_(self, name: Optional[str] = None) -> MapSpec:
         if name is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from itertools import count, cycle, repeat
 from textwrap import indent
 from typing import (
@@ -615,9 +615,18 @@ _KERNEL_GLOBALS = dict(
 )
 
 
+# Code objects by generated text.  Each load of a config builds its gauges,
+# maps and structures anew, so one process compiles the same text many
+# times: one verify-falsify bench pass asks for 201 texts, 74 distinct.
+_code = lru_cache(maxsize=256)(partial(compile, filename="<string>", mode="exec"))
+
+
 def _compile(src: str) -> dict:
+    """A fresh namespace holding what src defines, its code compiled once
+    per process; each call gets its own globals, so its functions share
+    no state with those of another call."""
     namespace = dict(_KERNEL_GLOBALS)
-    exec(src, namespace)  # noqa: S102 (closed namespace)
+    exec(_code(src), namespace)  # noqa: S102 (closed namespace)
     return namespace
 
 

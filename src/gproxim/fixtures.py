@@ -65,14 +65,14 @@ _SEQUENCES = {"(1/n, 1)": lambda n: (1.0 / n, 1.0), "1/n": lambda n: 1.0 / n}
 
 class _Run:
     """One fixture's instance, one method per subject kind.  run(kind, *args)
-    evaluates each subject once; the rows share one cores dict, as the
-    checks of one verify command do."""
+    evaluates each subject once; the rows share the instance's proximity
+    cores, as the checks of one verify command do."""
 
     def __init__(self, name: str):
         from . import cli  # imported here because cli imports this module
 
         self.cli, self.path = cli, str(fixture_config_path(name))
-        self.inst, self.cores, self.memo = load_instance(self.path), {}, {}
+        self.inst, self.memo = load_instance(self.path), {}
 
     def __call__(self, kind: str, *args):
         key = repr((kind, args))  # the arguments are literals from the table
@@ -81,14 +81,14 @@ class _Run:
         return self.memo[key]
 
     def check(self, spec: str):
-        return self.cli.run_check(self.inst, spec, cores=self.cores)
+        return self.cli.run_check(self.inst, spec)
 
     def estimate(self, spec: str) -> float:  # as search gives it at seed 0
-        c = self.cli._Spec(self.inst, spec, self.cores)
+        c = self.cli._Spec(self.inst, spec)
         return self.cli._CHECKS[c.kind].sweep(c, 0, [])[0]
 
     def core(self, spec: str):  # the proximity core of the spec's gauge and sets
-        return self.cli._Spec(self.inst, spec, self.cores).core
+        return self.cli._Spec(self.inst, spec).core
 
     def replay(self, entry: Union[str, dict]):
         """A verify report entry, or a spec standing for its own report's,
@@ -96,7 +96,7 @@ class _Run:
         report has no witness."""
         if isinstance(entry, str):
             entry = self.cli._report_entry(entry, self("check", entry))
-        same = self.cli.replay_entry(self.inst, entry, self.cores)
+        same = self.cli.replay_entry(self.inst, entry)
         return None if same is None else SimpleNamespace(**entry, replays=same)
 
     def solve(self, argv: str):
@@ -104,7 +104,7 @@ class _Run:
         args = self.cli.build_parser().parse_args(
             ["solve", "--config", self.path, *argv.split()]
         )
-        return self.cli.solve(self.inst, args, self.cores)[1]
+        return self.cli.solve(self.inst, args)[1]
 
     def hypothesis(self, name: str):  # None when the battery has no such item
         battery = self("solve", "--scheme berinde").battery

@@ -582,7 +582,8 @@ class ProximalCore:
     partners holds, for each member of a_g in order, its partners within eps
     of d_g in B order (B's own points tuple when every point of B is one);
     witnesses pairs each member with the first of them.  g, a and b are the
-    gauge and the samples the core was computed from.
+    gauge and the samples the core was computed from, and eps its band:
+    every proximity question asked of the core is asked under them.
     """
 
     d_g: float
@@ -590,32 +591,34 @@ class ProximalCore:
     b_g: SampleSet
     partners: tuple[tuple[Point, ...], ...]
     eps: float
-    g: Optional[GFunction] = field(default=None, compare=False, repr=False)
-    a: Optional[SampleSet] = field(default=None, compare=False, repr=False)
-    b: Optional[SampleSet] = field(default=None, compare=False, repr=False)
+    g: GFunction = field(compare=False, repr=False)
+    a: SampleSet = field(compare=False, repr=False)
+    b: SampleSet = field(compare=False, repr=False)
 
     @property
     def witnesses(self) -> tuple[tuple[Point, Point], ...]:
         return tuple((x, ys[0]) for x, ys in zip(self.a_g.points, self.partners))
 
-    def mates(self, g: GFunction, a: SampleSet, y: Point, eps: float) -> Iterable[Point]:
-        """The points u of A with abs(g(u, y)) within eps of d_g, in A order.
+    def mates(self, y: Point, a: Optional[SampleSet] = None) -> Iterable[Point]:
+        """The points u of A with abs(g(u, y)) within eps of d_g, in A order;
+        with a, those of a, a subsample of A.
 
-        When y is a sample point of B and g, a and eps are the core's own,
-        they are read from partners: the core evaluated abs(g) on all of
-        A x B with the same kernel doubles and the same band test.  Any other
-        question reads the row of abs(g) over A against y through _runs:
-        when the bound proves the whole row clean it yields its mates lazily
-        from the blocks that can reach the band, and otherwise it reads the
-        row whole here, so it raises at its first offending tuple.
+        When y is a sample point of B and a is not given, they are read from
+        partners: the core evaluated abs(g) on all of A x B with the same
+        kernel doubles and the same band test.  Any other question reads the
+        row of abs(g) over A against y through _runs: when the bound proves
+        the whole row clean it yields its mates lazily from the blocks that
+        can reach the band, and otherwise it reads the row whole here, so it
+        raises at its first offending tuple.
         """
-        if g is self.g and a is self.a and eps == self.eps:
+        if a is None:
+            a = self.a
             own = self._mates.get(y.coords)
             if own is not None:
                 return own
-        d_g = self.d_g
+        d_g, eps = self.d_g, self.eps
         return (
-            u for start, row in _runs(g, a, y, d_g, eps, mates=True)
+            u for start, row in _runs(self.g, a, y, d_g, eps, mates=True)
             for u, v in zip(a.points[start:start + len(row)], row)
             if abs(v - d_g) <= eps
         )
@@ -825,38 +828,33 @@ def proximal_core(
     )
 
 
-def proximal_select(
-    g: GFunction,
-    a: SampleSet,
-    b: Point,
-    core: ProximalCore,
-    tol: ToleranceSet,
-) -> Point:
-    """The sample point of A realising the proximity level against b.
+def proximal_select(core: ProximalCore, y: Point) -> Point:
+    """The sample point of the core's A realising its proximity level
+    against y.
 
-    Among the mates of b within the eps_prox band (ProximalCore.mates) the
-    one with the smallest residual wins; exact ties break lexicographically
-    by coordinates, so selection is deterministic.  Raises NoProximalMate
-    when the band is empty, which signals either an image escaping the
-    realising set or a grid too coarse.
+    Among the mates of y (ProximalCore.mates) the one with the smallest
+    residual wins; exact ties break lexicographically by coordinates, so
+    selection is deterministic.  Raises NoProximalMate when the band is
+    empty, which signals either an image escaping the realising set or a
+    grid too coarse.
     """
-    mates = tuple(core.mates(g, a, b, tol.eps_prox))
+    mates = tuple(core.mates(y))
     if not mates:
         raise NoProximalMate(
-            f"no point of {a.name or 'A'} realises the proximity level "
-            f"{core.d_g!r} against {b} within {tol.eps_prox!r}"
+            f"no point of {core.a.name or 'A'} realises the proximity level "
+            f"{core.d_g!r} against {y} within {core.eps!r}"
         )
-    residuals = [abs(v - core.d_g) for v in _gauge_row(g, mates, b)]
+    residuals = [abs(v - core.d_g) for v in _gauge_row(core.g, mates, y)]
     return min(zip(residuals, mates), key=lambda rx: (rx[0], rx[1].coords))[1]
 
 
-def check_semi_sharp(g: GFunction, core: ProximalCore) -> CheckReport:
+def check_semi_sharp(core: ProximalCore) -> CheckReport:
     """Falsified when some a has two distinct partners at the proximity level;
     the witness is the first member of a_g with two, and its first two."""
     for x, ys in zip(core.a_g.points, core.partners):
         if len(ys) > 1:
             witness = {"a": x, "b1": ys[0], "b2": ys[1]}
-            lhs, rhs = semi_sharp_sides(g, core, witness)
+            lhs, rhs = semi_sharp_sides(core, witness)
             return CheckReport(
                 "semi-sharp", _FALSIFIED, witness, lhs=lhs, rhs=rhs,
                 note="two distinct partners at the proximity level",
@@ -865,10 +863,10 @@ def check_semi_sharp(g: GFunction, core: ProximalCore) -> CheckReport:
 
 
 def semi_sharp_sides(
-    g: GFunction, core: ProximalCore, witness: Mapping[str, Point]
+    core: ProximalCore, witness: Mapping[str, Point]
 ) -> tuple[float, float]:
     """abs(g(a, b2)) at a witness, against the proximity level."""
-    return abs(eval_g(g, witness["a"], witness["b2"])), core.d_g
+    return abs(eval_g(core.g, witness["a"], witness["b2"])), core.d_g
 
 
 def _stride_indices(n: int, m: int, seed: int = 0) -> list[int]:
@@ -1076,18 +1074,18 @@ def check_starshaped(
 
 
 def check_side_condition(
-    g: GFunction,
-    core: ProximalCore,
-    r: Point,
-    s: Point,
-    tol: ToleranceSet,
+    core: ProximalCore, r: Point, s: Point, tol: ToleranceSet
 ) -> CheckReport:
     """Check that abs(g(r,x)) + abs(g(y,s)) sits at twice the inner proximity
-    level for every sampled x in b_g, y in a_g."""
-    target = side_condition_target(core)
+    level, within eps_ineq, for every sampled x in b_g, y in a_g.
+
+    That level is d_g itself, bit for bit: a pair at exactly d_g lies in
+    a_g x b_g, and no pair of A x B is lower.
+    """
+    target = 2.0 * core.d_g
     b_pts, a_pts = core.b_g.points, core.a_g.points
-    grx_row = g.kernels.marked(repeat(r.coords), core.b_g.coords)
-    gys_row = g.kernels.marked(core.a_g.coords, repeat(s.coords))
+    grx_row = core.g.kernels.marked(repeat(r.coords), core.b_g.coords)
+    gys_row = core.g.kernels.marked(core.a_g.coords, repeat(s.coords))
     eps = tol.eps_ineq
     for i, grx in enumerate(grx_row):
         j = next(
@@ -1095,28 +1093,18 @@ def check_side_condition(
         )
         if j >= 0:
             witness = {"x": b_pts[i], "y": a_pts[j]}
-            lhs, rhs = side_condition_sides(g, r, s, target, witness)
+            lhs, rhs = side_condition_sides(core, r, s, witness)
             return CheckReport(
                 "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
             )
     return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
 
 
-def side_condition_target(core: ProximalCore) -> float:
-    """Twice the proximity level of the realising pair (a_g, b_g).
-
-    That level is d_g itself, bit for bit: a pair at exactly d_g lies in
-    a_g x b_g, and no pair of A x B is lower.
-    """
-    return 2.0 * core.d_g
-
-
 def side_condition_sides(
-    g: GFunction,
-    r: Point,
-    s: Point,
-    target: float,
-    witness: Mapping[str, Point],
+    core: ProximalCore, r: Point, s: Point, witness: Mapping[str, Point]
 ) -> tuple[float, float]:
-    """abs(g(r, x)) + abs(g(y, s)) at a witness, against the target level."""
-    return abs(eval_g(g, r, witness["x"])) + abs(eval_g(g, witness["y"], s)), target
+    """abs(g(r, x)) + abs(g(y, s)) at a witness, against twice the
+    proximity level."""
+    g = core.g
+    lhs = abs(eval_g(g, r, witness["x"])) + abs(eval_g(g, witness["y"], s))
+    return lhs, 2.0 * core.d_g

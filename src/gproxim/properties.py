@@ -278,22 +278,20 @@ def estimate_coefficient(
 
 
 def qualifying_pairs(
-    g: GFunction,
-    f: MapSpec,
-    a: SampleSet,
-    core: ProximalCore,
-    tol: ToleranceSet,
-    seed: int = 0,
+    f: MapSpec, core: ProximalCore, seed: int = 0
 ) -> list[tuple[Point, Point]]:
-    """Pairs (x, u) of sampled A points with abs(g(u, f(x))) at the proximity
-    level; these are the building blocks of the quadruple scans.  A box
-    sample contributes at most 2000 points.  The points u of each image are
-    the core's answer (ProximalCore.mates)."""
+    """Pairs (x, u) of sampled points of the core's A with abs(g(u, f(x)))
+    at its proximity level; these are the building blocks of the quadruple
+    scans.  A box sample contributes at most 2000 points.  The points u of
+    each image are the core's answer (ProximalCore.mates), over that
+    subsample when A is capped."""
+    a = core.a
     pts = _capped(a.points, a.mode == "box", 1, seed, cap=2000)
+    sub = None
     if len(pts) < len(a):  # a SampleSet reads its coordinate row once
-        a = SampleSet(tuple(pts), name=a.name)
+        a = sub = SampleSet(tuple(pts), name=a.name)
     images = [(x, f.apply(x)) for x in a.points]
-    return [(x, u) for x, fx in images for u in core.mates(g, a, fx, tol.eps_prox)]
+    return [(x, u) for x, fx in images for u in core.mates(fx, sub)]
 
 
 def proximal_sides(
@@ -326,10 +324,10 @@ class _ProximalRows:
     abs(g(x2, u1)) over abs(g(x1, x2)).  Exact sets give every qualifying
     pair, grids the pairs under the quadruple cap."""
 
-    def __init__(self, g, f, a, n_cap, core, tol, seed):
-        self.g, self.n_cap = g, n_cap
-        pairs = qualifying_pairs(g, f, a, core, tol, seed=seed)
-        self.pairs = _capped(pairs, a.mode == "box", 2, seed)
+    def __init__(self, f, n_cap, core, seed):
+        self.g, self.n_cap = core.g, n_cap
+        pairs = qualifying_pairs(f, core, seed=seed)
+        self.pairs = _capped(pairs, core.a.mode == "box", 2, seed)
         self.count = len(self.pairs)
         self.xs = [x.coords for x, _ in self.pairs]
         self.us = [u.coords for _, u in self.pairs]
@@ -359,9 +357,7 @@ class _ProximalRows:
 
 
 def check_proximal_inequality(
-    g: GFunction,
     f: MapSpec,
-    a: SampleSet,
     beta: float,
     n_cap: float,
     core: ProximalCore,
@@ -370,29 +366,26 @@ def check_proximal_inequality(
 ) -> CheckReport:
     """Check the proximal contraction inequality over qualifying quadruples.
 
-    Quadruples (x1, x2, u1, u2) from A with both abs(g(u_i, f(x_i))) at the
-    proximity level must satisfy abs(g(u1, u2)) <= beta * abs(g(x1, x2)) +
+    Quadruples (x1, x2, u1, u2) from the core's A with both abs(g(u_i,
+    f(x_i))) at its proximity level, g the core's gauge, must satisfy abs(g(u1, u2)) <= beta * abs(g(x1, x2)) +
     n_cap * abs(g(x2, u1)).  beta below 1 is the weak-contraction mode and
     beta equal to 1 the non-expansive mode; the two definitions differ only
     in that coefficient, so they share this code path.  Finding no qualifying
     quadruple at all is reported as a vacuous hold, never silently.
     """
     _proximal_name(beta, n_cap)
-    rows = _ProximalRows(g, f, a, n_cap, core, tol, seed)
-    return _check(rows, beta, tol)
+    return _check(_ProximalRows(f, n_cap, core, seed), beta, tol)
 
 
 def estimate_proximal_coefficient(
-    g: GFunction,
     f: MapSpec,
-    a: SampleSet,
     n_cap: float,
     core: ProximalCore,
     tol: ToleranceSet,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
 ):
-    """Tightest beta supported by the qualifying quadruples, given N.
+    """Tightest beta supported by the core's qualifying quadruples, given N.
 
     The supremum of (abs(g(u1, u2)) - N * abs(g(x2, u1))) / abs(g(x1, x2))
     over quadruples whose denominator is above zero level; infinite when a
@@ -403,5 +396,4 @@ def estimate_proximal_coefficient(
     result is (estimate, reports), reports holding check_proximal_inequality's
     report for each beta.
     """
-    rows = _ProximalRows(g, f, a, n_cap, core, tol, seed)
-    return _estimate(rows, tol, sweep)
+    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, sweep)

@@ -290,60 +290,62 @@ def power_fixed_point(
     return trace
 
 
-def _prox_residual(
-    g: GFunction, f: MapLike, p: Point, d_g: float
-) -> float:
-    return abs(abs(eval_g(g, p, f.apply(p))) - d_g)
+def _prox_residual(core: ProximalCore, p: Point, fp: Point) -> float:
+    """The distance of abs(g(p, f(p))) from the core's level, fp being f(p)."""
+    return abs(abs(eval_g(core.g, p, fp)) - core.d_g)
 
 
 def proximal_iterate(
-    g: GFunction,
     f: MapLike,
-    a: SampleSet,
-    b: SampleSet,
     core: ProximalCore,
     p0: Point,
     tol: ToleranceSet,
     max_iter: int = DEFAULT_MAX_ITER,
     check_image: bool = True,
 ) -> Trace:
-    """Iterate the proximity selection p_{k+1} realising the level against
-    f(p_k), until both the step residual and the proximity residual vanish.
+    """Iterate the proximity selection p_{k+1} realising the core's level
+    against f(p_k), until both the step residual and the proximity residual
+    vanish.
 
-    The start point must realise the proximity level itself, and (by default)
-    every realising point must have a selectable image, mirroring the
-    requirement that f maps the realising set into its partner.  A selection
-    failing mid-run ends the trace with verdict "no_proximal_mate".
+    The start point must realise the proximity level against the core's B
+    itself, and (by default) every realising point must have a selectable
+    image, mirroring the requirement that f maps the realising set into its
+    partner.  A selection failing mid-run ends the trace with verdict
+    "no_proximal_mate".  Each visited point is mapped once: its image gives
+    its proximity residual and then the next selection.
     """
-    best0 = min(abs(v - core.d_g) for v in _gauge_row(g, p0, b))
-    if best0 > tol.eps_prox:
+    g, eps = core.g, core.eps
+    best0 = min(abs(v - core.d_g) for v in _gauge_row(g, p0, core.b))
+    if best0 > eps:
         raise GSpaceError(
             f"start point {p0} does not realise the proximity level "
             f"(residual {best0!r})"
         )
     if check_image:
         for x in core.a_g.points:
-            if next(iter(core.mates(g, a, f.apply(x), tol.eps_prox)), None) is None:
+            if next(iter(core.mates(f.apply(x))), None) is None:
                 raise NoProximalMate(
                     f"image of realising point {x} has no proximity mate; "
                     f"the map does not send the realising set into its partner"
                 )
     points = [p0]
     step_res: list[float] = []
-    prox_res = [_prox_residual(g, f, p0, core.d_g)]
+    fp = f.apply(p0)
+    prox_res = [_prox_residual(core, p0, fp)]
     verdict = "max_iter"
     for _ in range(max_iter):
         p = points[-1]
         try:
-            q = proximal_select(g, a, f.apply(p), core, tol)
+            q = proximal_select(core, fp)
         except NoProximalMate:
             verdict = "no_proximal_mate"
             break
         r = abs(eval_g(g, p, q))
         points.append(q)
         step_res.append(r)
-        prox_res.append(_prox_residual(g, f, q, core.d_g))
-        if r <= tol.eps_zero and prox_res[-1] <= tol.eps_prox:
+        fp = f.apply(q)
+        prox_res.append(_prox_residual(core, q, fp))
+        if r <= tol.eps_zero and prox_res[-1] <= eps:
             verdict = "converged"
             break
     bounds = [math.nan] * len(points)  # no verified rate for non-self maps
@@ -397,10 +399,7 @@ class BerindeResult:
 
 
 def berinde_scheme(
-    g: GFunction,
     f: MapSpec,
-    a: SampleSet,
-    b: SampleSet,
     core: ProximalCore,
     h: ConvexStructure,
     s: Point,
@@ -415,23 +414,22 @@ def berinde_scheme(
     a proximal weak contraction at coefficient beta_n = 1 - a_n with N = 0,
     and runs the proximity iteration from the previous stage's output (stage
     one starts at the first realising point of core, the proximity core of
-    (g, a, b)).  The final answer is the stage output with the smallest
-    proximity residual under the original map.  The scheme's hypotheses are
-    not checked here: the result's battery is left empty for the caller.
+    the gauge and the sets that every stage is asked under).  The final
+    answer is the stage output with the smallest proximity residual under
+    the original map.  The scheme's hypotheses are not checked here: the
+    result's battery is left empty for the caller.
     """
     stages: list[StageReport] = []
     current = core.a_g.points[0]
     for n, a_n in enumerate(sched.values, start=1):
         stage_map = StageMap(h, s, f, a_n)
         beta_n = 1.0 - a_n
-        check = check_proximal_inequality(
-            g, stage_map, a, beta_n, 0.0, core, tol, seed=seed
-        )
+        check = check_proximal_inequality(stage_map, beta_n, 0.0, core, tol, seed=seed)
         trace = proximal_iterate(
-            g, stage_map, a, b, core, current, tol, max_iter, check_image=False
+            stage_map, core, current, tol, max_iter, check_image=False
         )
         current = trace.final
-        residual = _prox_residual(g, f, current, core.d_g)
+        residual = _prox_residual(core, current, f.apply(current))
         stages.append(
             StageReport(
                 stage=n, a_n=a_n, beta_n=beta_n, check=check,
@@ -443,12 +441,12 @@ def berinde_scheme(
     summary = Trace(
         points=outputs,
         step_residuals=[
-            abs(eval_g(g, p, q)) for p, q in zip(outputs, outputs[1:])
+            abs(eval_g(core.g, p, q)) for p, q in zip(outputs, outputs[1:])
         ],
         proximity_residuals=[st.residual for st in stages],
         apriori_bounds=[math.nan] * len(outputs),
         verdict="converged"
-        if best.residual <= tol.eps_prox + tol.eps_zero
+        if best.residual <= core.eps + tol.eps_zero
         else "max_iter",
         final=best.output,
         certificate_residual=best.residual,

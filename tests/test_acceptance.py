@@ -81,7 +81,7 @@ def test_criterion_3_touching_segments():
     g, f = inst.g, inst.map_("f")
     a, b = inst.set_("A"), inst.set_("B")
     core = proximal_core(g, a, b, inst.tol)
-    trace = proximal_iterate(g, f, a, b, core, Point((1.0, 0.0)), inst.tol)
+    trace = proximal_iterate(f, core, Point((1.0, 0.0)), inst.tol)
     ok = (
         trace.converged
         and trace.steps == 1
@@ -104,7 +104,7 @@ def test_criterion_4_parallel_segments_oracle():
     g, f = inst.g, inst.map_("f")
     a, b = inst.set_("A"), inst.set_("B")
     core = proximal_core(g, a, b, inst.tol)
-    trace = proximal_iterate(g, f, a, b, core, Point((0.0, 1.0)), inst.tol)
+    trace = proximal_iterate(f, core, Point((0.0, 1.0)), inst.tol)
     oracle = [(0.0, 2.0 ** -k) for k in range(len(trace.points))]
     coordwise = all(
         max(abs(c - o) for c, o in zip(p.coords, q)) <= 1e-12
@@ -129,9 +129,9 @@ def test_criterion_5_quarter_coefficient_and_witness():
     g, h, t = inst.gauge("g"), inst.gauge("h"), inst.map_("T")
     a, b = inst.set_("A"), inst.set_("B")
     core = proximal_core(g, a, b, inst.tol)
-    est = estimate_proximal_coefficient(g, t, a, 0.0, core, inst.tol)
+    est = estimate_proximal_coefficient(t, 0.0, core, inst.tol)
     core_h = proximal_core(h, a, b, inst.tol)
-    rep = check_proximal_inequality(h, t, a, 0.9, 1.0, core_h, inst.tol)
+    rep = check_proximal_inequality(t, 0.9, 1.0, core_h, inst.tol)
     replayed = proximal_sides(h, rep.witness, 0.9, 1.0) == (rep.lhs, rep.rhs)
     named = {
         "x1": Point((0.0, 0.0)), "x2": Point((0.0, 0.0)),
@@ -157,7 +157,7 @@ def test_criterion_6_finite_sets_both_gauges():
     g, d, f = inst.gauge("g"), inst.gauge("metric"), inst.map_("f")
     a, b = inst.set_("A"), inst.set_("B")
     core = proximal_core(g, a, b, inst.tol)
-    rep_g = check_proximal_inequality(g, f, a, 0.5, 1.0, core, inst.tol)
+    rep_g = check_proximal_inequality(f, 0.5, 1.0, core, inst.tol)
 
     def qualifies(gauge, level, u, x):
         return abs(abs(eval_g(gauge, u, f.apply(x))) - level) <= inst.tol.eps_prox
@@ -170,7 +170,7 @@ def test_criterion_6_finite_sets_both_gauges():
         if qualifies(g, core.d_g, u1, x1) and qualifies(g, core.d_g, u2, x2)
     )
     core_d = proximal_core(d, a, b, inst.tol)
-    rep_d = check_proximal_inequality(d, f, a, 0.5, 1.0, core_d, inst.tol)
+    rep_d = check_proximal_inequality(f, 0.5, 1.0, core_d, inst.tol)
     named = {
         "u1": Point((5.0,)), "x1": Point((0.0,)),
         "u2": Point((0.0,)), "x2": Point((1.0,)),

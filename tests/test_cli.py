@@ -216,6 +216,19 @@ class TestVerify:
         ("proximal-weak:g:beta=0.5:N=inf", "N must be non-negative and finite, got inf"),
         ("berinde:g:N=nan", "N must be non-negative and finite, got nan"),
         ("berinde:g:N=-1", "N must be non-negative and finite, got -1.0"),
+        # a key the kind does not read, which was once dropped in silence
+        ("proximal-weak:g:beta=0.0625:n=1",
+         "proximal-weak check reads no key 'n'; it reads map, A, B, beta, N"),
+        ("berinde:g:beta=0.5", "berinde check reads no key 'beta'; it reads map, A, B, N"),
+        ("banach:g:alpha=0.5:N=1", "banach check reads no key 'N'; it reads map, alpha"),
+        ("axioms:g:set=A:map=f", "axioms check reads no key 'map'; it reads set"),
+        ("identity:g:A=A", "identity check reads no key 'A'; it reads set"),
+        ("convex:g:center=r", "convex check reads no key 'center'; it reads set"),
+        ("semi-sharp:g:set=A", "semi-sharp check reads no key 'set'; it reads A, B"),
+        ("side-condition:g:map=f", "side-condition check reads no key 'map'; it reads A, B"),
+        ("starshaped:A:centre=r", "starshaped check reads no key 'centre'; it reads set, center"),
+        ("starshaped:A:center=q", "center must be r or s, got 'q'"),
+        ("starshaped:A:center=", "center must be r or s, got ''"),
     ])
     def test_bad_check_spec_exits_two_with_one_line(self, quarter, spec, message, capsys):
         assert main(["verify", "--config", quarter, "--checks", spec]) == 2
@@ -374,7 +387,7 @@ def test_replay_reproduces_every_check_kind(name, tmp_path, capsys):
 
 def test_one_proximity_core_per_command(tmp_path, monkeypatch, capsys):
     # semi-sharp, side-condition and their replays share the core of (A, B)
-    import gproxim.cli as cli_module
+    import gproxim.config as config_module
     import gproxim.gspace as gspace_module
 
     calls = []
@@ -384,7 +397,7 @@ def test_one_proximity_core_per_command(tmp_path, monkeypatch, capsys):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli_module, "proximal_core", counting)
+    monkeypatch.setattr(config_module, "proximal_core", counting)
     monkeypatch.setattr(gspace_module, "proximal_core", counting)
     cfg = tmp_path / "planted.json"
     cfg.write_text(json.dumps(PLANTED["side-condition"][0]()))
@@ -798,7 +811,7 @@ def test_the_battery_warns_where_verify_falsifies(tmp_path, capsys):
 def test_one_proximity_core_per_staged_solve(tmp_path, monkeypatch, capsys):
     # the battery's semi-sharp, berinde and side-condition items and the
     # stages share the core of (A, B)
-    import gproxim.cli as cli_module
+    import gproxim.config as config_module
     import gproxim.gspace as gspace_module
 
     calls = []
@@ -808,7 +821,7 @@ def test_one_proximity_core_per_staged_solve(tmp_path, monkeypatch, capsys):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli_module, "proximal_core", counting)
+    monkeypatch.setattr(config_module, "proximal_core", counting)
     monkeypatch.setattr(gspace_module, "proximal_core", counting)
     doc = reflection_doc()
     doc["convex"]["lambda_grid"] = 3  # a cheap battery: only the core count matters

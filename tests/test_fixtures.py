@@ -116,10 +116,10 @@ def test_a_missing_witness_fails_its_replay_and_keeps_the_row(monkeypatch):
 
     real = cli.check_proximal_inequality
 
-    def holds_under_h(g, *args, **kwargs):
-        if g.name == "h":
+    def holds_under_h(f, beta, n_cap, core, *args, **kwargs):
+        if core.g.name == "h":
             return CheckReport("proximal-weak", "holds-on-sample")
-        return real(g, *args, **kwargs)
+        return real(f, beta, n_cap, core, *args, **kwargs)
 
     monkeypatch.setattr(cli, "check_proximal_inequality", holds_under_h)
     report = run_fixture("quarter-proximal")

@@ -284,7 +284,7 @@ class TestProximalSelect:
         b = SampleSet.grid([(1, 1), (0, 1)], [1, 201])
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
-        assert proximal_select(g, a, P(1, 0), core, tol) == P(1, 0)
+        assert proximal_select(core, P(1, 0)) == P(1, 0)
 
     def test_nearest_point_on_parallel_segment(self):
         g = GFunction("sqrt((x1 - u1)^2 + (x2 - u2)^2)", 2)
@@ -293,14 +293,14 @@ class TestProximalSelect:
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
         assert core.d_g == 1.0
-        assert proximal_select(g, a, P(1, 0.25), core, tol) == P(0, 0.25)
+        assert proximal_select(core, P(1, 0.25)) == P(0, 0.25)
 
     def test_no_mate(self):
         g = GFunction("x1 - u1", 1)
         a = SampleSet.from_points([0.0, 1.0])
         core = proximal_core(g, a, SampleSet.from_points([0.5]), TOL)
         with pytest.raises(NoProximalMate):
-            proximal_select(g, a, P(100.0), core, TOL)
+            proximal_select(core, P(100.0))
 
 
 class TestSemiSharp:
@@ -310,14 +310,14 @@ class TestSemiSharp:
         b = SampleSet.grid([(0, 0), (0, 1)], [1, 201])
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
-        assert check_semi_sharp(g, core).holds
+        assert check_semi_sharp(core).holds
 
     def test_two_partners_falsify(self):
         g = GFunction("x1^2 - u1^2", 1)
         a = SampleSet.from_points([1.0])
         b = SampleSet.from_points([-1.0, 1.0])
         core = proximal_core(g, a, b, TOL)
-        rep = check_semi_sharp(g, core)
+        rep = check_semi_sharp(core)
         assert rep.falsified
         assert rep.witness["a"] == P(1)
         assert rep.witness["b1"] == P(-1) and rep.witness["b2"] == P(1)
@@ -326,7 +326,7 @@ class TestSemiSharp:
         g = GFunction("x2 - u2", 2)
         a = SampleSet.from_points([(0, 0), (0, 1)])
         b = SampleSet.from_points([(1, 0), (2, 0), (3, 0)])
-        rep = check_semi_sharp(g, proximal_core(g, a, b, TOL))
+        rep = check_semi_sharp(proximal_core(g, a, b, TOL))
         assert rep.falsified and rep.witness["a"] == P(0, 0)
         assert rep.witness["b1"] == P(1, 0) and rep.witness["b2"] == P(2, 0)
         assert (rep.lhs, rep.rhs) == (0.0, 0.0)
@@ -336,7 +336,7 @@ class TestSemiSharp:
         a = SampleSet.from_points([0.0, 1.0])
         b = SampleSet.from_points([0.5])
         core = proximal_core(g, a, b, TOL)
-        assert check_semi_sharp(g, core).holds
+        assert check_semi_sharp(core).holds
 
 
 LINEAR_H = ConvexStructure(("l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"))
@@ -406,7 +406,7 @@ class TestSideCondition:
         b = SampleSet.grid([(0, 0), (0, 1)], [1, 201])
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
-        assert check_side_condition(g, core, P(0, 0), P(0, 0), tol).holds
+        assert check_side_condition(core, P(0, 0), P(0, 0), tol).holds
 
     def test_off_centre_falsified(self):
         g = GFunction("x2 - u2", 2)
@@ -414,5 +414,5 @@ class TestSideCondition:
         b = SampleSet.grid([(0, 0), (0, 1)], [1, 201])
         tol = ToleranceSet(eps_prox=0.0025)
         core = proximal_core(g, a, b, tol)
-        rep = check_side_condition(g, core, P(0, -1), P(0, 0), tol)
+        rep = check_side_condition(core, P(0, -1), P(0, 0), tol)
         assert rep.falsified and rep.lhs == 1.0 and rep.rhs == 0.0

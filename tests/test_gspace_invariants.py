@@ -137,10 +137,10 @@ def test_semi_sharp_is_inherited_by_the_realising_pair(gauge, a_pts, b_pts, eps)
         b = SampleSet.from_points(b_pts, name="B")
     tol = ToleranceSet(eps_prox=eps)
     core = proximal_core(g, a, b, tol)
-    outer = check_semi_sharp(g, core)
+    outer = check_semi_sharp(core)
     assert outer.holds
     inner_core = proximal_core(g, core.a_g, core.b_g, tol)
-    inner = check_semi_sharp(g, inner_core)
+    inner = check_semi_sharp(inner_core)
     assert inner.holds
 
 
@@ -149,6 +149,6 @@ def test_semi_sharp_falsified_case_reports_both_partners():
     a = SampleSet.from_points([1.0], name="A")
     b = SampleSet.from_points([-1.0, 1.0], name="B")
     tol = ToleranceSet()
-    rep = check_semi_sharp(g, proximal_core(g, a, b, tol))
+    rep = check_semi_sharp(proximal_core(g, a, b, tol))
     assert rep.falsified
     assert rep.witness["b1"] != rep.witness["b2"]

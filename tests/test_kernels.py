@@ -39,7 +39,6 @@ from gproxim.gspace import (
     GSpaceError,
     NoProximalMate,
     Point,
-    ProximalCore,
     SampleSet,
     ToleranceSet,
     check_convex_structure,
@@ -413,7 +412,7 @@ def test_random_gauges_match_the_reference(seed):
                        lambda: ref_core(g, A_SET, B_SET, TOL))
     if core[0] == "ok":
         level = proximal_core(g, A_SET, B_SET, TOL)
-        assert_same(lambda: qualifying_pairs(g, MAP, A_SET, level, TOL),
+        assert_same(lambda: qualifying_pairs(MAP, level),
                     lambda: ref_pairs(g, MAP, A_SET, level.d_g, TOL))
     assert_same(
         lambda: check_convex_structure(h, g, CONVEX_SET, LAMS, TOL, NO_SUBSAMPLING),
@@ -466,7 +465,7 @@ def _all_scans(g):
     if out["core"][0] == "ok":
         level = proximal_core(g, LINE, small, TOL)
         out["pairs"] = assert_same(
-            lambda: qualifying_pairs(g, HALF, LINE, level, TOL),
+            lambda: qualifying_pairs(HALF, level),
             lambda: ref_pairs(g, HALF, LINE, level.d_g, TOL),
         )
     out["convex"] = assert_same(
@@ -519,7 +518,7 @@ def _select_cases(g, a, b):
     core = proximal_core(g, a, b, TOL)
     targets = list(b.points) + [Point((9.0,) * a.dimension), Point((0.25,) * a.dimension)]
     for target in targets:
-        assert_same(lambda: proximal_select(g, a, target, core, TOL),
+        assert_same(lambda: proximal_select(core, target),
                     lambda: ref_select(g, a, target, core.d_g, TOL))
 
 
@@ -532,7 +531,7 @@ def test_random_gauges_select_and_side_condition_match_the_reference(seed):
         return  # the core raises: compared in test_random_gauges_match_the_reference
     _select_cases(g, A_SET, B_SET)
     r, s = Point((0.5, 0.0)), Point((1.0, -0.5))
-    assert_same(lambda: check_side_condition(g, core, r, s, TOL),
+    assert_same(lambda: check_side_condition(core, r, s, TOL),
                 lambda: ref_side_condition(g, core, r, s, TOL))
 
 
@@ -541,38 +540,38 @@ def test_select_breaks_exact_ties_by_coordinates():
     g = GFunction("abs(x1-u1)", 1)
     a, b = exact_set([1.0, -1.0, 5.0], "A"), exact_set([0.0, 6.0], "B")
     core = proximal_core(g, a, b, TOL)
-    assert proximal_select(g, a, Point((0.0,)), core, TOL) == Point((-1.0,))
+    assert proximal_select(core, Point((0.0,))) == Point((-1.0,))
     _select_cases(g, a, b)
 
 
 def test_select_with_an_empty_band_keeps_its_message():
     g = GFunction("abs(x1-u1)", 1)
     core = proximal_core(g, LINE, LINE, TOL)
-    want = assert_same(lambda: proximal_select(g, LINE, Point((3.0,)), core, TOL),
+    want = assert_same(lambda: proximal_select(core, Point((3.0,))),
                        lambda: ref_select(g, LINE, Point((3.0,)), core.d_g, TOL))
     assert want[:2] == ("error", "NoProximalMate")
     # a residual of exactly eps_prox is in the band
     wide = ToleranceSet(eps_prox=0.5)
     a = exact_set([0.0, 0.5], "A")
     core = proximal_core(g, a, exact_set([0.0], "B"), wide)
-    assert proximal_select(g, a, Point((1.0,)), core, wide) == Point((0.5,))
+    assert proximal_select(core, Point((1.0,))) == Point((0.5,))
 
 
 @pytest.mark.parametrize("text, kind", [
-    # 0/(x1 - 1/2) divides by zero at the middle of A, after the mate 0
-    ("abs(x1-u1) + 0/(x1 - 0.5)", "division-by-zero"),
-    # non-finite from x1 = 3/4 on
-    ("abs(x1-u1) + 1e308*max(x1 - 0.7, 0)*1e10", "non-finite"),
+    # 0/(x1 - u1 - 1/2) divides by zero against 0 at the middle of A, after
+    # the mate 0, and never against the point 1 of B
+    ("abs(x1-u1) + 0/(x1 - u1 - 0.5)", "division-by-zero"),
+    # non-finite against 0 from x1 = 3/4 on, and never against 1
+    ("abs(x1-u1) + 1e308*max(x1 - u1 - 0.7, 0)*1e10", "non-finite"),
 ])
 def test_select_raises_where_the_scalar_loop_does(text, kind):
     g = GFunction(text, 1)
-    b = exact_set([0.0], "B")
-    core = proximal_core(GFunction("abs(x1-u1)", 1), LINE, b, TOL)
-    want = assert_same(lambda: proximal_select(g, LINE, Point((0.0,)), core, TOL),
+    core = proximal_core(g, LINE, exact_set([1.0], "B"), TOL)
+    want = assert_same(lambda: proximal_select(core, Point((0.0,))),
                        lambda: ref_select(g, LINE, Point((0.0,)), core.d_g, TOL))
     assert want[:3] == ("error", "EvalError", kind)
     wrong = Point((0.0, 0.0))
-    want = assert_same(lambda: proximal_select(g, LINE, wrong, core, TOL),
+    want = assert_same(lambda: proximal_select(core, wrong),
                        lambda: ref_select(g, LINE, wrong, core.d_g, TOL))
     assert want[:2] == ("error", "DimensionMismatch")
 
@@ -590,7 +589,7 @@ def _side_condition_case(raise_at):
     b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
     core = proximal_core(g, a, b, TOL)
     r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
-    return assert_same(lambda: check_side_condition(g, core, r, s, TOL),
+    return assert_same(lambda: check_side_condition(core, r, s, TOL),
                        lambda: ref_side_condition(g, core, r, s, TOL))
 
 
@@ -612,7 +611,7 @@ def test_side_condition_off_by_exactly_eps_holds():
     b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
     core = proximal_core(g, a, b, tol)
     r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
-    got = assert_same(lambda: check_side_condition(g, core, r, s, tol),
+    got = assert_same(lambda: check_side_condition(core, r, s, tol),
                       lambda: ref_side_condition(g, core, r, s, tol))
     assert got[1][1]["x"] == exact(Point((1.0, 0.75)))
 
@@ -857,23 +856,24 @@ BETAS = [0.25, 0.5, 0.75, 1.0]
 ALPHAS = [0.25, 0.5, 0.75]
 
 
-def _proximal_scans(g, f, a, core, n_cap, tol=TOL, betas=BETAS):
+def _proximal_scans(f, core, n_cap, tol=TOL, betas=BETAS):
     """The proximal check at each beta, the estimate and the sweep, each
     against the reference; returns the outcomes by scan."""
-    pairs = lambda: ref_pairs(g, f, a, core.d_g, tol)
+    g = core.g
+    pairs = lambda: ref_pairs(g, f, core.a, core.d_g, tol)
     out = {}
     for beta in betas:
         out[beta] = assert_same(
-            lambda: check_proximal_inequality(g, f, a, beta, n_cap, core, tol),
+            lambda: check_proximal_inequality(f, beta, n_cap, core, tol),
             lambda: ref_proximal(g, pairs(), beta, n_cap, tol),
         )
     out["estimate"] = assert_same(
-        lambda: estimate_proximal_coefficient(g, f, a, n_cap, core, tol),
+        lambda: estimate_proximal_coefficient(f, n_cap, core, tol),
         lambda: ref_proximal_estimate(g, pairs(), n_cap, tol),
     )
     out["search"] = assert_same(
         lambda: _searched(
-            lambda vs: estimate_proximal_coefficient(g, f, a, n_cap, core, tol, sweep=vs),
+            lambda vs: estimate_proximal_coefficient(f, n_cap, core, tol, sweep=vs),
             betas,
         ),
         lambda: _ref_searched(
@@ -893,7 +893,7 @@ def test_random_gauges_proximal_scans_match_the_reference(seed):
     except (EvalError, GSpaceError):
         return  # the core raises: compared in test_random_gauges_match_the_reference
     for n_cap in (0.0, 1.0):
-        _proximal_scans(g, MAP, A_SET, core, n_cap)
+        _proximal_scans(MAP, core, n_cap)
     assert_same(
         lambda: _searched(
             lambda vs: estimate_coefficient(g, MAP, TOL, sweep=vs),
@@ -911,6 +911,14 @@ def test_random_gauges_proximal_scans_match_the_reference(seed):
 # j = 0..8, and abs(g(u1, u2)) is exactly half of abs(g(x1, x2)): every beta
 # from 1/2 up holds.  Quadruple rows are indexed by j of (x1, u1).
 LEVEL_CORE = proximal_core(GFunction("abs(x1-u1)", 1), LINE, LINE, TOL)
+# The images lie in [0, 1/2]: a planted gauge's core over LINE and the grid
+# points of [0, 1/2] has the level 0 and never meets a second point above
+# 1/2, where the gauges below raise.
+HALF_B = exact_set(GRID[:9], "H")
+
+
+def _planted_core(text):
+    return proximal_core(GFunction(text, 1), LINE, HALF_B, TOL)
 
 
 def _quad(j1, j2):
@@ -919,21 +927,17 @@ def _quad(j1, j2):
 
 
 def _proximal_planted(text):
-    g = GFunction(text, 1)
-    return _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0)
+    return _proximal_scans(HALF, _planted_core(text), 0.0)
 
 
 def test_proximal_scans_hold_on_the_halving_instance():
     out = _proximal_planted("abs(x1-u1)")
     assert out["estimate"] == ("ok", exact(0.5))
     assert [out[b][1][0] for b in BETAS] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
-    g = GFunction("abs(x1-u1)", 1)
-    rep = check_proximal_inequality(g, HALF, LINE, 0.5, 0.0, LEVEL_CORE, TOL)
+    rep = check_proximal_inequality(HALF, 0.5, 0.0, LEVEL_CORE, TOL)
     assert rep.holds and not rep.vacuous
     # rows that all come from the kernels answer the sweep in one pass
-    _, reports = estimate_proximal_coefficient(
-        g, HALF, LINE, 0.0, LEVEL_CORE, TOL, sweep=BETAS
-    )
+    _, reports = estimate_proximal_coefficient(HALF, 0.0, LEVEL_CORE, TOL, sweep=BETAS)
     assert [r.verdict for r in reports] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
 
 
@@ -992,9 +996,8 @@ def test_infinite_proximal_estimate_and_the_sweep_past_it():
         assert out[beta][1][:2] == (FALSIFIED, _quad(5, 6))
     # with the estimate infinite and every beta falsified, the pass stops
     # before row 7
-    g = GFunction(text, 1)
     _, reports = estimate_proximal_coefficient(
-        g, HALF, LINE, 0.0, LEVEL_CORE, TOL, sweep=BETAS
+        HALF, 0.0, _planted_core(text), TOL, sweep=BETAS
     )
     assert not any(rep.holds for rep in reports)
 
@@ -1003,7 +1006,7 @@ def test_sweep_runs_rows_whose_sum_overflows_through_the_scalar_loop():
     # every value is finite, but each row's sum is not: the kernels give
     # every row up, and the same pass evaluates them tuple by tuple
     g = GFunction("abs(x1-u1)*1e308", 1)
-    out = _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0)
+    out = _proximal_scans(HALF, proximal_core(g, LINE, LINE, TOL), 0.0)
     assert out["estimate"] == ("ok", exact(0.5))
     assert [rep[0] for rep in out["search"][1][1]] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
     out = assert_same(
@@ -1020,23 +1023,21 @@ def test_sweep_runs_rows_whose_sum_overflows_through_the_scalar_loop():
 def test_vacuous_proximal_scans():
     # no point of LINE realises the level 4 against an image in [0, 1/2]
     far = proximal_core(GFunction("abs(x1-u1)", 1), LINE, exact_set([5.0], "B"), TOL)
-    g = GFunction("abs(x1-u1)", 1)
-    out = _proximal_scans(g, HALF, LINE, far, 1.0)
+    out = _proximal_scans(HALF, far, 1.0)
     assert out["estimate"] == ("ok", exact(0.0))
-    rep = check_proximal_inequality(g, HALF, LINE, 0.5, 1.0, far, TOL)
+    rep = check_proximal_inequality(HALF, 0.5, 1.0, far, TOL)
     assert rep.holds and rep.vacuous
-    _, reports = estimate_proximal_coefficient(g, HALF, LINE, 1.0, far, TOL, sweep=BETAS)
+    _, reports = estimate_proximal_coefficient(HALF, 1.0, far, TOL, sweep=BETAS)
     assert all(rep.holds and rep.vacuous for rep in reports)
 
 
 def test_sweep_checks_each_value_where_the_check_does():
     # the sweep keeps the check's value rules and their order
-    g = GFunction("abs(x1-u1)", 1)
+    g = LEVEL_CORE.g
     with pytest.raises(GSpaceError, match=r"beta must lie in \(0, 1\], got 1.5"):
-        estimate_proximal_coefficient(g, HALF, LINE, 0.0, LEVEL_CORE, TOL,
-                                      sweep=[0.5, 1.5, -1.0])
+        estimate_proximal_coefficient(HALF, 0.0, LEVEL_CORE, TOL, sweep=[0.5, 1.5, -1.0])
     with pytest.raises(GSpaceError, match="N must be non-negative"):
-        estimate_proximal_coefficient(g, HALF, LINE, -1.0, LEVEL_CORE, TOL, sweep=[0.5])
+        estimate_proximal_coefficient(HALF, -1.0, LEVEL_CORE, TOL, sweep=[0.5])
     with pytest.raises(GSpaceError, match=r"alpha must lie in \(0, 1\), got 1.0"):
         estimate_coefficient(g, HALF, TOL, sweep=[0.5, 1.0])
 
@@ -1081,7 +1082,8 @@ def test_sweep_keeps_the_eps_slack():
         )
         assert out[1][1][0][0] == verdict
         # abs(g(u1, u2)) at (t_1, t_3), in quadruple row 1, column 3
-        out = _proximal_scans(g, HALF, LINE, LEVEL_CORE, 0.0, tol, betas=[0.5])
+        out = _proximal_scans(HALF, proximal_core(g, LINE, HALF_B, tol), 0.0, tol,
+                              betas=[0.5])
         assert out[0.5][1][0] == verdict == out["search"][1][1][0][0]
 
 
@@ -1094,13 +1096,11 @@ def test_holding_proximal_scans_do_not_go_through_eval_g(monkeypatch):
         calls.append(1)
         return eval_g(g, x, y)
 
-    g = GFunction(f"abs(x1-u1) + (1/32)*{_hat('x1', GRID[1])}*{_hat('u1', GRID[0])}", 1)
+    core = _planted_core(f"abs(x1-u1) + (1/32)*{_hat('x1', GRID[1])}*{_hat('u1', GRID[0])}")
     monkeypatch.setattr(gspace_module, "eval_g", counting)
     monkeypatch.setattr(properties_module, "eval_g", counting)
-    assert check_proximal_inequality(g, HALF, LINE, 0.5, 1.0, LEVEL_CORE, TOL).holds
-    estimate, reports = estimate_proximal_coefficient(
-        g, HALF, LINE, 1.0, LEVEL_CORE, TOL, sweep=[0.5, 0.75]
-    )
+    assert check_proximal_inequality(HALF, 0.5, 1.0, core, TOL).holds
+    estimate, reports = estimate_proximal_coefficient(HALF, 1.0, core, TOL, sweep=[0.5, 0.75])
     assert all(rep.holds for rep in reports)
     assert calls == []
 
@@ -1137,9 +1137,9 @@ def ref_prepass(g, f, a, core, tol):
             ) from None
 
 
-def _prepass(g, f, a, b, core, tol=TOL):
+def _prepass(f, core, tol=TOL):
     """proximal_iterate's image pre-pass alone: a run of no steps."""
-    proximal_iterate(g, f, a, b, core, core.a_g.points[0], tol, max_iter=0)
+    proximal_iterate(f, core, core.a_g.points[0], tol, max_iter=0)
 
 
 @pytest.mark.parametrize("tol", [TOL, WIDE], ids=["narrow", "wide"])
@@ -1149,7 +1149,7 @@ def test_qualifying_pairs_with_images_in_and_off_b(case, tol):
     f = MapSpec(exprs, SEG_A, SEG_B)
     assert sum(f.apply(x).coords in SEG_B.coords for x in SEG_A) == in_b
     core = proximal_core(L1, SEG_A, SEG_B, tol)
-    got = assert_same(lambda: qualifying_pairs(L1, f, SEG_A, core, tol),
+    got = assert_same(lambda: qualifying_pairs(f, core),
                       lambda: ref_pairs(L1, f, SEG_A, core.d_g, tol))
     assert got[1] or case == "off-the-segment" or (case, tol) == ("none-in-b", TOL)
 
@@ -1162,30 +1162,10 @@ def test_random_gauges_qualifying_pairs_and_prepass_match_the_reference(seed):
     except (EvalError, GSpaceError):
         return  # the core raises: compared in test_random_gauges_match_the_reference
     for f in (INTO_B, PART_B, MAP):
-        assert_same(lambda: qualifying_pairs(g, f, A_SET, core, TOL),
+        assert_same(lambda: qualifying_pairs(f, core),
                     lambda: ref_pairs(g, f, A_SET, core.d_g, TOL))
-        assert_same(lambda: _prepass(g, f, A_SET, B_SET, core),
+        assert_same(lambda: _prepass(f, core),
                     lambda: ref_prepass(g, f, A_SET, core, TOL))
-
-
-def test_a_core_of_another_gauge_set_or_band_falls_back_to_the_scan():
-    # LEVEL_CORE is abs(x1-u1) on LINE x LINE at eps 1e-9: read from it, every
-    # image t/2 on the grid would have the one mate t/2
-    metric = GFunction("abs(x1-u1)", 1)
-    own = ref_pairs(metric, HALF, LINE, LEVEL_CORE.d_g, TOL)
-    assert outcome(lambda: qualifying_pairs(metric, HALF, LINE, LEVEL_CORE, TOL)) == (
-        "ok", exact(own))
-    evens = exact_set(GRID[::2], "E")
-    cases = [  # (g, f, a, tol, whether the answer differs from the core's)
-        (GFunction("abs(2*x1 - u1)", 1), HALF, LINE, TOL, True),
-        (metric, MapSpec(["x1/2"], evens, evens), evens, TOL, True),
-        (metric, HALF, exact_set(GRID, "L"), TOL, False),  # a copy of LINE
-        (metric, HALF, LINE, ToleranceSet(eps_prox=0.07), True),
-    ]
-    for g, f, a, tol, differs in cases:
-        want = assert_same(lambda: qualifying_pairs(g, f, a, LEVEL_CORE, tol),
-                           lambda: ref_pairs(g, f, a, LEVEL_CORE.d_g, tol))
-        assert (want != ("ok", exact(own))) == differs
 
 
 def _rows_over(monkeypatch, a):
@@ -1206,15 +1186,14 @@ def test_images_in_b_read_no_kernel_row(monkeypatch):
     f = MapSpec(SEG_MAPS["mixed"][0], SEG_A, SEG_B)
     core = proximal_core(L1, SEG_A, SEG_B, WIDE)
     rows = _rows_over(monkeypatch, SEG_A)
-    qualifying_pairs(L1, f, SEG_A, core, WIDE)
-    _prepass(L1, f, SEG_A, SEG_B, core, WIDE)
+    qualifying_pairs(f, core)
+    _prepass(f, core, WIDE)
     assert len(rows) == 2 * 8  # the odd grid points' images, off B, twice
     assert not any(y.coords in SEG_B.coords for y in rows)
     # the steps from (0, 1) select against the images (1, t/2) for t = 1,
     # 1/2, 1/4, 1/8, then (1, 1/32), off B, then (1, 0)
     rows.clear()
-    trace = proximal_iterate(L1, f, SEG_A, SEG_B, core, SEG_A.points[-1], WIDE,
-                             check_image=False)
+    trace = proximal_iterate(f, core, SEG_A.points[-1], WIDE, check_image=False)
     images = [f.apply(p).coords for p in trace.points[:-1]]
     assert trace.verdict == "converged" and len(images) == 6
     assert [y.coords for y in rows] == [(1.0, 1 / 32)]
@@ -1225,27 +1204,21 @@ def test_mates_answers_for_points_of_b_under_the_cores_own_terms(monkeypatch):
     core = proximal_core(L1, SEG_A, SEG_B, TOL)
     y = SEG_B.points[3]
     rows = _rows_over(monkeypatch, SEG_A)
-    assert core.mates(L1, SEG_A, y, TOL.eps_prox) == (SEG_A.points[3],)
+    assert core.mates(y) == (SEG_A.points[3],)
     assert rows == []  # read from the core
-    # the gauge and the samples stay out of equality and repr
-    bare = ProximalCore(core.d_g, core.a_g, core.b_g, core.partners, core.eps)
-    assert core == bare and repr(core) == repr(bare)
-    questions = [  # any other question reads the row of A against y
-        (core, L1, SEG_A, Point((1.0, 1 / 32)), TOL),
-        (core, L1, SEG_A, Point((1.0, 1 / 32)), WIDE),
-        (core, L1, SEG_A, Point((2.0, 0.0)), TOL),
-        (core, GFunction(str(L1.expr), 2), SEG_A, y, TOL),
-        (core, L1, exact_set(SEG_A.coords, "A"), y, TOL),
-        (core, L1, SEG_A, y, WIDE),
-        (bare, L1, SEG_A, y, TOL),
+    questions = [  # an image off B, or a subsample of A, reads the row against y
+        (Point((1.0, 1 / 32)), None),
+        (Point((2.0, 0.0)), None),
+        (y, exact_set(SEG_A.coords, "A")),
+        (y, exact_set(SEG_A.coords[::2], "A")),
     ]
     answers = []
-    for c, g, a, target, tol in questions:
-        want = assert_same(lambda: list(c.mates(g, a, target, tol.eps_prox)),
-                           lambda: ref_mates(g, a, target, c.d_g, tol))
+    for target, a in questions:
+        want = assert_same(lambda: list(core.mates(target, a)),
+                           lambda: ref_mates(L1, a or SEG_A, target, core.d_g, TOL))
         answers.append(len(want[1]))
-    assert answers == [0, 2, 0, 1, 1, 1, 1]
-    assert len(rows) == len(questions) - 1  # one set is a copy of SEG_A
+    assert answers == [0, 0, 1, 0]
+    assert len(rows) == 2  # the subsamples are other sets
 
 
 def test_a_realising_image_in_b_outside_b_g_has_no_mate():
@@ -1258,7 +1231,7 @@ def test_a_realising_image_in_b_outside_b_g_has_no_mate():
     for text, in_b in (("2", True), ("3", False), ("x1", True)):
         f = MapSpec([text], LINE, b)
         assert (f.apply(core.a_g.points[0]).coords in b.coords) == in_b
-        got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+        got = assert_same(lambda: _prepass(f, core),
                           lambda: ref_prepass(g, f, LINE, core, TOL))
         if text == "x1":
             assert got == ("ok", None)
@@ -1276,7 +1249,7 @@ def test_an_image_off_b_whose_row_divides_by_zero_raises_the_scan_error():
     core = proximal_core(g, LINE, b, TOL)
     assert core.a_g.points == (Point((1.0,)),)
     f = MapSpec(["0.25"], LINE, b)
-    got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+    got = assert_same(lambda: _prepass(f, core),
                       lambda: ref_prepass(g, f, LINE, core, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
     assert got[3] == "division-by-zero: 0.75 / 0"
@@ -1355,7 +1328,7 @@ def test_an_image_off_b_is_read_whole_before_its_first_mate(mate):
     core = proximal_core(g, LINE, b, TOL)
     assert core.a_g.points == (Point((1.0,)),) and core.d_g == 2.0
     f = MapSpec(["-2" if mate == "early" else "-3"], LINE, b)
-    got = assert_same(lambda: _prepass(g, f, LINE, b, core),
+    got = assert_same(lambda: _prepass(f, core),
                       lambda: ref_prepass(g, f, LINE, core, TOL))
     if mate == "early":
         assert abs(eval_g(g, LINE.points[0], f.apply(core.a_g.points[0]))) == 2.0
@@ -1475,8 +1448,11 @@ def test_a_gauge_without_a_bound_reads_every_row_whole(monkeypatch):
     assert spans == [(0, None)] * len(FINE_A)
 
 
-METRIC_TO_B = proximal_core(GFunction("abs(x1-u1)", 1), FINE_B, exact_set([2.0, 3.0], "B"),
-                            TOL)  # level 1, at (1, 2)
+METRIC_TO_B = {  # level 1, at (1, 2), by band
+    tol.eps_prox: proximal_core(GFunction("abs(x1-u1)", 1), FINE_B,
+                                exact_set([2.0, 3.0], "B"), tol)
+    for tol in (TOL, WIDE)
+}
 
 
 @pytest.mark.parametrize("tol", [TOL, WIDE], ids=["narrow", "wide"])
@@ -1485,9 +1461,9 @@ def test_the_mates_of_an_image_off_b_read_the_blocks_near_the_level(y, tol, monk
     # against y the band is |u - y| = 1; blocks whose values all lie more
     # than eps above or below 1 are left out, and against 2.5 and 0.5 all
     spans = _reads(monkeypatch)
-    g, target = METRIC_TO_B.g, Point((y,))
-    mates = assert_same(lambda: list(METRIC_TO_B.mates(g, FINE_B, target, tol.eps_prox)),
-                        lambda: ref_mates(g, FINE_B, target, METRIC_TO_B.d_g, tol))
+    core, target = METRIC_TO_B[tol.eps_prox], Point((y,))
+    mates = assert_same(lambda: list(core.mates(target)),
+                        lambda: ref_mates(core.g, FINE_B, target, core.d_g, tol))
     read = _read(spans, len(FINE_B))
     if y in (2.5, 0.5):
         assert mates == ("ok", ()) and read == 0
@@ -1501,7 +1477,7 @@ def test_the_mates_of_an_image_off_b_are_read_lazily(monkeypatch):
     g = GFunction("abs(x1-u1)", 1)
     core = proximal_core(g, FINE_B, exact_set([1.375, 3.0], "B"), TOL)
     spans = _reads(monkeypatch)
-    mates = iter(core.mates(g, FINE_B, Point((0.5,)), TOL.eps_prox))
+    mates = iter(core.mates(Point((0.5,))))
     assert spans == []
     assert next(mates) == Point((0.125,)) and spans == [(0, 32)]
     assert list(mates) == [Point((0.875,))] and spans == [(0, 32), (112, 129)]
@@ -1511,7 +1487,7 @@ def test_a_mark_in_the_row_of_an_image_off_b_is_read_whole(monkeypatch):
     g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.9375) + abs(u1 - 1.5))", 1)
     core = proximal_core(g, FINE_B, exact_set([2.0, 3.0], "B"), TOL)
     spans.clear()
-    got = assert_same(lambda: list(core.mates(g, FINE_B, Point((1.5,)), TOL.eps_prox)),
+    got = assert_same(lambda: list(core.mates(Point((1.5,)))),
                       lambda: ref_mates(g, FINE_B, Point((1.5,)), core.d_g, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
     assert spans == [(0, None)]

@@ -52,8 +52,8 @@ from test_kernels import (
     GRID,
     GRID_POINTS,
     HALF,
+    HALF_B,
     LAMS,
-    LEVEL_CORE,
     LINE,
     NO_SUBSAMPLING,
     TOL,
@@ -79,7 +79,6 @@ import gproxim.properties as properties_module
 import gproxim.solvers as solvers_module
 
 SMALL = exact_set(GRID[::2], "S")
-METRIC = GFunction("abs(x1-u1)", 1)
 AVERAGE = ConvexStructure(("l*x1 + (1-l)*u1",))
 
 
@@ -96,7 +95,7 @@ def _side_condition():
     b = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
     core = proximal_core(g, a, b, TOL)
     r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
-    return (lambda: check_side_condition(g, core, r, s, TOL),
+    return (lambda: check_side_condition(core, r, s, TOL),
             lambda: ref_side_condition(g, core, r, s, TOL))
 
 
@@ -116,8 +115,43 @@ def _convex_two():
             lambda: ref_convex(h, g, list(SMALL.points), LAMS, TOL))
 
 
-def _pairs(g):
-    return ref_pairs(g, HALF, LINE, LEVEL_CORE.d_g, TOL)
+def _pairs(core):
+    return ref_pairs(core.g, HALF, LINE, core.d_g, TOL)
+
+
+def _own_core(g, b):
+    """g's own proximity core over LINE and b, at level 0; g raises at no
+    tuple of LINE x b."""
+    return proximal_core(g, LINE, b, TOL)
+
+
+def _proximal(check):
+    # the images of HALF, and the points of HALF_B, lie in [0, 1/2]
+    core = _own_core(_raising(0.0, 1.0), HALF_B)
+    if check:
+        return (lambda: check_proximal_inequality(HALF, 0.5, 0.0, core, TOL),
+                lambda: ref_proximal(core.g, _pairs(core), 0.5, 0.0, TOL))
+    return (lambda: estimate_proximal_coefficient(HALF, 0.0, core, TOL),
+            lambda: ref_proximal_estimate(core.g, _pairs(core), 0.0, TOL))
+
+
+def _mates(select):
+    # g raises at (1, 0); the image 0 of 0 is off B, so its row of mates
+    # over LINE is read, and 1 is its last tuple
+    core = _own_core(_raising(1.0, 0.0), exact_set([0.5], "B"))
+    if select:
+        return (lambda: proximal_select(core, Point((0.0,))),
+                lambda: ref_select(core.g, LINE, Point((0.0,)), core.d_g, TOL))
+    return lambda: qualifying_pairs(HALF, core), lambda: _pairs(core)
+
+
+def _start_point():
+    # g raises at (1/32, 1), off LINE x LINE: the start point 1/32 is read
+    # against B = LINE, whose last point is 1
+    core = _own_core(_raising(0.03125, 1.0), LINE)
+    p0 = Point((0.03125,))
+    return (lambda: proximal_iterate(HALF, core, p0, TOL),
+            lambda: [abs(eval_g(core.g, p0, y)) for y in LINE])
 
 
 # Each scan as (scan, reference), with a gauge that divides by zero only at
@@ -136,22 +170,8 @@ SCANS = {
         lambda: estimate_coefficient(_raising(0.0, 1.0), HALF, TOL),
         lambda: ref_estimate(_raising(0.0, 1.0), HALF, TOL),
     ),
-    "proximal": lambda: (
-        lambda: check_proximal_inequality(
-            _raising(0.0, 1.0), HALF, LINE, 0.5, 0.0, LEVEL_CORE, TOL
-        ),
-        lambda: ref_proximal(
-            _raising(0.0, 1.0), _pairs(_raising(0.0, 1.0)), 0.5, 0.0, TOL
-        ),
-    ),
-    "proximal-estimate": lambda: (
-        lambda: estimate_proximal_coefficient(
-            _raising(0.0, 1.0), HALF, LINE, 0.0, LEVEL_CORE, TOL
-        ),
-        lambda: ref_proximal_estimate(
-            _raising(0.0, 1.0), _pairs(_raising(0.0, 1.0)), 0.0, TOL
-        ),
-    ),
+    "proximal": lambda: _proximal(check=True),
+    "proximal-estimate": lambda: _proximal(check=False),
     # condition one reads abs(g(x0, x)) over x whole first: x0 = 0, x = 1
     "convex-one": lambda: (
         lambda: check_convex_structure(
@@ -165,23 +185,9 @@ SCANS = {
         lambda: proximal_core(_raising(0.0, 1.0), LINE, SMALL, TOL),
         lambda: ref_core(_raising(0.0, 1.0), LINE, SMALL, TOL),
     ),
-    "select": lambda: (
-        lambda: proximal_select(
-            _raising(1.0, 0.0), LINE, Point((0.0,)),
-            proximal_core(METRIC, LINE, exact_set([0.0], "B"), TOL), TOL,
-        ),
-        lambda: ref_select(_raising(1.0, 0.0), LINE, Point((0.0,)), 0.0, TOL),
-    ),
-    "pairs": lambda: (
-        lambda: qualifying_pairs(_raising(1.0, 0.0), HALF, LINE, LEVEL_CORE, TOL),
-        lambda: _pairs(_raising(1.0, 0.0)),
-    ),
-    "start-point": lambda: (
-        lambda: proximal_iterate(
-            _raising(0.0, 1.0), HALF, LINE, LINE, LEVEL_CORE, Point((0.0,)), TOL
-        ),
-        lambda: [abs(eval_g(_raising(0.0, 1.0), Point((0.0,)), y)) for y in LINE],
-    ),
+    "select": lambda: _mates(select=True),
+    "pairs": lambda: _mates(select=False),
+    "start-point": _start_point,
 }
 
 
@@ -316,12 +322,11 @@ def test_marks_are_where_the_tree_interpreter_fails(seed, rows):
     # each gauge runs with both sides read tuple by tuple, and with the
     # left, then the right side a repeat whose coordinates are bound once;
     # eval_g and a map's apply run the same trees.  The examples repeat a
-    # few dozen seeds, so the third tree is drawn from the rows as well.
-    rng = random.Random(seed)
+    # few dozen seeds, so every tree is drawn from the rows as well.
+    rng = random.Random(f"{seed} {rows}")
     P = [row[:2] for row in rows]
     Q = [row[2:] for row in rows]
-    third = _pow_expr(random.Random(f"{seed} {rows}"), 4)
-    for e in (random_expr(rng, 4), _min_max_expr(rng, 5), third):
+    for e in (random_expr(rng, 4), _min_max_expr(rng, 5), _pow_expr(rng, 4)):
         kernels, g, t = _compiled(e)
         for bound in (None, "P", "Q"):
             _assert_marks(kernels, e, P, Q, bound)
@@ -420,8 +425,9 @@ def _abs_vars(e):
 def test_a_non_negative_gauge_is_never_below_plus_zero(seed, rows):
     # every subtree _nonneg admits evaluates to a double >= +0.0 or a NaN,
     # never to -0.0, and its kernels without the outer abs mark and give
-    # abs(evaluate) bit for bit
-    rng = random.Random(seed)
+    # abs(evaluate) bit for bit; the trees are drawn from the seed and the
+    # rows, since the examples repeat a few dozen seeds
+    rng = random.Random(f"{seed} {rows}")
     P = [row[:2] for row in rows]
     Q = [row[2:] for row in rows]
     trees = [random_expr(rng, 4), _min_max_expr(rng, 5)]

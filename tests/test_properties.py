@@ -153,13 +153,13 @@ class TestProximalInequality:
     def test_quarter_gauge_holds(self, quarter_instance):
         g, _, a, b, t = quarter_instance
         core = proximal_core(g, a, b, TOL)
-        rep = check_proximal_inequality(g, t, a, 0.0625, 0.0, core, TOL)
+        rep = check_proximal_inequality(t, 0.0625, 0.0, core, TOL)
         assert rep.holds and not rep.vacuous
 
     def test_quarter_min_gauge_falsified(self, quarter_instance):
         _, h, a, b, t = quarter_instance
         core = proximal_core(h, a, b, TOL)
-        rep = check_proximal_inequality(h, t, a, 0.9, 1.0, core, TOL)
+        rep = check_proximal_inequality(t, 0.9, 1.0, core, TOL)
         assert rep.falsified
         lhs, rhs = proximal_sides(h, rep.witness, 0.9, 1.0)
         assert (lhs, rhs) == (rep.lhs, rep.rhs)
@@ -172,7 +172,7 @@ class TestProximalInequality:
     def test_finite_sets_hold_under_square_gauge(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
-        rep = check_proximal_inequality(g, f, a, 0.5, 1.0, core, TOL)
+        rep = check_proximal_inequality(f, 0.5, 1.0, core, TOL)
         assert rep.holds and not rep.vacuous
 
     def test_finite_sets_falsified_under_metric_with_margin_half(
@@ -181,7 +181,7 @@ class TestProximalInequality:
         _, d, a, b, f = finite_instance
         core = proximal_core(d, a, b, TOL)
         assert core.d_g == 1.0
-        rep = check_proximal_inequality(d, f, a, 0.5, 1.0, core, TOL)
+        rep = check_proximal_inequality(f, 0.5, 1.0, core, TOL)
         assert rep.falsified
         assert rep.margin == 0.5
         named = {"u1": P(5), "x1": P(0), "u2": P(0), "x2": P(1)}
@@ -190,7 +190,7 @@ class TestProximalInequality:
     def test_exhaustive_enumeration_matches_brute_force(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
-        rep = check_proximal_inequality(g, f, a, 0.5, 1.0, core, TOL)
+        rep = check_proximal_inequality(f, 0.5, 1.0, core, TOL)
 
         def qualifies(u, x):
             return abs(abs(eval_g(g, u, f.apply(x))) - core.d_g) <= TOL.eps_prox
@@ -206,10 +206,10 @@ class TestProximalInequality:
     def test_monotone_in_beta_and_n(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
-        assert check_proximal_inequality(g, f, a, 0.5, 1.0, core, TOL).holds
+        assert check_proximal_inequality(f, 0.5, 1.0, core, TOL).holds
         for beta, n_cap in [(0.6, 1.0), (0.5, 2.0), (1.0, 3.0)]:
             assert check_proximal_inequality(
-                g, f, a, beta, n_cap, core, TOL
+                f, beta, n_cap, core, TOL
             ).holds
 
     def test_vacuous_outcome_is_flagged(self):
@@ -218,21 +218,21 @@ class TestProximalInequality:
         b = SampleSet.from_points([5.0, 6.0], name="B")
         f = MapSpec(["x1 + 5.5"], a, b, name="f")
         core = proximal_core(g, a, b, TOL)
-        rep = check_proximal_inequality(g, f, a, 0.5, 0.0, core, TOL)
+        rep = check_proximal_inequality(f, 0.5, 0.0, core, TOL)
         assert rep.holds and rep.vacuous
 
     def test_beta_range_enforced(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
         with pytest.raises(GSpaceError):
-            check_proximal_inequality(g, f, a, 1.5, 0.0, core, TOL)
+            check_proximal_inequality(f, 1.5, 0.0, core, TOL)
         with pytest.raises(GSpaceError):
-            check_proximal_inequality(g, f, a, 0.5, -1.0, core, TOL)
+            check_proximal_inequality(f, 0.5, -1.0, core, TOL)
 
     def test_berinde_mode_is_beta_one(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
-        rep = check_proximal_inequality(g, f, a, 1.0, 1.0, core, TOL)
+        rep = check_proximal_inequality(f, 1.0, 1.0, core, TOL)
         assert rep.check == "proximal-berinde" and rep.holds
 
 
@@ -240,13 +240,13 @@ class TestProximalEstimate:
     def test_quarter_coefficient(self, quarter_instance):
         g, _, a, b, t = quarter_instance
         core = proximal_core(g, a, b, TOL)
-        est = estimate_proximal_coefficient(g, t, a, 0.0, core, TOL)
+        est = estimate_proximal_coefficient(t, 0.0, core, TOL)
         assert abs(est - 0.0625) <= 1e-9
 
     def test_qualifying_pairs_structure(self, finite_instance):
         g, _, a, b, f = finite_instance
         core = proximal_core(g, a, b, TOL)
-        pairs = qualifying_pairs(g, f, a, core, TOL)
+        pairs = qualifying_pairs(f, core)
         # images of 1 and 2 keep their square: their mates are themselves
         assert (P(1), P(1)) in pairs and (P(2), P(2)) in pairs
         assert all(

@@ -255,7 +255,7 @@ class TestProximalIterate:
     def test_touching_segments_one_step(self, touching_segments):
         g, f, a, b, tol = touching_segments
         core = proximal_core(g, a, b, tol)
-        trace = proximal_iterate(g, f, a, b, core, P(1, 0), tol)
+        trace = proximal_iterate(f, core, P(1, 0), tol)
         assert trace.converged and trace.steps == 1
         assert trace.final == P(1, 0)
         assert trace.certificate_residual == 0.0
@@ -263,7 +263,7 @@ class TestProximalIterate:
     def test_parallel_segments_match_geometric_oracle(self, dyadic_segments):
         g, f, a, b, tol = dyadic_segments
         core = proximal_core(g, a, b, tol)
-        trace = proximal_iterate(g, f, a, b, core, P(0, 1), tol)
+        trace = proximal_iterate(f, core, P(0, 1), tol)
         assert trace.converged and trace.steps <= 25
         for k, p in enumerate(trace.points):
             assert abs(p.coords[0] - 0.0) <= 1e-12
@@ -273,33 +273,46 @@ class TestProximalIterate:
     def test_best_proximity_certificate(self, dyadic_segments):
         g, f, a, b, tol = dyadic_segments
         core = proximal_core(g, a, b, tol)
-        trace = proximal_iterate(g, f, a, b, core, P(0, 1), tol)
+        trace = proximal_iterate(f, core, P(0, 1), tol)
         direct = abs(abs(eval_g(g, trace.final, f.apply(trace.final))) - core.d_g)
         assert trace.certificate_residual == direct
 
     def test_start_point_must_realise_the_level(self, dyadic_segments):
         g, f, a, b, tol = dyadic_segments
-        core = proximal_core(g, a, b, tol)
         bad = ToleranceSet(eps_prox=1e-15, eps_zero=1e-6)
+        core = proximal_core(g, a, b, bad)
         with pytest.raises(GSpaceError):
-            proximal_iterate(g, f, a, b, core, P(0.5, 0.5), bad)
+            proximal_iterate(f, core, P(0.5, 0.5), bad)
 
     def test_image_escape_raises_before_stepping(self, dyadic_segments):
         g, _, a, b, tol = dyadic_segments
         shifted = MapSpec(["x1 + 1", "x2/2 + 0.3"], a, b, name="bad")
         core = proximal_core(g, a, b, tol)
         with pytest.raises(NoProximalMate):
-            proximal_iterate(g, shifted, a, b, core, P(0, 1), tol)
+            proximal_iterate(shifted, core, P(0, 1), tol)
 
     def test_mid_run_failure_yields_verdict(self, dyadic_segments):
         g, _, a, b, tol = dyadic_segments
         shifted = MapSpec(["x1 + 1", "x2/2 + 0.3"], a, b, name="bad")
         core = proximal_core(g, a, b, tol)
         trace = proximal_iterate(
-            g, shifted, a, b, core, P(0, 1), tol, check_image=False
+            shifted, core, P(0, 1), tol, check_image=False
         )
         assert trace.verdict == "no_proximal_mate"
         assert trace.points == [P(0, 1)]
+
+    def test_each_visited_point_is_mapped_once(self, dyadic_segments, monkeypatch):
+        # a point's image gives its proximity residual, then the next selection
+        g, f, a, b, tol = dyadic_segments
+        core = proximal_core(g, a, b, tol)
+        mapped, real = [], MapSpec.apply
+        monkeypatch.setattr(MapSpec, "apply", lambda t, p: mapped.append(p) or real(t, p))
+        trace = proximal_iterate(f, core, P(0, 1), tol, check_image=False)
+        assert trace.converged and trace.steps == 20
+        assert mapped == trace.points
+        mapped.clear()
+        trace = proximal_iterate(f, core, P(0, 1), tol)  # the image pre-pass first
+        assert mapped == list(core.a_g.points) + trace.points
 
     def test_uniqueness_under_strict_coefficient_budget(self):
         # quarter map on a dyadic segment: the contraction check holds with
@@ -312,11 +325,11 @@ class TestProximalIterate:
         f = MapSpec(["x1 + 1", "x2/4"], a, b, name="f")
         tol = ToleranceSet(eps_prox=5e-9)
         core = proximal_core(g, a, b, tol)
-        rep = check_proximal_inequality(g, f, a, 0.25, 0.0, core, tol)
+        rep = check_proximal_inequality(f, 0.25, 0.0, core, tol)
         assert rep.holds and not rep.vacuous
         assert 1.0 - 0.25 - 0.0 > 0.0
         finals = [
-            proximal_iterate(g, f, a, b, core, P(0, seed), tol).final
+            proximal_iterate(f, core, P(0, seed), tol).final
             for seed in (1.0, 0.5)
         ]
         assert abs(eval_g(g, finals[0], finals[1])) <= 10 * tol.eps_zero
@@ -357,7 +370,7 @@ class TestBerindeScheme:
         g, f, a, b, tol = reflection
         core = proximal_core(g, a, b, tol)
         res = berinde_scheme(
-            g, f, a, b, core, LINEAR_H, P(0, 0), Schedule.harmonic(10), tol
+            f, core, LINEAR_H, P(0, 0), Schedule.harmonic(10), tol
         )
         assert res.final == P(0, 0)
         assert res.residual <= 1e-9
@@ -379,9 +392,9 @@ class TestBerindeScheme:
         # and later stages do not move it
         g, f, a, b, tol = touching_segments
         core = proximal_core(g, a, b, tol)
-        plain = proximal_iterate(g, f, a, b, core, core.a_g.points[0], tol)
+        plain = proximal_iterate(f, core, core.a_g.points[0], tol)
         res = berinde_scheme(
-            g, f, a, b, core, LINEAR_H, P(1, 0), Schedule.harmonic(4), tol
+            f, core, LINEAR_H, P(1, 0), Schedule.harmonic(4), tol
         )
         assert res.stages[0].output == plain.final
         assert all(st.output == plain.final for st in res.stages)
@@ -392,7 +405,7 @@ class TestBerindeScheme:
         const = MapSpec(["0", "0"], a, b, name="const")
         core = proximal_core(g, a, b, tol)
         res = berinde_scheme(
-            g, const, a, b, core, LINEAR_H, P(0, 0), Schedule((0.5,)), tol
+            const, core, LINEAR_H, P(0, 0), Schedule((0.5,)), tol
         )
         assert len(res.stages) == 1
         assert res.final == P(0, 0)  # the unique partner of the centre
