@@ -246,8 +246,8 @@ def _proximal(keys: tuple[str, ...]) -> _Check:
             c.map_before_sets, c.coef, c.n_cap, c.core, c.tol, seed=seed
         ),
         _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
-        lambda c, seed, values: estimate_proximal_coefficient(
-            c.map_before_sets, c.n_cap, c.core, c.tol, seed=seed, sweep=values
+        lambda c, seed, values, estimate=True: estimate_proximal_coefficient(
+            c.map_before_sets, c.n_cap, c.core, c.tol, seed, values, estimate
         ),
     )
 
@@ -256,7 +256,7 @@ def _proximal(keys: tuple[str, ...]) -> _Check:
 # key=value parameters it reads, run gives the report, reproduces tells
 # whether a reported witness replays, and sweep gives the sample estimate of
 # the coefficient that search sweeps with the report at each swept value, in
-# one pass.
+# one pass (the estimate None when its last argument is False).
 _CHECKS = {
     **{kind: _axiom(kind) for kind in _AXIOM_KINDS},
     "axioms": _Check(("set",), _group, _group),
@@ -266,8 +266,8 @@ _CHECKS = {
             c.gauge, c.map, c.coef, c.tol, seed=seed
         ),
         _same_sides(lambda c, wit: banach_sides(c.gauge, c.map, c.coef, wit)),
-        lambda c, seed, values: estimate_coefficient(
-            c.gauge, c.map, c.tol, seed=seed, sweep=values
+        lambda c, seed, values, estimate=True: estimate_coefficient(
+            c.gauge, c.map, c.tol, seed, values, estimate
         ),
     ),
     "proximal-weak": _proximal(("map", "A", "B", "beta", "N")),
@@ -309,6 +309,63 @@ def run_check(inst: Instance, spec_text: str, seed: int = 0):
     """Run one named check; returns its CheckReport."""
     c = _Spec(inst, spec_text)
     return _CHECKS[c.kind].run(c, seed)
+
+
+class Subjects:
+    """The answers to one command's subjects (kind, spec) at one seed: a
+    "check" subject gives run_check's report of its spec, an "estimate" one
+    the sample estimate of its coefficient, as search gives it.
+
+    The contraction subjects of one row group share one pass (see
+    properties._scan).  A row group is the kind family (banach, or
+    proximal-weak and berinde), the gauge, the map, the sets A and B, and N.
+    The pass checks every coefficient of the group and folds the estimate
+    only when the group has an estimate subject.  A subject alone in its
+    group, and every subject of a group whose pass raises, is answered on
+    its own, so every answer and the first error are those of the subjects
+    run one by one, in the order asked.
+    """
+
+    def __init__(self, inst: Instance, subjects, seed: int = 0):
+        self.inst, self.seed, self.answers, self.groups = inst, seed, {}, {}
+        for subject in dict.fromkeys(subjects):
+            try:  # a lookup that fails here fails again in the subject's turn
+                c = _Spec(inst, subject[1])
+                if _CHECKS[c.kind].sweep is not None:
+                    rows = (c.map,) if c.kind == "banach" else (c.map, *c.pair)
+                    self.groups[subject] = (*map(id, (c.gauge, *rows)), repr(c.n_cap))
+            except (ConfigError, CheckSpecError):
+                pass
+
+    def __call__(self, kind: str, text: str):
+        subject = (kind, text)
+        group = self.groups.pop(subject, None)
+        members = [subject, *(s for s, g in self.groups.items() if g == group)]
+        for s in members[1:]:
+            del self.groups[s]
+        if len(members) > 1:
+            try:
+                self.answers.update(self._pass(members))
+            except (CheckSpecError, GSpaceError, EvalError):
+                pass  # answered one by one, which raises in turn
+        if subject not in self.answers:
+            c = _Spec(self.inst, text)
+            check = _CHECKS[c.kind]
+            self.answers[subject] = (
+                check.run(c, self.seed) if kind == "check"
+                else check.sweep(c, self.seed, [])[0]
+            )
+        return self.answers[subject]
+
+    def _pass(self, members: list) -> dict:
+        """The answers of a row group's subjects, from one pass."""
+        checks = [s for s in members if s[0] == "check"]
+        values = [_Spec(self.inst, text).coef for _, text in checks]
+        c = _Spec(self.inst, members[0][1])
+        estimate, reports = _CHECKS[c.kind].sweep(
+            c, self.seed, values, len(checks) < len(members)
+        )
+        return {**dict.fromkeys(members, estimate), **dict(zip(checks, reports))}
 
 
 def _expand_specs(specs: list[str]) -> list[str]:
@@ -404,8 +461,9 @@ def cmd_verify(args) -> int:
     specs = _expand_specs(args.checks)
     entries = []
     any_falsified = False
+    answers = Subjects(inst, [("check", text) for text in specs], args.seed)
     for spec_text in specs:
-        report = run_check(inst, spec_text, seed=args.seed)
+        report = answers("check", spec_text)
         entries.append(_report_entry(spec_text, report))
         falsified = report.verdict == "falsified"
         any_falsified = any_falsified or falsified
@@ -600,12 +658,12 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_search(args) -> int:
+    values = _sweep_values(args)
     inst = _apply_tol_overrides(load_instance(args.config), args)
     c = _Spec(inst, args.check)
     check = _CHECKS[c.kind]
     if check.sweep is None:
         raise CheckSpecError("search sweeps banach, proximal-weak or berinde checks")
-    values = _sweep_values(args)
     estimate, reports = check.sweep(c, args.seed, values)
     rows = list(zip(values, reports))
     label = c.coef_name
@@ -626,7 +684,14 @@ def cmd_search(args) -> int:
 
 
 def _sweep_values(args) -> list[float]:
+    """--steps values evenly from --lo to --hi; a non-finite end or fewer
+    than one step is an error."""
     lo, hi, steps = args.lo, args.hi, args.steps
+    for flag, value in (("--lo", lo), ("--hi", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(flag, f"must be finite, got {value!r}")
+    if steps < 1:
+        raise ConfigError("--steps", f"must be at least 1, got {steps}")
     if steps < 2:
         return [lo]
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]

@@ -787,8 +787,11 @@ def proximal_core(
     # it, or of its own minimum where that is lower: all within eps of that
     # minimum (float subtraction is monotone), and a superset of its band.
     # The row's runs leave out only blocks none of whose entries it keeps.
-    d_g, near = math.inf, []
-    for x in a.points:
+    # A row from the one that last lowered the level on keeps exactly its
+    # band, every v it keeps having d_g <= v and v - d_g <= eps, so only the
+    # rows before it are filtered again.
+    d_g, near, last = math.inf, [], 0
+    for i, x in enumerate(a.points):
         keep, values = [], []
         for start, row in _runs(g, x, b, d_g, eps):
             near_level = [v - d_g <= eps for v in row]
@@ -796,26 +799,25 @@ def proximal_core(
             values += compress(row, near_level)
         low = min(values, default=d_g)
         if low < d_g:
-            d_g = low
+            d_g, last = low, i
             near_level = [v - low <= eps for v in values]
             keep = list(compress(keep, near_level))
             values = list(compress(values, near_level))
         near.append((array("l", keep), array("d", values)))
-    a_pts, partners = [], []
-    b_hit = [False] * len(b.points)
+    a_pts, partners, b_hit = [], [], set()
     for i, x in enumerate(a.points):
-        keep, values = near[i]
+        hits, values = near[i]
         near[i] = None  # free each row once read: the partners replace it
-        hits = [j for j, v in zip(keep, values) if abs(v - d_g) <= eps]
-        for j in hits:
-            b_hit[j] = True
+        if i < last:
+            hits = [j for j, v in zip(hits, values) if abs(v - d_g) <= eps]
         if hits:
+            b_hit.update(hits)
             a_pts.append(x)
             partners.append(
                 b.points if len(hits) == len(b.points)
                 else tuple(map(b.points.__getitem__, hits))
             )
-    b_pts = [y for j, y in enumerate(b.points) if b_hit[j]]
+    b_pts = [b.points[j] for j in sorted(b_hit)]
     return ProximalCore(
         d_g=d_g,
         a_g=SampleSet(points=tuple(a_pts), name=f"{a.name or 'A'}_g"),

@@ -182,15 +182,10 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     return best, hits
 
 
-def _check(rows, value: float, tol: ToleranceSet) -> CheckReport:
-    """The check at one coefficient: the pass with that value alone."""
-    _, (hit,) = _scan(rows, [value], tol, estimate=False)
-    return rows.report(value, hit)
-
-
-def _estimate(rows, tol: ToleranceSet, sweep: Optional[Sequence[float]]):
-    """The estimate; with sweep, (estimate, reports), reports holding the
-    check's report at each swept value.
+def _estimate(rows, tol: ToleranceSet, sweep: Optional[Sequence[float]], estimate: bool):
+    """The estimate, None without estimate; with sweep, (estimate, reports),
+    reports holding the check's report at each swept value.  A check is the
+    sweep of its one value without the estimate.
 
     The pass sweeps the values before the first that rows.validate rejects,
     and building that value's report raises its error.  So errors come in
@@ -203,11 +198,12 @@ def _estimate(rows, tol: ToleranceSet, sweep: Optional[Sequence[float]]):
         except GSpaceError:
             break
         values.append(v)
-    best, hits = _scan(rows, values, tol, estimate=True)
-    estimate = math.inf if best is None else best
+    best, hits = _scan(rows, values, tol, estimate)
+    if estimate and best is None:
+        best = math.inf
     if sweep is None:
-        return estimate
-    return estimate, [rows.report(v, hit) for v, hit in zip_longest(sweep, hits)]
+        return best
+    return best, [rows.report(v, hit) for v, hit in zip_longest(sweep, hits)]
 
 
 class _BanachRows:
@@ -254,7 +250,7 @@ def check_banach_contraction(
     """Falsified when some sampled pair has abs(g(Tx, Ty)) above
     alpha * abs(g(x, y)) by more than eps_ineq."""
     _check_alpha(alpha)
-    return _check(_BanachRows(g, t, seed), alpha, tol)
+    return estimate_coefficient(g, t, tol, seed, [alpha], estimate=False)[1][0]
 
 
 def estimate_coefficient(
@@ -263,6 +259,7 @@ def estimate_coefficient(
     tol: ToleranceSet,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
+    estimate: bool = True,
 ):
     """Tightest contraction coefficient supported by the sample.
 
@@ -272,9 +269,10 @@ def estimate_coefficient(
 
     With sweep, a list of alphas, the same pass checks each of them and the
     result is (estimate, reports), reports holding check_banach_contraction's
-    report for each alpha.
+    report for each alpha.  Without estimate the pass skips the estimate's
+    terms and gives None in its place.
     """
-    return _estimate(_BanachRows(g, t, seed), tol, sweep)
+    return _estimate(_BanachRows(g, t, seed), tol, sweep, estimate)
 
 
 def qualifying_pairs(
@@ -374,7 +372,9 @@ def check_proximal_inequality(
     quadruple at all is reported as a vacuous hold, never silently.
     """
     _proximal_name(beta, n_cap)
-    return _check(_ProximalRows(f, n_cap, core, seed), beta, tol)
+    return estimate_proximal_coefficient(
+        f, n_cap, core, tol, seed, [beta], estimate=False
+    )[1][0]
 
 
 def estimate_proximal_coefficient(
@@ -384,6 +384,7 @@ def estimate_proximal_coefficient(
     tol: ToleranceSet,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
+    estimate: bool = True,
 ):
     """Tightest beta supported by the core's qualifying quadruples, given N.
 
@@ -394,6 +395,7 @@ def estimate_proximal_coefficient(
 
     With sweep, a list of betas, the same pass checks each of them and the
     result is (estimate, reports), reports holding check_proximal_inequality's
-    report for each beta.
+    report for each beta.  Without estimate the pass skips the estimate's
+    terms and gives None in its place.
     """
-    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, sweep)
+    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, sweep, estimate)

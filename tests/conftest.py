@@ -20,23 +20,33 @@ from gproxim.expr import Binary, Expr, Num, Unary, Var
 @pytest.fixture(scope="session")
 def fixture_suite():
     """One run of `gproxim fixtures "*"`: its exit code, stdout, wall time,
-    and the reports the command printed, by fixture name."""
-    from gproxim import cli
+    the reports the command printed, by fixture name, and by fixture name the
+    estimate flag of each contraction pass it made (see counting_scans)."""
+    from gproxim import cli, fixtures
 
     real, printed, out = cli.run_fixtures, [], io.StringIO()
+    real_fixture, passes = fixtures.run_fixture, {}
 
     def recording(pattern):
         printed.extend(real(pattern))
         return printed
 
+    def fixture(name):
+        flags[:] = []
+        report = real_fixture(name)
+        passes[name] = flags[:]
+        return report
+
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(cli, "run_fixtures", recording)
+        mp.setattr(fixtures, "run_fixture", fixture)
+        flags = counting_scans(mp)
         t0 = time.perf_counter()
         code = cli.main(["fixtures", "*"])
         elapsed = time.perf_counter() - t0
     return SimpleNamespace(
         code=code, out=out.getvalue(), elapsed=elapsed,
-        reports={rep.name: rep for rep in printed},
+        reports={rep.name: rep for rep in printed}, passes=passes,
     )
 
 
@@ -61,6 +71,21 @@ def solve_berinde(config: str, *argv: str):
         ["solve", "--config", config, "--scheme", "berinde", *argv]
     )
     return cli.solve(load_instance(config), args)[1]
+
+
+def counting_scans(monkeypatch) -> list:
+    """The estimate flag of every contraction pass (properties._scan) from
+    now on, in order."""
+    import gproxim.properties as properties_module
+
+    flags, real = [], properties_module._scan
+
+    def counting(rows, values, tol, estimate):
+        flags.append(estimate)
+        return real(rows, values, tol, estimate)
+
+    monkeypatch.setattr(properties_module, "_scan", counting)
+    return flags
 
 
 def write_config(tmp_path, doc: dict) -> str:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import reflection_doc, solve_berinde, write_config
+from conftest import counting_scans, reflection_doc, solve_berinde, write_config
 from gproxim.cli import main, parse_check_spec
 from gproxim.fixtures import fixture_config_path
 
@@ -383,6 +383,55 @@ def test_replay_reproduces_every_check_kind(name, tmp_path, capsys):
     capsys.readouterr()
     assert main(holding) == 1
     assert f"replay {spec:<40} MISMATCH" in capsys.readouterr().out
+
+
+# (fixture, specs of one verify, contraction passes it makes): the specs of
+# one row group share a pass; a group with an error answers one by one
+GROUPED_VERIFIES = [
+    ("min-contraction", ["banach:g:map=T:alpha=0.5", "banach:g:alpha=0.25",
+                         "banach:h:map=T:alpha=0.9", "banach:g:map=T:alpha=0.75"], 2),
+    ("min-contraction", ["banach:g:alpha=0.5", "banach:g:alpha=0.5"], 1),
+    ("min-contraction", ["banach:g:alpha=0.5", "banach:g:alpha=1.5",
+                         "banach:g:alpha=0.25"], 2),
+    ("min-contraction", ["banach:g:alpha=0.5", "banach:nope:alpha=0.5",
+                         "banach:g:alpha=0.25"], 1),
+    ("min-contraction", ["banach:g:alpha=0.5", "banach:g:map=nope:alpha=0.25"], 1),
+    ("min-contraction", ["banach:g:alpha=0.5", "banach:g", "banach:g:alpha=0.25"], 1),
+    ("quarter-proximal", ["proximal-weak:g:beta=0.0625:N=0", "berinde:g:N=0",
+                          "proximal-weak:g:beta=0.03125:N=0", "proximal-weak:h:beta=0.9:N=1",
+                          "berinde:h:N=1", "identity:g", "proximal-weak:g:beta=0.5:N=1"], 3),
+    ("quarter-proximal", ["berinde:g", "proximal-weak:g:beta=2:N=0", "berinde:g:N=0.0"], 2),
+    ("quarter-proximal", ["berinde:g:N=0", "berinde:g:N=-0.0", "berinde:g:N=nan"], 2),
+    ("quarter-proximal", ["proximal-weak:g:beta=0.5", "proximal-weak:g:beta=x"], 1),
+]
+# the fixtures' sets, coarser: the answers are compared, not their values
+RESOLUTION = {"min-contraction": [5, 5], "quarter-proximal": [1, 17]}
+
+
+@pytest.mark.parametrize("name, specs, passes", GROUPED_VERIFIES)
+def test_verify_answers_a_row_group_in_one_pass_as_one_by_one(
+    name, specs, passes, tmp_path, monkeypatch, capsys
+):
+    import gproxim.cli as cli_module
+
+    doc = json.loads(fixture_config_path(name).read_text())
+    for spec in doc["sets"].values():
+        spec["resolution"] = RESOLUTION[name]
+    report = tmp_path / "r.json"
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--out", str(report),
+            "--checks", *specs]
+
+    def run():  # exit, stdout, stderr and the JSON report, if written
+        code, out = main(argv), capsys.readouterr()
+        doc = report.read_text() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return code, *out, doc
+
+    flags = counting_scans(monkeypatch)
+    grouped = run()
+    assert (len(flags), any(flags)) == (passes, False)
+    monkeypatch.setattr(cli_module.Subjects, "_pass", lambda self, members: {})
+    assert grouped == run()
 
 
 def test_one_proximity_core_per_command(tmp_path, monkeypatch, capsys):
@@ -884,7 +933,35 @@ def test_search_with_a_bad_swept_value_exits_two(name, check, hi, message, capsy
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("gauge", ["x2^2 - u2^2", "(x2^2 - u2^2)*1e308"],
+@pytest.mark.parametrize("flags, message", [
+    (["--hi", "inf"], "--hi: must be finite, got inf"),
+    (["--hi=-inf"], "--hi: must be finite, got -inf"),
+    (["--hi", "nan"], "--hi: must be finite, got nan"),
+    (["--lo", "inf"], "--lo: must be finite, got inf"),
+    (["--lo", "nan", "--steps", "1"], "--lo: must be finite, got nan"),
+    (["--steps", "0"], "--steps: must be at least 1, got 0"),
+    (["--steps", "-3"], "--steps: must be at least 1, got -3"),
+])
+def test_search_with_a_bad_sweep_flag_exits_two_naming_it(flags, message, capsys):
+    # before these were refused, a non-finite end swept NaN and a step count
+    # below one swept --lo alone
+    argv = ["search", "--config", str(fixture_config_path("quarter-proximal")),
+            "--check", "proximal-weak:g:N=0", "--lo", "0.5", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_search_with_one_step_sweeps_lo(capsys):
+    argv = ["search", "--config", str(fixture_config_path("quarter-proximal")),
+            "--check", "proximal-weak:g:N=0", "--lo", "0.5", "--hi", "0.75",
+            "--steps", "1", "--json"]
+    assert main(argv) == 0
+    sweep = json.loads(capsys.readouterr().out)["sweep"]
+    assert sweep == [{"beta": 0.5, "verdict": "holds-on-sample", "margin": sweep[0]["margin"]}]
+
+
+@pytest.mark.parametrize("gauge",["x2^2 - u2^2", "(x2^2 - u2^2)*1e308"],
                          ids=["kernel-rows", "scalar-rows"])
 def test_search_computes_the_qualifying_pairs_once(gauge, tmp_path, monkeypatch, capsys):
     # with the scaled gauge every row's sum overflows, so the kernels give

@@ -141,3 +141,25 @@ def test_a_missing_battery_item_fails_and_keeps_the_row(monkeypatch):
     assert [(o.label, o.detail) for o in report.outcomes if not o.passed] == [
         ("hypothesis: semi-sharp", "hypothesis 'semi-sharp' has nothing to evaluate"),
     ]
+
+
+# Per fixture, the estimate flag of each contraction pass it makes: the
+# checks and the estimate that read the same rows share one pass, and a pass
+# without an estimate subject skips the estimate's terms.
+PASSES = {
+    "xu-nonunique-limits": [],
+    "min-contraction": [True, False],  # g: a check and the estimate; h: a check
+    "box-shift": [True],
+    "halving-on-unit": [True],
+    "projection-nonunique-fixed": [False],
+    "quarter-proximal": [True, False],  # g: N = 0; h: N = 1
+    "finite-sets": [False, False],  # g and the metric
+    "g-closed-halfline": [],
+    "segment-bpp": [],
+    "berinde-reflection": [False] * 11,  # the battery's item and ten stages
+    "parallel-segments": [],
+}
+
+
+def test_the_rows_of_a_fixture_share_one_pass_per_row_group(fixture_suite):
+    assert fixture_suite.passes == PASSES

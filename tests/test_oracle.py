@@ -1,0 +1,233 @@
+"""The contraction class against scalar loops that share no code with the
+scans.
+
+Random small instances draw a gauge g, a second gauge h and a map f from
+conftest.random_expr, over exact and box sets A and B in the plane.  Each
+subject, a check or an estimate of the banach, proximal-weak or berinde
+kind, is answered by the command line's code twice: alone, and among all the
+subjects of its example in one cli.Subjects, which gives the subjects that
+read the same rows one pass.  Both must equal the reference, which walks the
+tuples in scan order and evaluates every gauge and map value through
+expr.evaluate: the verdict, the witness and both sides bit for bit, the
+estimate bit for bit, and an error by type and message.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_expr
+from gproxim import cli
+from gproxim.config import instance_from_dict
+from gproxim.expr import Binary, EvalError, Unary, Var, evaluate
+from gproxim.gspace import CheckReport, GSpaceError, Point
+
+HOLDS, FALSIFIED = "holds-on-sample", "falsified"
+# the gauges see x1, x2, u1, u2 and the maps x1, x2; random_expr also draws l
+GAUGE_NAMES = {"x1": "x1", "x2": "x2", "u1": "u1", "u2": "u2", "l": "x1"}
+MAP_NAMES = {"x1": "x1", "x2": "x2", "u1": "x1", "u2": "x2", "l": "x2"}
+COORDS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+ALPHAS = (0.25, 0.5, 0.9375, 1.0)  # 1.0 is out of range
+BETAS = (0.0625, 0.5, 1.0, 1.5)  # 1.5 is out of range
+NS = (0.5, 2.0)
+
+
+def _renamed(e, names):
+    if isinstance(e, Var):
+        return Var(names[e.name])
+    if isinstance(e, Unary):
+        return Unary(e.op, _renamed(e.operand, names))
+    if isinstance(e, Binary):
+        return Binary(e.op, _renamed(e.left, names), _renamed(e.right, names))
+    return e
+
+
+def _random_set(rng: random.Random) -> dict:
+    if rng.random() < 0.5:
+        cells = [(a, b) for a in COORDS for b in COORDS]
+        return {"points": [list(p) for p in rng.sample(cells, rng.randint(1, 6))]}
+    lo1, lo2 = rng.choice(COORDS[:4]), rng.choice(COORDS[:4])
+    return {"box": [[lo1, lo1 + rng.choice((0.5, 1.0))], [lo2, lo2 + 1.0]],
+            "resolution": [rng.randint(2, 3), 2]}
+
+
+def _random_doc(rng: random.Random) -> dict:
+    def gauge():
+        return str(_renamed(random_expr(rng, 3), GAUGE_NAMES))
+
+    exprs = [str(_renamed(random_expr(rng, 2), MAP_NAMES)) for _ in range(2)]
+    return {
+        "dimension": 2,
+        "g": gauge(),
+        "functions": {"h": gauge()},
+        "sets": {"A": _random_set(rng), "B": _random_set(rng)},
+        "maps": {"f": {"exprs": exprs, "domain": "A", "codomain": "B"}},
+    }
+
+
+def _random_subjects(rng: random.Random) -> list:
+    """Every kind at N = 0 and N > 0, and both estimates, most of them over
+    g, so that several share a row group; in random order."""
+    gauges = ["g"] * 9
+    gauges[rng.randrange(9)] = "h"
+    n = repr(rng.choice(NS))
+    specs = [
+        ("check", f"banach:{{}}:map=f:alpha={rng.choice(ALPHAS)!r}"),
+        ("check", f"banach:{{}}:alpha={rng.choice(ALPHAS)!r}"),
+        ("estimate", "banach:{}:map=f"),
+        ("check", f"proximal-weak:{{}}:beta={rng.choice(BETAS)!r}:N=0.0"),
+        ("check", f"proximal-weak:{{}}:map=f:beta={rng.choice(BETAS)!r}:N={n}"),
+        ("check", "berinde:{}:N=0.0"),
+        ("check", f"berinde:{{}}:N={n}"),
+        ("estimate", "proximal-weak:{}:N=0.0"),
+        ("estimate", f"berinde:{{}}:N={n}"),
+    ]
+    subjects = [(kind, text.format(name)) for (kind, text), name in zip(specs, gauges)]
+    rng.shuffle(subjects)
+    return subjects
+
+
+class Reference:
+    """The answers of scalar loops in scan order over expr.evaluate."""
+
+    def __init__(self, inst):
+        self.inst, self.tol, self.memo = inst, inst.tol, {}
+        self.f = inst.map_("f")
+        self.a, self.b = inst.set_("A").points, inst.set_("B").points
+
+    def gauge(self, name: str, p: Point, q: Point) -> float:
+        """abs(g(p, q)), raising eval_g's error; each value is computed once,
+        p and q being points of A or B or their images (see images)."""
+        key = (name, id(p), id(q))
+        if key not in self.memo:
+            g = self.inst.gauge(name)
+            try:
+                value = evaluate(g.expr, dict(zip(("x1", "x2", "u1", "u2"),
+                                                  (*p.coords, *q.coords))))
+                if not math.isfinite(value):
+                    raise EvalError("non-finite", f"{name}({p}, {q}) = {value!r}")
+                self.memo[key] = abs(value)
+            except EvalError as exc:
+                self.memo[key] = exc
+        value = self.memo[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def images(self) -> list:
+        """f over A in order, raising MapSpec.apply's error at the first
+        point where it raises; computed once."""
+        if "images" not in self.memo:
+            self.memo["images"] = []
+            for p in self.a:
+                env = dict(zip(("x1", "x2"), p.coords))
+                try:
+                    coords = tuple(evaluate(e, env) for e in self.f.exprs)
+                    if not all(map(math.isfinite, coords)):
+                        raise GSpaceError(f"map 'f' produced non-finite image at {p}")
+                except (EvalError, GSpaceError) as exc:
+                    self.memo["images"] = exc
+                    break
+                self.memo["images"].append(Point(coords))
+        images = self.memo["images"]
+        if isinstance(images, Exception):
+            raise images
+        return images
+
+    def level(self, name: str) -> float:
+        return min(self.gauge(name, x, y) for x in self.a for y in self.b)
+
+    def answer(self, kind: str, text: str):
+        spec_kind, name, params = cli.parse_check_spec(text)
+        coef = float(params.get("alpha", params.get("beta", 1.0)))  # berinde: 1
+        if kind == "estimate":
+            coef = None
+        if spec_kind == "banach":
+            return self.banach(name, coef)
+        return self.proximal(name, coef, float(params["N"]))
+
+    def banach(self, name: str, alpha):
+        if alpha is not None and not 0.0 < alpha < 1.0:
+            raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
+        zero, eps = self.tol.eps_zero, self.tol.eps_ineq
+        images = self.images()
+        best = 0.0
+        for x, tx in zip(self.a, images):
+            for y, ty in zip(self.a, images):
+                lhs, den = self.gauge(name, tx, ty), self.gauge(name, x, y)
+                if alpha is None:
+                    if den > zero:
+                        best = max(best, lhs / den)
+                    elif lhs > zero:
+                        return math.inf
+                elif not lhs <= alpha * den + eps:
+                    return CheckReport("banach-contraction", FALSIFIED, {"x": x, "y": y},
+                                       lhs, alpha * den, beta=alpha, n_cap=0.0)
+        if alpha is None:
+            return best
+        return CheckReport("banach-contraction", HOLDS, beta=alpha, n_cap=0.0)
+
+    def proximal(self, name: str, beta, n: float):
+        if beta is not None and not 0.0 < beta <= 1.0:
+            raise GSpaceError(f"beta must lie in (0, 1], got {beta!r}")
+        d_g, zero, eps = self.level(name), self.tol.eps_zero, self.tol.eps_ineq
+        images = self.images()
+        pairs = [(x, u) for x, fx in zip(self.a, images) for u in self.a
+                 if abs(self.gauge(name, u, fx) - d_g) <= self.tol.eps_prox]
+        best = 0.0
+        for x1, u1 in pairs:
+            for x2, u2 in pairs:
+                lhs = self.gauge(name, u1, u2)
+                g_xx, g_xu = self.gauge(name, x1, x2), self.gauge(name, x2, u1)
+                if beta is None:
+                    num = lhs - n * g_xu
+                    if g_xx > zero:
+                        best = max(best, num / g_xx)
+                    elif num > zero:
+                        return math.inf
+                elif not lhs <= beta * g_xx + n * g_xu + eps:
+                    witness = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
+                    return CheckReport(self.check_name(beta), FALSIFIED, witness, lhs,
+                                       beta * g_xx + n * g_xu, beta=beta, n_cap=n)
+        if beta is None:
+            return best
+        return CheckReport(self.check_name(beta), HOLDS, beta=beta, n_cap=n,
+                           vacuous=not pairs)
+
+    @staticmethod
+    def check_name(beta: float) -> str:
+        return "proximal-berinde" if beta == 1.0 else "proximal-weak"
+
+
+def _outcome(answer, *args):
+    """repr of what answer(*args) gives, or the type and message it raises:
+    repr tells apart the bits of every float of a report or an estimate."""
+    try:
+        return repr(answer(*args))
+    except (GSpaceError, EvalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_contraction_answers_alone_and_grouped_match_scalar_loops(seed):
+    rng = random.Random(seed)
+    inst = instance_from_dict(_random_doc(rng))
+    ref = Reference(inst)
+    subjects = _random_subjects(rng)
+    for name in ("g", "h"):
+        # the core's own errors are not under test: a gauge that raises on
+        # A x B keeps its banach subjects only
+        try:
+            ref.level(name)
+        except EvalError:
+            subjects = [(kind, text) for kind, text in subjects
+                        if text.startswith("banach") or text.split(":")[1] != name]
+    want = [_outcome(ref.answer, *s) for s in subjects]
+    alone = [_outcome(cli.Subjects(inst, [s]), *s) for s in subjects]
+    grouped = cli.Subjects(inst, subjects)
+    assert alone == want
+    assert [_outcome(grouped, *s) for s in subjects] == want
