@@ -684,8 +684,8 @@ def cmd_search(args) -> int:
 
 
 def _sweep_values(args) -> list[float]:
-    """--steps values evenly from --lo to --hi; a non-finite end or fewer
-    than one step is an error."""
+    """--steps values evenly from --lo to --hi; a non-finite end, fewer than
+    one step or a span whose multiples overflow a double is an error."""
     lo, hi, steps = args.lo, args.hi, args.steps
     for flag, value in (("--lo", lo), ("--hi", hi)):
         if not math.isfinite(value):
@@ -694,7 +694,10 @@ def _sweep_values(args) -> list[float]:
         raise ConfigError("--steps", f"must be at least 1, got {steps}")
     if steps < 2:
         return [lo]
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("--lo/--hi", f"span overflows, from {lo!r} to {hi!r}")
+    return values
 
 
 @cache  # one per process: main and the fixture runner parse with it many times

@@ -178,6 +178,16 @@ class GFunction:
         )
 
     @cached_property
+    def reads(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The indices of the coordinates the expression names on the x side
+        and on the u side: two points that agree there give every value the
+        same, bit for bit (0*x1 still reads x1)."""
+        names, d = variables(self.expr), range(self.dimension)
+        return tuple(i for i in d if f"x{i + 1}" in names), tuple(
+            i for i in d if f"u{i + 1}" in names
+        )
+
+    @cached_property
     def kernels(self) -> RowKernels:
         """Row kernels over coordinate tuples, compiled on the first scan.
 

@@ -206,30 +206,46 @@ def _estimate(rows, tol: ToleranceSet, sweep: Optional[Sequence[float]], estimat
     return best, [rows.report(v, hit) for v, hit in zip_longest(sweep, hits)]
 
 
+def _firsts(pts: Sequence[Point], images: Sequence[Point], reads) -> list[int]:
+    """The index of the first point in order of each class of pts that agree,
+    and whose images agree, on the coordinates reads."""
+    first: dict = {}
+    for i, pair in enumerate(zip(pts, images)):
+        first.setdefault(tuple(p.coords[k] for p in pair for k in reads), i)
+    return list(first.values())
+
+
 class _BanachRows:
     """The contraction scan: one row per sampled x, its tuples (x, y) over
     the sampled y.  lhs abs(g(Tx, Ty)) and rhs alpha * abs(g(x, y)); the
-    estimate's terms are the two sides at alpha = 1."""
+    estimate's terms are the two sides at alpha = 1.
+
+    Rows and columns are read once per class (see _firsts) of the points g
+    cannot tell apart, x on the coordinates it reads on its x side and y on
+    its u side: a later point of a class holds the same doubles and marks
+    as the first, which comes before it in scan order, so the first hit of
+    every pass, and its fold, are those of the whole scan."""
 
     def __init__(self, g: GFunction, t: MapSpec, seed: int):
         self.g, self.t = g, t
         self.pts = _capped(t.domain.points, t.domain.mode == "box", 2, seed)
         self.images = [t.apply(p) for p in self.pts]
-        self.coords = [p.coords for p in self.pts]
-        self.image_coords = [p.coords for p in self.images]
-        self.count = len(self.pts)
+        self.rows, self.cols = (_firsts(self.pts, self.images, k) for k in g.reads)
+        self.coords = [self.pts[i].coords for i in self.cols]
+        self.image_coords = [self.images[i].coords for i in self.cols]
+        self.count = len(self.rows)
 
     validate = staticmethod(_check_alpha)
 
     def kernel(self, r: int) -> tuple:
         """Marked rows (lhs, a, None), rhs being alpha * a."""
-        k = self.g.kernels
-        lhs = k.marked(repeat(self.images[r].coords), self.image_coords)
-        return lhs, k.marked(repeat(self.pts[r].coords), self.coords), None
+        k, x = self.g.kernels, self.rows[r]
+        lhs = k.marked(repeat(self.images[x].coords), self.image_coords)
+        return lhs, k.marked(repeat(self.pts[x].coords), self.coords), None
 
     def evaluate(self, alpha: float, hit) -> tuple:
-        """(witness, lhs, rhs) at the tuple hit = (row, index)."""
-        r, i = hit
+        """(witness, lhs, rhs) at the tuple hit = (row, column) of the kernel."""
+        r, i = self.rows[hit[0]], self.cols[hit[1]]
         witness = {"x": self.pts[r], "y": self.pts[i]}
         return witness, *banach_sides(
             self.g, self.t, alpha, witness, self.images[r], self.images[i]

@@ -1,7 +1,9 @@
 """Every committed bench record (BENCH_*.json at the root of the checkout)
 backs the speed claim it makes: the claimed workload and metric are those of
-BENCHMARK.json, and the record holds both medians, with the change below the
-parent, and the count of run pairs in which the change read lower."""
+BENCHMARK.json, and the record holds at least ten alternating run pairs, the
+count of them in which the change read lower, at least nine tenths of them,
+and both sides' medians and the parent's quartiles, the medians differing by
+more than the parent's spread q3 - q1."""
 
 from __future__ import annotations
 
@@ -26,6 +28,12 @@ def test_a_bench_record_backs_its_claim(path, declared):
     workload, metric = record["claimed"]["workload"], record["claimed"]["metric"]
     assert workload in {w["name"] for w in declared["workloads"]}
     assert metric in {m["name"] for m in declared["end_to_end"]}
+    pairs = record["workloads"][workload]["pairs"]
     claimed = record["workloads"][workload]["metrics"][metric]
+    parent, change = claimed["parent"], claimed["change"]
     assert isinstance(claimed["change_lower_in"], int)
-    assert claimed["change"]["median"] < claimed["parent"]["median"]
+    assert isinstance(pairs, int) and pairs >= 10
+    # a gain counts when the change reads lower in nine tenths of the pairs
+    # and the medians differ by more than the parent's quartile spread
+    assert 10 * claimed["change_lower_in"] >= 9 * pairs
+    assert parent["median"] - change["median"] > parent["q3"] - parent["q1"]

@@ -941,6 +941,11 @@ def test_search_with_a_bad_swept_value_exits_two(name, check, hi, message, capsy
     (["--lo", "nan", "--steps", "1"], "--lo: must be finite, got nan"),
     (["--steps", "0"], "--steps: must be at least 1, got 0"),
     (["--steps", "-3"], "--steps: must be at least 1, got -3"),
+    # finite ends whose span, or a multiple of it, overflows swept NaN or inf
+    (["--lo=-1e308", "--hi", "1e308", "--steps", "3"],
+     "--lo/--hi: span overflows, from -1e+308 to 1e+308"),
+    (["--lo", "0", "--hi", "1e308", "--steps", "3"],
+     "--lo/--hi: span overflows, from 0.0 to 1e+308"),
 ])
 def test_search_with_a_bad_sweep_flag_exits_two_naming_it(flags, message, capsys):
     # before these were refused, a non-finite end swept NaN and a step count

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,36 @@ PASSES = {
 
 def test_the_rows_of_a_fixture_share_one_pass_per_row_group(fixture_suite):
     assert fixture_suite.passes == PASSES
+
+
+# (fixture, gauge, map): the rows and the columns a contraction scan reads,
+# one point per class of the points the gauge cannot tell apart
+SCAN_SHAPES = {
+    ("box-shift", "g", "f"): (5, 5),  # x1*u1, f x1 = 0: 625 points, 5 classes
+    ("min-contraction", "g", "T"): (21, 21),  # min(x2,u2): 441 points
+    ("min-contraction", "h", "T"): (21, 21),  # x1*u1
+    ("projection-nonunique-fixed", "g", "T"): (21, 21),  # x2 - u2
+    ("halving-on-unit", "g", "T"): (201, 201),  # every point its own class
+}
+
+
+@pytest.mark.parametrize("subject, shape", SCAN_SHAPES.items(),
+                         ids=["-".join(s) for s in SCAN_SHAPES])
+def test_a_contraction_scan_reads_one_point_per_class(subject, shape, monkeypatch):
+    from gproxim.expr import RowKernels
+    from gproxim.properties import estimate_coefficient
+
+    name, gauge, map_name = subject
+    inst = load_fixture_instance(name)
+    lengths, real = [], RowKernels.marked
+
+    def counting(self, P, Q):
+        row = real(self, P, Q)
+        lengths.append(len(row))
+        return row
+
+    monkeypatch.setattr(RowKernels, "marked", counting)
+    # the estimate reads every row: its lhs row, then its rhs row
+    assert math.isfinite(estimate_coefficient(inst.gauge(gauge), inst.map_(map_name), inst.tol))
+    rows, cols = shape
+    assert lengths == [cols] * (2 * rows)

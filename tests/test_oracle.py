@@ -9,21 +9,25 @@ subjects of its example in one cli.Subjects, which gives the subjects that
 read the same rows one pass.  Both must equal the reference, which walks the
 tuples in scan order and evaluates every gauge and map value through
 expr.evaluate: the verdict, the witness and both sides bit for bit, the
-estimate bit for bit, and an error by type and message.
+estimate bit for bit, and an error by type and message.  Quotient inputs in
+dimension 3 and 4 do the same for the banach subjects, whose scan reads one
+point per class of the points the gauge cannot tell apart.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_expr
-from gproxim import cli
+from gproxim import cli, gspace
 from gproxim.config import instance_from_dict
 from gproxim.expr import Binary, EvalError, Unary, Var, evaluate
-from gproxim.gspace import CheckReport, GSpaceError, Point
+from gproxim.gspace import CheckReport, GFunction, GSpaceError, Point, _capped
 
 HOLDS, FALSIFIED = "holds-on-sample", "falsified"
 # the gauges see x1, x2, u1, u2 and the maps x1, x2; random_expr also draws l
@@ -105,8 +109,8 @@ class Reference:
         if key not in self.memo:
             g = self.inst.gauge(name)
             try:
-                value = evaluate(g.expr, dict(zip(("x1", "x2", "u1", "u2"),
-                                                  (*p.coords, *q.coords))))
+                names = GFunction._var_names(self.inst.dimension)
+                value = evaluate(g.expr, dict(zip(names, (*p.coords, *q.coords))))
                 if not math.isfinite(value):
                     raise EvalError("non-finite", f"{name}({p}, {q}) = {value!r}")
                 self.memo[key] = abs(value)
@@ -123,7 +127,7 @@ class Reference:
         if "images" not in self.memo:
             self.memo["images"] = []
             for p in self.a:
-                env = dict(zip(("x1", "x2"), p.coords))
+                env = dict(zip(GFunction._var_names(p.dimension), p.coords))
                 try:
                     coords = tuple(evaluate(e, env) for e in self.f.exprs)
                     if not all(map(math.isfinite, coords)):
@@ -231,3 +235,115 @@ def test_contraction_answers_alone_and_grouped_match_scalar_loops(seed):
     grouped = cli.Subjects(inst, subjects)
     assert alone == want
     assert [_outcome(grouped, *s) for s in subjects] == want
+
+
+# Quotient inputs: a contraction scan reads one point per class of the
+# points its gauge cannot tell apart (see properties._BanachRows).  Here the
+# gauges read a strict subset of the coordinates, possibly other ones on
+# the x side than on the u side; the maps collapse coordinates; and the
+# sets hold many points that share a projection.  Both ends use the cap of
+# gspace._capped, lowered so that the box sets are cut.
+QUOTIENT_CAP = 100  # a box of more than 10 points is cut to 10
+
+
+def _quotient_gauge(rng: random.Random, d: int) -> str:
+    xs = rng.sample(range(1, d + 1), rng.randint(1, d - 1))
+    us = rng.sample(range(1, d + 1), rng.randint(1, d - 1))
+    names = {"x1": f"x{xs[0]}", "x2": f"x{xs[-1]}", "l": f"x{rng.choice(xs)}",
+             "u1": f"u{us[0]}", "u2": f"u{us[-1]}"}
+    return str(_renamed(random_expr(rng, 3), names))
+
+
+def _quotient_map(rng: random.Random, d: int) -> list:
+    """Each coordinate a constant, a copy of a coordinate or an expression."""
+    names = {v: f"x{rng.randint(1, d)}" for v in ("x1", "x2", "u1", "u2", "l")}
+    return [rng.choice(("0", "0.5", f"x{rng.randint(1, d)}",
+                        str(_renamed(random_expr(rng, 2), names))))
+            for _ in range(d)]
+
+
+def _quotient_set(rng: random.Random, d: int) -> dict:
+    if rng.random() < 0.5:  # at most 3 distinct values of each coordinate
+        cells = list(itertools.product(*(rng.sample(COORDS, rng.randint(1, 3))
+                                         for _ in range(d))))
+        return {"points": [list(p) for p in rng.sample(cells, min(len(cells),
+                                                                  rng.randint(1, 12)))]}
+    resolution = [rng.choice((1, 2, 2, 3)) for _ in range(d)]
+    return {"box": [[lo, lo + (r > 1)] for lo, r in zip(rng.choices(COORDS[:4], k=d),
+                                                         resolution)],
+            "resolution": resolution}
+
+
+def _quotient_doc(rng: random.Random) -> dict:
+    d = rng.choice((3, 4))
+    return {
+        "dimension": d,
+        "g": _quotient_gauge(rng, d),
+        "functions": {"h": _quotient_gauge(rng, d)},
+        "sets": dict.fromkeys("AB", _quotient_set(rng, d)),
+        "maps": {"f": {"exprs": _quotient_map(rng, d), "domain": "A", "codomain": "A"}},
+    }
+
+
+# A non-finite gauge value names its points in its error, so the first two
+# plant a first marked tuple whose row and column classes repeat later in
+# scan order, the second also a first violation on such a row; the third
+# reads x2 on the x side and u1 on the u side of an exact set; in the
+# fourth the cap cuts (0, 0, 3), so the first violation, at the column
+# class x3 = 3, names (1, 0, 3).
+PLANTED_QUOTIENTS = [
+    {"g": "1e308 * (x1 + 1) * (u2 + 1)", "f": ["x1", "x3", "x2"],
+     "A": {"box": [[0, 1], [0, 2], [0, 1]], "resolution": [2, 3, 2]}},
+    {"g": "(x3 - u1) * 1e308", "f": ["x2", "x2", "x1 / 2"],
+     "A": {"box": [[0, 2], [0, 1], [-1, 0]], "resolution": [3, 2, 2]}},
+    {"g": "x2 - u1", "f": ["x2", "x3", "x1"],
+     "A": {"points": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 0]]}},
+    {"g": "x3 - u3", "f": ["x1", "x2", "max(0, 1 - abs(x3 - 3)) * 10"],
+     "A": {"box": [[0, 1], [0, 0], [0, 5]], "resolution": [2, 1, 6]}},
+]
+
+
+class QuotientReference(Reference):
+    """Reference over the points of A a pair scan reads under the cap."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.a = _capped(self.a, inst.set_("A").mode == "box", 2, 0)
+
+
+def _quotient_subjects(rng: random.Random) -> list:
+    """Two checks and the estimate under each of g and h, in random order."""
+    subjects = [(kind, f"banach:{name}:map=f{tail}")
+                for name in ("g", "h")
+                for kind, tail in (("check", f":alpha={rng.choice(ALPHAS)!r}"),
+                                   ("check", f":alpha={rng.choice(ALPHAS)!r}"),
+                                   ("estimate", ""))]
+    rng.shuffle(subjects)
+    return subjects
+
+
+def _assert_quotient_answers(doc: dict, subjects: list) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gspace, "MAX_TUPLES", QUOTIENT_CAP)
+        inst = instance_from_dict(doc)
+        ref = QuotientReference(inst)
+        want = [_outcome(ref.answer, *s) for s in subjects]
+        alone = [_outcome(cli.Subjects(inst, [s]), *s) for s in subjects]
+        grouped = cli.Subjects(inst, subjects)
+        assert alone == want
+        assert [_outcome(grouped, *s) for s in subjects] == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_contraction_answers_on_quotient_inputs_match_scalar_loops(seed):
+    rng = random.Random(seed)
+    _assert_quotient_answers(_quotient_doc(rng), _quotient_subjects(rng))
+
+
+@pytest.mark.parametrize("planted", PLANTED_QUOTIENTS, ids=lambda p: p["g"])
+def test_planted_quotient_answers_match_scalar_loops(planted):
+    doc = {"dimension": 3, "g": planted["g"], "functions": {"h": "x3 * u3"},
+           "sets": dict.fromkeys("AB", planted["A"]),
+           "maps": {"f": {"exprs": planted["f"], "domain": "A", "codomain": "A"}}}
+    _assert_quotient_answers(doc, _quotient_subjects(random.Random(planted["g"])))
