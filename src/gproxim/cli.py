@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, NamedTuple, Optional
 
 from .config import ConfigError, Instance, load_instance
@@ -40,11 +40,13 @@ from .gspace import (
 )
 from .fixtures import run_fixtures
 from .properties import (
+    _BanachRows,
+    _check_alpha,
+    _estimate,
+    _proximal_name,
+    _ProximalRows,
     banach_sides,
-    check_banach_contraction,
-    check_proximal_inequality,
     estimate_coefficient,
-    estimate_proximal_coefficient,
     proximal_sides,
 )
 from .solvers import (
@@ -70,7 +72,8 @@ class CheckSpecError(ValueError):
 
 def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
     """Parse "kind[:gauge][:key=value]..." into its parts.  A key that the
-    kind does not read, or a center other than r or s, is an error."""
+    kind does not read or that is given twice, or a center other than r or
+    s, is an error."""
     parts = text.split(":")
     kind = parts[0]
     if kind not in _CHECKS:
@@ -87,6 +90,8 @@ def parse_check_spec(text: str) -> tuple[str, Optional[str], dict[str, str]]:
                 raise CheckSpecError(
                     f"{kind} check reads no key {key!r}; it reads {', '.join(keys)}"
                 )
+            if key in params:
+                raise CheckSpecError(f"key {key!r} given twice in check {text!r}")
             params[key] = value
         elif target is None:
             target = part
@@ -135,8 +140,9 @@ def _need_convex(inst: Instance):
 
 class _Spec:
     """A check spec against an instance, its parts looked up on first use, so
-    a check or a replay asks only for what it needs.  Its proximity core is
-    the instance's (Instance.core), so the specs of one command share it."""
+    a check or a replay asks only for what it needs.  Its proximity core and
+    its contraction rows are the instance's (Instance.memo), so the specs of
+    one command share them."""
 
     def __init__(self, inst: Instance, text: str):
         self.kind, self.target, self.params = parse_check_spec(text)
@@ -207,12 +213,48 @@ class _Spec:
     def n_cap(self) -> float:
         return _param(self.params, "N", 0.0)
 
+    def rows(self, seed: int, check: bool = False) -> tuple:
+        """(rows, coefficient): the contraction rows at seed (a _BanachRows
+        or _ProximalRows of properties), built once per instance for every
+        subject that reads them, and with check the spec's coefficient, else
+        None.  The parts are looked up, and the coefficient checked before a
+        build, in the order check_banach_contraction and
+        check_proximal_inequality take them, so a bad spec's first error is
+        theirs.  The rows' key is the kind family, the gauge, the map, the
+        core of the sets, repr(N) and the seed."""
+        if self.kind == "banach":
+            g, t = self.gauge, self.map
+            coef = self.coef if check else None
+            if check:
+                _check_alpha(coef)
+            key, build = ("banach", g, t, seed), partial(_BanachRows, g, t, seed)
+        else:
+            f = self.map_before_sets
+            coef = self.coef if check else None
+            n_cap, core = self.n_cap, self.core
+            if check:
+                _proximal_name(coef, n_cap)
+            # the core by identity, which the memo keeps alive beside the rows
+            key = ("proximal", f, repr(n_cap), id(core), seed)
+            build = partial(_ProximalRows, f, n_cap, core, seed)
+        return self.inst.memo(key, build), coef
+
 
 class _Check(NamedTuple):
     keys: tuple[str, ...]
     run: Callable[[_Spec, int], object]
     reproduces: Callable[[_Spec, dict, dict], bool]
     sweep: Optional[Callable[[_Spec, int, list], tuple]] = None
+
+
+def _contraction_report(c: _Spec, seed: int):
+    """A contraction check's report, the sweep of its one coefficient."""
+    rows, coef = c.rows(seed, check=True)
+    return _estimate(rows, c.tol, [coef], False)[1][0]
+
+
+def _contraction_sweep(c: _Spec, seed: int, values: list) -> tuple:
+    return _estimate(c.rows(seed)[0], c.tol, values, True)
 
 
 def _same_sides(sides: Callable[[_Spec, dict], tuple]):
@@ -242,13 +284,9 @@ def _group(c: _Spec, *_):
 def _proximal(keys: tuple[str, ...]) -> _Check:
     return _Check(
         keys,
-        lambda c, seed: check_proximal_inequality(
-            c.map_before_sets, c.coef, c.n_cap, c.core, c.tol, seed=seed
-        ),
+        _contraction_report,
         _same_sides(lambda c, wit: proximal_sides(c.gauge, wit, c.coef, c.n_cap)),
-        lambda c, seed, values, estimate=True: estimate_proximal_coefficient(
-            c.map_before_sets, c.n_cap, c.core, c.tol, seed, values, estimate
-        ),
+        _contraction_sweep,
     )
 
 
@@ -256,19 +294,15 @@ def _proximal(keys: tuple[str, ...]) -> _Check:
 # key=value parameters it reads, run gives the report, reproduces tells
 # whether a reported witness replays, and sweep gives the sample estimate of
 # the coefficient that search sweeps with the report at each swept value, in
-# one pass (the estimate None when its last argument is False).
+# one pass over the instance's rows (see _Spec.rows).
 _CHECKS = {
     **{kind: _axiom(kind) for kind in _AXIOM_KINDS},
     "axioms": _Check(("set",), _group, _group),
     "banach": _Check(
         ("map", "alpha"),
-        lambda c, seed: check_banach_contraction(
-            c.gauge, c.map, c.coef, c.tol, seed=seed
-        ),
+        _contraction_report,
         _same_sides(lambda c, wit: banach_sides(c.gauge, c.map, c.coef, wit)),
-        lambda c, seed, values, estimate=True: estimate_coefficient(
-            c.gauge, c.map, c.tol, seed, values, estimate
-        ),
+        _contraction_sweep,
     ),
     "proximal-weak": _proximal(("map", "A", "B", "beta", "N")),
     "berinde": _proximal(("map", "A", "B", "N")),
@@ -309,63 +343,6 @@ def run_check(inst: Instance, spec_text: str, seed: int = 0):
     """Run one named check; returns its CheckReport."""
     c = _Spec(inst, spec_text)
     return _CHECKS[c.kind].run(c, seed)
-
-
-class Subjects:
-    """The answers to one command's subjects (kind, spec) at one seed: a
-    "check" subject gives run_check's report of its spec, an "estimate" one
-    the sample estimate of its coefficient, as search gives it.
-
-    The contraction subjects of one row group share one pass (see
-    properties._scan).  A row group is the kind family (banach, or
-    proximal-weak and berinde), the gauge, the map, the sets A and B, and N.
-    The pass checks every coefficient of the group and folds the estimate
-    only when the group has an estimate subject.  A subject alone in its
-    group, and every subject of a group whose pass raises, is answered on
-    its own, so every answer and the first error are those of the subjects
-    run one by one, in the order asked.
-    """
-
-    def __init__(self, inst: Instance, subjects, seed: int = 0):
-        self.inst, self.seed, self.answers, self.groups = inst, seed, {}, {}
-        for subject in dict.fromkeys(subjects):
-            try:  # a lookup that fails here fails again in the subject's turn
-                c = _Spec(inst, subject[1])
-                if _CHECKS[c.kind].sweep is not None:
-                    rows = (c.map,) if c.kind == "banach" else (c.map, *c.pair)
-                    self.groups[subject] = (*map(id, (c.gauge, *rows)), repr(c.n_cap))
-            except (ConfigError, CheckSpecError):
-                pass
-
-    def __call__(self, kind: str, text: str):
-        subject = (kind, text)
-        group = self.groups.pop(subject, None)
-        members = [subject, *(s for s, g in self.groups.items() if g == group)]
-        for s in members[1:]:
-            del self.groups[s]
-        if len(members) > 1:
-            try:
-                self.answers.update(self._pass(members))
-            except (CheckSpecError, GSpaceError, EvalError):
-                pass  # answered one by one, which raises in turn
-        if subject not in self.answers:
-            c = _Spec(self.inst, text)
-            check = _CHECKS[c.kind]
-            self.answers[subject] = (
-                check.run(c, self.seed) if kind == "check"
-                else check.sweep(c, self.seed, [])[0]
-            )
-        return self.answers[subject]
-
-    def _pass(self, members: list) -> dict:
-        """The answers of a row group's subjects, from one pass."""
-        checks = [s for s in members if s[0] == "check"]
-        values = [_Spec(self.inst, text).coef for _, text in checks]
-        c = _Spec(self.inst, members[0][1])
-        estimate, reports = _CHECKS[c.kind].sweep(
-            c, self.seed, values, len(checks) < len(members)
-        )
-        return {**dict.fromkeys(members, estimate), **dict(zip(checks, reports))}
 
 
 def _expand_specs(specs: list[str]) -> list[str]:
@@ -461,9 +438,8 @@ def cmd_verify(args) -> int:
     specs = _expand_specs(args.checks)
     entries = []
     any_falsified = False
-    answers = Subjects(inst, [("check", text) for text in specs], args.seed)
     for spec_text in specs:
-        report = answers("check", spec_text)
+        report = run_check(inst, spec_text, args.seed)
         entries.append(_report_entry(spec_text, report))
         falsified = report.verdict == "falsified"
         any_falsified = any_falsified or falsified

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .expr import ParseError
 from .gspace import (
@@ -60,7 +60,7 @@ class Instance:
     convex: Optional[ConvexBlock]
     tol: ToleranceSet
     schedule: Optional[Schedule]
-    _cores: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def g(self) -> GFunction:
@@ -78,15 +78,20 @@ class Instance:
         except KeyError:
             raise ConfigError("sets", f"unknown set {name!r}") from None
 
+    def memo(self, key, build: Callable[[], Any]):
+        """build(), computed once per instance under key; a build that raises
+        is not stored, so the next ask raises the same error.  Every check
+        and solve run on a loaded instance, as in one command, shares the
+        proximity cores (see core) and the contraction rows (cli._Spec.rows)
+        kept here, and the memo lives as long as the instance."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def core(self, g: GFunction, a: SampleSet, b: SampleSet) -> ProximalCore:
         """The proximity core of (g, a, b) under the instance's tolerances,
-        computed once per instance: every check and solve run on a loaded
-        instance, as in one command, shares it."""
-        key = (g, a, b, self.tol)
-        core = self._cores.get(key)
-        if core is None:
-            core = self._cores[key] = proximal_core(g, a, b, self.tol)
-        return core
+        computed once per instance (see memo)."""
+        return self.memo((g, a, b, self.tol), lambda: proximal_core(g, a, b, self.tol))
 
     def map_(self, name: Optional[str] = None) -> MapSpec:
         if name is None:
@@ -197,10 +202,11 @@ def _floats(values: Any, path: str) -> tuple[float, ...]:
 
 
 def _whole(value: Any, path: str) -> int:
-    """An int, or a float without a fraction part; a boolean is refused,
-    although float(True) is 1.0."""
+    """An int that a double can hold, or a float without a fraction part; a
+    boolean is refused, although float(True) is 1.0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ConfigError(path, f"expected a whole number, got {value!r}")
+    _double(value, path)
     return int(value)
 
 
@@ -292,14 +298,15 @@ def instance_from_dict(doc: dict) -> Instance:
     for name, spec in _object(doc.get("maps") or {}, "maps").items():
         path = _named("maps", name)
         exprs = _texts(_require(spec, "exprs", path), f"{path}.exprs")
-        dom_name = _require(spec, "domain", path)
-        cod_name = _require(spec, "codomain", path)
-        for sname in (dom_name, cod_name):
+        ends = {key: _require(spec, key, path) for key in ("domain", "codomain")}
+        for key, sname in ends.items():
+            if not isinstance(sname, str):
+                raise ConfigError(f"{path}.{key}", f"expected a set name, got {sname!r}")
             if sname not in sets:
                 raise ConfigError(path, f"unknown set {sname!r}")
         try:
             maps[name] = MapSpec(
-                exprs, sets[dom_name], sets[cod_name], name=name
+                exprs, sets[ends["domain"]], sets[ends["codomain"]], name=name
             )
         except (ParseError, GSpaceError) as exc:
             raise ConfigError(path, str(exc)) from None
@@ -319,7 +326,7 @@ def instance_from_dict(doc: dict) -> Instance:
         s = Point(_floats(_require(spec, "s", "convex"), "convex.s"))
         lams = spec.get("lambda_grid", 11)
         if isinstance(lams, int):
-            if lams < 2:
+            if _double(lams, "convex.lambda_grid") < 2:
                 raise ConfigError("convex.lambda_grid", "need at least 2 values")
             grid = tuple(i / (lams - 1) for i in range(lams))
         else:

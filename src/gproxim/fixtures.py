@@ -65,22 +65,16 @@ _SEQUENCES = {"(1/n, 1)": lambda n: (1.0 / n, 1.0), "1/n": lambda n: 1.0 / n}
 
 class _Run:
     """One fixture's instance, one method per subject kind.  run(kind, *args)
-    evaluates each subject once; the rows share the instance's proximity
-    cores, as the checks of one verify command do, and the checks and
-    estimates of the table's rows are one command's subjects (cli.Subjects),
-    so those that read the same rows share one pass."""
+    evaluates each subject once, in the order the rows ask.  The rows share
+    the instance's memo (Instance.memo), as the checks of one verify command
+    do: its proximity cores, and its contraction rows, so the checks and the
+    estimate that read the same rows build them once."""
 
     def __init__(self, name: str):
         from . import cli  # imported here because cli imports this module
 
         self.cli, self.path = cli, str(fixture_config_path(name))
         self.inst, self.memo = load_instance(self.path), {}
-        subjects = [row[2] for row in _TABLE[name] if isinstance(row[2], tuple)]
-        self.subjects = cli.Subjects(self.inst, [
-            ("estimate" if kind == "estimate" else "check", arg)  # a replay reads a check
-            for kind, arg, *_ in subjects
-            if kind in ("check", "estimate", "replay") and isinstance(arg, str)
-        ])
 
     def __call__(self, kind: str, *args):
         key = repr((kind, args))  # the arguments are literals from the table
@@ -89,10 +83,11 @@ class _Run:
         return self.memo[key]
 
     def check(self, spec: str):
-        return self.subjects("check", spec)
+        return self.cli.run_check(self.inst, spec)
 
     def estimate(self, spec: str) -> float:  # as search gives it at seed 0
-        return self.subjects("estimate", spec)
+        c = self.cli._Spec(self.inst, spec)
+        return self.cli._CHECKS[c.kind].sweep(c, 0, [])[0]
 
     def core(self, spec: str):  # the proximity core of the spec's gauge and sets
         return self.cli._Spec(self.inst, spec).core

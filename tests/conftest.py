@@ -21,32 +21,32 @@ from gproxim.expr import Binary, Expr, Num, Unary, Var
 def fixture_suite():
     """One run of `gproxim fixtures "*"`: its exit code, stdout, wall time,
     the reports the command printed, by fixture name, and by fixture name the
-    estimate flag of each contraction pass it made (see counting_scans)."""
+    contraction rows it built (see counting_builds)."""
     from gproxim import cli, fixtures
 
     real, printed, out = cli.run_fixtures, [], io.StringIO()
-    real_fixture, passes = fixtures.run_fixture, {}
+    real_fixture, builds = fixtures.run_fixture, {}
 
     def recording(pattern):
         printed.extend(real(pattern))
         return printed
 
     def fixture(name):
-        flags[:] = []
+        built[:] = []
         report = real_fixture(name)
-        passes[name] = flags[:]
+        builds[name] = built[:]
         return report
 
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(cli, "run_fixtures", recording)
         mp.setattr(fixtures, "run_fixture", fixture)
-        flags = counting_scans(mp)
+        built = counting_builds(mp)
         t0 = time.perf_counter()
         code = cli.main(["fixtures", "*"])
         elapsed = time.perf_counter() - t0
     return SimpleNamespace(
         code=code, out=out.getvalue(), elapsed=elapsed,
-        reports={rep.name: rep for rep in printed}, passes=passes,
+        reports={rep.name: rep for rep in printed}, builds=builds,
     )
 
 
@@ -73,19 +73,28 @@ def solve_berinde(config: str, *argv: str):
     return cli.solve(load_instance(config), args)[1]
 
 
-def counting_scans(monkeypatch) -> list:
-    """The estimate flag of every contraction pass (properties._scan) from
-    now on, in order."""
-    import gproxim.properties as properties_module
+def counting_builds(monkeypatch) -> list:
+    """Every build of contraction rows (properties._BanachRows and
+    _ProximalRows) from now on, in order, named by its key: ("banach",
+    gauge, map, seed) or ("proximal", gauge, map, A, B, N, seed).  A build
+    that raises is counted too.  N is its repr, as in the rows' key, which
+    tells -0.0 from 0.0."""
+    from gproxim.properties import _BanachRows, _ProximalRows
 
-    flags, real = [], properties_module._scan
+    built, banach, proximal = [], _BanachRows.__init__, _ProximalRows.__init__
 
-    def counting(rows, values, tol, estimate):
-        flags.append(estimate)
-        return real(rows, values, tol, estimate)
+    def banach_rows(self, g, t, seed):
+        built.append(("banach", g.name, t.name, seed))
+        banach(self, g, t, seed)
 
-    monkeypatch.setattr(properties_module, "_scan", counting)
-    return flags
+    def proximal_rows(self, f, n_cap, core, seed):
+        built.append(("proximal", core.g.name, f.name, core.a.name, core.b.name,
+                      repr(n_cap), seed))
+        proximal(self, f, n_cap, core, seed)
+
+    monkeypatch.setattr(_BanachRows, "__init__", banach_rows)
+    monkeypatch.setattr(_ProximalRows, "__init__", proximal_rows)
+    return built
 
 
 def write_config(tmp_path, doc: dict) -> str:

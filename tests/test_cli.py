@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import counting_scans, reflection_doc, solve_berinde, write_config
+from conftest import counting_builds, reflection_doc, solve_berinde, write_config
 from gproxim.cli import main, parse_check_spec
 from gproxim.fixtures import fixture_config_path
 
@@ -229,6 +229,9 @@ class TestVerify:
         ("starshaped:A:centre=r", "starshaped check reads no key 'centre'; it reads set, center"),
         ("starshaped:A:center=q", "center must be r or s, got 'q'"),
         ("starshaped:A:center=", "center must be r or s, got ''"),
+        # a repeated key, whose last value once won in silence
+        ("banach:g:map=T:alpha=0.5:alpha=0.7",
+         "key 'alpha' given twice in check 'banach:g:map=T:alpha=0.5:alpha=0.7'"),
     ])
     def test_bad_check_spec_exits_two_with_one_line(self, quarter, spec, message, capsys):
         assert main(["verify", "--config", quarter, "--checks", spec]) == 2
@@ -385,14 +388,15 @@ def test_replay_reproduces_every_check_kind(name, tmp_path, capsys):
     assert f"replay {spec:<40} MISMATCH" in capsys.readouterr().out
 
 
-# (fixture, specs of one verify, contraction passes it makes): the specs of
-# one row group share a pass; a group with an error answers one by one
+# (fixture, specs of one verify, contraction rows it builds): the specs that
+# read the same rows share one build; a spec that fails before its build,
+# such as one whose coefficient is out of range, stops the command
 GROUPED_VERIFIES = [
     ("min-contraction", ["banach:g:map=T:alpha=0.5", "banach:g:alpha=0.25",
                          "banach:h:map=T:alpha=0.9", "banach:g:map=T:alpha=0.75"], 2),
     ("min-contraction", ["banach:g:alpha=0.5", "banach:g:alpha=0.5"], 1),
     ("min-contraction", ["banach:g:alpha=0.5", "banach:g:alpha=1.5",
-                         "banach:g:alpha=0.25"], 2),
+                         "banach:g:alpha=0.25"], 1),
     ("min-contraction", ["banach:g:alpha=0.5", "banach:nope:alpha=0.5",
                          "banach:g:alpha=0.25"], 1),
     ("min-contraction", ["banach:g:alpha=0.5", "banach:g:map=nope:alpha=0.25"], 1),
@@ -400,7 +404,7 @@ GROUPED_VERIFIES = [
     ("quarter-proximal", ["proximal-weak:g:beta=0.0625:N=0", "berinde:g:N=0",
                           "proximal-weak:g:beta=0.03125:N=0", "proximal-weak:h:beta=0.9:N=1",
                           "berinde:h:N=1", "identity:g", "proximal-weak:g:beta=0.5:N=1"], 3),
-    ("quarter-proximal", ["berinde:g", "proximal-weak:g:beta=2:N=0", "berinde:g:N=0.0"], 2),
+    ("quarter-proximal", ["berinde:g", "proximal-weak:g:beta=2:N=0", "berinde:g:N=0.0"], 1),
     ("quarter-proximal", ["berinde:g:N=0", "berinde:g:N=-0.0", "berinde:g:N=nan"], 2),
     ("quarter-proximal", ["proximal-weak:g:beta=0.5", "proximal-weak:g:beta=x"], 1),
 ]
@@ -408,18 +412,18 @@ GROUPED_VERIFIES = [
 RESOLUTION = {"min-contraction": [5, 5], "quarter-proximal": [1, 17]}
 
 
-@pytest.mark.parametrize("name, specs, passes", GROUPED_VERIFIES)
+@pytest.mark.parametrize("name, specs, builds", GROUPED_VERIFIES)
 def test_verify_answers_a_row_group_in_one_pass_as_one_by_one(
-    name, specs, passes, tmp_path, monkeypatch, capsys
+    name, specs, builds, tmp_path, monkeypatch, capsys
 ):
     import gproxim.cli as cli_module
+    from gproxim.config import load_instance
 
     doc = json.loads(fixture_config_path(name).read_text())
     for spec in doc["sets"].values():
         spec["resolution"] = RESOLUTION[name]
-    report = tmp_path / "r.json"
-    argv = ["verify", "--config", write_config(tmp_path, doc), "--out", str(report),
-            "--checks", *specs]
+    config, report = write_config(tmp_path, doc), tmp_path / "r.json"
+    argv = ["verify", "--config", config, "--out", str(report), "--checks", *specs]
 
     def run():  # exit, stdout, stderr and the JSON report, if written
         code, out = main(argv), capsys.readouterr()
@@ -427,11 +431,36 @@ def test_verify_answers_a_row_group_in_one_pass_as_one_by_one(
         report.unlink(missing_ok=True)
         return code, *out, doc
 
-    flags = counting_scans(monkeypatch)
-    grouped = run()
-    assert (len(flags), any(flags)) == (passes, False)
-    monkeypatch.setattr(cli_module.Subjects, "_pass", lambda self, members: {})
-    assert grouped == run()
+    built = counting_builds(monkeypatch)
+    shared = run()
+    assert len(built) == len(set(built)) == builds
+    real = cli_module.run_check  # each spec on a fresh instance of the config
+    monkeypatch.setattr(cli_module, "run_check",
+                        lambda inst, text, seed: real(load_instance(config), text, seed))
+    assert shared == run()
+
+
+@pytest.mark.parametrize("specs", [["banach:g:alpha=0.5", "banach:g:alpha=0.25"],
+                                   ["proximal-weak:g:beta=0.5", "berinde:g"]])
+def test_a_rows_build_that_raises_raises_again_for_the_next_subject(specs, monkeypatch):
+    # T's image of 1 overflows: the build raises and is not kept, so the next
+    # spec that reads the same rows builds them again and raises alike
+    from gproxim.cli import run_check
+    from gproxim.config import instance_from_dict
+    from gproxim.gspace import GSpaceError
+
+    one = {"points": [[0], [1]]}
+    inst = instance_from_dict({"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": one, "B": one},
+                               "maps": {"T": {"exprs": ["x1*1e308*10"], "domain": "A",
+                                              "codomain": "B"}}})
+    built, errors = counting_builds(monkeypatch), []
+    for spec in specs:
+        with pytest.raises(GSpaceError) as info:
+            run_check(inst, spec)
+        errors.append((type(info.value), str(info.value)))
+    assert len(built) == 2 and len(set(built)) == 1
+    assert errors == [errors[0]] * 2
+    assert errors[0][1].startswith("map 'T' produced non-finite image at ")
 
 
 def test_one_proximity_core_per_command(tmp_path, monkeypatch, capsys):
@@ -704,6 +733,14 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
     ({"functions": {"h=1": "abs(x1-u1)"}}, "functions.h=1", SPEC_NAME),
     ({"maps": {"T:x": {"exprs": ["x1"], "domain": "A", "codomain": "A"}}}, "maps.T:x",
      SPEC_NAME),
+    ({"maps": {"T": {"exprs": ["x1"], "domain": ["A"], "codomain": "A"}}}, "maps.T.domain",
+     "expected a set name, got ['A']"),
+    ({"maps": {"T": {"exprs": ["x1"], "domain": "A", "codomain": {"A": 1}}}},
+     "maps.T.codomain", "expected a set name, got {'A': 1}"),
+    ({"sets": {"A": {"box": [[0, 1]], "resolution": [10 ** 400]}}}, "sets.A.resolution",
+     "integer too large for a double"),
+    ({"sets": {"A": {"box": [[0, 1]], "resolution": 10 ** 400}}}, "sets.A.resolution",
+     "integer too large for a double"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
@@ -712,7 +749,9 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
         "nan-eps-ineq", "infinite-eps-ineq", "minus-infinite-eps-ineq",
         "nan-eps-zero", "infinite-eps-zero", "nan-eps-prox", "infinite-eps-prox",
         "negative-eps-zero", "zero-eps-prox", "negative-eps-ineq", "zero-tail-len",
-        "set-name-with-colon", "function-name-with-equals", "map-name-with-colon"])
+        "set-name-with-colon", "function-name-with-equals", "map-name-with-colon",
+        "map-domain-not-a-name", "map-codomain-not-a-name", "huge-integer-resolution",
+        "huge-integer-scalar-resolution"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(
     patch, path, message, tmp_path, capsys
 ):
@@ -724,6 +763,28 @@ def test_config_of_the_wrong_shape_exits_two_with_one_line(
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     if message is not None:
         assert err == f"error: {path}: {message}\n"
+
+
+def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(tmp_path):
+    # a grid of 10**400 points was once materialised; the child runs under an
+    # address-space limit, so a regression fails it instead of filling memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cfg = write_config(tmp_path, {
+        "dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}},
+        "convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
+                   "lambda_grid": 10 ** 400},
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "gproxim.cli", "verify", "--config", cfg,
+         "--checks", "identity:g"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: convex.lambda_grid: integer too large for a double\n")
 
 
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-prox"])
@@ -821,14 +882,18 @@ def test_the_battery_passes_solves_seed_to_its_checks(tmp_path, monkeypatch):
     import gproxim.cli as cli_module
 
     seeds = []
-    for name in ("check_convex_structure", "check_proximal_inequality"):
-        real = getattr(cli_module, name)
+    convex, rows = cli_module.check_convex_structure, cli_module._ProximalRows
 
-        def recording(*args, real=real, seed=0, **kwargs):
-            seeds.append(seed)
-            return real(*args, seed=seed, **kwargs)
+    def convex_seed(*args, seed=0, **kwargs):
+        seeds.append(seed)
+        return convex(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(cli_module, name, recording)
+    def rows_seed(f, n_cap, core, seed):  # the berinde item's rows
+        seeds.append(seed)
+        return rows(f, n_cap, core, seed)
+
+    monkeypatch.setattr(cli_module, "check_convex_structure", convex_seed)
+    monkeypatch.setattr(cli_module, "_ProximalRows", rows_seed)
     doc = reflection_doc()
     doc["convex"]["lambda_grid"] = 3  # a cheap battery: only the seeds matter
     solve_berinde(write_config(tmp_path, doc), "--seed", "7", "--stages", "1")

@@ -115,14 +115,14 @@ def test_a_missing_witness_fails_its_replay_and_keeps_the_row(monkeypatch):
     from gproxim import cli
     from gproxim.gspace import CheckReport
 
-    real = cli.check_proximal_inequality
+    check = cli._CHECKS["proximal-weak"]
 
-    def holds_under_h(f, beta, n_cap, core, *args, **kwargs):
-        if core.g.name == "h":
+    def holds_under_h(c, seed):
+        if c.gauge.name == "h":
             return CheckReport("proximal-weak", "holds-on-sample")
-        return real(f, beta, n_cap, core, *args, **kwargs)
+        return check.run(c, seed)
 
-    monkeypatch.setattr(cli, "check_proximal_inequality", holds_under_h)
+    monkeypatch.setitem(cli._CHECKS, "proximal-weak", check._replace(run=holds_under_h))
     report = run_fixture("quarter-proximal")
     assert len(report.outcomes) == 6
     assert [(o.label, o.detail) for o in report.outcomes if not o.passed] == [
@@ -144,26 +144,31 @@ def test_a_missing_battery_item_fails_and_keeps_the_row(monkeypatch):
     ]
 
 
-# Per fixture, the estimate flag of each contraction pass it makes: the
-# checks and the estimate that read the same rows share one pass, and a pass
-# without an estimate subject skips the estimate's terms.
-PASSES = {
+# Per fixture, the contraction rows it builds, by key (see counting_builds):
+# the checks and the estimate that read the same rows share the instance's
+# build, so each key is built once.  The staged scheme of berinde-reflection
+# checks each of its ten stage maps on rows of its own.
+_STAGES = [("proximal", "g", f"H(s,f,{1 / n})", "A", "B", "0.0", 0) for n in range(2, 12)]
+ROW_BUILDS = {
     "xu-nonunique-limits": [],
-    "min-contraction": [True, False],  # g: a check and the estimate; h: a check
-    "box-shift": [True],
-    "halving-on-unit": [True],
-    "projection-nonunique-fixed": [False],
-    "quarter-proximal": [True, False],  # g: N = 0; h: N = 1
-    "finite-sets": [False, False],  # g and the metric
+    "min-contraction": [("banach", "g", "T", 0), ("banach", "h", "T", 0)],
+    "box-shift": [("banach", "g", "f", 0)],  # the check and the estimate
+    "halving-on-unit": [("banach", "g", "T", 0)],
+    "projection-nonunique-fixed": [("banach", "g", "T", 0)],
+    "quarter-proximal": [("proximal", "g", "T", "A", "B", "0.0", 0),
+                         ("proximal", "h", "T", "A", "B", "1.0", 0)],
+    "finite-sets": [("proximal", "g", "f", "A", "B", "1.0", 0),
+                    ("proximal", "metric", "f", "A", "B", "1.0", 0)],
     "g-closed-halfline": [],
     "segment-bpp": [],
-    "berinde-reflection": [False] * 11,  # the battery's item and ten stages
+    "berinde-reflection": [("proximal", "g", "f", "A", "B", "0.0", 0), *_STAGES],
     "parallel-segments": [],
 }
 
 
-def test_the_rows_of_a_fixture_share_one_pass_per_row_group(fixture_suite):
-    assert fixture_suite.passes == PASSES
+def test_a_fixture_builds_each_row_key_once(fixture_suite):
+    assert fixture_suite.builds == ROW_BUILDS
+    assert all(len(set(keys)) == len(keys) for keys in ROW_BUILDS.values())
 
 
 # (fixture, gauge, map): the rows and the columns a contraction scan reads,

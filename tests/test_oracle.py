@@ -4,9 +4,10 @@ scans.
 Random small instances draw a gauge g, a second gauge h and a map f from
 conftest.random_expr, over exact and box sets A and B in the plane.  Each
 subject, a check or an estimate of the banach, proximal-weak or berinde
-kind, is answered by the command line's code twice: alone, and among all the
-subjects of its example in one cli.Subjects, which gives the subjects that
-read the same rows one pass.  Both must equal the reference, which walks the
+kind, is answered by the command line's code twice: alone, on an instance
+of its own, and in turn with all the subjects of its example on one shared
+instance, whose memo gives the subjects that read the same rows one build of
+them (see cli._Spec.rows).  Both must equal the reference, which walks the
 tuples in scan order and evaluates every gauge and map value through
 expr.evaluate: the verdict, the witness and both sides bit for bit, the
 estimate bit for bit, and an error by type and message.  Quotient inputs in
@@ -206,6 +207,25 @@ class Reference:
         return "proximal-berinde" if beta == 1.0 else "proximal-weak"
 
 
+def _answer(inst, kind: str, text: str):
+    """The command line's answer to a subject: run_check's report of a
+    check, the estimate of its sweep, as search gives it, of an estimate."""
+    if kind == "check":
+        return cli.run_check(inst, text)
+    c = cli._Spec(inst, text)
+    return cli._CHECKS[c.kind].sweep(c, 0, [])[0]
+
+
+def _assert_answers(doc: dict, ref: Reference, subjects: list) -> None:
+    """Each subject alone on a fresh instance of doc, and all of them in
+    order on one shared instance, answer as the reference does."""
+    want = [_outcome(ref.answer, *s) for s in subjects]
+    alone = [_outcome(_answer, instance_from_dict(doc), *s) for s in subjects]
+    shared = instance_from_dict(doc)
+    assert alone == want
+    assert [_outcome(_answer, shared, *s) for s in subjects] == want
+
+
 def _outcome(answer, *args):
     """repr of what answer(*args) gives, or the type and message it raises:
     repr tells apart the bits of every float of a report or an estimate."""
@@ -219,8 +239,8 @@ def _outcome(answer, *args):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_contraction_answers_alone_and_grouped_match_scalar_loops(seed):
     rng = random.Random(seed)
-    inst = instance_from_dict(_random_doc(rng))
-    ref = Reference(inst)
+    doc = _random_doc(rng)
+    ref = Reference(instance_from_dict(doc))
     subjects = _random_subjects(rng)
     for name in ("g", "h"):
         # the core's own errors are not under test: a gauge that raises on
@@ -230,11 +250,7 @@ def test_contraction_answers_alone_and_grouped_match_scalar_loops(seed):
         except EvalError:
             subjects = [(kind, text) for kind, text in subjects
                         if text.startswith("banach") or text.split(":")[1] != name]
-    want = [_outcome(ref.answer, *s) for s in subjects]
-    alone = [_outcome(cli.Subjects(inst, [s]), *s) for s in subjects]
-    grouped = cli.Subjects(inst, subjects)
-    assert alone == want
-    assert [_outcome(grouped, *s) for s in subjects] == want
+    _assert_answers(doc, ref, subjects)
 
 
 # Quotient inputs: a contraction scan reads one point per class of the
@@ -325,13 +341,7 @@ def _quotient_subjects(rng: random.Random) -> list:
 def _assert_quotient_answers(doc: dict, subjects: list) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gspace, "MAX_TUPLES", QUOTIENT_CAP)
-        inst = instance_from_dict(doc)
-        ref = QuotientReference(inst)
-        want = [_outcome(ref.answer, *s) for s in subjects]
-        alone = [_outcome(cli.Subjects(inst, [s]), *s) for s in subjects]
-        grouped = cli.Subjects(inst, subjects)
-        assert alone == want
-        assert [_outcome(grouped, *s) for s in subjects] == want
+        _assert_answers(doc, QuotientReference(instance_from_dict(doc)), subjects)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
