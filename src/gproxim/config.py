@@ -333,6 +333,8 @@ def instance_from_dict(doc: dict) -> Instance:
             grid = _floats(lams, "convex.lambda_grid")
         if 0.0 not in grid or 1.0 not in grid:
             raise ConfigError("convex.lambda_grid", "grid must include 0 and 1")
+        if not all(0.0 <= lam <= 1.0 for lam in grid):
+            raise ConfigError("convex.lambda_grid", "values must lie in [0, 1]")
         convex = ConvexBlock(h, r, s, grid)
 
     tol_spec = dict(_object(doc.get("tolerances") or {}, "tolerances"))

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import count, cycle, repeat
+from operator import length_hint
 from textwrap import indent
 from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
@@ -519,6 +520,10 @@ class RowKernels:
     side at index k is LA[k % len(LA)] + MB[k]: it is the first k at which
     not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
     value stops it as a violation does, so every right side must be finite.
+    The loop numbers no tuple but the failing one: MB, which must be a list
+    or a tuple, is zip's last argument, read through an iterator that zip
+    has advanced once per tuple, so k is len(MB) - 1 less what length_hint
+    says that iterator has left.
 
     Both loops run the text of e (see _gen) with no typed fallback, so
     where evaluate raises its EvalError they raise that or a bare
@@ -548,13 +553,12 @@ class RowKernels:
 
         def loop(body: str, targets: list[str], rows: list[str]) -> str:
             each = ", ".join(targets + ["_la", "_mb"])
-            scan = ", ".join(rows + ["cycle(_LA)", "_MB"])
-            return (
-                f"    for _i, ({each}) in enumerate(zip({scan})):\n"
-                f"        if not {body} <= _la + _mb + _eps:\n"
-                "            return _i\n"
-                "    return -1\n"
-            )
+            scan = ", ".join(rows + ["cycle(_LA)", "_rest"])
+            return ("    _rest = iter(_MB)\n"
+                    f"    for {each} in zip({scan}):\n"
+                    f"        if not {body} <= _la + _mb + _eps:\n"
+                    "            return len(_MB) - 1 - length_hint(_rest)\n"
+                    "    return -1\n")
 
         return _compile_rows("first_violation", ", _LA, _MB, _eps", loop, *self.tree)
 
@@ -607,10 +611,10 @@ def _names(names: Sequence[str]) -> str:
 
 _KERNEL_GLOBALS = dict(
     inf=math.inf,  # repr() writes a literal that overflows a double, such as 1e999, as inf
-    abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals,
+    abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals, len=len,
     min=min, max=max, sum=sum, isfinite=math.isfinite, nextafter=math.nextafter,
-    zip=zip, enumerate=enumerate, isinstance=isinstance, next=next, repeat=repeat,
-    cycle=cycle, ArithmeticError=ArithmeticError, ValueError=ValueError,
+    zip=zip, isinstance=isinstance, next=next, repeat=repeat, cycle=cycle, iter=iter,
+    length_hint=length_hint, ArithmeticError=ArithmeticError, ValueError=ValueError,
     __builtins__={},
 )
 

@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, count, cycle, repeat
+from operator import length_hint
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -697,7 +698,8 @@ def falsify_axiom(
         # One abs(g) matrix over the scanned points, with a 0.0 diagonal that
         # g never sees.  For a pair (x, y), z = y then fails only when
         # abs(g(x, y)) is marked, and z = x is skipped: its entry abs(g(y, x))
-        # is not the pair's to evaluate.
+        # is not the pair's to evaluate.  zip reads rest, row y, last, once
+        # per z, so only a failing z is numbered, from what rest has left.
         matrix = []
         for i, c in enumerate(coords):
             row = g.kernels.marked(repeat(c), coords[:i] + coords[i + 1:])
@@ -705,17 +707,15 @@ def falsify_axiom(
             matrix.append(row)
         eps = tol.eps_ineq
         for i, x in enumerate(pts):
-            for k, y in enumerate(pts):
+            for k, (y, gxy) in enumerate(zip(pts, matrix[i])):
                 if y.coords == x.coords:
                     continue
-                gxy = matrix[i][k]
-                m = next(
-                    (m for m, (a, b) in enumerate(zip(matrix[i], matrix[k]))
-                     if not a <= gxy + b + eps and m != i),
-                    -1,
-                )
-                if m >= 0:
-                    return falsified({"x": x, "y": y, "z": pts[m]})
+                rest = iter(matrix[k])
+                for a, b in zip(matrix[i], rest):
+                    if not a <= gxy + b + eps:
+                        m = len(pts) - 1 - length_hint(rest)
+                        if m != i:
+                            return falsified({"x": x, "y": y, "z": pts[m]})
     else:
         raise GSpaceError(f"unknown axiom kind {kind!r}")
     return CheckReport(f"{kind}-axiom", _HOLDS)
@@ -931,6 +931,14 @@ def _capped(
     return _subsampled(items, max(2, int(cap ** (1 / arity))), seed)
 
 
+def _lambdas(grid: Sequence[float]) -> list[float]:
+    """grid as a list, a GSpaceError unless every value lies in [0, 1], the
+    range of H's parameter; -0.0 lies in it."""
+    if all(0.0 <= lam <= 1.0 for lam in grid):
+        return list(grid)
+    raise GSpaceError("lambda grid values must lie in [0, 1]")
+
+
 def check_convex_structure(
     h: ConvexStructure,
     g: GFunction,
@@ -946,7 +954,7 @@ def check_convex_structure(
     interpolants by the mix of the endpoint gauges.  Tuple scans are capped
     by subsampling each axis deterministically.
     """
-    lams = list(lambda_grid)
+    lams = _lambdas(lambda_grid)
     if 0.0 not in lams or 1.0 not in lams:
         raise GSpaceError("lambda grid must include 0 and 1")
     pts = s.points
@@ -1071,7 +1079,7 @@ def check_starshaped(
     band = max(1e-9, tol.eps_prox)
     if not a.contains(r, band):
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
-    lams = list(lambda_grid)
+    lams = _lambdas(lambda_grid)
     row, failed = h.rows(r, a.points, lams)
     stop = min(failed, default=len(row))  # apply raises again there
     k = next((k for k in range(stop) if not a._has(row[k], band)), stop)

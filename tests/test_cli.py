@@ -741,6 +741,14 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
      "integer too large for a double"),
     ({"sets": {"A": {"box": [[0, 1]], "resolution": 10 ** 400}}}, "sets.A.resolution",
      "integer too large for a double"),
+    ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
+                 "lambda_grid": [0, 1, 2]}}, "convex.lambda_grid", "values must lie in [0, 1]"),
+    ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
+                 "lambda_grid": [-0.5, 0, 1]}}, "convex.lambda_grid",
+     "values must lie in [0, 1]"),
+    ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
+                 "lambda_grid": [0, math.nan, 1]}}, "convex.lambda_grid",
+     "values must lie in [0, 1]"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
@@ -751,7 +759,8 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
         "negative-eps-zero", "zero-eps-prox", "negative-eps-ineq", "zero-tail-len",
         "set-name-with-colon", "function-name-with-equals", "map-name-with-colon",
         "map-domain-not-a-name", "map-codomain-not-a-name", "huge-integer-resolution",
-        "huge-integer-scalar-resolution"])
+        "huge-integer-scalar-resolution", "lambda-above-one", "lambda-below-zero",
+        "nan-lambda"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(
     patch, path, message, tmp_path, capsys
 ):

@@ -78,6 +78,12 @@ class TestErrors:
             ),
             (lambda d: d.update(tolerances={"eps_prox": -1}), "tolerances"),
             (lambda d: d.update(schedule={"values": [0.5, 0.7]}), "schedule"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
+                                        "lambda_grid": [0, 1, 2]}),
+             "convex.lambda_grid: values must lie in [0, 1]"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
+                                        "lambda_grid": [-0.5, 0, 1]}),
+             "convex.lambda_grid: values must lie in [0, 1]"),
         ],
     )
     def test_bad_documents_carry_a_path(self, mutate, path_fragment):
@@ -102,6 +108,15 @@ class TestErrors:
         }
         with pytest.raises(ConfigError):
             instance_from_dict(doc)
+
+
+    def test_lambda_grid_takes_minus_zero_as_its_zero(self):
+        doc = minimal_doc()
+        doc["convex"] = {
+            "exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
+            "lambda_grid": [-0.0, 0.5, 1.0],
+        }
+        assert instance_from_dict(doc).convex.lambda_grid == (-0.0, 0.5, 1.0)
 
 
 class TestRoundTrip:

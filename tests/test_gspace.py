@@ -399,6 +399,27 @@ class TestStarshaped:
             check_starshaped(ConvexStructure(("l*x1 + (1-l)*u1",)), a, P(5), LAMBDAS, TOL)
 
 
+@pytest.mark.parametrize("lams", [(0.0, 1.0, 2.0), (-0.5, 0.0, 1.0), (0.0, math.nan, 1.0)],
+                         ids=["above-one", "below-zero", "nan"])
+def test_a_lambda_outside_the_unit_interval_raises(lams):
+    # lambda 2 once made both checks report FALSIFIED with a negative rhs
+    g = GFunction("x1 - u1", 1)
+    s = SampleSet.from_points([0.0, 0.5, 1.0])
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    for check in (lambda: check_convex_structure(h, g, s, lams, TOL),
+                  lambda: check_starshaped(h, s, P(0), lams, TOL)):
+        with pytest.raises(GSpaceError, match=r"lambda grid values must lie in \[0, 1\]"):
+            check()
+
+
+def test_minus_zero_is_a_lambda_of_the_unit_interval():
+    g = GFunction("x1 - u1", 1)
+    s = SampleSet.from_points([0.0, 0.5, 1.0])
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    assert check_convex_structure(h, g, s, (-0.0, 0.5, 1.0), TOL).holds
+    assert check_starshaped(h, s, P(0), (-0.0, 1.0), TOL).holds
+
+
 class TestSideCondition:
     def test_degenerate_pair_holds(self):
         g = GFunction("x2 - u2", 2)

@@ -342,6 +342,51 @@ def test_first_violation_stops_at_nan_and_inf():
     assert kernels.first_violation(P, [(0.5,)] * 3, LA, R, 0.0) == -1
 
 
+# first_violation numbers only the failing tuple, from what is left of MB;
+# an enumerated loop over the scalar values must find the same index.  The
+# first gauge's kernel takes the outer abs, the second's leaves it out.
+INDEX_GAUGES = ["x1 - u1 + x2*u2", "abs(x1 - u1) + x2*x2"]
+
+
+def _enumerated_first(values, LA, MB, eps):
+    for k, (v, mb) in enumerate(zip(values, MB)):
+        if not v <= LA[k % len(LA)] + mb + eps:
+            return k
+    return -1
+
+
+@pytest.mark.parametrize("seq", [list, tuple])
+@pytest.mark.parametrize("hit", ["first", "last", "nan", "none"])
+@pytest.mark.parametrize("width", [1, 11])
+@pytest.mark.parametrize("bound", ["P", "Q", None], ids=["P-bound", "Q-bound", "unpacked"])
+@pytest.mark.parametrize("text", INDEX_GAUGES, ids=["outer-abs", "no-outer-abs"])
+def test_first_violation_index_matches_an_enumerated_loop(text, bound, width, hit, seq):
+    e = parse(text)
+    kernels = compile_row_kernels(e, ("x1", "x2"), ("u1", "u2"))
+    rng = random.Random(f"{text}{bound}{width}{hit}")
+    n = 3 * width
+    P = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    Q = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    if bound == "P":
+        P = [P[0]] * n
+    elif bound == "Q":
+        Q = [Q[0]] * n
+    at = {"first": 0, "last": n - 1, "nan": n // 2, "none": -1}[hit]
+    if hit == "nan":  # a coordinate on the side that is unpacked per tuple
+        side = P if bound == "Q" else Q
+        side[at] = (math.nan, side[at][1])
+    values = [abs(evaluate(e, dict(zip(("x1", "x2", "u1", "u2"), p + q))))
+              for p, q in zip(P, Q)]
+    LA = [rng.uniform(0, 1) for _ in range(width)]
+    # every tuple holds by 1, but the one a hit at a finite value plants
+    MB = [v - LA[k % width] + (-1.0 if k == at else 1.0)
+          for k, v in enumerate(values)]
+    MB = [mb if math.isfinite(mb) else 0.0 for mb in MB]
+    rows = [repeat(P[0]) if bound == "P" else P, repeat(Q[0]) if bound == "Q" else Q]
+    got = kernels.first_violation(*rows, seq(LA), seq(MB), 1e-9)
+    assert got == _enumerated_first(values, LA, MB, 1e-9) == at
+
+
 def test_holding_scans_do_not_go_through_eval_g(monkeypatch):
     calls = []
 
@@ -756,13 +801,15 @@ def test_fused_convex_h_raising_in_a_q_row_of_condition_two(monkeypatch):
 @pytest.mark.parametrize("plant, verdict", [
     ("", HOLDS),
     (f" + 5e306*{_hat('u1', 1 / 16)}", FALSIFIED),
-    (f" + 1e308*{_hat('u1', -1 / 8)}", "non-finite"),
+    (f" + 1e308*{_hat('u1', 1 / 16)}", "non-finite"),
 ], ids=["holds", "violated", "left-side-infinite"])
 def test_fused_convex_right_sides_overflowing(plant, verdict):
-    # lambda 2 makes 2 * |g| = 1.8e308 overflow to inf on every right side,
-    # while every left side stays at most 9.5e307, except where the last
-    # plant puts an infinite one: at H(0, 1/8, 2) = -1/8, under lambda 2
-    got = _fused(GFunction("9e307 + 0*x1" + plant, 1), lams=[0.0, 0.5, 1.0, 2.0])
+    # Under a lambda in [0, 1] no right side lam*|g| + (1-lam)*|g| of a
+    # finite |g| = 9e307 overflows, but their magnitudes sum past the largest
+    # double, so the marked row runs in place of the fused loop.  Every left
+    # side stays at most 9.5e307, except where the last plant puts an
+    # infinite one: at H(0, 1/8, 1/2) = 1/16.
+    got = _fused(GFunction("9e307 + 0*x1" + plant, 1), lams=[0.0, 0.5, 1.0])
     assert (got[1][0] if got[0] == "ok" else got[2]) == verdict
 
 

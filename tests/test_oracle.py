@@ -1,5 +1,5 @@
-"""The contraction class against scalar loops that share no code with the
-scans.
+"""The contraction class, the axioms and the convex structure against
+scalar loops that share no code with the scans.
 
 Random small instances draw a gauge g, a second gauge h and a map f from
 conftest.random_expr, over exact and box sets A and B in the plane.  Each
@@ -12,7 +12,9 @@ tuples in scan order and evaluates every gauge and map value through
 expr.evaluate: the verdict, the witness and both sides bit for bit, the
 estimate bit for bit, and an error by type and message.  Quotient inputs in
 dimension 3 and 4 do the same for the banach subjects, whose scan reads one
-point per class of the points the gauge cannot tell apart.
+point per class of the points the gauge cannot tell apart.  The identity,
+symmetry, triangle and convex-structure checks have a reference of their
+own at the end, GeometryReference.
 """
 
 from __future__ import annotations
@@ -357,3 +359,214 @@ def test_planted_quotient_answers_match_scalar_loops(planted):
            "sets": dict.fromkeys("AB", planted["A"]),
            "maps": {"f": {"exprs": planted["f"], "domain": "A", "codomain": "A"}}}
     _assert_quotient_answers(doc, _quotient_subjects(random.Random(planted["g"])))
+
+
+# The axiom and convex kinds.  A reference of its own walks the tuples of
+# identity, symmetry, triangle and both convex conditions in scan order and
+# evaluates every gauge and H value through expr.evaluate, raising what
+# eval_g and ConvexStructure.apply raise.  Boxes of more than 32 points, a
+# violation at the last z of a pair, and a gauge that raises at g(y, x) but
+# not at g(x, y), which the triangle scan must not read for the pair (x, y),
+# are among the inputs.
+AXIOMS = ("identity", "symmetry", "triangle")
+
+
+class GeometryReference:
+    """The answers of scalar loops over expr.evaluate for the gauge g and
+    the convex structure of an instance."""
+
+    def __init__(self, inst):
+        self.inst, self.tol, self.memo = inst, inst.tol, {}
+        self.g = inst.gauge("g")
+
+    def gauge(self, p: Point, q: Point) -> float:
+        """abs(g(p, q)), raising eval_g's error; each value is computed once,
+        p and q being points of a set or images kept by image."""
+        key = (id(p), id(q))
+        if key not in self.memo:
+            names = GFunction._var_names(p.dimension)
+            try:
+                value = evaluate(self.g.expr, dict(zip(names, (*p.coords, *q.coords))))
+                if not math.isfinite(value):
+                    raise EvalError("non-finite", f"g({p}, {q}) = {value!r}")
+                self.memo[key] = abs(value)
+            except EvalError as exc:
+                self.memo[key] = exc
+        return self._value(key)
+
+    def image(self, x: Point, y: Point, lam: float) -> Point:
+        """H(x, y, lam), raising ConvexStructure.apply's error."""
+        key = (id(x), id(y), lam.hex())
+        if key not in self.memo:
+            names = GFunction._var_names(x.dimension) + ("l",)
+            env = dict(zip(names, (*x.coords, *y.coords, lam)))
+            try:
+                coords = tuple(evaluate(e, env) for e in self.inst.convex.h.exprs)
+                if not all(map(math.isfinite, coords)):
+                    raise EvalError("non-finite", f"H({x}, {y}, {lam!r})")
+                self.memo[key] = Point(coords)
+            except EvalError as exc:
+                self.memo[key] = exc
+        return self._value(key)
+
+    def _value(self, key):
+        value = self.memo[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def axiom(self, kind: str, pts) -> CheckReport:
+        zero, eps = self.tol.eps_zero, self.tol.eps_ineq
+
+        def falsified(witness, lhs, rhs, note=""):
+            return CheckReport(f"{kind}-axiom", FALSIFIED, witness, lhs, rhs, note=note)
+
+        for i, x in enumerate(pts):
+            for k, y in enumerate(pts):
+                if k == i or (kind == "symmetry" and k < i):
+                    continue
+                gxy = self.gauge(x, y)
+                if kind == "identity" and not gxy > zero:
+                    return falsified({"x": x, "y": y}, gxy, zero,
+                                     "distinct points at zero gauge level")
+                if kind == "symmetry":
+                    lhs = abs(gxy - self.gauge(y, x))
+                    if not lhs <= eps:
+                        return falsified({"x": x, "y": y}, lhs, eps)
+                if kind == "triangle":
+                    for m, z in enumerate(pts):
+                        if m in (i, k):
+                            continue
+                        lhs = self.gauge(x, z)
+                        rhs = gxy + self.gauge(y, z)
+                        if not lhs <= rhs + eps:
+                            return falsified({"x": x, "y": y, "z": z}, lhs, rhs)
+        return CheckReport(f"{kind}-axiom", HOLDS)
+
+    def convex(self, pts) -> CheckReport:
+        """Both conditions over every point of pts; the lambdas in the
+        order the check scans them, sorted, with 0 and 1."""
+        lams = sorted(set(self.inst.convex.lambda_grid) | {0.0, 1.0})
+        eps = self.tol.eps_ineq
+
+        def falsified(witness, lhs, rhs, note):
+            return CheckReport("convex-structure", FALSIFIED, witness, lhs, rhs, note=note)
+
+        for x0 in pts:
+            # the check reads the endpoint gauges of x0 first, a row each
+            gx = [self.gauge(x0, x) for x in pts]
+            gy = [self.gauge(x0, y) for y in pts]
+            for i, x in enumerate(pts):
+                for j, y in enumerate(pts):
+                    for lam in lams:
+                        lhs = self.gauge(x0, self.image(x, y, lam))
+                        rhs = lam * gx[i] + (1 - lam) * gy[j]
+                        if not lhs <= rhs + eps:
+                            witness = {"x0": x0, "x": x, "y": y, "lam": lam}
+                            return falsified(witness, lhs, rhs, "condition one")
+        for x, y, x0, y0 in itertools.product(pts, repeat=4):
+            for lam in lams:
+                g_x, g_y = self.gauge(x, x0), self.gauge(y, y0)
+                lhs = self.gauge(self.image(x, y, lam), self.image(x0, y0, lam))
+                rhs = lam * g_x + (1 - lam) * g_y
+                if not lhs <= rhs + eps:
+                    witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
+                    return falsified(witness, lhs, rhs, "condition two")
+        return CheckReport("convex-structure", HOLDS)
+
+
+def _assert_geometry(doc: dict, convex_set=None) -> None:
+    """Each axiom over the set A, and the convex check over convex_set, if
+    given, answer through the command line as the reference does."""
+    inst, ref = instance_from_dict(doc), GeometryReference(instance_from_dict(doc))
+    pts = ref.inst.set_("A").points
+    for kind in AXIOMS:
+        want = _outcome(ref.axiom, kind, pts)
+        assert _outcome(cli.run_check, inst, f"{kind}:g:set=A") == want, kind
+    if convex_set is not None:
+        want = _outcome(ref.convex, ref.inst.set_(convex_set).points)
+        assert _outcome(cli.run_check, inst, f"convex:g:set={convex_set}") == want
+
+
+def _metric_gauge(rng: random.Random) -> str:
+    """The l1 gauge and a bump of random height at a random pair of grid
+    values, so that most scans run long and some fail late."""
+    a, b = rng.choice(COORDS), rng.choice(COORDS)
+    bump = f"max(0, 1 - abs(x1 - {a!r}))*max(0, 1 - abs(u2 - {b!r}))"
+    return f"abs(x1-u1) + abs(x2-u2) + {rng.choice((0.25, 1, 3))!r}*{bump}"
+
+
+def _geometry_doc(rng: random.Random) -> dict:
+    """A random g, a convex structure over x, u and l, an axiom set A, a
+    box of more than 32 points in a third of the draws, a convex set C of at
+    most 6 points, which the convex check scans whole, and an eps_ineq of 0
+    in half of the draws."""
+    if rng.random() < 0.5:
+        g = _metric_gauge(rng)
+    else:
+        g = str(_renamed(random_expr(rng, 3), GAUGE_NAMES))
+    if rng.random() < 0.5:
+        h = ["l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"]
+    else:
+        h = [str(random_expr(rng, 2)) for _ in range(2)]
+    if rng.random() < 0.3:
+        lo1, lo2 = rng.choice(COORDS[:4]), rng.choice(COORDS[:4])
+        a = {"box": [[lo1, lo1 + 1.0], [lo2, lo2 + 1.5]],
+             "resolution": rng.choice(([6, 6], [5, 7], [4, 9]))}
+    else:
+        a = _random_set(rng)
+    return {
+        "dimension": 2, "g": g, "sets": {"A": a, "C": _random_set(rng)},
+        "convex": {"exprs": h, "r": [0, 0], "s": [0, 0],
+                   "lambda_grid": rng.choice((2, 3, [0, 0.25, 1], [1, 0.5, -0.0]))},
+        "tolerances": {"eps_ineq": rng.choice((0.0, 1e-9))},
+    }
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_axiom_and_convex_answers_match_scalar_loops(seed):
+    _assert_geometry(_geometry_doc(random.Random(seed)), convex_set="C")
+
+
+# Planted in one dimension, each with the witness it must give.  "last-z":
+# the l1 gauge with g(0, 39) raised by 1, so the first pair (0, 1) fails at
+# z = 39, the last point of a 40-point box.  "diagonal": g(3, 0) divides by
+# zero while g(0, 3) does not, so the pair (0, 3) must not read its z = 0;
+# the triangle breaks at (1, 0, 2), before the pair (3, 0) raises.
+# "convex-late": g(3, 2.5) is raised, which only the interpolant
+# H(2, 3, 1/2) reaches, in the last x0 row of condition one.  "convex-two":
+# g(1/2, 5/2) is raised, which condition one never reads.  "pair-skip":
+# g(0, 3) divides by zero, which the pair (0, 0), were it scanned, would
+# read before the triangle breaks at (0, 1, 2).  The l1 gauge meets the
+# triangle and both convex conditions with equality on these lines, and
+# eps_ineq is 0, so a comparison that is strict where it should not be
+# fails.
+PLANTED_GEOMETRY = {
+    "last-z": ("abs(x1-u1) + max(0, 1 - abs(x1))*max(0, 1 - abs(u1 - 39))", 40,
+               "triangle", {"x": 0, "y": 1, "z": 39}),
+    "diagonal": ("abs(x1-u1) + 0/(abs(x1 - 3) + abs(u1)) "
+                 "+ 10*max(0, 1 - abs(x1 - 1))*max(0, 1 - abs(u1 - 2))", 4,
+                 "triangle", {"x": 1, "y": 0, "z": 2}),
+    "convex-late": ("abs(x1-u1) + max(0, 1 - 4*abs(x1 - 3))*max(0, 1 - 4*abs(u1 - 2.5))",
+                    4, "convex", {"x0": 3, "x": 2, "y": 3, "lam": 0.5}),
+    "convex-two": ("abs(x1-u1) + max(0, 1 - 4*abs(x1 - 0.5))*max(0, 1 - 4*abs(u1 - 2.5))",
+                   4, "convex", {"x": 0, "y": 1, "x0": 2, "y0": 3, "lam": 0.5}),
+    "pair-skip": ("abs(x1-u1) + 0/(abs(x1) + abs(u1 - 3)) "
+                  "+ 10*max(0, 1 - abs(x1))*max(0, 1 - abs(u1 - 2))", 4,
+                  "triangle", {"x": 0, "y": 1, "z": 2}),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_GEOMETRY))
+def test_planted_axiom_and_convex_answers_match_scalar_loops(name):
+    g, n, kind, witness = PLANTED_GEOMETRY[name]
+    doc = {"dimension": 1, "g": g, "sets": {"A": {"box": [[0, n - 1]], "resolution": [n]}},
+           "convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
+                      "lambda_grid": [0, 0.5, 1]},
+           "tolerances": {"eps_ineq": 0.0}}
+    _assert_geometry(doc, convex_set="A" if kind == "convex" else None)
+    report = cli.run_check(instance_from_dict(doc), f"{kind}:g:set=A")
+    assert report.falsified
+    assert {k: v if k == "lam" else v.coords[0]
+            for k, v in report.witness.items()} == witness
