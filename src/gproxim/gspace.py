@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, count, cycle, repeat
-from operator import length_hint
+from operator import add, length_hint
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -228,21 +228,19 @@ def _gauge_row(
     """abs(g) over a kernel row that pairs one Point, xs or ys, with each
     point of the other side, a SampleSet (only the points in span, if given)
     or a list of Points, in order.  Raises eval_g's error at the first tuple
-    the row marks."""
+    the row marks; only then are the Points of a SampleSet read."""
 
-    def side(s):
+    def side(s, points=False):
         if isinstance(s, Point):
-            return repeat(s.coords), repeat(s)
+            return repeat(s if points else s.coords)
         if not isinstance(s, SampleSet):
-            return [p.coords for p in s], s
-        if span is None:
-            return s.coords, s.points
-        return s.coords[span], s.points[span]
+            return s if points else [p.coords for p in s]
+        rows = s.points if points else s.coords
+        return rows if span is None else rows[span]
 
-    (P, x_pts), (Q, y_pts) = side(xs), side(ys)
-    row = g.kernels.marked(P, Q)
+    row = g.kernels.marked(side(xs), side(ys))
     if math.isnan(sum(row)):
-        for v, x, y in zip(row, x_pts, y_pts):
+        for v, x, y in zip(row, side(xs, True), side(ys, True)):
             if v != v:
                 eval_g(g, x, y)
     return row
@@ -251,31 +249,37 @@ def _gauge_row(
 def _runs(
     g: GFunction, xs: Union[Point, "SampleSet"], ys: Union[Point, "SampleSet"],
     level: float, eps: float, mates: bool = False,
-) -> Iterable[tuple[int, list[float]]]:
+) -> Iterable[tuple[int, int, Union[list[float], float]]]:
     """_gauge_row(g, xs, ys), one side a Point and the other a SampleSet s,
-    as (start, values) runs over s in order, leaving out whole blocks of s
+    as (start, stop, row) over s in order, leaving out whole blocks of s
     (SampleSet.blocks) whose values all lie more than eps above level, as
     g.kernels.bound proves; for mates, also those more than eps below it.
 
-    A left-out block is proven clean, so the runs raise at the row's first
+    row is the list of the values over s[start:stop], or, for a block the
+    bound proves in band, the float upper end hi of its values, none of
+    them read: for the core, level <= every value <= hi with hi - level <=
+    eps, so none of them lowers the level; for mates, both ends lie within
+    eps of level, so every value passes abs(v - level) <= eps.  A left-out
+    or proven block is proven clean, so the lists raise at the row's first
     marked tuple, and the values of the row within eps of level are all in
-    them, the same doubles.  A block is read whole once it is a leaf, or
-    once it lies wholly in band: within eps above level (for mates, within
-    eps of it).  mates reads lazily, so it leaves out blocks only when the
-    bound proves the whole row clean, and otherwise reads the row whole
-    here.  A gauge without a bound, or an infinite level, reads the row
-    whole.
+    them or in the proven blocks.  The core reads a block whole once it is
+    a leaf, or lies within eps above level but may reach below it.  mates
+    reads lazily, so it leaves out blocks only when the bound proves the
+    whole row clean, and otherwise reads the row whole here.  A gauge
+    without a bound, or an infinite level, reads the row whole.
     """
     bound = g.kernels.bound
     if bound is None or not level < math.inf:
-        return ((0, _gauge_row(g, xs, ys)),)
+        row = _gauge_row(g, xs, ys)
+        return ((0, len(row), row),)
     if isinstance(xs, Point):
         s, box = ys, partial(bound, xs.coords, xs.coords)
     else:
         s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
     root = s.blocks
     if mates and box(root[0], root[1]) is None:
-        return ((0, _gauge_row(g, xs, ys)),)
+        row = _gauge_row(g, xs, ys)
+        return ((0, len(row), row),)
 
     def runs():
         stack, start, stop = [root], 0, 0
@@ -285,18 +289,25 @@ def _runs(
             if ends is not None:
                 if ends[0] - level > eps or (mates and level - ends[1] > eps):
                     continue
-                if ends[1] - level <= eps and (not mates or level - ends[0] <= eps):
-                    halves = ()  # wholly in band
+                if ends[1] - level <= eps:
+                    if level - ends[0] <= eps if mates else ends[0] >= level:
+                        if start < stop:
+                            yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
+                        yield i, j, ends[1]
+                        start = stop = j
+                        continue
+                    if not mates:
+                        halves = ()  # in band, but may reach below the level
             if halves:
                 stack += reversed(halves)
             elif i == stop:
                 stop = j
             else:
                 if start < stop:
-                    yield start, _gauge_row(g, xs, ys, slice(start, stop))
+                    yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
                 start, stop = i, j
         if start < stop:
-            yield start, _gauge_row(g, xs, ys, slice(start, stop))
+            yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
 
     return runs()
 
@@ -619,8 +630,10 @@ class ProximalCore:
         kernel doubles and the same band test.  Any other question reads the
         row of abs(g) over A against y through _runs: when the bound proves
         the whole row clean it yields its mates lazily from the blocks that
-        can reach the band, and otherwise it reads the row whole here, so it
-        raises at its first offending tuple.
+        can reach the band, every point of a block whose values the bound
+        puts within eps of d_g at both ends without reading it, and
+        otherwise it reads the row whole here, so it raises at its first
+        offending tuple.
         """
         if a is None:
             a = self.a
@@ -629,9 +642,9 @@ class ProximalCore:
                 return own
         d_g, eps = self.d_g, self.eps
         return (
-            u for start, row in _runs(self.g, a, y, d_g, eps, mates=True)
-            for u, v in zip(a.points[start:start + len(row)], row)
-            if abs(v - d_g) <= eps
+            u for start, stop, row in _runs(self.g, a, y, d_g, eps, mates=True)
+            for u in (compress(a.points[start:stop], [abs(v - d_g) <= eps for v in row])
+                      if isinstance(row, list) else a.points[start:stop])
         )
 
     @cached_property
@@ -790,36 +803,56 @@ def proximal_core(
     """Exact minimum of abs(g) over the sampled product, with realising sets.
 
     Membership in a_g and b_g uses the eps_prox band around d_g; partners
-    lists each a_g member's banded partners in list order.
+    lists each a_g member's banded partners in list order.  Values of a
+    block of B that the interval bound proves no lower than the level of
+    the rows before and within eps_prox above it are not read: none of them
+    lowers d_g, and the block is in band whole while its upper end is.
     """
     eps = tol.eps_prox
     # Per point of A, its entries within eps of the level of the rows before
     # it, or of its own minimum where that is lower: all within eps of that
     # minimum (float subtraction is monotone), and a superset of its band.
-    # The row's runs leave out only blocks none of whose entries it keeps.
-    # A row from the one that last lowered the level on keeps exactly its
-    # band, every v it keeps having d_g <= v and v - d_g <= eps, so only the
-    # rows before it are filtered again.
+    # The blocks _runs proves in band are kept unread, as (start, stop, hi)
+    # ranges whose values v all have level <= v <= hi: such a range is in
+    # band whole while hi is, and is read once it is not (it cannot raise),
+    # in the row that lowers the level as in the second pass.  A row from
+    # the one that last lowered the level on keeps exactly its band, every v
+    # it keeps having d_g <= v and v - d_g <= eps, so only the rows before
+    # it are filtered again.
     d_g, near, last = math.inf, [], 0
     for i, x in enumerate(a.points):
-        keep, values = [], []
-        for start, row in _runs(g, x, b, d_g, eps):
+        keep, values, proven = [], [], []
+        for start, stop, row in _runs(g, x, b, d_g, eps):
+            if not isinstance(row, list):
+                proven.append((start, stop, row))
+                continue
             near_level = [v - d_g <= eps for v in row]
             keep += compress(count(start), near_level)
             values += compress(row, near_level)
         low = min(values, default=d_g)
         if low < d_g:
             d_g, last = low, i
-            near_level = [v - low <= eps for v in values]
-            keep = list(compress(keep, near_level))
-            values = list(compress(values, near_level))
-        near.append((array("l", keep), array("d", values)))
+            for start, stop, hi in proven:
+                if hi - low > eps:
+                    keep += range(start, stop)
+                    values += _gauge_row(g, x, b, slice(start, stop))
+            proven = [r for r in proven if r[2] - low <= eps]
+            keep, values = zip(*sorted(
+                (j, v) for j, v in zip(keep, values) if v - low <= eps))
+        near.append((array("l", keep), array("d", values), *proven))
     a_pts, partners, b_hit = [], [], set()
     for i, x in enumerate(a.points):
-        hits, values = near[i]
+        hits, values, *proven = near[i]
         near[i] = None  # free each row once read: the partners replace it
         if i < last:
             hits = [j for j, v in zip(hits, values) if abs(v - d_g) <= eps]
+            for start, stop, hi in proven:
+                if hi - d_g > eps:
+                    row = _gauge_row(g, x, b, slice(start, stop))
+                    hits += compress(count(start), [v - d_g <= eps for v in row])
+        if proven:
+            hits = sorted(chain(hits, *(
+                range(start, stop) for start, stop, hi in proven if hi - d_g <= eps)))
         if hits:
             b_hit.update(hits)
             a_pts.append(x)
@@ -977,28 +1010,30 @@ def check_convex_structure(
 
     # first_violation takes the right side lam * a + (1 - lam) * b of a row
     # over (b, lam) as its terms: LA, lam * a per lam, and MB, (1 - lam) * b
-    # per (b, lam), each with the sum of its terms' magnitudes.
-    def lam_terms(a: float) -> tuple[list, float]:
-        LA = [lam * a for lam, _ in lm]
-        return LA, sum(map(abs, LA))
+    # per (b, lam), with (1 - lam) * max(b) per lam, the largest term of its
+    # column, or NaN if a b is a mark (max can pass a NaN by).  Products and
+    # sums of doubles are monotone, so LA plus those are the largest right
+    # sides of each lam.
+    def lam_terms(a: float) -> list:
+        return [lam * a for lam, _ in lm]
 
-    def mix_terms(bs: list) -> tuple[list, float]:
-        MB = [mix * b for b in bs for _, mix in lm]
-        return MB, sum(map(abs, MB))
+    def mix_terms(bs: list) -> tuple[list, list]:
+        top = math.nan if math.isnan(sum(bs)) else max(bs)
+        return [mix * b for b in bs for _, mix in lm], [mix * top for _, mix in lm]
 
-    def first_over(P: Iterable, Q: Iterable, LA: tuple, MB: tuple, failed: list) -> int:
+    def first_over(P: Iterable, Q: Iterable, LA: list, MB: tuple, failed: list) -> int:
         """The first index of a row over (b, lam) at which not abs(g) <=
         LA[lam] + MB[b, lam] + eps, or -1; a marked tuple or an index in
         failed stops it.  The fused loop runs while every right side is
-        finite, which the two magnitude sums bound, and the marked row takes
-        over a row on which it raises."""
-        (la, la_size), (mb, mb_size) = LA, MB
-        if not failed and math.isfinite(la_size + mb_size + eps):
+        finite, as the largest right side of each lam tells, and the marked
+        row takes over a row on which it raises."""
+        mb, tops = MB
+        if not failed and math.isfinite(max(map(add, LA, tops)) + eps):
             try:
-                return g.kernels.first_violation(P, Q, la, mb, eps)
+                return g.kernels.first_violation(P, Q, LA, mb, eps)
             except (ArithmeticError, ValueError):
                 pass
-        R = [a + b for a, b in zip(cycle(la), mb)]
+        R = [a + b for a, b in zip(cycle(LA), mb)]
         for k in failed:
             R[k] = math.nan
         over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))

@@ -806,11 +806,30 @@ def test_fused_convex_h_raising_in_a_q_row_of_condition_two(monkeypatch):
 def test_fused_convex_right_sides_overflowing(plant, verdict):
     # Under a lambda in [0, 1] no right side lam*|g| + (1-lam)*|g| of a
     # finite |g| = 9e307 overflows, but their magnitudes sum past the largest
-    # double, so the marked row runs in place of the fused loop.  Every left
-    # side stays at most 9.5e307, except where the last plant puts an
-    # infinite one: at H(0, 1/8, 1/2) = 1/16.
+    # double.  Every left side stays at most 9.5e307, except where the last
+    # plant puts an infinite one: at H(0, 1/8, 1/2) = 1/16.
     got = _fused(GFunction("9e307 + 0*x1" + plant, 1), lams=[0.0, 0.5, 1.0])
     assert (got[1][0] if got[0] == "ok" else got[2]) == verdict
+
+
+@pytest.mark.parametrize("plant, verdict", [
+    ("", HOLDS),
+    (f" + 5e306*{_hat('u1', 1 / 16)}", FALSIFIED),
+], ids=["holds", "violated"])
+def test_right_sides_near_the_largest_double_take_the_fused_loop(
+    plant, verdict, monkeypatch
+):
+    # the largest terms of LA and of MB, 9e307 each at lambda 1 and 0, sum
+    # past the largest double, but no one right side does, so every row of
+    # both conditions runs through first_violation
+    g = GFunction("9e307 + 0*x1" + plant, 1)
+    real, calls = g.kernels.first_violation, []
+    # RowKernels is frozen: the cached loop sits in the instance's dict
+    monkeypatch.setitem(vars(g.kernels), "first_violation",
+                        lambda *args: calls.append(args[-2]) or real(*args))
+    got = _fused(g, lams=[0.0, 0.5, 1.0])
+    assert got[1][0] == verdict
+    assert calls and all(max(mb) == 9e307 for mb in calls)
 
 
 # --------------------------------------------------------------------------
@@ -1326,20 +1345,54 @@ def _core_cases():
 
 def _kept_rows(monkeypatch):
     """Per row proximal_core reads (gspace._runs is its one reader), the
-    arrays it keeps, by type code: "l" the indices into B, "d" the values."""
-    kept, real_row, real_array = [], gspace_module._runs, gspace_module.array
+    arrays it keeps, by type code: "l" the indices into B, "d" the values;
+    and under "proven" the indices into B of the blocks _runs proved in band
+    that the row keeps unread, those that _gauge_row does not read before
+    the row's arrays are made."""
+    kept = []
+    real_runs, real_row, real_array = (
+        gspace_module._runs, gspace_module._gauge_row, gspace_module.array)
 
-    def row(g, x, b, *args, **kwargs):
-        kept.append({})
-        return real_row(g, x, b, *args, **kwargs)
+    def runs(g, x, b, *args, **kwargs):
+        kept.append({"proven": set()})
+        for start, stop, row in real_runs(g, x, b, *args, **kwargs):
+            if not isinstance(row, list):
+                kept[-1]["proven"].update(range(start, stop))
+            yield start, stop, row
+
+    def gauge_row(g, xs, ys, span=None):
+        if span is not None and kept and "l" not in kept[-1]:
+            kept[-1]["proven"].difference_update(range(span.start, span.stop))
+        return real_row(g, xs, ys, span)
 
     def array(code, items):
         kept[-1][code] = made = real_array(code, items)
         return made
 
-    monkeypatch.setattr(gspace_module, "_runs", row)
+    monkeypatch.setattr(gspace_module, "_runs", runs)
+    monkeypatch.setattr(gspace_module, "_gauge_row", gauge_row)
     monkeypatch.setattr(gspace_module, "array", array)
     return kept
+
+
+def _assert_kept(g, a, b, tol, d_g, kept):
+    """Each row keeps a superset of its band within its own band: evaluated
+    entries in order and equal by hex, proven blocks apart from them, and
+    the proven blocks of the rows from the first that reaches d_g on inside
+    the final band."""
+    assert len(kept) == len(a.points)
+    reached = False
+    for x, arrays in zip(a.points, kept):
+        keep, values, proven = arrays["l"], arrays["d"], arrays["proven"]
+        row = [abs(eval_g(g, x, y)) for y in b.points]
+        own = [j for j, v in enumerate(row) if v - min(row) <= tol.eps_prox]
+        band = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
+        assert set(band) <= set(keep) | proven <= set(own), x
+        assert not proven & set(keep)
+        assert list(keep) == sorted(keep)
+        assert [v.hex() for v in values] == [row[j].hex() for j in keep]
+        reached = reached or min(row) == d_g
+        assert not reached or proven <= set(band), x
 
 
 @pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
@@ -1353,16 +1406,7 @@ def test_the_core_matches_the_full_matrix_and_keeps_no_more_than_its_rows(
                            lambda: ref_core(g, a, b, tol))
         if want[0] == "error":
             continue
-        d_g = float.fromhex(want[1][0])
-        assert len(kept) == len(a.points)
-        for x, arrays in zip(a.points, kept):
-            keep, values = arrays["l"], arrays["d"]
-            row = [abs(eval_g(g, x, y)) for y in b.points]
-            own = [j for j, v in enumerate(row) if v - min(row) <= tol.eps_prox]
-            band = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
-            assert set(band) <= set(keep) <= set(own), (name, x)
-            assert list(keep) == sorted(keep)
-            assert [v.hex() for v in values] == [row[j].hex() for j in keep]
+        _assert_kept(g, a, b, tol, float.fromhex(want[1][0]), kept)
 
 
 @pytest.mark.parametrize("mate", ["early", "none"])
@@ -1481,9 +1525,42 @@ def test_the_level_dropping_in_the_last_row_keeps_its_band(monkeypatch):
     for x, arrays in zip(FINE_A.points, kept):
         row = [abs(eval_g(g, x, y)) for y in FINE_B.points]
         own = [j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
-        assert list(arrays["l"]) == own
-        assert [v.hex() for v in arrays["d"]] == [row[j].hex() for j in own]
+        assert sorted(set(arrays["l"]) | arrays["proven"]) == own
+        assert [v.hex() for v in arrays["d"]] == [row[j].hex() for j in arrays["l"]]
     assert _read(spans, len(FINE_B)) < len(FINE_A) * len(FINE_B) / 2
+
+
+# Below u = 3/4 every row of FINE_A but the last lies in [1, 1 + 1/128], and
+# above it rises steeply: the blocks (0, 64) and (64, 96) of FINE_B are proven
+# at the level 1.  The last row dips by the given term, lowering the level
+DROP = "1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75) - max(0, 64*x1 - 63)*{}"
+
+
+@pytest.mark.parametrize("dip, level", [
+    ("max(0, 0.5 - u1)/2", 0.75),  # past the band: the proven blocks are read again
+    ("1/64", 63 / 64),  # inside it: they are kept whole
+], ids=["deep", "shallow"])
+def test_blocks_proven_before_the_level_drops_are_read_again_out_of_band(
+    dip, level, monkeypatch
+):
+    kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
+    g = GFunction(DROP.format(dip), 1)
+    want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, WIDE),
+                       lambda: ref_core(g, FINE_A, FINE_B, WIDE))
+    assert float.fromhex(want[1][0]) == level
+    _assert_kept(g, FINE_A, FINE_B, WIDE, level, kept)
+    for x, arrays in zip(FINE_A.points, kept):  # each row keeps its own band
+        row = [abs(eval_g(g, x, y)) for y in FINE_B.points]
+        own = [j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
+        assert sorted(set(arrays["l"]) | arrays["proven"]) == own
+    between = len(FINE_A) - 2  # the rows after the first, read whole, and before the last
+    assert all(arrays["proven"] == set(range(96)) for arrays in kept[1:-1])
+    reads = [(0, None)] + [(96, 112)] * between
+    if level == 0.75:  # the last row reads its proven block again, as the second pass does
+        reads += [(0, 64), (96, 112), (64, 96)] + [(0, 64), (64, 96)] * between
+    else:
+        reads += [(0, 112)]
+    assert spans == reads
 
 
 def test_a_gauge_without_a_bound_reads_every_row_whole(monkeypatch):
@@ -1528,6 +1605,8 @@ def test_the_mates_of_an_image_off_b_are_read_lazily(monkeypatch):
     assert spans == []
     assert next(mates) == Point((0.125,)) and spans == [(0, 32)]
     assert list(mates) == [Point((0.875,))] and spans == [(0, 32), (112, 129)]
+
+
 def test_a_mark_in_the_row_of_an_image_off_b_is_read_whole(monkeypatch):
     # g divides by zero at (15/16, 3/2) alone, far from the band of 3/2
     spans = _reads(monkeypatch)
@@ -1538,3 +1617,60 @@ def test_a_mark_in_the_row_of_an_image_off_b_is_read_whole(monkeypatch):
                       lambda: ref_mates(g, FINE_B, Point((1.5,)), core.d_g, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
     assert spans == [(0, None)]
+
+
+# --------------------------------------------------------------------------
+# blocks the bound proves in band, which the core keeps and mates yields
+# without reading a value of them
+
+# Level 1, at (u, 1/2) for every u of FINE_B.  Against the image 1/4, off
+# B, the values dip below 1 for u < 1/4 (by up to 1/16), are 1 from 1/4 to
+# 3/4, the blocks (32, 64) and (64, 96), and rise by 1/128 a step above 3/4
+PLATEAU = "1 + max(0, abs(x1-u1) - 0.5) - max(0, 0.5 - u1)*max(0, 0.25 - x1)"
+PLATEAU_B = exact_set([0.5, 3.0], "B")
+
+
+@pytest.mark.parametrize("tol, first, reads", [
+    (TOL, 32, [(96, 112)]),  # the dip lies wholly below the band: left out
+    (WIDE, 16, [(0, 32), (96, 112)]),  # its upper part is in band
+], ids=["narrow", "wide"])
+def test_the_mates_of_a_block_proven_in_band_are_yielded_unread(
+    tol, first, reads, monkeypatch
+):
+    g = GFunction(PLATEAU, 1)
+    core = proximal_core(g, FINE_B, PLATEAU_B, tol)
+    assert core.d_g == 1.0 and len(core.a_g) == len(FINE_B)
+    target = Point((0.25,))
+    assert target.coords not in PLATEAU_B.coords
+    spans = _reads(monkeypatch)
+    got = list(core.mates(target))
+    assert got == ref_mates(g, FINE_B, target, core.d_g, tol)
+    assert got[0] == FINE_B.points[first] and FINE_B.points[95] in got
+    assert spans == reads  # no value of the proven blocks (32, 96) is read
+
+
+def test_a_mark_next_to_a_block_proven_in_band_raises_where_the_matrix_does(
+    monkeypatch
+):
+    # mates: g divides by zero at (3/4, 1/4) alone, the first point of the
+    # leaf after the proven block (64, 96); the bound cannot prove the row
+    # clean, so it is read whole
+    spans = _reads(monkeypatch)
+    g = GFunction(PLATEAU + " + 0/(abs(x1 - 0.75) + abs(u1 - 0.25))", 1)
+    core = proximal_core(g, FINE_B, PLATEAU_B, TOL)
+    spans.clear()
+    got = assert_same(lambda: list(core.mates(Point((0.25,)))),
+                      lambda: ref_mates(g, FINE_B, Point((0.25,)), core.d_g, TOL))
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    assert spans == [(0, None)]
+    # the core: every value is 1, but g divides by zero at (1/2, u), u the
+    # first point of B's second leaf or the last of its first; the row of
+    # 1/2 keeps the other leaf of the pair proven and reads the marked one
+    for u, read in ((0.25, (32, 64)), (0.2421875, (0, 32))):
+        g = GFunction(f"1 + 0*u1 + 0/(abs(x1 - 0.5) + abs(u1 - {u!r}))", 1)
+        spans.clear()
+        got = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, TOL),
+                          lambda: ref_core(g, FINE_A, FINE_B, TOL))
+        assert got == ("error", "EvalError", "division-by-zero",
+                       "division-by-zero: 0.0 / 0")
+        assert spans == [(0, None), read]  # the first row whole, then the mark's leaf

@@ -14,7 +14,8 @@ estimate bit for bit, and an error by type and message.  Quotient inputs in
 dimension 3 and 4 do the same for the banach subjects, whose scan reads one
 point per class of the points the gauge cannot tell apart.  The identity,
 symmetry, triangle and convex-structure checks have a reference of their
-own at the end, GeometryReference.
+own, GeometryReference, and the semi-sharp and side-condition checks one
+at the end, ProximityReference.
 """
 
 from __future__ import annotations
@@ -570,3 +571,159 @@ def test_planted_axiom_and_convex_answers_match_scalar_loops(name):
     assert report.falsified
     assert {k: v if k == "lam" else v.coords[0]
             for k, v in report.witness.items()} == witness
+
+
+# The proximity kinds.  A reference of its own computes the core of (A, B)
+# from the whole matrix of abs(g) through expr.evaluate, row by row in scan
+# order, then answers semi-sharp and side-condition by scalar loops in the
+# order the checks scan: a_g with its partners, and b_g against a_g.  The
+# core reads only the blocks of B its interval bound cannot settle, so
+# sets of more than 32 points, bands of several grid steps, plateaus at the
+# level and a level that drops late are among the inputs.
+class ProximityReference(GeometryReference):
+    """The core and the proximity checks by scalar loops over evaluate."""
+
+    def core(self):
+        a, b = self.inst.set_("A").points, self.inst.set_("B").points
+        eps = self.tol.eps_prox
+        rows = [[self.gauge(x, y) for y in b] for x in a]
+        d_g = min(map(min, rows))
+        bands = [[abs(v - d_g) <= eps for v in row] for row in rows]
+        partners = [[y for y, hit in zip(b, band) if hit] for band in bands]
+        b_g = [y for y, *hits in zip(b, *bands) if any(hits)]
+        return d_g, [(x, ys) for x, ys in zip(a, partners) if ys], b_g
+
+    def semi_sharp(self) -> CheckReport:
+        d_g, a_g, _ = self.core()
+        for x, ys in a_g:
+            if len(ys) > 1:
+                return CheckReport("semi-sharp", FALSIFIED, {"a": x, "b1": ys[0], "b2": ys[1]},
+                                   self.gauge(x, ys[1]), d_g,
+                                   note="two distinct partners at the proximity level")
+        return CheckReport("semi-sharp", HOLDS)
+
+    def side_condition(self) -> CheckReport:
+        d_g, a_g, b_g = self.core()
+        r, s, target = self.inst.convex.r, self.inst.convex.s, 2.0 * d_g
+        for x in b_g:
+            for y, _ in a_g:
+                lhs = self.gauge(r, x) + self.gauge(y, s)
+                if not abs(lhs - target) <= self.tol.eps_ineq:
+                    return CheckReport("side-condition", FALSIFIED, {"x": x, "y": y},
+                                       lhs, target)
+        return CheckReport("side-condition", HOLDS, note=f"target {target!r}")
+
+
+def _assert_proximity(doc: dict) -> list:
+    """semi-sharp and side-condition, each on a fresh instance of doc and
+    in turn on one shared instance, whose core they share, answer through
+    the command line as the reference does; returns the answers."""
+    ref = ProximityReference(instance_from_dict(doc))
+    want = [_outcome(ref.semi_sharp), _outcome(ref.side_condition)]
+    specs = ["semi-sharp:g", "side-condition:g"]
+    assert [_outcome(cli.run_check, instance_from_dict(doc), s) for s in specs] == want
+    shared = instance_from_dict(doc)
+    assert [_outcome(cli.run_check, shared, s) for s in specs] == want
+    return want
+
+
+def _proximity_set(rng: random.Random) -> dict:
+    """An exact set of at most 6 points or a box of up to 81, most of them
+    more than one leaf block of 32 points."""
+    if rng.random() < 0.25:
+        return _random_set(rng)
+    lo1, lo2 = rng.choice(COORDS[:4]), rng.choice(COORDS[:4])
+    resolution = rng.choice(([1, 40], [6, 6], [5, 9], [9, 9]))
+    width = rng.choice((0.5, 1.0)) if resolution[0] > 1 else 0.0
+    return {"box": [[lo1, lo1 + width], [lo2, lo2 + 1.0]], "resolution": resolution}
+
+
+def _proximity_doc(rng: random.Random) -> dict:
+    """A random gauge, or the l1 gauge with a bump, or one flat in u2 above
+    a cut, over random sets, with a band of 0 to 8 grid steps of 1/8."""
+    cut = rng.choice(COORDS)
+    g = rng.choice((
+        str(_renamed(random_expr(rng, 3), GAUGE_NAMES)),
+        _metric_gauge(rng),
+        f"abs(x1-u1) + abs(min(x2, {cut!r}) - min(u2, {cut!r}))",
+        f"1 + max(u2 - {cut!r}, 0)*x1*{rng.choice((0, 0.125))!r}",
+    ))
+    a, b = _proximity_set(rng), _proximity_set(rng)
+    if "box" in a and "box" in b and rng.random() < 0.5:
+        b["box"][0] = [v + 1.0 for v in b["box"][0]]  # B beside A
+    return {
+        "dimension": 2, "g": g, "sets": {"A": a, "B": b},
+        "convex": {"exprs": ["l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"],
+                   "r": [rng.choice(COORDS), 0.0], "s": [0.0, rng.choice(COORDS)],
+                   "lambda_grid": [0, 1]},
+        "tolerances": {"eps_prox": rng.choice((1e-9, 0.125, 0.25, 1.0)),
+                       "eps_ineq": rng.choice((0.0, 0.125, 1.0))},
+    }
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_proximity_answers_match_scalar_loops(seed):
+    _assert_proximity(_proximity_doc(random.Random(seed)))
+
+
+def _column(x1: float, n: int) -> dict:
+    """{x1} x the grid t/64, t < n."""
+    return {"box": [[x1, x1], [0, (n - 1) / 64]], "resolution": [1, n]}
+
+
+# Planted, with the witnesses each check must give (None: it holds).
+# "whole-product": every pair of A x B is at the level 1, as in the bench's
+# side-condition jobs, so every row after the first is one proven block;
+# the side condition fails first at x2 = 5/8.  "plateau": as in the bench's
+# semi-sharp jobs, every a at or above the cut 5/8 has every b at or above
+# it as partners; in their rows the leaf of B that holds the cut is read
+# and the block above it is proven.  In the last two, every row of A but
+# the last lies in [1, 1 + 1/128] below u = 3/4, where the blocks (0, 64)
+# and (64, 96) are proven at the level 1, and rises steeply above it; the
+# last row lowers the level.  "drop-deep": to 3/4, past the band of 1/32,
+# below u = 1/2, so the proven blocks are read again, (64, 96) in the last
+# row and both in every row before, and only the last row's first 9 points
+# of B are in band.  "drop-shallow": to 63/64, inside the band, so every
+# proven block is kept whole.
+PLANTED_PROXIMITY = {
+    "whole-product": (
+        {"dimension": 2, "g": "abs(x1-u1) + max(u2 - 0.6171875, 0)*max(-x1, 0)",
+         "A": _column(0.0, 64), "B": _column(1.0, 64), "r": [-1, 0], "s": [0, 0]},
+        {"a": (0, 0), "b1": (1, 0), "b2": (1, 1 / 64)}, {"x": (1, 0.625), "y": (0, 0)}),
+    "plateau": (
+        {"dimension": 2, "g": "abs(x1-u1) + abs(min(x2, 0.625) - min(u2, 0.625))",
+         "A": _column(0.0, 64), "B": _column(1.0, 128), "r": [-1, 0], "s": [0, 0]},
+        {"a": (0, 0.625), "b1": (1, 0.625), "b2": (1, 0.640625)},
+        {"x": (1, 0), "y": (0, 1 / 64)}),
+    "drop-deep": (
+        {"dimension": 1,
+         "g": "1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75) "
+              "- max(0, 64*x1 - 63)*max(0, 0.5 - u1)/2",
+         "A": {"box": [[0, 1]], "resolution": [33]},
+         "B": {"box": [[0, 1]], "resolution": [129]}, "r": [1], "s": [0]},
+        {"a": (1,), "b1": (0,), "b2": (1 / 128,)}, None),
+    "drop-shallow": (
+        {"dimension": 1,
+         "g": "1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75) - max(0, 64*x1 - 63)/64",
+         "A": {"box": [[0, 1]], "resolution": [33]},
+         "B": {"box": [[0, 1]], "resolution": [129]}, "r": [1], "s": [0]},
+        {"a": (0,), "b1": (0,), "b2": (1 / 128,)}, None),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_PROXIMITY))
+def test_planted_proximity_answers_match_scalar_loops(name):
+    planted, semi_sharp, side_condition = PLANTED_PROXIMITY[name]
+    d = planted["dimension"]
+    doc = {"dimension": d, "g": planted["g"],
+           "sets": {"A": planted["A"], "B": planted["B"]},
+           "convex": {"exprs": [f"l*x{i} + (1-l)*u{i}" for i in range(1, d + 1)],
+                      "r": planted["r"], "s": planted["s"], "lambda_grid": [0, 1]},
+           "tolerances": {"eps_prox": 1 / 32, "eps_ineq": 1 / 16} if d == 1 else {}}
+    _assert_proximity(doc)
+    inst = instance_from_dict(doc)
+    for spec, witness in (("semi-sharp:g", semi_sharp), ("side-condition:g", side_condition)):
+        report = cli.run_check(inst, spec)
+        assert report.falsified == (witness is not None)
+        assert {k: p.coords for k, p in (report.witness or {}).items()} == (witness or {})
