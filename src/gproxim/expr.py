@@ -351,9 +351,9 @@ def evaluate(e: Expr, env: VarEnv) -> float:
     return _pow(left, right)
 
 
-def _gen(e: Expr, temps: Iterator[int]) -> str:
-    """Python text of e over its variable names: the one text that every
-    compiled form of e runs.
+def _gen(e: Expr, temps: Iterator[int], names: Optional[Mapping[str, str]] = None) -> str:
+    """Python text of e over its variable names, each v written names[v]
+    when names is given: the one text that every compiled form of e runs.
 
     It evaluates operands left to right, in evaluate's order.  It writes
     sqrt, / and ^ by a finite integral literal as the bare operations, which
@@ -370,13 +370,13 @@ def _gen(e: Expr, temps: Iterator[int]) -> str:
     if isinstance(e, Num):  # a minus sign in parentheses: -1.0**2.0 is -1.0
         return repr(e.value) if math.copysign(1.0, e.value) > 0 else f"({e.value!r})"
     if isinstance(e, Var):
-        return e.name
+        return names[e.name] if names else e.name
     if isinstance(e, Unary):
-        inner = _gen(e.operand, temps)
+        inner = _gen(e.operand, temps, names)
         if e.op == "neg":
             return f"(-{inner})"
         return f"{e.op}({inner})"  # abs or sqrt
-    left, right = _gen(e.left, temps), _gen(e.right, temps)
+    left, right = _gen(e.left, temps, names), _gen(e.right, temps, names)
     if e.op in ("min", "max"):
         a, b = (
             text if isinstance(side, (Num, Var)) else f"_t{next(temps)}"
@@ -525,13 +525,21 @@ class RowKernels:
     has advanced once per tuple, so k is len(MB) - 1 less what length_hint
     says that iterator has left.
 
-    Both loops run the text of e (see _gen) with no typed fallback, so
-    where evaluate raises its EvalError they raise that or a bare
-    ValueError, ZeroDivisionError or OverflowError.  A side that is an
-    itertools.repeat, which every scan passes without a count, has its
-    coordinates bound once before the loop, and the loop unpacks only the
-    other side.  Scans read rows through marked, which marks a tuple where
-    values raises, and raise the typed error through eval_g.
+    first_banach and first_proximal test a row of a contraction check in
+    one loop that evaluates both sides of each tuple, lhs and every term of
+    the right side, and lists nothing (see _compile_contraction).  Their
+    fixed points are coordinate tuples, and the index of a hit is the one
+    the marked rows of both sides give.
+
+    Every loop runs the text of e (see _gen) with no typed fallback, so
+    where evaluate raises its EvalError it raises that or a bare
+    ValueError, ZeroDivisionError or OverflowError.  A side of values or
+    first_violation that is an itertools.repeat, which every scan passes
+    without a count, has its coordinates bound once before the loop, and
+    the loop unpacks only the other side.  Scans read rows through marked,
+    which marks a tuple where values raises, or read a row on which a
+    fused loop raises again through marked, and raise the typed error
+    through eval_g.
 
     bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
     ranging between the tuples PL and PH and the Q coordinates between QL
@@ -561,6 +569,20 @@ class RowKernels:
                     "    return -1\n")
 
         return _compile_rows("first_violation", ", _LA, _MB, _eps", loop, *self.tree)
+
+    @cached_property
+    def first_banach(self) -> Callable[..., int]:
+        """Compiled on first use: first_banach(p, Q, r, S, c, eps) is the
+        first k at which not abs(e(p, Q[k])) <= c * abs(e(r, S[k])) + eps,
+        or -1 (see _compile_contraction)."""
+        return _compile_contraction("first_banach", ["pQ", "rS"], "c", *self.tree)
+
+    @cached_property
+    def first_proximal(self) -> Callable[..., int]:
+        """Compiled on first use: first_proximal(u, U, x, X, c, n, eps) is
+        the first k at which not abs(e(u, U[k])) <= c * abs(e(x, X[k])) + n
+        * abs(e(X[k], u)) + eps, or -1 (see _compile_contraction)."""
+        return _compile_contraction("first_proximal", ["uU", "xX", "Xu"], "cn", *self.tree)
 
     @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
@@ -654,6 +676,54 @@ def _compile_rows(
         + f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
         + indent(loop(body, [p], ["_P"]), "    ")
         + loop(body, [p, q], ["_P", "_Q"])
+    )[name]
+
+
+def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
+                         left: tuple[str, ...], right: tuple[str, ...]) -> Callable[..., int]:
+    """The function name over the sources that pairs name, in the order
+    they first appear, then the coefficients coefs, then _eps.
+
+    Each string of pairs is a term, abs(e) with its left names read from
+    the source of its first letter and its right names from that of its
+    second; left and right name as many coordinates.  A lower-case source is one coordinate tuple, bound once before
+    the loop; an upper-case one a row of them, a list or a tuple, unpacked
+    once per tuple of their zip.  With Tj the value of term j, the loop
+    returns the first k at which not T0 <= coefs[0] * T1 + coefs[1] * T2
+    + ... + _eps, summed left to right, or -1.  It numbers only the failing
+    tuple, from what length_hint says is left of its last row, as
+    first_violation does.
+
+    A NaN or infinite term fails the tuple, as a mark would; a sum of
+    finite terms that overflows does not.  A tuple whose sum is finite and
+    at least T0 holds, and only one that is not tests each term.  Each
+    term runs the text of e (see _gen) under names of its own, with one
+    temps counter for all of them, and no typed fallback: where evaluate
+    raises its EvalError the loop raises that or a bare ValueError,
+    ZeroDivisionError or OverflowError.
+    """
+    temps, sources = count(), list(dict.fromkeys("".join(pairs)))
+    rows = [s for s in sources if s.isupper()]
+    coords = {s: [f"_{s}{i}" for i in range(len(left))] for s in sources}
+
+    def term(w: str, pair: str) -> str:
+        body = _gen(e, temps, dict(zip(left + right, coords[pair[0]] + coords[pair[1]])))
+        return f"({w} := {body if _nonneg(e) else f'abs({body})'})"
+
+    def bound(values: list[str]) -> str:
+        return "".join(f"_{c} * {v} + " for c, v in zip(coefs, values)) + "_eps"
+
+    ws = [f"_w{j}" for j in range(len(pairs))]
+    lhs, *terms = map(term, ws, pairs)
+    return _compile(
+        f"def {name}({', '.join(f'_{s}' for s in sources + list(coefs))}, _eps):\n"
+        + "".join(f"    {_names(coords[s])} = _{s}\n" for s in sources if s.islower())
+        + f"    for {', '.join(_names(coords[s]) for s in rows)} in "
+        f"zip({''.join(f'_{s}, ' for s in rows[:-1])}_rest := iter(_{rows[-1]})):\n"
+        f"        if not {lhs} <= {bound(terms)} < inf and not (\n"
+        f"                {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n"
+        f"            return len(_{rows[-1]}) - 1 - length_hint(_rest)\n"
+        "    return -1\n"
     )[name]
 
 

@@ -140,6 +140,22 @@ def _fold_row(best: float, nums: list, dens: list, zero: float, raise_at):
     return max([best, *(num / den for num, den in zip(nums, dens) if den > zero)])
 
 
+def _first_hit(rows, r: int, v: float, eps: float, marked=None) -> int:
+    """The first index of row r at which not lhs <= v * a + b + eps (v * a
+    + eps where b is None), or -1, over the marked rows (lhs, a, b) =
+    rows.kernel(r), given or not.  Without them rows.first gives it from
+    one loop, and a row on which that raises is read marked."""
+    if marked is None:
+        try:
+            return rows.first(r, v, eps)
+        except (ArithmeticError, ValueError):
+            marked = rows.kernel(r)
+    lhs, a, b = marked
+    rhs = ([v * p + eps for p in a] if b is None
+           else [v * p + q + eps for p, q in zip(a, b)])
+    return next(compress(count(), map(not_, map(le, lhs, rhs))), -1)
+
+
 def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     """The one pass behind each contraction check, its estimate and the
     sweep of search, over the kernel rows of a _BanachRows or a _ProximalRows.
@@ -150,7 +166,10 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     (see RowKernels.marked) never has it, so it is a hit whose report raises
     the scalar loop's error.  With estimate, best is the supremum of the
     tuples' num / den (see _fold_row), None when it is infinite; without,
-    best is None.  The pass stops once no later row can change either result.
+    best is None.  A row the estimate folds is read as marked lists, which
+    the fold needs; any other row is tested by rows.first, one loop per
+    value that lists nothing and gives the same index (see _first_hit).
+    The pass stops once no later row can change either result.
     """
     zero, eps = tol.eps_zero, tol.eps_ineq
     hits: list = [None] * len(values)
@@ -161,8 +180,9 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     for r in range(rows.count):
         if best is None and None not in hits:
             break
-        lhs, a, b = rows.kernel(r)
+        marked = None
         if best is not None:
+            marked = lhs, a, b = rows.kernel(r)
             nums = lhs if b is None else list(map(sub, lhs, b))
             best = _fold_row(
                 best, nums, a, zero, lambda i: rows.evaluate(1.0, (r, i))
@@ -170,12 +190,7 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
         for k in order:
             if hits[k] is not None:
                 continue
-            v = values[k]
-            if b is None:
-                rhs = [v * p + eps for p in a]
-            else:
-                rhs = [v * p + q + eps for p, q in zip(a, b)]
-            i = next(compress(count(), map(not_, map(le, lhs, rhs))), -1)
+            i = _first_hit(rows, r, values[k], eps, marked)
             if i < 0:
                 break
             hits[k] = (r, i)
@@ -218,7 +233,9 @@ def _firsts(pts: Sequence[Point], images: Sequence[Point], reads) -> list[int]:
 class _BanachRows:
     """The contraction scan: one row per sampled x, its tuples (x, y) over
     the sampled y.  lhs abs(g(Tx, Ty)) and rhs alpha * abs(g(x, y)); the
-    estimate's terms are the two sides at alpha = 1.
+    estimate's terms are the two sides at alpha = 1.  first tests a row
+    under one alpha in one loop (RowKernels.first_banach), which lists
+    nothing; kernel gives the marked rows that the estimate folds.
 
     Rows and columns are read once per class (see _firsts) of the points g
     cannot tell apart, x on the coordinates it reads on its x side and y on
@@ -242,6 +259,13 @@ class _BanachRows:
         k, x = self.g.kernels, self.rows[r]
         lhs = k.marked(repeat(self.images[x].coords), self.image_coords)
         return lhs, k.marked(repeat(self.pts[x].coords), self.coords), None
+
+    def first(self, r: int, alpha: float, eps: float) -> int:
+        """The first hit of kernel(r) under alpha, from one loop that lists
+        nothing; it raises where the kernel's text does."""
+        x = self.rows[r]
+        return self.g.kernels.first_banach(self.images[x].coords, self.image_coords,
+                                           self.pts[x].coords, self.coords, alpha, eps)
 
     def evaluate(self, alpha: float, hit) -> tuple:
         """(witness, lhs, rhs) at the tuple hit = (row, column) of the kernel."""
@@ -335,8 +359,10 @@ class _ProximalRows:
     """The quadruple scan: one row per qualifying pair (x1, u1), its tuples
     the qualifying pairs (x2, u2).  lhs abs(g(u1, u2)) and rhs beta *
     abs(g(x1, x2)) + N * abs(g(x2, u1)); the estimate's terms are lhs - N *
-    abs(g(x2, u1)) over abs(g(x1, x2)).  Exact sets give every qualifying
-    pair, grids the pairs under the quadruple cap."""
+    abs(g(x2, u1)) over abs(g(x1, x2)).  first tests a row under one beta
+    in one loop (RowKernels.first_proximal), which lists nothing; kernel
+    gives the marked rows that the estimate folds.  Exact sets give every
+    qualifying pair, grids the pairs under the quadruple cap."""
 
     def __init__(self, f, n_cap, core, seed):
         self.g, self.n_cap = core.g, n_cap
@@ -358,6 +384,12 @@ class _ProximalRows:
         g_xx = k.marked(repeat(x1.coords), self.xs)
         g_xu = k.marked(self.xs, repeat(u1.coords))
         return g_uu, g_xx, [self.n_cap * q for q in g_xu]
+
+    def first(self, r: int, beta: float, eps: float) -> int:
+        """The first hit of kernel(r) under beta, from one loop that lists
+        nothing; it raises where the kernel's text does."""
+        return self.g.kernels.first_proximal(self.us[r], self.us, self.xs[r], self.xs,
+                                             beta, self.n_cap, eps)
 
     def evaluate(self, beta: float, hit) -> tuple:
         """(witness, lhs, rhs) at the tuple hit = (row, index)."""

@@ -7,8 +7,8 @@ axis, max(2, floor(cap ** (1 / arity))) points at cap 10**6 for the pair
 scans, the triangle triples and the quadruple pairs, and 2000 points for the
 qualifying pairs, chosen by even strides at seed 0 and by a seeded random
 sample otherwise.  The spies read the first row a scan passes to the kernels
-(for the qualifying pairs, to the row reader) and stop the scan there, so no
-test pays for a whole scan.
+(for the qualifying pairs, to the row reader; for the contraction scans, to
+their fused loop) and stop the scan there, so no test pays for a whole scan.
 """
 
 from __future__ import annotations
@@ -66,14 +66,21 @@ class _Stop(Exception):
 
 
 def first_row(scan, monkeypatch) -> tuple[list, list]:
-    """The arguments of the scan's first kernel call; the scan stops there."""
+    """The arguments of the scan's first kernel call; the scan stops there.
+    A fused contraction loop (first_banach, first_proximal) is caught too,
+    as a call over its left side's point p and row Q."""
     seen = []
 
     def spy(self, P, Q):
         seen.append(_rows(P, Q))
         raise _Stop
 
+    def fused(self):
+        return lambda p, Q, *rest: spy(self, repeat(p), Q)
+
     monkeypatch.setattr(RowKernels, "marked", spy)
+    for name in ("first_banach", "first_proximal"):
+        monkeypatch.setattr(RowKernels, name, property(fused))
     with pytest.raises(_Stop):
         scan()
     return seen[0]

@@ -387,6 +387,51 @@ def test_first_violation_index_matches_an_enumerated_loop(text, bound, width, hi
     assert got == _enumerated_first(values, LA, MB, 1e-9) == at
 
 
+# The contraction loops run the text of every term in one function, so the
+# temporaries of this gauge's min and max must take a fresh name in each.
+# Each loop gives the index that its marked rows give: a NaN or infinite
+# term fails a tuple, a sum of finite terms that overflows (N = 1e308) does
+# not, and a loop raises only at that index, at a tuple where the gauge
+# raises.  Rows of 2 and 3 hold with lhs equal to its term g(x, X[k]); a
+# planted 0.5 raises, 1e200 is infinite, NaN is NaN, and 4 in the lhs row
+# breaks it.
+CONTRACTION_GAUGE = "max(x1, u1)*min(u1, 1e308)/(u1 - 0.5) + max(x1 - u1, min(x1, u1))"
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_contraction_loops_give_the_index_of_their_marked_rows(seed, monkeypatch):
+    kernels = compile_row_kernels(parse(CONTRACTION_GAUGE), ("x1",), ("u1",))
+    texts, real = [], expr_module._compile
+    monkeypatch.setattr(expr_module, "_compile", lambda src: texts.append(src) or real(src))
+    rng = random.Random(seed)
+    p = x = (1.0,)
+    Q = [(rng.choice((2.0, 3.0)),) for _ in range(12)]
+    X = list(Q)
+    for _ in range(rng.randint(0, 2)):
+        rng.choice((Q, X))[rng.randrange(12)] = (rng.choice((0.5, 1e200, math.nan, 4.0)),)
+    n, eps = rng.choice((0.0, 0.25, 1e308)), rng.choice((0.0, 1e-9))
+    m = kernels.marked
+    cases = [
+        (kernels.first_banach, (p, Q, x, X, 1.0, eps),
+         [(lhs, 1.0 * a + eps) for lhs, a in zip(m(repeat(p), Q), m(repeat(x), X))],
+         [(q, y) for q, y in zip(Q, X)]),
+        (kernels.first_proximal, (p, Q, x, X, 1.0, n, eps),
+         [(lhs, 1.0 * a + n * b + eps)
+          for lhs, a, b in zip(m(repeat(p), Q), m(repeat(x), X), m(X, repeat(p)))],
+         [(q, y, p) for q, y in zip(Q, X)]),
+    ]
+    for loop, args, sides, us in cases:
+        want = next((k for k, (lhs, rhs) in enumerate(sides) if not lhs <= rhs), -1)
+        try:
+            assert loop(*args) == want
+        except (ArithmeticError, ValueError):  # the terms' u sides at the hit
+            assert want >= 0 and (0.5,) in us[want]
+    for text in texts:
+        temps = re.findall(r"\((_t\d+) :=", text)
+        assert temps and len(temps) == len(set(temps))
+    assert [t.split("(")[0] for t in texts] == ["def first_banach", "def first_proximal"]
+
+
 def test_holding_scans_do_not_go_through_eval_g(monkeypatch):
     calls = []
 

@@ -12,10 +12,12 @@ tuples in scan order and evaluates every gauge and map value through
 expr.evaluate: the verdict, the witness and both sides bit for bit, the
 estimate bit for bit, and an error by type and message.  Quotient inputs in
 dimension 3 and 4 do the same for the banach subjects, whose scan reads one
-point per class of the points the gauge cannot tell apart.  The identity,
-symmetry, triangle and convex-structure checks have a reference of their
-own, GeometryReference, and the semi-sharp and side-condition checks one
-at the end, ProximityReference.
+point per class of the points the gauge cannot tell apart.  Planted inputs
+put infinite, NaN and raising gauge values, right sides that overflow and
+exact rates where the checks' fused loop must answer as marked rows do.
+The identity, symmetry, triangle, convex-structure and starshaped checks
+have a reference of their own, GeometryReference, and the semi-sharp and
+side-condition checks one at the end, ProximityReference.
 """
 
 from __future__ import annotations
@@ -362,6 +364,100 @@ def test_planted_quotient_answers_match_scalar_loops(planted):
     _assert_quotient_answers(doc, _quotient_subjects(random.Random(planted["g"])))
 
 
+# Planted inputs for the contraction checks' fused loop, which tests each
+# row in one pass over both sides (see RowKernels.first_banach and
+# first_proximal).  A = {0, 1, 2, 4, 8} under abs(x1-u1), plus terms that
+# are 0 except at one pair (a, b): _at is 1 there, _inf_at infinite, and
+# _raise_at and _sqrt_at raise.  The banach subjects map x to x/2, whose
+# images 0.5 are read by lhs alone, and hold at alpha = 1/2 with a slack of
+# eps_ineq = 1/4 at every pair.  The proximal subjects map x to x/2 + 1/4
+# off A, into B = A + 1/4, so the level is 1/4 and the qualifying pairs
+# are (0, 0), (1, 1), (2, 1), (4, 2) and (8, 4); no term of the core reads
+# a pair of A x A.  Their check holds at beta = 1/2, N = 1/4, with lhs =
+# rhs + eps at the quadruple (0, 1, 0, 1).  The pair (1, 8) is read by
+# g(x, y) or g(x1, x2) alone, (8, 1) by g(x2, u1) alone, and (0, 1) by lhs
+# and g(x1, x2) of one quadruple.  Each entry gives its family, its terms,
+# N, eps_ineq and a part of the check's answer, which pins where it lands.
+def _at(a: float, b: float, names=("x1", "u1")) -> str:
+    v, w = names
+    return f"max(0, 1 - 8*abs({v} - {a!r}))*max(0, 1 - 8*abs({w} - {b!r}))"
+
+
+def _inf_at(a: float, b: float) -> str:
+    return f"{_at(a, b)}*1e308*4"
+
+
+def _raise_at(a: float, b: float, names=("x1", "u1")) -> str:
+    v, w = names
+    return f"0/(abs({v} - {a!r}) + abs({w} - {b!r}))"
+
+
+def _sqrt_at(a: float, b: float) -> str:
+    return f"0*sqrt(abs(x1 - {a!r}) + abs(u1 - {b!r}) - 0.125)"
+
+
+PLANTED_CONTRACTIONS = {
+    # lhs infinite at (x, y) = (1, 4); in the second also g(x, y)
+    "banach-lhs-inf": ("banach", [_inf_at(0.5, 2)], 0.0, 0.25, "g((0.5), (2.0)) = inf"),
+    "banach-both-inf": ("banach", [_inf_at(0.5, 2), _inf_at(1, 4)], 0.0, 0.25,
+                        "g((0.5), (2.0)) = inf"),
+    "banach-den-inf": ("banach", [_inf_at(1, 8)], 0.0, 0.25, "g((1.0), (8.0)) = inf"),
+    "banach-nan": ("banach", [_inf_at(2, 8), f"-{_inf_at(2, 8)}"], 0.0, 0.25,
+                   "g((2.0), (8.0)) = nan"),
+    # row x = 1: g(1, 0) raises before lhs breaks at y = 4; lhs breaks at
+    # y = 1 before g(1, 8) raises
+    "banach-raise-before": ("banach", [_raise_at(1, 0), _at(0.5, 2)], 0.0, 0.25,
+                            "division-by-zero"),
+    "banach-raise-after": ("banach", [_at(0.5, 0.5), _sqrt_at(1, 8)], 0.0, 0.25,
+                           "'y': Point(coords=(1.0,)"),
+    # lhs = alpha * g(x, y) + eps at (1, 4)
+    "banach-exact": ("banach", [f"0.25*{_at(0.5, 2)}"], 0.0, 0.25, "holds-on-sample"),
+    # alpha * g(1, 8) + eps overflows from finite terms
+    "banach-overflow": ("banach", [f"1e308*{_at(1, 8)}"], 0.0, 1.7e308, "holds-on-sample"),
+    "proximal-lhs-inf": ("proximal", [_inf_at(0, 1)], 0.25, 0.25, "g((0.0), (1.0)) = inf"),
+    "proximal-xx-inf": ("proximal", [_inf_at(1, 8)], 0.25, 0.25, "g((1.0), (8.0)) = inf"),
+    "proximal-xu-inf": ("proximal", [_inf_at(8, 1)], 0.25, 0.25, "g((8.0), (1.0)) = inf"),
+    "proximal-nan": ("proximal", [_inf_at(1, 8), f"-{_inf_at(1, 8)}"], 0.25, 0.25,
+                     "g((1.0), (8.0)) = nan"),
+    # row (1, 1): g(4, 1) raises at x2 = 4 before g(x1, x2) = g(1, 8) = 0
+    # breaks the row at x2 = 8; g(1, 4) = g(4, 1) = 0 break it at x2 = 4
+    # before g(8, 1) raises at x2 = 8
+    "proximal-raise-before": ("proximal", [_raise_at(4, 1), f"-7*{_at(1, 8)}"], 0.25, 0.25,
+                              "division-by-zero"),
+    "proximal-raise-after": ("proximal", [f"-3*{_at(1, 4)}", f"-3*{_at(4, 1)}",
+                                          _sqrt_at(8, 1)], 0.25, 0.25,
+                             "'x2': Point(coords=(4.0,)"),
+    "proximal-exact": ("proximal", [], 0.25, 0.25, "holds-on-sample"),
+    # N * g(x2, u1) overflows wherever g(x2, u1) > 1, every term finite
+    "proximal-huge-n": ("proximal", [], 1e308, 0.25, "holds-on-sample"),
+    # at (4, 2, 2, 1): lhs 1 + 2**-52 against (1 + 2**-53) + 2**-53, which
+    # rounds to 1; summed as 1 + (2**-53 + 2**-53) it would hold
+    "proximal-rounding": ("proximal", [f"{2 ** -52!r}*{_at(2, 1)}", f"{2 ** -52!r}*{_at(2, 2)}"],
+                          0.5, 2 ** -53, "lhs=1.0000000000000002, rhs=1.0"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_CONTRACTIONS))
+def test_planted_contraction_answers_match_scalar_loops(name):
+    family, terms, n, eps, landing = PLANTED_CONTRACTIONS[name]
+    points = [[0.0], [1.0], [2.0], [4.0], [8.0]]
+    doc = {"dimension": 1, "g": " + ".join(["abs(x1-u1)", *terms]),
+           "sets": {"A": {"points": points},
+                    "B": {"points": [[p + 0.25] for p, in points[:4]]}},
+           "maps": {"f": {"exprs": ["x1/2" if family == "banach" else "x1/2 + 0.25"],
+                          "domain": "A", "codomain": "B"}},
+           "tolerances": {"eps_ineq": eps}}
+    if family == "banach":
+        subjects = [("check", "banach:g:map=f:alpha=0.5"), ("estimate", "banach:g:map=f")]
+    else:
+        subjects = [("check", f"proximal-weak:g:map=f:beta=0.5:N={n!r}"),
+                    ("check", f"berinde:g:map=f:N={n!r}"),
+                    ("estimate", f"proximal-weak:g:map=f:N={n!r}")]
+    ref = Reference(instance_from_dict(doc))
+    _assert_answers(doc, ref, subjects)
+    assert landing in _outcome(ref.answer, *subjects[0])
+
+
 # The axiom and convex kinds.  A reference of its own walks the tuples of
 # identity, symmetry, triangle and both convex conditions in scan order and
 # evaluates every gauge and H value through expr.evaluate, raising what
@@ -444,6 +540,27 @@ class GeometryReference:
                             return falsified({"x": x, "y": y, "z": z}, lhs, rhs)
         return CheckReport(f"{kind}-axiom", HOLDS)
 
+    def starshaped(self, name: str, centre: Point) -> CheckReport:
+        """H(centre, x, lam) over x in the set, then lam in the grid as
+        given, each image tested against the set widened by the band."""
+        s, band = self.inst.set_(name), max(1e-9, self.tol.eps_prox)
+
+        def member(p: Point) -> bool:
+            if s.box is not None:
+                return all(lo - band <= c <= hi + band for c, (lo, hi) in zip(p.coords, s.box))
+            return any(all(abs(a - b) <= band for a, b in zip(p.coords, q.coords))
+                       for q in s.points)
+
+        if not member(centre):
+            raise GSpaceError(f"centre {centre} is not a member of {name}")
+        for x in s.points:
+            for lam in self.inst.convex.lambda_grid:
+                image = self.image(centre, x, lam)
+                if not member(image):
+                    return CheckReport("starshaped", FALSIFIED, {"x": x, "lam": lam, "image": image},
+                                       note="interpolant escapes the set")
+        return CheckReport("starshaped", HOLDS)
+
     def convex(self, pts) -> CheckReport:
         """Both conditions over every point of pts; the lambdas in the
         order the check scans them, sorted, with 0 and 1."""
@@ -477,13 +594,16 @@ class GeometryReference:
 
 
 def _assert_geometry(doc: dict, convex_set=None) -> None:
-    """Each axiom over the set A, and the convex check over convex_set, if
-    given, answer through the command line as the reference does."""
+    """Each axiom and the starshaped check about r over the set A, and the
+    convex check over convex_set, if given, answer through the command line
+    as the reference does."""
     inst, ref = instance_from_dict(doc), GeometryReference(instance_from_dict(doc))
     pts = ref.inst.set_("A").points
     for kind in AXIOMS:
         want = _outcome(ref.axiom, kind, pts)
         assert _outcome(cli.run_check, inst, f"{kind}:g:set=A") == want, kind
+    want = _outcome(ref.starshaped, "A", ref.inst.convex.r)
+    assert _outcome(cli.run_check, inst, "starshaped:A") == want
     if convex_set is not None:
         want = _outcome(ref.convex, ref.inst.set_(convex_set).points)
         assert _outcome(cli.run_check, inst, f"convex:g:set={convex_set}") == want
@@ -499,9 +619,10 @@ def _metric_gauge(rng: random.Random) -> str:
 
 def _geometry_doc(rng: random.Random) -> dict:
     """A random g, a convex structure over x, u and l, an axiom set A, a
-    box of more than 32 points in a third of the draws, a convex set C of at
-    most 6 points, which the convex check scans whole, and an eps_ineq of 0
-    in half of the draws."""
+    box of more than 32 points in a third of the draws, which holds the
+    starshaped check's centre r, a convex set C of at most 6 points, which
+    the convex check scans whole, and an eps_ineq of 0 in half of the
+    draws."""
     if rng.random() < 0.5:
         g = _metric_gauge(rng)
     else:
@@ -516,9 +637,11 @@ def _geometry_doc(rng: random.Random) -> dict:
              "resolution": rng.choice(([6, 6], [5, 7], [4, 9]))}
     else:
         a = _random_set(rng)
+    # the centre of the starshaped check: a point of A
+    r = a["points"][0] if "points" in a else [lo for lo, _ in a["box"]]
     return {
         "dimension": 2, "g": g, "sets": {"A": a, "C": _random_set(rng)},
-        "convex": {"exprs": h, "r": [0, 0], "s": [0, 0],
+        "convex": {"exprs": h, "r": r, "s": [0, 0],
                    "lambda_grid": rng.choice((2, 3, [0, 0.25, 1], [1, 0.5, -0.0]))},
         "tolerances": {"eps_ineq": rng.choice((0.0, 1e-9))},
     }
@@ -571,6 +694,33 @@ def test_planted_axiom_and_convex_answers_match_scalar_loops(name):
     assert report.falsified
     assert {k: v if k == "lam" else v.coords[0]
             for k, v in report.witness.items()} == witness
+
+
+# Planted starshaped inputs: the box {0, 1, 2, 3} about r = 0 under
+# lambdas [0, 0.5, 1], where H(0, x, l) = (1 - l)*x stays in the box but for
+# a term at one (x, l) = (u1, l), in the names _at and _raise_at take.  The
+# scan's row is (x, l) in that order, and (2, 0.5) is its middle.
+XL = ("u1", "l")
+PLANTED_STARSHAPED = {
+    "raise": ([_raise_at(2, 0.5, XL)], "division-by-zero"),
+    "infinite": ([f"{_at(2, 0.5, XL)}*1e308*4"], "non-finite: H((0.0), (2.0), 0.5)"),
+    "escape-then-raise": ([f"8*{_at(1, 0.5, XL)}", _raise_at(2, 0.5, XL)],
+                          "'lam': 0.5, 'image': Point(coords=(8.5,)"),
+    "raise-then-escape": ([_raise_at(1, 0.5, XL), f"8*{_at(2, 0.5, XL)}"],
+                          "division-by-zero"),
+    "escape-last": ([f"8*{_at(3, 1, XL)}"], "'lam': 1.0, 'image': Point(coords=(8.0,)"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_STARSHAPED))
+def test_planted_starshaped_answers_match_scalar_loops(name):
+    terms, landing = PLANTED_STARSHAPED[name]
+    doc = {"dimension": 1, "g": "abs(x1-u1)",
+           "sets": {"A": {"box": [[0, 3]], "resolution": [4]}},
+           "convex": {"exprs": [" + ".join(["l*x1 + (1-l)*u1", *terms])],
+                      "r": [0], "s": [0], "lambda_grid": [0, 0.5, 1]}}
+    _assert_geometry(doc)
+    assert landing in _outcome(cli.run_check, instance_from_dict(doc), "starshaped:A")
 
 
 # The proximity kinds.  A reference of its own computes the core of (A, B)
