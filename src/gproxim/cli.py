@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 from functools import cache, cached_property, partial, reduce
 from typing import Callable, NamedTuple, Optional
 
-from .config import ConfigError, Instance, load_instance
+from .config import ConfigError, Instance, _count, load_instance
 from .expr import EvalError, ParseError
 from .gspace import (
     GSpaceError,
@@ -521,7 +521,7 @@ def solve(inst: Instance, args) -> tuple[dict, object]:
         cv = _need_convex(inst)
         sched = inst.schedule or Schedule.harmonic(10)
         if args.stages is not None:
-            sched = Schedule.harmonic(args.stages)
+            sched = Schedule.harmonic(_count(args.stages, "--stages"))
         core = inst.core(g, f.domain, f.codomain)
         battery = _battery(inst, args, f, core)
         result = berinde_scheme(f, core, cv.h, cv.s, sched, tol, args.max_iter, args.seed)

@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional, Union
 
 from .expr import ParseError
 from .gspace import (
+    MAX_TUPLES,
     ConvexStructure,
     GFunction,
     GSpaceError,
@@ -210,6 +211,15 @@ def _whole(value: Any, path: str) -> int:
     return int(value)
 
 
+def _count(value: Any, path: str) -> int:
+    """_whole(value) as a count of items to build: above MAX_TUPLES, the
+    most tuples a scan reads, a ConfigError, raised before any is built."""
+    n = _whole(value, path)
+    if n > MAX_TUPLES:
+        raise ConfigError(path, f"must be at most {MAX_TUPLES}, got {n}")
+    return n
+
+
 def _ints(values: Any, path: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ConfigError(path, f"expected a list of whole numbers, got {values!r}")
@@ -328,7 +338,7 @@ def instance_from_dict(doc: dict) -> Instance:
         if isinstance(lams, int):
             if _double(lams, "convex.lambda_grid") < 2:
                 raise ConfigError("convex.lambda_grid", "need at least 2 values")
-            grid = tuple(i / (lams - 1) for i in range(lams))
+            grid = tuple(i / (lams - 1) for i in range(_count(lams, "convex.lambda_grid")))
         else:
             grid = _floats(lams, "convex.lambda_grid")
         if 0.0 not in grid or 1.0 not in grid:
@@ -363,9 +373,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 rule = spec.get("rule", "harmonic")
                 if rule != "harmonic":
                     raise ConfigError("schedule.rule", f"unknown rule {rule!r}")
-                schedule = Schedule.harmonic(
-                    _whole(spec.get("stages", 10), "schedule.stages")
-                )
+                schedule = Schedule.harmonic(_count(spec.get("stages", 10), "schedule.stages"))
         except GSpaceError as exc:
             raise ConfigError("schedule", str(exc)) from None
 

@@ -519,11 +519,12 @@ class RowKernels:
     LA, MB, eps) scans a row over (b, lam), lam the inner index, whose right
     side at index k is LA[k % len(LA)] + MB[k]: it is the first k at which
     not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
-    value stops it as a violation does, so every right side must be finite.
-    The loop numbers no tuple but the failing one: MB, which must be a list
-    or a tuple, is zip's last argument, read through an iterator that zip
-    has advanced once per tuple, so k is len(MB) - 1 less what length_hint
-    says that iterator has left.
+    value stops it as a violation does, so every right side must be finite,
+    and so does a tuple at which the text of e raises.  The loop numbers no
+    tuple but the failing one: MB, which must be a list or a tuple, is
+    zip's last argument, read through an iterator that zip has advanced once
+    per tuple, so k is len(MB) - 1 less what length_hint says that iterator
+    has left.
 
     first_banach and first_proximal test a row of a contraction check in
     one loop that evaluates both sides of each tuple, lhs and every term of
@@ -532,14 +533,15 @@ class RowKernels:
     the marked rows of both sides give.
 
     Every loop runs the text of e (see _gen) with no typed fallback, so
-    where evaluate raises its EvalError it raises that or a bare
-    ValueError, ZeroDivisionError or OverflowError.  A side of values or
+    where evaluate raises its EvalError values raises that or a bare
+    ValueError, ZeroDivisionError or OverflowError.  The first-hit loops
+    catch those and give the index of the tuple that raised: every tuple
+    before it passed, and the marked rows mark it.  A side of values or
     first_violation that is an itertools.repeat, which every scan passes
     without a count, has its coordinates bound once before the loop, and
-    the loop unpacks only the other side.  Scans read rows through marked,
-    which marks a tuple where values raises, or read a row on which a
-    fused loop raises again through marked, and raise the typed error
-    through eval_g.
+    the loop unpacks only the other side.  Scans read lists through marked,
+    which marks a tuple where values raises, and raise the typed error at a
+    hit through eval_g.
 
     bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
     ranging between the tuples PL and PH and the Q coordinates between QL
@@ -562,10 +564,13 @@ class RowKernels:
         def loop(body: str, targets: list[str], rows: list[str]) -> str:
             each = ", ".join(targets + ["_la", "_mb"])
             scan = ", ".join(rows + ["cycle(_LA)", "_rest"])
+            hit = "return len(_MB) - 1 - length_hint(_rest)\n"
             return ("    _rest = iter(_MB)\n"
-                    f"    for {each} in zip({scan}):\n"
-                    f"        if not {body} <= _la + _mb + _eps:\n"
-                    "            return len(_MB) - 1 - length_hint(_rest)\n"
+                    "    try:\n"
+                    f"        for {each} in zip({scan}):\n"
+                    f"            if not {body} <= _la + _mb + _eps:\n"
+                    f"                {hit}"
+                    f"    except (ArithmeticError, ValueError):\n        {hit}"
                     "    return -1\n")
 
         return _compile_rows("first_violation", ", _LA, _MB, _eps", loop, *self.tree)
@@ -595,10 +600,9 @@ class RowKernels:
     def marked(self, P: Iterable, Q: Iterable) -> list[float]:
         """values(P, Q), with a NaN mark at each tuple where the scalar
         callable raises or is not finite.  Every other value is an abs, so
-        a mark makes every comparison <= false.  A one-shot iterator other
-        than itertools.repeat is read into a list first, so that the
-        per-tuple pass after a raising row sees the whole row."""
-        P, Q = _rereadable(P), _rereadable(Q)
+        a mark makes every comparison <= false.  P and Q are lists, tuples
+        or an itertools.repeat, which the per-tuple pass after a raising
+        row reads again."""
         try:
             row = self.values(P, Q)
         except (ArithmeticError, ValueError):
@@ -611,13 +615,6 @@ class RowKernels:
         if math.isfinite(sum(row)):
             return row
         return [v if v < math.inf else math.nan for v in row]
-
-
-def _rereadable(rows: Iterable) -> Iterable:
-    """rows, or a list of them when a second pass could not read them again."""
-    if iter(rows) is rows and not isinstance(rows, repeat):
-        return list(rows)
-    return rows
 
 
 def _unbound(exprs: Iterable[Expr], names: Iterable[str]) -> None:
@@ -699,8 +696,9 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     at least T0 holds, and only one that is not tests each term.  Each
     term runs the text of e (see _gen) under names of its own, with one
     temps counter for all of them, and no typed fallback: where evaluate
-    raises its EvalError the loop raises that or a bare ValueError,
-    ZeroDivisionError or OverflowError.
+    raises its EvalError the text raises that or a bare ValueError,
+    ZeroDivisionError or OverflowError, and the loop returns that tuple's
+    index, as a mark there would fail it.
     """
     temps, sources = count(), list(dict.fromkeys("".join(pairs)))
     rows = [s for s in sources if s.isupper()]
@@ -715,14 +713,17 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
 
     ws = [f"_w{j}" for j in range(len(pairs))]
     lhs, *terms = map(term, ws, pairs)
+    hit = f"return len(_{rows[-1]}) - 1 - length_hint(_rest)\n"
     return _compile(
         f"def {name}({', '.join(f'_{s}' for s in sources + list(coefs))}, _eps):\n"
         + "".join(f"    {_names(coords[s])} = _{s}\n" for s in sources if s.islower())
-        + f"    for {', '.join(_names(coords[s]) for s in rows)} in "
+        + "    try:\n"
+        f"        for {', '.join(_names(coords[s]) for s in rows)} in "
         f"zip({''.join(f'_{s}, ' for s in rows[:-1])}_rest := iter(_{rows[-1]})):\n"
-        f"        if not {lhs} <= {bound(terms)} < inf and not (\n"
-        f"                {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n"
-        f"            return len(_{rows[-1]}) - 1 - length_hint(_rest)\n"
+        f"            if not {lhs} <= {bound(terms)} < inf and not (\n"
+        f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n"
+        f"                {hit}"
+        f"    except (ArithmeticError, ValueError):\n        {hit}"
         "    return -1\n"
     )[name]
 
@@ -781,16 +782,23 @@ def compile_point_rows(
     coordinate tuple (e + 0.0 for e in exprs) for each tuple of O (named
     `outer`) and then each value of I (named `inner`).  Those are the
     scalar callables' doubles, with -0.0 made 0.0 as Point makes it.  The
-    loop runs the text of each e (see _gen) with no typed fallback: where a
-    scalar callable raises its EvalError it raises that or a bare error, and
-    a non-finite coordinate is listed as it is.
+    loop runs the text of each e (see _gen) with no typed fallback, and
+    where a scalar callable raises its EvalError the text raises that or a
+    bare error: the list ends before that tuple.  A non-finite coordinate
+    is listed as it is.
     """
     _unbound(exprs, bound + outer + (inner,))
     temps = count()
     coords = "".join(f"{_gen(e, temps)} + 0.0, " for e in exprs)
-    namespace = _compile(
+    return _compile(
         "def rows(_b, _O, _I):\n"
         f"    {_names(bound)} = _b\n"
-        f"    return [({coords}) for {_names(outer)} in _O for {inner} in _I]\n"
-    )
-    return namespace["rows"]
+        "    _row = []\n"
+        "    try:\n"
+        f"        for {_names(outer)} in _O:\n"
+        f"            for {inner} in _I:\n"
+        f"                _row.append(({coords}))\n"
+        "    except (ArithmeticError, ValueError):\n"
+        "        pass\n"
+        "    return _row\n"
+    )["rows"]

@@ -21,7 +21,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, count, cycle, repeat
+from itertools import chain, compress, count, cycle, repeat, takewhile
 from operator import add, length_hint
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -263,9 +263,7 @@ def _runs(
     or proven block is proven clean, so the lists raise at the row's first
     marked tuple, and the values of the row within eps of level are all in
     them or in the proven blocks.  The core reads a block whole once it is
-    a leaf, or lies within eps above level but may reach below it.  mates
-    reads lazily, so it leaves out blocks only when the bound proves the
-    whole row clean, and otherwise reads the row whole here.  A gauge
+    a leaf, or lies within eps above level but may reach below it.  A gauge
     without a bound, or an infinite level, reads the row whole.
     """
     bound = g.kernels.bound
@@ -276,13 +274,9 @@ def _runs(
         s, box = ys, partial(bound, xs.coords, xs.coords)
     else:
         s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
-    root = s.blocks
-    if mates and box(root[0], root[1]) is None:
-        row = _gauge_row(g, xs, ys)
-        return ((0, len(row), row),)
 
     def runs():
-        stack, start, stop = [root], 0, 0
+        stack, start, stop = [s.blocks], 0, 0
         while stack:
             lo, hi, i, j, halves = stack.pop()
             ends = box(lo, hi)
@@ -508,33 +502,22 @@ class ConvexStructure:
     @cached_property
     def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:
         """The row loop of rows (expr.compile_point_rows), compiled on the
-        first call: it raises or lists a non-finite tuple where apply raises."""
+        first call: its list ends before the first tuple at which the text
+        raises, and holds a non-finite tuple as it is."""
         d = self.dimension
         names = GFunction._var_names(d)
         return compile_point_rows(self.exprs, names[:d], names[d:], "l")
 
-    def rows(
-        self, x: Point, ys: Sequence[Point], lams: Sequence[float]
-    ) -> tuple[list, list[int]]:
+    def rows(self, x: Point, ys: Sequence[Point], lams: Sequence[float]) -> list:
         """The coordinates of apply(x, y, lam) over y in ys, then lam in
-        lams, and the indices at which apply raises; each of those holds x's
-        coordinates.  A compiled row that raises or is not finite is built
-        again through apply, one tuple at a time."""
-        try:
-            row = self.interpolants(x.coords, [y.coords for y in ys], lams)
-            if math.isfinite(sum(chain.from_iterable(row))):
-                return row, []
-        except (ArithmeticError, ValueError):
-            pass
-        row, failed = [], []
-        for y in ys:
-            for lam in lams:
-                try:
-                    row.append(self.apply(x, y, lam).coords)
-                except EvalError:
-                    failed.append(len(row))
-                    row.append(x.coords)
-        return row, failed
+        lams, up to the first tuple at which apply raises: the list is
+        shorter than len(ys) * len(lams) exactly when H fails, at index
+        len(row)."""
+        row = self.interpolants(x.coords, [y.coords for y in ys], lams)
+        if not math.isfinite(sum(chain.from_iterable(row))):
+            # a sum of finite coordinates can overflow: test each of them
+            row = list(takewhile(lambda c: all(map(math.isfinite, c)), row))
+        return row
 
     def apply(self, x: Point, y: Point, lam: float) -> Point:
         if x.dimension != self.dimension or y.dimension != self.dimension:
@@ -621,19 +604,18 @@ class ProximalCore:
     def witnesses(self) -> tuple[tuple[Point, Point], ...]:
         return tuple((x, ys[0]) for x, ys in zip(self.a_g.points, self.partners))
 
-    def mates(self, y: Point, a: Optional[SampleSet] = None) -> Iterable[Point]:
+    def mates(self, y: Point, a: Optional[SampleSet] = None) -> tuple[Point, ...]:
         """The points u of A with abs(g(u, y)) within eps of d_g, in A order;
         with a, those of a, a subsample of A.
 
         When y is a sample point of B and a is not given, they are read from
         partners: the core evaluated abs(g) on all of A x B with the same
         kernel doubles and the same band test.  Any other question reads the
-        row of abs(g) over A against y through _runs: when the bound proves
-        the whole row clean it yields its mates lazily from the blocks that
-        can reach the band, every point of a block whose values the bound
-        puts within eps of d_g at both ends without reading it, and
-        otherwise it reads the row whole here, so it raises at its first
-        offending tuple.
+        row of abs(g) over A against y through _runs, from the blocks that
+        can reach the band, taking every point of a block whose values the
+        bound puts within eps of d_g at both ends without reading it.  Every
+        block it leaves out or proves is clean, so it raises at the row's
+        first offending tuple.
         """
         if a is None:
             a = self.a
@@ -641,7 +623,7 @@ class ProximalCore:
             if own is not None:
                 return own
         d_g, eps = self.d_g, self.eps
-        return (
+        return tuple(
             u for start, stop, row in _runs(self.g, a, y, d_g, eps, mates=True)
             for u in (compress(a.points[start:stop], [abs(v - d_g) <= eps for v in row])
                       if isinstance(row, list) else a.points[start:stop])
@@ -883,7 +865,7 @@ def proximal_select(core: ProximalCore, y: Point) -> Point:
     empty, which signals either an image escaping the realising set or a
     grid too coarse.
     """
-    mates = tuple(core.mates(y))
+    mates = core.mates(y)
     if not mates:
         raise NoProximalMate(
             f"no point of {core.a.name or 'A'} realises the proximity level "
@@ -1021,23 +1003,20 @@ def check_convex_structure(
         top = math.nan if math.isnan(sum(bs)) else max(bs)
         return [mix * b for b in bs for _, mix in lm], [mix * top for _, mix in lm]
 
-    def first_over(P: Iterable, Q: Iterable, LA: list, MB: tuple, failed: list) -> int:
-        """The first index of a row over (b, lam) at which not abs(g) <=
-        LA[lam] + MB[b, lam] + eps, or -1; a marked tuple or an index in
-        failed stops it.  The fused loop runs while every right side is
-        finite, as the largest right side of each lam tells, and the marked
-        row takes over a row on which it raises."""
+    def first_over(P: Iterable, Q: Iterable, LA: list, MB: tuple, stop: int) -> int:
+        """The first index k < stop of a row over (b, lam) at which not
+        abs(g) <= LA[lam] + MB[b, lam] + eps, a marked tuple included; else
+        stop, where H fails, or -1 when stop is the row's end.  zip ends at
+        stop, with the shorter of P and Q.  The fused loop runs while every
+        right side is finite, as the largest right side of each lam tells."""
         mb, tops = MB
-        if not failed and math.isfinite(max(map(add, LA, tops)) + eps):
-            try:
-                return g.kernels.first_violation(P, Q, LA, mb, eps)
-            except (ArithmeticError, ValueError):
-                pass
-        R = [a + b for a, b in zip(cycle(LA), mb)]
-        for k in failed:
-            R[k] = math.nan
-        over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))
-        return next(compress(count(), over), -1)
+        if math.isfinite(max(map(add, LA, tops)) + eps):
+            k = g.kernels.first_violation(P, Q, LA, mb, eps)
+        else:
+            R = [a + b for a, b in zip(cycle(LA), mb)]
+            over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))
+            k = next(compress(count(), over), -1)
+        return k if k >= 0 or stop == len(mb) else stop
 
     def falsified(witness: Mapping[str, Union[Point, float]], note: str) -> CheckReport:
         lhs, rhs = convex_condition_sides(h, g, witness)
@@ -1046,16 +1025,16 @@ def check_convex_structure(
         )
 
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two; interpolant rows are built once and reused.  Where H
-    # raises, the right side is a mark, so no comparison holds.
-    h_rows: dict[int, tuple[list, list[int]]] = {}
+    # condition two; interpolant rows are built once and reused.  A row
+    # ends where H fails, and that tuple is a hit unless one comes before.
+    h_rows: dict[int, list] = {}
     for x0 in xs0:
         gx, gy = _gauge_row(g, x0, xs), mix_terms(_gauge_row(g, x0, ys))
         for i, x in enumerate(xs):
             if i not in h_rows:
                 h_rows[i] = h.rows(x, ys, lam_sub)
-            row, failed = h_rows[i]
-            k = first_over(repeat(x0.coords), row, lam_terms(gx[i]), gy, failed)
+            row = h_rows[i]
+            k = first_over(repeat(x0.coords), row, lam_terms(gx[i]), gy, len(row))
             if k >= 0:
                 y, lam = ys[k // width], lam_sub[k % width]
                 return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
@@ -1064,19 +1043,19 @@ def check_convex_structure(
     (xs, ys, xs0, ys0), lam_sub, lm, width = axes(4)
     xs0_coords = [x0.coords for x0 in xs0]
     ys0_coords = [y0.coords for y0 in ys0]
-    q_rows: dict[int, tuple[list, list[int]]] = {}
+    q_rows: dict[int, list] = {}
     gyy0_rows = [mix_terms(g.kernels.marked(repeat(y.coords), ys0_coords)) for y in ys]
     for x in xs:
         gxx0 = [lam_terms(a) for a in g.kernels.marked(repeat(x.coords), xs0_coords)]
         for y, gyy0 in zip(ys, gyy0_rows):
-            p_row, p_failed = h.rows(x, [y], lam_sub)
-            p_row *= len(ys0)
-            p_failed = [k + width * j for j in range(len(ys0)) for k in p_failed]
+            p_row = h.rows(x, [y], lam_sub)
+            if len(p_row) == width:  # a cut row is read under the first y0 only
+                p_row *= len(ys0)
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
                     q_rows[j] = h.rows(x0, ys0, lam_sub)
-                q_row, q_failed = q_rows[j]
-                k = first_over(p_row, q_row, gxx0[j], gyy0, p_failed + q_failed)
+                q_row = q_rows[j]
+                k = first_over(p_row, q_row, gxx0[j], gyy0, min(len(p_row), len(q_row)))
                 if k >= 0:
                     y0, lam = ys0[k // width], lam_sub[k % width]
                     witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
@@ -1115,13 +1094,12 @@ def check_starshaped(
     if not a.contains(r, band):
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
     lams = _lambdas(lambda_grid)
-    row, failed = h.rows(r, a.points, lams)
-    stop = min(failed, default=len(row))  # apply raises again there
-    k = next((k for k in range(stop) if not a._has(row[k], band)), stop)
-    if k == len(row):
+    row = h.rows(r, a.points, lams)
+    k = next((k for k, c in enumerate(row) if not a._has(c, band)), len(row))
+    if k == len(a.points) * len(lams):
         return CheckReport("starshaped", _HOLDS)
     x, lam = a.points[k // len(lams)], lams[k % len(lams)]
-    image = h.apply(r, x, lam) if k == stop else Point(row[k])
+    image = h.apply(r, x, lam) if k == len(row) else Point(row[k])  # apply raises there
     return CheckReport(
         "starshaped", _FALSIFIED, {"x": x, "lam": lam, "image": image},
         note="interpolant escapes the set",

@@ -25,6 +25,8 @@ from .gspace import (
     ProximalCore,
     SampleSet,
     ToleranceSet,
+    _FALSIFIED,
+    _HOLDS,
     _capped,
     _check_names,
     eval_g,
@@ -40,10 +42,6 @@ __all__ = [
     "banach_sides",
     "proximal_sides",
 ]
-
-_HOLDS = "holds-on-sample"
-_FALSIFIED = "falsified"
-
 
 class MapSpec:
     """A coordinatewise map given by expressions over x1..xd, with sampled
@@ -144,12 +142,10 @@ def _first_hit(rows, r: int, v: float, eps: float, marked=None) -> int:
     """The first index of row r at which not lhs <= v * a + b + eps (v * a
     + eps where b is None), or -1, over the marked rows (lhs, a, b) =
     rows.kernel(r), given or not.  Without them rows.first gives it from
-    one loop, and a row on which that raises is read marked."""
+    one loop, which gives the index of a tuple where it raises, as the
+    marked rows mark it."""
     if marked is None:
-        try:
-            return rows.first(r, v, eps)
-        except (ArithmeticError, ValueError):
-            marked = rows.kernel(r)
+        return rows.first(r, v, eps)
     lhs, a, b = marked
     rhs = ([v * p + eps for p in a] if b is None
            else [v * p + q + eps for p, q in zip(a, b)])
@@ -168,7 +164,8 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     tuples' num / den (see _fold_row), None when it is infinite; without,
     best is None.  A row the estimate folds is read as marked lists, which
     the fold needs; any other row is tested by rows.first, one loop per
-    value that lists nothing and gives the same index (see _first_hit).
+    value that lists nothing and gives the same index, a tuple where it
+    raises included (see _first_hit).
     The pass stops once no later row can change either result.
     """
     zero, eps = tol.eps_zero, tol.eps_ineq
@@ -262,7 +259,7 @@ class _BanachRows:
 
     def first(self, r: int, alpha: float, eps: float) -> int:
         """The first hit of kernel(r) under alpha, from one loop that lists
-        nothing; it raises where the kernel's text does."""
+        nothing; a tuple where the kernel's text raises is a hit."""
         x = self.rows[r]
         return self.g.kernels.first_banach(self.images[x].coords, self.image_coords,
                                            self.pts[x].coords, self.coords, alpha, eps)
@@ -387,7 +384,7 @@ class _ProximalRows:
 
     def first(self, r: int, beta: float, eps: float) -> int:
         """The first hit of kernel(r) under beta, from one loop that lists
-        nothing; it raises where the kernel's text does."""
+        nothing; a tuple where the kernel's text raises is a hit."""
         return self.g.kernels.first_proximal(self.us[r], self.us, self.xs[r], self.xs,
                                              beta, self.n_cap, eps)
 

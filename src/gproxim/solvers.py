@@ -31,7 +31,7 @@ from .gspace import (
     eval_g,
     proximal_select,
 )
-from .properties import MapSpec, check_proximal_inequality
+from .properties import MapSpec, _check_alpha, check_proximal_inequality
 
 __all__ = [
     "Trace",
@@ -217,8 +217,7 @@ def picard(
     Visited points are checked against the domain sample; an escaping
     iterate raises DomainEscape.
     """
-    if not 0.0 < alpha < 1.0:
-        raise GSpaceError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if not u.domain.contains(p0, tol.eps_prox):
         raise DomainEscape(f"start point {p0} outside the sampled domain")
     points = [p0]
@@ -323,7 +322,7 @@ def proximal_iterate(
         )
     if check_image:
         for x in core.a_g.points:
-            if next(iter(core.mates(f.apply(x))), None) is None:
+            if not core.mates(f.apply(x)):
                 raise NoProximalMate(
                     f"image of realising point {x} has no proximity mate; "
                     f"the map does not send the realising set into its partner"

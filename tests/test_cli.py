@@ -774,26 +774,39 @@ def test_config_of_the_wrong_shape_exits_two_with_one_line(
         assert err == f"error: {path}: {message}\n"
 
 
-def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(tmp_path):
-    # a grid of 10**400 points was once materialised; the child runs under an
-    # address-space limit, so a regression fails it instead of filling memory
+CONVEX_1D = {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1]}
+HUGE = "must be at most 1000000, got 1000000000000"
+
+
+@pytest.mark.parametrize("patch, argv, err", [
+    ({"convex": {**CONVEX_1D, "lambda_grid": 10 ** 400}}, None,
+     "convex.lambda_grid: integer too large for a double"),
+    ({"convex": {**CONVEX_1D, "lambda_grid": 10 ** 12}}, None, f"convex.lambda_grid: {HUGE}"),
+    ({"schedule": {"stages": 1e12}}, None, f"schedule.stages: {HUGE}"),
+    (None, ["solve", "--scheme", "berinde", "--stages", "1000000000000"], f"--stages: {HUGE}"),
+], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag"])
+def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
+    patch, argv, err, tmp_path
+):
+    # a grid of 10**400 points was once materialised, and a count beyond
+    # gspace.MAX_TUPLES still is; the child runs under an address-space
+    # limit, so a regression fails it instead of filling memory
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    cfg = write_config(tmp_path, {
-        "dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}},
-        "convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
-                   "lambda_grid": 10 ** 400},
-    })
+    if argv is None:
+        doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}},
+               **patch}
+        argv = ["verify", "--config", write_config(tmp_path, doc), "--checks", "identity:g"]
+    else:
+        argv = [*argv, "--config", str(fixture_config_path("berinde-reflection"))]
     proc = subprocess.run(
-        [sys.executable, "-m", "gproxim.cli", "verify", "--config", cfg,
-         "--checks", "identity:g"],
+        [sys.executable, "-m", "gproxim.cli", *argv],
         capture_output=True, text=True, timeout=120, preexec_fn=limit,
     )
-    assert (proc.returncode, proc.stderr) == (
-        2, "error: convex.lambda_grid: integer too large for a double\n")
+    assert (proc.returncode, proc.stderr) == (2, f"error: {err}\n")
 
 
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-prox"])

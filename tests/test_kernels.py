@@ -343,9 +343,12 @@ def test_first_violation_stops_at_nan_and_inf():
 
 
 # first_violation numbers only the failing tuple, from what is left of MB;
-# an enumerated loop over the scalar values must find the same index.  The
-# first gauge's kernel takes the outer abs, the second's leaves it out.
-INDEX_GAUGES = ["x1 - u1 + x2*u2", "abs(x1 - u1) + x2*x2"]
+# an enumerated loop over the scalar values, a raising tuple marked, must
+# find the same index.  The first gauge's kernel takes the outer abs, the
+# second's leaves it out.  Each divides by zero where a second coordinate
+# is 7, which the raise rows plant before or after the violation.
+RAISE = " + 0/abs((x2 - 7)*(u2 - 7))"
+INDEX_GAUGES = ["x1 - u1 + x2*u2" + RAISE, "abs(x1 - u1) + x2^2" + RAISE]
 
 
 def _enumerated_first(values, LA, MB, eps):
@@ -356,7 +359,7 @@ def _enumerated_first(values, LA, MB, eps):
 
 
 @pytest.mark.parametrize("seq", [list, tuple])
-@pytest.mark.parametrize("hit", ["first", "last", "nan", "none"])
+@pytest.mark.parametrize("hit", ["first", "last", "nan", "none", "raise-before", "raise-after"])
 @pytest.mark.parametrize("width", [1, 11])
 @pytest.mark.parametrize("bound", ["P", "Q", None], ids=["P-bound", "Q-bound", "unpacked"])
 @pytest.mark.parametrize("text", INDEX_GAUGES, ids=["outer-abs", "no-outer-abs"])
@@ -371,12 +374,22 @@ def test_first_violation_index_matches_an_enumerated_loop(text, bound, width, hi
         P = [P[0]] * n
     elif bound == "Q":
         Q = [Q[0]] * n
-    at = {"first": 0, "last": n - 1, "nan": n // 2, "none": -1}[hit]
-    if hit == "nan":  # a coordinate on the side that is unpacked per tuple
-        side = P if bound == "Q" else Q
+    at = {"first": 0, "last": n - 1, "nan": n // 2, "none": -1,
+          "raise-before": n - 1, "raise-after": 1}[hit]
+    side = P if bound == "Q" else Q  # the side that is unpacked per tuple
+    if hit == "nan":
         side[at] = (math.nan, side[at][1])
-    values = [abs(evaluate(e, dict(zip(("x1", "x2", "u1", "u2"), p + q))))
-              for p, q in zip(P, Q)]
+    raise_at = {"raise-before": 1, "raise-after": n - 1}.get(hit)
+    if raise_at is not None:
+        side[raise_at] = (side[raise_at][0], 7.0)
+
+    def value(p, q):
+        try:
+            return abs(evaluate(e, dict(zip(("x1", "x2", "u1", "u2"), p + q))))
+        except EvalError:
+            return math.nan
+
+    values = [value(p, q) for p, q in zip(P, Q)]
     LA = [rng.uniform(0, 1) for _ in range(width)]
     # every tuple holds by 1, but the one a hit at a finite value plants
     MB = [v - LA[k % width] + (-1.0 if k == at else 1.0)
@@ -384,7 +397,7 @@ def test_first_violation_index_matches_an_enumerated_loop(text, bound, width, hi
     MB = [mb if math.isfinite(mb) else 0.0 for mb in MB]
     rows = [repeat(P[0]) if bound == "P" else P, repeat(Q[0]) if bound == "Q" else Q]
     got = kernels.first_violation(*rows, seq(LA), seq(MB), 1e-9)
-    assert got == _enumerated_first(values, LA, MB, 1e-9) == at
+    assert got == _enumerated_first(values, LA, MB, 1e-9) == min(at, raise_at or at)
 
 
 # The contraction loops run the text of every term in one function, so the
@@ -413,19 +426,14 @@ def test_contraction_loops_give_the_index_of_their_marked_rows(seed, monkeypatch
     m = kernels.marked
     cases = [
         (kernels.first_banach, (p, Q, x, X, 1.0, eps),
-         [(lhs, 1.0 * a + eps) for lhs, a in zip(m(repeat(p), Q), m(repeat(x), X))],
-         [(q, y) for q, y in zip(Q, X)]),
+         [(lhs, 1.0 * a + eps) for lhs, a in zip(m(repeat(p), Q), m(repeat(x), X))]),
         (kernels.first_proximal, (p, Q, x, X, 1.0, n, eps),
          [(lhs, 1.0 * a + n * b + eps)
-          for lhs, a, b in zip(m(repeat(p), Q), m(repeat(x), X), m(X, repeat(p)))],
-         [(q, y, p) for q, y in zip(Q, X)]),
+          for lhs, a, b in zip(m(repeat(p), Q), m(repeat(x), X), m(X, repeat(p)))]),
     ]
-    for loop, args, sides, us in cases:
+    for loop, args, sides in cases:
         want = next((k for k, (lhs, rhs) in enumerate(sides) if not lhs <= rhs), -1)
-        try:
-            assert loop(*args) == want
-        except (ArithmeticError, ValueError):  # the terms' u sides at the hit
-            assert want >= 0 and (0.5,) in us[want]
+        assert loop(*args) == want
     for text in texts:
         temps = re.findall(r"\((_t\d+) :=", text)
         assert temps and len(temps) == len(set(temps))
@@ -750,33 +758,21 @@ def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
     with pytest.raises(EvalError) as info:
         gspace_module._gauge_row(g, [Point(p) for p in P], Point((0.0,)))
     assert (info.value.kind, str(info.value)) == typed[0]
-    # first_violation runs the text alone, with no typed fallback
+    # first_violation runs the text alone and stops at the tuple it raises at
     assert kernels.first_violation(P[:2], Q[:2], [0.0], [1e300] * 2, 0.0) == -1
-    with pytest.raises(bare):
-        kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0)
+    assert kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0) == 2
     assert math.isnan(kernels.marked(P, Q)[2])
 
 
 def test_a_non_integral_literal_exponent_keeps_the_checked_power():
     # (-1) ** 0.5 is a complex number in Python, whose abs is 1.0
     kernels = compile_row_kernels(parse("x1^0.5"), ("x1",), ("u1",))
+    P = [(4.0,), (-1.0,)]
     with pytest.raises(EvalError) as info:
-        kernels.first_violation([(-1.0,)], [(0.0,)], [0.0], [10.0], 0.0)
+        kernels.values(P, [(0.0,)] * 2)
     assert info.value.kind == "fractional-power-of-negative"
-    assert kernels.values([(4.0,)], [(0.0,)]) == [2.0]
-
-
-def test_marked_reads_a_one_shot_row_into_a_list_before_its_first_pass():
-    # values raises at the third tuple; the per-tuple pass of marked must see
-    # the whole row again, not the one tuple left in a generator
-    kernels = compile_row_kernels(parse("sqrt(x1) + sqrt(u1)"), ("x1",), ("u1",))
-    P = [(1.0,), (4.0,), (-1.0,), (9.0,)]
-    for args in (((p for p in P), repeat((0.0,))), (repeat((0.0,)), (p for p in P))):
-        with pytest.raises(ValueError):
-            kernels.values(*args)
-    for args in (((p for p in P), repeat((0.0,))), (repeat((0.0,)), (p for p in P))):
-        assert str(kernels.marked(*args)) == "[1.0, 2.0, nan, 3.0]"
-    assert kernels.values(iter(P[:2]), repeat((0.0,))) == [1.0, 2.0]
+    assert kernels.first_violation(P, [(0.0,)] * 2, [0.0], [10.0] * 2, 0.0) == 1
+    assert kernels.values(P[:1], [(0.0,)]) == [2.0]
 
 
 def test_fast_text_inlines_min_and_max_with_one_binding_per_temporary():
@@ -1640,28 +1636,29 @@ def test_the_mates_of_an_image_off_b_read_the_blocks_near_the_level(y, tol, monk
         assert len(mates[1]) == (1 if tol is TOL else 9) and 0 < read <= 64
 
 
-def test_the_mates_of_an_image_off_b_are_read_lazily(monkeypatch):
+def test_the_mates_of_an_image_off_b_skip_the_blocks_below_the_band(monkeypatch):
     # at level 3/8 the mates of 1/2 are 1/8, in the first block, and 7/8,
     # in the last; the three blocks between lie below the band
     g = GFunction("abs(x1-u1)", 1)
     core = proximal_core(g, FINE_B, exact_set([1.375, 3.0], "B"), TOL)
     spans = _reads(monkeypatch)
-    mates = iter(core.mates(Point((0.5,))))
-    assert spans == []
-    assert next(mates) == Point((0.125,)) and spans == [(0, 32)]
-    assert list(mates) == [Point((0.875,))] and spans == [(0, 32), (112, 129)]
+    mates = assert_same(lambda: core.mates(Point((0.5,))),
+                        lambda: ref_mates(g, FINE_B, Point((0.5,)), core.d_g, TOL))
+    assert mates == ("ok", (exact(Point((0.125,))), exact(Point((0.875,)))))
+    assert spans == [(0, 32), (112, 129)]
 
 
-def test_a_mark_in_the_row_of_an_image_off_b_is_read_whole(monkeypatch):
-    # g divides by zero at (15/16, 3/2) alone, far from the band of 3/2
+def test_a_mark_in_the_row_of_an_image_off_b_raises_where_the_row_does(monkeypatch):
+    # g divides by zero at (15/16, 3/2) alone, far from the band of 3/2: the
+    # blocks before its leaf are clean, whether read or left out
     spans = _reads(monkeypatch)
     g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.9375) + abs(u1 - 1.5))", 1)
     core = proximal_core(g, FINE_B, exact_set([2.0, 3.0], "B"), TOL)
     spans.clear()
-    got = assert_same(lambda: list(core.mates(Point((1.5,)))),
+    got = assert_same(lambda: core.mates(Point((1.5,))),
                       lambda: ref_mates(g, FINE_B, Point((1.5,)), core.d_g, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
-    assert spans == [(0, None)]
+    assert spans == [(64, 96), (112, 129)]
 
 
 # --------------------------------------------------------------------------
@@ -1698,16 +1695,16 @@ def test_a_mark_next_to_a_block_proven_in_band_raises_where_the_matrix_does(
     monkeypatch
 ):
     # mates: g divides by zero at (3/4, 1/4) alone, the first point of the
-    # leaf after the proven block (64, 96); the bound cannot prove the row
-    # clean, so it is read whole
+    # leaf after the proven block (64, 96), which raises as the first leaf
+    # the bound cannot prove clean
     spans = _reads(monkeypatch)
     g = GFunction(PLATEAU + " + 0/(abs(x1 - 0.75) + abs(u1 - 0.25))", 1)
     core = proximal_core(g, FINE_B, PLATEAU_B, TOL)
     spans.clear()
-    got = assert_same(lambda: list(core.mates(Point((0.25,)))),
+    got = assert_same(lambda: core.mates(Point((0.25,))),
                       lambda: ref_mates(g, FINE_B, Point((0.25,)), core.d_g, TOL))
     assert got[:3] == ("error", "EvalError", "division-by-zero")
-    assert spans == [(0, None)]
+    assert spans == [(96, 112)]
     # the core: every value is 1, but g divides by zero at (1/2, u), u the
     # first point of B's second leaf or the last of its first; the row of
     # 1/2 keeps the other leaf of the pair proven and reads the marked one

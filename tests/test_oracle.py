@@ -16,8 +16,9 @@ point per class of the points the gauge cannot tell apart.  Planted inputs
 put infinite, NaN and raising gauge values, right sides that overflow and
 exact rates where the checks' fused loop must answer as marked rows do.
 The identity, symmetry, triangle, convex-structure and starshaped checks
-have a reference of their own, GeometryReference, and the semi-sharp and
-side-condition checks one at the end, ProximityReference.
+have a reference of their own, GeometryReference, the semi-sharp and
+side-condition checks one, ProximityReference, and solve --scheme proximal
+one at the end, IterationReference.
 """
 
 from __future__ import annotations
@@ -561,10 +562,14 @@ class GeometryReference:
                                        note="interpolant escapes the set")
         return CheckReport("starshaped", HOLDS)
 
-    def convex(self, pts) -> CheckReport:
-        """Both conditions over every point of pts; the lambdas in the
-        order the check scans them, sorted, with 0 and 1."""
+    def convex(self, pts, axes=None) -> CheckReport:
+        """Both conditions over every point of pts and the lambdas in the
+        order the check scans them, sorted, with 0 and 1; or, where a tuple
+        cap subsamples them, over axes, the indices into pts and the
+        lambdas that each condition reads."""
         lams = sorted(set(self.inst.convex.lambda_grid) | {0.0, 1.0})
+        (one, lams), (two, lams_two) = axes or ((range(len(pts)), lams),) * 2
+        pts, pts_two = [pts[i] for i in one], [pts[i] for i in two]
         eps = self.tol.eps_ineq
 
         def falsified(witness, lhs, rhs, note):
@@ -582,8 +587,8 @@ class GeometryReference:
                         if not lhs <= rhs + eps:
                             witness = {"x0": x0, "x": x, "y": y, "lam": lam}
                             return falsified(witness, lhs, rhs, "condition one")
-        for x, y, x0, y0 in itertools.product(pts, repeat=4):
-            for lam in lams:
+        for x, y, x0, y0 in itertools.product(pts_two, repeat=4):
+            for lam in lams_two:
                 g_x, g_y = self.gauge(x, x0), self.gauge(y, y0)
                 lhs = self.gauge(self.image(x, y, lam), self.image(x0, y0, lam))
                 rhs = lam * g_x + (1 - lam) * g_y
@@ -593,10 +598,11 @@ class GeometryReference:
         return CheckReport("convex-structure", HOLDS)
 
 
-def _assert_geometry(doc: dict, convex_set=None) -> None:
+def _assert_geometry(doc: dict, convex_set=None, axes=None) -> None:
     """Each axiom and the starshaped check about r over the set A, and the
     convex check over convex_set, if given, answer through the command line
-    as the reference does."""
+    as the reference does, which reads the convex axes given (see
+    GeometryReference.convex)."""
     inst, ref = instance_from_dict(doc), GeometryReference(instance_from_dict(doc))
     pts = ref.inst.set_("A").points
     for kind in AXIOMS:
@@ -605,7 +611,7 @@ def _assert_geometry(doc: dict, convex_set=None) -> None:
     want = _outcome(ref.starshaped, "A", ref.inst.convex.r)
     assert _outcome(cli.run_check, inst, "starshaped:A") == want
     if convex_set is not None:
-        want = _outcome(ref.convex, ref.inst.set_(convex_set).points)
+        want = _outcome(ref.convex, ref.inst.set_(convex_set).points, axes)
         assert _outcome(cli.run_check, inst, f"convex:g:set={convex_set}") == want
 
 
@@ -653,7 +659,9 @@ def test_axiom_and_convex_answers_match_scalar_loops(seed):
     _assert_geometry(_geometry_doc(random.Random(seed)), convex_set="C")
 
 
-# Planted in one dimension, each with the witness it must give.  "last-z":
+# Planted in one dimension, each with the witness it must give or a part of
+# its error, and with terms added to H = l*x1 + (1-l)*u1 and a tuple cap,
+# if any.  "last-z":
 # the l1 gauge with g(0, 39) raised by 1, so the first pair (0, 1) fails at
 # z = 39, the last point of a 40-point box.  "diagonal": g(3, 0) divides by
 # zero while g(0, 3) does not, so the pair (0, 3) must not read its z = 0;
@@ -666,34 +674,79 @@ def test_axiom_and_convex_answers_match_scalar_loops(seed):
 # triangle and both convex conditions with equality on these lines, and
 # eps_ineq is 0, so a comparison that is strict where it should not be
 # fails.
+#
+# Where H fails: a row of condition one runs over (y, lam) for one (x0, x).
+# "h-raise-mid-row": H(1, 2, 1/2) divides by zero, in the middle of the row
+# of x = 1, and H(1, 3, 0) after it is infinite.  "h-after-violation":
+# g(0, 1) is raised, so condition one breaks at (x0, x, y, lam) = (0, 0, 2,
+# 1/2), two tuples before H(0, 3, 0), infinite, in the same row.
+# Under the cap of 256 tuples the lambda grid k/8 gives condition one every
+# point and the lambdas 0, 3/8, 5/8, 1, and condition two the points 0, 2, 3
+# and the lambdas 0, 1/2, 1 (CAP_AXES): H infinite at lam = 1/2 alone fails
+# in condition two.  "h-two-xy-first": H(0, 0, 1/2), so the row of H(x, y,
+# .) ends at its first lambda and is not replicated over y0; the first
+# tuple of that row that reads H(x0, y0, .) at 1/2 fails with it.
+# "h-two-x0y0-first": H(0, 2, 1/2), which H(x0, y0, .) reads at (x, y) =
+# (0, 0), before any H(x, y, .) does; g(0, 1) is raised, so a scan that
+# read past that tuple would break at (x, y, x0, y0, lam) = (0, 0, 2, 0,
+# 1/2) instead.
+CAP_AXES = (256, (((0, 1, 2, 3), (0.0, 0.375, 0.625, 1.0)), ((0, 2, 3), (0.0, 0.5, 1.0))))
+
+
+def _h_inf_at(x: float, y: float, lam: float) -> str:
+    """A term of H that is infinite at (x, y, lam) and 0 at the other
+    points of these grids."""
+    return f"max(0, 1 - 16*(abs(x1 - {x!r}) + abs(u1 - {y!r}) + abs(l - {lam!r})))*1e308*4"
+
+
+def _h_raise_at(x: float, y: float, lam: float) -> str:
+    return f"0/(abs(x1 - {x!r}) + abs(u1 - {y!r}) + abs(l - {lam!r}))"
+
+
 PLANTED_GEOMETRY = {
     "last-z": ("abs(x1-u1) + max(0, 1 - abs(x1))*max(0, 1 - abs(u1 - 39))", 40,
-               "triangle", {"x": 0, "y": 1, "z": 39}),
+               "triangle", {"x": 0, "y": 1, "z": 39}, [], None),
     "diagonal": ("abs(x1-u1) + 0/(abs(x1 - 3) + abs(u1)) "
                  "+ 10*max(0, 1 - abs(x1 - 1))*max(0, 1 - abs(u1 - 2))", 4,
-                 "triangle", {"x": 1, "y": 0, "z": 2}),
+                 "triangle", {"x": 1, "y": 0, "z": 2}, [], None),
     "convex-late": ("abs(x1-u1) + max(0, 1 - 4*abs(x1 - 3))*max(0, 1 - 4*abs(u1 - 2.5))",
-                    4, "convex", {"x0": 3, "x": 2, "y": 3, "lam": 0.5}),
+                    4, "convex", {"x0": 3, "x": 2, "y": 3, "lam": 0.5}, [], None),
     "convex-two": ("abs(x1-u1) + max(0, 1 - 4*abs(x1 - 0.5))*max(0, 1 - 4*abs(u1 - 2.5))",
-                   4, "convex", {"x": 0, "y": 1, "x0": 2, "y0": 3, "lam": 0.5}),
+                   4, "convex", {"x": 0, "y": 1, "x0": 2, "y0": 3, "lam": 0.5}, [], None),
     "pair-skip": ("abs(x1-u1) + 0/(abs(x1) + abs(u1 - 3)) "
                   "+ 10*max(0, 1 - abs(x1))*max(0, 1 - abs(u1 - 2))", 4,
-                  "triangle", {"x": 0, "y": 1, "z": 2}),
+                  "triangle", {"x": 0, "y": 1, "z": 2}, [], None),
+    "h-raise-mid-row": ("abs(x1-u1)", 4, "convex", "EvalError: division-by-zero",
+                        [_h_raise_at(1, 2, 0.5), _h_inf_at(1, 3, 0)], None),
+    "h-after-violation": (f"abs(x1-u1) + {_at(0, 1)}", 4, "convex",
+                          {"x0": 0, "x": 0, "y": 2, "lam": 0.5},
+                          [_h_inf_at(0, 3, 0)], None),
+    "h-two-xy-first": ("abs(x1-u1)", 4, "convex", "non-finite: H((0.0), (0.0), 0.5)",
+                       [_h_inf_at(0, 0, 0.5)], CAP_AXES),
+    "h-two-x0y0-first": (f"abs(x1-u1) + {_at(0, 1)}", 4, "convex",
+                         "non-finite: H((0.0), (2.0), 0.5)",
+                         [_h_inf_at(0, 2, 0.5)], CAP_AXES),
 }
 
 
 @pytest.mark.parametrize("name", list(PLANTED_GEOMETRY))
-def test_planted_axiom_and_convex_answers_match_scalar_loops(name):
-    g, n, kind, witness = PLANTED_GEOMETRY[name]
+def test_planted_axiom_and_convex_answers_match_scalar_loops(name, monkeypatch):
+    g, n, kind, landing, terms, capped = PLANTED_GEOMETRY[name]
+    cap, axes = capped or (None, None)
     doc = {"dimension": 1, "g": g, "sets": {"A": {"box": [[0, n - 1]], "resolution": [n]}},
-           "convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
-                      "lambda_grid": [0, 0.5, 1]},
+           "convex": {"exprs": [" + ".join(["l*x1 + (1-l)*u1", *terms])], "r": [0], "s": [0],
+                      "lambda_grid": [0, 0.5, 1] if cap is None else 9},
            "tolerances": {"eps_ineq": 0.0}}
-    _assert_geometry(doc, convex_set="A" if kind == "convex" else None)
+    if cap is not None:
+        monkeypatch.setattr(gspace, "MAX_TUPLES", cap)
+    _assert_geometry(doc, convex_set="A" if kind == "convex" else None, axes=axes)
+    if isinstance(landing, str):
+        assert landing in _outcome(cli.run_check, instance_from_dict(doc), f"{kind}:g:set=A")
+        return
     report = cli.run_check(instance_from_dict(doc), f"{kind}:g:set=A")
     assert report.falsified
     assert {k: v if k == "lam" else v.coords[0]
-            for k, v in report.witness.items()} == witness
+            for k, v in report.witness.items()} == landing
 
 
 # Planted starshaped inputs: the box {0, 1, 2, 3} about r = 0 under
@@ -877,3 +930,117 @@ def test_planted_proximity_answers_match_scalar_loops(name):
         report = cli.run_check(inst, spec)
         assert report.falsified == (witness is not None)
         assert {k: p.coords for k, p in (report.witness or {}).items()} == (witness or {})
+
+
+# solve --scheme proximal.  A reference of its own iterates by scalar loops
+# over expr.evaluate: it tests the image of every realising point, as the
+# solver's image test does, then selects at each step, among the points u of
+# A with abs(g(u, f(p))) within eps_prox of the level, the one with the
+# least residual, ties broken by coordinates.  Every mate row is read whole,
+# so it raises at its first offending tuple, as ProximalCore.mates must.
+class IterationReference(ProximityReference):
+    """The proximity iteration by scalar loops over evaluate."""
+
+    def fmap(self, p: Point) -> Point:
+        """f(p), raising MapSpec.apply's error; the image is kept, as the
+        gauge values are keyed by the ids of their points."""
+        key = ("f", id(p))
+        if key not in self.memo:
+            env = dict(zip(GFunction._var_names(p.dimension), p.coords))
+            try:
+                coords = tuple(evaluate(e, env) for e in self.inst.map_("f").exprs)
+                if not all(map(math.isfinite, coords)):
+                    raise GSpaceError(f"map 'f' produced non-finite image at {p}")
+                self.memo[key] = Point(coords)
+            except (EvalError, GSpaceError) as exc:
+                self.memo[key] = exc
+        return self._value(key)
+
+    def iterate(self, max_iter: int) -> tuple:
+        """The points, step residuals, proximity residuals and verdict of
+        the run from the first realising point."""
+        d_g, a_g, _ = self.core()
+        a, eps = self.inst.set_("A").points, self.tol.eps_prox
+
+        def mates(y: Point) -> list:
+            return [u for u in a if abs(self.gauge(u, y) - d_g) <= eps]
+
+        for x, _ in a_g:
+            if not mates(self.fmap(x)):
+                raise gspace.NoProximalMate(
+                    f"image of realising point {x} has no proximity mate; "
+                    f"the map does not send the realising set into its partner")
+        p = a_g[0][0]
+        points, steps, verdict = [p], [], "max_iter"
+        proximity = [abs(self.gauge(p, self.fmap(p)) - d_g)]
+        for _ in range(max_iter):
+            fp = self.fmap(p)
+            near = mates(fp)
+            if not near:
+                verdict = "no_proximal_mate"
+                break
+            q = min(near, key=lambda u: (abs(self.gauge(u, fp) - d_g), u.coords))
+            steps.append(self.gauge(p, q))
+            points.append(q)
+            proximity.append(abs(self.gauge(q, self.fmap(q)) - d_g))
+            p = q
+            if steps[-1] <= self.tol.eps_zero and proximity[-1] <= eps:
+                verdict = "converged"
+                break
+        return points, steps, proximity, verdict
+
+
+SOLVE_ARGS = ["solve", "--config", "unread.json", "--scheme", "proximal", "--max-iter", "40"]
+
+
+def _solved(doc: dict) -> tuple:
+    args = cli.build_parser().parse_args(SOLVE_ARGS)
+    trace = cli.solve(instance_from_dict(doc), args)[1]
+    return trace.points, trace.step_residuals, trace.proximity_residuals, trace.verdict
+
+
+def _assert_iteration(doc: dict) -> str:
+    """solve --scheme proximal answers as the reference does, by repr;
+    returns the answer."""
+    want = _outcome(IterationReference(instance_from_dict(doc)).iterate, 40)
+    assert _outcome(_solved, doc) == want
+    return want
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_proximal_iteration_matches_a_scalar_iteration(seed):
+    rng = random.Random(seed)
+    doc = _proximity_doc(rng)
+    if rng.random() < 0.5:
+        exprs = [str(_renamed(random_expr(rng, 2), MAP_NAMES)) for _ in range(2)]
+    else:
+        exprs = [f"x1 + {rng.choice((0.5, 1.0, 1.5))!r}", f"{rng.choice((0.5, 1.0))!r}*x2"]
+    doc["maps"] = {"f": {"exprs": exprs, "domain": "A", "codomain": "B"}}
+    _assert_iteration(doc)
+
+
+# Planted on A = the grid t/64 of [0, 1] and B = {2, 4} under the l1 gauge:
+# the level is 1, realised at (1, 2) alone.  "halving": f(x) = 1 + x/2, off
+# B but for x = 2; each image 1 + q/2 has the mate q/2 until q = 1/64, whose
+# image has the mates 0 and 1/64 at equal residuals, and 0 wins by
+# coordinates; the run converges at 0.  "raise-after-first-mate": g also
+# divides by zero at (3/4, 5/4), so the row of the second image, 5/4, raises
+# after its mate 1/4.  "no-mate-mid-run": the image 13/4 of 1/2 has no mate.
+# "no-mate-at-start": the image 6 of 1 has none.
+PLANTED_ITERATIONS = {
+    "halving": ("abs(x1-u1)", "1 + x1/2", "'converged'"),
+    "raise-after-first-mate": ("abs(x1-u1) + 0/(abs(x1 - 0.75) + abs(u1 - 1.25))", "1 + x1/2",
+                               "EvalError: division-by-zero"),
+    "no-mate-mid-run": ("abs(x1-u1)", "1.5 + 7*max(0, 0.75 - x1)", "'no_proximal_mate'"),
+    "no-mate-at-start": ("abs(x1-u1)", "x1 + 5", "NoProximalMate: image of realising point (1.0)"),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANTED_ITERATIONS))
+def test_planted_proximal_iterations_match_a_scalar_iteration(name):
+    g, f, landing = PLANTED_ITERATIONS[name]
+    doc = {"dimension": 1, "g": g,
+           "sets": {"A": {"box": [[0, 1]], "resolution": [65]}, "B": {"points": [[2], [4]]}},
+           "maps": {"f": {"exprs": [f], "domain": "A", "codomain": "B"}}}
+    assert landing in _assert_iteration(doc)
