@@ -661,8 +661,9 @@ def cmd_search(args) -> int:
 
 def _sweep_values(args) -> list[float]:
     """--steps values evenly from --lo to --hi; a non-finite end, fewer than
-    one step or a span whose multiples overflow a double is an error."""
-    lo, hi, steps = args.lo, args.hi, args.steps
+    one step or more than MAX_TUPLES, or a span whose multiples overflow a
+    double is an error."""
+    lo, hi, steps = args.lo, args.hi, _count(args.steps, "--steps")
     for flag, value in (("--lo", lo), ("--hi", hi)):
         if not math.isfinite(value):
             raise ConfigError(flag, f"must be finite, got {value!r}")

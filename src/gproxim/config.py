@@ -280,7 +280,7 @@ def instance_from_dict(doc: dict) -> Instance:
     """Materialise a config document, resolving tolerance defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "config root must be an object")
-    dimension = _whole(_require(doc, "dimension", "$"), "dimension")
+    dimension = _count(_require(doc, "dimension", "$"), "dimension")
     if dimension < 1:
         raise ConfigError("dimension", "must be a positive integer")
 

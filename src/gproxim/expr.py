@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import count, cycle, repeat
+from itertools import count, repeat
 from operator import length_hint
 from textwrap import indent
 from typing import (
@@ -515,33 +515,26 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
 class RowKernels:
     """Loops of abs(e) over rows of coordinate tuples, one tuple per argument.
 
-    values(P, Q) is the list of abs(e) over zip(P, Q).  first_violation(P, Q,
-    LA, MB, eps) scans a row over (b, lam), lam the inner index, whose right
-    side at index k is LA[k % len(LA)] + MB[k]: it is the first k at which
-    not abs(e) <= LA[k % len(LA)] + MB[k] + eps, or -1.  A NaN or infinite
-    value stops it as a violation does, so every right side must be finite,
-    and so does a tuple at which the text of e raises.  The loop numbers no
-    tuple but the failing one: MB, which must be a list or a tuple, is
-    zip's last argument, read through an iterator that zip has advanced once
-    per tuple, so k is len(MB) - 1 less what length_hint says that iterator
-    has left.
+    values(P, Q) is the list of abs(e) over zip(P, Q).
 
-    first_banach and first_proximal test a row of a contraction check in
-    one loop that evaluates both sides of each tuple, lhs and every term of
-    the right side, and lists nothing (see _compile_contraction).  Their
-    fixed points are coordinate tuples, and the index of a hit is the one
-    the marked rows of both sides give.
+    The first-hit loops test a row of a check in one loop that evaluates
+    both sides of each tuple, lhs and every term of the right side, and
+    lists nothing (see _compile_contraction): first_banach and
+    first_proximal a row of a contraction check, first_convex and
+    first_convex_pairs one of a convex-structure condition, whose right
+    side lam * a + (1 - lam) * b comes as two rows of doubles, the terms
+    lam * a and (1 - lam) * b.  Their fixed points are coordinate tuples,
+    and the index of a hit is the one the marked rows of both sides give.
 
     Every loop runs the text of e (see _gen) with no typed fallback, so
     where evaluate raises its EvalError values raises that or a bare
     ValueError, ZeroDivisionError or OverflowError.  The first-hit loops
     catch those and give the index of the tuple that raised: every tuple
-    before it passed, and the marked rows mark it.  A side of values or
-    first_violation that is an itertools.repeat, which every scan passes
-    without a count, has its coordinates bound once before the loop, and
-    the loop unpacks only the other side.  Scans read lists through marked,
-    which marks a tuple where values raises, and raise the typed error at a
-    hit through eval_g.
+    before it passed, and the marked rows mark it.  A side of values that
+    is an itertools.repeat, which every scan passes without a count, has
+    its coordinates bound once before the loop, and the loop unpacks only
+    the other side.  Scans read lists through marked, which marks a tuple
+    where values raises, and raise the typed error at a hit through eval_g.
 
     bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
     ranging between the tuples PL and PH and the Q coordinates between QL
@@ -557,25 +550,6 @@ class RowKernels:
     tree: tuple[Expr, tuple[str, ...], tuple[str, ...]]
 
     @cached_property
-    def first_violation(self) -> Callable[..., int]:
-        """Compiled on first use: only the convex-structure check asks for
-        it.  Two first uses racing at most compile it twice."""
-
-        def loop(body: str, targets: list[str], rows: list[str]) -> str:
-            each = ", ".join(targets + ["_la", "_mb"])
-            scan = ", ".join(rows + ["cycle(_LA)", "_rest"])
-            hit = "return len(_MB) - 1 - length_hint(_rest)\n"
-            return ("    _rest = iter(_MB)\n"
-                    "    try:\n"
-                    f"        for {each} in zip({scan}):\n"
-                    f"            if not {body} <= _la + _mb + _eps:\n"
-                    f"                {hit}"
-                    f"    except (ArithmeticError, ValueError):\n        {hit}"
-                    "    return -1\n")
-
-        return _compile_rows("first_violation", ", _LA, _MB, _eps", loop, *self.tree)
-
-    @cached_property
     def first_banach(self) -> Callable[..., int]:
         """Compiled on first use: first_banach(p, Q, r, S, c, eps) is the
         first k at which not abs(e(p, Q[k])) <= c * abs(e(r, S[k])) + eps,
@@ -588,6 +562,21 @@ class RowKernels:
         the first k at which not abs(e(u, U[k])) <= c * abs(e(x, X[k])) + n
         * abs(e(X[k], u)) + eps, or -1 (see _compile_contraction)."""
         return _compile_contraction("first_proximal", ["uU", "xX", "Xu"], "cn", *self.tree)
+
+    @cached_property
+    def first_convex(self) -> Callable[..., int]:
+        """Compiled on first use: first_convex(p, Q, L, M, eps) is the first
+        k at which not abs(e(p, Q[k])) <= L[k] + M[k] + eps, with L[k] and
+        M[k] the k-th values of the rows L and M, or -1 (see
+        _compile_contraction)."""
+        return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree)
+
+    @cached_property
+    def first_convex_pairs(self) -> Callable[..., int]:
+        """Compiled on first use: first_convex_pairs(P, Q, L, M, eps) is the
+        first k at which not abs(e(P[k], Q[k])) <= L[k] + M[k] + eps, or -1,
+        as first_convex is."""
+        return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree)
 
     @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
@@ -632,7 +621,7 @@ _KERNEL_GLOBALS = dict(
     inf=math.inf,  # repr() writes a literal that overflows a double, such as 1e999, as inf
     abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals, len=len,
     min=min, max=max, sum=sum, isfinite=math.isfinite, nextafter=math.nextafter,
-    zip=zip, isinstance=isinstance, next=next, repeat=repeat, cycle=cycle, iter=iter,
+    zip=zip, isinstance=isinstance, next=next, repeat=repeat, iter=iter,
     length_hint=length_hint, ArithmeticError=ArithmeticError, ValueError=ValueError,
     __builtins__={},
 )
@@ -653,72 +642,62 @@ def _compile(src: str) -> dict:
     return namespace
 
 
-def _compile_rows(
-    name: str, params: str, loop: Callable[[str, list[str], list[str]], str],
-    e: Expr, left: tuple[str, ...], right: tuple[str, ...],
-) -> Callable:
-    """The function name(_P, _Q<params>) over rows of the coordinates left
-    and right: loop(body, targets, rows) three times, with P's coordinates
-    bound once, with Q's, and with both unpacked from each pair of rows.
-    body is the text of abs(e), leaving out the outer abs where
-    _nonneg(e) holds, since it would return the same double."""
-    body = _gen(e, count())
-    if not _nonneg(e):
-        body = f"abs({body})"
-    p, q = _names(left), _names(right)
-    return _compile(
-        f"def {name}(_P, _Q{params}):\n"
-        f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
-        + indent(loop(body, [q], ["_Q"]), "    ")
-        + f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
-        + indent(loop(body, [p], ["_P"]), "    ")
-        + loop(body, [p, q], ["_P", "_Q"])
-    )[name]
-
-
 def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
                          left: tuple[str, ...], right: tuple[str, ...]) -> Callable[..., int]:
     """The function name over the sources that pairs name, in the order
     they first appear, then the coefficients coefs, then _eps.
 
-    Each string of pairs is a term, abs(e) with its left names read from
-    the source of its first letter and its right names from that of its
-    second; left and right name as many coordinates.  A lower-case source is one coordinate tuple, bound once before
-    the loop; an upper-case one a row of them, a list or a tuple, unpacked
-    once per tuple of their zip.  With Tj the value of term j, the loop
-    returns the first k at which not T0 <= coefs[0] * T1 + coefs[1] * T2
-    + ... + _eps, summed left to right, or -1.  It numbers only the failing
-    tuple, from what length_hint says is left of its last row, as
-    first_violation does.
+    Each two-letter string of pairs is a term, abs(e) with its left names
+    read from the source of its first letter and its right names from that
+    of its second, so a source has as many coordinates as the side it is
+    read on.  A lower-case source is one coordinate tuple, bound once
+    before the loop; an upper-case one a row of them, unpacked once per
+    tuple of their zip.  A one-letter string, upper-case, is a row of
+    doubles, each value its term as it is.  With Tj the value of term j,
+    the loop returns the first k at which not T0 <= W1 * T1 + W2 * T2 + ...
+    + _eps, summed left to right, or -1: Wj is the next coefficient of
+    coefs for a term of e, and a row of doubles takes none.  It numbers
+    only the failing tuple: its last row, a list or a tuple, is zip's last
+    argument, read through an iterator that zip has advanced once per
+    tuple, so the index is that row's length less 1 less what length_hint
+    says is left of the iterator.  Any other row is any iterable, such as
+    an itertools.cycle or repeat; zip stops at the shortest.
 
     A NaN or infinite term fails the tuple, as a mark would; a sum of
     finite terms that overflows does not.  A tuple whose sum is finite and
     at least T0 holds, and only one that is not tests each term.  Each
-    term runs the text of e (see _gen) under names of its own, with one
-    temps counter for all of them, and no typed fallback: where evaluate
-    raises its EvalError the text raises that or a bare ValueError,
-    ZeroDivisionError or OverflowError, and the loop returns that tuple's
-    index, as a mark there would fail it.
+    term of e runs the text of e (see _gen) under names of its own, with
+    one temps counter for all of them, and no typed fallback: where
+    evaluate raises its EvalError the text raises that or a bare
+    ValueError, ZeroDivisionError or OverflowError, and the loop returns
+    that tuple's index, as a mark there would fail it.
     """
     temps, sources = count(), list(dict.fromkeys("".join(pairs)))
     rows = [s for s in sources if s.isupper()]
-    coords = {s: [f"_{s}{i}" for i in range(len(left))] for s in sources}
+    ws = [f"_w{j}" for j in range(len(pairs))]
+    coords = {pair[i]: [f"_{pair[i]}{k}" for k in range(len(side))]
+              for pair in pairs if len(pair) == 2 for i, side in enumerate((left, right))}
+    targets = {s: _names(c) for s, c in coords.items()} | {
+        pair: w for pair, w in zip(pairs, ws) if len(pair) == 1}
+    scale = iter(coefs)
+    weights = [f"_{next(scale)} * " if len(pair) == 2 else "" for pair in pairs[1:]]
 
     def term(w: str, pair: str) -> str:
+        if len(pair) == 1:
+            return w
         body = _gen(e, temps, dict(zip(left + right, coords[pair[0]] + coords[pair[1]])))
         return f"({w} := {body if _nonneg(e) else f'abs({body})'})"
 
     def bound(values: list[str]) -> str:
-        return "".join(f"_{c} * {v} + " for c, v in zip(coefs, values)) + "_eps"
+        return "".join(f"{c}{v} + " for c, v in zip(weights, values)) + "_eps"
 
-    ws = [f"_w{j}" for j in range(len(pairs))]
     lhs, *terms = map(term, ws, pairs)
     hit = f"return len(_{rows[-1]}) - 1 - length_hint(_rest)\n"
     return _compile(
         f"def {name}({', '.join(f'_{s}' for s in sources + list(coefs))}, _eps):\n"
-        + "".join(f"    {_names(coords[s])} = _{s}\n" for s in sources if s.islower())
+        + "".join(f"    {targets[s]} = _{s}\n" for s in sources if s.islower())
         + "    try:\n"
-        f"        for {', '.join(_names(coords[s]) for s in rows)} in "
+        f"        for {', '.join(targets[s] for s in rows)} in "
         f"zip({''.join(f'_{s}, ' for s in rows[:-1])}_rest := iter(_{rows[-1]})):\n"
         f"            if not {lhs} <= {bound(terms)} < inf and not (\n"
         f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n"
@@ -734,16 +713,23 @@ def compile_row_kernels(
     """Compile abs(e) into its values loop; left and right name the
     coordinates unpacked from each P and each Q tuple.  The loop body is
     compile_expr's text, so every value is bit for bit the one the scalar
-    callable and evaluate return.  first_violation and bound compile on
-    first use."""
+    callable and evaluate return.  The first-hit loops and bound compile
+    on first use.  The body leaves out the outer abs where _nonneg(e)
+    holds, since it would return the same double."""
     _unbound((e,), left + right)
-
-    def loop(body: str, targets: list[str], rows: list[str]) -> str:
-        each = (f"{targets[0]} in {rows[0]}" if len(rows) == 1
-                else f"({', '.join(targets)}) in zip({', '.join(rows)})")
-        return f"    return [{body} for {each}]\n"
-
-    return RowKernels(_compile_rows("values", "", loop, e, left, right), (e, left, right))
+    body = _gen(e, count())
+    if not _nonneg(e):
+        body = f"abs({body})"
+    p, q = _names(left), _names(right)
+    values = _compile(
+        "def values(_P, _Q):\n"
+        f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
+        f"        return [{body} for {q} in _Q]\n"
+        f"    if isinstance(_Q, repeat):\n        {q} = next(_Q)\n"
+        f"        return [{body} for {p} in _P]\n"
+        f"    return [{body} for ({p}, {q}) in zip(_P, _Q)]\n"
+    )["values"]
+    return RowKernels(values, (e, left, right))
 
 
 def _compile_bound(

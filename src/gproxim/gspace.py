@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, count, cycle, repeat, takewhile
-from operator import add, length_hint
+from operator import length_hint
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .expr import (
@@ -990,33 +990,14 @@ def check_convex_structure(
     (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
 
-    # first_violation takes the right side lam * a + (1 - lam) * b of a row
-    # over (b, lam) as its terms: LA, lam * a per lam, and MB, (1 - lam) * b
-    # per (b, lam), with (1 - lam) * max(b) per lam, the largest term of its
-    # column, or NaN if a b is a mark (max can pass a NaN by).  Products and
-    # sums of doubles are monotone, so LA plus those are the largest right
-    # sides of each lam.
+    # The first-hit loops take the right side lam * a + (1 - lam) * b of a
+    # row over (b, lam) as two rows of terms: lam * a per lam, cycled over
+    # the b, and (1 - lam) * b per (b, lam).
     def lam_terms(a: float) -> list:
         return [lam * a for lam, _ in lm]
 
-    def mix_terms(bs: list) -> tuple[list, list]:
-        top = math.nan if math.isnan(sum(bs)) else max(bs)
-        return [mix * b for b in bs for _, mix in lm], [mix * top for _, mix in lm]
-
-    def first_over(P: Iterable, Q: Iterable, LA: list, MB: tuple, stop: int) -> int:
-        """The first index k < stop of a row over (b, lam) at which not
-        abs(g) <= LA[lam] + MB[b, lam] + eps, a marked tuple included; else
-        stop, where H fails, or -1 when stop is the row's end.  zip ends at
-        stop, with the shorter of P and Q.  The fused loop runs while every
-        right side is finite, as the largest right side of each lam tells."""
-        mb, tops = MB
-        if math.isfinite(max(map(add, LA, tops)) + eps):
-            k = g.kernels.first_violation(P, Q, LA, mb, eps)
-        else:
-            R = [a + b for a, b in zip(cycle(LA), mb)]
-            over = (not v <= r + eps for v, r in zip(g.kernels.marked(P, Q), R))
-            k = next(compress(count(), over), -1)
-        return k if k >= 0 or stop == len(mb) else stop
+    def mix_terms(bs: list) -> list:
+        return [mix * b for b in bs for _, mix in lm]
 
     def falsified(witness: Mapping[str, Union[Point, float]], note: str) -> CheckReport:
         lhs, rhs = convex_condition_sides(h, g, witness)
@@ -1034,8 +1015,10 @@ def check_convex_structure(
             if i not in h_rows:
                 h_rows[i] = h.rows(x, ys, lam_sub)
             row = h_rows[i]
-            k = first_over(repeat(x0.coords), row, lam_terms(gx[i]), gy, len(row))
-            if k >= 0:
+            k = g.kernels.first_convex(x0.coords, row, cycle(lam_terms(gx[i])), gy, eps)
+            if k < 0:  # none failed: the row's end, where H fails if it is cut
+                k = len(row)
+            if k < len(gy):
                 y, lam = ys[k // width], lam_sub[k % width]
                 return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
     h_rows.clear()  # free before condition two builds its rows: a lower peak
@@ -1049,14 +1032,16 @@ def check_convex_structure(
         gxx0 = [lam_terms(a) for a in g.kernels.marked(repeat(x.coords), xs0_coords)]
         for y, gyy0 in zip(ys, gyy0_rows):
             p_row = h.rows(x, [y], lam_sub)
-            if len(p_row) == width:  # a cut row is read under the first y0 only
-                p_row *= len(ys0)
+            whole = len(p_row) == width  # a cut row is read under the first y0 only
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
                     q_rows[j] = h.rows(x0, ys0, lam_sub)
                 q_row = q_rows[j]
-                k = first_over(p_row, q_row, gxx0[j], gyy0, min(len(p_row), len(q_row)))
-                if k >= 0:
+                P = cycle(p_row) if whole else p_row
+                k = g.kernels.first_convex_pairs(P, q_row, cycle(gxx0[j]), gyy0, eps)
+                if k < 0:  # none failed: where zip ended, at H failing if a row is cut
+                    k = min(len(gyy0) if whole else len(p_row), len(q_row))
+                if k < len(gyy0):
                     y0, lam = ys0[k // width], lam_sub[k % width]
                     witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
                     return falsified(witness, "condition two")

@@ -102,6 +102,21 @@ def write_config(tmp_path, doc: dict) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+def reference_indices(n: int, arity: int, cap: int, seed: int) -> list[int]:
+    """The indices a box scan of arity-tuples under cap reads out of n
+    points, written out apart from gspace._capped: all of them while n **
+    arity <= cap, else m = max(2, floor(cap ** (1 / arity))) of them, by even
+    strides with both ends at seed 0 and by a seeded random sample
+    otherwise."""
+    if n ** arity <= cap:
+        return list(range(n))
+    m = max(2, int(cap ** (1 / arity)))
+    if seed == 0:
+        return sorted({round(i * (n - 1) / (m - 1)) for i in range(m)})
+    return sorted(random.Random(seed).sample(range(n), m))
+
+
 VAR_POOL = ("x1", "x2", "u1", "u2", "l")
 
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow", "min", "max")

@@ -13,11 +13,11 @@ their fused loop) and stop the scan there, so no test pays for a whole scan.
 
 from __future__ import annotations
 
-import random
 from itertools import repeat
 
 import pytest
 
+from conftest import reference_indices
 import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
 from gproxim.expr import RowKernels
@@ -37,16 +37,6 @@ from gproxim.properties import (
 
 TOL = ToleranceSet()
 G = GFunction("abs(x1-u1)", 1)
-
-
-def reference_indices(n: int, arity: int, cap: int, seed: int) -> list[int]:
-    """The indices a box scan reads out of n points."""
-    if n ** arity <= cap:
-        return list(range(n))
-    m = max(2, int(cap ** (1 / arity)))
-    if seed == 0:
-        return sorted({round(i * (n - 1) / (m - 1)) for i in range(m)})
-    return sorted(random.Random(seed).sample(range(n), m))
 
 
 def test_the_reference_counts_per_axis():

@@ -784,7 +784,10 @@ HUGE = "must be at most 1000000, got 1000000000000"
     ({"convex": {**CONVEX_1D, "lambda_grid": 10 ** 12}}, None, f"convex.lambda_grid: {HUGE}"),
     ({"schedule": {"stages": 1e12}}, None, f"schedule.stages: {HUGE}"),
     (None, ["solve", "--scheme", "berinde", "--stages", "1000000000000"], f"--stages: {HUGE}"),
-], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag"])
+    ({"dimension": 10 ** 12}, None, f"dimension: {HUGE}"),
+    (None, ["search", "--check", "banach:g:map=f", "--steps", "1000000000000"],
+     f"--steps: {HUGE}"),
+], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag", "dimension", "steps-flag"])
 def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
     patch, argv, err, tmp_path
 ):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import cycle
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_the_deepest_expression_compiles_in_every_form(text):
     assert compile_expr(e, ("x1", "u1"))(0.5, 2.0) == want
     kernels = compile_row_kernels(e, ("x1",), ("u1",))
     assert kernels.values([(0.5,)], [(2.0,)]) == [abs(want)]
-    assert kernels.first_violation([(0.5,)], [(2.0,)], [0.0], [1e9], 0.0) == -1
+    assert kernels.first_convex_pairs([(0.5,)], [(2.0,)], cycle([0.0]), [1e9], 0.0) == -1
     kernels.bound
     rows = compile_point_rows((e,), ("x1",), ("u1",), "l")
     assert rows((0.5,), [(2.0,)], [0.0]) == [(want + 0.0,)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import count, repeat
+from itertools import count, cycle, repeat
 
 import pytest
 
@@ -291,12 +291,12 @@ def test_kernels_compile_lazily(monkeypatch):
     falsify_axiom("identity", g, s, TOL)
     assert "kernels" in vars(g)
     # a first scan compiles the values loop alone; a convex check adds its
-    # fused loop, and a second check compiles nothing more
+    # two first-hit loops, and a second check compiles nothing more
     assert compiled == ["def values"]
     h = ConvexStructure(("l*x1 + (1-l)*u1",))
     for _ in range(2):
         assert check_convex_structure(h, g, s, LAMS, TOL).holds
-    assert compiled == ["def values", "def rows", "def first_violation"]
+    assert compiled == ["def values", "def rows", "def first_convex", "def first_convex_pairs"]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -330,19 +330,19 @@ def test_row_kernels_match_the_scalar_callable(seed):
         got = kernels.values([p], [q])[0]
         assert got.hex() == abs(want).hex()
         bound = 1.0
-        hit = kernels.first_violation([p], [q], [0.0], [bound], 0.0)
+        hit = kernels.first_convex_pairs([p], [q], cycle([0.0]), [bound], 0.0)
         assert hit == (-1 if abs(want) <= bound else 0)
 
 
 def test_first_violation_stops_at_nan_and_inf():
     kernels = compile_row_kernels(parse("x1*u1"), ("x1",), ("u1",))
     P, LA, R = [(1.0,)] * 3, [0.0], [1.0] * 3
-    assert kernels.first_violation(P, [(0.5,), (math.nan,), (0.5,)], LA, R, 0.0) == 1
-    assert kernels.first_violation(P, [(0.5,), (0.5,), (math.inf,)], LA, R, 0.0) == 2
-    assert kernels.first_violation(P, [(0.5,)] * 3, LA, R, 0.0) == -1
+    assert kernels.first_convex_pairs(P, [(0.5,), (math.nan,), (0.5,)], cycle(LA), R, 0.0) == 1
+    assert kernels.first_convex_pairs(P, [(0.5,), (0.5,), (math.inf,)], cycle(LA), R, 0.0) == 2
+    assert kernels.first_convex_pairs(P, [(0.5,)] * 3, cycle(LA), R, 0.0) == -1
 
 
-# first_violation numbers only the failing tuple, from what is left of MB;
+# first_convex_pairs numbers only the failing tuple, from what is left of MB;
 # an enumerated loop over the scalar values, a raising tuple marked, must
 # find the same index.  The first gauge's kernel takes the outer abs, the
 # second's leaves it out.  Each divides by zero where a second coordinate
@@ -396,7 +396,7 @@ def test_first_violation_index_matches_an_enumerated_loop(text, bound, width, hi
           for k, v in enumerate(values)]
     MB = [mb if math.isfinite(mb) else 0.0 for mb in MB]
     rows = [repeat(P[0]) if bound == "P" else P, repeat(Q[0]) if bound == "Q" else Q]
-    got = kernels.first_violation(*rows, seq(LA), seq(MB), 1e-9)
+    got = kernels.first_convex_pairs(*rows, cycle(seq(LA)), seq(MB), 1e-9)
     assert got == _enumerated_first(values, LA, MB, 1e-9) == min(at, raise_at or at)
 
 
@@ -758,9 +758,9 @@ def test_fast_text_raises_where_the_checked_text_does(text, row, kind, bare):
     with pytest.raises(EvalError) as info:
         gspace_module._gauge_row(g, [Point(p) for p in P], Point((0.0,)))
     assert (info.value.kind, str(info.value)) == typed[0]
-    # first_violation runs the text alone and stops at the tuple it raises at
-    assert kernels.first_violation(P[:2], Q[:2], [0.0], [1e300] * 2, 0.0) == -1
-    assert kernels.first_violation(P, Q, [0.0], [1e300] * len(P), 0.0) == 2
+    # a first-hit loop runs the text alone and stops at the tuple it raises at
+    assert kernels.first_convex_pairs(P[:2], Q[:2], cycle([0.0]), [1e300] * 2, 0.0) == -1
+    assert kernels.first_convex_pairs(P, Q, cycle([0.0]), [1e300] * len(P), 0.0) == 2
     assert math.isnan(kernels.marked(P, Q)[2])
 
 
@@ -771,7 +771,7 @@ def test_a_non_integral_literal_exponent_keeps_the_checked_power():
     with pytest.raises(EvalError) as info:
         kernels.values(P, [(0.0,)] * 2)
     assert info.value.kind == "fractional-power-of-negative"
-    assert kernels.first_violation(P, [(0.0,)] * 2, [0.0], [10.0] * 2, 0.0) == 1
+    assert kernels.first_convex_pairs(P, [(0.0,)] * 2, cycle([0.0]), [10.0] * 2, 0.0) == 1
     assert kernels.values(P[:1], [(0.0,)]) == [2.0]
 
 
@@ -794,10 +794,10 @@ FUSED_SET = exact_set(GRID[::2], "S")
 AVERAGE_H = ConvexStructure(("l*x1 + (1-l)*u1",))
 
 
-def _fused(g, lams=LAMS):
+def _fused(g, lams=LAMS, h=AVERAGE_H, s=FUSED_SET, tol=TOL):
     return assert_same(
-        lambda: check_convex_structure(AVERAGE_H, g, FUSED_SET, lams, TOL, NO_SUBSAMPLING),
-        lambda: ref_convex(AVERAGE_H, g, list(FUSED_SET.points), lams, TOL),
+        lambda: check_convex_structure(h, g, s, lams, tol, NO_SUBSAMPLING),
+        lambda: ref_convex(h, g, list(s.points), lams, tol),
     )
 
 
@@ -839,18 +839,30 @@ def test_fused_convex_h_raising_in_a_q_row_of_condition_two(monkeypatch):
     assert got[:3] == ("error", "EvalError", "division-by-zero")
 
 
-@pytest.mark.parametrize("plant, verdict", [
-    ("", HOLDS),
-    (f" + 5e306*{_hat('u1', 1 / 16)}", FALSIFIED),
-    (f" + 1e308*{_hat('u1', 1 / 16)}", "non-finite"),
-], ids=["holds", "violated", "left-side-infinite"])
-def test_fused_convex_right_sides_overflowing(plant, verdict):
+# In the last row eps_ineq = 1.795e308, and H(0, 1, 1/2) = 25.5 makes the
+# left side g(0, 25.5) infinite where its right side plus eps_ineq
+# overflows too: the tuple fails, as a marked row fails it, where a loop
+# that passed inf <= inf would read on and raise at g(1, 26).
+OVERFLOWING = dict(
+    h=ConvexStructure(("l*x1 + (1-l)*u1 + 100*l*(1-l)*u1",)),
+    s=exact_set([0.0, 0.5, 1.0], "A"),
+    tol=ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=1.795e308),
+)
+
+
+@pytest.mark.parametrize("g, planted, verdict", [
+    ("9e307 + 0*x1", {}, HOLDS),
+    (f"9e307 + 0*x1 + 5e306*{_hat('u1', 1 / 16)}", {}, FALSIFIED),
+    (f"9e307 + 0*x1 + 1e308*{_hat('u1', 1 / 16)}", {}, "non-finite"),
+    ("abs(x1-u1)*1e307", OVERFLOWING, "non-finite: g((0.0), (25.5)) = inf"),
+], ids=["holds", "violated", "left-side-infinite", "left-side-infinite-eps-overflowing"])
+def test_fused_convex_right_sides_overflowing(g, planted, verdict):
     # Under a lambda in [0, 1] no right side lam*|g| + (1-lam)*|g| of a
     # finite |g| = 9e307 overflows, but their magnitudes sum past the largest
-    # double.  Every left side stays at most 9.5e307, except where the last
+    # double.  Every left side stays at most 9.5e307, except where the third
     # plant puts an infinite one: at H(0, 1/8, 1/2) = 1/16.
-    got = _fused(GFunction("9e307 + 0*x1" + plant, 1), lams=[0.0, 0.5, 1.0])
-    assert (got[1][0] if got[0] == "ok" else got[2]) == verdict
+    got = _fused(GFunction(g, 1), **planted)
+    assert verdict in ((got[1][0],) if got[0] == "ok" else got[2:])
 
 
 @pytest.mark.parametrize("plant, verdict", [
@@ -860,17 +872,23 @@ def test_fused_convex_right_sides_overflowing(plant, verdict):
 def test_right_sides_near_the_largest_double_take_the_fused_loop(
     plant, verdict, monkeypatch
 ):
-    # the largest terms of LA and of MB, 9e307 each at lambda 1 and 0, sum
-    # past the largest double, but no one right side does, so every row of
-    # both conditions runs through first_violation
+    # the largest terms lam * a and (1 - lam) * b, 9e307 each at lambda 1
+    # and 0, sum past the largest double, but no one right side does, so
+    # every row of both conditions runs through a first-hit loop
     g = GFunction("9e307 + 0*x1" + plant, 1)
-    real, calls = g.kernels.first_violation, []
-    # RowKernels is frozen: the cached loop sits in the instance's dict
-    monkeypatch.setitem(vars(g.kernels), "first_violation",
-                        lambda *args: calls.append(args[-2]) or real(*args))
+    calls = []
+    # RowKernels is frozen: the cached loops sit in the instance's dict
+    for name in ("first_convex", "first_convex_pairs"):
+        def spy(*args, name=name, real=getattr(g.kernels, name)):
+            calls.append((name, args[-2]))
+            return real(*args)
+
+        monkeypatch.setitem(vars(g.kernels), name, spy)
     got = _fused(g, lams=[0.0, 0.5, 1.0])
     assert got[1][0] == verdict
-    assert calls and all(max(mb) == 9e307 for mb in calls)
+    assert calls and all(max(mb) == 9e307 for _, mb in calls)
+    assert {name for name, _ in calls} == (
+        {"first_convex", "first_convex_pairs"} if verdict == HOLDS else {"first_convex"})
 
 
 # --------------------------------------------------------------------------

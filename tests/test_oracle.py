@@ -30,11 +30,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_expr
+from conftest import random_expr, reference_indices
 from gproxim import cli, gspace
 from gproxim.config import instance_from_dict
 from gproxim.expr import Binary, EvalError, Unary, Var, evaluate
-from gproxim.gspace import CheckReport, GFunction, GSpaceError, Point, _capped
+from gproxim.gspace import CheckReport, GFunction, GSpaceError, Point
 
 HOLDS, FALSIFIED = "holds-on-sample", "falsified"
 # the gauges see x1, x2, u1, u2 and the maps x1, x2; random_expr also draws l
@@ -263,8 +263,9 @@ def test_contraction_answers_alone_and_grouped_match_scalar_loops(seed):
 # points its gauge cannot tell apart (see properties._BanachRows).  Here the
 # gauges read a strict subset of the coordinates, possibly other ones on
 # the x side than on the u side; the maps collapse coordinates; and the
-# sets hold many points that share a projection.  Both ends use the cap of
-# gspace._capped, lowered so that the box sets are cut.
+# sets hold many points that share a projection.  The check runs with
+# gspace.MAX_TUPLES lowered to QUOTIENT_CAP, so that the box sets are cut,
+# and the reference cuts A by conftest.reference_indices, not by _capped.
 QUOTIENT_CAP = 100  # a box of more than 10 points is cut to 10
 
 
@@ -330,7 +331,8 @@ class QuotientReference(Reference):
 
     def __init__(self, inst):
         super().__init__(inst)
-        self.a = _capped(self.a, inst.set_("A").mode == "box", 2, 0)
+        if inst.set_("A").mode == "box":
+            self.a = [self.a[i] for i in reference_indices(len(self.a), 2, QUOTIENT_CAP, 0)]
 
 
 def _quotient_subjects(rng: random.Random) -> list:
