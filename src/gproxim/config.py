@@ -226,6 +226,16 @@ def _ints(values: Any, path: str) -> tuple[int, ...]:
     return tuple(_whole(v, path) for v in values)
 
 
+def _point(row: Any, dimension: int, path: str) -> Point:
+    """A point row: a list of dimension numbers, each finite."""
+    if not isinstance(row, list) or len(row) != dimension:
+        raise ConfigError(path, f"expected {dimension} coordinates")
+    try:
+        return Point(_floats(row, path))
+    except GSpaceError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _named(section: str, name: str) -> str:
     """The path of a named entry, whose name a check spec
     ("kind:name:key=value") must be able to hold."""
@@ -241,15 +251,9 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
         pts = spec["points"]
         if not isinstance(pts, list) or not pts:
             raise ConfigError(path, "points must be a non-empty list")
-        rows = []
-        for i, row in enumerate(pts):
-            if not isinstance(row, list) or len(row) != dimension:
-                raise ConfigError(
-                    f"{path}.points[{i}]", f"expected {dimension} coordinates"
-                )
-            rows.append(_floats(row, f"{path}.points[{i}]"))
+        rows = [_point(row, dimension, f"{path}.points[{i}]") for i, row in enumerate(pts)]
         try:
-            return SampleSet.from_points(rows, name=name)
+            return SampleSet(points=tuple(rows), name=name)
         except GSpaceError as exc:
             raise ConfigError(path, str(exc)) from None
     if "box" in spec:
@@ -292,6 +296,8 @@ def instance_from_dict(doc: dict) -> Instance:
         raise ConfigError("g", str(exc)) from None
     for name, text in _object(doc.get("functions") or {}, "functions").items():
         path = _named("functions", name)
+        if name == "g":
+            raise ConfigError(path, "the name 'g' is taken by the main gauge")
         try:
             gauges[name] = GFunction(_text(text, path), dimension, name=name)
         except (ParseError, GSpaceError) as exc:
@@ -332,8 +338,8 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ConfigError("convex.exprs", str(exc)) from None
         if h.dimension != dimension:
             raise ConfigError("convex.exprs", "one expression per coordinate")
-        r = Point(_floats(_require(spec, "r", "convex"), "convex.r"))
-        s = Point(_floats(_require(spec, "s", "convex"), "convex.s"))
+        r = _point(_require(spec, "r", "convex"), dimension, "convex.r")
+        s = _point(_require(spec, "s", "convex"), dimension, "convex.s")
         lams = spec.get("lambda_grid", 11)
         if isinstance(lams, int):
             if _double(lams, "convex.lambda_grid") < 2:

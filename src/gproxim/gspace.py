@@ -644,6 +644,17 @@ _HOLDS = "holds-on-sample"
 _FALSIFIED = "falsified"
 
 
+def _falsified(
+    check: str, sides: Callable[[Mapping], tuple[float, float]],
+    witness: Mapping[str, Union[Point, float]], note: str = "", **coefficients,
+) -> CheckReport:
+    """The falsified report of check at witness, with the two sides that
+    sides(witness), the check's own sides function, gives there; the
+    contraction checks pass their beta and n_cap as coefficients."""
+    lhs, rhs = sides(witness)
+    return CheckReport(check, _FALSIFIED, witness, lhs, rhs, note, **coefficients)
+
+
 def falsify_axiom(
     kind: str,
     g: GFunction,
@@ -662,13 +673,7 @@ def falsify_axiom(
     """
     pts = _capped(s.points, s.mode == "box", 3 if kind == "triangle" else 2, seed)
     coords = [p.coords for p in pts]
-
-    def falsified(witness: Mapping[str, Point], note: str = "") -> CheckReport:
-        lhs, rhs = axiom_sides(kind, g, tol, witness)
-        return CheckReport(
-            f"{kind}-axiom", _FALSIFIED, witness, lhs=lhs, rhs=rhs, note=note
-        )
-
+    falsified = partial(_falsified, f"{kind}-axiom", partial(axiom_sides, kind, g, tol))
     if kind == "identity":
         for i, x in enumerate(pts):
             row = g.kernels.marked(repeat(x.coords), coords[:i] + coords[i + 1:])
@@ -797,12 +802,12 @@ def proximal_core(
     # The blocks _runs proves in band are kept unread, as (start, stop, hi)
     # ranges whose values v all have level <= v <= hi: such a range is in
     # band whole while hi is, and is read once it is not (it cannot raise),
-    # in the row that lowers the level as in the second pass.  A row from
-    # the one that last lowered the level on keeps exactly its band, every v
-    # it keeps having d_g <= v and v - d_g <= eps, so only the rows before
-    # it are filtered again.
-    d_g, near, last = math.inf, [], 0
-    for i, x in enumerate(a.points):
+    # in the row that lowers the level as in the second pass.  The second
+    # pass filters every row again; a row from the one that last lowered
+    # the level on keeps its values there, each v having d_g <= v and v -
+    # d_g <= eps, and reads none of its proven blocks again.
+    d_g, near = math.inf, []
+    for x in a.points:
         keep, values, proven = [], [], []
         for start, stop, row in _runs(g, x, b, d_g, eps):
             if not isinstance(row, list):
@@ -813,7 +818,7 @@ def proximal_core(
             values += compress(row, near_level)
         low = min(values, default=d_g)
         if low < d_g:
-            d_g, last = low, i
+            d_g = low
             for start, stop, hi in proven:
                 if hi - low > eps:
                     keep += range(start, stop)
@@ -826,12 +831,11 @@ def proximal_core(
     for i, x in enumerate(a.points):
         hits, values, *proven = near[i]
         near[i] = None  # free each row once read: the partners replace it
-        if i < last:
-            hits = [j for j, v in zip(hits, values) if abs(v - d_g) <= eps]
-            for start, stop, hi in proven:
-                if hi - d_g > eps:
-                    row = _gauge_row(g, x, b, slice(start, stop))
-                    hits += compress(count(start), [v - d_g <= eps for v in row])
+        hits = [j for j, v in zip(hits, values) if abs(v - d_g) <= eps]
+        for start, stop, hi in proven:
+            if hi - d_g > eps:
+                row = _gauge_row(g, x, b, slice(start, stop))
+                hits += compress(count(start), [v - d_g <= eps for v in row])
         if proven:
             hits = sorted(chain(hits, *(
                 range(start, stop) for start, stop, hi in proven if hi - d_g <= eps)))
@@ -880,11 +884,10 @@ def check_semi_sharp(core: ProximalCore) -> CheckReport:
     the witness is the first member of a_g with two, and its first two."""
     for x, ys in zip(core.a_g.points, core.partners):
         if len(ys) > 1:
-            witness = {"a": x, "b1": ys[0], "b2": ys[1]}
-            lhs, rhs = semi_sharp_sides(core, witness)
-            return CheckReport(
-                "semi-sharp", _FALSIFIED, witness, lhs=lhs, rhs=rhs,
-                note="two distinct partners at the proximity level",
+            return _falsified(
+                "semi-sharp", partial(semi_sharp_sides, core),
+                {"a": x, "b1": ys[0], "b2": ys[1]},
+                "two distinct partners at the proximity level",
             )
     return CheckReport("semi-sharp", _HOLDS)
 
@@ -896,20 +899,18 @@ def semi_sharp_sides(
     return abs(eval_g(core.g, witness["a"], witness["b2"])), core.d_g
 
 
-def _stride_indices(n: int, m: int, seed: int = 0) -> list[int]:
-    """Deterministic subsample of range(n) of size <= m.
-
-    Seed 0 gives evenly spaced indices including both endpoints; other seeds
-    give a reproducible random sample.
-    """
+def _subsample(items: Sequence, m: int, seed: int) -> list:
+    """The m of items a subsampled scan reads, in order, or all of them when
+    m >= len(items); every caller has m >= 2.  Seed 0 takes evenly spaced
+    indices with both ends; other seeds take a reproducible random sample."""
+    n = len(items)
     if m >= n:
-        return list(range(n))
-    if m == 1:
-        return [0]
+        return list(items)
     if seed == 0:
-        return sorted({round(i * (n - 1) / (m - 1)) for i in range(m)})
-    rng = random.Random(seed)
-    return sorted(rng.sample(range(n), m))
+        picked = sorted({round(i * (n - 1) / (m - 1)) for i in range(m)})
+    else:
+        picked = sorted(random.Random(seed).sample(range(n), m))
+    return [items[i] for i in picked]
 
 
 def _axis_budget(sizes: Sequence[int], cap: int) -> list[int]:
@@ -924,13 +925,11 @@ def _axis_budget(sizes: Sequence[int], cap: int) -> list[int]:
     return budget
 
 
-def _subsampled(points: Sequence, m: int, seed: int) -> list:
-    return [points[i] for i in _stride_indices(len(points), m, seed)]
-
-
-# The tuple cap of the subsampled scans: _capped's default, and the convex
-# check's budget.
+# The caps of the subsampled scans.  MAX_TUPLES is the tuple cap: _capped's
+# default, and the convex check's budget.  MAX_QUALIFYING_POINTS is the most
+# points of a box A whose images properties.qualifying_pairs reads.
 MAX_TUPLES = 1_000_000
+MAX_QUALIFYING_POINTS = 2000
 
 
 def _capped(
@@ -939,11 +938,11 @@ def _capped(
     """The items a scan of arity-tuples over them reads: all of them, unless
     they come from a box sample and make more than cap (default MAX_TUPLES)
     tuples; then max(2, floor(cap ** (1 / arity))) of them, picked by
-    _stride_indices.  An exact set is never cut."""
+    _subsample.  An exact set is never cut."""
     cap = MAX_TUPLES if cap is None else cap
     if not box or len(items) ** arity <= cap:
         return items
-    return _subsampled(items, max(2, int(cap ** (1 / arity))), seed)
+    return _subsample(items, max(2, int(cap ** (1 / arity))), seed)
 
 
 def _lambdas(grid: Sequence[float]) -> list[float]:
@@ -979,16 +978,15 @@ def check_convex_structure(
         tuples (the lambda axis keeps 0 and 1), then the (lam, 1 - lam) of
         the lambda axis and its length."""
         m = _axis_budget([len(pts)] * k + [len(lams)], MAX_TUPLES)
-        lam_sub = sorted(
-            set(lams[i] for i in _stride_indices(len(lams), m[k], seed)) | {0.0, 1.0}
-        )
-        point_axes = [_subsampled(pts, size, seed) for size in m[:k]]
+        lam_sub = sorted(set(_subsample(lams, m[k], seed)) | {0.0, 1.0})
+        point_axes = [_subsample(pts, size, seed) for size in m[:k]]
         lm = [(lam, 1.0 - lam) for lam in lam_sub]
         return point_axes, lam_sub, lm, len(lm)
 
     # condition one: tuples (x0, x, y, lam)
     (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
+    falsified = partial(_falsified, "convex-structure", partial(convex_condition_sides, h, g))
 
     # The first-hit loops take the right side lam * a + (1 - lam) * b of a
     # row over (b, lam) as two rows of terms: lam * a per lam, cycled over
@@ -998,12 +996,6 @@ def check_convex_structure(
 
     def mix_terms(bs: list) -> list:
         return [mix * b for b in bs for _, mix in lm]
-
-    def falsified(witness: Mapping[str, Union[Point, float]], note: str) -> CheckReport:
-        lhs, rhs = convex_condition_sides(h, g, witness)
-        return CheckReport(
-            "convex-structure", _FALSIFIED, witness, lhs=lhs, rhs=rhs, note=note
-        )
 
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
     # condition two; interpolant rows are built once and reused.  A row
@@ -1110,11 +1102,8 @@ def check_side_condition(
             (j for j, v in enumerate(gys_row) if not abs(grx + v - target) <= eps), -1
         )
         if j >= 0:
-            witness = {"x": b_pts[i], "y": a_pts[j]}
-            lhs, rhs = side_condition_sides(core, r, s, witness)
-            return CheckReport(
-                "side-condition", _FALSIFIED, witness, lhs=lhs, rhs=rhs
-            )
+            return _falsified("side-condition", partial(side_condition_sides, core, r, s),
+                              {"x": b_pts[i], "y": a_pts[j]})
     return CheckReport("side-condition", _HOLDS, note=f"target {target!r}")
 
 

@@ -11,7 +11,7 @@ subsampled under a tuple cap, exact finite sets are enumerated exhaustively.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, count, repeat, zip_longest
 from operator import add, le, not_, sub
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -21,14 +21,15 @@ from .gspace import (
     CheckReport,
     GFunction,
     GSpaceError,
+    MAX_QUALIFYING_POINTS,
     Point,
     ProximalCore,
     SampleSet,
     ToleranceSet,
-    _FALSIFIED,
     _HOLDS,
     _capped,
     _check_names,
+    _falsified,
     eval_g,
 )
 
@@ -117,9 +118,7 @@ def _report(
     offending tuple of the scan over rows (see _scan), None when none is."""
     if hit is None:
         return CheckReport(check, _HOLDS, beta=beta, n_cap=n_cap, vacuous=vacuous)
-    return CheckReport(
-        check, _FALSIFIED, *rows.evaluate(beta, hit), beta=beta, n_cap=n_cap
-    )
+    return _falsified(check, *rows.evaluate(beta, hit), beta=beta, n_cap=n_cap)
 
 
 def _fold_row(best: float, nums: list, dens: list, zero: float, raise_at):
@@ -181,9 +180,9 @@ def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
         if best is not None:
             marked = lhs, a, b = rows.kernel(r)
             nums = lhs if b is None else list(map(sub, lhs, b))
-            best = _fold_row(
-                best, nums, a, zero, lambda i: rows.evaluate(1.0, (r, i))
-            )
+            # a report evaluates its sides, so at a marked tuple it raises
+            best = _fold_row(best, nums, a, zero,
+                             lambda i: _falsified("", *rows.evaluate(1.0, (r, i))))
         for k in order:
             if hits[k] is not None:
                 continue
@@ -265,12 +264,11 @@ class _BanachRows:
                                            self.pts[x].coords, self.coords, alpha, eps)
 
     def evaluate(self, alpha: float, hit) -> tuple:
-        """(witness, lhs, rhs) at the tuple hit = (row, column) of the kernel."""
+        """(sides, witness) at the tuple hit = (row, column) of the kernel,
+        sides(witness) being its two sides under alpha."""
         r, i = self.rows[hit[0]], self.cols[hit[1]]
-        witness = {"x": self.pts[r], "y": self.pts[i]}
-        return witness, *banach_sides(
-            self.g, self.t, alpha, witness, self.images[r], self.images[i]
-        )
+        return partial(banach_sides, self.g, self.t, alpha, tx=self.images[r],
+                       ty=self.images[i]), {"x": self.pts[r], "y": self.pts[i]}
 
     def report(self, alpha: float, hit) -> CheckReport:
         _check_alpha(alpha)
@@ -287,7 +285,7 @@ def check_banach_contraction(
     """Falsified when some sampled pair has abs(g(Tx, Ty)) above
     alpha * abs(g(x, y)) by more than eps_ineq."""
     _check_alpha(alpha)
-    return estimate_coefficient(g, t, tol, seed, [alpha], estimate=False)[1][0]
+    return _estimate(_BanachRows(g, t, seed), tol, [alpha], False)[1][0]
 
 
 def estimate_coefficient(
@@ -296,7 +294,6 @@ def estimate_coefficient(
     tol: ToleranceSet,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
-    estimate: bool = True,
 ):
     """Tightest contraction coefficient supported by the sample.
 
@@ -306,10 +303,10 @@ def estimate_coefficient(
 
     With sweep, a list of alphas, the same pass checks each of them and the
     result is (estimate, reports), reports holding check_banach_contraction's
-    report for each alpha.  Without estimate the pass skips the estimate's
-    terms and gives None in its place.
+    report for each alpha.  check_banach_contraction runs the same pass
+    without the estimate's terms.
     """
-    return _estimate(_BanachRows(g, t, seed), tol, sweep, estimate)
+    return _estimate(_BanachRows(g, t, seed), tol, sweep, True)
 
 
 def qualifying_pairs(
@@ -321,7 +318,7 @@ def qualifying_pairs(
     each image are the core's answer (ProximalCore.mates), over that
     subsample when A is capped."""
     a = core.a
-    pts = _capped(a.points, a.mode == "box", 1, seed, cap=2000)
+    pts = _capped(a.points, a.mode == "box", 1, seed, cap=MAX_QUALIFYING_POINTS)
     sub = None
     if len(pts) < len(a):  # a SampleSet reads its coordinate row once
         a = sub = SampleSet(tuple(pts), name=a.name)
@@ -389,10 +386,11 @@ class _ProximalRows:
                                              beta, self.n_cap, eps)
 
     def evaluate(self, beta: float, hit) -> tuple:
-        """(witness, lhs, rhs) at the tuple hit = (row, index)."""
+        """(sides, witness) at the tuple hit = (row, index), sides(witness)
+        being its two sides under beta."""
         (x1, u1), (x2, u2) = self.pairs[hit[0]], self.pairs[hit[1]]
-        witness = {"x1": x1, "x2": x2, "u1": u1, "u2": u2}
-        return witness, *proximal_sides(self.g, witness, beta, self.n_cap)
+        return (partial(proximal_sides, self.g, beta=beta, n_cap=self.n_cap),
+                {"x1": x1, "x2": x2, "u1": u1, "u2": u2})
 
     def report(self, beta: float, hit) -> CheckReport:
         check_name = _proximal_name(beta, self.n_cap)
@@ -417,9 +415,7 @@ def check_proximal_inequality(
     quadruple at all is reported as a vacuous hold, never silently.
     """
     _proximal_name(beta, n_cap)
-    return estimate_proximal_coefficient(
-        f, n_cap, core, tol, seed, [beta], estimate=False
-    )[1][0]
+    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, [beta], False)[1][0]
 
 
 def estimate_proximal_coefficient(
@@ -429,7 +425,6 @@ def estimate_proximal_coefficient(
     tol: ToleranceSet,
     seed: int = 0,
     sweep: Optional[Sequence[float]] = None,
-    estimate: bool = True,
 ):
     """Tightest beta supported by the core's qualifying quadruples, given N.
 
@@ -440,7 +435,7 @@ def estimate_proximal_coefficient(
 
     With sweep, a list of betas, the same pass checks each of them and the
     result is (estimate, reports), reports holding check_proximal_inequality's
-    report for each beta.  Without estimate the pass skips the estimate's
-    terms and gives None in its place.
+    report for each beta.  check_proximal_inequality runs the same pass
+    without the estimate's terms.
     """
-    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, sweep, estimate)
+    return _estimate(_ProximalRows(f, n_cap, core, seed), tol, sweep, True)

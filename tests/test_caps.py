@@ -2,17 +2,22 @@
 
 A scan over a box sample reads every point while the tuple count stays
 within its cap, and a deterministic per-axis subsample once it does not; an
-exact set is read whole.  The reference formulas are written out here: per
-axis, max(2, floor(cap ** (1 / arity))) points at cap 10**6 for the pair
-scans, the triangle triples and the quadruple pairs, and 2000 points for the
-qualifying pairs, chosen by even strides at seed 0 and by a seeded random
-sample otherwise.  The spies read the first row a scan passes to the kernels
+exact set is read whole, except by the convex-structure check, whose axes
+are cut by its own size rule whatever the set.  The reference formulas are
+written out here: per axis, max(2, floor(cap ** (1 / arity))) points at cap
+10**6 for the pair scans, the triangle triples and the quadruple pairs, and
+2000 points for the qualifying pairs, chosen by even strides at seed 0 and
+by a seeded random sample otherwise.  The spies read the first row a scan passes to the kernels
 (for the qualifying pairs, to the row reader; for the contraction scans, to
 their fused loop) and stop the scan there, so no test pays for a whole scan.
+The convex-structure check runs whole under a lowered cap, and its spy reads
+the rows of H each condition builds.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import repeat
 
 import pytest
@@ -22,9 +27,11 @@ import gproxim.gspace as gspace_module
 import gproxim.properties as properties_module
 from gproxim.expr import RowKernels
 from gproxim.gspace import (
+    ConvexStructure,
     GFunction,
     SampleSet,
     ToleranceSet,
+    check_convex_structure,
     falsify_axiom,
     proximal_core,
 )
@@ -177,3 +184,54 @@ def test_the_triangle_scan_reads_99_points_per_axis(monkeypatch):
     # one row per scanned point, over the other scanned points
     assert [p for p, _ in rows] == [[c] for c in want]
     assert [q for _, q in rows] == [want[:i] + want[i + 1:] for i in range(99)]
+
+
+def reference_axes(sizes: list, cap: int) -> list:
+    """The convex check's per-axis sizes, written out apart from gspace:
+    the largest axis (the first of them on a tie) shrinks by a fifth, to
+    no fewer than 2, while the product is above cap and an axis above 2."""
+    sizes = list(sizes)
+    while math.prod(sizes) > cap and max(sizes) > 2:
+        i = sizes.index(max(sizes))
+        sizes[i] = max(2, int(sizes[i] * 0.8))
+    return sizes
+
+
+def reference_picks(items: list, m: int, seed: int) -> list:
+    """m of items in order, all of them when m >= len(items): even strides
+    with both ends at seed 0, random.Random(seed).sample otherwise."""
+    n = len(items)
+    if m >= n:
+        return list(items)
+    if seed == 0:
+        return [items[i] for i in sorted({round(i * (n - 1) / (m - 1)) for i in range(m)})]
+    return [items[i] for i in sorted(random.Random(seed).sample(range(n), m))]
+
+
+CONVEX_CAP = 2000
+CONVEX_LAMS = [i / 10 for i in range(11)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("box", [True, False], ids=["box", "exact"])
+def test_the_convex_check_reads_the_reference_axes(box, seed, monkeypatch):
+    s = line(12, box)
+    monkeypatch.setattr(gspace_module, "MAX_TUPLES", CONVEX_CAP)
+    real, calls = ConvexStructure.rows, []
+
+    def spy(self, x, ys, lams):
+        calls.append(([y.coords for y in ys], list(lams)))
+        return real(self, x, ys, lams)
+
+    monkeypatch.setattr(ConvexStructure, "rows", spy)
+    h = ConvexStructure(("l*x1 + (1-l)*u1",))
+    assert check_convex_structure(h, G, s, CONVEX_LAMS, TOL, seed=seed).holds
+    # condition one reads H(x, y, .) over its y axis; condition two reads
+    # H(x, y, .) for one y, then H(x0, y0, .) over its y0 axis
+    two = next(i for i, (ys, _) in enumerate(calls) if len(ys) == 1)
+    read = [calls[0], next(c for c in calls[two:] if len(c[0]) > 1)]
+    for k, (ys, lams) in zip((3, 4), read):
+        m = reference_axes([len(s)] * k + [len(CONVEX_LAMS)], CONVEX_CAP)
+        assert m[k - 1] < len(s) and m[k] < len(CONVEX_LAMS)  # both axes are cut
+        assert ys == reference_picks(s.coords, m[k - 1], seed)
+        assert lams == sorted(set(reference_picks(CONVEX_LAMS, m[k], seed)) | {0.0, 1.0})

@@ -749,6 +749,11 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
     ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1],
                  "lambda_grid": [0, math.nan, 1]}}, "convex.lambda_grid",
      "values must lie in [0, 1]"),
+    ({"functions": {"g": "0*x1"}}, "functions.g", "the name 'g' is taken by the main gauge"),
+    ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [0, 0], "s": [1]}}, "convex.r",
+     "expected 1 coordinates"),
+    ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [math.nan], "s": [1]}}, "convex.r",
+     "non-finite coordinates: (nan,)"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
@@ -760,7 +765,8 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
         "set-name-with-colon", "function-name-with-equals", "map-name-with-colon",
         "map-domain-not-a-name", "map-codomain-not-a-name", "huge-integer-resolution",
         "huge-integer-scalar-resolution", "lambda-above-one", "lambda-below-zero",
-        "nan-lambda"])
+        "nan-lambda", "functions-named-g", "centre-of-the-wrong-dimension",
+        "nan-centre"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(
     patch, path, message, tmp_path, capsys
 ):

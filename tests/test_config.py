@@ -84,6 +84,21 @@ class TestErrors:
             (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0],
                                         "lambda_grid": [-0.5, 0, 1]}),
              "convex.lambda_grid: values must lie in [0, 1]"),
+            (lambda d: d.update(functions={"g": "0*x1"}), "functions.g"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0, 0], "s": [0]}),
+             "convex.r: expected 1 coordinates"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [0, 0]}),
+             "convex.s: expected 1 coordinates"),
+            (lambda d: d.update(dimension=2, g="x1 - u1", sets={"X": {"points": [[0, 0]]}},
+                                convex={"exprs": ["l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"],
+                                        "r": [0], "s": [0, 0]}),
+             "convex.r: expected 2 coordinates"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [float("nan")],
+                                        "s": [0]}),
+             "convex.r: non-finite coordinates"),
+            (lambda d: d.update(convex={"exprs": ["l*x1 + (1-l)*u1"], "r": [0],
+                                        "s": [float("inf")]}),
+             "convex.s: non-finite coordinates"),
         ],
     )
     def test_bad_documents_carry_a_path(self, mutate, path_fragment):
