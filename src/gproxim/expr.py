@@ -53,6 +53,7 @@ __all__ = [
     "compile_point_rows",
     "RowKernels",
     "variables",
+    "mirror_sign",
 ]
 
 VarEnv = Mapping[str, float]
@@ -409,11 +410,70 @@ def _nonneg(e: Expr) -> bool:
     if isinstance(e, Unary):
         return e.op == "abs" or (e.op == "sqrt" and _nonneg(e.operand))
     if e.op == "pow":
-        r = e.right
-        return _nonneg(e.left) or (
-            isinstance(r, Num) and float(r.value).is_integer() and r.value % 2 == 0
-        )
+        return _nonneg(e.left) or _even(e.right)
     return e.op != "sub" and _nonneg(e.left) and _nonneg(e.right)
+
+
+def _even(e: Expr) -> bool:
+    """e is an even integral literal."""
+    return isinstance(e, Num) and float(e.value).is_integer() and e.value % 2 == 0
+
+
+def _canon(e: Expr, swap: bool = False) -> str:
+    """A text that two trees share exactly when they are equal up to the
+    order of the operands of each + and *; with swap, of e with its names
+    xK and uK exchanged."""
+    if isinstance(e, Var):
+        v = e.name
+        if swap and v[1:].isdigit():
+            return {"x": "u", "u": "x"}.get(v[0], v[0]) + v[1:]
+        return v
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Unary):
+        return f"{e.op}({_canon(e.operand, swap)})"
+    sides = [_canon(e.left, swap), _canon(e.right, swap)]
+    if e.op in ("add", "mul"):
+        sides.sort()
+    return f"{e.op}({sides[0]},{sides[1]})"
+
+
+def mirror_sign(e: Expr) -> Optional[int]:
+    """1 when e with its names xK and uK exchanged evaluates, on every
+    input, to the double e evaluates to, and -1 when to -e, each up to the
+    sign of a zero and with NaN for NaN, raising on the same inputs; None
+    when it cannot prove either.  So abs(g(y, x)) is abs(g(x, y)) bit for
+    bit for a gauge g proven either way, and marked at the same tuples.
+
+    Holds for a literal; the product of the signs through * and /, one
+    sign through neg, + and - of two operands of that sign; 1 through abs,
+    sqrt of 1, min and max of two 1s, ^ of two 1s or by an even integral
+    literal.  Failing those, a + b, a * b (1) or a - b (-1) with b equal to
+    a mirrored, up to the order of + and * operands, since + and * commute.
+    A zero's sign changes no magnitude and no raise of any operation here.
+    Never min or max of mirrored operands: min(NaN, 1) is NaN and min(1,
+    NaN) is 1.
+    """
+    if isinstance(e, Num):
+        return 1
+    if isinstance(e, Var):
+        return None
+    if isinstance(e, Unary):
+        s = mirror_sign(e.operand)
+        if e.op == "neg" or s is None:
+            return s
+        return 1 if e.op == "abs" or s == 1 else None
+    a, b = mirror_sign(e.left), mirror_sign(e.right)
+    if e.op == "pow":
+        return 1 if a == b == 1 or (a and _even(e.right)) else None
+    if a and b:
+        if e.op in ("mul", "div"):
+            return a * b
+        if a == b and (a == 1 or e.op in ("add", "sub")):
+            return a
+    if e.op in ("add", "sub", "mul") and _canon(e.left, True) == _canon(e.right):
+        return -1 if e.op == "sub" else 1
+    return None
 
 
 _POW_ULPS = 4  # how far bound widens each end of a ^: libm pow need not round correctly

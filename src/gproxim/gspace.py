@@ -32,6 +32,7 @@ from .expr import (
     compile_expr,
     compile_point_rows,
     compile_row_kernels,
+    mirror_sign,
     parse,
     variables,
 )
@@ -166,6 +167,20 @@ class GFunction:
         self.expr = expr
         self.dimension = dimension
         self.name = name
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether expr.mirror_sign proves abs(g(y, x)) the same double as
+        abs(g(x, y)) for all x and y, marked at the same tuples: every
+        first-hit, first-mark and fold query of a scan over pairs in
+        row-major order then has its answer in the upper triangle, since
+        the mirror of a lower tuple comes before it.  Derived, never set."""
+        return self._mirror_sign is not None
+
+    @cached_property
+    def _mirror_sign(self) -> Optional[int]:
+        """mirror_sign of the expression, proven on the first pair scan."""
+        return mirror_sign(self.expr)
 
     @cached_property
     def _fn(self) -> Callable[..., float]:
@@ -674,19 +689,22 @@ def falsify_axiom(
     pts = _capped(s.points, s.mode == "box", 3 if kind == "triangle" else 2, seed)
     coords = [p.coords for p in pts]
     falsified = partial(_falsified, f"{kind}-axiom", partial(axiom_sides, kind, g, tol))
+    # a symmetric g reads the pairs (x, y) and the triples (x, y, z) with y,
+    # or z, after x in scan order (see GFunction.symmetric)
+    half = g.symmetric
     if kind == "identity":
         for i, x in enumerate(pts):
-            row = g.kernels.marked(repeat(x.coords), coords[:i] + coords[i + 1:])
+            before = [] if half else coords[:i]  # the row skips x: points are distinct
+            row = g.kernels.marked(repeat(x.coords), before + coords[i + 1:])
             k = next((k for k, v in enumerate(row) if not v > tol.eps_zero), -1)
-            if k >= 0:  # the row skips x, as sample points are distinct
-                return falsified(
-                    {"x": x, "y": pts[k + (k >= i)]},
-                    "distinct points at zero gauge level",
-                )
+            if k >= 0:
+                j = k if k < len(before) else i + 1 + k - len(before)
+                return falsified({"x": x, "y": pts[j]}, "distinct points at zero gauge level")
     elif kind == "symmetry":
         for i, x in enumerate(pts):
             forward = g.kernels.marked(repeat(x.coords), coords[i + 1:])
-            backward = g.kernels.marked(coords[i + 1:], repeat(x.coords))
+            # a symmetric g's backward row is its forward row: a mark fails
+            backward = forward if half else g.kernels.marked(coords[i + 1:], repeat(x.coords))
             k = next(
                 (k for k, (a, b) in enumerate(zip(forward, backward))
                  if not abs(a - b) <= tol.eps_ineq),
@@ -696,22 +714,29 @@ def falsify_axiom(
                 return falsified({"x": x, "y": pts[i + 1 + k]})
     elif kind == "triangle":
         # One abs(g) matrix over the scanned points, with a 0.0 diagonal that
-        # g never sees.  For a pair (x, y), z = y then fails only when
-        # abs(g(x, y)) is marked, and z = x is skipped: its entry abs(g(y, x))
-        # is not the pair's to evaluate.  zip reads rest, row y, last, once
-        # per z, so only a failing z is numbered, from what rest has left.
+        # g never sees; a symmetric g's lower half is its upper half.  For a
+        # pair (x, y), z = y then fails only when abs(g(x, y)) is marked, and
+        # z = x is skipped: its entry abs(g(y, x)) is not the pair's to
+        # evaluate.  zip reads rest, row y from start on, last, once per z,
+        # so only a failing z is numbered, from what rest has left.
         matrix = []
         for i, c in enumerate(coords):
-            row = g.kernels.marked(repeat(c), coords[:i] + coords[i + 1:])
-            row.insert(i, 0.0)
+            if half:
+                row = [above[i] for above in matrix]
+                row += [0.0, *g.kernels.marked(repeat(c), coords[i + 1:])]
+            else:
+                row = g.kernels.marked(repeat(c), coords[:i] + coords[i + 1:])
+                row.insert(i, 0.0)
             matrix.append(row)
         eps = tol.eps_ineq
         for i, x in enumerate(pts):
+            start = i + 1 if half else 0
+            xz = matrix[i][start:]
             for k, (y, gxy) in enumerate(zip(pts, matrix[i])):
                 if y.coords == x.coords:
                     continue
-                rest = iter(matrix[k])
-                for a, b in zip(matrix[i], rest):
+                rest = iter(matrix[k][start:])
+                for a, b in zip(xz, rest):
                     if not a <= gxy + b + eps:
                         m = len(pts) - 1 - length_hint(rest)
                         if m != i:
@@ -803,10 +828,11 @@ def proximal_core(
     # ranges whose values v all have level <= v <= hi: such a range is in
     # band whole while hi is, and is read once it is not (it cannot raise),
     # in the row that lowers the level as in the second pass.  The second
-    # pass filters every row again; a row from the one that last lowered
-    # the level on keeps its values there, each v having d_g <= v and v -
-    # d_g <= eps, and reads none of its proven blocks again.
-    d_g, near = math.inf, []
+    # pass filters each row before the one that last lowered the level, the
+    # row last, again, by v - d_g <= eps, every kept v being at least d_g;
+    # a row from last on keeps its values there, each within eps of d_g, and
+    # reads none of its proven blocks again.
+    d_g, near, last = math.inf, [], 0
     for x in a.points:
         keep, values, proven = [], [], []
         for start, stop, row in _runs(g, x, b, d_g, eps):
@@ -818,7 +844,7 @@ def proximal_core(
             values += compress(row, near_level)
         low = min(values, default=d_g)
         if low < d_g:
-            d_g = low
+            d_g, last = low, len(near)
             for start, stop, hi in proven:
                 if hi - low > eps:
                     keep += range(start, stop)
@@ -831,7 +857,8 @@ def proximal_core(
     for i, x in enumerate(a.points):
         hits, values, *proven = near[i]
         near[i] = None  # free each row once read: the partners replace it
-        hits = [j for j, v in zip(hits, values) if abs(v - d_g) <= eps]
+        if i < last:
+            hits = list(compress(hits, [v - d_g <= eps for v in values]))
         for start, stop, hi in proven:
             if hi - d_g > eps:
                 row = _gauge_row(g, x, b, slice(start, stop))

@@ -237,7 +237,10 @@ class _BanachRows:
     cannot tell apart, x on the coordinates it reads on its x side and y on
     its u side: a later point of a class holds the same doubles and marks
     as the first, which comes before it in scan order, so the first hit of
-    every pass, and its fold, are those of the whole scan."""
+    every pass, and its fold, are those of the whole scan.  When g is
+    symmetric (see GFunction.symmetric) and the rows are the columns, row
+    r reads the columns from start(r) = r on: the tuple (y, x) holds the
+    doubles and marks of (x, y), which comes before it."""
 
     def __init__(self, g: GFunction, t: MapSpec, seed: int):
         self.g, self.t = g, t
@@ -247,26 +250,32 @@ class _BanachRows:
         self.coords = [self.pts[i].coords for i in self.cols]
         self.image_coords = [self.images[i].coords for i in self.cols]
         self.count = len(self.rows)
+        self.half = g.symmetric and self.rows == self.cols
 
     validate = staticmethod(_check_alpha)
 
+    def start(self, r: int) -> int:
+        """The first column row r reads; its kernel and first index the
+        columns from there."""
+        return r if self.half else 0
+
     def kernel(self, r: int) -> tuple:
         """Marked rows (lhs, a, None), rhs being alpha * a."""
-        k, x = self.g.kernels, self.rows[r]
-        lhs = k.marked(repeat(self.images[x].coords), self.image_coords)
-        return lhs, k.marked(repeat(self.pts[x].coords), self.coords), None
+        k, x, c = self.g.kernels, self.rows[r], self.start(r)
+        lhs = k.marked(repeat(self.images[x].coords), self.image_coords[c:])
+        return lhs, k.marked(repeat(self.pts[x].coords), self.coords[c:]), None
 
     def first(self, r: int, alpha: float, eps: float) -> int:
         """The first hit of kernel(r) under alpha, from one loop that lists
         nothing; a tuple where the kernel's text raises is a hit."""
-        x = self.rows[r]
-        return self.g.kernels.first_banach(self.images[x].coords, self.image_coords,
-                                           self.pts[x].coords, self.coords, alpha, eps)
+        x, c = self.rows[r], self.start(r)
+        return self.g.kernels.first_banach(self.images[x].coords, self.image_coords[c:],
+                                           self.pts[x].coords, self.coords[c:], alpha, eps)
 
     def evaluate(self, alpha: float, hit) -> tuple:
-        """(sides, witness) at the tuple hit = (row, column) of the kernel,
-        sides(witness) being its two sides under alpha."""
-        r, i = self.rows[hit[0]], self.cols[hit[1]]
+        """(sides, witness) at the tuple hit = (row, index into kernel's
+        row), sides(witness) being its two sides under alpha."""
+        r, i = self.rows[hit[0]], self.cols[self.start(hit[0]) + hit[1]]
         return partial(banach_sides, self.g, self.t, alpha, tx=self.images[r],
                        ty=self.images[i]), {"x": self.pts[r], "y": self.pts[i]}
 

@@ -169,7 +169,13 @@ def test_an_exact_set_is_read_whole(name, seed, monkeypatch):
     assert scan(s, seed, monkeypatch) == s.coords
 
 
-def test_the_triangle_scan_reads_99_points_per_axis(monkeypatch):
+# abs(x1-u1) is proven symmetric (GFunction.symmetric), so its rows read
+# half; the same values plus 0*x1 are not, since the proof never follows a
+# bare variable
+@pytest.mark.parametrize("gauge, half", [("abs(x1-u1)", True), ("abs(x1-u1) + 0*x1", False)])
+def test_the_triangle_scan_reads_99_points_per_axis(gauge, half, monkeypatch):
+    g = GFunction(gauge, 1)
+    assert g.symmetric == half
     s = SampleSet.grid([(0.0, 1.0)], 201)
     real, rows = RowKernels.marked, []
 
@@ -178,12 +184,14 @@ def test_the_triangle_scan_reads_99_points_per_axis(monkeypatch):
         return real(self, P, Q)
 
     monkeypatch.setattr(RowKernels, "marked", spy)
-    assert falsify_axiom("triangle", G, s, TOL).holds
+    assert falsify_axiom("triangle", g, s, TOL).holds
     want = [s.points[i].coords for i in reference_indices(201, 3, 10 ** 6, 0)]
     assert len(want) == 99
-    # one row per scanned point, over the other scanned points
+    # one row per scanned point, over the scanned points after it when g is
+    # symmetric, else over the other scanned points
     assert [p for p, _ in rows] == [[c] for c in want]
-    assert [q for _, q in rows] == [want[:i] + want[i + 1:] for i in range(99)]
+    assert [q for _, q in rows] == [want[i + 1:] if half else want[:i] + want[i + 1:]
+                                    for i in range(99)]
 
 
 def reference_axes(sizes: list, cap: int) -> list:

@@ -3,6 +3,7 @@ import random
 from itertools import cycle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import OracleError, oracle_eval, random_env, random_expr, rel_close
 from gproxim.expr import (
@@ -19,6 +20,7 @@ from gproxim.expr import (
     compile_row_kernels,
     evaluate,
     format_expr,
+    mirror_sign,
     parse,
     variables,
 )
@@ -251,3 +253,100 @@ def test_random_roundtrip_and_oracle_agreement():
                 py = _python_eval(format_expr(e), env)
                 assert rel_close(ours, py), format_expr(e)
     assert checked_values > 500  # the generator mostly produces evaluable trees
+
+
+# The mirror proof: mirror_sign(e) is 1 when e with x1, x2 and u1, u2
+# exchanged gives e's double, -1 when it gives -e, and None unproven.
+@pytest.mark.parametrize("text, sign", [
+    ("x1*u1", 1), ("x1 + u1", 1), ("x2 - u2", -1), ("u1 - x1", -1), ("3", 1),
+    ("(x1+u2)*(x2+u1)", 1), ("x1*u1 - u1*x1", 1), ("(x1 - 2*u1) - (u1 - 2*x1)", -1),
+    ("x1^u1 * u1^x1", 1),
+    ("min(x1,u1) + min(u1,x1)", 1), ("abs(min(x1, 3) - min(u1, 3))", 1),
+    ("-(x1-u1)", -1), ("abs(x1-u1)", 1), ("(x1-u1)*3", -1), ("(x1-u1)/(x2-u2)", 1),
+    ("(x1-u1) + (x2-u2)", -1), ("(x1-u1)^2", 1), ("(x1-u1)^(2*x1*u1)", None),
+    ("0.5*abs(x1-u1)", 1), ("3*sqrt((x1-u1)^2)", 1), ("abs(x1-u1) + abs(x2-u2)", 1),
+    ("max(abs(x1-u1), abs(x2-u2))", 1), ("sqrt((x1-u1)^2 + (x2-u2)^2)", 1),
+    ("min(x1,u1)", None), ("max(x2,u2)", None), ("x1 - 2*u1", None),
+    ("sqrt(x1-u1)", None), ("(x1-u1)^3", None), ("(x2-u2)^1", None), ("x1", None),
+    ("x1 - u2", None), ("abs(x1-u1) + (x1-u1)", None), ("min(x1-u1, u1-x1)", None),
+    ("(x1-u1)^(x2-u2)", None), ("abs(x1-u1) + 0*x1", None),
+], ids=str)
+def test_mirror_sign_proves_only_the_listed_forms(text, sign):
+    assert mirror_sign(parse(text)) == sign
+
+
+SWAP = {"x1": "u1", "x2": "u2", "u1": "x1", "u2": "x2"}
+
+
+def _renamed(e, names):
+    """e with each variable v read as names.get(v, v)."""
+    if isinstance(e, Var):
+        return Var(names.get(e.name, e.name))
+    if isinstance(e, Unary):
+        return Unary(e.op, _renamed(e.operand, names))
+    if isinstance(e, Binary):
+        return Binary(e.op, _renamed(e.left, names), _renamed(e.right, names))
+    return e
+
+
+def _gauge(rng):
+    """A conftest.random_expr tree over x1, x2, u1 and u2: l reads x1."""
+    return _renamed(random_expr(rng, 3), {"l": "x1"})
+
+
+def _proven_trees(rng):
+    """Random gauges and, since few random trees are proven, nodes over a
+    tree and its mirror and nodes over those, kept where mirror_sign proves
+    them."""
+    pool = [_gauge(rng) for _ in range(4)]
+    pool += [Binary(rng.choice(("add", "sub", "mul", "min", "max")), a, _renamed(a, SWAP))
+             for a in pool]
+    for _ in range(6):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pool.append(Unary(rng.choice(("neg", "abs", "sqrt")), a) if rng.random() < 0.3
+                    else Binary(rng.choice(("add", "sub", "mul", "div", "pow", "min", "max")),
+                                a, Num(2.0) if rng.random() < 0.2 else b))
+    return [e for e in pool if mirror_sign(e) is not None]
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                           1e-310, -3e-310, 1e200, -1e200, 1.0, -2.5])
+COORD = st.one_of(SPECIAL, st.floats(-4.0, 4.0))
+
+
+def _outcome(run):
+    """run()'s double, or "raises" for an EvalError or a bare arithmetic
+    error of the kernel text."""
+    try:
+        return run()
+    except (ArithmeticError, ValueError):
+        return "raises"
+
+
+def _same(got, want) -> bool:
+    return got == want or (got != got and want != want)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       rows=st.lists(st.tuples(COORD, COORD, COORD, COORD), min_size=1, max_size=4))
+def test_a_proven_gauge_gives_the_same_abs_under_the_swap(seed, rows):
+    # each proven tree, at (p, q) and at (q, p): evaluate gives e, or -e
+    # for the sign -1 (== takes -0.0 for 0.0), or NaN for NaN, or raises at
+    # both; the values kernel gives the same abs or raises at both
+    rng = random.Random(f"{seed} {rows}")
+    names = ("x1", "x2", "u1", "u2")
+    for e in _proven_trees(rng):
+        sign = mirror_sign(e)
+        kernels = compile_row_kernels(e, names[:2], names[2:])
+        for row in rows:
+            p, q = row[:2], row[2:]
+            there = _outcome(lambda: evaluate(e, dict(zip(names, p + q))))
+            back = _outcome(lambda: evaluate(e, dict(zip(names, q + p))))
+            if "raises" in (there, back):
+                assert there == back, (str(e), row)
+            else:
+                assert _same(back, sign * there), (str(e), row)
+            there = _outcome(lambda: kernels.values([p], [q])[0])
+            back = _outcome(lambda: kernels.values([q], [p])[0])
+            assert there == back == "raises" or _same(back, there), (str(e), row)

@@ -172,13 +172,15 @@ def test_a_fixture_builds_each_row_key_once(fixture_suite):
 
 
 # (fixture, gauge, map): the rows and the columns a contraction scan reads,
-# one point per class of the points the gauge cannot tell apart
+# one point per class of the points the gauge cannot tell apart, and
+# whether the gauge is proven symmetric, so that row r reads the columns
+# from the r-th on (see properties._BanachRows)
 SCAN_SHAPES = {
-    ("box-shift", "g", "f"): (5, 5),  # x1*u1, f x1 = 0: 625 points, 5 classes
-    ("min-contraction", "g", "T"): (21, 21),  # min(x2,u2): 441 points
-    ("min-contraction", "h", "T"): (21, 21),  # x1*u1
-    ("projection-nonunique-fixed", "g", "T"): (21, 21),  # x2 - u2
-    ("halving-on-unit", "g", "T"): (201, 201),  # every point its own class
+    ("box-shift", "g", "f"): (5, 5, True),  # x1*u1, f x1 = 0: 625 points, 5 classes
+    ("min-contraction", "g", "T"): (21, 21, False),  # min(x2,u2): 441 points
+    ("min-contraction", "h", "T"): (21, 21, True),  # x1*u1
+    ("projection-nonunique-fixed", "g", "T"): (21, 21, True),  # x2 - u2
+    ("halving-on-unit", "g", "T"): (201, 201, True),  # every point its own class
 }
 
 
@@ -200,5 +202,7 @@ def test_a_contraction_scan_reads_one_point_per_class(subject, shape, monkeypatc
     monkeypatch.setattr(RowKernels, "marked", counting)
     # the estimate reads every row: its lhs row, then its rhs row
     assert math.isfinite(estimate_coefficient(inst.gauge(gauge), inst.map_(map_name), inst.tol))
-    rows, cols = shape
-    assert lengths == [cols] * (2 * rows)
+    rows, cols, symmetric = shape
+    assert inst.gauge(gauge).symmetric == symmetric
+    # a triangle for a symmetric gauge, else the square
+    assert lengths == [cols - r * symmetric for r in range(rows) for _ in ("lhs", "rhs")]

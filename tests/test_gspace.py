@@ -71,6 +71,14 @@ class TestEvalG:
         with pytest.raises(GSpaceError):
             GFunction("x1 - u2", 1)
 
+    def test_symmetric_is_derived_from_the_expression_and_never_set(self):
+        assert GFunction("x2 - u2", 2).symmetric
+        assert not GFunction("min(x2,u2)", 2).symmetric
+        g = GFunction("x1*u1", 1)
+        with pytest.raises(AttributeError):
+            g.symmetric = False
+        assert g.symmetric
+
 
 class TestSampleSet:
     def test_duplicate_points_rejected(self):

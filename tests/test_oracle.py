@@ -778,6 +778,175 @@ def test_planted_starshaped_answers_match_scalar_loops(name):
     assert landing in _outcome(cli.run_check, instance_from_dict(doc), "starshaped:A")
 
 
+# Proven-symmetric gauges (GFunction.symmetric): the identity and symmetry
+# scans read the pairs (x, y) with y after x, the triangle the triples with
+# z after x, and a banach scan whose rows are its columns the tuples of its
+# upper triangle, for the check, the estimate and a sweep.  The references
+# walk the whole square or cube.  A is cut under SYMMETRIC_CAP at seeds 0
+# and 7, and the reference cuts it by conftest.reference_indices; the
+# gauges are the l1 gauge plus a bump at a pair and at its mirror, or a
+# random tree and its mirror under +, - or *, which mirror_sign proves.
+SYMMETRIC_CAP = 400  # a box of more than 20 points is cut to 20 for pairs, 7 for triples
+SWEEP = [0.25, 0.5, 0.9375]
+MIRROR = {"x1": "u1", "x2": "u2", "u1": "x1", "u2": "x2"}
+
+
+class SymmetricReference(Reference):
+    """Full-square and full-cube scalar loops over the points of A that a
+    scan of each arity reads under SYMMETRIC_CAP at seed."""
+
+    def __init__(self, inst, seed: int):
+        super().__init__(inst)
+        self.seed, self.geometry = seed, GeometryReference(inst)
+        self.a = self.cut(2)
+
+    def cut(self, arity: int) -> list:
+        s = self.inst.set_("A")
+        if s.mode != "box":
+            return list(s.points)
+        return [s.points[i] for i in reference_indices(len(s), arity, SYMMETRIC_CAP, self.seed)]
+
+    def answer(self, kind: str, text: str):
+        axiom = text.split(":")[0]
+        if axiom in AXIOMS:
+            return self.geometry.axiom(axiom, self.cut(3 if axiom == "triangle" else 2))
+        if kind == "sweep":
+            return self.banach("g", None), [self.banach("g", v) for v in SWEEP]
+        return super().answer(kind, text)
+
+
+def _symmetric_answer(inst, kind: str, text: str, seed: int):
+    """The command line's answer at seed: run_check's report of a check,
+    and of an estimate or a sweep what search gives."""
+    if kind == "check":
+        return cli.run_check(inst, text, seed)
+    c = cli._Spec(inst, text)
+    estimate, reports = cli._CHECKS[c.kind].sweep(c, seed, SWEEP if kind == "sweep" else [])
+    return (estimate, reports) if kind == "sweep" else estimate
+
+
+def _symmetric_subjects(rng: random.Random) -> list:
+    subjects = [("check", f"{kind}:g:set=A") for kind in AXIOMS] + [
+        ("check", f"banach:g:map=f:alpha={rng.choice(ALPHAS)!r}"),
+        ("estimate", "banach:g:map=f"), ("sweep", "banach:g:map=f")]
+    rng.shuffle(subjects)
+    return subjects
+
+
+def _assert_symmetric(doc: dict, subjects: list, seed: int) -> None:
+    """Each subject alone on a fresh instance, and all in order on one,
+    answer at seed as the full-square reference does, under SYMMETRIC_CAP."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gspace, "MAX_TUPLES", SYMMETRIC_CAP)
+        shared = instance_from_dict(doc)
+        assert shared.gauge("g").symmetric
+        ref = SymmetricReference(instance_from_dict(doc), seed)
+        want = [_outcome(ref.answer, *s) for s in subjects]
+        alone = [_outcome(_symmetric_answer, instance_from_dict(doc), *s, seed)
+                 for s in subjects]
+        assert alone == want
+        assert [_outcome(_symmetric_answer, shared, *s, seed) for s in subjects] == want
+
+
+def _symmetric_gauge(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        a, b = rng.choice(COORDS), rng.choice(COORDS)
+        bump = "max(0, 1 - abs(x1 - {}))*max(0, 1 - abs(u1 - {}))"
+        return (f"abs(x1-u1) + abs(x2-u2) + {rng.choice((0.25, 1, 3))!r}*"
+                f"({bump.format(a, b)} + {bump.format(b, a)})")
+    tree = _renamed(random_expr(rng, 3), GAUGE_NAMES)
+    pair = Binary(rng.choice(("add", "sub", "mul")), tree, _renamed(tree, MIRROR))
+    return str(Unary("abs", pair) if rng.random() < 0.5 else pair)
+
+
+def _symmetric_set(rng: random.Random) -> dict:
+    """An exact set, a box under the cap, or one of more than 20 points."""
+    if rng.random() < 0.3:
+        return _random_set(rng)
+    lo1, lo2 = rng.choice(COORDS[:4]), rng.choice(COORDS[:4])
+    return {"box": [[lo1, lo1 + 1.0], [lo2, lo2 + 1.5]],
+            "resolution": rng.choice(([2, 3], [4, 5], [5, 5], [3, 8], [6, 6]))}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(draw=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_gauge_answers_match_full_square_scalar_loops(seed, draw):
+    rng = random.Random(draw)
+    a = _symmetric_set(rng)
+    maps = ["x1/2", "x2/2"] if rng.random() < 0.5 else [
+        str(_renamed(random_expr(rng, 2), MAP_NAMES)) for _ in range(2)]
+    doc = {"dimension": 2, "g": _symmetric_gauge(rng), "sets": {"A": a, "B": a},
+           "maps": {"f": {"exprs": maps, "domain": "A", "codomain": "A"}},
+           "tolerances": {"eps_ineq": rng.choice((0.0, 1e-9))}}
+    _assert_symmetric(doc, _symmetric_subjects(rng), seed)
+
+
+def _pair(term, a: float, b: float) -> str:
+    """term at (a, b) plus term at (b, a): a pair and its mirror."""
+    return f"({term(a, b)} + {term(b, a)})"
+
+
+def _nan_pair(a: float, b: float) -> str:
+    """NaN at (a, b) and (b, a), inf - inf, and 0 elsewhere."""
+    return f"({_pair(_inf_at, a, b)} - {_pair(_inf_at, a, b)})"
+
+
+# Planted on A = {0, 1, 2, 4, 8} (the exact set) or the box of 0..7 under
+# abs(x1-u1) and terms at a pair and at its mirror, so that the first hit of
+# the full scan, with y or z after x, has its mirror in the half a
+# symmetric scan skips.  The cap cuts the box of 0..7 to 7 points for the
+# triangle, without 3 at seed 0 and without 6 at seed 7.
+# The banach subjects map x to x/2, whose images 0.5 and 2 are the points 1
+# and 4, with alpha 1/2 and eps_ineq 1/4, as in PLANTED_CONTRACTIONS.  Each
+# entry gives its set, its gauge, the check the landing pins, and the
+# witness of that check or a part of its error.
+EXACT = {"points": [[0.0], [1.0], [2.0], [4.0], [8.0]]}
+BOX = {"box": [[0, 7]], "resolution": [8]}
+PLANTED_SYMMETRIC = {
+    "identity-zero": (EXACT, f"abs(x1-u1)*(1 - {_pair(_at, 2, 4)})", "identity",
+                      {"x": 2, "y": 4}),
+    "identity-raise": (BOX, f"abs(x1-u1) + {_pair(_raise_at, 3, 6)}", "identity",
+                       "division-by-zero"),
+    "symmetry-inf": (BOX, f"abs(x1-u1) + {_pair(_inf_at, 2, 5)}", "symmetry",
+                     "g((2.0), (5.0)) = inf"),
+    "symmetry-nan": (EXACT, f"abs(x1-u1) + {_nan_pair(1, 8)}", "symmetry",
+                     "g((1.0), (8.0)) = nan"),
+    "triangle-late": (BOX, f"abs(x1-u1) + 3*{_pair(_at, 2, 7)}", "triangle",
+                      {"x": 2, "y": 1, "z": 7}),
+    "triangle-raise": (BOX, f"abs(x1-u1) + {_pair(_raise_at, 5, 7)}", "triangle",
+                       "division-by-zero"),
+    "banach-violation": (EXACT, f"abs(x1-u1) + {_pair(_at, 0.5, 2)}", "banach",
+                         {"x": 1, "y": 4}),
+    "banach-lhs-inf": (EXACT, f"abs(x1-u1) + {_pair(_inf_at, 0.5, 2)}", "banach",
+                       "g((0.5), (2.0)) = inf"),
+    "banach-den-raise": (EXACT, f"abs(x1-u1) + {_pair(_raise_at, 2, 8)}", "banach",
+                         "division-by-zero"),
+    "banach-nan": (EXACT, f"abs(x1-u1) + {_nan_pair(1, 8)}", "banach",
+                   "g((1.0), (8.0)) = nan"),
+}
+PLANTED_SUBJECTS = [("check", f"{kind}:g:set=A") for kind in AXIOMS] + [
+    ("check", "banach:g:map=f:alpha=0.5"), ("estimate", "banach:g:map=f"),
+    ("sweep", "banach:g:map=f")]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", list(PLANTED_SYMMETRIC))
+def test_planted_symmetric_answers_match_full_square_scalar_loops(name, seed, monkeypatch):
+    a, g, pinned, landing = PLANTED_SYMMETRIC[name]
+    doc = {"dimension": 1, "g": g, "sets": {"A": a, "B": a},
+           "maps": {"f": {"exprs": ["x1/2"], "domain": "A", "codomain": "A"}},
+           "tolerances": {"eps_ineq": 0.25}}
+    _assert_symmetric(doc, PLANTED_SUBJECTS, seed)
+    monkeypatch.setattr(gspace, "MAX_TUPLES", SYMMETRIC_CAP)
+    kind, text = next(s for s in PLANTED_SUBJECTS if s[1].startswith(pinned))
+    if isinstance(landing, str):
+        assert landing in _outcome(_symmetric_answer, instance_from_dict(doc), kind, text, seed)
+        return
+    report = _symmetric_answer(instance_from_dict(doc), kind, text, seed)
+    assert {k: v.coords[0] for k, v in report.witness.items()} == landing
+
+
 # The proximity kinds.  A reference of its own computes the core of (A, B)
 # from the whole matrix of abs(g) through expr.evaluate, row by row in scan
 # order, then answers semi-sharp and side-condition by scalar loops in the
