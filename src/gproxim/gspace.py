@@ -108,6 +108,18 @@ class Point:
         return f"({body})"
 
 
+_set_coords, _set_label = Point.coords.__set__, Point.label.__set__
+
+
+def _checked_point(coords: tuple[float, ...]) -> Point:
+    """Point(coords) without its checks, for coords that already pass them:
+    a non-empty tuple of finite doubles, none of them -0.0."""
+    point = object.__new__(Point)
+    _set_coords(point, coords)
+    _set_label(point, None)
+    return point
+
+
 def _check_names(exprs: Sequence[Expr], names: Sequence[str], what: str) -> None:
     """Raise GSpaceError at the first of exprs that reads a name outside names."""
     for i, e in enumerate(exprs):
@@ -411,7 +423,14 @@ class SampleSet:
         resolution: Union[int, Sequence[int]] = 101,
         name: str = "",
     ) -> "SampleSet":
-        """Per-axis uniform grid over the box, row-major point order."""
+        """Per-axis uniform grid over the box, row-major point order.
+
+        A grid point's coordinates are its axis values, and two grid points
+        are equal only when all of them are.  So the constructor's checks
+        hold for every point when each axis value is finite and inside its
+        interval, and distinct within its axis: these are tested once per
+        value.  A grid with an axis that fails goes through the constructor,
+        which raises at the first point that fails, in scan order."""
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         if isinstance(resolution, int):
             res = tuple(resolution if lo != hi else 1 for lo, hi in box)
@@ -419,17 +438,23 @@ class SampleSet:
             res = tuple(int(r) for r in resolution)
         if len(res) != len(box):
             raise GSpaceError("resolution rank does not match box rank")
-        axes = []
+        axes, checked = [], bool(box)
         for (lo, hi), n in zip(box, res):
             if n < 1 or (n == 1 and lo != hi):
                 raise GSpaceError(f"bad resolution {n} for axis [{lo}, {hi}]")
             if n == 1:
-                axes.append([lo])
+                axis = [lo + 0.0]  # normalises -0.0, as Point does
             else:
                 step = (hi - lo) / (n - 1)
-                axes.append([lo + i * step for i in range(n - 1)] + [hi])
-        pts = tuple(Point(tuple(c)) for c in itertools.product(*axes))
-        return cls(points=pts, box=box, resolution=res, name=name)
+                axis = [lo + i * step + 0.0 for i in range(n - 1)] + [hi + 0.0]
+            checked = checked and len(set(axis)) == n and all(
+                math.isfinite(c) and lo - 1e-12 <= c <= hi + 1e-12 for c in axis)
+            axes.append(axis)
+        if not checked:
+            pts = tuple(Point(c) for c in itertools.product(*axes))
+            return cls(points=pts, box=box, resolution=res, name=name)
+        pts = tuple(map(_checked_point, itertools.product(*axes)))
+        return _checked_set(pts, name, box, res)
 
     def grid_step(self) -> Optional[float]:
         """Smallest non-degenerate axis step, or None for exact sets."""
@@ -462,6 +487,18 @@ class SampleSet:
                 seen.add(p.coords)
                 pts.append(p)
         return SampleSet(points=tuple(pts), name=name or f"{self.name}|{other.name}")
+
+
+def _checked_set(
+    points: tuple[Point, ...], name: str,
+    box: Optional[tuple[tuple[float, float], ...]] = None,
+    resolution: Optional[tuple[int, ...]] = None,
+) -> SampleSet:
+    """SampleSet(points, box, resolution, name) without its checks, for
+    points that already pass them, such as a subset of a checked set's."""
+    s = object.__new__(SampleSet)
+    vars(s).update(points=points, box=box, resolution=resolution, name=name)
+    return s
 
 
 @dataclass(frozen=True)
@@ -538,10 +575,10 @@ class ConvexStructure:
         if x.dimension != self.dimension or y.dimension != self.dimension:
             raise DimensionMismatch("convex structure dimension mismatch")
         args = x.coords + y.coords + (lam,)
-        coords = tuple(fn(*args) for fn in self._fns)
-        if not all(math.isfinite(c) for c in coords):
+        coords = tuple([fn(*args) + 0.0 for fn in self._fns])  # normalises -0.0
+        if not all(map(math.isfinite, coords)):
             raise EvalError("non-finite", f"H({x}, {y}, {lam!r})")
-        return Point(coords)
+        return _checked_point(coords)
 
 
 @dataclass(frozen=True)
@@ -876,8 +913,8 @@ def proximal_core(
     b_pts = [b.points[j] for j in sorted(b_hit)]
     return ProximalCore(
         d_g=d_g,
-        a_g=SampleSet(points=tuple(a_pts), name=f"{a.name or 'A'}_g"),
-        b_g=SampleSet(points=tuple(b_pts), name=f"{b.name or 'B'}_g"),
+        a_g=_checked_set(tuple(a_pts), f"{a.name or 'A'}_g"),
+        b_g=_checked_set(tuple(b_pts), f"{b.name or 'B'}_g"),
         partners=tuple(partners),
         eps=eps,
         g=g,

@@ -29,6 +29,8 @@ from .gspace import (
     _HOLDS,
     _capped,
     _check_names,
+    _checked_point,
+    _checked_set,
     _falsified,
     eval_g,
 )
@@ -66,6 +68,7 @@ class MapSpec:
         self.domain = domain
         self.codomain = codomain
         self.name = name
+        self.dimension = d
 
     @cached_property
     def _fns(self) -> tuple[Callable[..., float], ...]:
@@ -73,17 +76,14 @@ class MapSpec:
         names = GFunction._var_names(self.dimension)[: self.dimension]
         return tuple(compile_expr(e, names) for e in self.exprs)
 
-    @property
-    def dimension(self) -> int:
-        return self.domain.dimension
-
     def apply(self, p: Point) -> Point:
-        if p.dimension != self.dimension:
+        coords = p.coords
+        if len(coords) != self.dimension:
             raise GSpaceError(f"map {self.name!r} applied to wrong dimension")
-        coords = tuple(fn(*p.coords) for fn in self._fns)
-        if not all(math.isfinite(c) for c in coords):
+        image = tuple([fn(*coords) + 0.0 for fn in self._fns])  # normalises -0.0
+        if not all(map(math.isfinite, image)):
             raise GSpaceError(f"map {self.name!r} produced non-finite image at {p}")
-        return Point(coords)
+        return _checked_point(image)
 
     def __repr__(self) -> str:
         body = ", ".join(str(e) for e in self.exprs)
@@ -330,7 +330,7 @@ def qualifying_pairs(
     pts = _capped(a.points, a.mode == "box", 1, seed, cap=MAX_QUALIFYING_POINTS)
     sub = None
     if len(pts) < len(a):  # a SampleSet reads its coordinate row once
-        a = sub = SampleSet(tuple(pts), name=a.name)
+        a = sub = _checked_set(tuple(pts), a.name)
     images = [(x, f.apply(x)) for x in a.points]
     return [(x, u) for x, fx in images for u in core.mates(fx, sub)]
 

@@ -754,6 +754,12 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
      "expected 1 coordinates"),
     ({"convex": {"exprs": ["l*x1 + (1-l)*u1"], "r": [math.nan], "s": [1]}}, "convex.r",
      "non-finite coordinates: (nan,)"),
+    ({"sets": {"A": {"box": [[-1e308, 1e308]], "resolution": 3}}}, "sets.A",
+     "non-finite coordinates: (nan,)"),
+    ({"dimension": 2, "sets": {"A": {"box": [[0, 1], [-1e308, 1e308]], "resolution": [2, 3]}}},
+     "sets.A", "non-finite coordinates: (0.0, nan)"),
+    ({"sets": {"A": {"box": [[0, 5e-324]], "resolution": 3}}}, "sets.A",
+     "duplicate point (0.0) in 'A'"),
 ], ids=["map-not-an-object", "functions-not-an-object", "non-numeric-schedule",
         "non-numeric-resolution", "non-numeric-stages", "fractional-stages",
         "fractional-tail-len", "boolean-dimension", "boolean-coordinate",
@@ -766,7 +772,8 @@ SPEC_NAME = "a name holding ':' or '=' cannot appear in a check spec"
         "map-domain-not-a-name", "map-codomain-not-a-name", "huge-integer-resolution",
         "huge-integer-scalar-resolution", "lambda-above-one", "lambda-below-zero",
         "nan-lambda", "functions-named-g", "centre-of-the-wrong-dimension",
-        "nan-centre"])
+        "nan-centre", "grid-span-beyond-a-double", "grid-span-beyond-a-double-2d",
+        "grid-step-below-a-double"])
 def test_config_of_the_wrong_shape_exits_two_with_one_line(
     patch, path, message, tmp_path, capsys
 ):

@@ -4,7 +4,8 @@ import pytest
 
 from gproxim.config import ConfigError, instance_from_dict, load_instance
 from gproxim.fixtures import fixture_config_path, fixture_names
-from gproxim.gspace import Point
+from gproxim.gspace import Point, SampleSet, proximal_core
+from gproxim.properties import qualifying_pairs
 
 
 def minimal_doc():
@@ -153,3 +154,37 @@ class TestRoundTrip:
         inst = instance_from_dict(doc)
         assert inst.to_dict()["g"] == "(abs((x1-u1))+(0*1e999))"
         assert instance_from_dict(inst.to_dict()) == inst
+
+
+def test_only_outside_input_is_checked_point_by_point(monkeypatch):
+    """A box's points are checked per axis, map images as they are computed,
+    and a core's subsets and the qualifying subsample are subsets of checked
+    sets: none of them goes through the checks of Point or SampleSet.  A
+    points row and a set of them do."""
+    checked = []
+    for cls in (Point, SampleSet):
+        def spy(self, check=cls.__post_init__):
+            checked.append(self.points if isinstance(self, SampleSet) else self.coords)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    doc = {
+        "dimension": 2,
+        "g": "abs(x1 - u1) + abs(x2 - u2)",
+        "sets": {"A": {"box": [[0, 1], [-1, 1]], "resolution": [41, 51]},
+                 "B": {"box": [[2, 3], [0, 1]], "resolution": [5, 3]}},
+        "maps": {"T": {"exprs": ["x1/2 + 2", "-x2/2"], "domain": "A", "codomain": "B"}},
+    }
+    inst = instance_from_dict(doc)
+    assert checked == []
+    a, b, t = inst.set_("A"), inst.set_("B"), inst.map_("T")
+    images = [t.apply(p) for p in a]
+    assert checked == [] and images[0].coords == (2.0, 0.5)
+    core = proximal_core(inst.g, a, b, inst.tol)
+    assert checked == [] and len(core.a_g) > 0 and len(core.b_g) > 0
+    assert len(a) > 2000 and qualifying_pairs(t, core)  # over a subsample of A
+    assert checked == []
+    doc["sets"]["C"] = {"points": [[0, 0], [1, 0], [0.5, -1]]}
+    c = instance_from_dict(doc).set_("C")
+    rows = [(0.0, 0.0), (1.0, 0.0), (0.5, -1.0)]
+    assert checked == [*rows, c.points] and c.coords == rows

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -115,6 +117,93 @@ class TestSampleSet:
         a = SampleSet.from_points([0.0, 1.0])
         b = SampleSet.from_points([1.0, 2.0])
         assert [p.coords[0] for p in a.union(b)] == [0.0, 1.0, 2.0]
+
+
+def reference_grid(box, resolution, name=""):
+    """SampleSet.grid written out apart from gspace's per-axis checks: the
+    same evenly spaced axes, every point built through Point(...) and the
+    set through the constructor, whose checks run point by point."""
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if isinstance(resolution, int):
+        resolution = [resolution if lo != hi else 1 for lo, hi in box]
+    axes = []
+    for (lo, hi), n in zip(box, resolution):
+        if n < 1 or (n == 1 and lo != hi):
+            raise GSpaceError(f"bad resolution {n} for axis [{lo}, {hi}]")
+        step = (hi - lo) / max(n - 1, 1)
+        axes.append([lo + i * step for i in range(n - 1)] + [hi] if n > 1 else [lo])
+    points = tuple(Point(c) for c in itertools.product(*axes))
+    return SampleSet(points=points, box=box, resolution=tuple(resolution), name=name)
+
+
+# bounds for the grid cases: signed zeros, subnormals, a step that underflows
+# between neighbours, spans beyond the largest double, doubles one ulp apart
+GRID_BOUNDS = (
+    0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 3.0, 5e-324, -5e-324, 1e-323, 1e-320,
+    2.2250738585072014e-308, 1e-300, 1e300, 1e307, -1e307, 1e308, -1e308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0 + 2.0 ** -52, 1e16, 1e16 + 2,
+)
+
+GRID_CASES = [
+    ([(0, 1)], 11),
+    ([(1, 1), (-1, 0)], [1, 5]),
+    ([(-0.0, 1.0)], 3),
+    ([(-1.0, -0.0)], 3),
+    ([(-0.0, -0.0)], 4),
+    ([(-0.0, -0.0), (0, 1)], [3, 2]),
+    ([(0, 1e-320)], 5),
+    ([(5e-324, 2e-323)], 4),
+    ([(0, 5e-324)], 3),
+    ([(0, 1e-323)], 5),
+    ([(-1e308, 1e308)], 3),
+    ([(0, 1), (-1e308, 1e308)], [2, 3]),
+    ([(-1.7976931348623157e308, 1.7976931348623157e308)], 2),
+    ([(-1e307, 1e307)], 3),
+    ([(0, 1), (-0.0, 0.0), (-1, 1), (2, 3)], [2, 1, 3, 2]),
+    ([(1, 0)], 3),
+    ([(0, 1)], [1]),
+    ([(math.nan, 1.0)], 3),
+    ([(math.inf, math.inf)], 3),
+]
+
+
+def _random_grid_case(rng: random.Random):
+    """A box of 1 to 4 axes and a resolution of at most 4 per axis, an int
+    or a list; some axes degenerate, a few reversed."""
+    box, res = [], []
+    for _ in range(rng.randint(1, 4)):
+        lo, hi = sorted(rng.sample(GRID_BOUNDS, 2))
+        if rng.random() < 0.2:
+            hi = rng.choice([lo, -lo])
+        elif rng.random() < 0.1:
+            lo, hi = hi, lo
+        box.append((lo, hi))
+        res.append(1 if lo == hi and rng.random() < 0.5 else rng.randint(2, 4))
+    return box, rng.randint(1, 4) if rng.random() < 0.3 else res
+
+
+def _grid_outcome(build, box, resolution):
+    """Every coordinate's repr (which tells -0.0 from 0.0), coords, blocks,
+    grid_step and the set's other fields, or the error's text."""
+    try:
+        s = build(box, resolution, name="A")
+    except GSpaceError as exc:
+        return "error", type(exc).__name__, str(exc)
+    return ([[repr(c) for c in p.coords] for p in s.points], s.coords, s.blocks,
+            repr(s.grid_step()), s.box, s.resolution, s.name, s.mode)
+
+
+def test_a_grid_checked_per_axis_is_the_grid_checked_per_point():
+    rng = random.Random(7)
+    cases = GRID_CASES + [_random_grid_case(rng) for _ in range(400)]
+    kinds = set()
+    for box, resolution in cases:
+        got = _grid_outcome(SampleSet.grid, box, resolution)
+        assert got == _grid_outcome(reference_grid, box, resolution), (box, resolution)
+        kinds.add(got[2].split(" ")[0] if got[0] == "error" else "ok")
+    # the cases draw grids and every error of a grid: "grid point ... outside
+    # box", "duplicate point", "non-finite coordinates", "bad resolution"
+    assert kinds == {"ok", "grid", "duplicate", "non-finite", "bad"}
 
 
 class TestFalsifyAxiom:

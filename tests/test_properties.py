@@ -53,6 +53,28 @@ class TestMapSpec:
         with pytest.raises(GSpaceError):
             MapSpec(["u1"], a, a)
 
+    def test_an_image_at_minus_zero_is_a_positive_zero(self):
+        a = SampleSet.grid([(0, 1)], 3)
+        (c,) = MapSpec(["-x1"], a, a).apply(P(0)).coords
+        assert repr(c) == "0.0" and math.copysign(1.0, c) == 1.0
+
+    def test_a_finite_image_whose_coordinate_sum_overflows_is_accepted(self):
+        a = SampleSet.from_points([(1e308, 1e308)])
+        assert MapSpec(["x1", "x2"], a, a).apply(P(1e308, 1e308)).coords == (1e308, 1e308)
+
+    @pytest.mark.parametrize("exprs, at", [
+        (["x1*1e308*10"], (1,)),
+        (["x1*1e308*10 - x1*1e308*10"], (1,)),
+        (["x1", "x2*1e308*10"], (1, 1)),
+        (["(x2*1e308*10) - (x2*1e308*10)", "x2"], (1, 1)),
+    ], ids=["inf", "nan", "inf-second", "nan-first"])
+    def test_a_non_finite_image_keeps_its_message(self, exprs, at):
+        a = SampleSet.from_points([at])
+        point = ", ".join(repr(float(c)) for c in at)
+        with pytest.raises(GSpaceError) as err:
+            MapSpec(exprs, a, a).apply(P(*at))
+        assert str(err.value) == f"map 'T' produced non-finite image at ({point})"
+
 
 class TestBanach:
     def test_min_gauge_holds_at_half(self, min_gauge_instance):
