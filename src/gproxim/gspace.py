@@ -274,68 +274,69 @@ def _gauge_row(
 
 
 def _runs(
-    g: GFunction, xs: Union[Point, "SampleSet"], ys: Union[Point, "SampleSet"],
-    level: float, eps: float, mates: bool = False,
-) -> Iterable[tuple[int, int, Union[list[float], float]]]:
-    """_gauge_row(g, xs, ys), one side a Point and the other a SampleSet s,
-    as (start, stop, row) over s in order, leaving out whole blocks of s
-    (SampleSet.blocks) whose values all lie more than eps above level, as
-    g.kernels.bound proves; for mates, also those more than eps below it.
+    g: GFunction, xs: Union[Sequence, "SampleSet"], ys: Union[Point, "SampleSet"],
+    level: float, eps: float, mates: bool = False, roots: Sequence[tuple] = (),
+) -> list[tuple[int, Optional[int], Optional[float]]]:
+    """The plan of every kernel row of abs(g) between a box of points and a
+    SampleSet s, made with one walk of s's block tree (SampleSet.blocks):
+    for the core, s is ys and the box xs, a pair (lo, hi) of coordinate
+    tuples, the leaf of A whose rows share the plan or one row of it; for
+    mates, s is xs and the box the Point ys.  With roots, nodes of that
+    tree in order, the walk covers them alone.  It lists (start, stop, hi)
+    over s in order, leaving out whole blocks whose values all lie more
+    than eps above level, as g.kernels.bound proves over the box against
+    each block; for mates, also those more than eps below it.
 
-    row is the list of the values over s[start:stop], or, for a block the
-    bound proves in band, the float upper end hi of its values, none of
-    them read: for the core, level <= every value <= hi with hi - level <=
-    eps, so none of them lowers the level; for mates, both ends lie within
-    eps of level, so every value passes abs(v - level) <= eps.  A left-out
-    or proven block is proven clean, so the lists raise at the row's first
-    marked tuple, and the values of the row within eps of level are all in
-    them or in the proven blocks.  The core reads a block whole once it is
-    a leaf, or lies within eps above level but may reach below it.  A gauge
-    without a bound, or an infinite level, reads the row whole.
+    hi is None for a range to read, or the upper end of the bound on a
+    block proven in band, none of it to be read: for the core, level <=
+    every value <= hi with hi - level <= eps; for mates, both ends lie
+    within eps of level.  A left-out or proven block is proven clean, so
+    the read ranges raise at a row's first marked tuple.  The core reads a
+    block whole once it is a leaf, or lies within eps above level but may
+    reach below it.  A gauge without a bound, or an infinite level, reads
+    s whole: (0, None, None).
     """
     bound = g.kernels.bound
     if bound is None or not level < math.inf:
-        row = _gauge_row(g, xs, ys)
-        return ((0, len(row), row),)
-    if isinstance(xs, Point):
-        s, box = ys, partial(bound, xs.coords, xs.coords)
+        return [(0, None, None)]
+    if isinstance(ys, SampleSet):
+        s, box = ys, partial(bound, *xs)
     else:
         s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
-
-    def runs():
-        stack, start, stop = [s.blocks], 0, 0
-        while stack:
-            lo, hi, i, j, halves = stack.pop()
-            ends = box(lo, hi)
-            if ends is not None:
-                if ends[0] - level > eps or (mates and level - ends[1] > eps):
+    plan, stack = [], list(reversed(roots)) or [s.blocks]
+    while stack:
+        lo, hi, i, j, halves = stack.pop()
+        ends = box(lo, hi)
+        if ends is not None:
+            if ends[0] - level > eps or (mates and level - ends[1] > eps):
+                continue
+            if ends[1] - level <= eps:
+                if level - ends[0] <= eps if mates else ends[0] >= level:
+                    plan.append((i, j, ends[1]))
                     continue
-                if ends[1] - level <= eps:
-                    if level - ends[0] <= eps if mates else ends[0] >= level:
-                        if start < stop:
-                            yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
-                        yield i, j, ends[1]
-                        start = stop = j
-                        continue
-                    if not mates:
-                        halves = ()  # in band, but may reach below the level
-            if halves:
-                stack += reversed(halves)
-            elif i == stop:
-                stop = j
-            else:
-                if start < stop:
-                    yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
-                start, stop = i, j
-        if start < stop:
-            yield start, stop, _gauge_row(g, xs, ys, slice(start, stop))
-
-    return runs()
+                if not mates:
+                    halves = ()  # in band, but may reach below the level
+        if halves:
+            stack += reversed(halves)
+        elif plan and plan[-1][1:] == (i, None):
+            plan[-1] = (plan[-1][0], j, None)
+        else:
+            plan.append((i, j, None))
+    return plan
 
 
-# Points per leaf of SampleSet.blocks: small enough that a leaf next to the
-# level reads few values out of band, large enough that a bound call costs
-# little beside the values it can save.
+def _leaves(node: tuple) -> list[tuple]:
+    """The leaves of a node of SampleSet.blocks, in scan order."""
+    halves = node[4]
+    return _leaves(halves[0]) + _leaves(halves[1]) if halves else [node]
+
+
+# Points per leaf of SampleSet.blocks.  A leaf of B is the least range a
+# plan of _runs reads, and a leaf of A the rows that share one plan, or
+# that walk its leaves of B again one row at a time where it reads more
+# than one: small enough that a leaf next to the level reads few values
+# out of band and that a leaf of A spans few of B's blocks, large enough
+# that a bound call costs little beside the values it can save.
 _LEAF = 32
 
 
@@ -663,22 +664,23 @@ class ProximalCore:
         When y is a sample point of B and a is not given, they are read from
         partners: the core evaluated abs(g) on all of A x B with the same
         kernel doubles and the same band test.  Any other question reads the
-        row of abs(g) over A against y through _runs, from the blocks that
-        can reach the band, taking every point of a block whose values the
-        bound puts within eps of d_g at both ends without reading it.  Every
-        block it leaves out or proves is clean, so it raises at the row's
-        first offending tuple.
+        row of abs(g) over A against y through the plan of _runs for the
+        point y, from the blocks that can reach the band, taking every point
+        of a block whose values the bound puts within eps of d_g at both
+        ends without reading it.  Every block it leaves out or proves is
+        clean, so it raises at the row's first offending tuple.
         """
         if a is None:
             a = self.a
             own = self._mates.get(y.coords)
             if own is not None:
                 return own
-        d_g, eps = self.d_g, self.eps
+        g, d_g, eps = self.g, self.d_g, self.eps
         return tuple(
-            u for start, stop, row in _runs(self.g, a, y, d_g, eps, mates=True)
-            for u in (compress(a.points[start:stop], [abs(v - d_g) <= eps for v in row])
-                      if isinstance(row, list) else a.points[start:stop])
+            u for start, stop, hi in _runs(g, a, y, d_g, eps, mates=True)
+            for u in (a.points[start:stop] if hi is not None else compress(
+                a.points[start:stop],
+                [abs(v - d_g) <= eps for v in _gauge_row(g, a, y, slice(start, stop))]))
         )
 
     @cached_property
@@ -852,44 +854,67 @@ def proximal_core(
     """Exact minimum of abs(g) over the sampled product, with realising sets.
 
     Membership in a_g and b_g uses the eps_prox band around d_g; partners
-    lists each a_g member's banded partners in list order.  Values of a
-    block of B that the interval bound proves no lower than the level of
-    the rows before and within eps_prox above it are not read: none of them
-    lowers d_g, and the block is in band whole while its upper end is.
+    lists each a_g member's banded partners in list order.  The rows of
+    each leaf of A (SampleSet.blocks) read B through one plan (_runs), made
+    from the interval bound of g over the leaf's box against B's blocks, at
+    the level the leaf starts from.  Where the plan reads more than one
+    leaf of B, each row walks those leaves again with its own point, at its
+    own level: the box is wider than any of its rows, and a row reads about
+    what a walk of its own from B's root would, at one bound call a leaf.
+    A block whose values all lie more than eps_prox above the level is not
+    read; nor is a block proven no lower than it and within eps_prox above
+    it, while its upper end stays within eps_prox of the row's level: none
+    of its values lowers d_g, and it is in band whole.  The level only
+    falls, so a block left out at the plan's level is out of band for every
+    row of the leaf.
     """
     eps = tol.eps_prox
     # Per point of A, its entries within eps of the level of the rows before
     # it, or of its own minimum where that is lower: all within eps of that
     # minimum (float subtraction is monotone), and a superset of its band.
-    # The blocks _runs proves in band are kept unread, as (start, stop, hi)
+    # The blocks a plan proves in band are kept unread, as (start, stop, hi)
     # ranges whose values v all have level <= v <= hi: such a range is in
     # band whole while hi is, and is read once it is not (it cannot raise),
-    # in the row that lowers the level as in the second pass.  The second
-    # pass filters each row before the one that last lowered the level, the
-    # row last, again, by v - d_g <= eps, every kept v being at least d_g;
-    # a row from last on keeps its values there, each within eps of d_g, and
-    # reads none of its proven blocks again.
-    d_g, near, last = math.inf, [], 0
-    for x in a.points:
-        keep, values, proven = [], [], []
-        for start, stop, row in _runs(g, x, b, d_g, eps):
-            if not isinstance(row, list):
-                proven.append((start, stop, row))
-                continue
-            near_level = [v - d_g <= eps for v in row]
-            keep += compress(count(start), near_level)
-            values += compress(row, near_level)
-        low = min(values, default=d_g)
-        if low < d_g:
-            d_g, last = low, len(near)
-            for start, stop, hi in proven:
-                if hi - low > eps:
-                    keep += range(start, stop)
-                    values += _gauge_row(g, x, b, slice(start, stop))
-            proven = [r for r in proven if r[2] - low <= eps]
-            keep, values = zip(*sorted(
-                (j, v) for j, v in zip(keep, values) if v - low <= eps))
-        near.append((array("l", keep), array("d", values), *proven))
+    # by each later row of the leaf, in the row that lowers the level and in
+    # the second pass.  A row that walks the plan's leaves of B (reads) keeps
+    # the plan's proven blocks (kept) and its walk's, in B order; a plan that
+    # reads B whole, (0, None, None), lists no leaves.  The first row has no
+    # finite level to plan against: it is read whole, and its leaf is
+    # planned again after it.  The second pass filters each row before the
+    # one that last lowered the level, the row last, again, by v - d_g <=
+    # eps, every kept v being at least d_g; a row from last on keeps its
+    # values there, each within eps of d_g, and reads none of its proven
+    # blocks again.
+    d_g, near, last, leaves = math.inf, [], 0, _leaves(b.blocks)
+    for *box, first, end, _ in _leaves(a.blocks):
+        for x in a.points[first:end]:
+            if len(near) in (first, 1):
+                plan = _runs(g, box, b, d_g, eps)
+                reads = [n for i, j, hi in plan if hi is None
+                         for n in leaves if i <= n[2] < (j or 0)]
+                kept = [r for r in plan if r[2] is not None]
+            runs = plan if len(reads) < 2 else sorted(
+                kept + _runs(g, (x.coords, x.coords), b, d_g, eps, roots=reads))
+            keep, values, proven = [], [], []
+            for start, stop, hi in runs:
+                if hi is not None and hi - d_g <= eps:
+                    proven.append((start, stop, hi))
+                    continue
+                row = _gauge_row(g, x, b, slice(start, stop))
+                near_level = [v - d_g <= eps for v in row]
+                keep += compress(count(start), near_level)
+                values += compress(row, near_level)
+            low = min(values, default=d_g)
+            if low < d_g:
+                d_g, last = low, len(near)
+                for start, stop, hi in proven:
+                    if hi - low > eps:
+                        keep += range(start, stop)
+                        values += _gauge_row(g, x, b, slice(start, stop))
+                proven = [r for r in proven if r[2] - low <= eps]
+                keep, values = zip(*sorted(
+                    (j, v) for j, v in zip(keep, values) if v - low <= eps))
+            near.append((array("l", keep), array("d", values), *proven))
     a_pts, partners, b_hit = [], [], set()
     for i, x in enumerate(a.points):
         hits, values, *proven = near[i]

@@ -1403,29 +1403,36 @@ def _core_cases():
 
 
 def _kept_rows(monkeypatch):
-    """Per row proximal_core reads (gspace._runs is its one reader), the
-    arrays it keeps, by type code: "l" the indices into B, "d" the values;
-    and under "proven" the indices into B of the blocks _runs proved in band
-    that the row keeps unread, those that _gauge_row does not read before
-    the row's arrays are made."""
-    kept = []
+    """Per row proximal_core reads, the arrays it keeps, by type code: "l"
+    the indices into B, "d" the values; and under "proven" the indices into
+    B of the blocks that the plan of the row's leaf of A, or the row's own
+    walk of that plan's leaves (gspace._runs, the one reader), proved in
+    band and that the row keeps unread, those that _gauge_row does not read
+    before the row's arrays are made."""
+    kept, plan, walk, read = [], [], [], set()
     real_runs, real_row, real_array = (
         gspace_module._runs, gspace_module._gauge_row, gspace_module.array)
 
-    def runs(g, x, b, *args, **kwargs):
-        kept.append({"proven": set()})
-        for start, stop, row in real_runs(g, x, b, *args, **kwargs):
-            if not isinstance(row, list):
-                kept[-1]["proven"].update(range(start, stop))
-            yield start, stop, row
+    def runs(*args, roots=(), **kwargs):
+        made = real_runs(*args, roots=roots, **kwargs)
+        (walk if roots else plan)[:] = made
+        return made
 
     def gauge_row(g, xs, ys, span=None):
-        if span is not None and kept and "l" not in kept[-1]:
-            kept[-1]["proven"].difference_update(range(span.start, span.stop))
+        if span is not None:
+            read.update(range(len(ys))[span])
         return real_row(g, xs, ys, span)
 
     def array(code, items):
-        kept[-1][code] = made = real_array(code, items)
+        made = real_array(code, items)
+        if code == "l":
+            proven = {j for start, stop, hi in plan + walk if hi is not None
+                      for j in range(start, stop)}
+            kept.append({"l": made, "proven": proven - read})
+            read.clear()
+            walk.clear()
+        else:
+            kept[-1]["d"] = made
         return made
 
     monkeypatch.setattr(gspace_module, "_runs", runs)
@@ -1587,6 +1594,13 @@ def test_the_level_dropping_in_the_last_row_keeps_its_band(monkeypatch):
         assert sorted(set(arrays["l"]) | arrays["proven"]) == own
         assert [v.hex() for v in arrays["d"]] == [row[j].hex() for j in arrays["l"]]
     assert _read(spans, len(FINE_B)) < len(FINE_A) * len(FINE_B) / 2
+    # the plan of each leaf of FINE_A reads three or more leaves of FINE_B,
+    # so each row t/64 walks them with its own point and reads those that
+    # meet [t/64 - 1/32, t/64 + 1/32]; the last row, whose values dip, reads
+    # all of them
+    assert spans == [(0, None)] + [(0, 32)] * 13 + [(0, 64)] * 4 + [(32, 64)] * 12 + [
+        (32, 96)] * 4 + [(64, 96)] * 12 + [(64, 112)] * 4 + [(96, 112)] * 4 + [
+        (96, 129)] * 4 + [(112, 129)] * 6 + [(0, 129)]
 
 
 # Below u = 3/4 every row of FINE_A but the last lies in [1, 1 + 1/128], and
@@ -1616,19 +1630,129 @@ def test_blocks_proven_before_the_level_drops_are_read_again_out_of_band(
     assert all(arrays["proven"] == set(range(96)) for arrays in kept[1:-1])
     reads = [(0, None)] + [(96, 112)] * between
     if level == 0.75:  # the last row reads its proven block again, as the second pass does
-        reads += [(0, 64), (96, 112), (64, 96)] + [(0, 64), (64, 96)] * between
+        reads += [(0, 64), (96, 112), (64, 96)] + [(0, 64), (64, 96)] * 47
+        # the plans of the leaves (0, 32) and (32, 48) of FINE_A prove (0, 64)
+        # and (64, 96); the last leaf's box holds the dipping row, so its rows
+        # walk B's leaves with their own points, and prove them one by one
+        reads += [(0, 32), (32, 64), (64, 96)] * 16
     else:
         reads += [(0, 112)]
     assert spans == reads
 
 
-def test_a_gauge_without_a_bound_reads_every_row_whole(monkeypatch):
-    spans = _reads(monkeypatch)
-    g = GFunction("abs(x1-u1)^0.5 + x1", 1)
+@pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
+@pytest.mark.parametrize("text", [
+    "abs(x1-u1)^0.5 + x1",  # the first row holds the level
+    "abs(x1-u1)^0.5 + 1 - max(0, 64*x1 - 63)",  # the last row lowers it
+], ids=["first", "last"])
+def test_a_gauge_without_a_bound_reads_every_row_whole(text, tol, monkeypatch):
+    kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
+    g = GFunction(text, 1)
     assert g.kernels.bound is None
-    assert_same(lambda: proximal_core(g, FINE_A, FINE_B, TOL),
-                lambda: ref_core(g, FINE_A, FINE_B, TOL))
+    want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, tol),
+                       lambda: ref_core(g, FINE_A, FINE_B, tol))
+    _assert_kept(g, FINE_A, FINE_B, tol, float.fromhex(want[1][0]), kept)
     assert spans == [(0, None)] * len(FINE_A)
+
+
+# --------------------------------------------------------------------------
+# one plan per leaf of A: proximal_core walks B's block tree once for each
+# leaf of A.blocks, bounding the leaf's box against B's blocks at the level
+# the leaf starts from, and each row of the leaf reads that plan's ranges
+
+
+def _bound_calls(g, monkeypatch):
+    """The argument tuples of the calls of g.kernels.bound, as they come."""
+    calls, real = [], g.kernels.bound
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setitem(vars(g.kernels), "bound", spy)
+    return calls
+
+
+def test_a_parallel_segment_core_plans_once_per_leaf_of_a(monkeypatch):
+    # the shape of the proximal-weak jobs: A = {0} x grid and B = {1} x grid,
+    # 193 points a step of 2^-8 apart, the level 1 at the pairs (t, t)
+    # alone.  A walk of B's tree for each row of A would make 1,344 bound
+    # calls against 193 leaf reads; a plan per leaf of A makes 7 for each of
+    # its 8 leaves and reads no more
+    column = (0.0, 192 * 2.0 ** -8)
+    a = SampleSet.grid([(0.0, 0.0), column], [1, 193], name="A")
+    b = SampleSet.grid([(1.0, 1.0), column], [1, 193], name="B")
+    g = GFunction("abs(x1-u1) + abs(x2-u2)", 2)
+    calls, spans = _bound_calls(g, monkeypatch), _reads(monkeypatch)
+    want = assert_same(lambda: proximal_core(g, a, b, TOL),
+                       lambda: ref_core(g, a, b, TOL))
+    assert float.fromhex(want[1][0]) == 1.0 and len(want[1][1]) == 193
+    assert len(_leaves(a, a.blocks)) == 8
+    assert len(calls) <= 64
+    assert _read(spans, len(b)) <= 4826
+
+
+# The level 1 holds for every row of FINE_A but 5/8, row 40, in the leaf
+# (32, 48), whose values fall to 3/4 at u = 0.  The plan of that leaf reads
+# the block (0, 64) of FINE_B, which the row 5/8 in its box takes below the
+# level, and (96, 112), and proves (64, 96) at the level 1.  Each row of the
+# leaf walks the plan's three leaves of B with its own point: rows 32 to 39
+# prove (0, 64) in band and keep it unread, with (64, 96).  Row 40 lowers
+# the level past the band, so it reads both again, and the rows after it in
+# the leaf read (64, 96), the plan's, again
+LEAF_DROP = ("1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75)"
+             " - max(0, 1 - 64*abs(x1 - 0.625))*max(0, 0.25 - u1)")
+
+
+def test_the_level_falling_inside_a_leaf_reads_its_proven_blocks_again(monkeypatch):
+    kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
+    g = GFunction(LEAF_DROP, 1)
+    want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, WIDE),
+                       lambda: ref_core(g, FINE_A, FINE_B, WIDE))
+    assert float.fromhex(want[1][0]) == 0.75
+    _assert_kept(g, FINE_A, FINE_B, WIDE, 0.75, kept)
+    proven = [set(range(96))] * 39 + [set()] * 25
+    assert [arrays["proven"] for arrays in kept] == [set()] + proven
+    reads = [(0, None)] + [(96, 112)] * 39 + [(0, 32), (96, 112), (32, 64), (64, 96)]
+    reads += [(64, 96)] * 7  # nothing from 48 on: all out of band
+    reads += [(0, 64), (64, 96)] * 31 + [(0, 32), (32, 64), (64, 96)] * 8  # the second pass
+    assert spans == reads
+
+
+def test_a_mark_a_leaf_plan_reads_for_a_later_row_comes_after_the_row_major_first(
+    monkeypatch
+):
+    # the level 0 lies on the diagonal.  g divides 0 by zero at (1/64,
+    # 15/16), in B's leaf (112, 129), and 1 by zero at (31/64, 13/16), in
+    # (96, 112): both in the first leaf of FINE_A, whose plan cannot prove
+    # either block clean, and so reads every leaf of B.  The row 1/64 walks
+    # them with its own point: it reads (0, 32), its band, leaves out
+    # (96, 112), which holds the mark of a later row alone, and raises in
+    # (112, 129) at its own
+    g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.015625) + abs(u1 - 0.9375))"
+                  " + 0*(1/(abs(x1 - 0.484375) + abs(u1 - 0.8125)))", 1)
+    spans = _reads(monkeypatch)
+    got = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, TOL),
+                      lambda: ref_core(g, FINE_A, FINE_B, TOL))
+    assert got == ("error", "EvalError", "division-by-zero",
+                   "division-by-zero: 0.0 / 0")
+    assert spans == [(0, None), (0, 32), (112, 129)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
+def test_leaf_plans_of_random_gauges_match_the_full_matrix(seed, tol, monkeypatch):
+    # PLANE_A and PLANE_B have four leaves each; each gauge is drawn alone
+    # and added to the L1 distance, which gives its rows a level to reach
+    kept, rng = _kept_rows(monkeypatch), random.Random(seed)
+    for _ in range(6):
+        e = _without_l(random_expr(rng, 4))
+        for g in (GFunction(e, 2), GFunction(f"abs(x1-u1) + abs(x2-u2) + ({e})/4", 2)):
+            kept.clear()
+            want = assert_same(lambda: proximal_core(g, PLANE_A, PLANE_B, tol),
+                               lambda: ref_core(g, PLANE_A, PLANE_B, tol))
+            if want[0] == "ok":
+                _assert_kept(g, PLANE_A, PLANE_B, tol, float.fromhex(want[1][0]), kept)
 
 
 METRIC_TO_B = {  # level 1, at (1, 2), by band
