@@ -213,10 +213,13 @@ def _whole(value: Any, path: str) -> int:
 
 def _count(value: Any, path: str) -> int:
     """_whole(value) as a count of items to build: above MAX_TUPLES, the
-    most tuples a scan reads, a ConfigError, raised before any is built."""
+    most tuples a scan reads, a ConfigError, raised before any is built.
+    The message gives a count of at least 2**53 as its double (1e+308), not
+    as the int of its hundreds of digits."""
     n = _whole(value, path)
     if n > MAX_TUPLES:
-        raise ConfigError(path, f"must be at most {MAX_TUPLES}, got {n}")
+        shown = n if n < 2 ** 53 else float(n)
+        raise ConfigError(path, f"must be at most {MAX_TUPLES}, got {shown!r}")
     return n
 
 

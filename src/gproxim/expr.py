@@ -585,6 +585,9 @@ class RowKernels:
     side lam * a + (1 - lam) * b comes as two rows of doubles, the terms
     lam * a and (1 - lam) * b.  Their fixed points are coordinate tuples,
     and the index of a hit is the one the marked rows of both sides give.
+    lean_convex and lean_convex_pairs are the same loops without the test
+    for an infinite term, for rows whose right sides the caller proves
+    finite: they give the same index there.
 
     Every loop runs the text of e (see _gen) with no typed fallback, so
     where evaluate raises its EvalError values raises that or a bare
@@ -628,15 +631,30 @@ class RowKernels:
         """Compiled on first use: first_convex(p, Q, L, M, eps) is the first
         k at which not abs(e(p, Q[k])) <= L[k] + M[k] + eps, with L[k] and
         M[k] the k-th values of the rows L and M, or -1 (see
-        _compile_contraction)."""
+        _compile_contraction).  The convex check calls it on the rows
+        whose sums it cannot prove finite, and lean_convex on the rest; a
+        row whose ends it proves comes without its lambda 0 and 1 columns."""
         return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree)
 
     @cached_property
     def first_convex_pairs(self) -> Callable[..., int]:
         """Compiled on first use: first_convex_pairs(P, Q, L, M, eps) is the
         first k at which not abs(e(P[k], Q[k])) <= L[k] + M[k] + eps, or -1,
-        as first_convex is."""
+        as first_convex is, and the convex check calls it as it calls
+        first_convex."""
         return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree)
+
+    @cached_property
+    def lean_convex(self) -> Callable[..., int]:
+        """first_convex with the lean test not abs(e(p, Q[k])) <= L[k] + M[k]
+        + eps, for a row whose every sum is proven finite (see
+        _compile_contraction); its text keeps the name first_convex."""
+        return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree, True)
+
+    @cached_property
+    def lean_convex_pairs(self) -> Callable[..., int]:
+        """first_convex_pairs with the lean test, as lean_convex is."""
+        return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree, True)
 
     @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
@@ -703,7 +721,8 @@ def _compile(src: str) -> dict:
 
 
 def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
-                         left: tuple[str, ...], right: tuple[str, ...]) -> Callable[..., int]:
+                         left: tuple[str, ...], right: tuple[str, ...],
+                         lean: bool = False) -> Callable[..., int]:
     """The function name over the sources that pairs name, in the order
     they first appear, then the coefficients coefs, then _eps.
 
@@ -731,6 +750,12 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     evaluate raises its EvalError the text raises that or a bare
     ValueError, ZeroDivisionError or OverflowError, and the loop returns
     that tuple's index, as a mark there would fail it.
+
+    A lean loop (lean=True) tests only not T0 <= W1 * T1 + ... + _eps.
+    The two tests differ only where that sum is inf, at which the full one
+    still fails a tuple with an infinite term; a NaN term fails its tuple
+    under either.  A caller runs the lean loop only on a row whose every
+    sum it proves finite.
     """
     temps, sources = count(), list(dict.fromkeys("".join(pairs)))
     rows = [s for s in sources if s.isupper()]
@@ -759,9 +784,10 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
         + "    try:\n"
         f"        for {', '.join(targets[s] for s in rows)} in "
         f"zip({''.join(f'_{s}, ' for s in rows[:-1])}_rest := iter(_{rows[-1]})):\n"
-        f"            if not {lhs} <= {bound(terms)} < inf and not (\n"
-        f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n"
-        f"                {hit}"
+        f"            if not {lhs} <= {bound(terms)}"
+        + (":\n" if lean else " < inf and not (\n"
+           f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n")
+        + f"                {hit}"
         f"    except (ArithmeticError, ValueError):\n        {hit}"
         "    return -1\n"
     )[name]

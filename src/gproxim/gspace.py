@@ -1056,6 +1056,13 @@ def check_convex_structure(
     abs(g(x0,x)) and abs(g(x0,y)); condition two bounds the gauge between two
     interpolants by the mix of the endpoint gauges.  Tuple scans are capped
     by subsampling each axis deterministically.
+
+    Both conditions hold by construction at lam = 0 and lam = 1 on a row
+    of H that returns its endpoints there and whose endpoint gauges are
+    finite: the loops scan only the inner lambdas of such a row.  A row
+    whose right sides are proven finite, from its largest endpoint gauges,
+    runs the lean loop (RowKernels.lean_convex).  Both give the tuple, and
+    so the report, that a scan of every tuple gives.
     """
     lams = _lambdas(lambda_grid)
     if 0.0 not in lams or 1.0 not in lams:
@@ -1076,6 +1083,7 @@ def check_convex_structure(
     (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
     falsified = partial(_falsified, "convex-structure", partial(convex_condition_sides, h, g))
+    kernels = g.kernels
 
     # The first-hit loops take the right side lam * a + (1 - lam) * b of a
     # row over (b, lam) as two rows of terms: lam * a per lam, cycled over
@@ -1086,44 +1094,90 @@ def check_convex_structure(
     def mix_terms(bs: list) -> list:
         return [mix * b for b in bs for _, mix in lm]
 
+    # A row of H over (y, lam) is proven when it is whole and gives y at
+    # lam = 0 and x at lam = 1 (neither side holds -0.0, so equal tuples
+    # hold the same doubles).  A tuple there compares an endpoint gauge, b
+    # at lam = 0 and a at lam = 1, the same text on the same coordinates,
+    # with 0.0*a + 1.0*b + eps or 1.0*a + 0.0*b + eps, and eps is finite
+    # and at least 0: it holds wherever a and b are finite.  A proven row
+    # keeps, and the loops scan, only its inner columns, so a hit k is at
+    # (k // (width - 2), 1 + k % (width - 2)).
+    def proven(row: list, outer: Sequence[Point], end: Point) -> bool:
+        return (len(row) == len(outer) * width
+                and row[::width] == [y.coords for y in outer]
+                and row[width - 1::width] == [end.coords] * len(outer))
+
+    def inner(row: list) -> list:
+        return list(compress(row, cycle([0] + [1] * (width - 2) + [0])))
+
+    def with_ends(row: list, outer: Sequence[Point], end: Point) -> list:
+        """The proven row that inner gave row from."""
+        n = width - 2
+        return [c for k, y in enumerate(outer)
+                for c in (y.coords, *row[k * n:k * n + n], end.coords)]
+
     # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two; interpolant rows are built once and reused.  A row
-    # ends where H fails, and that tuple is a hit unless one comes before.
-    h_rows: dict[int, list] = {}
+    # condition two; interpolant rows are built once and reused, one list
+    # per x, inner if proven (ok, an index of 0 or 1), whole if not.  A
+    # row ends where H fails, and that tuple is a hit unless one comes
+    # before.  Where a + max(b) + eps is finite, with a and b the endpoint
+    # gauges, every sum lam * a + (1 - lam) * b + eps of the row is, as
+    # rounding is monotone (a NaN term fails its tuple in either loop):
+    # the lean loop gives the same index there.
+    h_rows: dict[int, tuple[bool, list]] = {}
     for x0 in xs0:
-        gx, gy = _gauge_row(g, x0, xs), mix_terms(_gauge_row(g, x0, ys))
+        gx, gy = _gauge_row(g, x0, xs), _gauge_row(g, x0, ys)
+        top, terms = max(gy), mix_terms(gy)
+        gys = terms, inner(terms)
         for i, x in enumerate(xs):
             if i not in h_rows:
-                h_rows[i] = h.rows(x, ys, lam_sub)
-            row = h_rows[i]
-            k = g.kernels.first_convex(x0.coords, row, cycle(lam_terms(gx[i])), gy, eps)
+                row = h.rows(x, ys, lam_sub)
+                ok = proven(row, ys, x)
+                h_rows[i] = ok, inner(row) if ok else row
+            ok, row = h_rows[i]
+            first = kernels.lean_convex if gx[i] + top + eps < math.inf else kernels.first_convex
+            k = first(x0.coords, row, cycle(lam_terms(gx[i])[ok:width - ok]), gys[ok], eps)
             if k < 0:  # none failed: the row's end, where H fails if it is cut
                 k = len(row)
-            if k < len(gy):
-                y, lam = ys[k // width], lam_sub[k % width]
+            if k < len(gys[ok]):
+                y, lam = ys[k // (width - 2 * ok)], lam_sub[ok + k % (width - 2 * ok)]
                 return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
     h_rows.clear()  # free before condition two builds its rows: a lower peak
-    # condition two: tuples (x, y, x0, y0, lam)
+    # condition two: tuples (x, y, x0, y0, lam); a row is proven when both
+    # rows of H are and its endpoint gauges hold no mark
     (xs, ys, xs0, ys0), lam_sub, lm, width = axes(4)
     xs0_coords = [x0.coords for x0 in xs0]
     ys0_coords = [y0.coords for y0 in ys0]
-    q_rows: dict[int, list] = {}
-    gyy0_rows = [mix_terms(g.kernels.marked(repeat(y.coords), ys0_coords)) for y in ys]
+    q_rows: dict[int, tuple[bool, list]] = {}
+    gyy0_rows = []
+    for y in ys:
+        b = kernels.marked(repeat(y.coords), ys0_coords)
+        terms = mix_terms(b)
+        gyy0_rows.append((not math.isnan(sum(b)), max(b), (terms, inner(terms))))
     for x in xs:
-        gxx0 = [lam_terms(a) for a in g.kernels.marked(repeat(x.coords), xs0_coords)]
-        for y, gyy0 in zip(ys, gyy0_rows):
+        a = kernels.marked(repeat(x.coords), xs0_coords)
+        gxx0 = [(t, t[1:-1]) for t in map(lam_terms, a)]
+        for y, (marks_free, top, gyy0) in zip(ys, gyy0_rows):
             p_row = h.rows(x, [y], lam_sub)
             whole = len(p_row) == width  # a cut row is read under the first y0 only
+            p_ok, p_rows = marks_free and proven(p_row, [y], x), (p_row, p_row[1:-1])
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
-                    q_rows[j] = h.rows(x0, ys0, lam_sub)
-                q_row = q_rows[j]
-                P = cycle(p_row) if whole else p_row
-                k = g.kernels.first_convex_pairs(P, q_row, cycle(gxx0[j]), gyy0, eps)
+                    q_row = h.rows(x0, ys0, lam_sub)
+                    q_ok = proven(q_row, ys0, x0)
+                    q_rows[j] = q_ok, inner(q_row) if q_ok else q_row
+                q_ok, q_row = q_rows[j]
+                ok = p_ok and q_ok and not math.isnan(a[j])
+                if q_ok and not ok:
+                    q_row = with_ends(q_row, ys0, x0)
+                P = cycle(p_rows[ok]) if whole else p_row
+                first = (kernels.lean_convex_pairs if a[j] + top + eps < math.inf
+                         else kernels.first_convex_pairs)
+                k = first(P, q_row, cycle(gxx0[j][ok]), gyy0[ok], eps)
                 if k < 0:  # none failed: where zip ended, at H failing if a row is cut
-                    k = min(len(gyy0) if whole else len(p_row), len(q_row))
-                if k < len(gyy0):
-                    y0, lam = ys0[k // width], lam_sub[k % width]
+                    k = min(len(gyy0[ok]) if whole else len(p_row), len(q_row))
+                if k < len(gyy0[ok]):
+                    y0, lam = ys0[k // (width - 2 * ok)], lam_sub[ok + k % (width - 2 * ok)]
                     witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
                     return falsified(witness, "condition two")
     return CheckReport("convex-structure", _HOLDS)

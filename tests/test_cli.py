@@ -798,9 +798,11 @@ HUGE = "must be at most 1000000, got 1000000000000"
     ({"schedule": {"stages": 1e12}}, None, f"schedule.stages: {HUGE}"),
     (None, ["solve", "--scheme", "berinde", "--stages", "1000000000000"], f"--stages: {HUGE}"),
     ({"dimension": 10 ** 12}, None, f"dimension: {HUGE}"),
+    ({"dimension": 1e308}, None, "dimension: must be at most 1000000, got 1e+308"),
     (None, ["search", "--check", "banach:g:map=f", "--steps", "1000000000000"],
      f"--steps: {HUGE}"),
-], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag", "dimension", "steps-flag"])
+], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag", "dimension",
+        "dimension-1e308", "steps-flag"])
 def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
     patch, argv, err, tmp_path
 ):

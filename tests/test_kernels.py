@@ -872,13 +872,16 @@ def test_fused_convex_right_sides_overflowing(g, planted, verdict):
 def test_right_sides_near_the_largest_double_take_the_fused_loop(
     plant, verdict, monkeypatch
 ):
-    # the largest terms lam * a and (1 - lam) * b, 9e307 each at lambda 1
-    # and 0, sum past the largest double, but no one right side does, so
-    # every row of both conditions runs through a first-hit loop
+    # the endpoint gauges a and b, 9e307 each, sum past the largest double,
+    # but no one right side lam * a + (1 - lam) * b does, so no row is
+    # proven finite and every row of both conditions runs through the
+    # guarded first-hit loop, never the lean one.  H gives the endpoints at
+    # lambda 0 and 1, so the loops read the inner lambda 1/2 alone, where
+    # each term is 4.5e307.
     g = GFunction("9e307 + 0*x1" + plant, 1)
     calls = []
     # RowKernels is frozen: the cached loops sit in the instance's dict
-    for name in ("first_convex", "first_convex_pairs"):
+    for name in ("first_convex", "first_convex_pairs", "lean_convex", "lean_convex_pairs"):
         def spy(*args, name=name, real=getattr(g.kernels, name)):
             calls.append((name, args[-2]))
             return real(*args)
@@ -886,9 +889,33 @@ def test_right_sides_near_the_largest_double_take_the_fused_loop(
         monkeypatch.setitem(vars(g.kernels), name, spy)
     got = _fused(g, lams=[0.0, 0.5, 1.0])
     assert got[1][0] == verdict
-    assert calls and all(max(mb) == 9e307 for _, mb in calls)
+    assert calls and all(max(mb) == 9e307 / 2 for _, mb in calls)
     assert {name for name, _ in calls} == (
         {"first_convex", "first_convex_pairs"} if verdict == HOLDS else {"first_convex"})
+
+
+def test_proven_rows_send_only_their_inner_columns_to_the_loops(monkeypatch):
+    # berinde-reflection's H gives y at lambda 0 and x at lambda 1, so every
+    # row of both conditions is proven at its ends, and the first-hit loops
+    # read 9 of its 11 lambda columns: 1,523,988 tuples, where reading
+    # every column took 1,862,652
+    received, real = [], expr_module._compile_contraction
+
+    def counting(name, *args):
+        loop = real(name, *args)
+
+        def spy(*rows):
+            received.append(len(rows[3]))  # M: the tuples of a row that holds
+            return loop(*rows)
+
+        return spy if name.startswith("first_convex") else loop
+
+    monkeypatch.setattr(expr_module, "_compile_contraction", counting)
+    inst = load_instance(fixture_config_path("berinde-reflection"))
+    g, h = inst.gauges["g"], inst.convex.h
+    s = inst.set_("A").union(inst.set_("B"))
+    assert check_convex_structure(h, g, s, inst.convex.lambda_grid, inst.tol).holds
+    assert sum(received) == 1_523_988
 
 
 # --------------------------------------------------------------------------

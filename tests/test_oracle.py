@@ -692,7 +692,18 @@ def test_axiom_and_convex_answers_match_scalar_loops(seed):
 # (0, 0), before any H(x, y, .) does; g(0, 1) is raised, so a scan that
 # read past that tuple would break at (x, y, x0, y0, lam) = (0, 0, 2, 0,
 # 1/2) instead.
-CAP_AXES = (256, (((0, 1, 2, 3), (0.0, 0.375, 0.625, 1.0)), ((0, 2, 3), (0.0, 0.5, 1.0))))
+CAP_AXES = (256, (((0, 1, 2, 3), (0.0, 0.375, 0.625, 1.0)), ((0, 2, 3), (0.0, 0.5, 1.0))), 9)
+# Where H misses an endpoint, the check scans the lambda 0 and 1 columns of
+# that row.  "h-misses-end-one": H(x, 2, 0) = 2.125, so condition one breaks
+# at (x0, x, y, lam) = (0, 0, 2, 0), where g(0, 2.125) > g(0, 2).
+# "h-misses-end-two": g(x, y) = abs(x), under which condition one holds with
+# equality, and H(1, y, 1) = 1.125, so condition two breaks at (x, y, x0,
+# y0, lam) = (1, 0, 0, 0, 1).  "g-raises-at-an-end-two": on the 8-point
+# box {0, ..., 7} under the lambdas [0, 1] and a cap of 162 tuples,
+# condition one reads the points 0, 2, 5, 7 and condition two 0, 4, 7, each
+# with the lambdas 0 and 1 alone, which are the ends of every row.  g(4, 4)
+# divides by zero, which only condition two reads, first at (0, 4, 0, 4, 0).
+END_CAP_AXES = (162, (((0, 2, 5, 7), (0.0, 1.0)), ((0, 4, 7), (0.0, 1.0))), [0, 1])
 
 
 def _h_inf_at(x: float, y: float, lam: float) -> str:
@@ -728,16 +739,23 @@ PLANTED_GEOMETRY = {
     "h-two-x0y0-first": (f"abs(x1-u1) + {_at(0, 1)}", 4, "convex",
                          "non-finite: H((0.0), (2.0), 0.5)",
                          [_h_inf_at(0, 2, 0.5)], CAP_AXES),
+    "h-misses-end-one": ("abs(x1-u1)", 4, "convex", {"x0": 0, "x": 0, "y": 2, "lam": 0},
+                         ["0.125*(1-l)*max(0, 1 - abs(u1 - 2))"], None),
+    "h-misses-end-two": ("abs(x1) + 0*u1", 4, "convex",
+                         {"x": 1, "y": 0, "x0": 0, "y0": 0, "lam": 1},
+                         ["0.125*max(0, 2*l - 1)*max(0, 1 - abs(x1 - 1))"], None),
+    "g-raises-at-an-end-two": ("abs(x1-u1) + 0/(abs(x1 - 4) + abs(u1 - 4))", 8, "convex",
+                               "EvalError: division-by-zero", [], END_CAP_AXES),
 }
 
 
 @pytest.mark.parametrize("name", list(PLANTED_GEOMETRY))
 def test_planted_axiom_and_convex_answers_match_scalar_loops(name, monkeypatch):
     g, n, kind, landing, terms, capped = PLANTED_GEOMETRY[name]
-    cap, axes = capped or (None, None)
+    cap, axes, lams = capped or (None, None, [0, 0.5, 1])
     doc = {"dimension": 1, "g": g, "sets": {"A": {"box": [[0, n - 1]], "resolution": [n]}},
            "convex": {"exprs": [" + ".join(["l*x1 + (1-l)*u1", *terms])], "r": [0], "s": [0],
-                      "lambda_grid": [0, 0.5, 1] if cap is None else 9},
+                      "lambda_grid": lams},
            "tolerances": {"eps_ineq": 0.0}}
     if cap is not None:
         monkeypatch.setattr(gspace, "MAX_TUPLES", cap)
