@@ -275,54 +275,65 @@ def _gauge_row(
 
 def _runs(
     g: GFunction, xs: Union[Sequence, "SampleSet"], ys: Union[Point, "SampleSet"],
-    level: float, eps: float, mates: bool = False, roots: Sequence[tuple] = (),
-) -> list[tuple[int, Optional[int], Optional[float]]]:
+    level: float, eps: Optional[float] = None,
+) -> list[tuple[int, Optional[int], bool]]:
     """The plan of every kernel row of abs(g) between a box of points and a
     SampleSet s, made with one walk of s's block tree (SampleSet.blocks):
     for the core, s is ys and the box xs, a pair (lo, hi) of coordinate
-    tuples, the leaf of A whose rows share the plan or one row of it; for
-    mates, s is xs and the box the Point ys.  With roots, nodes of that
-    tree in order, the walk covers them alone.  It lists (start, stop, hi)
-    over s in order, leaving out whole blocks whose values all lie more
-    than eps above level, as g.kernels.bound proves over the box against
-    each block; for mates, also those more than eps below it.
-
-    hi is None for a range to read, or the upper end of the bound on a
-    block proven in band, none of it to be read: for the core, level <=
-    every value <= hi with hi - level <= eps; for mates, both ends lie
-    within eps of level.  A left-out or proven block is proven clean, so
-    the read ranges raise at a row's first marked tuple.  The core reads a
-    block whole once it is a leaf, or lies within eps above level but may
-    reach below it.  A gauge without a bound, or an infinite level, reads
-    s whole: (0, None, None).
+    tuples, the leaf of A whose rows share the plan; for mates, s is xs and
+    the box the Point ys.  It lists (start, stop, proven) over s in order,
+    leaving out whole blocks as g.kernels.bound, over the box against each
+    block, proves them.  Without eps, the level plan, it leaves out the
+    blocks proven at or above level: none of their values lowers it.  With eps, the band
+    plan, it leaves out those proven more than eps above or below level,
+    and lists a block proven within eps of level at both ends as proven,
+    in band whole and none of it to be read.  A left-out or proven block
+    is proven clean, so the ranges to read raise at a row's first marked
+    tuple.  A gauge without a bound, or an infinite level, reads s whole:
+    [(0, None, False)].
     """
     bound = g.kernels.bound
     if bound is None or not level < math.inf:
-        return [(0, None, None)]
+        return [(0, None, False)]
     if isinstance(ys, SampleSet):
         s, box = ys, partial(bound, *xs)
     else:
         s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
-    plan, stack = [], list(reversed(roots)) or [s.blocks]
+    plan, stack = [], [s.blocks]
     while stack:
         lo, hi, i, j, halves = stack.pop()
         ends = box(lo, hi)
         if ends is not None:
-            if ends[0] - level > eps or (mates and level - ends[1] > eps):
-                continue
-            if ends[1] - level <= eps:
-                if level - ends[0] <= eps if mates else ends[0] >= level:
-                    plan.append((i, j, ends[1]))
+            if eps is None:
+                if ends[0] >= level:
                     continue
-                if not mates:
-                    halves = ()  # in band, but may reach below the level
+            elif ends[0] - level > eps or level - ends[1] > eps:
+                continue
+            elif ends[1] - level <= eps and level - ends[0] <= eps:
+                plan.append((i, j, True))
+                continue
         if halves:
             stack += reversed(halves)
-        elif plan and plan[-1][1:] == (i, None):
-            plan[-1] = (plan[-1][0], j, None)
+        elif plan and plan[-1][1:] == (i, False):
+            plan[-1] = (plan[-1][0], j, False)
         else:
-            plan.append((i, j, None))
+            plan.append((i, j, False))
     return plan
+
+
+def _band(
+    g: GFunction, xs: Union[Point, "SampleSet"], ys: Union[Point, "SampleSet"],
+    plan: Sequence[tuple], level: float, eps: float, items: Sequence,
+) -> list:
+    """The items, one per point of the SampleSet side, of the entries of the
+    kernel row of abs(g) between xs and ys (_gauge_row) within eps of level,
+    in order, read through a band plan of _runs: a proven block gives its
+    items unread."""
+    return [
+        u for start, stop, proven in plan
+        for u in (items[start:stop] if proven else compress(items[start:stop], [
+            abs(v - level) <= eps for v in _gauge_row(g, xs, ys, slice(start, stop))]))
+    ]
 
 
 def _leaves(node: tuple) -> list[tuple]:
@@ -332,11 +343,10 @@ def _leaves(node: tuple) -> list[tuple]:
 
 
 # Points per leaf of SampleSet.blocks.  A leaf of B is the least range a
-# plan of _runs reads, and a leaf of A the rows that share one plan, or
-# that walk its leaves of B again one row at a time where it reads more
-# than one: small enough that a leaf next to the level reads few values
-# out of band and that a leaf of A spans few of B's blocks, large enough
-# that a bound call costs little beside the values it can save.
+# plan of _runs reads, and a leaf of A the rows that share one plan: small
+# enough that a leaf next to the level reads few values out of band and
+# that a leaf of A spans few of B's blocks, large enough that a bound call
+# costs little beside the values it can save.
 _LEAF = 32
 
 
@@ -662,9 +672,9 @@ class ProximalCore:
         with a, those of a, a subsample of A.
 
         When y is a sample point of B and a is not given, they are read from
-        partners: the core evaluated abs(g) on all of A x B with the same
-        kernel doubles and the same band test.  Any other question reads the
-        row of abs(g) over A against y through the plan of _runs for the
+        partners: the core read each row's band with the same kernel
+        doubles and the same band test.  Any other question reads the row
+        of abs(g) over A against y through the band plan of _runs for the
         point y, from the blocks that can reach the band, taking every point
         of a block whose values the bound puts within eps of d_g at both
         ends without reading it.  Every block it leaves out or proves is
@@ -676,12 +686,7 @@ class ProximalCore:
             if own is not None:
                 return own
         g, d_g, eps = self.g, self.d_g, self.eps
-        return tuple(
-            u for start, stop, hi in _runs(g, a, y, d_g, eps, mates=True)
-            for u in (a.points[start:stop] if hi is not None else compress(
-                a.points[start:stop],
-                [abs(v - d_g) <= eps for v in _gauge_row(g, a, y, slice(start, stop))]))
-        )
+        return tuple(_band(g, a, y, _runs(g, a, y, d_g, eps), d_g, eps, a.points))
 
     @cached_property
     def _mates(self) -> dict[tuple[float, ...], tuple[Point, ...]]:
@@ -854,87 +859,50 @@ def proximal_core(
     """Exact minimum of abs(g) over the sampled product, with realising sets.
 
     Membership in a_g and b_g uses the eps_prox band around d_g; partners
-    lists each a_g member's banded partners in list order.  The rows of
-    each leaf of A (SampleSet.blocks) read B through one plan (_runs), made
-    from the interval bound of g over the leaf's box against B's blocks, at
-    the level the leaf starts from.  Where the plan reads more than one
-    leaf of B, each row walks those leaves again with its own point, at its
-    own level: the box is wider than any of its rows, and a row reads about
-    what a walk of its own from B's root would, at one bound call a leaf.
-    A block whose values all lie more than eps_prox above the level is not
-    read; nor is a block proven no lower than it and within eps_prox above
-    it, while its upper end stays within eps_prox of the row's level: none
-    of its values lowers d_g, and it is in band whole.  The level only
-    falls, so a block left out at the plan's level is out of band for every
-    row of the leaf.
+    lists each a_g member's banded partners in list order.  Two passes run
+    over the leaves of A (SampleSet.blocks), and the rows of a leaf read B
+    through one plan of _runs, made from the interval bound of g over the
+    leaf's box against B's blocks.  The first finds d_g through the level
+    plan, made at the level the leaf starts from: the level only falls, so
+    no block it leaves out lowers it.  The first row has no finite level to
+    plan against, so it is read whole and its leaf is planned again after
+    it.  The second reads each row's band at d_g through the band plan.  A
+    row the first pass reads whole (the first, and every row of a gauge
+    without a bound) keeps its values within eps_prox of the level after
+    it instead, a superset of its band, and is not read again.  Every block
+    a plan leaves out or proves is clean, so the first pass raises at the
+    first marked tuple in row-major order, and the second reads nothing the
+    first did not prove clean.
     """
-    eps = tol.eps_prox
-    # Per point of A, its entries within eps of the level of the rows before
-    # it, or of its own minimum where that is lower: all within eps of that
-    # minimum (float subtraction is monotone), and a superset of its band.
-    # The blocks a plan proves in band are kept unread, as (start, stop, hi)
-    # ranges whose values v all have level <= v <= hi: such a range is in
-    # band whole while hi is, and is read once it is not (it cannot raise),
-    # by each later row of the leaf, in the row that lowers the level and in
-    # the second pass.  A row that walks the plan's leaves of B (reads) keeps
-    # the plan's proven blocks (kept) and its walk's, in B order; a plan that
-    # reads B whole, (0, None, None), lists no leaves.  The first row has no
-    # finite level to plan against: it is read whole, and its leaf is
-    # planned again after it.  The second pass filters each row before the
-    # one that last lowered the level, the row last, again, by v - d_g <=
-    # eps, every kept v being at least d_g; a row from last on keeps its
-    # values there, each within eps of d_g, and reads none of its proven
-    # blocks again.
-    d_g, near, last, leaves = math.inf, [], 0, _leaves(b.blocks)
-    for *box, first, end, _ in _leaves(a.blocks):
-        for x in a.points[first:end]:
-            if len(near) in (first, 1):
-                plan = _runs(g, box, b, d_g, eps)
-                reads = [n for i, j, hi in plan if hi is None
-                         for n in leaves if i <= n[2] < (j or 0)]
-                kept = [r for r in plan if r[2] is not None]
-            runs = plan if len(reads) < 2 else sorted(
-                kept + _runs(g, (x.coords, x.coords), b, d_g, eps, roots=reads))
-            keep, values, proven = [], [], []
-            for start, stop, hi in runs:
-                if hi is not None and hi - d_g <= eps:
-                    proven.append((start, stop, hi))
-                    continue
-                row = _gauge_row(g, x, b, slice(start, stop))
-                near_level = [v - d_g <= eps for v in row]
-                keep += compress(count(start), near_level)
-                values += compress(row, near_level)
-            low = min(values, default=d_g)
-            if low < d_g:
-                d_g, last = low, len(near)
-                for start, stop, hi in proven:
-                    if hi - low > eps:
-                        keep += range(start, stop)
-                        values += _gauge_row(g, x, b, slice(start, stop))
-                proven = [r for r in proven if r[2] - low <= eps]
-                keep, values = zip(*sorted(
-                    (j, v) for j, v in zip(keep, values) if v - low <= eps))
-            near.append((array("l", keep), array("d", values), *proven))
-    a_pts, partners, b_hit = [], [], set()
-    for i, x in enumerate(a.points):
-        hits, values, *proven = near[i]
-        near[i] = None  # free each row once read: the partners replace it
-        if i < last:
-            hits = list(compress(hits, [v - d_g <= eps for v in values]))
-        for start, stop, hi in proven:
-            if hi - d_g > eps:
-                row = _gauge_row(g, x, b, slice(start, stop))
-                hits += compress(count(start), [v - d_g <= eps for v in row])
-        if proven:
-            hits = sorted(chain(hits, *(
-                range(start, stop) for start, stop, hi in proven if hi - d_g <= eps)))
-        if hits:
-            b_hit.update(hits)
-            a_pts.append(x)
-            partners.append(
-                b.points if len(hits) == len(b.points)
-                else tuple(map(b.points.__getitem__, hits))
-            )
+    eps, d_g, near, leaves = tol.eps_prox, math.inf, {}, _leaves(a.blocks)
+    for *box, first, end, _ in leaves:
+        for i in range(first, end):
+            if i in (first, 1):
+                plan = _runs(g, box, b, d_g)
+            for start, stop, _ in plan:
+                values = _gauge_row(g, a.points[i], b, slice(start, stop))
+                d_g = min(d_g, min(values))
+            if plan and plan[0][1] is None:
+                keep = [v - d_g <= eps for v in values]
+                near[i] = (array("l", compress(count(), keep)),
+                           array("d", compress(values, keep)))
+    a_pts, partners, b_hit, b_index = [], [], set(), range(len(b.points))
+    for *box, first, end, _ in leaves:
+        plan = _runs(g, box, b, d_g, eps)
+        for i in range(first, end):
+            x = a.points[i]
+            if i in near:
+                keep, values = near.pop(i)  # free each row once read
+                hits = list(compress(keep, [v - d_g <= eps for v in values]))
+            else:
+                hits = _band(g, x, b, plan, d_g, eps, b_index)
+            if hits:
+                b_hit.update(hits)
+                a_pts.append(x)
+                partners.append(
+                    b.points if len(hits) == len(b.points)
+                    else tuple(map(b.points.__getitem__, hits))
+                )
     b_pts = [b.points[j] for j in sorted(b_hit)]
     return ProximalCore(
         d_g=d_g,

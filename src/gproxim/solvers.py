@@ -96,20 +96,11 @@ def write_trace_csv(trace: Trace, path) -> None:
             + [f"x{i}" for i in range(1, d + 1)]
             + ["step_residual", "proximity_residual", "apriori_bound"]
         )
+        columns = (trace.step_residuals, trace.proximity_residuals, trace.apriori_bounds)
         for k, p in enumerate(trace.points):
-            step_res = (
-                repr(trace.step_residuals[k]) if k < len(trace.step_residuals) else ""
-            )
-            prox_res = (
-                repr(trace.proximity_residuals[k])
-                if k < len(trace.proximity_residuals)
-                else ""
-            )
-            bound = (
-                repr(trace.apriori_bounds[k]) if k < len(trace.apriori_bounds) else ""
-            )
             writer.writerow(
-                [k] + [repr(c) for c in p.coords] + [step_res, prox_res, bound]
+                [k] + [repr(c) for c in p.coords]
+                + [repr(col[k]) if k < len(col) else "" for col in columns]
             )
 
 
@@ -158,10 +149,6 @@ class IteratedMap:
     @property
     def codomain(self) -> SampleSet:
         return self.base.codomain
-
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}^{self.power}"
 
     def apply(self, p: Point) -> Point:
         for _ in range(self.power):

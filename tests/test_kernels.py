@@ -1408,8 +1408,9 @@ def test_an_image_off_b_whose_row_divides_by_zero_raises_the_scan_error():
 
 
 # --------------------------------------------------------------------------
-# the proximity core against the full matrix: each row is filtered against
-# the level of the rows before it, and its band is kept in arrays
+# the proximity core against the full matrix: a first pass finds the level
+# and a second reads each row's band at it; a row the first pass reads whole
+# keeps its values near the level in arrays instead
 
 CORE_GAUGES = {
     "ascending": "abs(x1-u1) + x1",  # the first row holds the level
@@ -1430,62 +1431,68 @@ def _core_cases():
 
 
 def _kept_rows(monkeypatch):
-    """Per row proximal_core reads, the arrays it keeps, by type code: "l"
-    the indices into B, "d" the values; and under "proven" the indices into
-    B of the blocks that the plan of the row's leaf of A, or the row's own
-    walk of that plan's leaves (gspace._runs, the one reader), proved in
-    band and that the row keeps unread, those that _gauge_row does not read
-    before the row's arrays are made."""
-    kept, plan, walk, read = [], [], [], set()
-    real_runs, real_row, real_array = (
-        gspace_module._runs, gspace_module._gauge_row, gspace_module.array)
+    """Per row of A that proximal_core reads, in the order it keeps them,
+    (the row's coordinates, what it keeps).  A row the first pass reads
+    whole keeps arrays, by type code: "l" the indices into B and "d" the
+    values.  A row the second pass reads through the band plan of its leaf
+    of A (gspace._band, the one reader of such rows) keeps "hits", the
+    indices into B it gives, with "proven", those of the blocks the plan
+    proves in band, and "read", those that _gauge_row reads for the row."""
+    kept, read, row = [], set(), [None]
+    real_band, real_row, real_array = (
+        gspace_module._band, gspace_module._gauge_row, gspace_module.array)
 
-    def runs(*args, roots=(), **kwargs):
-        made = real_runs(*args, roots=roots, **kwargs)
-        (walk if roots else plan)[:] = made
-        return made
+    def band(g, xs, ys, plan, *args):
+        if not isinstance(xs, Point):  # the mates of a point, not a row of the core
+            return real_band(g, xs, ys, plan, *args)
+        read.clear()
+        hits = real_band(g, xs, ys, plan, *args)
+        proven = {j for start, stop, p in plan if p for j in range(start, stop)}
+        kept.append((xs.coords, {"hits": hits, "proven": proven, "read": set(read)}))
+        return hits
 
     def gauge_row(g, xs, ys, span=None):
-        if span is not None:
-            read.update(range(len(ys))[span])
+        if isinstance(xs, Point):
+            row[0] = xs.coords
+            read.update(range(len(ys))[span or slice(None)])
         return real_row(g, xs, ys, span)
 
     def array(code, items):
         made = real_array(code, items)
         if code == "l":
-            proven = {j for start, stop, hi in plan + walk if hi is not None
-                      for j in range(start, stop)}
-            kept.append({"l": made, "proven": proven - read})
-            read.clear()
-            walk.clear()
+            kept.append((row[0], {"l": made}))
         else:
-            kept[-1]["d"] = made
+            kept[-1][1]["d"] = made
         return made
 
-    monkeypatch.setattr(gspace_module, "_runs", runs)
+    monkeypatch.setattr(gspace_module, "_band", band)
     monkeypatch.setattr(gspace_module, "_gauge_row", gauge_row)
     monkeypatch.setattr(gspace_module, "array", array)
     return kept
 
 
 def _assert_kept(g, a, b, tol, d_g, kept):
-    """Each row keeps a superset of its band within its own band: evaluated
-    entries in order and equal by hex, proven blocks apart from them, and
-    the proven blocks of the rows from the first that reaches d_g on inside
-    the final band."""
-    assert len(kept) == len(a.points)
-    reached = False
-    for x, arrays in zip(a.points, kept):
-        keep, values, proven = arrays["l"], arrays["d"], arrays["proven"]
-        row = [abs(eval_g(g, x, y)) for y in b.points]
-        own = [j for j, v in enumerate(row) if v - min(row) <= tol.eps_prox]
+    """Each row of A is kept once.  The rows read whole, the first and
+    every row of a gauge without a bound, keep a superset of their band
+    within their own: entries in order and equal by hex.  Every other row
+    gives exactly its band, in order, and reads none of the blocks proven
+    in it."""
+    assert sorted(x for x, _ in kept) == sorted(a.coords)
+    whole = [x for x, arrays in kept if "l" in arrays]
+    assert whole == (a.coords[:1] if g.kernels.bound is not None else a.coords)
+    for x, arrays in kept:
+        row = [abs(eval_g(g, Point(x), y)) for y in b.points]
         band = [j for j, v in enumerate(row) if abs(v - d_g) <= tol.eps_prox]
-        assert set(band) <= set(keep) | proven <= set(own), x
-        assert not proven & set(keep)
-        assert list(keep) == sorted(keep)
-        assert [v.hex() for v in values] == [row[j].hex() for j in keep]
-        reached = reached or min(row) == d_g
-        assert not reached or proven <= set(band), x
+        if "l" in arrays:
+            keep, values = arrays["l"], arrays["d"]
+            own = [j for j, v in enumerate(row) if v - min(row) <= tol.eps_prox]
+            assert set(band) <= set(keep) <= set(own), x
+            assert list(keep) == sorted(keep)
+            assert [v.hex() for v in values] == [row[j].hex() for j in keep]
+        else:
+            assert arrays["hits"] == band, x
+            assert arrays["proven"] <= set(band), x
+            assert not arrays["proven"] & arrays["read"], x
 
 
 @pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
@@ -1614,20 +1621,21 @@ def test_the_level_dropping_in_the_last_row_keeps_its_band(monkeypatch):
     want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, WIDE),
                        lambda: ref_core(g, FINE_A, FINE_B, WIDE))
     assert float.fromhex(want[1][0]) == 0.0 and want[1][1] == (exact(Point((1.0,))),)
-    assert len(kept) == len(FINE_A)
-    for x, arrays in zip(FINE_A.points, kept):
-        row = [abs(eval_g(g, x, y)) for y in FINE_B.points]
-        own = [j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
-        assert sorted(set(arrays["l"]) | arrays["proven"]) == own
-        assert [v.hex() for v in arrays["d"]] == [row[j].hex() for j in arrays["l"]]
+    _assert_kept(g, FINE_A, FINE_B, WIDE, 0.0, kept)
+    # the first row keeps its own band, at its own minimum 1; of the rows
+    # the second pass reads, the last alone reaches the level 0, at u from
+    # 1 - 1/32 to 1
+    (x, arrays), *rest = kept
+    row = [abs(eval_g(g, Point(x), y)) for y in FINE_B.points]
+    assert list(arrays["l"]) == [j for j, v in enumerate(row) if v - 1.0 <= WIDE.eps_prox]
+    assert [(x, arrays["hits"]) for x, arrays in rest if arrays["hits"]] == [
+        ((1.0,), list(range(124, 129)))]
     assert _read(spans, len(FINE_B)) < len(FINE_A) * len(FINE_B) / 2
-    # the plan of each leaf of FINE_A reads three or more leaves of FINE_B,
-    # so each row t/64 walks them with its own point and reads those that
-    # meet [t/64 - 1/32, t/64 + 1/32]; the last row, whose values dip, reads
-    # all of them
-    assert spans == [(0, None)] + [(0, 32)] * 13 + [(0, 64)] * 4 + [(32, 64)] * 12 + [
-        (32, 96)] * 4 + [(64, 96)] * 12 + [(64, 112)] * 4 + [(96, 112)] * 4 + [
-        (96, 129)] * 4 + [(112, 129)] * 6 + [(0, 129)]
+    # at the level 1, the level plans of the leaves (0, 32) and (32, 48) of
+    # FINE_A leave out all of B, proven at or above it.  The last leaf's box
+    # holds the dipping row, so its plan reads B whole; at the level 0 the
+    # band plan of that leaf reads (64, 129), and those of the others nothing
+    assert spans == [(0, None)] + [(0, 129)] * 17 + [(64, 129)] * 17
 
 
 # Below u = 3/4 every row of FINE_A but the last lies in [1, 1 + 1/128], and
@@ -1636,12 +1644,16 @@ def test_the_level_dropping_in_the_last_row_keeps_its_band(monkeypatch):
 DROP = "1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75) - max(0, 64*x1 - 63)*{}"
 
 
-@pytest.mark.parametrize("dip, level", [
-    ("max(0, 0.5 - u1)/2", 0.75),  # past the band: the proven blocks are read again
-    ("1/64", 63 / 64),  # inside it: they are kept whole
+@pytest.mark.parametrize("dip, level, proven, reads", [
+    # past the band: the second pass reads the dip's block in the last leaf
+    ("max(0, 0.5 - u1)/2", 0.75, set(),
+     [(0, None)] + [(0, 64)] * 17 + [(0, 32)] * 17),
+    # inside it: (0, 64) and (64, 96) are proven in band at the new level
+    ("1/64", 63 / 64, set(range(96)),
+     [(0, None)] + [(0, 112)] * 17 + [(96, 112)] * 64),
 ], ids=["deep", "shallow"])
-def test_blocks_proven_before_the_level_drops_are_read_again_out_of_band(
-    dip, level, monkeypatch
+def test_blocks_are_proven_in_band_only_at_the_final_level(
+    dip, level, proven, reads, monkeypatch
 ):
     kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
     g = GFunction(DROP.format(dip), 1)
@@ -1649,21 +1661,14 @@ def test_blocks_proven_before_the_level_drops_are_read_again_out_of_band(
                        lambda: ref_core(g, FINE_A, FINE_B, WIDE))
     assert float.fromhex(want[1][0]) == level
     _assert_kept(g, FINE_A, FINE_B, WIDE, level, kept)
-    for x, arrays in zip(FINE_A.points, kept):  # each row keeps its own band
-        row = [abs(eval_g(g, x, y)) for y in FINE_B.points]
-        own = [j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
-        assert sorted(set(arrays["l"]) | arrays["proven"]) == own
-    between = len(FINE_A) - 2  # the rows after the first, read whole, and before the last
-    assert all(arrays["proven"] == set(range(96)) for arrays in kept[1:-1])
-    reads = [(0, None)] + [(96, 112)] * between
-    if level == 0.75:  # the last row reads its proven block again, as the second pass does
-        reads += [(0, 64), (96, 112), (64, 96)] + [(0, 64), (64, 96)] * 47
-        # the plans of the leaves (0, 32) and (32, 48) of FINE_A prove (0, 64)
-        # and (64, 96); the last leaf's box holds the dipping row, so its rows
-        # walk B's leaves with their own points, and prove them one by one
-        reads += [(0, 32), (32, 64), (64, 96)] * 16
-    else:
-        reads += [(0, 112)]
+    (x, arrays), *rest = kept  # the first row keeps its own band
+    row = [abs(eval_g(g, Point(x), y)) for y in FINE_B.points]
+    assert list(arrays["l"]) == [
+        j for j, v in enumerate(row) if v - min(row) <= WIDE.eps_prox]
+    assert all(arrays["proven"] == proven for _, arrays in rest)
+    # the level plans at the level 1 leave out all of B for the leaves
+    # (0, 32) and (32, 48) of FINE_A, and read the blocks the dipping row
+    # can take below 1 for the last leaf (48, 65)
     assert spans == reads
 
 
@@ -1683,9 +1688,9 @@ def test_a_gauge_without_a_bound_reads_every_row_whole(text, tol, monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# one plan per leaf of A: proximal_core walks B's block tree once for each
-# leaf of A.blocks, bounding the leaf's box against B's blocks at the level
-# the leaf starts from, and each row of the leaf reads that plan's ranges
+# one plan per leaf of A and pass: proximal_core walks B's block tree once
+# for each leaf of A.blocks in each pass, bounding the leaf's box against
+# B's blocks, and each row of the leaf reads that plan's ranges
 
 
 def _bound_calls(g, monkeypatch):
@@ -1704,8 +1709,10 @@ def test_a_parallel_segment_core_plans_once_per_leaf_of_a(monkeypatch):
     # the shape of the proximal-weak jobs: A = {0} x grid and B = {1} x grid,
     # 193 points a step of 2^-8 apart, the level 1 at the pairs (t, t)
     # alone.  A walk of B's tree for each row of A would make 1,344 bound
-    # calls against 193 leaf reads; a plan per leaf of A makes 7 for each of
-    # its 8 leaves and reads no more
+    # calls against 193 leaf reads.  Every value is at least 1, the first
+    # row's minimum, so each level plan leaves out B at its root, one call;
+    # each band plan makes 7 calls for each of the 8 leaves and reads the
+    # leaves of B next to the leaf's band alone
     column = (0.0, 192 * 2.0 ** -8)
     a = SampleSet.grid([(0.0, 0.0), column], [1, 193], name="A")
     b = SampleSet.grid([(1.0, 1.0), column], [1, 193], name="B")
@@ -1720,30 +1727,28 @@ def test_a_parallel_segment_core_plans_once_per_leaf_of_a(monkeypatch):
 
 
 # The level 1 holds for every row of FINE_A but 5/8, row 40, in the leaf
-# (32, 48), whose values fall to 3/4 at u = 0.  The plan of that leaf reads
-# the block (0, 64) of FINE_B, which the row 5/8 in its box takes below the
-# level, and (96, 112), and proves (64, 96) at the level 1.  Each row of the
-# leaf walks the plan's three leaves of B with its own point: rows 32 to 39
-# prove (0, 64) in band and keep it unread, with (64, 96).  Row 40 lowers
-# the level past the band, so it reads both again, and the rows after it in
-# the leaf read (64, 96), the plan's, again
+# (32, 48), whose values fall to 3/4 at u = 0.  At the level 1 the level
+# plan of that leaf reads the block (0, 32) of FINE_B, which the row 5/8 in
+# its box takes below it, and leaves out the rest; the plan of the next
+# leaf, (48, 65), is made at 3/4 and leaves out all of B.  At 3/4 the band
+# plan of the leaf (32, 48) reads (0, 32) again, and those of the others
+# read nothing
 LEAF_DROP = ("1 + max(0, u1 - 0.5)/64 + 4*max(0, u1 - 0.75)"
              " - max(0, 1 - 64*abs(x1 - 0.625))*max(0, 0.25 - u1)")
 
 
-def test_the_level_falling_inside_a_leaf_reads_its_proven_blocks_again(monkeypatch):
+def test_the_level_falling_inside_a_leaf_plans_the_next_leaf_at_the_new_level(
+    monkeypatch
+):
     kept, spans = _kept_rows(monkeypatch), _reads(monkeypatch)
     g = GFunction(LEAF_DROP, 1)
     want = assert_same(lambda: proximal_core(g, FINE_A, FINE_B, WIDE),
                        lambda: ref_core(g, FINE_A, FINE_B, WIDE))
     assert float.fromhex(want[1][0]) == 0.75
     _assert_kept(g, FINE_A, FINE_B, WIDE, 0.75, kept)
-    proven = [set(range(96))] * 39 + [set()] * 25
-    assert [arrays["proven"] for arrays in kept] == [set()] + proven
-    reads = [(0, None)] + [(96, 112)] * 39 + [(0, 32), (96, 112), (32, 64), (64, 96)]
-    reads += [(64, 96)] * 7  # nothing from 48 on: all out of band
-    reads += [(0, 64), (64, 96)] * 31 + [(0, 32), (32, 64), (64, 96)] * 8  # the second pass
-    assert spans == reads
+    assert [arrays.get("proven") for _, arrays in kept] == [None] + [set()] * 64
+    assert [x for x, arrays in kept[1:] if arrays["hits"]] == [(0.625,)]
+    assert spans == [(0, None)] + [(0, 32)] * 16 + [(0, 32)] * 16  # pass one, pass two
 
 
 def test_a_mark_a_leaf_plan_reads_for_a_later_row_comes_after_the_row_major_first(
@@ -1751,11 +1756,10 @@ def test_a_mark_a_leaf_plan_reads_for_a_later_row_comes_after_the_row_major_firs
 ):
     # the level 0 lies on the diagonal.  g divides 0 by zero at (1/64,
     # 15/16), in B's leaf (112, 129), and 1 by zero at (31/64, 13/16), in
-    # (96, 112): both in the first leaf of FINE_A, whose plan cannot prove
-    # either block clean, and so reads every leaf of B.  The row 1/64 walks
-    # them with its own point: it reads (0, 32), its band, leaves out
-    # (96, 112), which holds the mark of a later row alone, and raises in
-    # (112, 129) at its own
+    # (96, 112): both in the first leaf of FINE_A, whose level plan cannot
+    # prove either block clean, and leaves out the rest, proven at or above
+    # the level 0 of the first row.  The row 1/64 reads both, passes the
+    # mark of a later row in (96, 112), and raises in (112, 129) at its own
     g = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.015625) + abs(u1 - 0.9375))"
                   " + 0*(1/(abs(x1 - 0.484375) + abs(u1 - 0.8125)))", 1)
     spans = _reads(monkeypatch)
@@ -1763,23 +1767,125 @@ def test_a_mark_a_leaf_plan_reads_for_a_later_row_comes_after_the_row_major_firs
                       lambda: ref_core(g, FINE_A, FINE_B, TOL))
     assert got == ("error", "EvalError", "division-by-zero",
                    "division-by-zero: 0.0 / 0")
-    assert spans == [(0, None), (0, 32), (112, 129)]
+    assert spans == [(0, None), (96, 129)]
+
+
+def _plane_gauges(seed):
+    """Gauges drawn over the plane: each drawn alone and added to the L1
+    distance, which gives its rows a level to reach."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        e = _without_l(random_expr(rng, 4))
+        yield GFunction(e, 2)
+        yield GFunction(f"abs(x1-u1) + abs(x2-u2) + ({e})/4", 2)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
 def test_leaf_plans_of_random_gauges_match_the_full_matrix(seed, tol, monkeypatch):
-    # PLANE_A and PLANE_B have four leaves each; each gauge is drawn alone
-    # and added to the L1 distance, which gives its rows a level to reach
-    kept, rng = _kept_rows(monkeypatch), random.Random(seed)
-    for _ in range(6):
-        e = _without_l(random_expr(rng, 4))
-        for g in (GFunction(e, 2), GFunction(f"abs(x1-u1) + abs(x2-u2) + ({e})/4", 2)):
-            kept.clear()
-            want = assert_same(lambda: proximal_core(g, PLANE_A, PLANE_B, tol),
-                               lambda: ref_core(g, PLANE_A, PLANE_B, tol))
-            if want[0] == "ok":
-                _assert_kept(g, PLANE_A, PLANE_B, tol, float.fromhex(want[1][0]), kept)
+    # PLANE_A and PLANE_B have four leaves each
+    kept = _kept_rows(monkeypatch)
+    for g in _plane_gauges(seed):
+        kept.clear()
+        want = assert_same(lambda: proximal_core(g, PLANE_A, PLANE_B, tol),
+                           lambda: ref_core(g, PLANE_A, PLANE_B, tol))
+        if want[0] == "ok":
+            _assert_kept(g, PLANE_A, PLANE_B, tol, float.fromhex(want[1][0]), kept)
+
+
+def _plans(monkeypatch):
+    """The plans gspace._runs makes, as (box, level, eps, plan), in order."""
+    real, plans = gspace_module._runs, []
+
+    def spy(g, xs, ys, level, eps=None):
+        plan = real(g, xs, ys, level, eps)
+        plans.append((tuple(xs), level, eps, plan))
+        return plan
+
+    monkeypatch.setattr(gspace_module, "_runs", spy)
+    return plans
+
+
+def _proven_out(node, covered, proves):
+    """Whether each index under a node of a set's blocks that covered does
+    not hold lies in a node under it, outside covered, that proves."""
+    lo, hi, start, stop, halves = node
+    if covered.isdisjoint(range(start, stop)) and proves(lo, hi):
+        return True
+    if not halves:
+        return covered.issuperset(range(start, stop))
+    return all(_proven_out(half, covered, proves) for half in halves)
+
+
+def _nodes(node):
+    """The nodes of a set's blocks, (lo, hi) by (start, stop)."""
+    lo, hi, start, stop, halves = node
+    found = {(start, stop): (lo, hi)}
+    for half in halves:
+        found.update(_nodes(half))
+    return found
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("tol", CORE_TOLS, ids=["narrow", "wide", "wider"])
+def test_the_plans_of_the_core_leave_unread_only_blocks_the_bound_proves(
+    seed, tol, monkeypatch
+):
+    # the first pass plans each leaf of A at the level it starts from, and
+    # the first leaf again after its first row, at that row's minimum: it
+    # leaves out only blocks of B that g.kernels.bound proves at or above
+    # that level.  The second plans each leaf at d_g: it leaves out only
+    # blocks proven more than eps_prox away from d_g, and takes unread only
+    # blocks proven within eps_prox of it at both ends
+    plans, eps = _plans(monkeypatch), tol.eps_prox
+    leaves = gspace_module._leaves(PLANE_A.blocks)
+    nodes, unread = _nodes(PLANE_B.blocks), {"level": 0, "band": 0}
+    gauges = list(_plane_gauges(seed)) + [
+        _random_case(k)[0] for k in range(seed, seed + 6)]
+    for g in gauges:
+        # test_leaf_plans_of_random_gauges_match_the_full_matrix and
+        # test_a_core_over_blocks_matches_the_full_matrix check the core
+        # against this matrix
+        try:
+            rows = [[abs(eval_g(g, x, y)) for y in PLANE_B.points] for x in PLANE_A.points]
+        except EvalError:
+            continue
+        plans.clear()
+        d_g, bound = proximal_core(g, PLANE_A, PLANE_B, tol).d_g, g.kernels.bound
+        assert d_g == min(map(min, rows))
+        if bound is None:
+            assert [p for *_, p in plans] == [[(0, None, False)]] * (2 * len(leaves))
+            continue
+        firsts = [0, 1] + [first for *_, first, _, _ in leaves[1:]]
+        boxes = [leaves[0][:2]] + [leaf[:2] for leaf in leaves]
+        levels = [min((min(row) for row in rows[:k]), default=math.inf) for k in firsts]
+        level_plans = [(box, level) for box, level, e, _ in plans if e is None]
+        assert level_plans == list(zip(boxes, levels))
+        assert [(box, level, e) for box, level, e, _ in plans[len(firsts):]] == [
+            (leaf[:2], d_g, eps) for leaf in leaves]
+        for box, level, e, plan in plans:
+            covered = {j for start, stop, _ in plan
+                       for j in range(len(PLANE_B))[start:stop]}
+            if e is None:
+                assert plan != [(0, None, False)] or level == math.inf
+
+                def proves(lo, hi):
+                    ends = bound(*box, lo, hi)
+                    return ends is not None and ends[0] >= level
+            else:
+                def proves(lo, hi):
+                    ends = bound(*box, lo, hi)
+                    return ends is not None and (
+                        ends[0] - d_g > eps or d_g - ends[1] > eps)
+
+                for start, stop, proven in plan:
+                    if proven:
+                        ends = bound(*box, *nodes[start, stop])
+                        assert ends[1] - d_g <= eps and d_g - ends[0] <= eps
+                        unread["band"] += 1
+            assert _proven_out(PLANE_B.blocks, covered, proves)
+            unread["level" if e is None else "band"] += len(covered) < len(PLANE_B)
+    assert unread["level"] and unread["band"]  # the spies see blocks left unread
 
 
 METRIC_TO_B = {  # level 1, at (1, 2), by band
@@ -1875,8 +1981,9 @@ def test_a_mark_next_to_a_block_proven_in_band_raises_where_the_matrix_does(
     assert got[:3] == ("error", "EvalError", "division-by-zero")
     assert spans == [(96, 112)]
     # the core: every value is 1, but g divides by zero at (1/2, u), u the
-    # first point of B's second leaf or the last of its first; the row of
-    # 1/2 keeps the other leaf of the pair proven and reads the marked one
+    # first point of B's second leaf or the last of its first; the level
+    # plan leaves out every other leaf, proven at the first row's level 1,
+    # and the row of 1/2 reads the marked one
     for u, read in ((0.25, (32, 64)), (0.2421875, (0, 32))):
         g = GFunction(f"1 + 0*u1 + 0/(abs(x1 - 0.5) + abs(u1 - {u!r}))", 1)
         spans.clear()
