@@ -141,8 +141,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A generated text opens at most two parentheses per level of the tree, and
-# Python compiles at most 200 nested ones.
+# A generated text opens at most three parentheses per level of the tree,
+# for a ^ 2, and Python compiles at most 200 nested ones.
 MAX_DEPTH = 64
 _DEEP = f"an expression at most {MAX_DEPTH} levels deep"
 
@@ -301,6 +301,8 @@ def variables(e: Expr) -> frozenset[str]:
 
 
 def _pow(a: float, b: float) -> float:
+    if b == 2.0 and (square := a * a) < math.inf:  # rounds correctly; pow need not
+        return square
     if a == 0.0 and b < 0.0:
         raise EvalError("division-by-zero", f"0 ^ {b!r}")
     if a < 0.0 and not float(b).is_integer():  # inf and nan are not integers
@@ -362,11 +364,15 @@ def _gen(e: Expr, temps: Iterator[int], names: Optional[Mapping[str, str]] = Non
     OverflowError on exactly the inputs where evaluate raises its EvalError.
     Any other ^ calls evaluate's _pow: a negative base with a fractional
     exponent would give a complex number instead of raising.  It writes
-    min(A, B) as (b if (a := A) > (b := B) else a), and max with <, which
-    is what the builtins return for floats, NaN and signed zeros included:
-    min replaces its first argument only when B < A.  The temporaries a and
-    b are named _t0, _t1, ... from temps, so one text never binds a name
-    twice; a side that is a variable or a literal is read twice instead.
+    A ^ 2 as (s if (s := (a := A)*a) < inf else a**2.0), the correctly
+    rounded product that _pow returns, falling back to ** where the product
+    is not finite: an overflow raises there, NaN stays NaN and an infinite
+    base gives inf.  It writes min(A, B) as (b if (a := A) > (b := B) else
+    a), and max with <, which is what the builtins return for floats, NaN
+    and signed zeros included: min replaces its first argument only when B
+    < A.  The temporaries a, b and s are named _t0, _t1, ... from temps, so
+    one text never binds a name twice; a side that is a variable or a
+    literal is read twice instead.
     """
     if isinstance(e, Num):  # a minus sign in parentheses: -1.0**2.0 is -1.0
         return repr(e.value) if math.copysign(1.0, e.value) > 0 else f"({e.value!r})"
@@ -387,6 +393,10 @@ def _gen(e: Expr, temps: Iterator[int], names: Optional[Mapping[str, str]] = Non
         bind_a = a if a == left else f"({a} := {left})"
         bind_b = b if b == right else f"({b} := {right})"
         return f"({b} if {bind_a} {test} {bind_b} else {a})"
+    if _square(e):
+        a = left if isinstance(e.left, (Num, Var)) else f"_t{next(temps)}"
+        bind_a, s = (a if a == left else f"({a} := {left})"), f"_t{next(temps)}"
+        return f"({s} if ({s} := {bind_a}*{a}) < inf else {a}**2.0)"
     if e.op == "pow" and not (isinstance(e.right, Num)
                               and float(e.right.value).is_integer()):
         return f"_pow({left},{right})"
@@ -417,6 +427,11 @@ def _nonneg(e: Expr) -> bool:
 def _even(e: Expr) -> bool:
     """e is an even integral literal."""
     return isinstance(e, Num) and float(e.value).is_integer() and e.value % 2 == 0
+
+
+def _square(e: Expr) -> bool:
+    """e is a ^ by the literal 2."""
+    return isinstance(e, Binary) and e.op == "pow" and e.right == Num(2.0)
 
 
 def _canon(e: Expr, swap: bool = False) -> str:
@@ -476,7 +491,7 @@ def mirror_sign(e: Expr) -> Optional[int]:
     return None
 
 
-_POW_ULPS = 4  # how far bound widens each end of a ^: libm pow need not round correctly
+_POW_ULPS = 4  # how far bound widens each end of a ^ other than ^ 2: pow need not round correctly
 
 
 def _outward(end: str, way: str) -> str:
@@ -494,10 +509,12 @@ def _bound_gen(
 
     The kernel's + - * / and sqrt round correctly, so they are monotone, and
     each end computed from the operands' ends bounds the kernel's doubles
-    (for * and / the least and greatest of the four corners).  pow need not
-    round correctly, so the ends of a ^ are widened by _outward.  A statement
-    returns None where the kernel could raise: a divisor range holding 0, or
-    sqrt of a range reaching below 0.
+    (for * and / the least and greatest of the four corners).  So does its
+    ^ 2, the product of the base with itself, whose ends are the squares of
+    the base's ends, or 0.0 where the base's range holds 0.  pow need not
+    round correctly, so the ends of any other ^ are widened by _outward.  A
+    statement returns None where the kernel could raise: a divisor range
+    holding 0, or sqrt of a range reaching below 0.
     """
     if isinstance(e, Num):
         return (f"({e.value!r})",) * 2 if math.isfinite(e.value) else None
@@ -530,6 +547,9 @@ def _bound_gen(
         rhs = f"{a} - {d}, {b} - {c}"
     elif op in ("min", "max"):
         rhs = f"{op}({a}, {c}), {op}({b}, {d})"
+    elif _square(e):
+        rhs = (f"({a}*{a}, {b}*{b}) if {a} >= 0.0 else ({b}*{b}, {a}*{a}) if {b} <= 0.0 "
+               f"else (0.0, max({a}*{a}, {b}*{b}))")
     elif op == "pow":
         n = repr(e.right.value)
         if e.right.value % 2:
@@ -604,9 +624,11 @@ class RowKernels:
     and QH (a point passes its coordinates as both): it returns (lo, hi)
     with every value of values in the box within [lo, hi], or None when it
     cannot prove the box clean, that is values raises nothing there and
-    every value is finite, so that marked marks no tuple.  bound is None for
-    an e it never proves (see _bound_gen).  tree holds e, left and right, the
-    arguments of compile_row_kernels.
+    every value is finite, so that marked marks no tuple.  It computes ^ 2
+    as the kernel does, as a product, which needs no widening, and widens
+    its ends past any other ^, which goes through pow.  bound is None
+    for an e it never proves (see _bound_gen).  tree holds e, left and
+    right, the arguments of compile_row_kernels.
     """
 
     values: Callable[..., list[float]]

@@ -89,7 +89,8 @@ def test_parse_empty_is_an_error():
     "x1" + "+1" * 63,
     "-" * 63 + "x1",
     "x1" + "^1" * 63,
-], ids=["min", "sum", "neg", "pow"])
+    "(" * 63 + "x1" + ")^2" * 63,  # three parentheses per level of the text
+], ids=["min", "sum", "neg", "pow", "square"])
 def test_the_deepest_expression_compiles_in_every_form(text):
     e = parse(text)
     assert _depth(e) == MAX_DEPTH

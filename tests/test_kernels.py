@@ -1888,6 +1888,32 @@ def test_the_plans_of_the_core_leave_unread_only_blocks_the_bound_proves(
     assert unread["level"] and unread["band"]  # the spies see blocks left unread
 
 
+def test_a_euclidean_core_leaves_out_the_blocks_at_its_level(monkeypatch):
+    # the shape of solve's proximal/513 job: A = {0} x grid and B = {1} x
+    # grid, 513 points 2^-9 apart, the level 1 at the pairs (t, t).  A
+    # square is the correctly rounded product, so the bound of a block on
+    # that diagonal has the lower end 1 exactly, and a level plan at 1 leaves
+    # it out; with the ends of ^2 widened as pow's are, it read 63,010 values
+    column = (0.0, 512 * 2.0 ** -9)
+    a = SampleSet.grid([(0.0, 0.0), column], [1, 513], name="A")
+    b = SampleSet.grid([(1.0, 1.0), column], [1, 513], name="B")
+    g = GFunction("sqrt((x1-u1)^2 + (x2-u2)^2)", 2)
+    tol = ToleranceSet(eps_prox=2.0 ** -10)  # half a step, as a config's default
+    plans, spans = _plans(monkeypatch), _reads(monkeypatch)
+    want = assert_same(lambda: proximal_core(g, a, b, tol),
+                       lambda: ref_core(g, a, b, tol))
+    assert float.fromhex(want[1][0]) == 1.0 and len(want[1][1]) == 513
+    assert _read(spans, len(b)) <= 47137
+    at_level = 0
+    for box, level, eps, plan in plans:
+        covered = {j for start, stop, _ in plan for j in range(len(b))[start:stop]}
+        for (start, stop), (lo, hi) in _nodes(b.blocks).items():
+            ends = g.kernels.bound(*box, lo, hi)
+            at_level += (eps is None and ends is not None and ends[0] == level
+                         and covered.isdisjoint(range(start, stop)))
+    assert at_level
+
+
 METRIC_TO_B = {  # level 1, at (1, 2), by band
     tol.eps_prox: proximal_core(GFunction("abs(x1-u1)", 1), FINE_B,
                                 exact_set([2.0, 3.0], "B"), tol)

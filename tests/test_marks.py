@@ -576,11 +576,19 @@ def test_the_bound_of_planted_boxes(text, box, ends):
 
 
 def test_an_even_power_is_bounded_at_plus_zero_and_widened_elsewhere():
-    bound = compile_row_kernels(parse("(x1-u1)^2"), NAMES[:1], NAMES[2:3]).bound
+    bound = compile_row_kernels(parse("(x1-u1)^4"), NAMES[:1], NAMES[2:3]).bound
     lo, hi = bound((0.0,), (3.0,), (1.0,), (1.0,))
-    assert lo == 0.0 and 4.0 < hi < 4.0 + 1e-14
+    assert lo == 0.0 and 16.0 < hi < 16.0 + 1e-13
     lo, hi = bound((2.0,), (3.0,), (0.0,), (0.0,))
-    assert 4.0 - 1e-14 < lo < 4.0 and 9.0 < hi < 9.0 + 1e-14
+    assert 16.0 - 1e-13 < lo < 16.0 and 81.0 < hi < 81.0 + 1e-13
+    # a square is the product, which rounds correctly: its ends are exact
+    bound = compile_row_kernels(parse("(x1-u1)^2"), NAMES[:1], NAMES[2:3]).bound
+    assert bound((0.0,), (3.0,), (1.0,), (1.0,)) == (0.0, 4.0)
+    assert bound((2.0,), (3.0,), (0.0,), (0.0,)) == (4.0, 9.0)
+    assert bound((-3.0,), (-2.0,), (0.0,), (0.0,)) == (4.0, 9.0)
+    # so two parallel segments a distance 1 apart are bounded at exactly 1
+    bound = compile_row_kernels(parse("sqrt((x1-u1)^2 + (x2-u2)^2)"), NAMES[:2], NAMES[2:4]).bound
+    assert bound((0.0, 0.5), (0.0, 0.5625), (1.0, 0.5), (1.0, 0.5625))[0] == 1.0
 
 
 @pytest.mark.parametrize("base", [-1.0, -0.0, -2.5])
