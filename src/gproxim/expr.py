@@ -654,8 +654,9 @@ class RowKernels:
         k at which not abs(e(p, Q[k])) <= L[k] + M[k] + eps, with L[k] and
         M[k] the k-th values of the rows L and M, or -1 (see
         _compile_contraction).  The convex check calls it on the rows
-        whose sums it cannot prove finite, and lean_convex on the rest; a
-        row whose ends it proves comes without its lambda 0 and 1 columns."""
+        whose sums it cannot prove finite, and lean_convex on the rest;
+        where it proves the ends of a whole condition, every row of that
+        condition comes without its lambda 0 and 1 columns."""
         return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree)
 
     @cached_property

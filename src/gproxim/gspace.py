@@ -32,6 +32,7 @@ from .expr import (
     compile_expr,
     compile_point_rows,
     compile_row_kernels,
+    evaluate,
     mirror_sign,
     parse,
     variables,
@@ -557,12 +558,6 @@ class ConvexStructure:
         object.__setattr__(self, "dimension", d)
 
     @cached_property
-    def _fns(self) -> tuple[Callable[..., float], ...]:
-        """The scalar callables, compiled on the first apply."""
-        names = GFunction._var_names(self.dimension) + ("l",)
-        return tuple(compile_expr(e, names) for e in self.exprs)
-
-    @cached_property
     def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:
         """The row loop of rows (expr.compile_point_rows), compiled on the
         first call: its list ends before the first tuple at which the text
@@ -583,13 +578,19 @@ class ConvexStructure:
         return row
 
     def apply(self, x: Point, y: Point, lam: float) -> Point:
+        """H(x, y, lam), the one tuple of rows(x, [y], [lam]).  Where there is
+        none, each coordinate is evaluated in order through evaluate, which
+        raises the typed error of the first whose text raises; where none
+        raises, a coordinate is not finite: EvalError("non-finite")."""
         if x.dimension != self.dimension or y.dimension != self.dimension:
             raise DimensionMismatch("convex structure dimension mismatch")
-        args = x.coords + y.coords + (lam,)
-        coords = tuple([fn(*args) + 0.0 for fn in self._fns])  # normalises -0.0
-        if not all(map(math.isfinite, coords)):
-            raise EvalError("non-finite", f"H({x}, {y}, {lam!r})")
-        return _checked_point(coords)
+        row = self.interpolants(x.coords, [y.coords], [lam])
+        if row and all(map(math.isfinite, row[0])):
+            return _checked_point(row[0])
+        env = dict(zip(GFunction._var_names(self.dimension), x.coords + y.coords), l=lam)
+        for e in self.exprs:
+            evaluate(e, env)
+        raise EvalError("non-finite", f"H({x}, {y}, {lam!r})")
 
 
 @dataclass(frozen=True)
@@ -1025,129 +1026,101 @@ def check_convex_structure(
     interpolants by the mix of the endpoint gauges.  Tuple scans are capped
     by subsampling each axis deterministically.
 
-    Both conditions hold by construction at lam = 0 and lam = 1 on a row
-    of H that returns its endpoints there and whose endpoint gauges are
-    finite: the loops scan only the inner lambdas of such a row.  A row
-    whose right sides are proven finite, from its largest endpoint gauges,
-    runs the lean loop (RowKernels.lean_convex).  Both give the tuple, and
-    so the report, that a scan of every tuple gives.
+    Both conditions hold by construction at lam = 0 and lam = 1 where H
+    returns its endpoints there and the endpoint gauges are finite.  One
+    pass of H at the two ends proves that for all rows of a condition or
+    for none, and every row of the condition then runs over one lambda
+    axis: the inner lambdas where the proof holds, all of them where it
+    does not.  A row whose right sides are proven finite, from its largest
+    endpoint gauges, runs the lean loop (RowKernels.lean_convex).  Both
+    give the tuple, and so the report, that a scan of every tuple gives.
     """
     lams = _lambdas(lambda_grid)
     if 0.0 not in lams or 1.0 not in lams:
         raise GSpaceError("lambda grid must include 0 and 1")
-    pts = s.points
-
-    def axes(k: int):
-        """k point axes and the lambda axis, subsampled to at most MAX_TUPLES
-        tuples (the lambda axis keeps 0 and 1), then the (lam, 1 - lam) of
-        the lambda axis and its length."""
-        m = _axis_budget([len(pts)] * k + [len(lams)], MAX_TUPLES)
-        lam_sub = sorted(set(_subsample(lams, m[k], seed)) | {0.0, 1.0})
-        point_axes = [_subsample(pts, size, seed) for size in m[:k]]
-        lm = [(lam, 1.0 - lam) for lam in lam_sub]
-        return point_axes, lam_sub, lm, len(lm)
-
-    # condition one: tuples (x0, x, y, lam)
-    (xs0, xs, ys), lam_sub, lm, width = axes(3)
     eps = tol.eps_ineq
     falsified = partial(_falsified, "convex-structure", partial(convex_condition_sides, h, g))
     kernels = g.kernels
 
-    # The first-hit loops take the right side lam * a + (1 - lam) * b of a
-    # row over (b, lam) as two rows of terms: lam * a per lam, cycled over
-    # the b, and (1 - lam) * b per (b, lam).
-    def lam_terms(a: float) -> list:
-        return [lam * a for lam, _ in lm]
+    def axes(k: int):
+        """k point axes and the lambda axis, subsampled to at most MAX_TUPLES
+        tuples (the lambda axis keeps 0 and 1)."""
+        m = _axis_budget([len(s.points)] * k + [len(lams)], MAX_TUPLES)
+        lam_sub = sorted(set(_subsample(lams, m[k], seed)) | {0.0, 1.0})
+        return [_subsample(s.points, size, seed) for size in m[:k]], lam_sub
 
-    def mix_terms(bs: list) -> list:
-        return [mix * b for b in bs for _, mix in lm]
-
-    # A row of H over (y, lam) is proven when it is whole and gives y at
-    # lam = 0 and x at lam = 1 (neither side holds -0.0, so equal tuples
+    # H's ends hold for xs x ys when every row of H over (y, lam) gives y
+    # at lam = 0 and x at lam = 1 (neither side holds -0.0, so equal tuples
     # hold the same doubles).  A tuple there compares an endpoint gauge, b
     # at lam = 0 and a at lam = 1, the same text on the same coordinates,
     # with 0.0*a + 1.0*b + eps or 1.0*a + 0.0*b + eps, and eps is finite
-    # and at least 0: it holds wherever a and b are finite.  A proven row
-    # keeps, and the loops scan, only its inner columns, so a hit k is at
-    # (k // (width - 2), 1 + k % (width - 2)).
-    def proven(row: list, outer: Sequence[Point], end: Point) -> bool:
-        return (len(row) == len(outer) * width
-                and row[::width] == [y.coords for y in outer]
-                and row[width - 1::width] == [end.coords] * len(outer))
+    # and at least 0: it holds wherever a and b are finite.  Where H raises
+    # at an inner lambda of such a row, the inner row is cut at the same
+    # (y, lam) as the whole row.
+    def ends_hold(xs: list, ys: list, lam_sub: list) -> bool:
+        return all(h.rows(x, ys, [lam_sub[0], lam_sub[-1]])
+                   == [c for y in ys for c in (y.coords, x.coords)] for x in xs)
 
-    def inner(row: list) -> list:
-        return list(compress(row, cycle([0] + [1] * (width - 2) + [0])))
+    # The first-hit loops take the right side lam * a + (1 - lam) * b of a
+    # row over (b, lam) as two rows of terms over the condition's axis:
+    # lam * a per lam, cycled over the b, and (1 - lam) * b per (b, lam).
+    def mix_terms(bs: list) -> list:
+        return [(1.0 - lam) * b for b in bs for lam in axis]
 
-    def with_ends(row: list, outer: Sequence[Point], end: Point) -> list:
-        """The proven row that inner gave row from."""
-        n = width - 2
-        return [c for k, y in enumerate(outer)
-                for c in (y.coords, *row[k * n:k * n + n], end.coords)]
+    def first_hit(pairs: str, p, row: list, a: float, top: float, terms: list,
+                  key: str, outer: list) -> Optional[dict]:
+        """{key: point of outer, "lam": lam} at the first tuple at which the
+        loop (first_convex + pairs) over p, row and the terms of a and
+        terms fails, or None.  Where none fails, zip ended at the end of
+        row: H fails there if row is shorter than terms.  Where a + top +
+        eps is finite, with top the largest b, every sum lam * a + (1 -
+        lam) * b + eps of the row is, as rounding is monotone (a NaN term
+        fails its tuple in either loop): the lean loop gives the same index
+        there."""
+        loop = "lean_convex" if a + top + eps < math.inf else "first_convex"
+        k = getattr(kernels, loop + pairs)(p, row, cycle([lam * a for lam in axis]), terms, eps)
+        k = len(row) if k < 0 else k
+        if k < len(terms):
+            return {key: outer[k // len(axis)], "lam": axis[k % len(axis)]}
+        return None
 
-    # Kernel rows run over (y, lam) for condition one and (y0, lam) for
-    # condition two; interpolant rows are built once and reused, one list
-    # per x, inner if proven (ok, an index of 0 or 1), whole if not.  A
-    # row ends where H fails, and that tuple is a hit unless one comes
-    # before.  Where a + max(b) + eps is finite, with a and b the endpoint
-    # gauges, every sum lam * a + (1 - lam) * b + eps of the row is, as
-    # rounding is monotone (a NaN term fails its tuple in either loop):
-    # the lean loop gives the same index there.
-    h_rows: dict[int, tuple[bool, list]] = {}
+    # condition one: tuples (x0, x, y, lam); rows of H over (y, lam), one
+    # list per x, are built once and reused
+    (xs0, xs, ys), lam_sub = axes(3)
+    axis = lam_sub[1:-1] if ends_hold(xs, ys, lam_sub) else lam_sub
+    h_rows: dict[int, list] = {}
     for x0 in xs0:
         gx, gy = _gauge_row(g, x0, xs), _gauge_row(g, x0, ys)
         top, terms = max(gy), mix_terms(gy)
-        gys = terms, inner(terms)
         for i, x in enumerate(xs):
             if i not in h_rows:
-                row = h.rows(x, ys, lam_sub)
-                ok = proven(row, ys, x)
-                h_rows[i] = ok, inner(row) if ok else row
-            ok, row = h_rows[i]
-            first = kernels.lean_convex if gx[i] + top + eps < math.inf else kernels.first_convex
-            k = first(x0.coords, row, cycle(lam_terms(gx[i])[ok:width - ok]), gys[ok], eps)
-            if k < 0:  # none failed: the row's end, where H fails if it is cut
-                k = len(row)
-            if k < len(gys[ok]):
-                y, lam = ys[k // (width - 2 * ok)], lam_sub[ok + k % (width - 2 * ok)]
-                return falsified({"x0": x0, "x": x, "y": y, "lam": lam}, "condition one")
-    h_rows.clear()  # free before condition two builds its rows: a lower peak
-    # condition two: tuples (x, y, x0, y0, lam); a row is proven when both
-    # rows of H are and its endpoint gauges hold no mark
-    (xs, ys, xs0, ys0), lam_sub, lm, width = axes(4)
-    xs0_coords = [x0.coords for x0 in xs0]
-    ys0_coords = [y0.coords for y0 in ys0]
-    q_rows: dict[int, tuple[bool, list]] = {}
-    gyy0_rows = []
-    for y in ys:
-        b = kernels.marked(repeat(y.coords), ys0_coords)
-        terms = mix_terms(b)
-        gyy0_rows.append((not math.isnan(sum(b)), max(b), (terms, inner(terms))))
-    for x in xs:
-        a = kernels.marked(repeat(x.coords), xs0_coords)
-        gxx0 = [(t, t[1:-1]) for t in map(lam_terms, a)]
-        for y, (marks_free, top, gyy0) in zip(ys, gyy0_rows):
-            p_row = h.rows(x, [y], lam_sub)
-            whole = len(p_row) == width  # a cut row is read under the first y0 only
-            p_ok, p_rows = marks_free and proven(p_row, [y], x), (p_row, p_row[1:-1])
+                h_rows[i] = h.rows(x, ys, axis)
+            hit = first_hit("", x0.coords, h_rows[i], gx[i], top, terms, "y", ys)
+            if hit:
+                return falsified({"x0": x0, "x": x, **hit}, "condition one")
+    del h_rows  # free before condition two builds its rows: a lower peak
+    # condition two: tuples (x, y, x0, y0, lam); its ends hold where H's
+    # do for xs x ys and xs0 x ys0 and its endpoint gauges hold no mark
+    (xs, ys, xs0, ys0), lam_sub = axes(4)
+    xs0_coords, ys0_coords = [x0.coords for x0 in xs0], [y0.coords for y0 in ys0]
+    gxx0 = [kernels.marked(repeat(x.coords), xs0_coords) for x in xs]
+    gyy0 = [kernels.marked(repeat(y.coords), ys0_coords) for y in ys]
+    proven = (not math.isnan(sum(map(sum, gxx0 + gyy0)))
+              and ends_hold(xs, ys, lam_sub) and ends_hold(xs0, ys0, lam_sub))
+    axis = lam_sub[1:-1] if proven else lam_sub
+    b_rows = [(max(b), mix_terms(b)) for b in gyy0]
+    q_rows: dict[int, list] = {}
+    for x, a in zip(xs, gxx0):
+        for y, (top, terms) in zip(ys, b_rows):
+            p_row = h.rows(x, [y], axis)
+            cut = len(p_row) < len(axis)  # H fails in it: read under the first y0 only
             for j, x0 in enumerate(xs0):
                 if j not in q_rows:
-                    q_row = h.rows(x0, ys0, lam_sub)
-                    q_ok = proven(q_row, ys0, x0)
-                    q_rows[j] = q_ok, inner(q_row) if q_ok else q_row
-                q_ok, q_row = q_rows[j]
-                ok = p_ok and q_ok and not math.isnan(a[j])
-                if q_ok and not ok:
-                    q_row = with_ends(q_row, ys0, x0)
-                P = cycle(p_rows[ok]) if whole else p_row
-                first = (kernels.lean_convex_pairs if a[j] + top + eps < math.inf
-                         else kernels.first_convex_pairs)
-                k = first(P, q_row, cycle(gxx0[j][ok]), gyy0[ok], eps)
-                if k < 0:  # none failed: where zip ended, at H failing if a row is cut
-                    k = min(len(gyy0[ok]) if whole else len(p_row), len(q_row))
-                if k < len(gyy0[ok]):
-                    y0, lam = ys0[k // (width - 2 * ok)], lam_sub[ok + k % (width - 2 * ok)]
-                    witness = {"x": x, "y": y, "x0": x0, "y0": y0, "lam": lam}
-                    return falsified(witness, "condition two")
+                    q_rows[j] = h.rows(x0, ys0, axis)
+                q_row = q_rows[j][:len(p_row)] if cut else q_rows[j]
+                hit = first_hit("_pairs", cycle(p_row), q_row, a[j], top, terms, "y0", ys0)
+                if hit:
+                    return falsified({"x": x, "y": y, "x0": x0, **hit}, "condition two")
     return CheckReport("convex-structure", _HOLDS)
 
 
@@ -1182,16 +1155,17 @@ def check_starshaped(
     if not a.contains(r, band):
         raise GSpaceError(f"centre {r} is not a member of {a.name or 'the set'}")
     lams = _lambdas(lambda_grid)
-    row = h.rows(r, a.points, lams)
-    k = next((k for k, c in enumerate(row) if not a._has(c, band)), len(row))
-    if k == len(a.points) * len(lams):
-        return CheckReport("starshaped", _HOLDS)
-    x, lam = a.points[k // len(lams)], lams[k % len(lams)]
-    image = h.apply(r, x, lam) if k == len(row) else Point(row[k])  # apply raises there
-    return CheckReport(
-        "starshaped", _FALSIFIED, {"x": x, "lam": lam, "image": image},
-        note="interpolant escapes the set",
-    )
+    for x in a.points:  # one row at a time: memory stays at one row of lams
+        row = h.rows(r, [x], lams)
+        k = next((k for k, c in enumerate(row) if not a._has(c, band)), len(row))
+        if k < len(lams):
+            # where the row is cut, apply raises at its end
+            image = h.apply(r, x, lams[k]) if k == len(row) else Point(row[k])
+            return CheckReport(
+                "starshaped", _FALSIFIED, {"x": x, "lam": lams[k], "image": image},
+                note="interpolant escapes the set",
+            )
+    return CheckReport("starshaped", _HOLDS)
 
 
 def check_side_condition(

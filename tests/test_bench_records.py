@@ -3,9 +3,9 @@ backs the speed claim it makes: the claimed workload and metric are those of
 BENCHMARK.json, and the record holds at least ten alternating run pairs, the
 count of them in which the change read lower, at least nine tenths of them,
 and both sides' medians and the parent's quartiles, the medians differing by
-more than the parent's spread q3 - q1.  The committed seed-3 job-output
-digests, which CI compares each workload's outputs with, name each workload
-of BENCHMARK.json once."""
+more than the parent's spread q3 - q1.  The committed job-output digests at
+seeds 3, 5 and 6, which CI compares each workload's outputs with, name each
+workload of BENCHMARK.json once."""
 
 from __future__ import annotations
 
@@ -42,7 +42,8 @@ def test_a_bench_record_backs_its_claim(path, declared):
     assert parent["median"] - change["median"] > parent["q3"] - parent["q1"]
 
 
-def test_the_committed_digests_name_each_workload_once(declared):
-    lines = (ROOT / "tests" / "data" / "job_outputs_seed3.sha256").read_text().splitlines()
+@pytest.mark.parametrize("seed", [3, 5, 6])
+def test_the_committed_digests_name_each_workload_once(seed, declared):
+    lines = (ROOT / "tests" / "data" / f"job_outputs_seed{seed}.sha256").read_text().splitlines()
     assert [line.split()[0] for line in lines] == [w["name"] for w in declared["workloads"]]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

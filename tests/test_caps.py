@@ -234,12 +234,20 @@ def test_the_convex_check_reads_the_reference_axes(box, seed, monkeypatch):
     monkeypatch.setattr(ConvexStructure, "rows", spy)
     h = ConvexStructure(("l*x1 + (1-l)*u1",))
     assert check_convex_structure(h, G, s, CONVEX_LAMS, TOL, seed=seed).holds
-    # condition one reads H(x, y, .) over its y axis; condition two reads
-    # H(x, y, .) for one y, then H(x0, y0, .) over its y0 axis
-    two = next(i for i, (ys, _) in enumerate(calls) if len(ys) == 1)
-    read = [calls[0], next(c for c in calls[two:] if len(c[0]) > 1)]
-    for k, (ys, lams) in zip((3, 4), read):
+    # each condition first reads H at the two ends of its lambda axis, then,
+    # as this H gives its endpoints there, its rows over the inner lambdas
+    # alone: the second run of end reads starts condition two.  Condition
+    # one reads H(x, y, .) over its y axis; condition two reads H(x, y, .)
+    # over its y axis at the ends and for one y after, and H(x0, y0, .)
+    # over its y0 axis
+    ends = [lams == [0.0, 1.0] for _, lams in calls]
+    two = next(i for i in range(1, len(calls)) if ends[i] and not ends[i - 1])
+    for k, part in zip((3, 4), (calls[:two], calls[two:])):
         m = reference_axes([len(s)] * k + [len(CONVEX_LAMS)], CONVEX_CAP)
         assert m[k - 1] < len(s) and m[k] < len(CONVEX_LAMS)  # both axes are cut
-        assert ys == reference_picks(s.coords, m[k - 1], seed)
-        assert lams == sorted(set(reference_picks(CONVEX_LAMS, m[k], seed)) | {0.0, 1.0})
+        read = [(ys, lams) for ys, lams in part if len(ys) > 1]
+        assert all(ys == reference_picks(s.coords, m[k - 1], seed) for ys, _ in read)
+        assert part[0][1] == [0.0, 1.0]
+        (inner,) = {tuple(lams) for _, lams in part} - {(0.0, 1.0)}
+        assert [0.0, *inner, 1.0] == sorted(
+            set(reference_picks(CONVEX_LAMS, m[k], seed)) | {0.0, 1.0})

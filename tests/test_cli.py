@@ -827,6 +827,27 @@ def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
     assert (proc.returncode, proc.stderr) == (2, f"error: {err}\n")
 
 
+def test_a_starshaped_check_holds_one_row_of_interpolants_at_a_time(tmp_path):
+    # the check once listed H(r, x, lam) over every x of A and every lambda
+    # at once, 800,000 tuples here, which end in a MemoryError under an
+    # 80 MB address space; it reads one x at a time, 50,000 tuples
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (80 << 20, 80 << 20))
+
+    doc = {"dimension": 1, "g": "abs(x1-u1)",
+           "sets": {"A": {"box": [[0, 1]], "resolution": 16}},
+           "convex": {**CONVEX_1D, "lambda_grid": 50000}}
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--checks", "starshaped:A"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gproxim.cli", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "holds-on-sample" in proc.stdout
+
+
 @pytest.mark.parametrize("flag", ["--tol-zero", "--tol-prox"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
 def test_a_bad_tolerance_flag_exits_two_with_one_line(flag, value, capsys):

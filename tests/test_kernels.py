@@ -154,8 +154,9 @@ def ref_pairs(g, f, a, level, tol):
     ]
 
 
-def ref_convex(h, g, pts, lams, tol, lams_two=None):
-    """Both conditions over pts; condition two over lams_two when given."""
+def ref_convex(h, g, pts, lams, tol, lams_two=None, pts_two=None):
+    """Both conditions over pts; condition two over lams_two and pts_two
+    when given."""
     eps = tol.eps_ineq
     for x0 in pts:
         gx = [abs(eval_g(g, x0, x)) for x in pts]
@@ -168,11 +169,12 @@ def ref_convex(h, g, pts, lams, tol, lams_two=None):
                     if lhs > rhs + eps:
                         wit = {"x0": x0, "x": x, "y": y, "lam": lam}
                         return FALSIFIED, wit, lhs, rhs
-    for x in pts:
-        for y in pts:
-            for x0 in pts:
+    pts_two = pts if pts_two is None else pts_two
+    for x in pts_two:
+        for y in pts_two:
+            for x0 in pts_two:
                 gxx0 = abs(eval_g(g, x, x0))
-                for y0 in pts:
+                for y0 in pts_two:
                     gyy0 = abs(eval_g(g, y, y0))
                     for lam in lams if lams_two is None else lams_two:
                         lhs = abs(eval_g(g, h.apply(x, y, lam), h.apply(x0, y0, lam)))
@@ -839,6 +841,95 @@ def test_fused_convex_h_raising_in_a_q_row_of_condition_two(monkeypatch):
     assert got[:3] == ("error", "EvalError", "division-by-zero")
 
 
+def _loop_columns(g, monkeypatch, outer):
+    """Spies on g's convex first-hit loops: one (condition, lambda columns
+    read) per call, each call's row of terms holding outer values of b."""
+    calls = []
+    # RowKernels is frozen: the cached loops sit in the instance's dict
+    for name in ("first_convex", "first_convex_pairs", "lean_convex", "lean_convex_pairs"):
+        def spy(*args, name=name, real=getattr(g.kernels, name)):
+            calls.append((2 if name.endswith("pairs") else 1, len(args[-2]) // outer))
+            return real(*args)
+
+        monkeypatch.setitem(vars(g.kernels), name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("gauge, lams, verdict", [
+    ("0*(x1-u1)", LAMS, HOLDS),
+    ("abs(x1-u1)", LAMS, FALSIFIED),
+    ("abs(x1-u1)", [0.0, 1.0], FALSIFIED),
+], ids=["holds", "violated-inside", "violated-at-an-end"])
+def test_ends_that_fail_for_some_pairs_send_every_column_to_the_loops(
+    gauge, lams, verdict, monkeypatch
+):
+    # H(x, y, 1) = 2x - 1/2 is not x where x > 1/2, so neither condition's
+    # ends hold and every row of both reads the whole lambda axis, the rows
+    # of x <= 1/2 too.  Under abs(x1-u1) condition one breaks at x = 5/8:
+    # first at lambda 1/2, or, where the axis is the ends alone, at 1.
+    h = ConvexStructure(("l*x1 + (1-l)*u1 + l*max(x1 - 0.5, 0)",))
+    g = GFunction(gauge, 1)
+    calls = _loop_columns(g, monkeypatch, len(FUSED_SET))
+    got = _fused(g, lams=lams, h=h)
+    assert got[1][0] == verdict
+    assert {condition for condition, _ in calls} == ({1, 2} if verdict == HOLDS else {1})
+    assert all(columns == len(lams) for _, columns in calls)
+    if verdict == FALSIFIED:
+        assert got[1][1]["x"] == exact(Point((0.625,)))
+        assert got[1][1]["lam"] == exact(lams[1])
+
+
+def test_a_mark_only_condition_two_reads_sends_it_every_column(monkeypatch):
+    # Under 256 tuples condition one reads the points 0, 1, 3 and 4 and the
+    # lambdas 0, 1/4, 3/4 and 1, condition two the points 0, 2.7 and 4 and
+    # the lambdas 0, 1/2 and 1.  g divides by zero at g(2.7, 2.7), which
+    # only condition two reads, in its endpoint gauge g(y, y0): condition
+    # one's ends hold and it reads its inner lambdas, condition two's do
+    # not and it reads all three, up to the marked tuple.
+    s = exact_set([0.0, 1.0, 2.7, 3.0, 4.0], "S")
+    g = GFunction("abs(x1-u1) + 0/(abs(x1 - 2.7) + abs(u1 - 2.7))", 1)
+    lams = [0.0, 0.25, 0.5, 0.75, 1.0]
+    pts = list(s.points)
+    monkeypatch.setattr(gspace_module, "MAX_TUPLES", 256)
+    calls = _loop_columns(g, monkeypatch, 1)
+    got = assert_same(
+        lambda: check_convex_structure(AVERAGE_H, g, s, lams, TOL),
+        lambda: ref_convex(AVERAGE_H, g, [pts[i] for i in (0, 1, 3, 4)], [0.0, 0.25, 0.75, 1.0],
+                           TOL, [0.0, 0.5, 1.0], [pts[i] for i in (0, 2, 4)]),
+    )
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    assert {columns for condition, columns in calls if condition == 1} == {4 * 2}
+    assert {columns for condition, columns in calls if condition == 2} == {3 * 3}
+
+
+@pytest.mark.parametrize("at, condition", [
+    ("abs(x1 - 0.125) + abs(u1) + abs(l - 0.2)", "one"),
+    ("abs(x1) + abs(u1) + abs(l - 0.5)", "two"),
+], ids=["condition-one", "condition-two-p-row"])
+def test_fused_convex_h_raising_at_an_inner_lambda_of_proven_ends(at, condition, monkeypatch):
+    # Under 48 tuples condition one reads the lambdas 0, .2, .4, .6, .8, 1
+    # and condition two 0, .5, 1, over both points of S.  H gives its ends
+    # everywhere, so both conditions read their inner lambdas alone, and it
+    # divides by zero at one inner lambda: in condition one's row for x =
+    # 1/8 at (y, l) = (0, .2), or in condition two's p row for x = y = 0 at
+    # l = .5, which condition one never reads.  The row is cut where the
+    # whole row would be, and the check raises at the same tuple.
+    s = exact_set([0.0, 0.125], "S")
+    h = ConvexStructure((f"l*x1 + (1-l)*u1 + 0/({at})",))
+    g = GFunction("0*(x1-u1)", 1)  # every comparison holds, unless marked
+    lams = [i / 10 for i in range(11)]
+    pts = list(s.points)
+    monkeypatch.setattr(gspace_module, "MAX_TUPLES", 48)
+    calls = _loop_columns(g, monkeypatch, len(s))
+    got = assert_same(
+        lambda: check_convex_structure(h, g, s, lams, TOL),
+        lambda: ref_convex(h, g, pts, lams[::2], TOL, [0.0, 0.5, 1.0]),
+    )
+    assert got[:3] == ("error", "EvalError", "division-by-zero")
+    assert {c for c, _ in calls} == ({1} if condition == "one" else {1, 2})
+    assert all(columns == (4 if c == 1 else 1) for c, columns in calls)
+
+
 # In the last row eps_ineq = 1.795e308, and H(0, 1, 1/2) = 25.5 makes the
 # left side g(0, 25.5) infinite where its right side plus eps_ineq
 # overflows too: the tuple fails, as a marked row fails it, where a loop
@@ -959,6 +1050,39 @@ def test_starshaped_matches_the_reference(case, box):
         assert got[1][1]["x"] == exact(Point((at,)))
     if want == "non-finite":
         assert got[3] == f"non-finite: H((0.0), ({at!r}), 0.0)"
+
+
+# the starshaped plants, and one that raises where _infinite(1/2) is infinite
+APPLY_PLANTS = {**{case: plants for case, (plants, _, _) in STAR_CASES.items()},
+                "raise-at-the-infinity": [_raise(1 / 2)]}
+
+
+@pytest.mark.parametrize("second", sorted(APPLY_PLANTS))
+@pytest.mark.parametrize("first", sorted(APPLY_PLANTS))
+def test_apply_raises_the_error_of_the_first_coordinate_that_fails(first, second):
+    # the rule apply keeps: each coordinate through its scalar callable, in
+    # order, the first error raised as it is; then a non-finite coordinate
+    # is EvalError("non-finite") over the whole tuple
+    h = ConvexStructure(tuple(" + ".join(["l*x1 + (1-l)*u1*(1 - 2*l)"] + APPLY_PLANTS[c])
+                              for c in (first, second)))
+    fns = [compile_expr(e, ("x1", "x2", "u1", "u2", "l")) for e in h.exprs]
+
+    def per_coordinate(x, y, lam):
+        coords = tuple([fn(*x.coords, *y.coords, lam) + 0.0 for fn in fns])
+        if not all(map(math.isfinite, coords)):
+            raise EvalError("non-finite", f"H({x}, {y}, {lam!r})")
+        return Point(coords)
+
+    r = Point((0.0, 0.0))
+    got = {(at, lam): assert_same(lambda: h.apply(r, Point((at, 0.0)), lam),
+                           lambda: per_coordinate(r, Point((at, 0.0)), lam))[:3]
+           for at in GRID for lam in LAMS}
+    # at x = 1/2 the division by zero wins, in either coordinate
+    cases = {first, second}
+    if "raise-at-the-infinity" in cases:
+        assert got[0.5, 0.0] == ("error", "EvalError", "division-by-zero")
+    elif "non-finite" in cases:
+        assert got[0.5, 0.0] == ("error", "EvalError", "non-finite")
 
 
 # --------------------------------------------------------------------------
