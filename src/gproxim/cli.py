@@ -33,7 +33,6 @@ from .gspace import (
     check_side_condition,
     check_starshaped,
     convex_condition_sides,
-    eval_g,
     falsify_axiom,
     semi_sharp_sides,
     side_condition_sides,
@@ -52,6 +51,7 @@ from .properties import (
 from .solvers import (
     BatteryItem,
     Schedule,
+    _prox_residual,
     berinde_scheme,
     picard,
     power_fixed_point,
@@ -563,8 +563,7 @@ def _battery(inst: Instance, args, f, core) -> list[BatteryItem]:
     items = []
     for name, spec in _BATTERY:
         if spec is None:
-            cv = inst.convex
-            gap = abs(abs(eval_g(core.g, cv.r, cv.s)) - core.d_g)
+            gap = _prox_residual(core, inst.convex.r, inst.convex.s)
             items.append(BatteryItem(name, gap <= core.eps, note=f"gap {gap!r}"))
         elif name == "side-condition" and args.skip_side_condition:
             items.append(BatteryItem(name, True, note="skipped on request"))

@@ -12,6 +12,7 @@ back to an equivalent document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
@@ -211,15 +212,18 @@ def _whole(value: Any, path: str) -> int:
     return int(value)
 
 
+def _shown(n: Union[int, float]) -> Union[int, float]:
+    """A count as a message gives it: below 2**53 as an int, else as its
+    double (1e+308), not as the int of its hundreds of digits."""
+    return int(n) if n < 2 ** 53 else float(n)
+
+
 def _count(value: Any, path: str) -> int:
     """_whole(value) as a count of items to build: above MAX_TUPLES, the
-    most tuples a scan reads, a ConfigError, raised before any is built.
-    The message gives a count of at least 2**53 as its double (1e+308), not
-    as the int of its hundreds of digits."""
+    most tuples a scan reads, a ConfigError, raised before any is built."""
     n = _whole(value, path)
     if n > MAX_TUPLES:
-        shown = n if n < 2 ** 53 else float(n)
-        raise ConfigError(path, f"must be at most {MAX_TUPLES}, got {shown!r}")
+        raise ConfigError(path, f"must be at most {MAX_TUPLES}, got {_shown(n)!r}")
     return n
 
 
@@ -263,23 +267,31 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
         box = spec["box"]
         if not isinstance(box, list) or len(box) != dimension:
             raise ConfigError(f"{path}.box", f"expected {dimension} intervals")
+        intervals = []
         for i, iv in enumerate(box):
             if not isinstance(iv, list) or len(iv) != 2:
                 raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
             lo, hi = _floats(iv, f"{path}.box[{i}]")
             if lo > hi:
                 raise ConfigError(f"{path}.box[{i}]", "expected [lo, hi] with lo <= hi")
+            intervals.append((lo, hi))
         resolution = spec.get("resolution", 101)
         if isinstance(resolution, list):
             resolution = _ints(resolution, f"{path}.resolution")
         else:
             resolution = _whole(resolution, f"{path}.resolution")
         try:
-            return SampleSet.grid(
-                [tuple(iv) for iv in box], resolution, name=name
-            )
+            return SampleSet.grid(intervals, resolution, name=name)
         except GSpaceError as exc:
             raise ConfigError(path, str(exc)) from None
+        except MemoryError:
+            # SampleSet.grid builds every point, so a grid too large for
+            # memory fails there; its axes sized as grid sizes them
+            sizes = resolution if isinstance(resolution, tuple) else [
+                resolution if lo != hi else 1 for lo, hi in intervals]
+            count = _shown(math.prod(map(float, sizes)))
+            raise ConfigError(f"{path}.resolution",
+                              f"a grid of {count} points does not fit in memory") from None
     raise ConfigError(path, "expected either 'points' or 'box'")
 
 

@@ -546,16 +546,13 @@ class ConvexStructure:
     """
 
     exprs: tuple[Expr, ...]
-    dimension: int = 0
+    dimension: int = field(init=False)  # len(exprs)
 
     def __post_init__(self):
         exprs = tuple(parse(e) if isinstance(e, str) else e for e in self.exprs)
-        d = self.dimension or len(exprs)
-        if len(exprs) != d:
-            raise GSpaceError("one expression per coordinate is required")
-        _check_names(exprs, GFunction._var_names(d) + ("l",), "convex structure")
+        _check_names(exprs, GFunction._var_names(len(exprs)) + ("l",), "convex structure")
         object.__setattr__(self, "exprs", exprs)
-        object.__setattr__(self, "dimension", d)
+        object.__setattr__(self, "dimension", len(exprs))
 
     @cached_property
     def interpolants(self) -> Callable[[tuple, Sequence[tuple], Sequence[float]], list]:
@@ -758,27 +755,24 @@ def falsify_axiom(
             if k >= 0:
                 return falsified({"x": x, "y": pts[i + 1 + k]})
     elif kind == "triangle":
-        # One abs(g) matrix over the scanned points, with a 0.0 diagonal that
-        # g never sees; a symmetric g's lower half is its upper half.  For a
-        # pair (x, y), z = y then fails only when abs(g(x, y)) is marked, and
-        # z = x is skipped: its entry abs(g(y, x)) is not the pair's to
-        # evaluate.  zip reads rest, row y from start on, last, once per z,
-        # so only a failing z is numbered, from what rest has left.
-        matrix = []
+        # One abs(g) matrix over the scanned points, each row [*lower, 0.0,
+        # *upper]: the 0.0 diagonal is never evaluated, upper is read, and
+        # lower is read too unless g is symmetric, when it is the column
+        # of the rows above.  For a pair (x, y), z = y then fails only when
+        # abs(g(x, y)) is marked, and z = x is skipped: its entry
+        # abs(g(y, x)) is not the pair's to evaluate.  zip reads rest, row
+        # y from start on, last, once per z, so only a failing z is
+        # numbered, from what rest has left.
+        matrix, marked = [], g.kernels.marked
         for i, c in enumerate(coords):
-            if half:
-                row = [above[i] for above in matrix]
-                row += [0.0, *g.kernels.marked(repeat(c), coords[i + 1:])]
-            else:
-                row = g.kernels.marked(repeat(c), coords[:i] + coords[i + 1:])
-                row.insert(i, 0.0)
-            matrix.append(row)
+            lower = [above[i] for above in matrix] if half else marked(repeat(c), coords[:i])
+            matrix.append([*lower, 0.0, *marked(repeat(c), coords[i + 1:])])
         eps = tol.eps_ineq
         for i, x in enumerate(pts):
             start = i + 1 if half else 0
             xz = matrix[i][start:]
             for k, (y, gxy) in enumerate(zip(pts, matrix[i])):
-                if y.coords == x.coords:
+                if k == i:  # y = x: scanned points are distinct
                     continue
                 rest = iter(matrix[k][start:])
                 for a, b in zip(xz, rest):
@@ -1160,7 +1154,7 @@ def check_starshaped(
         k = next((k for k, c in enumerate(row) if not a._has(c, band)), len(row))
         if k < len(lams):
             # where the row is cut, apply raises at its end
-            image = h.apply(r, x, lams[k]) if k == len(row) else Point(row[k])
+            image = h.apply(r, x, lams[k]) if k == len(row) else _checked_point(row[k])
             return CheckReport(
                 "starshaped", _FALSIFIED, {"x": x, "lam": lams[k], "image": image},
                 note="interpolant escapes the set",

@@ -187,11 +187,15 @@ def test_the_triangle_scan_reads_99_points_per_axis(gauge, half, monkeypatch):
     assert falsify_axiom("triangle", g, s, TOL).holds
     want = [s.points[i].coords for i in reference_indices(201, 3, 10 ** 6, 0)]
     assert len(want) == 99
-    # one row per scanned point, over the scanned points after it when g is
-    # symmetric, else over the other scanned points
-    assert [p for p, _ in rows] == [[c] for c in want]
-    assert [q for _, q in rows] == [want[i + 1:] if half else want[:i] + want[i + 1:]
-                                    for i in range(99)]
+    # a symmetric g reads one row per scanned point, over the scanned points
+    # after it; any other g reads two, over the points before it and then
+    # over the points after it
+    if half:
+        assert [p for p, _ in rows] == [[c] for c in want]
+        assert [q for _, q in rows] == [want[i + 1:] for i in range(99)]
+    else:
+        assert [p for p, _ in rows] == [[c] for c in want for _ in range(2)]
+        assert [q for _, q in rows] == [q for i in range(99) for q in (want[:i], want[i + 1:])]
 
 
 def reference_axes(sizes: list, cap: int) -> list:

@@ -791,6 +791,11 @@ CONVEX_1D = {"exprs": ["l*x1 + (1-l)*u1"], "r": [0], "s": [1]}
 HUGE = "must be at most 1000000, got 1000000000000"
 
 
+def box_set(box: list, resolution) -> dict:
+    """A config patch whose one set A is a box grid."""
+    return {"dimension": len(box), "sets": {"A": {"box": box, "resolution": resolution}}}
+
+
 @pytest.mark.parametrize("patch, argv, err", [
     ({"convex": {**CONVEX_1D, "lambda_grid": 10 ** 400}}, None,
      "convex.lambda_grid: integer too large for a double"),
@@ -801,18 +806,26 @@ HUGE = "must be at most 1000000, got 1000000000000"
     ({"dimension": 1e308}, None, "dimension: must be at most 1000000, got 1e+308"),
     (None, ["search", "--check", "banach:g:map=f", "--steps", "1000000000000"],
      f"--steps: {HUGE}"),
+    (box_set([[0, 1]], 1e308), None,
+     "sets.A.resolution: a grid of 1e+308 points does not fit in memory"),
+    (box_set([[0, 0], [0, 1]], [1, 10 ** 12]), None,
+     "sets.A.resolution: a grid of 1000000000000 points does not fit in memory"),
+    (box_set([[0, 0], [0, 1]], [1, 10 ** 7]), None,
+     "sets.A.resolution: a grid of 10000000 points does not fit in memory"),
 ], ids=["grid-beyond-a-double", "grid", "stages", "stages-flag", "dimension",
-        "dimension-1e308", "steps-flag"])
+        "dimension-1e308", "steps-flag", "resolution-1e308", "resolution-1e12",
+        "resolution-1e7"])
 def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
     patch, argv, err, tmp_path
 ):
     # a grid of 10**400 points was once materialised, and a count beyond
     # gspace.MAX_TUPLES still is; the child runs under an address-space
-    # limit, so a regression fails it instead of filling memory
+    # limit, so a regression fails it instead of filling memory.  A box
+    # grid is built whole: one too large to build fails to allocate there
     import resource
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 
     if argv is None:
         doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}},

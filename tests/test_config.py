@@ -188,3 +188,19 @@ def test_only_outside_input_is_checked_point_by_point(monkeypatch):
     c = instance_from_dict(doc).set_("C")
     rows = [(0.0, 0.0), (1.0, 0.0), (0.5, -1.0)]
     assert checked == [*rows, c.points] and c.coords == rows
+
+
+def test_a_grid_too_large_for_memory_names_its_resolution(monkeypatch):
+    """A MemoryError from building a box grid is a ConfigError on the set's
+    resolution, with the grid's point count: an axis whose interval is one
+    point holds one point, whatever the resolution."""
+    def full(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(SampleSet, "grid", full)
+    doc = {"dimension": 3, "g": "abs(x1-u1)",
+           "sets": {"A": {"box": [[0, 1], [2, 2], [0, 1]], "resolution": 10 ** 5}}}
+    with pytest.raises(ConfigError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == (
+        "sets.A.resolution: a grid of 10000000000 points does not fit in memory")
