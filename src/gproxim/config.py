@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
@@ -280,19 +281,29 @@ def _load_set(name: str, spec: Any, dimension: int) -> SampleSet:
             resolution = _ints(resolution, f"{path}.resolution")
         else:
             resolution = _whole(resolution, f"{path}.resolution")
+        sizes = resolution if isinstance(resolution, tuple) else tuple(
+            resolution if lo != hi else 1 for lo, hi in intervals)  # as grid sizes its axes
+        # No tuple holds more than sys.maxsize points.  Building such a grid,
+        # if grid takes every axis (a valid size, a finite span), ends in a
+        # MemoryError, so it is refused unbuilt with the same error
+        if math.prod(sizes) > sys.maxsize and len(sizes) == len(intervals) and all(
+                n > 1 and math.isfinite(hi - lo) or n == 1 and lo == hi
+                for (lo, hi), n in zip(intervals, sizes)):
+            raise _unbuilt(path, sizes)
         try:
             return SampleSet.grid(intervals, resolution, name=name)
         except GSpaceError as exc:
             raise ConfigError(path, str(exc)) from None
-        except MemoryError:
-            # SampleSet.grid builds every point, so a grid too large for
-            # memory fails there; its axes sized as grid sizes them
-            sizes = resolution if isinstance(resolution, tuple) else [
-                resolution if lo != hi else 1 for lo, hi in intervals]
-            count = _shown(math.prod(map(float, sizes)))
-            raise ConfigError(f"{path}.resolution",
-                              f"a grid of {count} points does not fit in memory") from None
+        except MemoryError:  # SampleSet.grid builds every point
+            raise _unbuilt(path, sizes) from None
     raise ConfigError(path, "expected either 'points' or 'box'")
+
+
+def _unbuilt(path: str, sizes: tuple[int, ...]) -> ConfigError:
+    """The error of the set at path, a grid of the given axis sizes too
+    large for memory."""
+    count = _shown(math.prod(map(float, sizes)))
+    return ConfigError(f"{path}.resolution", f"a grid of {count} points does not fit in memory")
 
 
 def instance_from_dict(doc: dict) -> Instance:

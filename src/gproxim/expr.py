@@ -595,7 +595,11 @@ def compile_expr(e: Expr, names: tuple[str, ...]) -> Callable[..., float]:
 class RowKernels:
     """Loops of abs(e) over rows of coordinate tuples, one tuple per argument.
 
-    values(P, Q) is the list of abs(e) over zip(P, Q).
+    values(P, Q) is the list of abs(e) over zip(P, Q).  band(P, Q, level,
+    eps), one of P and Q a repeat, reads the same values in one pass and
+    lists only the indices of those within eps of level, with the index of
+    the first tuple that raises or is not finite: the proximity scans read
+    each range a band plan leaves them through it (see gspace._band).
 
     The first-hit loops test a row of a check in one loop that evaluates
     both sides of each tuple, lhs and every term of the right side, and
@@ -616,8 +620,9 @@ class RowKernels:
     before it passed, and the marked rows mark it.  A side of values that
     is an itertools.repeat, which every scan passes without a count, has
     its coordinates bound once before the loop, and the loop unpacks only
-    the other side.  Scans read lists through marked, which marks a tuple
-    where values raises, and raise the typed error at a hit through eval_g.
+    the other side, as band does.  Scans read lists through marked, which
+    marks a tuple where values raises, and raise the typed error at a hit
+    through eval_g, as they do at band's bad index.
 
     bound(PL, PH, QL, QH) bounds abs(e) over a box, the P coordinates
     ranging between the tuples PL and PH and the Q coordinates between QL
@@ -687,6 +692,14 @@ class RowKernels:
         once.  Two first uses racing at most compile it twice."""
         return _compile_bound(*self.tree)
 
+    @cached_property
+    def band(self) -> Callable[..., tuple[list[int], int]]:
+        """Compiled on first use: band(P, Q, level, eps) is (hits, bad),
+        hits the indices k, in order, at which abs(v - level) <= eps for
+        the k-th value v of values(P, Q), and bad the first k at which the
+        scalar callable raises or is not finite, or -1 (see _compile_band)."""
+        return _compile_band(*self.tree)
+
     def marked(self, P: Iterable, Q: Iterable) -> list[float]:
         """values(P, Q), with a NaN mark at each tuple where the scalar
         callable raises or is not finite.  Every other value is an abs, so
@@ -722,7 +735,7 @@ _KERNEL_GLOBALS = dict(
     inf=math.inf,  # repr() writes a literal that overflows a double, such as 1e999, as inf
     abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals, len=len,
     min=min, max=max, sum=sum, isfinite=math.isfinite, nextafter=math.nextafter,
-    zip=zip, isinstance=isinstance, next=next, repeat=repeat, iter=iter,
+    zip=zip, enumerate=enumerate, isinstance=isinstance, next=next, repeat=repeat, iter=iter,
     length_hint=length_hint, ArithmeticError=ArithmeticError, ValueError=ValueError,
     __builtins__={},
 )
@@ -816,20 +829,24 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     )[name]
 
 
+def _row_body(e: Expr) -> str:
+    """The text of abs(e) that values and band run: compile_expr's text,
+    without the outer abs where _nonneg(e) holds, since it would return the
+    same double."""
+    body = _gen(e, count())
+    return body if _nonneg(e) else f"abs({body})"
+
+
 def compile_row_kernels(
     e: Expr, left: tuple[str, ...], right: tuple[str, ...]
 ) -> RowKernels:
     """Compile abs(e) into its values loop; left and right name the
     coordinates unpacked from each P and each Q tuple.  The loop body is
-    compile_expr's text, so every value is bit for bit the one the scalar
-    callable and evaluate return.  The first-hit loops and bound compile
-    on first use.  The body leaves out the outer abs where _nonneg(e)
-    holds, since it would return the same double."""
+    compile_expr's text (see _row_body), so every value is bit for bit the
+    one the scalar callable and evaluate return.  The first-hit loops, band
+    and bound compile on first use."""
     _unbound((e,), left + right)
-    body = _gen(e, count())
-    if not _nonneg(e):
-        body = f"abs({body})"
-    p, q = _names(left), _names(right)
+    body, p, q = _row_body(e), _names(left), _names(right)
     values = _compile(
         "def values(_P, _Q):\n"
         f"    if isinstance(_P, repeat):\n        {p} = next(_P)\n"
@@ -839,6 +856,43 @@ def compile_row_kernels(
         f"    return [{body} for ({p}, {q}) in zip(_P, _Q)]\n"
     )["values"]
     return RowKernels(values, (e, left, right))
+
+
+def _compile_band(
+    e: Expr, left: tuple[str, ...], right: tuple[str, ...]
+) -> Callable[..., tuple[list[int], int]]:
+    """RowKernels.band: one loop over the tuples of values(P, Q), one of P
+    and Q an itertools.repeat, whose coordinates it binds once, as values
+    does.  It runs the text of values (see _row_body) on each tuple and
+    lists its index k where abs(v - level) <= eps.  Where the text
+    raises, or gives a value that is not finite, it returns that tuple's
+    index as bad, with the hits before it: the tuple marked would mark
+    first.  A value is an abs, so one that is not finite is NaN or inf,
+    never in band."""
+    body, p, q = _row_body(e), _names(left), _names(right)
+
+    def loop(target: str, rows: str) -> str:
+        return (
+            f"            for _k, {target} in enumerate({rows}):\n"
+            f"                if abs((_v := {body}) - _level) <= _eps:\n"
+            "                    _hit(_k)\n"
+            "                elif not _v < inf:\n"
+            "                    return _hits, _k\n"
+        )
+
+    return _compile(
+        "def band(_P, _Q, _level, _eps):\n"
+        "    _hits, _k = [], 0\n"
+        "    _hit = _hits.append\n"
+        "    try:\n"
+        f"        if isinstance(_P, repeat):\n            {p} = next(_P)\n"
+        + loop(q, "_Q")
+        + f"        else:\n            {q} = next(_Q)\n"
+        + loop(p, "_P")
+        + "    except (ArithmeticError, ValueError):\n"
+        "        return _hits, _k\n"
+        "    return _hits, -1\n"
+    )["band"]
 
 
 def _compile_bound(

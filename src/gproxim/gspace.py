@@ -21,9 +21,9 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress, count, cycle, repeat, takewhile
+from itertools import chain, compress, count, cycle, islice, repeat, takewhile
 from operator import length_hint
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .expr import (
     EvalError,
@@ -275,21 +275,23 @@ def _gauge_row(
 
 
 def _runs(
-    g: GFunction, xs: Union[Sequence, "SampleSet"], ys: Union[Point, "SampleSet"],
+    g: GFunction, xs: Union[Sequence, "SampleSet"], ys: Union[Sequence, "SampleSet"],
     level: float, eps: Optional[float] = None,
 ) -> list[tuple[int, Optional[int], bool]]:
-    """The plan of every kernel row of abs(g) between a box of points and a
-    SampleSet s, made with one walk of s's block tree (SampleSet.blocks):
-    for the core, s is ys and the box xs, a pair (lo, hi) of coordinate
-    tuples, the leaf of A whose rows share the plan; for mates, s is xs and
-    the box the Point ys.  It lists (start, stop, proven) over s in order,
-    leaving out whole blocks as g.kernels.bound, over the box against each
-    block, proves them.  Without eps, the level plan, it leaves out the
-    blocks proven at or above level: none of their values lowers it.  With eps, the band
-    plan, it leaves out those proven more than eps above or below level,
-    and lists a block proven within eps of level at both ends as proven,
-    in band whole and none of it to be read.  A left-out or proven block
-    is proven clean, so the ranges to read raise at a row's first marked
+    """The plan of every kernel row of abs(g) between a box of asked points
+    and a SampleSet s, made with one walk of s's block tree
+    (SampleSet.blocks).  The box is a pair (lo, hi) of coordinate tuples on
+    the asked side, a point y the box (y, y): for the core the leaf of A
+    whose rows share the plan, xs, against s = ys; for mates the points of
+    a run that share it (ProximalCore.mates_of), ys, against s = xs.  It
+    lists (start, stop, proven) over s in order, leaving out whole blocks
+    as g.kernels.bound, over the box against each block, proves them.
+    Without eps, the level plan, it leaves out the blocks proven at or
+    above level: none of their values lowers it.  With eps, the band plan,
+    it leaves out those proven more than eps above or below level, and
+    lists a block proven within eps of level at both ends as proven, in
+    band whole and none of it to be read.  A left-out or proven block is
+    proven clean, so the ranges to read raise at a row's first marked
     tuple.  A gauge without a bound, or an infinite level, reads s whole:
     [(0, None, False)].
     """
@@ -299,7 +301,7 @@ def _runs(
     if isinstance(ys, SampleSet):
         s, box = ys, partial(bound, *xs)
     else:
-        s, box = xs, partial(bound, QL=ys.coords, QH=ys.coords)
+        s, box = xs, partial(bound, QL=ys[0], QH=ys[1])
     plan, stack = [], [s.blocks]
     while stack:
         lo, hi, i, j, halves = stack.pop()
@@ -327,14 +329,28 @@ def _band(
     plan: Sequence[tuple], level: float, eps: float, items: Sequence,
 ) -> list:
     """The items, one per point of the SampleSet side, of the entries of the
-    kernel row of abs(g) between xs and ys (_gauge_row) within eps of level,
-    in order, read through a band plan of _runs: a proven block gives its
-    items unread."""
-    return [
-        u for start, stop, proven in plan
-        for u in (items[start:stop] if proven else compress(items[start:stop], [
-            abs(v - level) <= eps for v in _gauge_row(g, xs, ys, slice(start, stop))]))
-    ]
+    kernel row of abs(g) between xs and ys, one of them a Point, within eps
+    of level, in order, read through a band plan of _runs: a proven block
+    gives its items unread, and every other range is read in one pass of
+    g.kernels.band, which raises eval_g's error at the range's first
+    tuple that raises or is not finite."""
+    left = isinstance(xs, Point)  # the Point is g's left argument
+    s, pin = (ys, repeat(xs.coords)) if left else (xs, repeat(ys.coords))
+    band, hits = g.kernels.band, []
+    for start, stop, proven in plan:
+        if proven:
+            hits += items[start:stop]
+            continue
+        rows = s.coords[start:stop]
+        found, bad = band(pin, rows, level, eps) if left else band(rows, pin, level, eps)
+        if bad >= 0:
+            u = s.points[start + bad]
+            if left:
+                eval_g(g, xs, u)
+            else:
+                eval_g(g, u, ys)
+        hits += [items[start + k] for k in found]
+    return hits
 
 
 def _leaves(node: tuple) -> list[tuple]:
@@ -667,24 +683,54 @@ class ProximalCore:
 
     def mates(self, y: Point, a: Optional[SampleSet] = None) -> tuple[Point, ...]:
         """The points u of A with abs(g(u, y)) within eps of d_g, in A order;
-        with a, those of a, a subsample of A.
+        with a, those of a, a subsample of A: mates_of for the one point y."""
+        return next(self.mates_of((y,), a))
 
-        When y is a sample point of B and a is not given, they are read from
-        partners: the core read each row's band with the same kernel
-        doubles and the same band test.  Any other question reads the row
-        of abs(g) over A against y through the band plan of _runs for the
-        point y, from the blocks that can reach the band, taking every point
-        of a block whose values the bound puts within eps of d_g at both
-        ends without reading it.  Every block it leaves out or proves is
-        clean, so it raises at the row's first offending tuple.
+    def mates_of(
+        self, ys: Iterable[Point], a: Optional[SampleSet] = None
+    ) -> Iterator[tuple[Point, ...]]:
+        """The mates (see mates) of each point of ys, in order, drawn and
+        answered lazily in runs of _LEAF points.
+
+        When a point of a run is a sample point of B and a is not given,
+        its mates are read from partners: the core read each row's band
+        with the same kernel doubles and the same band test.  The other
+        points of the run share one band plan of _runs, made from the
+        bound over their bounding box, and each reads its row of abs(g)
+        over A through it (_band), from the blocks that can reach the
+        band, taking every point of a block the bound puts within eps of
+        d_g at both ends without reading it.  Every block the plan leaves
+        out or proves is clean, so a row raises at its first offending
+        tuple, and only once the answers before it are taken.  So does an
+        error in drawing a point of ys: the points drawn before it are
+        answered first.
         """
-        if a is None:
-            a = self.a
-            own = self._mates.get(y.coords)
-            if own is not None:
-                return own
-        g, d_g, eps = self.g, self.d_g, self.eps
-        return tuple(_band(g, a, y, _runs(g, a, y, d_g, eps), d_g, eps, a.points))
+        own = {} if a is not None else self._mates
+        a = self.a if a is None else a
+        g, d_g, eps, ys = self.g, self.d_g, self.eps, iter(ys)
+        while True:
+            run, error = [], None
+            try:
+                for y in islice(ys, _LEAF):
+                    run.append(y)
+            except Exception as exc:  # raised once the run is answered
+                error = exc
+            asked = [y.coords for y in run if y.coords not in own]
+            if asked:
+                axes = list(zip(*asked))
+                box = tuple(map(min, axes)), tuple(map(max, axes))
+                # a run with a point of another dimension reads A whole, where
+                # eval_g raises DimensionMismatch at that point's first tuple
+                plan = (_runs(g, a, box, d_g, eps) if all(len(c) == g.dimension for c in asked)
+                        else [(0, None, False)])
+            for y in run:
+                mates = own.get(y.coords)
+                yield mates if mates is not None else tuple(
+                    _band(g, a, y, plan, d_g, eps, a.points))
+            if error is not None:
+                raise error
+            if len(run) < _LEAF:
+                return
 
     @cached_property
     def _mates(self) -> dict[tuple[float, ...], tuple[Point, ...]]:

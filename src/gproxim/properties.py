@@ -324,15 +324,16 @@ def qualifying_pairs(
     """Pairs (x, u) of sampled points of the core's A with abs(g(u, f(x)))
     at its proximity level; these are the building blocks of the quadruple
     scans.  A box sample contributes at most 2000 points.  The points u of
-    each image are the core's answer (ProximalCore.mates), over that
-    subsample when A is capped."""
+    each image are the core's answer (ProximalCore.mates_of), over that
+    subsample when A is capped; every image is built before the first is
+    asked."""
     a = core.a
     pts = _capped(a.points, a.mode == "box", 1, seed, cap=MAX_QUALIFYING_POINTS)
     sub = None
     if len(pts) < len(a):  # a SampleSet reads its coordinate row once
         a = sub = _checked_set(tuple(pts), a.name)
-    images = [(x, f.apply(x)) for x in a.points]
-    return [(x, u) for x, fx in images for u in core.mates(fx, sub)]
+    images = [f.apply(x) for x in a.points]
+    return [(x, u) for x, mates in zip(a.points, core.mates_of(images, sub)) for u in mates]
 
 
 def proximal_sides(

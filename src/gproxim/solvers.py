@@ -296,7 +296,9 @@ def proximal_iterate(
     The start point must realise the proximity level against the core's B
     itself, and (by default) every realising point must have a selectable
     image, mirroring the requirement that f maps the realising set into its
-    partner.  A selection failing mid-run ends the trace with verdict
+    partner: the images are asked in runs (ProximalCore.mates_of), and the
+    first without a mate raises NoProximalMate before any later image's
+    error.  A selection failing mid-run ends the trace with verdict
     "no_proximal_mate".  Each visited point is mapped once: its image gives
     its proximity residual and then the next selection.
     """
@@ -308,8 +310,9 @@ def proximal_iterate(
             f"(residual {best0!r})"
         )
     if check_image:
-        for x in core.a_g.points:
-            if not core.mates(f.apply(x)):
+        realising = core.a_g.points
+        for x, mates in zip(realising, core.mates_of(map(f.apply, realising))):
+            if not mates:
                 raise NoProximalMate(
                     f"image of realising point {x} has no proximity mate; "
                     f"the map does not send the realising set into its partner"

@@ -840,6 +840,28 @@ def test_an_integer_lambda_grid_beyond_a_double_exits_two_with_one_line(
     assert (proc.returncode, proc.stderr) == (2, f"error: {err}\n")
 
 
+@pytest.mark.parametrize("patch, err", [
+    (box_set([[0, 1]], 1e308), "sets.A.resolution: a grid of 1e+308 points does not fit in memory"),
+    (box_set([[0, 1], [0, 1], [0, 1]], [10 ** 7] * 3),
+     "sets.A.resolution: a grid of 1e+21 points does not fit in memory"),
+    # the faults SampleSet.grid finds before it builds an axis come first
+    (box_set([[0, 1]], [1e308, 1e308]), "sets.A: resolution rank does not match box rank"),
+    (box_set([[0, 1], [0, 1]], [0, 1e308]), "sets.A: bad resolution 0 for axis [0.0, 1.0]"),
+], ids=["one-axis", "three-axes", "rank", "empty-axis"])
+def test_a_grid_of_more_points_than_a_tuple_holds_is_refused_unbuilt(
+    patch, err, tmp_path, capsys, monkeypatch
+):
+    from gproxim.gspace import SampleSet
+
+    built, real = [], SampleSet.grid
+    monkeypatch.setattr(SampleSet, "grid", lambda *args, **kw: built.append(args) or real(*args, **kw))
+    doc = {"dimension": 1, "g": "abs(x1-u1)", "sets": {"A": {"points": [[0], [1]]}}, **patch}
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--checks", "identity:g"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert len(built) == ("does not fit" not in err)
+
+
 def test_a_starshaped_check_holds_one_row_of_interpolants_at_a_time(tmp_path):
     # the check once listed H(r, x, lam) over every x of A and every lambda
     # at once, 800,000 tuples here, which end in a MemoryError under an

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from conftest import random_expr
+from gproxim.expr import EvalError, variables
 from gproxim.gspace import (
     ConvexStructure,
     GFunction,
@@ -60,6 +62,51 @@ def test_core_minimality_and_witnesses_replay(seed):
     ]
     assert list(core.a_g.points) == a_expected
     assert list(core.b_g.points) == b_expected
+
+
+def _random_plane_core(seed: int):
+    """A random gauge over the plane, alone or added to the L1 distance,
+    which gives its rows a level to reach, with exact sets A of 49 points
+    and B of 48, each more than one leaf of blocks, and B shuffled."""
+    rng = random.Random(seed)
+    e = random_expr(rng, 3)
+    while "l" in variables(e):
+        e = random_expr(rng, 3)
+    g = GFunction(e if seed % 2 else f"abs(x1-u1) + abs(x2-u2) + ({e})/4", 2)
+    a = SampleSet.from_points([(i / 4, j / 4) for i in range(7) for j in range(7)], name="A")
+    b_pts = [(1 + i / 5, j / 7 - 0.5) for i in range(6) for j in range(8)]
+    b, shuffled = SampleSet.from_points(b_pts, name="B"), rng.sample(b_pts, len(b_pts))
+    return g, a, b, SampleSet.from_points(shuffled, name="B")
+
+
+def _core_or_error(g, a, b, tol):
+    try:
+        return proximal_core(g, a, b, tol)
+    except EvalError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_the_mates_of_a_point_of_b_read_from_the_core_equal_its_row(seed):
+    # the inverse of partners against the band plan of the row over A
+    g, a, b, _ = _random_plane_core(seed)
+    core = _core_or_error(g, a, b, ToleranceSet(eps_prox=1 / 64))
+    if core is not None:
+        for y in b.points:
+            assert core.mates(y) == core.mates(y, core.a)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_permuting_b_keeps_the_level_and_the_realising_sets(seed):
+    g, a, b, shuffled = _random_plane_core(seed)
+    tol = ToleranceSet(eps_prox=1 / 64)
+    core, other = _core_or_error(g, a, b, tol), _core_or_error(g, a, shuffled, tol)
+    assert (core is None) == (other is None)  # one order raises, so does the other
+    if core is not None:
+        assert core.d_g.hex() == other.d_g.hex()
+        assert core.a_g.points == other.a_g.points
+        assert set(core.b_g.points) == set(other.b_g.points)
+        assert [set(ys) for ys in core.partners] == [set(ys) for ys in other.partners]
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -336,6 +336,28 @@ def test_row_kernels_match_the_scalar_callable(seed):
         assert hit == (-1 if abs(want) <= bound else 0)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_band_lists_the_marked_rows_hits_before_its_first_mark(seed):
+    # against marked, which the scans that read whole rows go through: the
+    # indices within eps of the level before the first mark, and its index
+    rng = random.Random(seed)
+    e = random_expr(rng, 4)
+    kernels = compile_row_kernels(e, ("x1", "x2"), ("u1", "u2", "l"))
+    grid = [-2.5, -1.0, 0.0, 0.5, 2.0]
+    P = [(a, b) for a in grid for b in grid]
+    Q = [(c, d, lam) for c in grid for d in grid[1:3] for lam in (0.0, 0.25, 1.0)][:len(P)]
+    for rows in ((repeat(P[3]), Q), (P, repeat(Q[7]))):
+        marked = kernels.marked(*rows)
+        finite = sorted(v for v in marked if v == v)
+        level = finite[len(finite) // 2] if finite else 0.0
+        for eps in (0.0, 0.5):
+            bad = next((k for k, v in enumerate(marked) if v != v), -1)
+            hits = [k for k, v in enumerate(marked[:bad] if bad >= 0 else marked)
+                    if abs(v - level) <= eps]
+            again = [r if isinstance(r, list) else repeat(next(r)) for r in rows]
+            assert kernels.band(*again, level, eps) == (hits, bad)
+
+
 def test_first_violation_stops_at_nan_and_inf():
     kernels = compile_row_kernels(parse("x1*u1"), ("x1",), ("u1",))
     P, LA, R = [(1.0,)] * 3, [0.0], [1.0] * 3
@@ -1445,8 +1467,10 @@ def test_random_gauges_qualifying_pairs_and_prepass_match_the_reference(seed):
 
 
 def _rows_over(monkeypatch, a):
-    """The points y of the kernel rows of abs(g) over a against y, as they
-    are read; gspace._runs is the one reader of such rows."""
+    """The boxes (lo, hi) of the points y whose kernel rows of abs(g) over a
+    against y share a plan, one box per plan, as they are planned;
+    gspace._runs is the one planner of such rows, and a point y is the box
+    (y, y)."""
     real, rows = gspace_module._runs, []
 
     def spy(g, xs, ys, *args, **kwargs):
@@ -1464,15 +1488,19 @@ def test_images_in_b_read_no_kernel_row(monkeypatch):
     rows = _rows_over(monkeypatch, SEG_A)
     qualifying_pairs(f, core)
     _prepass(f, core, WIDE)
-    assert len(rows) == 2 * 8  # the odd grid points' images, off B, twice
-    assert not any(y.coords in SEG_B.coords for y in rows)
+    # the 17 images are one run of asked points, and the odd grid points'
+    # images (1, t/2), the 8 off B, share one plan, once in each pass
+    off_b = [y for x in SEG_A.points if (y := f.apply(x).coords) not in SEG_B.coords]
+    assert len(off_b) == 8 and len(core.a_g) == 17
+    assert rows == [((1.0, 1 / 32), (1.0, 15 / 32))] * 2
+    assert rows[0] == (tuple(map(min, *off_b)), tuple(map(max, *off_b)))
     # the steps from (0, 1) select against the images (1, t/2) for t = 1,
     # 1/2, 1/4, 1/8, then (1, 1/32), off B, then (1, 0)
     rows.clear()
     trace = proximal_iterate(f, core, SEG_A.points[-1], WIDE, check_image=False)
     images = [f.apply(p).coords for p in trace.points[:-1]]
     assert trace.verdict == "converged" and len(images) == 6
-    assert [y.coords for y in rows] == [(1.0, 1 / 32)]
+    assert rows == [((1.0, 1 / 32), (1.0, 1 / 32))]
     assert [y for y in images if y not in SEG_B.coords] == [(1.0, 1 / 32)]
 
 
@@ -1554,6 +1582,28 @@ def _core_cases():
         yield f"random-{seed}", _random_case(seed)[0], A_SET, B_SET
 
 
+def _band_reads(monkeypatch, read):
+    """Call read with the (start, stop) of each range of a band plan that
+    gspace._band reads through RowKernels.band, as it reads it."""
+    real_band, real_loop, ranges = gspace_module._band, expr_module.RowKernels.band, []
+
+    def band(g, xs, ys, plan, *args):
+        ranges[:] = [(start, stop) for start, stop, proven in plan if not proven]
+        return real_band(g, xs, ys, plan, *args)
+
+    def loop(kernels):
+        real = real_loop.__get__(kernels, type(kernels))
+
+        def spy(*args):
+            read(ranges.pop(0))
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(gspace_module, "_band", band)
+    monkeypatch.setattr(expr_module.RowKernels, "band", property(loop))
+
+
 def _kept_rows(monkeypatch):
     """Per row of A that proximal_core reads, in the order it keeps them,
     (the row's coordinates, what it keeps).  A row the first pass reads
@@ -1561,24 +1611,25 @@ def _kept_rows(monkeypatch):
     values.  A row the second pass reads through the band plan of its leaf
     of A (gspace._band, the one reader of such rows) keeps "hits", the
     indices into B it gives, with "proven", those of the blocks the plan
-    proves in band, and "read", those that _gauge_row reads for the row."""
-    kept, read, row = [], set(), [None]
+    proves in band, and "read", those of the ranges RowKernels.band reads
+    for the row."""
+    kept, spans, row = [], [], [None]
     real_band, real_row, real_array = (
         gspace_module._band, gspace_module._gauge_row, gspace_module.array)
 
     def band(g, xs, ys, plan, *args):
         if not isinstance(xs, Point):  # the mates of a point, not a row of the core
             return real_band(g, xs, ys, plan, *args)
-        read.clear()
+        spans.clear()
         hits = real_band(g, xs, ys, plan, *args)
         proven = {j for start, stop, p in plan if p for j in range(start, stop)}
-        kept.append((xs.coords, {"hits": hits, "proven": proven, "read": set(read)}))
+        read = {j for start, stop in spans for j in range(len(ys))[start:stop]}
+        kept.append((xs.coords, {"hits": hits, "proven": proven, "read": read}))
         return hits
 
     def gauge_row(g, xs, ys, span=None):
         if isinstance(xs, Point):
             row[0] = xs.coords
-            read.update(range(len(ys))[span or slice(None)])
         return real_row(g, xs, ys, span)
 
     def array(code, items):
@@ -1592,6 +1643,7 @@ def _kept_rows(monkeypatch):
     monkeypatch.setattr(gspace_module, "_band", band)
     monkeypatch.setattr(gspace_module, "_gauge_row", gauge_row)
     monkeypatch.setattr(gspace_module, "array", array)
+    _band_reads(monkeypatch, spans.append)
     return kept
 
 
@@ -1667,8 +1719,10 @@ PLANE_B = SampleSet.grid([(0.0, 2.0), (-1.0, 1.0)], 9, name="B")
 
 
 def _reads(monkeypatch):
-    """The spans of the sample-set rows gspace._gauge_row reads, as (start,
-    stop) pairs over the set, (0, None) for a row read whole."""
+    """The spans of the sample-set rows that gspace._gauge_row reads, and of
+    the ranges of band plans that gspace._band reads through
+    RowKernels.band, in the order they are read, as (start, stop) pairs over
+    the set, (0, None) for a row read whole."""
     real, spans = gspace_module._gauge_row, []
 
     def spy(g, xs, ys, span=None):
@@ -1676,6 +1730,7 @@ def _reads(monkeypatch):
         return real(g, xs, ys, span)
 
     monkeypatch.setattr(gspace_module, "_gauge_row", spy)
+    _band_reads(monkeypatch, spans.append)
     return spans
 
 
@@ -2142,3 +2197,92 @@ def test_a_mark_next_to_a_block_proven_in_band_raises_where_the_matrix_does(
         assert got == ("error", "EvalError", "division-by-zero",
                        "division-by-zero: 0.0 / 0")
         assert spans == [(0, None), read]  # the first row whole, then the mark's leaf
+
+
+# --------------------------------------------------------------------------
+# batched proximity questions: ProximalCore.mates_of draws the points it is
+# asked in runs of gspace._LEAF, and the points of a run off B share a plan
+
+
+def _asked(seed):
+    """80 points, runs of 32, 32 and 16: 40 points of PLANE_B and 40 off it,
+    around it, shuffled together."""
+    rng = random.Random(seed)
+    off = set()
+    while len(off) < 40:
+        y = (rng.randint(-16, 80) / 32, rng.randint(-48, 48) / 32)
+        if y not in PLANE_B.coords:
+            off.add(y)
+    ys = [Point(y) for y in rng.sample(PLANE_B.coords, 40) + sorted(off)]
+    rng.shuffle(ys)
+    return ys
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_gauges_mates_of_matches_mates_and_the_reference(seed):
+    ys, capped = _asked(seed), exact_set(PLANE_A.coords[::3], "A")
+    gauges = [_random_case(seed)[0], *list(_plane_gauges(seed))[1:4:2]]
+    answered = 0
+    for g in gauges:
+        try:
+            core = proximal_core(g, PLANE_A, PLANE_B, TOL)
+        except EvalError:
+            continue  # compared in test_a_core_over_blocks_matches_the_full_matrix
+        for a in (None, capped):
+            want = assert_same(lambda: list(core.mates_of(ys, a)),
+                               lambda: [core.mates(y, a) for y in ys])
+            assert_same(lambda: list(core.mates_of(ys, a)),
+                        lambda: [tuple(ref_mates(g, a or PLANE_A, y, core.d_g, TOL))
+                                 for y in ys])
+            answered += want[0] == "ok" and any(want[1])
+    assert answered >= 2
+
+
+def test_mates_of_draws_the_points_it_asks_one_run_ahead():
+    core, drawn = METRIC_TO_B[TOL.eps_prox], []
+
+    def ys():
+        for k in range(100):
+            drawn.append(k)
+            yield Point((k / 64,))
+
+    answers = core.mates_of(ys())
+    next(answers)
+    assert drawn == list(range(gspace_module._LEAF))
+    assert len(list(answers)) == 99 and drawn == list(range(100))
+
+
+# A = LINE and B = {0, 1}: the level 0 at (0, 0) and (1, 1), so a_g = {0, 1}.
+# g divides 0 by zero at (1/4, 1/2) alone, in the row of the image 1/2
+MARKED = GFunction("abs(x1-u1) + 0/(abs(x1 - 0.25) + abs(u1 - 0.5))", 1)
+NO_MATE = ("error", "NoProximalMate",
+           "image of realising point (0.0) has no proximity mate; "
+           "the map does not send the realising set into its partner")
+
+
+@pytest.mark.parametrize("text, want", [
+    # the image 5 of 0 has no mate; the image 1/2 of 1 would raise
+    ("5 - 4.5*x1", NO_MATE),
+    # the other way round, the row of 1/2 raises first
+    ("0.5 + 4.5*x1", ("error", "EvalError", "division-by-zero",
+                      "division-by-zero: 0.0 / 0")),
+    # the image of 1 overflows, and it is drawn in the run of the image 5
+    ("5 - 4.5*x1 + x1*1e308*100", NO_MATE),
+])
+def test_an_image_without_a_mate_raises_before_the_later_images_of_its_run(text, want):
+    b = exact_set([0.0, 1.0], "B")
+    core = proximal_core(MARKED, LINE, b, TOL)
+    assert core.a_g.points == (Point((0.0,)), Point((1.0,)))
+    f = MapSpec([text], LINE, b)
+    assert assert_same(lambda: _prepass(f, core),
+                       lambda: ref_prepass(MARKED, f, LINE, core, TOL)) == want
+
+
+def test_qualifying_pairs_raise_a_map_error_before_any_mates_error():
+    # the image 1/2 of 0 reads the marked row; every later image overflows
+    b = exact_set([0.0, 1.0], "B")
+    core = proximal_core(MARKED, LINE, b, TOL)
+    f = MapSpec(["0.5 + x1*1e308*100"], LINE, b)
+    got = assert_same(lambda: qualifying_pairs(f, core),
+                      lambda: ref_pairs(MARKED, f, LINE, core.d_g, TOL))
+    assert got[:2] == ("error", "GSpaceError") and "non-finite image at (0.0625)" in got[2]
