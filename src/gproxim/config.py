@@ -93,8 +93,11 @@ class Instance:
 
     def core(self, g: GFunction, a: SampleSet, b: SampleSet) -> ProximalCore:
         """The proximity core of (g, a, b) under the instance's tolerances,
-        computed once per instance (see memo)."""
-        return self.memo((g, a, b, self.tol), lambda: proximal_core(g, a, b, self.tol))
+        computed once per instance (see memo).  The sets are keyed by
+        identity, since hashing a SampleSet hashes each of its Points, and
+        kept alive beside the core, so that no other set takes their ids."""
+        key = (g, id(a), id(b), self.tol)
+        return self.memo(key, lambda: (a, b, proximal_core(g, a, b, self.tol)))[2]
 
     def map_(self, name: Optional[str] = None) -> MapSpec:
         if name is None:

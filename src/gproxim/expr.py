@@ -611,7 +611,11 @@ class RowKernels:
     and the index of a hit is the one the marked rows of both sides give.
     lean_convex and lean_convex_pairs are the same loops without the test
     for an infinite term, for rows whose right sides the caller proves
-    finite: they give the same index there.
+    finite: they give the same index there.  fold_banach and fold_proximal
+    read a row of first_banach and first_proximal in one loop for the
+    coefficient estimate: they fold the running maximum of its ratios,
+    stop at its first mark or infinite ratio, and give the first hit of one
+    coefficient up to that stop.
 
     Every loop runs the text of e (see _gen) with no typed fallback, so
     where evaluate raises its EvalError values raises that or a bare
@@ -654,6 +658,22 @@ class RowKernels:
         return _compile_contraction("first_proximal", ["uU", "xX", "Xu"], "cn", *self.tree)
 
     @cached_property
+    def fold_banach(self) -> Callable[..., tuple]:
+        """Compiled on first use: fold_banach(p, Q, r, S, c, eps, best,
+        zero) folds best with the ratios abs(e(p, Q[k])) / abs(e(r, S[k]))
+        and gives first_banach's first hit up to where it stops (see
+        _compile_contraction)."""
+        return _compile_contraction("fold_banach", ["pQ", "rS"], "c", *self.tree, "fold")
+
+    @cached_property
+    def fold_proximal(self) -> Callable[..., tuple]:
+        """Compiled on first use: fold_proximal(u, U, x, X, c, n, eps, best,
+        zero) folds best with the ratios (abs(e(u, U[k])) - n * abs(e(X[k],
+        u))) / abs(e(x, X[k])) and gives first_proximal's first hit up to
+        where it stops (see _compile_contraction)."""
+        return _compile_contraction("fold_proximal", ["uU", "xX", "Xu"], "cn", *self.tree, "fold")
+
+    @cached_property
     def first_convex(self) -> Callable[..., int]:
         """Compiled on first use: first_convex(p, Q, L, M, eps) is the first
         k at which not abs(e(p, Q[k])) <= L[k] + M[k] + eps, with L[k] and
@@ -677,12 +697,12 @@ class RowKernels:
         """first_convex with the lean test not abs(e(p, Q[k])) <= L[k] + M[k]
         + eps, for a row whose every sum is proven finite (see
         _compile_contraction); its text keeps the name first_convex."""
-        return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree, True)
+        return _compile_contraction("first_convex", ["pQ", "L", "M"], "", *self.tree, "lean")
 
     @cached_property
     def lean_convex_pairs(self) -> Callable[..., int]:
         """first_convex_pairs with the lean test, as lean_convex is."""
-        return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree, True)
+        return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree, "lean")
 
     @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
@@ -758,7 +778,7 @@ def _compile(src: str) -> dict:
 
 def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
                          left: tuple[str, ...], right: tuple[str, ...],
-                         lean: bool = False) -> Callable[..., int]:
+                         mode: str = "") -> Callable:
     """The function name over the sources that pairs name, in the order
     they first appear, then the coefficients coefs, then _eps.
 
@@ -787,11 +807,24 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     ValueError, ZeroDivisionError or OverflowError, and the loop returns
     that tuple's index, as a mark there would fail it.
 
-    A lean loop (lean=True) tests only not T0 <= W1 * T1 + ... + _eps.
+    A lean loop (mode "lean") tests only not T0 <= W1 * T1 + ... + _eps.
     The two tests differ only where that sum is inf, at which the full one
     still fails a tuple with an infinite term; a NaN term fails its tuple
     under either.  A caller runs the lean loop only on a row whose every
     sum it proves finite.
+
+    A fold loop (mode "fold") takes _best and _zero after _eps and returns
+    (best, stop, hit).  It stops at the first tuple that raises or has a
+    term that is not finite, a mark, or whose ratio is infinite: T1 not
+    above _zero under a numerator T0 - W2 * T2 - ... above it.  Before the
+    stop, best is _best raised by each ratio above it, the numerator over
+    T1 where T1 is above _zero, so it is max([_best, *ratios]) where no
+    ratio is NaN; stop is the stop's index, or -1 at the row's end, and
+    best is None at an infinite ratio.  hit is the first index, up to the
+    stop, at which not T0 <= W1 * T1 + ... + _eps, or -1: the index of the
+    loop without a mode wherever it is not -1, since every term of a tuple
+    the fold tests is finite.  An _eps of inf tests nothing, and after a
+    hit the loop sets it so.
     """
     temps, sources = count(), list(dict.fromkeys("".join(pairs)))
     rows = [s for s in sources if s.isupper()]
@@ -813,19 +846,31 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
         return "".join(f"{c}{v} + " for c, v in zip(weights, values)) + "_eps"
 
     lhs, *terms = map(term, ws, pairs)
-    hit = f"return len(_{rows[-1]}) - 1 - length_hint(_rest)\n"
+    at = f"len(_{rows[-1]}) - 1 - length_hint(_rest)"
+    fold = mode == "fold"
+    stop = f"return _best, {at}, _hit\n" if fold else f"return {at}\n"
+    num = "_w0" + "".join(f" - {c}{w}" for c, w in zip(weights[1:], ws[2:]))
+    test = (
+        f"            if not ({' and '.join(f'{t} < inf' for t in [lhs, *terms])}): {stop}"
+        f"            if not _w0 <= {bound(ws[1:])}: _hit, _eps = {at}, inf\n"
+        f"            if _w1 > _zero:\n                if (_v := ({num}) / _w1) > _best: _best = _v\n"
+        f"            elif {num} > _zero: return None, {at}, _hit\n"
+    ) if fold else (
+        f"            if not {lhs} <= {bound(terms)}"
+        + (":\n" if mode == "lean" else " < inf and not (\n"
+           f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n")
+        + f"                {stop}"
+    )
     return _compile(
-        f"def {name}({', '.join(f'_{s}' for s in sources + list(coefs))}, _eps):\n"
+        f"def {name}({', '.join(f'_{s}' for s in sources + list(coefs))}, _eps"
+        + (", _best, _zero):\n    _hit = -1\n" if fold else "):\n")
         + "".join(f"    {targets[s]} = _{s}\n" for s in sources if s.islower())
         + "    try:\n"
         f"        for {', '.join(targets[s] for s in rows)} in "
         f"zip({''.join(f'_{s}, ' for s in rows[:-1])}_rest := iter(_{rows[-1]})):\n"
-        f"            if not {lhs} <= {bound(terms)}"
-        + (":\n" if lean else " < inf and not (\n"
-           f"                    {''.join(f'{w} < inf and ' for w in ws)}_w0 <= {bound(ws[1:])}):\n")
-        + f"                {hit}"
-        f"    except (ArithmeticError, ValueError):\n        {hit}"
-        "    return -1\n"
+        + test
+        + f"    except (ArithmeticError, ValueError):\n        {stop}"
+        + ("    return _best, -1, _hit\n" if fold else "    return -1\n")
     )[name]
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from itertools import compress, count, repeat, zip_longest
-from operator import add, le, not_, sub
+from itertools import zip_longest
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .expr import Expr, compile_expr, parse
@@ -121,75 +120,54 @@ def _report(
     return _falsified(check, *rows.evaluate(beta, hit), beta=beta, n_cap=n_cap)
 
 
-def _fold_row(best: float, nums: list, dens: list, zero: float, raise_at):
-    """best folded with num / den over a kernel row in scan order, for dens
-    above zero level; None at the first den at zero level whose num is above
-    it, which makes the estimate infinite.  At a marked tuple before that,
-    raise_at(index) raises the scalar loop's error."""
-    n = mark = len(nums)
-    if math.isnan(sum(nums) + sum(dens)):
-        mark = next((i for i, v in enumerate(map(add, nums, dens)) if v != v), n)
-        nums, dens = nums[:mark], dens[:mark]
-    if any(num > zero for num, den in zip(nums, dens) if not den > zero):
-        return None
-    if mark < n:
-        raise_at(mark)
-    return max([best, *(num / den for num, den in zip(nums, dens) if den > zero)])
-
-
-def _first_hit(rows, r: int, v: float, eps: float, marked=None) -> int:
-    """The first index of row r at which not lhs <= v * a + b + eps (v * a
-    + eps where b is None), or -1, over the marked rows (lhs, a, b) =
-    rows.kernel(r), given or not.  Without them rows.first gives it from
-    one loop, which gives the index of a tuple where it raises, as the
-    marked rows mark it."""
-    if marked is None:
-        return rows.first(r, v, eps)
-    lhs, a, b = marked
-    rhs = ([v * p + eps for p in a] if b is None
-           else [v * p + q + eps for p, q in zip(a, b)])
-    return next(compress(count(), map(not_, map(le, lhs, rhs))), -1)
-
-
 def _scan(rows, values: Sequence[float], tol: ToleranceSet, estimate: bool):
     """The one pass behind each contraction check, its estimate and the
-    sweep of search, over the kernel rows of a _BanachRows or a _ProximalRows.
+    sweep of search, over the rows of a _BanachRows or a _ProximalRows.
 
     Returns (best, hits).  hits[k] is the (row, index) of the first tuple in
     scan order that does not have lhs <= rhs + eps_ineq, rhs taken under the
-    coefficient values[k], or None when every tuple has.  A marked tuple
-    (see RowKernels.marked) never has it, so it is a hit whose report raises
+    coefficient values[k], or None when every tuple has.  A marked tuple,
+    one at which the gauge's text raises or is not finite (see
+    RowKernels.marked), never has it, so it is a hit whose report raises
     the scalar loop's error.  With estimate, best is the supremum of the
-    tuples' num / den (see _fold_row), None when it is infinite; without,
-    best is None.  A row the estimate folds is read as marked lists, which
-    the fold needs; any other row is tested by rows.first, one loop per
-    value that lists nothing and gives the same index, a tuple where it
-    raises included (see _first_hit).
-    The pass stops once no later row can change either result.
+    tuples' num / den over those whose den is above eps_zero, None when it
+    is infinite; without, best is None.
+
+    Values are tested in ascending order: a larger coefficient never lowers
+    a right side, whose terms are non-negative, so once one value holds on
+    a whole row every larger does.  Without the estimate, rows.first tests
+    a row for each value in one loop that lists nothing.  With it, rows.fold
+    reads the row in one loop that folds best and finds the first hit of the
+    lowest pending value (see RowKernels.fold_banach): it stops at the
+    row's first mark or infinite ratio, whichever comes first, so an
+    infinite ratio before a mark makes the estimate infinite, and a mark
+    before one raises there, through the report's sides.  Each later value,
+    and that one where the fold stopped before its hit, goes through
+    rows.first.  The pass stops once no later row can change either result.
     """
     zero, eps = tol.eps_zero, tol.eps_ineq
     hits: list = [None] * len(values)
-    # a larger coefficient never lowers a right side, whose terms are
-    # non-negative: once one value holds on a whole row, every larger does
     order = sorted(range(len(values)), key=values.__getitem__)
     best: Optional[float] = 0.0 if estimate else None
     for r in range(rows.count):
         if best is None and None not in hits:
             break
-        marked = None
+        i = None  # the first pending value's first hit in row r, where known
         if best is not None:
-            marked = lhs, a, b = rows.kernel(r)
-            nums = lhs if b is None else list(map(sub, lhs, b))
-            # a report evaluates its sides, so at a marked tuple it raises
-            best = _fold_row(best, nums, a, zero,
-                             lambda i: _falsified("", *rows.evaluate(1.0, (r, i))))
+            # the lowest pending value; with none, an eps of inf tests nothing
+            low = next(((values[k], eps) for k in order if hits[k] is None), (1.0, math.inf))
+            best, stop, i = rows.fold(r, *low, best, zero)
+            if best is not None and stop >= 0:  # a mark: its sides raise
+                _falsified("", *rows.evaluate(1.0, (r, stop)))
+            i = None if i < 0 <= stop else i  # None: it stopped before the row's end
         for k in order:
             if hits[k] is not None:
                 continue
-            i = _first_hit(rows, r, values[k], eps, marked)
+            if i is None:
+                i = rows.first(r, values[k], eps)
             if i < 0:
                 break
-            hits[k] = (r, i)
+            hits[k], i = (r, i), None
     return best, hits
 
 
@@ -231,7 +209,7 @@ class _BanachRows:
     the sampled y.  lhs abs(g(Tx, Ty)) and rhs alpha * abs(g(x, y)); the
     estimate's terms are the two sides at alpha = 1.  first tests a row
     under one alpha in one loop (RowKernels.first_banach), which lists
-    nothing; kernel gives the marked rows that the estimate folds.
+    nothing; fold reads it once for the estimate (RowKernels.fold_banach).
 
     Rows and columns are read once per class (see _firsts) of the points g
     cannot tell apart, x on the coordinates it reads on its x side and y on
@@ -255,26 +233,28 @@ class _BanachRows:
     validate = staticmethod(_check_alpha)
 
     def start(self, r: int) -> int:
-        """The first column row r reads; its kernel and first index the
-        columns from there."""
+        """The first column row r reads; first and fold index the columns
+        from there."""
         return r if self.half else 0
 
-    def kernel(self, r: int) -> tuple:
-        """Marked rows (lhs, a, None), rhs being alpha * a."""
-        k, x, c = self.g.kernels, self.rows[r], self.start(r)
-        lhs = k.marked(repeat(self.images[x].coords), self.image_coords[c:])
-        return lhs, k.marked(repeat(self.pts[x].coords), self.coords[c:]), None
-
     def first(self, r: int, alpha: float, eps: float) -> int:
-        """The first hit of kernel(r) under alpha, from one loop that lists
-        nothing; a tuple where the kernel's text raises is a hit."""
+        """The first index of row r at which not lhs <= alpha * a + eps, or
+        -1, from one loop that lists nothing; a marked tuple is a hit."""
         x, c = self.rows[r], self.start(r)
         return self.g.kernels.first_banach(self.images[x].coords, self.image_coords[c:],
                                            self.pts[x].coords, self.coords[c:], alpha, eps)
 
+    def fold(self, r: int, alpha: float, eps: float, best: float, zero: float) -> tuple:
+        """Row r read once for the estimate: best folded with lhs / a, and
+        first's index under alpha up to where the fold stops."""
+        x, c = self.rows[r], self.start(r)
+        return self.g.kernels.fold_banach(self.images[x].coords, self.image_coords[c:],
+                                          self.pts[x].coords, self.coords[c:],
+                                          alpha, eps, best, zero)
+
     def evaluate(self, alpha: float, hit) -> tuple:
-        """(sides, witness) at the tuple hit = (row, index into kernel's
-        row), sides(witness) being its two sides under alpha."""
+        """(sides, witness) at the tuple hit = (row, index into the row
+        from start), sides(witness) being its two sides under alpha."""
         r, i = self.rows[hit[0]], self.cols[self.start(hit[0]) + hit[1]]
         return partial(banach_sides, self.g, self.t, alpha, tx=self.images[r],
                        ty=self.images[i]), {"x": self.pts[r], "y": self.pts[i]}
@@ -364,9 +344,9 @@ class _ProximalRows:
     the qualifying pairs (x2, u2).  lhs abs(g(u1, u2)) and rhs beta *
     abs(g(x1, x2)) + N * abs(g(x2, u1)); the estimate's terms are lhs - N *
     abs(g(x2, u1)) over abs(g(x1, x2)).  first tests a row under one beta
-    in one loop (RowKernels.first_proximal), which lists nothing; kernel
-    gives the marked rows that the estimate folds.  Exact sets give every
-    qualifying pair, grids the pairs under the quadruple cap."""
+    in one loop (RowKernels.first_proximal), which lists nothing; fold
+    reads it once for the estimate (RowKernels.fold_proximal).  Exact sets
+    give every qualifying pair, grids the pairs under the quadruple cap."""
 
     def __init__(self, f, n_cap, core, seed):
         self.g, self.n_cap = core.g, n_cap
@@ -379,21 +359,18 @@ class _ProximalRows:
     def validate(self, beta: float) -> None:
         _proximal_name(beta, self.n_cap)
 
-    def kernel(self, r: int) -> tuple:
-        """Marked rows of abs(g(u1, u2)), abs(g(x1, x2)) and N * abs(g(x2,
-        u1)), the right side being beta * the second plus the third."""
-        x1, u1 = self.pairs[r]
-        k = self.g.kernels
-        g_uu = k.marked(repeat(u1.coords), self.us)
-        g_xx = k.marked(repeat(x1.coords), self.xs)
-        g_xu = k.marked(self.xs, repeat(u1.coords))
-        return g_uu, g_xx, [self.n_cap * q for q in g_xu]
-
     def first(self, r: int, beta: float, eps: float) -> int:
-        """The first hit of kernel(r) under beta, from one loop that lists
-        nothing; a tuple where the kernel's text raises is a hit."""
+        """The first index of row r at which not lhs <= rhs + eps under
+        beta, or -1, from one loop that lists nothing; a marked tuple is a
+        hit."""
         return self.g.kernels.first_proximal(self.us[r], self.us, self.xs[r], self.xs,
                                              beta, self.n_cap, eps)
+
+    def fold(self, r: int, beta: float, eps: float, best: float, zero: float) -> tuple:
+        """Row r read once for the estimate: best folded with its ratios,
+        and first's index under beta up to where the fold stops."""
+        return self.g.kernels.fold_proximal(self.us[r], self.us, self.xs[r], self.xs,
+                                            beta, self.n_cap, eps, best, zero)
 
     def evaluate(self, beta: float, hit) -> tuple:
         """(sides, witness) at the tuple hit = (row, index), sides(witness)

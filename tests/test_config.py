@@ -204,3 +204,15 @@ def test_a_grid_too_large_for_memory_names_its_resolution(monkeypatch):
         instance_from_dict(doc)
     assert str(err.value) == (
         "sets.A.resolution: a grid of 10000000000 points does not fit in memory")
+
+
+def test_a_second_core_lookup_hashes_no_point(monkeypatch):
+    """Instance.core keys its memo by the identity of the sets, so a second
+    lookup gives the same core without hashing a Point."""
+    inst = load_instance(fixture_config_path("parallel-segments"))
+    g, a, b = inst.g, inst.set_("A"), inst.set_("B")
+    core = inst.core(g, a, b)
+    hashed, real = [], Point.__hash__
+    monkeypatch.setattr(Point, "__hash__", lambda self: hashed.append(self) or real(self))
+    assert inst.core(g, a, b) is core
+    assert hashed == []

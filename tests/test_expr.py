@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import cycle
+from itertools import cycle, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,8 +99,20 @@ def test_the_deepest_expression_compiles_in_every_form(text):
     want = evaluate(e, env)
     assert compile_expr(e, ("x1", "u1"))(0.5, 2.0) == want
     kernels = compile_row_kernels(e, ("x1",), ("u1",))
-    assert kernels.values([(0.5,)], [(2.0,)]) == [abs(want)]
-    assert kernels.first_convex_pairs([(0.5,)], [(2.0,)], cycle([0.0]), [1e9], 0.0) == -1
+    w = abs(want)
+    assert kernels.values([(0.5,)], [(2.0,)]) == [w]
+    assert kernels.band(repeat((0.5,)), [(2.0,)], w, 0.0) == ([0], -1)
+    # each term of the banach loops is w, each of the proximal loops, all
+    # at (0.5, 0.5), the same finite value, its numerator under N = 1 zero
+    p, Q, x, X = (0.5,), [(2.0,)], (0.5,), [(0.5,)]
+    assert kernels.first_banach(p, Q, p, Q, 1.0, 0.0) == -1
+    assert kernels.fold_banach(p, Q, p, Q, 1.0, 0.0, 0.0, 1e-9) == (float(w > 1e-9), -1, -1)
+    assert kernels.first_proximal(x, X, x, X, 1.0, 0.0, 0.0) == -1
+    assert kernels.fold_proximal(x, X, x, X, 1.0, 1.0, 0.0, 0.0, 1e-9) == (0.0, -1, -1)
+    for loop in (kernels.first_convex, kernels.lean_convex):
+        assert loop(p, Q, [w], [0.0], 0.0) == -1
+    for loop in (kernels.first_convex_pairs, kernels.lean_convex_pairs):
+        assert loop([(0.5,)], [(2.0,)], cycle([0.0]), [w], 0.0) == -1
     kernels.bound
     rows = compile_point_rows((e,), ("x1",), ("u1",), "l")
     assert rows((0.5,), [(2.0,)], [0.0]) == [(want + 0.0,)]

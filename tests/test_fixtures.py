@@ -192,17 +192,21 @@ def test_a_contraction_scan_reads_one_point_per_class(subject, shape, monkeypatc
 
     name, gauge, map_name = subject
     inst = load_fixture_instance(name)
-    lengths, real = [], RowKernels.marked
+    lengths, real = [], RowKernels.fold_banach.func
 
-    def counting(self, P, Q):
-        row = real(self, P, Q)
-        lengths.append(len(row))
-        return row
+    def counting(self):
+        loop = real(self)
 
-    monkeypatch.setattr(RowKernels, "marked", counting)
-    # the estimate reads every row: its lhs row, then its rhs row
+        def fold(p, Q, r, S, *rest):
+            lengths.append((len(Q), len(S)))
+            return loop(p, Q, r, S, *rest)
+
+        return fold
+
+    monkeypatch.setattr(RowKernels, "fold_banach", property(counting))
+    # the estimate folds every row in one loop over its lhs and rhs columns
     assert math.isfinite(estimate_coefficient(inst.gauge(gauge), inst.map_(map_name), inst.tol))
     rows, cols, symmetric = shape
     assert inst.gauge(gauge).symmetric == symmetric
     # a triangle for a symmetric gauge, else the square
-    assert lengths == [cols - r * symmetric for r in range(rows) for _ in ("lhs", "rhs")]
+    assert lengths == [(cols - r * symmetric,) * 2 for r in range(rows)]

@@ -1404,6 +1404,104 @@ def test_holding_proximal_scans_do_not_go_through_eval_g(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the estimate's fold loop: it stops at a row's first mark or infinite
+# ratio, and a sweep value whose first hit it has not reached goes through
+# the first-hit loop.  Each plant sits in one row: the banach row x = 1/4
+# of LINE under HALF, or the quadruple row j1 = 5 (x1 = t_10), whose
+# columns x2 = t_12 and t_16 only abs(g(x1, x2)) reads, never the core or
+# the qualifying pairs.  By family: (x, c1, c2), the row's x and two of its
+# columns; a sweep's hit at c2 sits at (x/2, c2/2) of the gauge.
+
+FOLD_ROWS = {"banach": (GRID[4], GRID[6], GRID[10]), "proximal": (GRID[10], GRID[12], GRID[16])}
+FOLD_WITNESS = {"banach": _point_at(GRID[4], GRID[10]), "proximal": _quad(5, 8)}
+# eps_ineq above eps_zero: an infinite ratio whose numerator is 1/16 holds
+SLACK = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=0.125)
+
+
+def _at(a, b, sym):
+    """1 at the grid pair (a, b), with sym at (b, a) too, else 0; the
+    mirrored pair keeps the gauge proven symmetric."""
+    one = f"{_hat('x1', a)}*{_hat('u1', b)}"
+    return f"({one} + {_hat('x1', b)}*{_hat('u1', a)})" if sym else one
+
+
+def _raising_at(a, b, sym):
+    """A term that divides by zero at the grid pair (a, b), with sym at
+    (b, a) too, and else adds 0."""
+    den = f"(abs(x1 - {a!r}) + abs(u1 - {b!r}))"
+    if sym:
+        den += f"*(abs(x1 - {b!r}) + abs(u1 - {a!r}))"
+    return f" + 0/({den})"
+
+
+def _fold_gauge(case, family, sym):
+    x, c1, c2 = FOLD_ROWS[family]
+    if case == "ratio-then-mark":
+        zero, tail = c1, _raising_at(x, c2, sym)
+    elif case == "mark-then-ratio":
+        zero, tail = c2, _raising_at(x, c1, sym)
+    else:  # hit-after-ratio: lhs 4 higher at column c2
+        zero, tail = c1, f" + 4*{_at(x / 2, c2 / 2, sym)}"
+    g = GFunction(f"abs(x1-u1)*(1 - {_at(x, zero, sym)}){tail}", 1)
+    assert g.symmetric == sym
+    return g
+
+
+def _banach_scans(g, tol):
+    """The banach estimate and its sweep, each against the reference."""
+    return {
+        "estimate": assert_same(lambda: estimate_coefficient(g, HALF, tol),
+                                lambda: ref_estimate(g, HALF, tol)),
+        "search": assert_same(
+            lambda: _searched(lambda vs: estimate_coefficient(g, HALF, tol, sweep=vs), ALPHAS),
+            lambda: _ref_searched(lambda: ref_estimate(g, HALF, tol),
+                                  lambda v: ref_banach(g, HALF, v, tol), ALPHAS),
+        ),
+    }
+
+
+FOLD_CASES = {  # the estimate's outcome, and the tolerances
+    "ratio-then-mark": (("ok", exact(math.inf)), TOL),
+    "mark-then-ratio": (("error", "EvalError", "division-by-zero"), TOL),
+    "hit-after-ratio": (("ok", exact(math.inf)), SLACK),
+}
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["symmetric", "non-symmetric"])
+@pytest.mark.parametrize("family", ["banach", "proximal"])
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_the_fold_stops_at_the_first_mark_or_infinite_ratio_of_its_row(case, family, sym):
+    want, tol = FOLD_CASES[case]
+    g = _fold_gauge(case, family, sym)
+    if family == "banach":
+        out = _banach_scans(g, tol)
+    else:
+        out = _proximal_scans(HALF, proximal_core(g, LINE, HALF_B, TOL), 0.0, tol)
+    assert out["estimate"][:len(want)] == want
+    if case == "hit-after-ratio":
+        # the lowest value breaks in an earlier row; every other value
+        # first breaks at column c2, after the infinite ratio at c1
+        reports = out["search"][1][1]
+        assert [rep[:2] for rep in reports[1:]] == (
+            [(FALSIFIED, FOLD_WITNESS[family])] * (len(reports) - 1))
+
+
+@pytest.mark.parametrize("sym", [True, False], ids=["symmetric", "non-symmetric"])
+def test_an_overflowing_n_term_gives_a_minus_inf_numerator_not_a_mark(sym):
+    # abs(g(x2, u1)) reaches 4 (x2 = 1, u1 = 0), and 1e308 times any value
+    # above 1.8 overflows: those quadruples have a numerator of -inf, the ratio
+    # -inf or, on the diagonal of row 8, no ratio, and a right side of inf,
+    # which holds.  Where abs(g(x2, u1)) is 0 (x2 = u1) the ratio is 1/2
+    x, c1, _ = FOLD_ROWS["proximal"]
+    g = GFunction(f"4*abs(x1-u1)*(1 + {_at(x, c1, sym)})", 1)
+    assert g.symmetric == sym
+    assert 1e308 * 4 * abs(GRID[16] - GRID[8]) == math.inf
+    out = _proximal_scans(HALF, proximal_core(g, LINE, HALF_B, TOL), 1e308)
+    assert out["estimate"] == ("ok", exact(0.5))
+    assert [rep[0] for rep in out["search"][1][1]] == [FALSIFIED, HOLDS, HOLDS, HOLDS]
+
+
+# --------------------------------------------------------------------------
 # proximity questions answered by ProximalCore.mates: an image that is a
 # sample point of B reads its mates from the core, any other image a row of A
 
