@@ -51,6 +51,7 @@ __all__ = [
     "compile_expr",
     "compile_row_kernels",
     "compile_point_rows",
+    "compile_iteration",
     "RowKernels",
     "variables",
     "mirror_sign",
@@ -748,7 +749,7 @@ def _unbound(exprs: Iterable[Expr], names: Iterable[str]) -> None:
 
 def _names(names: Sequence[str]) -> str:
     """An unpacking target for a tuple of the named coordinates."""
-    return f"({', '.join(names)},)"
+    return f"({', '.join(names)},)" if names else "()"
 
 
 _KERNEL_GLOBALS = dict(
@@ -756,6 +757,7 @@ _KERNEL_GLOBALS = dict(
     abs=abs, sqrt=math.sqrt, _pow=_pow, evaluate=evaluate, locals=locals, len=len,
     min=min, max=max, sum=sum, isfinite=math.isfinite, nextafter=math.nextafter,
     zip=zip, enumerate=enumerate, isinstance=isinstance, next=next, repeat=repeat, iter=iter,
+    range=range,
     length_hint=length_hint, ArithmeticError=ArithmeticError, ValueError=ValueError,
     __builtins__={},
 )
@@ -996,3 +998,80 @@ def compile_point_rows(
         "        pass\n"
         "    return _row\n"
     )["rows"]
+
+
+def compile_iteration(
+    e: Expr, left: tuple[str, ...], right: tuple[str, ...],
+    exprs: Optional[Sequence[Expr]], power: int, box: bool,
+) -> Callable[..., tuple[bool, str]]:
+    """Compile the steps of the contraction iteration p -> U(p) under the
+    gauge e into one loop.
+
+    steps(test, image, p, n, alpha, eps_ineq, eps_zero, Q, R) runs steps
+    0, 1, ... n - 1 from the coordinate tuple p.  Step k maps the current
+    point q_k (p at k = 0) to q_(k+1): it runs the texts of exprs (see
+    _gen), one per coordinate over the names left, power times, each pass
+    giving the tuple (e + 0.0 for e in exprs) that the next reads; with
+    exprs None it takes image(q_k), a coordinate tuple, instead.  The image
+    must be inside the domain: with box, test is (lo, hi) and each
+    coordinate lies within its finite bounds; else test(image) holds.  The
+    step then takes r = abs(e) with left bound to q_k and right to q_(k+1),
+    appends q_(k+1) to Q and r to R, and tests as the scalar iteration
+    does: from step 1 on, verified stays true while r <= alpha * r_prev +
+    eps_ineq; the loop ends "converged" where r < eps_zero, and "bound"
+    where alpha ** (k + 1) / (1.0 - alpha) * r_0 < eps_zero.
+
+    It returns (verified, how), how being one of those two, "max_iter"
+    after n steps, or "raised" at the first step whose text raises, whose
+    image or any pass of it has a coordinate that is not finite, whose
+    image lies outside the domain, or whose r is not finite: the step that
+    the scalar calls raise at, and which has appended nothing.  Texts run
+    with no typed fallback, as the row loops do.
+    """
+    _unbound([e], left + right)
+    _unbound(exprs or (), left)
+    d = len(left)
+    q = [f"_q{i}" for i in range(d)]
+    temps, target, stop = count(), _names(q), "return _verified, 'raised'"
+    finite = " and ".join(f"-inf < {c} < inf" for c in q)
+    if exprs is None:
+        lines = [f"{target} = _image({_names(left)})"]
+    else:
+        lines = []
+        for j in range(power):
+            names = dict(zip(left, left if j == 0 else q))
+            coords = "".join(f"{_gen(c, temps, names)} + 0.0, " for c in exprs)
+            if j:
+                lines.append(f"if not ({finite}): {stop}")
+            lines.append(f"{target} = ({coords})")
+    inside = (" and ".join(f"_l{i} <= {c} <= _h{i}" for i, c in enumerate(q))
+              if box else f"_test({target})")
+    body = _gen(e, temps, dict(zip(left + right, left + tuple(q))))
+    lines += [
+        f"if not ({inside}): {stop}",
+        f"if not (_r := {body if _nonneg(e) else f'abs({body})'}) < inf: {stop}",
+        "if _k:",
+        "    _verified = _verified and _r <= _alpha * _prev + _eps_ineq",
+        "else:",
+        "    _r0 = _r",
+        f"_keep({target})",
+        "_add(_r)",
+        f"{_names(left)} = {target}",
+        "_prev = _r",
+        "if _r < _eps_zero: return _verified, 'converged'",
+        "if _alpha ** (_k + 1) / (1.0 - _alpha) * _r0 < _eps_zero: return _verified, 'bound'",
+    ]
+    bounds = (f"    {_names([f'_l{i}' for i in range(d)])}, "
+              f"{_names([f'_h{i}' for i in range(d)])} = _test\n") if box else ""
+    return _compile(
+        "def steps(_test, _image, _p, _n, _alpha, _eps_ineq, _eps_zero, _Q, _R):\n"
+        f"    {_names(left)} = _p\n"
+        + bounds
+        + "    _keep, _add, _verified, _r0, _prev = _Q.append, _R.append, True, 0.0, 0.0\n"
+        "    try:\n"
+        "        for _k in range(_n):\n"
+        + indent("\n".join(lines), "            ")
+        + "\n    except (ArithmeticError, ValueError):\n"
+        f"        {stop}\n"
+        "    return _verified, 'max_iter'\n"
+    )["steps"]

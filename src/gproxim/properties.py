@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from functools import cached_property, partial
 from itertools import zip_longest
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .expr import Expr, compile_expr, parse
+from .expr import Expr, compile_point_rows, evaluate, parse
 from .gspace import (
     CheckReport,
     GFunction,
@@ -70,19 +70,29 @@ class MapSpec:
         self.dimension = d
 
     @cached_property
-    def _fns(self) -> tuple[Callable[..., float], ...]:
-        """The scalar callables, compiled on the first apply."""
+    def images(self) -> Callable[[tuple, Iterable[tuple], Sequence], list]:
+        """The row loop of the map's coordinates (expr.compile_point_rows),
+        compiled on the first apply: images((), P, [None]) lists the image
+        of each coordinate tuple of P up to the first at which a text
+        raises, each image as it is, finite or not."""
         names = GFunction._var_names(self.dimension)[: self.dimension]
-        return tuple(compile_expr(e, names) for e in self.exprs)
+        return compile_point_rows(self.exprs, (), names, "_")
 
     def apply(self, p: Point) -> Point:
+        """T(p), the one tuple of images((), [p.coords], [None]).  Where there
+        is none, each coordinate is evaluated in order through evaluate,
+        which raises the typed error of the first whose text raises; where
+        none raises, a coordinate is not finite: GSpaceError."""
         coords = p.coords
         if len(coords) != self.dimension:
             raise GSpaceError(f"map {self.name!r} applied to wrong dimension")
-        image = tuple([fn(*coords) + 0.0 for fn in self._fns])  # normalises -0.0
-        if not all(map(math.isfinite, image)):
-            raise GSpaceError(f"map {self.name!r} produced non-finite image at {p}")
-        return _checked_point(image)
+        row = self.images((), (coords,), (None,))
+        if row and all(map(math.isfinite, row[0])):
+            return _checked_point(row[0])
+        env = dict(zip(GFunction._var_names(self.dimension), coords))
+        for e in self.exprs:
+            evaluate(e, env)
+        raise GSpaceError(f"map {self.name!r} produced non-finite image at {p}")
 
     def __repr__(self) -> str:
         body = ", ".join(str(e) for e in self.exprs)

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
+from .expr import compile_iteration
 from .gspace import (
     CheckReport,
     ConvexStructure,
@@ -27,6 +30,7 @@ from .gspace import (
     ProximalCore,
     SampleSet,
     ToleranceSet,
+    _checked_point,
     _gauge_row,
     eval_g,
     proximal_select,
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ITER = 10_000
+_MAX = sys.float_info.max
 
 
 class DomainEscape(GSpaceError):
@@ -184,6 +189,27 @@ class StageMap:
 MapLike = Union[MapSpec, IteratedMap, StageMap]
 
 
+def _stepper(g: GFunction, u: MapLike, eps: float) -> Callable[..., tuple[bool, str]]:
+    """The compiled steps of picard on u (expr.compile_iteration), its domain
+    test and image bound: a MapSpec, or an IteratedMap of one, runs its
+    texts; any other map gives its image through apply.  A box domain's
+    bounds are lo - eps and hi + eps, as SampleSet._has tests them, each
+    kept finite, so that they also test that the image is."""
+    d = g.dimension
+    names = GFunction._var_names(d)
+    base, power = (u.base, u.power) if isinstance(u, IteratedMap) else (u, 1)
+    exprs = base.exprs if isinstance(base, MapSpec) else None
+    box = u.domain.box
+    steps = compile_iteration(g.expr, names[:d], names[d:], exprs, power, box is not None)
+    if box is None:
+        test = partial(u.domain._has, tol=eps)
+    else:
+        test = (tuple(max(lo - eps, -_MAX) for lo, _ in box),
+                tuple(min(hi + eps, _MAX) for _, hi in box))
+    image = None if exprs else (lambda c: u.apply(_checked_point(c)).coords)
+    return partial(steps, test, image)
+
+
 def picard(
     g: GFunction,
     u: MapLike,
@@ -203,36 +229,37 @@ def picard(
     level; otherwise alpha was wrong and the verdict is "post_check_failed".
     Visited points are checked against the domain sample; an escaping
     iterate raises DomainEscape.
+
+    The steps run in one compiled loop (see _stepper).  At the first step
+    that raises, is not finite or leaves the domain, the scalar calls
+    (U.apply, the domain's contains, eval_g) run that step again and raise
+    its error.
     """
     _check_alpha(alpha)
     if not u.domain.contains(p0, tol.eps_prox):
         raise DomainEscape(f"start point {p0} outside the sampled domain")
-    points = [p0]
+    images: list[tuple[float, ...]] = []
     step_res: list[float] = []
-    verdict = "max_iter"
-    verified = True  # every step so far met the rate alpha
-    on_bound = False
-    for k in range(max_iter):
-        p = points[-1]
+    if g.dimension == p0.dimension:
+        steps = _stepper(g, u, tol.eps_prox)
+        verified, how = steps(p0.coords, max_iter, alpha, tol.eps_ineq, tol.eps_zero,
+                              images, step_res)
+    else:  # eval_g raises at the first step, after U and the domain test
+        verified, how = True, "raised" if max_iter > 0 else "max_iter"
+    points = [p0, *map(_checked_point, images)]
+    if how == "raised":
+        p, k = points[-1], len(images)
         q = u.apply(p)
         if not u.domain.contains(q, tol.eps_prox):
             raise DomainEscape(f"iterate {q} left the sampled domain at step {k + 1}")
-        r = abs(eval_g(g, p, q))
-        if step_res:
-            verified = verified and r <= alpha * step_res[-1] + tol.eps_ineq
-        points.append(q)
-        step_res.append(r)
-        if r < tol.eps_zero:
-            verdict = "converged"
-            break
-        if alpha ** (k + 1) / (1.0 - alpha) * step_res[0] < tol.eps_zero:
-            on_bound = True
-            break
+        eval_g(g, p, q)
+        raise GSpaceError(f"step {k + 1} stopped the compiled loop, not the scalar calls")
     r0 = step_res[0] if step_res else 0.0
     bounds = [alpha ** k / (1.0 - alpha) * r0 for k in range(len(points))]
     # U(p_k) is p_(k+1), so only the last point needs its certificate residual
     prox = step_res + [abs(eval_g(g, points[-1], u.apply(points[-1])))]
-    if on_bound:
+    verdict = "converged" if how == "converged" else "max_iter"
+    if how == "bound":
         backed = verified and prox[-1] <= tol.eps_zero
         verdict = "converged" if backed else "post_check_failed"
     return Trace(

@@ -5,10 +5,13 @@ count of them in which the change read lower, at least nine tenths of them,
 and both sides' medians and the parent's quartiles, the medians differing by
 more than the parent's spread q3 - q1.  The committed job-output digests at
 seeds 3, 5 and 6, which CI compares each workload's outputs with, name each
-workload of BENCHMARK.json once."""
+workload of BENCHMARK.json once.  Every function the bench's tracer rebinds
+by name exists in the package."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import re
 from pathlib import Path
@@ -47,3 +50,26 @@ def test_the_committed_digests_name_each_workload_once(seed, declared):
     lines = (ROOT / "tests" / "data" / f"job_outputs_seed{seed}.sha256").read_text().splitlines()
     assert [line.split()[0] for line in lines] == [w["name"] for w in declared["workloads"]]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+
+
+def _tracer_spans() -> tuple[str, ...]:
+    """SPANS of gpbench/tracer.py, read from its source: importing the
+    tracer needs the bench's own modules on the path."""
+    tree = ast.parse((ROOT / "gpbench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
+    return ast.literal_eval(value)
+
+
+# The counters the tracer's install() rebinds beside the spans.
+COUNTED = ("gspace.eval_g", "gspace.Point.__post_init__", "gspace.ConvexStructure.apply",
+           "properties.MapSpec.apply")
+
+
+@pytest.mark.parametrize("target", _tracer_spans() + COUNTED)
+def test_every_function_the_tracer_rebinds_exists(target):
+    module, *path = target.split(".")
+    obj = importlib.import_module(f"gproxim.{module}")
+    for name in path:
+        obj = getattr(obj, name)
+    assert callable(obj)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -602,6 +603,19 @@ class TestSolve:
             )
             runs.append(path.read_bytes())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("golden, fixture, scheme", [
+        ("trace_picard_halving-on-unit.csv", "halving-on-unit",
+         ["picard", "--from", "1", "--alpha", "0.25"]),
+        ("trace_power2_box-shift.csv", "box-shift",
+         ["power", "--n0", "2", "--from", "(1,0.5,-0.5,1)", "--alpha", "0.5"]),
+    ])
+    def test_trace_bytes_equal_the_golden(self, golden, fixture, scheme, tmp_path):
+        # the goldens were written before the steps ran in one compiled loop
+        path = tmp_path / "trace.csv"
+        argv = ["solve", "--config", str(fixture_config_path(fixture)), "--scheme", *scheme]
+        assert main(argv + ["--trace", str(path)]) == 0
+        assert path.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
 
     def test_bad_point_literal_exits_two(self, halving, capsys):
         code = main(

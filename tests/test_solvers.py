@@ -1,10 +1,13 @@
 import csv
+import random
 
 import pytest
 
 from conftest import reflection_doc, solve_berinde, write_config
+from gproxim.expr import EvalError
 from gproxim.gspace import (
     ConvexStructure,
+    DimensionMismatch,
     GFunction,
     GSpaceError,
     NoProximalMate,
@@ -14,8 +17,9 @@ from gproxim.gspace import (
     eval_g,
     proximal_core,
 )
-from gproxim.properties import MapSpec, check_proximal_inequality
+from gproxim.properties import MapSpec, _check_alpha, check_proximal_inequality
 from gproxim.solvers import (
+    DEFAULT_MAX_ITER,
     DomainEscape,
     IteratedMap,
     Schedule,
@@ -24,6 +28,7 @@ from gproxim.solvers import (
     picard,
     power_fixed_point,
     proximal_iterate,
+    Trace,
     write_trace_csv,
 )
 
@@ -227,6 +232,242 @@ class TestPowerFixedPoint:
         assert trace.converged
         assert trace.final == P(0)
         assert trace.certificate_residual == 0.0
+
+
+# The scalar iteration that picard and power_fixed_point ran before their
+# steps were compiled: the reference they must match bit for bit.
+
+
+def reference_picard(g, u, p0, alpha, tol, max_iter=DEFAULT_MAX_ITER):
+    _check_alpha(alpha)
+    if not u.domain.contains(p0, tol.eps_prox):
+        raise DomainEscape(f"start point {p0} outside the sampled domain")
+    points = [p0]
+    step_res = []
+    verdict = "max_iter"
+    verified = True
+    on_bound = False
+    for k in range(max_iter):
+        p = points[-1]
+        q = u.apply(p)
+        if not u.domain.contains(q, tol.eps_prox):
+            raise DomainEscape(f"iterate {q} left the sampled domain at step {k + 1}")
+        r = abs(eval_g(g, p, q))
+        if step_res:
+            verified = verified and r <= alpha * step_res[-1] + tol.eps_ineq
+        points.append(q)
+        step_res.append(r)
+        if r < tol.eps_zero:
+            verdict = "converged"
+            break
+        if alpha ** (k + 1) / (1.0 - alpha) * step_res[0] < tol.eps_zero:
+            on_bound = True
+            break
+    r0 = step_res[0] if step_res else 0.0
+    bounds = [alpha ** k / (1.0 - alpha) * r0 for k in range(len(points))]
+    prox = step_res + [abs(eval_g(g, points[-1], u.apply(points[-1])))]
+    if on_bound:
+        backed = verified and prox[-1] <= tol.eps_zero
+        verdict = "converged" if backed else "post_check_failed"
+    return Trace(
+        points=points, step_residuals=step_res, proximity_residuals=prox,
+        apriori_bounds=bounds, verdict=verdict, final=points[-1], alpha=alpha,
+        contraction_verified=verified, certificate_residual=prox[-1],
+    )
+
+
+def reference_power(g, u, n0, p0, alpha, tol, max_iter=DEFAULT_MAX_ITER):
+    composed = IteratedMap(u, n0) if n0 > 1 else u
+    trace = reference_picard(g, composed, p0, alpha, tol, max_iter)
+    base_res = abs(eval_g(g, u.apply(trace.final), trace.final))
+    trace.certificate_residual = base_res
+    if trace.verdict == "converged" and base_res > 10.0 * tol.eps_zero:
+        trace.verdict = "post_check_failed"
+    return trace
+
+
+def outcome(run):
+    """Every field of the trace run() returns, each double as its hex
+    string, or under "error" the type and message of the error it raises."""
+    try:
+        trace = run()
+    except (GSpaceError, EvalError) as exc:
+        return {"error": (type(exc), str(exc))}
+
+    def bits(xs):
+        return [x.hex() for x in xs]
+
+    return {
+        "points": [bits(p.coords) for p in trace.points],
+        "step_residuals": bits(trace.step_residuals),
+        "proximity_residuals": bits(trace.proximity_residuals),
+        "apriori_bounds": bits(trace.apriori_bounds),
+        "verdict": trace.verdict,
+        "final": bits(trace.final.coords),
+        "alpha": trace.alpha,
+        "contraction_verified": trace.contraction_verified,
+        "certificate_residual": trace.certificate_residual.hex(),
+    }
+
+
+def same_runs(g, u, n0, p0, alpha, max_iter, tol=TOL):
+    """The outcome of power_fixed_point, and of picard where n0 is 1,
+    checked against the reference; returns power's."""
+    want = outcome(lambda: reference_power(g, u, n0, p0, alpha, tol, max_iter))
+    assert outcome(lambda: power_fixed_point(g, u, n0, p0, alpha, tol, max_iter)) == want
+    if n0 == 1:
+        assert outcome(lambda: picard(g, u, p0, alpha, tol, max_iter)) == outcome(
+            lambda: reference_picard(g, u, p0, alpha, tol, max_iter))
+    return want
+
+
+class Wrapped:
+    """A map with only apply and domain, which the loop calls for its image."""
+
+    def __init__(self, t):
+        self.apply, self.domain = t.apply, t.domain
+
+
+def _num(v):
+    return f"({v!r})"
+
+
+def random_case(rng):
+    """A random affine map of R^d with min and max terms, d from 1 to 4,
+    whose images of [-2, 2]^d stay inside it, a gauge over R^d, and a
+    start point, rate and step cap."""
+    d = rng.randint(1, 4)
+    xs = [f"x{i}" for i in range(1, d + 1)]
+
+    def affine(i):
+        a, b = rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3)
+        j = rng.randrange(d)
+        a *= 1 - abs(b) / 0.6  # abs(a) + abs(b) <= 0.6
+        return f"{_num(a)}*{xs[i]} + {_num(b)}*{xs[j]} + {_num(rng.uniform(-0.5, 0.5))}"
+
+    exprs = []
+    for i in range(d):
+        kind = rng.choice(["affine", "min", "max"])
+        exprs.append(affine(i) if kind == "affine" else f"{kind}({affine(i)}, {affine(i)})")
+    diffs = [f"(x{i}-u{i})" for i in range(1, d + 1)]
+    g = rng.choice([
+        " + ".join(f"abs{c}" for c in diffs),
+        " + ".join(f"{c}^2" for c in diffs),
+        "x1^2 - u1^2",
+        f"x{d} - u{d}",
+        "max(" * (d - 1) + "abs(x1-u1)" + "".join(f", abs{c})" for c in diffs[1:]),
+    ])
+    p0 = tuple(round(rng.uniform(-2, 2), 3) for _ in range(d))
+    alpha = rng.choice([1e-3, 0.3, 0.6, 0.75, 0.9, 0.99, rng.uniform(0.01, 0.99)])
+    return d, exprs, GFunction(g, d), p0, alpha, rng.choice([0, 1, 2, 7, 60])
+
+
+class TestCompiledSteps:
+    """picard and power_fixed_point against the scalar reference, field for
+    field and bit for bit, and error for error where a step fails."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_maps_over_a_box(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            d, exprs, g, p0, alpha, max_iter = random_case(rng)
+            x = SampleSet.grid([(-2, 2)] * d, 2, name="X")
+            t = MapSpec(exprs, x, x, name="T")
+            u = Wrapped(t) if rng.random() < 0.2 else t
+            same_runs(g, u, rng.randint(1, 3), Point(p0), alpha, max_iter)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_maps_over_an_exact_set(self, seed):
+        # the set lists the start point and its images, up to a cut that
+        # an iterate may escape at
+        rng = random.Random(1000 + seed)
+        for _ in range(4):
+            d, exprs, g, p0, alpha, max_iter = random_case(rng)
+            n0 = rng.randint(1, 3)
+            box = SampleSet.grid([(-2, 2)] * d, 2, name="X")
+            orbit, p = [Point(p0)], Point(p0)
+            for _ in range(n0 * (max_iter + 2)):
+                p = MapSpec(exprs, box, box).apply(p)
+                orbit.append(p)
+            cut = len(orbit) if rng.random() < 0.7 else rng.randint(1, len(orbit))
+            x = SampleSet.from_points(dict.fromkeys(orbit[:cut]), name="X")
+            same_runs(g, MapSpec(exprs, x, x, name="T"), n0, Point(p0), alpha, max_iter)
+
+    halving = SampleSet.grid([(0, 1)], 2, name="X")
+    spike = "max(0, 1 - 1e20*abs(x1 - {c})) * 1e308 * 1e308"  # inf at x1 = c, else 0
+
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_a_step_at_the_rate_with_no_slack_is_verified(self, n0):
+        # halving under the gauge x1 - u1 meets alpha = 1/2 with equality
+        t = MapSpec(["x1/2"], self.halving, self.halving, name="T")
+        tol = ToleranceSet(eps_ineq=0.0)
+        want = same_runs(GFunction("x1 - u1", 1), t, n0, P(1), 0.5 ** n0, 100, tol)
+        assert want["contraction_verified"] and want["verdict"] == "converged"
+
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_a_negative_zero_image_is_stored_as_zero(self, n0):
+        x = SampleSet.grid([(-1, 1)], 2, name="X")
+        t = MapSpec(["-max(x1 - 0.5, 0)"], x, x, name="T")  # -0.5, then -0.0
+        want = same_runs(GFunction("x1 - u1", 1), t, n0, P(1), 0.5, 100)
+        assert want["final"] == [(0.0).hex()]
+
+    @pytest.mark.parametrize("map_", [
+        "min(x1 + 0.25, 1.0000000005)", "min(x1 + 0.25, 1.0000000015)",
+        "max(x1 - 0.25, -0.0000000005)", "max(x1 - 0.25, -0.0000000015)",
+    ])
+    def test_the_box_test_is_the_sets_own(self, map_):
+        # under eps_prox 1e-9 an image 5e-10 past an end of the box is in
+        # it, and one 1.5e-9 past escapes
+        t = MapSpec([map_], self.halving, self.halving, name="T")
+        for n0 in (1, 2):
+            want = same_runs(GFunction("x1 - u1", 1), t, n0, P(0.5), 0.5, 100)
+            assert ("error" in want) == map_.endswith("15)")
+
+    # Each failure comes after the first step under every power n0: the
+    # halving maps visit each 2^-j, the power's runs those j that n0 divides,
+    # and 2^-6 is one of them.  In the last case U(1/4) is inf and U(inf) is
+    # 0.45, so from 1/2 the second pass of U^2 or U^3 is not finite while
+    # the last pass is.
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    @pytest.mark.parametrize("map_, gauge, p0, error", [
+        ("2*x1", "x1 - u1", 0.1, DomainEscape),
+        ("x1/2 + 0*(1/(x1 - 0.125))", "x1 - u1", 1.0, EvalError),
+        ("x1/2 + 0*sqrt(x1 - 0.1)", "x1 - u1", 1.0, EvalError),
+        ("x1/2", f"x1 - u1 + (x1 - u1) * ({spike.format(c=2 ** -6)})", 1.0, EvalError),
+        ("x1/2", f"(x1 - u1) * 2^(max(0, 1 - 1e20*abs(x1 - {2 ** -6})) * 1e4)", 1.0, EvalError),
+        (f"x1/2 + {spike.format(c=0.125)}", "x1 - u1", 1.0, GSpaceError),
+        (f"min(x1, 0.9)/2 + {spike.format(c=0.25)}", "x1 - u1", 0.5, GSpaceError),
+    ], ids=["escape", "division-by-zero", "sqrt-of-negative", "gauge-inf", "gauge-overflow",
+            "image-inf", "image-inf-then-finite"])
+    def test_a_planted_failure_raises_the_scalar_error(self, map_, gauge, p0, error, n0):
+        # also as the second coordinate of a 2-D map, the first halving
+        x2 = SampleSet.grid([(0, 1), (0, 1)], 2, name="X")
+        for maps, g, start in (
+            (MapSpec([map_], self.halving, self.halving, name="T"), GFunction(gauge, 1), P(p0)),
+            (MapSpec(["x1/2", map_.replace("x1", "x2")], x2, x2, name="T"),
+             GFunction(gauge.replace("x1", "x2").replace("u1", "u2"), 2), P(1, p0)),
+        ):
+            for u in (maps, Wrapped(maps)):
+                kind, message = same_runs(g, u, n0, start, 0.5, 100)["error"]
+                assert issubclass(kind, error), message
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_a_slow_contraction_runs_every_step(self, d):
+        # the rate 63/64 takes about a thousand steps to zero level
+        x = SampleSet.grid([(0, 2)] * d, 2, name="X")
+        t = MapSpec([f"0.984375*x{i} + 0.00390625" for i in range(1, d + 1)], x, x, name="T")
+        g = GFunction(" + ".join(f"abs(x{i}-u{i})" for i in range(1, d + 1)), d)
+        for n0 in (1, 2):
+            want = same_runs(g, t, n0, P(*[2.0] * d), 0.984375 ** n0, DEFAULT_MAX_ITER)
+            assert want["verdict"] == "converged" and len(want["points"]) > 500 // n0
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_a_gauge_of_another_dimension_raises_at_the_first_step(self, max_iter):
+        t = MapSpec(["x1/2"], self.halving, self.halving, name="T")
+        g = GFunction("x1 - u1 + x2", 2)
+        for n0 in (1, 2):
+            kind, _ = same_runs(g, t, n0, P(1), 0.5, max_iter)["error"]
+            assert kind is DimensionMismatch
 
 
 @pytest.fixture
