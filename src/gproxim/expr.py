@@ -616,7 +616,12 @@ class RowKernels:
     read a row of first_banach and first_proximal in one loop for the
     coefficient estimate: they fold the running maximum of its ratios,
     stop at its first mark or infinite ratio, and give the first hit of one
-    coefficient up to that stop.
+    coefficient up to that stop.  first_level and first_symmetry test a
+    row of the identity or the symmetry axiom, a fixed tuple p against
+    each tuple of a list Q: first_level stops where abs(e(p, Q[k])) is not
+    above its level or not finite, and first_symmetry, which evaluates
+    abs(e(p, Q[k])) and abs(e(Q[k], p)) in one pass, where the two differ
+    by more than eps; each gives the index the marked rows would.
 
     Every loop runs the text of e (see _gen) with no typed fallback, so
     where evaluate raises its EvalError values raises that or a bare
@@ -706,6 +711,22 @@ class RowKernels:
         return _compile_contraction("first_convex_pairs", ["PQ", "L", "M"], "", *self.tree, "lean")
 
     @cached_property
+    def first_level(self) -> Callable[..., int]:
+        """Compiled on first use: first_level(p, Q, level) is the first k at
+        which not level < abs(e(p, Q[k])) < inf, or -1 (see _compile_first).
+        The identity scan calls it at eps_zero; a symmetry scan under a
+        gauge proven symmetric calls it at -inf, where it fails at the row's
+        first mark."""
+        return _compile_first("first_level", *self.tree)
+
+    @cached_property
+    def first_symmetry(self) -> Callable[..., int]:
+        """Compiled on first use: first_symmetry(p, Q, eps) is the first k
+        at which not abs(abs(e(p, Q[k])) - abs(e(Q[k], p))) <= eps, or -1
+        (see _compile_first)."""
+        return _compile_first("first_symmetry", *self.tree)
+
+    @cached_property
     def bound(self) -> Optional[Callable[..., Optional[tuple[float, float]]]]:
         """Compiled on first use, from its own source: only the proximity
         scans ask for it, and compile takes memory that grows with the
@@ -765,7 +786,7 @@ _KERNEL_GLOBALS = dict(
 
 # Code objects by generated text.  Each load of a config builds its gauges,
 # maps and structures anew, so one process compiles the same text many
-# times: one verify-falsify bench pass asks for 201 texts, 74 distinct.
+# times: one verify-falsify bench pass (seed 3) asks for 240 texts, 86 distinct.
 _code = lru_cache(maxsize=256)(partial(compile, filename="<string>", mode="exec"))
 
 
@@ -841,8 +862,8 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     def term(w: str, pair: str) -> str:
         if len(pair) == 1:
             return w
-        body = _gen(e, temps, dict(zip(left + right, coords[pair[0]] + coords[pair[1]])))
-        return f"({w} := {body if _nonneg(e) else f'abs({body})'})"
+        names = dict(zip(left + right, coords[pair[0]] + coords[pair[1]]))
+        return f"({w} := {_row_body(e, temps, names)})"
 
     def bound(values: list[str]) -> str:
         return "".join(f"{c}{v} + " for c, v in zip(weights, values)) + "_eps"
@@ -876,11 +897,13 @@ def _compile_contraction(name: str, pairs: list[str], coefs: str, e: Expr,
     )[name]
 
 
-def _row_body(e: Expr) -> str:
-    """The text of abs(e) that values and band run: compile_expr's text,
-    without the outer abs where _nonneg(e) holds, since it would return the
-    same double."""
-    body = _gen(e, count())
+def _row_body(
+    e: Expr, temps: Optional[Iterator[int]] = None, names: Optional[Mapping[str, str]] = None
+) -> str:
+    """The text of abs(e) that every loop runs: compile_expr's text (see
+    _gen, which takes temps and names), without the outer abs where
+    _nonneg(e) holds, since it would return the same double."""
+    body = _gen(e, count() if temps is None else temps, names)
     return body if _nonneg(e) else f"abs({body})"
 
 
@@ -940,6 +963,44 @@ def _compile_band(
         "        return _hits, _k\n"
         "    return _hits, -1\n"
     )["band"]
+
+
+def _compile_first(
+    name: str, e: Expr, left: tuple[str, ...], right: tuple[str, ...]
+) -> Callable[..., int]:
+    """RowKernels.first_level or first_symmetry: name(p, Q, bound), with p
+    a coordinate tuple bound once and Q a list of them, unpacked once per
+    tuple, is the first k at which the row's test fails, or -1.
+
+    Each value is the text of abs(e) (see _row_body), each term under names
+    of its own and all of them with one temps counter.
+    first_level fails a tuple where not bound < abs(e(p, Q[k])) < inf.
+    first_symmetry, for e whose left and right take equally many
+    coordinates, fails it where not abs(abs(e(p, Q[k])) - abs(e(Q[k], p)))
+    <= bound: a NaN or an inf value fails it there, as a mark would, since
+    bound is finite.  Where the text raises, the loop returns that tuple's
+    index, as a mark there would fail it.  It numbers only the failing
+    tuple, from what length_hint says is left of Q's iterator, as
+    _compile_contraction's loops do.
+    """
+    temps = count()
+    p, q = [f"_p{i}" for i in range(len(left))], [f"_q{i}" for i in range(len(right))]
+
+    def term(x: list[str], y: list[str]) -> str:
+        return _row_body(e, temps, dict(zip(left + right, x + y)))
+
+    test = (f"_bound < {term(p, q)} < inf" if name == "first_level"
+            else f"abs({term(p, q)} - {term(q, p)}) <= _bound")
+    at = "return len(_Q) - 1 - length_hint(_rest)"
+    return _compile(
+        f"def {name}(_p, _Q, _bound):\n"
+        f"    {_names(p)} = _p\n"
+        "    try:\n"
+        f"        for {_names(q)} in (_rest := iter(_Q)):\n"
+        f"            if not {test}: {at}\n"
+        f"    except (ArithmeticError, ValueError):\n        {at}\n"
+        "    return -1\n"
+    )[name]
 
 
 def _compile_bound(
@@ -1046,10 +1107,10 @@ def compile_iteration(
             lines.append(f"{target} = ({coords})")
     inside = (" and ".join(f"_l{i} <= {c} <= _h{i}" for i, c in enumerate(q))
               if box else f"_test({target})")
-    body = _gen(e, temps, dict(zip(left + right, left + tuple(q))))
+    body = _row_body(e, temps, dict(zip(left + right, left + tuple(q))))
     lines += [
         f"if not ({inside}): {stop}",
-        f"if not (_r := {body if _nonneg(e) else f'abs({body})'}) < inf: {stop}",
+        f"if not (_r := {body}) < inf: {stop}",
         "if _k:",
         "    _verified = _verified and _r <= _alpha * _prev + _eps_ineq",
         "else:",

@@ -781,23 +781,20 @@ def falsify_axiom(
     # or z, after x in scan order (see GFunction.symmetric)
     half = g.symmetric
     if kind == "identity":
+        level = g.kernels.first_level
         for i, x in enumerate(pts):
             before = [] if half else coords[:i]  # the row skips x: points are distinct
-            row = g.kernels.marked(repeat(x.coords), before + coords[i + 1:])
-            k = next((k for k, v in enumerate(row) if not v > tol.eps_zero), -1)
+            k = level(x.coords, before + coords[i + 1:], tol.eps_zero)
             if k >= 0:
                 j = k if k < len(before) else i + 1 + k - len(before)
                 return falsified({"x": x, "y": pts[j]}, "distinct points at zero gauge level")
     elif kind == "symmetry":
+        # a symmetric g's backward row is its forward row, so a row fails
+        # at its first mark: level -inf
+        first, bound = ((g.kernels.first_level, -math.inf) if half
+                        else (g.kernels.first_symmetry, tol.eps_ineq))
         for i, x in enumerate(pts):
-            forward = g.kernels.marked(repeat(x.coords), coords[i + 1:])
-            # a symmetric g's backward row is its forward row: a mark fails
-            backward = forward if half else g.kernels.marked(coords[i + 1:], repeat(x.coords))
-            k = next(
-                (k for k, (a, b) in enumerate(zip(forward, backward))
-                 if not abs(a - b) <= tol.eps_ineq),
-                -1,
-            )
+            k = first(x.coords, coords[i + 1:], bound)
             if k >= 0:
                 return falsified({"x": x, "y": pts[i + 1 + k]})
     elif kind == "triangle":
@@ -1216,13 +1213,24 @@ def check_side_condition(
 
     That level is d_g itself, bit for bit: a pair at exactly d_g lies in
     a_g x b_g, and no pair of A x B is lower.
+
+    A row x holds whole where its sums at the ends lo and hi of the row of
+    abs(g(y, s)) hold: rounding is monotone, so abs(grx + v - target) <= eps
+    at v = lo and at v = hi gives it at every v between them.  A row that
+    fails that proof, and every row where abs(g(y, s)) has a mark or a_g is
+    empty (the ends are then NaN), is scanned for its first violation.
     """
     target = 2.0 * core.d_g
     b_pts, a_pts = core.b_g.points, core.a_g.points
     grx_row = core.g.kernels.marked(repeat(r.coords), core.b_g.coords)
     gys_row = core.g.kernels.marked(core.a_g.coords, repeat(s.coords))
     eps = tol.eps_ineq
+    lo = hi = math.nan
+    if gys_row and not math.isnan(sum(gys_row)):
+        lo, hi = min(gys_row), max(gys_row)
     for i, grx in enumerate(grx_row):
+        if abs(grx + lo - target) <= eps and abs(grx + hi - target) <= eps:
+            continue
         j = next(
             (j for j, v in enumerate(gys_row) if not abs(grx + v - target) <= eps), -1
         )

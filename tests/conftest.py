@@ -145,6 +145,18 @@ def random_expr(rng: random.Random, depth: int) -> Expr:
     return Binary(op, left, right)
 
 
+def mirrored(e: Expr) -> Expr:
+    """e with its names xK and uK exchanged: the gauge g(y, x) of g(x, y)."""
+    if isinstance(e, Var):
+        swap = {"x": "u", "u": "x"}.get(e.name[0])
+        return Var(swap + e.name[1:]) if swap else e
+    if isinstance(e, Unary):
+        return Unary(e.op, mirrored(e.operand))
+    if isinstance(e, Binary):
+        return Binary(e.op, mirrored(e.left), mirrored(e.right))
+    return e
+
+
 def random_env(rng: random.Random) -> dict[str, float]:
     return {
         name: rng.choice([-2.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0])

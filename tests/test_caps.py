@@ -7,11 +7,12 @@ are cut by its own size rule whatever the set.  The reference formulas are
 written out here: per axis, max(2, floor(cap ** (1 / arity))) points at cap
 10**6 for the pair scans, the triangle triples and the quadruple pairs, and
 2000 points for the qualifying pairs, chosen by even strides at seed 0 and
-by a seeded random sample otherwise.  The spies read the first row a scan passes to the kernels
-(for the qualifying pairs, to the row reader; for the contraction scans, to
-their fused loop) and stop the scan there, so no test pays for a whole scan.
-The convex-structure check runs whole under a lowered cap, and its spy reads
-the rows of H each condition builds.
+by a seeded random sample otherwise.  The spies read the first row a scan
+passes to the kernels (for the qualifying pairs, to the row reader; for the
+contraction, identity and symmetry scans, to their first-hit loop) and stop
+the scan there, so no test pays for a whole scan.  The convex-structure
+check runs whole under a lowered cap, and its spy reads the rows of H each
+condition builds.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class _Stop(Exception):
 
 def first_row(scan, monkeypatch) -> tuple[list, list]:
     """The arguments of the scan's first kernel call; the scan stops there.
-    A fused contraction loop (first_banach, first_proximal) is caught too,
-    as a call over its left side's point p and row Q."""
+    A first-hit loop (first_banach, first_proximal, first_level,
+    first_symmetry) is caught too, as a call over its point p and row Q."""
     seen = []
 
     def spy(self, P, Q):
@@ -76,7 +77,7 @@ def first_row(scan, monkeypatch) -> tuple[list, list]:
         return lambda p, Q, *rest: spy(self, repeat(p), Q)
 
     monkeypatch.setattr(RowKernels, "marked", spy)
-    for name in ("first_banach", "first_proximal"):
+    for name in ("first_banach", "first_proximal", "first_level", "first_symmetry"):
         monkeypatch.setattr(RowKernels, name, property(fused))
     with pytest.raises(_Stop):
         scan()

@@ -113,6 +113,15 @@ def test_the_deepest_expression_compiles_in_every_form(text):
         assert loop(p, Q, [w], [0.0], 0.0) == -1
     for loop in (kernels.first_convex_pairs, kernels.lean_convex_pairs):
         assert loop([(0.5,)], [(2.0,)], cycle([0.0]), [w], 0.0) == -1
+    # the axiom loops: w is above -inf and not above itself; the mirror
+    # value may raise, which fails the symmetry loop's tuple as NaN would
+    try:
+        mirror = abs(evaluate(e, {"x1": 2.0, "u1": 0.5}))
+    except EvalError:
+        mirror = math.nan
+    assert kernels.first_level(p, Q, -math.inf) == -1
+    assert kernels.first_level(p, Q, w) == 0
+    assert kernels.first_symmetry(p, Q, 0.0) == (-1 if w == mirror else 0)
     kernels.bound
     rows = compile_point_rows((e,), ("x1",), ("u1",), "l")
     assert rows((0.5,), [(2.0,)], [0.0]) == [(want + 0.0,)]

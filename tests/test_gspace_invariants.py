@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_expr
+from conftest import mirrored, random_expr
 from gproxim.expr import EvalError, variables
 from gproxim.gspace import (
     ConvexStructure,
@@ -130,6 +130,58 @@ def test_falsifier_witnesses_are_sound(kind, seed):
         rhs = abs(eval_g(g, w["x"], w["y"])) + abs(eval_g(g, w["y"], w["z"]))
         assert lhs == rep.lhs and rhs == rep.rhs
         assert lhs > rhs + tol.eps_ineq
+
+
+# Metamorphic relations of the axiom falsifiers on exact sets, which they
+# scan whole: the axiom holds, or fails at some tuple, under a change that
+# keeps the set of tuples to test.  A falsification and a typed error both
+# say it fails; which of them a scan meets first depends on its order.
+AXIOMS = ("identity", "symmetry", "triangle")
+PLANE = [(c, d) for c in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0) for d in (-0.5, 0.0, 0.25, 1.0)]
+
+
+def _holds(kind, g, points, tol):
+    try:
+        return falsify_axiom(kind, g, SampleSet.from_points(points, name="A"), tol).holds
+    except EvalError:
+        return False
+
+
+def _axiom_case(seed: int):
+    """A random plane gauge, tolerances and an exact set of 3 to 6 points."""
+    rng = random.Random(f"axiom-relations-{seed}")
+    e = random_expr(rng, 3)
+    while "l" in variables(e):
+        e = random_expr(rng, 3)
+    tol = ToleranceSet(eps_zero=rng.choice((1e-9, 0.25)), eps_ineq=rng.choice((0.0, 1e-9, 0.25)))
+    return rng, e, tol, rng.sample(PLANE, rng.randint(3, 6))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_swapping_x_and_u_in_the_gauge_keeps_every_axiom_verdict(seed):
+    _, e, tol, points = _axiom_case(seed)
+    g, swapped = GFunction(e, 2), GFunction(mirrored(e), 2)
+    for kind in AXIOMS:
+        assert _holds(kind, g, points, tol) == _holds(kind, swapped, points, tol)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reordering_an_exact_set_keeps_every_axiom_verdict(seed):
+    rng, e, tol, points = _axiom_case(seed)
+    g, reordered = GFunction(e, 2), rng.sample(points, len(points))
+    for kind in AXIOMS:
+        assert _holds(kind, g, points, tol) == _holds(kind, g, reordered, tol)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_an_axiom_falsified_on_a_subset_stays_falsified_on_the_superset(seed):
+    rng, e, tol, points = _axiom_case(seed)
+    g = GFunction(e, 2)
+    superset = points + rng.sample([p for p in PLANE if p not in points], rng.randint(1, 3))
+    rng.shuffle(superset)
+    for kind in AXIOMS:
+        if not _holds(kind, g, points, tol):
+            assert not _holds(kind, g, superset, tol)
 
 
 LINEAR_H = ConvexStructure(("l*x1 + (1-l)*u1", "l*x2 + (1-l)*u2"))

@@ -11,14 +11,16 @@ with a violation planted before or after the raising tuple.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
 from itertools import count, cycle, repeat
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_expr
+from conftest import mirrored, random_expr
 from gproxim.config import load_instance
 from gproxim.expr import (
     Binary,
@@ -292,13 +294,16 @@ def test_kernels_compile_lazily(monkeypatch):
     s = exact_set([0.0, 1.0], "S")
     falsify_axiom("identity", g, s, TOL)
     assert "kernels" in vars(g)
-    # a first scan compiles the values loop alone; a convex check adds its
-    # two first-hit loops, and a second check compiles nothing more
-    assert compiled == ["def values"]
+    # a first scan compiles the values loop and its own first-hit loop; a
+    # convex check adds its two first-hit loops, and a second check of
+    # either kind compiles nothing more
+    assert compiled == ["def values", "def first_level"]
     h = ConvexStructure(("l*x1 + (1-l)*u1",))
     for _ in range(2):
         assert check_convex_structure(h, g, s, LAMS, TOL).holds
-    assert compiled == ["def values", "def rows", "def first_convex", "def first_convex_pairs"]
+        assert falsify_axiom("identity", g, s, TOL).holds
+    assert compiled == ["def values", "def first_level", "def rows", "def first_convex",
+                        "def first_convex_pairs"]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -2384,3 +2389,214 @@ def test_qualifying_pairs_raise_a_map_error_before_any_mates_error():
     got = assert_same(lambda: qualifying_pairs(f, core),
                       lambda: ref_pairs(MARKED, f, LINE, core.d_g, TOL))
     assert got[:2] == ("error", "GSpaceError") and "non-finite image at (0.0625)" in got[2]
+
+
+# --------------------------------------------------------------------------
+# the identity and symmetry rows' first-hit loops, and the side-condition
+# rows proven whole from the ends of abs(g(y, s))
+
+
+def _axiom_gauge(rng, sym):
+    """A random plane gauge: with sym a tree and its mirror under +, - or *,
+    which GFunction.symmetric proves, else a tree plus 0*x1, which it never
+    proves."""
+    e = _without_l(random_expr(rng, 3))
+    if sym:
+        e = Binary(rng.choice(("add", "sub", "mul")), e, mirrored(e))
+    else:
+        e = Binary("add", e, Binary("mul", Num(0.0), Var("x1")))
+    g = GFunction(e, 2)
+    assert g.symmetric == sym
+    return g
+
+
+def _axiom_set(rng, box):
+    """A box of at most 20 points, which no pair scan cuts, or an exact set
+    of 2 to 7 points."""
+    if box:
+        lo1, lo2 = rng.choice((-1.0, 0.0, 0.5)), rng.choice((-1.0, 0.0, 0.5))
+        shape = rng.choice(([2, 3], [4, 5], [3, 6], [2, 7]))
+        return SampleSet.grid([(lo1, lo1 + 1.0), (lo2, lo2 + 1.5)], shape, name="A")
+    grid = [(c, d) for c in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0) for d in (-0.5, 0.0, 0.25, 1.0)]
+    return exact_set(rng.sample(grid, rng.randint(2, 7)), "A")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_axiom_loops_give_the_index_of_their_marked_rows(seed):
+    # coordinates that divide by zero, take sqrt of a negative, overflow or
+    # are NaN or -0.0 give marks in both orders of a pair
+    rng = random.Random(f"axiom-loops-{seed}")
+    kernels = _axiom_gauge(rng, seed % 2 == 0).kernels
+    pool = (-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 1e200, math.inf, math.nan)
+    p = (rng.choice(pool), rng.choice(pool))
+    Q = [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
+    forward, backward = kernels.marked(repeat(p), Q), kernels.marked(Q, repeat(p))
+    for level in (-math.inf, 0.0, 1e-9, 0.5, 2.0):
+        want = next((k for k, v in enumerate(forward) if not level < v), -1)
+        assert kernels.first_level(p, Q, level) == want
+    for eps in (0.0, 1e-9, 0.5):
+        want = next((k for k, (a, b) in enumerate(zip(forward, backward))
+                     if not abs(a - b) <= eps), -1)
+        assert kernels.first_symmetry(p, Q, eps) == want
+
+
+@pytest.mark.parametrize("box", [False, True], ids=["exact", "box"])
+@pytest.mark.parametrize("sym", [True, False], ids=["symmetric", "non-symmetric"])
+@pytest.mark.parametrize("seed", range(30))
+def test_random_axiom_rows_match_the_reference(seed, sym, box):
+    rng = random.Random(f"axiom-rows-{seed}")
+    g, s = _axiom_gauge(rng, sym), _axiom_set(rng, box)
+    tol = ToleranceSet(eps_zero=rng.choice((1e-9, 0.25)), eps_ineq=rng.choice((0.0, 1e-9, 0.25)))
+    for kind in ("identity", "symmetry"):
+        assert_same(lambda: falsify_axiom(kind, g, s, tol),
+                    lambda: ref_axiom(kind, g, list(s.points), tol))
+
+
+# Plants at the grid pair (3/16, 6/16), and with sym at its mirror too, on
+# abs(x1-u1), whose pairs are at least 1/16 apart: each entry gives the
+# gauge's text from sym, its tolerances, and the outcome of the identity
+# and the symmetry scans under a symmetric and a non-symmetric gauge, a
+# verdict or the kind of the typed error.  1/4 is eps_ineq but where the
+# entry says otherwise, and 0.1875 + 1/4 + 2^-54 is a double, so "ulp-above"
+# differs from its mirror by one ULP more than eps_ineq.
+P1, P2 = GRID[3], GRID[6]
+WIDE_INEQ = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=0.25)
+NO_SLACK = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=0.0)
+AXIOM_PLANTS = {
+    "divide-by-zero": (lambda sym: "abs(x1-u1)" + _raising_at(P1, P2, sym), WIDE_INEQ,
+                       ("division-by-zero",) * 2, ("division-by-zero",) * 2),
+    "sqrt-of-negative": (lambda sym: f"abs(x1-u1) + sqrt(-({_at(P1, P2, sym)}))", WIDE_INEQ,
+                         ("sqrt-of-negative",) * 2, ("sqrt-of-negative",) * 2),
+    "inf": (lambda sym: f"abs(x1-u1) + {_at(P1, P2, sym)}*1e308*10", WIDE_INEQ,
+            ("non-finite",) * 2, ("non-finite",) * 2),
+    "nan": (lambda sym: f"abs(x1-u1) + ({_at(P1, P2, sym)}*1e308*10 - "
+                        f"{_at(P1, P2, sym)}*1e308*10)", WIDE_INEQ,
+            ("non-finite",) * 2, ("non-finite",) * 2),
+    # -0.0 at (3/16, 6/16): zero level; its mirror is 3/16 without sym
+    "minus-zero": (lambda sym: f"(x1-u1)*(1 - {_at(P1, P2, sym)})", WIDE_INEQ,
+                   (FALSIFIED, HOLDS), (FALSIFIED, HOLDS)),
+    "minus-zero-zero-eps-ineq": (lambda sym: f"(x1-u1)*(1 - {_at(P1, P2, sym)})", NO_SLACK,
+                                 (FALSIFIED, HOLDS), (FALSIFIED, FALSIFIED)),
+    "at-eps-zero": (lambda sym: f"abs(x1-u1)*(1 - {_at(P1, P2, sym)}) + 1e-09*{_at(P1, P2, sym)}",
+                    WIDE_INEQ, (FALSIFIED, HOLDS), (FALSIFIED, HOLDS)),
+    "ulp-above-eps-zero": (lambda sym: f"abs(x1-u1)*(1 - {_at(P1, P2, sym)}) + "
+                                       f"{math.nextafter(1e-9, 1)!r}*{_at(P1, P2, sym)}",
+                           WIDE_INEQ, (HOLDS, HOLDS), (HOLDS, HOLDS)),
+    "at-eps-ineq": (lambda sym: f"abs(x1-u1) + 0.25*{_at(P1, P2, sym)}", WIDE_INEQ,
+                    (HOLDS, HOLDS), (HOLDS, HOLDS)),
+    "ulp-above-eps-ineq": (lambda sym: f"abs(x1-u1) + {math.nextafter(0.25, 1)!r}*"
+                                       f"{_at(P1, P2, sym)}", WIDE_INEQ,
+                           (HOLDS, HOLDS), (HOLDS, FALSIFIED)),
+    "zero-eps-ineq": (lambda sym: f"abs(x1-u1) + 0.0625*{_at(P1, P2, sym)}", NO_SLACK,
+                      (HOLDS, HOLDS), (HOLDS, FALSIFIED)),
+    "signed-at-zero-eps-ineq": (lambda sym: "x1 - u1" if sym else "x1 - u1 + 0*x1", NO_SLACK,
+                                (HOLDS, HOLDS), (HOLDS, HOLDS)),
+}
+
+
+def _verdict(out):
+    return out[2] if out[0] == "error" else out[1][0]
+
+
+@pytest.mark.parametrize("box", [False, True], ids=["exact", "box"])
+@pytest.mark.parametrize("sym", [True, False], ids=["symmetric", "non-symmetric"])
+@pytest.mark.parametrize("plant", sorted(AXIOM_PLANTS))
+def test_planted_axiom_rows_match_the_reference(plant, sym, box):
+    text, tol, *want = AXIOM_PLANTS[plant]
+    g = GFunction(text(sym), 1)
+    assert g.symmetric == sym
+    s = SampleSet.grid([(0.0, 1.0)], 17, name="L") if box else LINE
+    assert s.coords == LINE.coords
+    got = tuple(
+        _verdict(assert_same(lambda: falsify_axiom(kind, g, s, tol),
+                             lambda: ref_axiom(kind, g, GRID_POINTS, tol)))
+        for kind in ("identity", "symmetry")
+    )
+    assert got == want[not sym]
+
+
+# The side condition on two columns of 9 points, A at x1 = 0 and B at
+# x1 = 1, under abs(x1-u1) plus planted terms, with r = (-1, 0) and
+# s = (0, 0): every pair of the core is at d_g = 1, every abs(g(r, x)) at
+# 2 and every abs(g(y, s)) at 0, so each sum is the target 2.  ON_GRX is
+# 1 in abs(g(r, x)) alone (x1 = -1) and ON_GYS in abs(g(y, s)) alone
+# (u1 = 0); _hat('u2', c) picks the row x of b_g with x2 = c, and
+# _hat('x2', c) the column y of a_g.
+ON_GRX, ON_GYS = "max(0, -x1 - 0.5)*2", "max(0, 0.5 - u1)*2"
+SIDE_A = SampleSet.grid([(0.0, 0.0), (0.0, 1.0)], [1, 9], name="A")
+SIDE_B = SampleSet.grid([(1.0, 1.0), (0.0, 1.0)], [1, 9], name="B")
+EIGHTH = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=0.125)
+HUGE = ToleranceSet(eps_prox=1e-9, eps_zero=1e-9, eps_ineq=1e308)
+
+
+def _row(c, value):
+    return f" + {ON_GRX}*{_hat('u2', c)}*{value!r}"
+
+
+def _column(c, value):
+    return f" + {ON_GYS}*{_hat('x2', c)}*{value!r}"
+
+
+def _gys_raise(c):
+    return f" + 0/(abs(u1) + abs(x2 - {c!r}))"
+
+
+def _grx_nan(c):
+    inf = f"{ON_GRX}*{_hat('u2', c)}*1e308*10"
+    return f" + ({inf} - {inf})"
+
+
+# name -> (planted terms, tolerances, outcome: a verdict and the witness's
+# x2 coordinates, or the kind of the typed error)
+SIDE_PLANTS = {
+    "holds": ("", TOL, (HOLDS,)),
+    "zero-eps-ineq": ("", NO_SLACK, (HOLDS,)),
+    "row-off-late": (_row(0.75, 0.5), TOL, (FALSIFIED, 0.75, 0.0)),
+    "column-off": (_column(0.5, 0.25), TOL, (FALSIFIED, 0.0, 0.5)),
+    # lo passes the rows, hi fails them: the scan finds the column
+    "column-off-within-eps": (_column(0.5, 0.25), EIGHTH, (FALSIFIED, 0.0, 0.5)),
+    # row 0 fails at lo but not at hi: 1.5 + 0.5 is the target
+    "low-end-only": (_row(0.0, -0.5) + _column(0.5, 0.5), TOL, (FALSIFIED, 0.0, 0.0)),
+    "row-at-eps": (_row(0.5, 0.125), EIGHTH, (HOLDS,)),
+    "row-ulp-above-eps": (_row(0.5, 0.125 + 2 ** -51), EIGHTH, (FALSIFIED, 0.5, 0.0)),
+    "column-at-eps": (_column(1.0, 0.125), EIGHTH, (HOLDS,)),
+    "gys-mark": (_gys_raise(0.5), TOL, ("division-by-zero",)),
+    "gys-mark-after-a-violation": (_gys_raise(0.5) + _column(0.25, 1.0), TOL,
+                                   (FALSIFIED, 0.0, 0.25)),
+    "gys-mark-before-a-violation": (_gys_raise(0.25) + _column(0.5, 1.0), TOL,
+                                    ("division-by-zero",)),
+    "grx-nan": (_grx_nan(0.625), TOL, ("non-finite",)),
+    "grx-nan-after-a-violation": (_grx_nan(0.625) + _row(0.25, 1.0), TOL,
+                                  (FALSIFIED, 0.25, 0.0)),
+    # 1e308 + 2 - 2 is within eps_ineq, 2e308 is inf: row 3/8 fails at hi
+    "sum-overflows": (_row(0.375, 1e308) + _column(0.75, 1e308), HUGE,
+                      (FALSIFIED, 0.375, 0.75)),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(SIDE_PLANTS))
+def test_planted_side_condition_rows_match_the_reference(plant):
+    terms, tol, want = SIDE_PLANTS[plant]
+    g = GFunction("abs(x1-u1)" + terms, 2)
+    core = proximal_core(g, SIDE_A, SIDE_B, tol)
+    assert (core.d_g, len(core.a_g), len(core.b_g)) == (1.0, 9, 9)
+    r, s = Point((-1.0, 0.0)), Point((0.0, 0.0))
+    got = assert_same(lambda: check_side_condition(core, r, s, tol),
+                      lambda: ref_side_condition(g, core, r, s, tol))
+    if got[0] == "error":
+        assert got[2:3] == want
+    elif want[0] == FALSIFIED:
+        w = got[1][1]
+        assert (got[1][0], w["x"], w["y"]) == (FALSIFIED, *exact((Point((1.0, want[1])),
+                                                                  Point((0.0, want[2])))))
+    else:
+        assert got[1][0] == HOLDS
+
+
+def test_a_side_condition_over_an_empty_a_g_holds():
+    # no core has an empty a_g; a stand-in with no points checks no pair
+    g = GFunction("abs(x1-u1)", 2)
+    core = proximal_core(g, SIDE_A, SIDE_B, TOL)
+    empty = dataclasses.replace(core, a_g=SimpleNamespace(points=(), coords=[]), partners=())
+    report = check_side_condition(empty, Point((-1.0, 0.0)), Point((0.0, 0.0)), TOL)
+    assert (report.verdict, report.note) == (HOLDS, "target 2.0")
